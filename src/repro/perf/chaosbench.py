@@ -78,10 +78,16 @@ def _run_cell(
             result, transport=backend, chaos=plan, watchdog_s=watchdog_s,
         )
     except Exception as exc:  # noqa: BLE001 - a non-surviving run
+        # Replay material for tests/test_protocol_core.py: the plan,
+        # and from a DeadlockError / RankCrashError the structured
+        # context (stuck channel, last received seq, dead ranks).
+        to_dict = getattr(exc, "to_dict", None)
         return {
             "survived": False,
             "identical": False,
             "error": f"{type(exc).__name__}: {exc}",
+            "failure": to_dict() if to_dict is not None else None,
+            "plan": plan.as_dict(),
             "wall_s": round(time.perf_counter() - t0, 4),
         }
     wall = time.perf_counter() - t0

@@ -15,12 +15,15 @@ schedules (neighbor exchange, ring allgather, combining-tree
 reductions); every backend records wire-level accounting that the
 executor cross-checks against the plan-time predictions exactly.
 
-:mod:`repro.transport.integrity` adds the wire-integrity layer
-(sequence numbers, CRC32 checksums, dedup, NACK/retransmit) and the
-seeded deterministic fault plans that :mod:`repro.transport.chaos`
-injects through any backend; injected rank crashes are recovered by
-checkpoint/restart, and past the restart budget the executor degrades
-gracefully to the ``inline`` backend.
+:mod:`repro.transport.integrity` holds the wire-integrity layer as a
+sans-IO protocol core (sequence numbers, CRC32 checksums, dedup,
+NACK/retransmit) and the seeded deterministic fault plans that
+:mod:`repro.transport.chaos` injects through any backend.  The two
+concurrent backends share one driver (:mod:`repro.transport.base`) and
+differ only in their carrier (``threaded.py``, ``mp.py``); ``inline``
+is the independent sequential reference.  Injected rank crashes are
+recovered by checkpoint/restart, and past the restart budget the
+executor degrades gracefully to the ``inline`` backend.
 """
 
 from __future__ import annotations

@@ -15,20 +15,48 @@ measured traffic against the plan-time predictions *exactly*.  A
 watchdog bounds every blocking wait; a schedule that would deadlock
 (mismatched send/receive) raises a structured :class:`DeadlockError`
 instead of hanging.
+
+The two concurrent backends share one driver, defined at the bottom of
+this module: :class:`ConcurrentTransport` (the collector: op ids, round
+scripts, checkpoint → submit → collect → quiesce → recover → replay,
+the reduce tree) and the rank-side functions ``_worker_loop`` /
+``_run_op`` / ``_run_reduce`` (the send / local / recv / barrier round
+loop), which feed the sans-IO protocol core of
+:mod:`repro.transport.integrity`.  Both are written against
+:class:`RankPort` and a handful of collector hooks — the *carrier*
+interface — so ``threaded.py`` and ``mp.py`` hold only what differs
+between threads over deques and processes over shared memory.
 """
 
 from __future__ import annotations
 
+import queue
+import threading
+import time
+import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from ..codegen.kernels import compile_fn, pack_source, unpack_source
 from ..errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .lowering import LoweredComm
+from .integrity import (
+    ABORT,
+    CORRUPT,
+    DROP,
+    DUPLICATE,
+    HOLD,
+    INSTALL,
+    NACK,
+    SLEEP,
+    STASH,
+    ChannelReceiver,
+    ChaosCrash,
+    payload_crc,
+    send_actions,
+)
+from .lowering import SCALAR_BYTES, LoweredComm, lower_reduction
 
 
 class TransportError(SimulationError):
@@ -129,6 +157,17 @@ class RankOpStats:
     pair_msgs: dict = field(default_factory=dict)   # (src, dst) -> count
     pair_bytes: dict = field(default_factory=dict)  # (src, dst) -> bytes
     injected: dict = field(default_factory=dict)    # fault kind -> count
+
+    def count_send(self, src: int, dst: int, nbytes: int) -> None:
+        """One logical wire message on the canonical per-pair ledger.
+        Counted exactly once per send even when the frame is dropped or
+        corrupted — repairs are ledgered separately (``retransmits``),
+        keeping this equal to the lowering's prediction."""
+        self.sends += 1
+        self.bytes_sent += nbytes
+        pair = (src, dst)
+        self.pair_msgs[pair] = self.pair_msgs.get(pair, 0) + 1
+        self.pair_bytes[pair] = self.pair_bytes.get(pair, 0) + nbytes
 
 
 @dataclass
@@ -475,7 +514,7 @@ class Transport:
 
     # -- operations -------------------------------------------------------
 
-    def execute(self, lowered: "LoweredComm") -> OpReceipt:
+    def execute(self, lowered: LoweredComm) -> OpReceipt:
         raise NotImplementedError
 
     def reduce(self, pieces: dict[int, np.ndarray], op: str) -> tuple[
@@ -525,3 +564,696 @@ def combine_pieces(pieces: dict[int, np.ndarray], op: str) -> float:
     if op == "MIN":
         return float(flat.min())
     raise TransportError(f"unknown reduction op {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# The concurrent driver, written once against the carrier interface
+# ---------------------------------------------------------------------------
+
+#: A barrier arrival that waited longer than this counts as a stall.
+_STALL_S = 0.001
+
+#: How often the collector wakes to check worker liveness.
+_LIVENESS_S = 0.05
+
+#: ``seq`` of the reduce tree's frames (schedule sends count from 0).
+_REDUCE_SEQ = -1
+
+# Rank self-reported states for the watchdog's stuck-rank report.
+_IDLE, _RUNNING, _RECV_WAIT, _BARRIER = 0, 1, 2, 3
+_STATE_NAMES = {
+    _IDLE: "idle",
+    _RUNNING: "running",
+    _RECV_WAIT: "waiting on recv",
+    _BARRIER: "waiting at barrier",
+}
+
+
+class _Abort(Exception):
+    """Internal: the collector cancelled the in-flight operation, or a
+    rank's own backstop deadline passed."""
+
+
+class _RankCrash(Exception):
+    """Internal: the collector found dead workers; carries the dead
+    rank list to the submit retry loop."""
+
+    def __init__(self, dead: list[int]) -> None:
+        super().__init__(f"dead ranks {dead}")
+        self.dead = dead
+
+
+class StatusBlock:
+    """Per-rank self-reported progress, ``[state, round, partner, seq,
+    heartbeat, completed rounds]`` per rank over any integer array —
+    a plain list between threads, a shared ``RawArray`` between
+    processes.  Each rank writes only its own cells; the collector
+    reads them when the watchdog fires."""
+
+    STRIDE = 6
+
+    def __init__(self, cells) -> None:
+        self.cells = cells
+
+    def set(self, rank: int, state: int, rnd: int = -1, partner: int = -1,
+            seq: int = -1) -> None:
+        base = rank * self.STRIDE
+        cells = self.cells
+        cells[base] = state
+        cells[base + 1] = rnd
+        cells[base + 2] = partner
+        cells[base + 3] = seq
+        cells[base + 4] += 1  # heartbeat
+
+    def beat(self, rank: int) -> None:
+        self.cells[rank * self.STRIDE + 4] += 1
+
+    def round_done(self, rank: int, rnd: int) -> None:
+        """Past the barrier that ends round ``rnd``: running again."""
+        base = rank * self.STRIDE
+        self.cells[base] = _RUNNING
+        self.cells[base + 5] = rnd + 1
+
+    def describe(self, rank: int) -> dict:
+        """One ``DeadlockError.stuck`` entry."""
+        state, rnd, partner, seq, heartbeat, completed = self.cells[
+            rank * self.STRIDE:(rank + 1) * self.STRIDE
+        ]
+        waiting = None
+        if state == _RECV_WAIT:
+            waiting = f"message seq {seq} from rank {partner}"
+        elif state == _BARRIER:
+            waiting = f"barrier after round {rnd}"
+        return {
+            "rank": rank,
+            "state": _STATE_NAMES.get(state, "unknown"),
+            "waiting_on": waiting,
+            "heartbeat": int(heartbeat),
+            "completed_rounds": int(completed),
+        }
+
+
+class RankPort:
+    """One rank's endpoint on a carrier — everything the rank-side
+    driver needs that differs between carriers.
+
+    A *frame* is a tuple whose first three fields are the header
+    ``(op_id, seq, crc)``; what follows is the carrier's business (the
+    threaded carrier appends the pooled buffer, the multiprocess tag
+    stops there because its payload sits in a shared arena).
+
+    Attributes the carrier sets: ``rank``, ``nranks``, ``chaos``
+    (:class:`~repro.transport.integrity.ChaosState` or ``None``),
+    ``integrity``, ``watchdog_s``, ``abort`` (event), ``barrier``,
+    ``status`` (:class:`StatusBlock`), ``last_recv`` (flat
+    ``src * nranks + dst`` array of the last installed seq) and
+    ``chans`` — ``(src, dst) -> channel`` with ``put(frame)``,
+    ``get(deadline, abort)`` (raises :class:`_Abort` at the deadline)
+    and ``poll(deadline, abort)`` (returns ``None`` instead).
+    """
+
+    #: Monotonic clock and sleep, overridable so a simulated carrier
+    #: can drive the protocol without real time passing.
+    clock = staticmethod(time.monotonic)
+    sleep = staticmethod(time.sleep)
+
+    def begin_op(self, wire) -> None:
+        """Attach whatever :meth:`ConcurrentTransport._plan_wire`
+        prepared for this operation."""
+
+    def views(self, array: str) -> tuple[np.ndarray, np.ndarray]:
+        """This rank's ``(values, valid)`` storage for ``array``."""
+        raise NotImplementedError
+
+    def stage(self, s, rs: RankOpStats, op_id: int) -> tuple:
+        """Pack send ``s`` into a wire buffer, checksum it, and return
+        its frame; when chaos is armed also leave a pristine copy in the
+        retransmit source *before* returning."""
+        raise NotImplementedError
+
+    def payload(self, frame: tuple) -> np.ndarray | None:
+        """The wire payload ``frame`` names (``None`` if the carrier
+        cannot locate it — a frame of some other operation)."""
+        raise NotImplementedError
+
+    def duplicate(self, frame: tuple) -> tuple:
+        """A second frame for the same send (dup injection)."""
+        raise NotImplementedError
+
+    def release(self, pair: tuple[int, int], frame: tuple) -> None:
+        """``frame`` was consumed or discarded: take back any buffer it
+        owns.  Frames that own nothing need no override."""
+
+    def retransmit(self, pair: tuple[int, int], op_id: int,
+                   seq: int) -> np.ndarray | None:
+        """The pristine payload of ``seq`` from the retransmit source,
+        or ``None`` if the sender has not staged it (yet)."""
+        raise NotImplementedError
+
+    def local_copy(self, s, rs: RankOpStats) -> None:
+        """Install a ``src == dst`` send without touching the wire."""
+        raise NotImplementedError
+
+    def die(self) -> None:
+        """An injected crash fired: kill this rank at once, reporting
+        nothing."""
+        raise NotImplementedError
+
+
+def _post_send(port: RankPort, s, rs: RankOpStats, op_id: int,
+               held: dict) -> None:
+    rank = port.rank
+    chaos = port.chaos
+    if chaos is not None and chaos.fires("crash", rank, s.dst, s.seq):
+        port.die()
+    pair = (rank, s.dst)
+    t0 = time.perf_counter()
+    frame = port.stage(s, rs, op_id)
+    chan = port.chans[pair]
+    if chaos is None:
+        chan.put(frame)
+    else:
+        for action in send_actions(chaos, rank, s.dst, s.seq, s.dst in held):
+            if action is DROP:
+                port.release(pair, frame)
+            elif action is SLEEP:
+                port.sleep(chaos.plan.delay_s)
+            elif action is CORRUPT:
+                port.payload(frame).view(np.uint8)[0] ^= 0xFF
+            elif action is DUPLICATE:
+                chan.put(port.duplicate(frame))
+            elif action is HOLD:
+                held[s.dst] = frame  # posted after the channel's next frame
+            else:  # POST
+                chan.put(frame)
+                late = held.pop(s.dst, None)
+                if late is not None:
+                    chan.put(late)
+    rs.send_s += time.perf_counter() - t0
+    rs.count_send(rank, s.dst, s.nbytes)
+
+
+def _flush_held(port: RankPort, held: dict) -> None:
+    """End of a round's send phase: post any frame still held back by
+    reorder injection so it arrives within its round."""
+    while held:
+        dst, frame = held.popitem()
+        port.chans[(port.rank, dst)].put(frame)
+
+
+def _recv_one(port: RankPort, s, rs: RankOpStats, op_id: int,
+              deadline: float, rnd_no: int, receivers: dict) -> None:
+    rank = port.rank
+    pair = (s.src, rank)
+    port.status.set(rank, _RECV_WAIT, rnd_no, s.src, s.seq)
+    if port.chaos is not None:
+        _recv_chaotic(port, s, rs, op_id, deadline, receivers)
+    else:
+        t0 = time.perf_counter()
+        frame = port.chans[pair].get(deadline, port.abort)
+        t1 = time.perf_counter()
+        rs.wait_s += t1 - t0
+        try:
+            if frame[0] != op_id or frame[1] != s.seq:
+                raise TransportError(
+                    f"rank {rank}: message reorder from rank {s.src} "
+                    f"(got seq {frame[1]}, expected {s.seq})"
+                )
+            payload = port.payload(frame)
+            if port.integrity and payload_crc(payload) != frame[2]:
+                rs.crc_failures += 1
+                raise TransportError(
+                    f"rank {rank}: checksum mismatch from rank {s.src} "
+                    f"on seq {s.seq} ({s.nbytes} bytes)"
+                )
+            values, valid = port.views(s.array)
+            unpack_payload(values, valid, s, payload)
+        finally:
+            port.release(pair, frame)
+        rs.recv_s += time.perf_counter() - t1
+    # The state stays "waiting on recv" until the next recv or the
+    # barrier overwrites it; nothing in between can block.
+    port.last_recv[s.src * port.nranks + rank] = s.seq
+
+
+def _recv_chaotic(port: RankPort, s, rs: RankOpStats, op_id: int,
+                  deadline: float, receivers: dict) -> None:
+    """Receive one expected send under chaos: report frame arrivals and
+    NACK-timer expiries to the channel's :class:`ChannelReceiver` and
+    carry out what it answers.  ``receivers`` holds, per source rank and
+    for this operation attempt only, the receiver and the payloads it
+    had stashed."""
+    pair = (s.src, port.rank)
+    try:
+        rx, stash = receivers[s.src]
+    except KeyError:
+        rx, stash = receivers[s.src] = (
+            ChannelReceiver(op_id, port.chaos.plan, rs, deadline), {}
+        )
+    chan = port.chans[pair]
+    values, valid = port.views(s.array)
+    t0 = time.perf_counter()
+
+    def install(payload: np.ndarray) -> None:
+        t1 = time.perf_counter()
+        rs.wait_s += t1 - t0
+        unpack_payload(values, valid, s, payload)
+        rs.recv_s += time.perf_counter() - t1
+
+    if rx.expect(s.seq, port.clock()):
+        install(stash.pop(s.seq))
+        return
+    while True:
+        frame = chan.poll(rx.wake_at, port.abort)
+        try:
+            if frame is None:
+                seq = s.seq
+                action = rx.on_timeout(port.clock())
+                if action is ABORT:
+                    raise _Abort()
+            else:
+                seq = frame[1]
+                payload = port.payload(frame)
+                action = rx.on_frame(
+                    frame[0], seq,
+                    payload is not None and payload_crc(payload) == frame[2],
+                )
+            if action is NACK:
+                payload = port.retransmit(pair, op_id, seq)
+                if payload is None:
+                    continue  # not staged yet: the timer keeps running
+                action = rx.on_frame(
+                    op_id, seq, True,
+                    retransmit_bytes=payload.size * SCALAR_BYTES,
+                )
+            if action is INSTALL:
+                install(payload)
+                return
+            if action is STASH:
+                # The copy outlives the frame's buffer, released below.
+                stash[seq] = payload.copy()
+        finally:
+            if frame is not None:
+                port.release(pair, frame)
+
+
+def _barrier_wait(port: RankPort, rs: RankOpStats, rnd_no: int) -> None:
+    rank = port.rank
+    port.status.set(rank, _BARRIER, rnd_no)
+    t0 = time.perf_counter()
+    try:
+        port.barrier.wait(timeout=port.watchdog_s * 2)
+    finally:
+        stall = time.perf_counter() - t0
+        rs.barrier_s += stall
+        if stall > _STALL_S:
+            rs.barrier_stalls += 1
+    port.status.round_done(rank, rnd_no)
+
+
+def _run_op(port: RankPort, op_id: int, script: list[dict],
+            wire) -> RankOpStats:
+    """One rank's side of one lowered operation: per round, post the
+    sends, install the local copies, receive what the script expects
+    (per-source FIFO order), meet at the barrier."""
+    rs = RankOpStats()
+    rank = port.rank
+    # 2x the collector's watchdog: the collector is the primary
+    # detector (it reads the stuck-rank report while workers are still
+    # stuck); this is only the backstop should the collector itself die.
+    deadline = port.clock() + port.watchdog_s * 2
+    port.begin_op(wire)
+    held: dict = {}       # dst -> frame held back by reorder injection
+    receivers: dict = {}  # src -> (ChannelReceiver, stash), chaos only
+    try:
+        for rnd_no, rnd in enumerate(script):
+            for s in rnd["send"]:
+                _post_send(port, s, rs, op_id, held)
+            _flush_held(port, held)
+            for s in rnd["local"]:
+                port.local_copy(s, rs)
+                rs.local_copies += 1
+            for s in rnd["recv"]:
+                _recv_one(port, s, rs, op_id, deadline, rnd_no, receivers)
+            _barrier_wait(port, rs, rnd_no)
+    finally:
+        for dst, frame in held.items():  # abandoned mid-send-phase
+            port.release((rank, dst), frame)
+    return rs
+
+
+def _reduce_recv(port: RankPort, src: int, rs: RankOpStats, op_id: int,
+                 deadline: float):
+    rank = port.rank
+    pair = (src, rank)
+    port.status.set(rank, _RECV_WAIT, -1, src)
+    t0 = time.perf_counter()
+    while True:
+        frame = port.chans[pair].get(deadline, port.abort)
+        if frame[0] == op_id and frame[1] == _REDUCE_SEQ:
+            break
+        # A frame of an earlier operation (a chaos delay or duplicate
+        # landing late): recycle and skip.
+        port.release(pair, frame)
+    rs.wait_s += time.perf_counter() - t0
+    return frame[2]
+
+
+def _run_reduce(port: RankPort, op_id: int, piece, op: str,
+                lowered) -> tuple[float, RankOpStats]:
+    """One rank's side of the reduce tree: partial vectors gather up to
+    rank 0, are combined in canonical order, and the scalar broadcasts
+    back down."""
+    rs = RankOpStats()
+    rank = port.rank
+    chaos = port.chaos
+    deadline = port.clock() + port.watchdog_s * 2
+    acc: dict[int, np.ndarray] = {rank: np.asarray(piece)}
+    for rnd in lowered.gather_rounds:
+        for src, dst in rnd:
+            if src == rank:
+                if chaos is not None and chaos.fires(
+                    "crash", rank, dst, op_id
+                ):
+                    port.die()
+                nbytes = sum(int(p.size) * SCALAR_BYTES for p in acc.values())
+                port.chans[(rank, dst)].put((op_id, _REDUCE_SEQ, acc))
+                acc = {}
+                rs.count_send(rank, dst, nbytes)
+            elif dst == rank:
+                acc.update(_reduce_recv(port, src, rs, op_id, deadline))
+    value = combine_pieces(acc, op) if rank == 0 else None
+    for rnd in lowered.bcast_rounds:
+        for src, dst in rnd:
+            if src == rank:
+                port.chans[(rank, dst)].put((op_id, _REDUCE_SEQ, value))
+                rs.count_send(rank, dst, SCALAR_BYTES)
+            elif dst == rank:
+                value = _reduce_recv(port, src, rs, op_id, deadline)
+    _barrier_wait(port, rs, -1)
+    return float(value), rs
+
+
+def _worker_loop(port: RankPort, cmd_q, res_q) -> None:
+    """A rank's command loop: run each operation the collector submits
+    and post exactly one completion for it — unless the rank dies."""
+    rank = port.rank
+    while True:
+        cmd = cmd_q.get()
+        if cmd[0] == "stop":
+            return
+        op_id = cmd[1]
+        port.status.set(rank, _RUNNING)
+        try:
+            if cmd[0] == "op":
+                result = ("ok", rank, op_id, _run_op(port, *cmd[1:]), None)
+            else:  # reduce
+                value, rs = _run_reduce(port, *cmd[1:])
+                result = ("ok", rank, op_id, rs, value)
+        except ChaosCrash:
+            return  # simulated rank death: no completion, the worker ends
+        except (_Abort, threading.BrokenBarrierError):
+            result = ("aborted", rank, op_id, None, None)
+        except Exception:  # noqa: BLE001 - reported to the collector
+            result = ("error", rank, op_id, traceback.format_exc(), None)
+        res_q.put(result)
+        port.status.set(rank, _IDLE)
+
+
+class ConcurrentTransport(Transport):
+    """Collector side of the concurrent driver: one worker per rank.
+
+    A carrier subclass creates, before ``start``, the queues
+    ``_cmd[rank]`` and ``_results`` (``put`` / ``get(timeout=)``
+    raising ``queue.Empty``), the ``_abort`` event, the ``_barrier``,
+    the ``_status`` :class:`StatusBlock` and the flat ``_last_recv``
+    array its ports write, and implements the hooks below; its workers
+    run :func:`_worker_loop` over a :class:`RankPort`.
+    """
+
+    def __init__(self, nranks: int, watchdog_s: float = 30.0) -> None:
+        super().__init__(nranks, watchdog_s)
+        self._op_counter = 0
+
+    # -- carrier hooks -----------------------------------------------------
+
+    def _alive(self, rank: int) -> bool:
+        raise NotImplementedError
+
+    def _spawn(self, rank: int) -> None:
+        """(Re)start rank ``rank``'s worker."""
+        raise NotImplementedError
+
+    def _snapshot(self):
+        """A checkpoint of all rank storage (``None``: nothing to
+        save)."""
+        raise NotImplementedError
+
+    def _restore(self, snapshot) -> None:
+        raise NotImplementedError
+
+    def _drain(self) -> None:
+        """Empty every channel and the results queue; only called while
+        every live worker idles in its command loop."""
+        raise NotImplementedError
+
+    def _plan_wire(self, scripts: dict[int, list[dict]]):
+        """Per-operation wire resources handed to every port's
+        ``begin_op`` (the shared-memory carrier's arena layout)."""
+        return None
+
+    def _stacks(self, missing: set[int]) -> dict[int, str]:
+        """Formatted stacks of the stuck workers, where the carrier can
+        see them."""
+        return {}
+
+    # -- operations --------------------------------------------------------
+
+    def execute(self, lowered: LoweredComm) -> OpReceipt:
+        return self._dispatch(self._scripts_for(lowered), lowered.algorithm)
+
+    def _dispatch(self, scripts, algorithm: str) -> OpReceipt:
+        wire = self._plan_wire(scripts)
+        _, receipt = self._submit(
+            lambda rank, op_id: ("op", op_id, scripts[rank], wire),
+            algorithm, checkpoint=True,
+        )
+        return receipt
+
+    def reduce(self, pieces: dict[int, np.ndarray], op: str):
+        lowered = lower_reduction(
+            op,
+            {r: int(np.asarray(p).size) * SCALAR_BYTES
+             for r, p in pieces.items()},
+            self.nranks,
+        )
+        arrs = {
+            rank: np.asarray(pieces.get(rank, np.zeros(0)))
+            for rank in range(self.nranks)
+        }
+        # Reductions don't mutate rank storage, so a crashed attempt
+        # replays without a checkpoint.
+        values, receipt = self._submit(
+            lambda rank, op_id: ("reduce", op_id, arrs[rank], op, lowered),
+            "reduce-tree", checkpoint=False,
+        )
+        distinct = set(values.values())
+        if len(distinct) != 1:
+            raise TransportError(
+                f"reduce-tree broadcast diverged across ranks: {distinct}"
+            )
+        self.stats.reduces += 1
+        return distinct.pop(), receipt
+
+    # -- dispatch ----------------------------------------------------------
+
+    def _next_op(self) -> int:
+        self._op_counter += 1
+        return self._op_counter
+
+    def _scripts_for(self, lowered: LoweredComm) -> dict[int, list[dict]]:
+        """Per-rank round scripts: what each rank sends, receives (in
+        per-source FIFO order), and installs locally in every round."""
+        scripts: dict[int, list[dict]] = {r: [] for r in range(self.nranks)}
+        for rnd in lowered.rounds:
+            per = {
+                r: {"send": [], "recv": [], "local": []}
+                for r in range(self.nranks)
+            }
+            for s in rnd:
+                if s.is_local:
+                    per[s.src]["local"].append(s)
+                else:
+                    per[s.src]["send"].append(s)
+                    per[s.dst]["recv"].append(s)
+            for r in range(self.nranks):
+                scripts[r].append(per[r])
+        return scripts
+
+    def _crash_armed(self) -> bool:
+        return self.chaos is not None and self.chaos.plan.rate("crash") > 0.0
+
+    def _submit(self, make_cmd, algorithm: str,
+                checkpoint: bool) -> tuple[dict[int, float], OpReceipt]:
+        """Dispatch one operation to every rank and collect completions,
+        replaying from the operation-start checkpoint when injected
+        crashes kill workers — up to ``max_rank_restarts`` times."""
+        self._check_alive()
+        snapshot = None
+        if checkpoint and self._crash_armed():
+            snapshot = self._snapshot()
+        crashes = 0
+        while True:
+            op_id = self._next_op()
+            for rank in range(self.nranks):
+                self._cmd[rank].put(make_cmd(rank, op_id))
+            receipt = OpReceipt(algorithm=algorithm)
+            try:
+                values = self._collect(op_id, receipt)
+            except _RankCrash as crash:
+                crashes += 1
+                if crashes > self.max_rank_restarts:
+                    self._poisoned = "rank crash budget exhausted"
+                    raise RankCrashError(
+                        self.name, crash.dead, crashes - 1,
+                        self.max_rank_restarts,
+                    ) from None
+                t0 = time.monotonic()
+                self._recover(crash.dead, snapshot)
+                self.stats.restarts += len(crash.dead)
+                self.stats.recovery_s += time.monotonic() - t0
+                continue
+            self.stats.count_op(algorithm)
+            self._sync_injected()
+            return values, receipt
+
+    def _collect(self, op_id: int, receipt: OpReceipt) -> dict[int, float]:
+        """Gather one completion per rank, enforcing the watchdog and
+        checking worker liveness on every wake-up.  Per-rank stats are
+        absorbed only after every rank completed, so an attempt that is
+        abandoned (crash, failure) contributes nothing to the canonical
+        ledger."""
+        deadline = time.monotonic() + self.watchdog_s
+        done: dict[int, float] = {}
+        stats: list[tuple[int, RankOpStats]] = []
+        failures: list[str] = []
+        while len(done) < self.nranks:
+            dead = [
+                r for r in range(self.nranks)
+                if r not in done and not self._alive(r)
+            ]
+            if dead:
+                if self.chaos is None:
+                    self._poisoned = "worker died"
+                    raise TransportError(
+                        f"{self.name} transport: worker rank(s) {dead} died"
+                    )
+                self._quiesce_crash(op_id, done, dead)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self._deadlock(set(range(self.nranks)) - set(done))
+            try:
+                msg = self._results.get(timeout=min(remaining, _LIVENESS_S))
+            except queue.Empty:
+                continue
+            status, rank, msg_op, payload, value = msg
+            if msg_op != op_id:
+                continue  # stale completion from an aborted operation
+            if status == "ok":
+                stats.append((rank, payload))
+                done[rank] = value if value is not None else 0.0
+            elif status == "aborted":
+                if not failures:
+                    self._deadlock(set(range(self.nranks)) - set(done))
+                done[rank] = 0.0
+            else:
+                failures.append(f"rank {rank}: {payload}")
+                done[rank] = 0.0
+                # Release ranks blocked on the failed one, then keep
+                # draining so every worker returns to its command loop.
+                self._abort_fleet()
+        if failures:
+            self._poisoned = "worker failure"
+            raise TransportError(
+                f"{self.name} transport worker failed:\n"
+                + "\n".join(failures)
+            )
+        for rank, rs in stats:
+            receipt.absorb(rs)
+            self.stats.absorb(rank, rs)
+        return done
+
+    def _abort_fleet(self) -> None:
+        self._abort.set()
+        try:
+            self._barrier.abort()
+        except Exception:  # noqa: BLE001 - barrier may already be broken
+            pass
+
+    def _quiesce_crash(self, op_id: int, done: dict, dead: list[int]):
+        """Dead workers found mid-collect: abort the survivors, wait for
+        each to post its (aborted) completion so none is still touching
+        a channel, then hand the dead list to the retry loop."""
+        self._abort_fleet()
+        waiting = {
+            r for r in range(self.nranks)
+            if r not in done and r not in dead
+        }
+        end = time.monotonic() + 5.0
+        while waiting and time.monotonic() < end:
+            for r in list(waiting):
+                if not self._alive(r):
+                    waiting.discard(r)
+                    dead.append(r)
+            try:
+                msg = self._results.get(timeout=_LIVENESS_S)
+            except queue.Empty:
+                continue
+            _status, rank, msg_op, _payload, _value = msg
+            if msg_op == op_id:
+                waiting.discard(rank)
+        if waiting:
+            self._deadlock(waiting)
+        raise _RankCrash(sorted(set(dead)))
+
+    def _recover(self, dead: list[int], snapshot) -> None:
+        """Bring the fleet back to a clean pre-operation state: all
+        survivors are idle in their command loops (guaranteed by
+        :meth:`_quiesce_crash`), so drain stale frames and completions,
+        roll storage back to the checkpoint, respawn the dead workers,
+        and re-arm the barrier."""
+        self._drain()
+        if snapshot is not None:
+            self._restore(snapshot)
+        for rank in dead:
+            self._spawn(rank)
+        self._barrier.reset()
+        self._abort.clear()
+
+    def _fault_context(self) -> dict | None:
+        if self.chaos is None:
+            return None
+        n = self.nranks
+        return {
+            "injected_by_rank": {
+                str(rank): dict(kinds)
+                for rank, kinds in sorted(self.chaos.ledger().items())
+            },
+            "last_recv_seq": {
+                f"{s}->{d}": int(self._last_recv[s * n + d])
+                for s in range(n) for d in range(n)
+                if self._last_recv[s * n + d] >= 0
+            },
+        }
+
+    def _deadlock(self, missing: set[int]):
+        self._poisoned = "deadlock watchdog"
+        # Read the report before aborting, while the ranks are still
+        # where they were stuck.
+        stuck = [self._status.describe(rank) for rank in sorted(missing)]
+        stacks = self._stacks(missing)
+        self._abort_fleet()
+        raise DeadlockError(
+            self.name, self.watchdog_s, stuck, stacks,
+            fault_context=self._fault_context(),
+        )

@@ -116,14 +116,7 @@ class InlineTransport(Transport):
                 if s.is_local:
                     rs.local_copies += 1
                 else:
-                    sender = per_rank[s.src]
-                    sender.sends += 1
-                    sender.bytes_sent += s.nbytes
-                    pair = (s.src, s.dst)
-                    sender.pair_msgs[pair] = sender.pair_msgs.get(pair, 0) + 1
-                    sender.pair_bytes[pair] = (
-                        sender.pair_bytes.get(pair, 0) + s.nbytes
-                    )
+                    per_rank[s.src].count_send(s.src, s.dst, s.nbytes)
         for rank, rs in per_rank.items():
             receipt.absorb(rs)
             self.stats.absorb(rank, rs)
@@ -150,24 +143,16 @@ class InlineTransport(Transport):
                 payload = held[src]
                 nbytes = sum(int(p.size) * SCALAR_BYTES
                              for p in payload.values())
-                self._count(per_rank[src], src, dst, nbytes)
+                per_rank[src].count_send(src, dst, nbytes)
                 held[dst].update(payload)
                 held[src] = {}
         value = combine_pieces(held[0], op)
         for rnd in lowered.bcast_rounds:
             for src, dst in rnd:
-                self._count(per_rank[src], src, dst, SCALAR_BYTES)
+                per_rank[src].count_send(src, dst, SCALAR_BYTES)
         for rank, rs in per_rank.items():
             receipt.absorb(rs)
             self.stats.absorb(rank, rs)
         self.stats.reduces += 1
         self.stats.count_op("reduce-tree")
         return value, receipt
-
-    @staticmethod
-    def _count(rs: RankOpStats, src: int, dst: int, nbytes: int) -> None:
-        rs.sends += 1
-        rs.bytes_sent += nbytes
-        pair = (src, dst)
-        rs.pair_msgs[pair] = rs.pair_msgs.get(pair, 0) + 1
-        rs.pair_bytes[pair] = rs.pair_bytes.get(pair, 0) + nbytes

@@ -1,30 +1,62 @@
-"""Wire integrity and deterministic fault injection.
+"""Wire integrity, the reliable-channel protocol core, and fault plans.
 
-Two cooperating pieces live here:
+Three cooperating pieces live here:
 
 * the **integrity layer** — every wire payload travels in a *frame*
-  tagged with the operation id, the schedule sequence number, and a
-  CRC32 checksum of the payload bytes.  Receivers verify the checksum,
-  deduplicate by sequence number, tolerate reordering (under chaos) by
-  stashing out-of-order frames, and repair loss/corruption by a
-  NACK/retransmit protocol with bounded exponential backoff: the sender
-  keeps a pristine copy of every in-flight payload in a per-channel
-  *outbox* (process memory for the threaded backend, a mirror
-  shared-memory arena for the multiprocess one), and a receiver that
-  times out or sees a bad checksum pulls the retransmission from there.
-  Retransmitted traffic is accounted separately
-  (``retransmits``/``retrans_bytes`` on the wire ledger) so the exact
-  measured-vs-predicted per-pair parity check still holds under faults;
+  whose header is ``(op_id, seq, crc)``: the operation id, the schedule
+  sequence number, and a CRC32 checksum of the payload bytes;
+
+* the **protocol core** — the one copy of the reliable-channel logic,
+  written sans-IO: plain data in, actions out.  It never sleeps, reads
+  a clock, touches a queue or owns a buffer; the concurrent driver in
+  :mod:`repro.transport.base` feeds it events and carries out what it
+  answers against whichever carrier (threads + deques, processes +
+  shared memory, or a test's in-memory fake) is underneath.
+
+  *Send side* (:func:`send_actions`), event "about to post send
+  ``seq``": the fault plan is rolled in the fixed order drop → delay →
+  corrupt → dup → reorder and answered as a tuple of actions the
+  carrier applies in order — ``DROP`` alone, or any of ``SLEEP``,
+  ``CORRUPT``, ``DUPLICATE`` followed by ``HOLD`` (keep the frame back
+  until the channel's next post) or ``POST`` (post it, then release a
+  held frame behind it).
+
+  *Receive side* (:class:`ChannelReceiver`), one instance per channel
+  per operation attempt.  ``seen`` is every sequence number already
+  installed or stashed, ``expected`` the one the schedule needs now::
+
+      event                    condition              action          charged
+      -----------------------  ---------------------  --------------  ------------
+      expect(seq, now)         seq in seen            install stash   -
+                               otherwise              wait to wake_at -
+      on_frame(op, seq, ok)    op is another attempt  DROP_STALE      -
+                               seq in seen            DROP_DUPLICATE  dedup_drops
+                               not ok (bad checksum)  NACK seq        crc_failures
+                               seq == expected        INSTALL         -
+                               seq != expected        STASH           -
+      on_timeout(now)          now >= deadline        ABORT           -
+                               otherwise              NACK expected   nacks; backoff
+                                                                      doubles to cap
+
+  ``NACK`` asks the carrier for the pristine copy in its *retransmit
+  source* (the sender's per-channel outbox for threads, the
+  header-last mirror arena for processes).  If the copy is there the
+  driver reports it as one more ``on_frame`` with ``retransmit_bytes``
+  set — which is where ``retransmits``/``retrans_bytes`` are charged,
+  separately from the canonical per-pair ledger so measured-vs-predicted
+  parity holds under faults; if it is not staged yet, nothing happens
+  until the timer fires again.  Every frame is checksum-verified at this
+  one point, on arrival, whether it is the expected one or runs ahead;
 
 * the **fault plan** — a seeded, deterministic description of which
   faults to inject where.  Decisions are pure functions of
   ``(seed, kind, src, dst, seq)`` (a CRC32 hash, no mutable PRNG
   state), so the *set* of faulted wire events is identical across
-  thread/process interleavings and across the replay attempts the
-  crash-recovery path makes.  Rank crashes are the exception: they
-  consume a shared budget (``crash_budget``), so a crashed rank comes
-  back healthy after its restart instead of dying at the same program
-  point forever.
+  thread/process interleavings, across carriers, and across the replay
+  attempts the crash-recovery path makes.  Rank crashes are the
+  exception: they consume a shared budget (``crash_budget``), so a
+  crashed rank comes back healthy after its restart instead of dying
+  at the same program point forever.
 
 Fault taxonomy (``KINDS``): ``drop`` (frame never enters the channel),
 ``dup`` (a second, non-pooled copy follows the original), ``corrupt``
@@ -236,3 +268,110 @@ class ChaosState:
 
     def injected_total(self) -> int:
         return sum(sum(row.values()) for row in self.ledger().values())
+
+
+# ---------------------------------------------------------------------------
+# The reliable-channel protocol core (sans-IO; see the module docstring)
+# ---------------------------------------------------------------------------
+
+#: Send-side actions, applied by the carrier in the order returned.
+DROP = "drop"
+SLEEP = "sleep"
+CORRUPT = "corrupt"
+DUPLICATE = "duplicate"
+HOLD = "hold"
+POST = "post"
+
+#: Receive-side actions.
+INSTALL = "install"
+STASH = "stash"
+DROP_DUPLICATE = "drop-duplicate"
+DROP_STALE = "drop-stale"
+NACK = "nack"
+ABORT = "abort"
+
+
+def send_actions(chaos: ChaosState, src: int, dst: int, seq: int,
+                 holding: bool) -> tuple[str, ...]:
+    """Event: ``src`` is about to post send ``seq`` to ``dst``.
+    ``holding`` says a reorder-held frame already waits on this channel
+    (only one is held at a time).  The rolls happen in one fixed order,
+    and a dropped frame rolls nothing further, so every carrier fires —
+    and ledgers — the same faults for the same plan."""
+    if chaos.fires("drop", src, dst, seq):
+        return (DROP,)
+    actions = [
+        action
+        for kind, action in (
+            ("delay", SLEEP), ("corrupt", CORRUPT), ("dup", DUPLICATE),
+        )
+        if chaos.fires(kind, src, dst, seq)
+    ]
+    held = chaos.fires("reorder", src, dst, seq) and not holding
+    actions.append(HOLD if held else POST)
+    return tuple(actions)
+
+
+class ChannelReceiver:
+    """Receive half of one (src → dst) channel for one operation attempt.
+
+    ``stats`` is any object with integer ``dedup_drops``,
+    ``crc_failures``, ``nacks``, ``retransmits`` and ``retrans_bytes``
+    attributes (a :class:`~repro.transport.base.RankOpStats`).
+    ``wake_at`` is when the NACK timer next fires; the driver waits for
+    a frame until then and reports whichever comes first.
+    """
+
+    __slots__ = ("op_id", "stats", "deadline", "seen", "expected",
+                 "backoff", "wake_at", "_first_s", "_cap_s")
+
+    def __init__(self, op_id: int, plan: FaultPlan, stats,
+                 deadline: float) -> None:
+        self.op_id = op_id
+        self.stats = stats
+        self.deadline = deadline
+        self.seen: set[int] = set()
+        self.expected = -1
+        self._first_s = plan.nack_timeout_s
+        self._cap_s = plan.backoff_cap_s
+        self.backoff = self._first_s
+        self.wake_at = deadline
+
+    def expect(self, seq: int, now: float) -> bool:
+        """The schedule needs ``seq`` next.  True when it already
+        arrived ahead of its turn — install it from the stash; False to
+        wait for frames until ``wake_at``."""
+        self.expected = seq
+        self.backoff = self._first_s
+        self.wake_at = min(now + self.backoff, self.deadline)
+        return seq in self.seen
+
+    def on_frame(self, op_id: int, seq: int, crc_ok: bool,
+                 retransmit_bytes: int | None = None) -> str:
+        """A frame header ``(op_id, seq)`` arrived and its payload did
+        or did not match its checksum.  ``retransmit_bytes`` marks the
+        carrier's answer to a ``NACK`` (its size, for the ledger)."""
+        if op_id != self.op_id:
+            return DROP_STALE
+        if seq in self.seen:
+            self.stats.dedup_drops += 1
+            return DROP_DUPLICATE
+        if not crc_ok:
+            self.stats.crc_failures += 1
+            return NACK
+        if retransmit_bytes is not None:
+            self.stats.retransmits += 1
+            self.stats.retrans_bytes += retransmit_bytes
+        self.seen.add(seq)
+        return INSTALL if seq == self.expected else STASH
+
+    def on_timeout(self, now: float) -> str:
+        """The NACK timer fired at ``now`` with ``expected`` still
+        missing: request its retransmission and back off, or give up at
+        the deadline."""
+        if now >= self.deadline:
+            return ABORT
+        self.stats.nacks += 1
+        self.backoff = min(self.backoff * 2.0, self._cap_s)
+        self.wake_at = min(now + self.backoff, self.deadline)
+        return NACK

@@ -1,45 +1,39 @@
-"""Multiprocess transport: one OS process per rank.
+"""Multiprocess carrier: one OS process per rank.
 
-Rank storage lives in a single ``multiprocessing.shared_memory`` arena
-(8-byte-aligned values + validity masks per (rank, array)); the main
-process and every worker map numpy views over the same segment, so
-compute results written by the executor are immediately visible to the
-rank that must send them.
+The protocol — round loop, wire integrity, NACK/retransmit repair,
+crash recovery, watchdog — is the shared driver in
+:mod:`repro.transport.base` over the sans-IO core in
+:mod:`repro.transport.integrity`.  This module supplies only what
+processes over shared memory do differently:
 
-The control plane is pickled: per-rank command queues carry round
-scripts (:class:`~repro.transport.lowering.SendOp` lists), per-pair
-queues carry message tags, and a results queue returns per-op
-:class:`~repro.transport.base.RankOpStats`.  Payloads travel through a
-separate shared-memory *data* arena: the sender copies the wire bytes
-to a per-send offset the dispatcher assigned, then posts the tag; the
-queue's ordering is the happens-before edge that makes the bytes safe
-to read.  Rounds are separated by a real ``multiprocessing.Barrier``.
-
-Wire integrity: each tag is ``(op_id, seq, crc)`` and the receiver
-verifies the CRC32 of the arena payload — a clean-run mismatch is a
-hard error.  Under chaos (:meth:`~repro.transport.base.Transport.
-attach_chaos`) the sender additionally mirrors every pristine payload
-into a *mirror* arena behind an ``(op_id << 32) | crc`` header written
-payload-first, so a receiver that times out (NACK, bounded exponential
-backoff) or sees a corrupt payload repairs it from the mirror without
-the sender's involvement — the mirror is the shared-memory outbox.
-
-Rank crash recovery: an injected crash calls ``os._exit`` at a send
-boundary (a safe point holding no queue or barrier locks).  The
-collector notices the dead process, quiesces the survivors, drains the
-queues, restores the storage arena from the byte checkpoint taken at
-operation start, respawns the dead workers (they re-attach the shared
-segments by name), resets the barrier, and replays the operation — up
-to ``max_rank_restarts`` times, then raises
-:class:`~repro.transport.base.RankCrashError`.
-
-A watchdog bounds every wait.  On expiry the main process aborts the
-fleet, reads each rank's last self-reported state — plus a heartbeat
-counter and completed-round slot — from the shared status block, and
-raises a structured :class:`~repro.transport.base.DeadlockError` (with
-the injected-fault ledger and per-channel last-received sequence
-numbers as ``fault_context`` under chaos); ``shutdown`` then joins (or
-terminates) every worker so no zombie processes survive.
+* **storage** — rank storage lives in one
+  ``multiprocessing.shared_memory`` arena (8-byte-aligned values +
+  validity masks per (rank, array)); the main process and every worker
+  map numpy views over the same segment, so compute results written by
+  the executor are immediately visible to the rank that must send them;
+* **channels** — a pickling ``multiprocessing.Queue`` per (src, dst)
+  pair, plus per-rank command queues carrying the round scripts and a
+  results queue returning per-op
+  :class:`~repro.transport.base.RankOpStats`;
+* **frames** — the bare header tag ``(op_id, seq, crc)``.  The payload
+  travels through a shared-memory *data* arena at the per-send offset
+  the dispatcher assigned: the sender packs the wire bytes there, then
+  posts the tag; the queue's ordering is the happens-before edge that
+  makes the bytes safe to read;
+* **retransmit source** — a *mirror* arena (chaos only): the sender
+  copies every pristine payload there and then publishes an
+  ``(op_id << 32) | crc`` header in front of it, payload first, so a
+  receiver repairing a loss reads it without the sender's involvement
+  and can tell a torn or stale slot from a good one;
+* **death and respawn** — an injected crash calls ``os._exit`` at a
+  send boundary (a safe point holding no queue or barrier locks);
+  liveness is ``Process.is_alive`` and a respawned worker re-attaches
+  the shared segments by name;
+* **checkpoint** — the bytes of the storage arena;
+* **stuck-rank report** — the status block lives in shared memory and
+  its heartbeat keeps counting while a rank waits on an empty queue;
+  ``shutdown`` joins (or terminates) every worker so no zombie
+  processes survive a deadlock.
 """
 
 from __future__ import annotations
@@ -48,59 +42,30 @@ import multiprocessing as mp
 import os
 import queue as queue_mod
 import secrets
-import threading
 import time
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from .base import (
-    DeadlockError,
-    OpReceipt,
-    RankCrashError,
-    RankOpStats,
-    Transport,
-    TransportError,
-    combine_pieces,
+    ConcurrentTransport,
+    RankPort,
+    StatusBlock,
+    _Abort,
+    _worker_loop,
     extract_payload,
     install_payload,
     pack_payload,
-    unpack_payload,
 )
 from .integrity import KINDS, ChaosState, payload_crc
-from .lowering import SCALAR_BYTES, LoweredComm, lower_reduction
+from .lowering import SCALAR_BYTES
 
 _ALIGN = 8
 _POLL_S = 0.02
 
-# Status block stride per rank: [state, round, partner, seq, heartbeat,
-# completed rounds].
-_STRIDE = 6
-
-# Worker self-reported states for the watchdog status block.
-_IDLE, _RUNNING, _RECV_WAIT, _BARRIER = 0, 1, 2, 3
-_STATE_NAMES = {
-    _IDLE: "idle",
-    _RUNNING: "running",
-    _RECV_WAIT: "waiting on recv",
-    _BARRIER: "waiting at barrier",
-}
-
 
 def _align(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-class _Abort(Exception):
-    pass
-
-
-class _RankCrash(Exception):
-    """Internal: dead worker processes found; carries the rank list."""
-
-    def __init__(self, dead: list[int]) -> None:
-        super().__init__(f"dead ranks {dead}")
-        self.dead = dead
 
 
 def _np_views(sm: shared_memory.SharedMemory, entries):
@@ -118,18 +83,63 @@ def _np_views(sm: shared_memory.SharedMemory, entries):
     return views
 
 
-class _WorkerState:
-    """Per-process context for one rank's worker loop."""
+def _f64_view(sm: shared_memory.SharedMemory, offset: int,
+              count: int) -> np.ndarray:
+    return np.ndarray((count,), dtype=np.float64, buffer=sm.buf,
+                      offset=offset)
 
-    def __init__(self, rank, nranks, storage_name, layout, chans, barrier,
+
+def _mirror_header(sm: shared_memory.SharedMemory, offset: int) -> np.ndarray:
+    """The one-cell ``(op_id << 32) | crc`` header of a mirror slot."""
+    return np.ndarray((1,), dtype=np.uint64, buffer=sm.buf, offset=offset)
+
+
+class _QueueChannel:
+    """One (src, dst) tag queue with the channel surface the driver
+    expects; the receiving rank's heartbeat ticks while it waits."""
+
+    __slots__ = ("_q", "_status", "_rank")
+
+    def __init__(self, q, status: StatusBlock, rank: int) -> None:
+        self._q = q
+        self._status = status
+        self._rank = rank
+
+    def put(self, item) -> None:
+        self._q.put(item)
+
+    def poll(self, deadline: float, abort):
+        """The next item, or ``None`` once ``deadline`` has passed."""
+        while True:
+            timeout = min(_POLL_S, max(deadline - time.monotonic(), 0.001))
+            try:
+                return self._q.get(timeout=timeout)
+            except queue_mod.Empty:
+                self._status.beat(self._rank)
+                if abort.is_set():
+                    raise _Abort()
+                if time.monotonic() > deadline:
+                    return None
+
+    def get(self, deadline: float, abort):
+        item = self.poll(deadline, abort)
+        if item is None:
+            raise _Abort()
+        return item
+
+
+class _ProcessPort(RankPort):
+    """Rank endpoint inside a worker process: attaches the shared
+    segments by name and maps numpy views over them."""
+
+    def __init__(self, rank, nranks, storage_name, layout, queues, barrier,
                  abort, status, watchdog_s, integrity, plan, ledger,
                  crash_counter, last_recv):
         self.rank = rank
         self.nranks = nranks
-        self.chans = chans
         self.barrier = barrier
         self.abort = abort
-        self.status = status
+        self.status = StatusBlock(status)
         self.watchdog_s = watchdog_s
         self.integrity = integrity
         # Rebuild the chaos state locally over the shared primitives:
@@ -139,420 +149,102 @@ class _WorkerState:
             if plan is not None else None
         )
         self.last_recv = last_recv
-        self.held: dict = {}
-        self.storage_sm = shared_memory.SharedMemory(name=storage_name)
-        self.views = _np_views(
-            self.storage_sm, [e for e in layout if e[0] == rank]
+        self.chans = {
+            pair: _QueueChannel(q, self.status, rank)
+            for pair, q in queues.items()
+        }
+        self._storage_sm = shared_memory.SharedMemory(name=storage_name)
+        self._views = _np_views(
+            self._storage_sm, [e for e in layout if e[0] == rank]
         )
-        self.arenas: dict[str, shared_memory.SharedMemory] = {}
+        self._arenas: dict[str, shared_memory.SharedMemory] = {}
+        self._data = self._mirror = None
+        self._slots: dict = {}
 
-    def set_state(self, state: int, rnd: int = -1, partner: int = -1,
-                  seq: int = -1) -> None:
-        base = self.rank * _STRIDE
-        self.status[base] = state
-        self.status[base + 1] = rnd
-        self.status[base + 2] = partner
-        self.status[base + 3] = seq
-        self.status[base + 4] += 1  # heartbeat
-
-    def beat(self) -> None:
-        self.status[self.rank * _STRIDE + 4] += 1
-
-    def note_round(self, rnd: int) -> None:
-        self.status[self.rank * _STRIDE + 5] = rnd + 1
-
-    def note_recv(self, src: int, seq: int) -> None:
-        self.last_recv[src * self.nranks + self.rank] = seq
-
-    def arena(self, name: str) -> shared_memory.SharedMemory:
-        sm = self.arenas.get(name)
+    def _arena(self, name: str | None):
+        if name is None:
+            return None
+        sm = self._arenas.get(name)
         if sm is None:
-            sm = self.arenas[name] = shared_memory.SharedMemory(name=name)
+            sm = self._arenas[name] = shared_memory.SharedMemory(name=name)
         return sm
 
-    def ctrl_get(self, src: int, deadline: float):
-        q = self.chans[(src, self.rank)]
-        while True:
-            try:
-                return q.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                self.beat()
-                if self.abort.is_set() or time.monotonic() > deadline:
-                    raise _Abort()
+    def begin_op(self, wire) -> None:
+        data_name, mirror_name, self._slots = wire
+        self._data = self._arena(data_name)
+        self._mirror = self._arena(mirror_name)
 
-    def ctrl_poll(self, src: int, deadline: float):
-        """Like :meth:`ctrl_get` but returns ``None`` at ``deadline`` —
-        the NACK timer of the chaos receive path."""
-        q = self.chans[(src, self.rank)]
-        while True:
-            timeout = min(_POLL_S, max(deadline - time.monotonic(), 0.001))
-            try:
-                return q.get(timeout=timeout)
-            except queue_mod.Empty:
-                self.beat()
-                if self.abort.is_set():
-                    raise _Abort()
-                if time.monotonic() > deadline:
-                    return None
+    def views(self, array: str):
+        return self._views[(self.rank, array)]
+
+    def stage(self, s, rs, op_id: int) -> tuple:
+        # Pack straight into the shared-memory arena: the arena view IS
+        # the wire buffer, so no pool is needed here (the threaded
+        # carrier's pool counters have no multiprocess counterpart —
+        # they stay 0 by design).
+        data_off, mirror_off, count = self._slots[s.seq]
+        wire = _f64_view(self._data, data_off, count)
+        pack_payload(self._views[(self.rank, s.array)][0], s, wire)
+        crc = payload_crc(wire) if self.integrity else 0
+        if self.chaos is not None:
+            # Mirror the pristine payload, then publish its header — the
+            # write order receivers rely on when repairing from it.
+            _f64_view(self._mirror, mirror_off + 8, count)[:] = wire
+            _mirror_header(self._mirror, mirror_off)[0] = (
+                ((op_id & 0xFFFFFFFF) << 32) | (crc & 0xFFFFFFFF)
+            )
+        return (op_id, s.seq, crc)
+
+    def payload(self, frame: tuple):
+        # The slot table is this operation's: a tag of another one, or
+        # a seq no sender staged (schedule mismatch), names nothing.
+        slot = self._slots.get(frame[1])
+        if slot is None or self._data is None:
+            return None
+        return _f64_view(self._data, slot[0], slot[2])
+
+    def duplicate(self, frame: tuple) -> tuple:
+        return frame  # a second tag naming the same arena slot
+
+    def retransmit(self, pair, op_id: int, seq: int):
+        slot = self._slots.get(seq)
+        if slot is None or self._mirror is None:
+            return None
+        _data_off, mirror_off, count = slot
+        header = int(_mirror_header(self._mirror, mirror_off)[0])
+        if (header >> 32) != (op_id & 0xFFFFFFFF):
+            return None  # not staged for this operation (yet)
+        payload = _f64_view(self._mirror, mirror_off + 8, count)
+        if payload_crc(payload) != header & 0xFFFFFFFF:
+            return None  # torn: the payload is mid-write
+        return payload
+
+    def local_copy(self, s, rs) -> None:
+        values, valid = self._views[(self.rank, s.array)]
+        install_payload(values, valid, s, extract_payload(values, s))
 
     def die(self) -> None:
-        """Injected rank crash: die at a safe point.  The short sleep
-        lets the queues' feeder threads flush in-flight puts so the
-        survivors never observe a torn pickle."""
+        # The short sleep lets the queues' feeder threads flush
+        # in-flight puts so the survivors never observe a torn pickle.
         time.sleep(0.05)
         os._exit(13)
 
     def close(self) -> None:
-        self.views = {}
-        self.storage_sm.close()
-        for sm in self.arenas.values():
+        self._views = {}
+        self._storage_sm.close()
+        for sm in self._arenas.values():
             sm.close()
 
 
-def _mp_worker(rank, nranks, storage_name, layout, cmd_q, res_q, chans,
-               barrier, abort, status, watchdog_s, integrity, plan,
-               ledger, crash_counter, last_recv):
-    ctx = _WorkerState(rank, nranks, storage_name, layout, chans, barrier,
-                       abort, status, watchdog_s, integrity, plan,
-                       crash_counter=crash_counter, ledger=ledger,
-                       last_recv=last_recv)
+def _mp_worker(cmd_q, res_q, *port_args) -> None:
+    port = _ProcessPort(*port_args)
     try:
-        while True:
-            cmd = cmd_q.get()
-            kind = cmd[0]
-            if kind == "stop":
-                res_q.put(("bye", rank, -1, None, None))
-                return
-            op_id = cmd[1]
-            ctx.set_state(_RUNNING)
-            try:
-                if kind == "op":
-                    _, _, script, data_name, offsets, mirror_name, moffs = cmd
-                    rs = _run_op(ctx, op_id, script, data_name, offsets,
-                                 mirror_name, moffs)
-                    res_q.put(("ok", rank, op_id, rs, None))
-                else:  # reduce
-                    _, _, piece, op, lowered = cmd
-                    value, rs = _run_reduce(ctx, op_id, piece, op, lowered)
-                    res_q.put(("ok", rank, op_id, rs, value))
-            except (_Abort, threading.BrokenBarrierError):
-                res_q.put(("aborted", rank, op_id, None, None))
-            except Exception as exc:  # noqa: BLE001 - reported to main
-                import traceback
-
-                res_q.put(
-                    ("error", rank, op_id, traceback.format_exc(), None)
-                )
-                del exc
-            ctx.set_state(_IDLE)
+        _worker_loop(port, cmd_q, res_q)
     finally:
-        ctx.close()
+        port.close()
 
 
-def _wire(rs: RankOpStats, src: int, dst: int, nbytes: int) -> None:
-    rs.sends += 1
-    rs.bytes_sent += nbytes
-    pair = (src, dst)
-    rs.pair_msgs[pair] = rs.pair_msgs.get(pair, 0) + 1
-    rs.pair_bytes[pair] = rs.pair_bytes.get(pair, 0) + nbytes
-
-
-def _mirror_header(op_id: int, crc: int) -> int:
-    return ((op_id & 0xFFFFFFFF) << 32) | (crc & 0xFFFFFFFF)
-
-
-def _post_send(ctx: _WorkerState, s, rs, op_id, data, offsets,
-               mirror, moffs) -> None:
-    """Pack one send into the data arena and post its tag, running the
-    fault plan when chaos is armed."""
-    rank = ctx.rank
-    chaos = ctx.chaos
-    if chaos is not None and chaos.fires("crash", rank, s.dst, s.seq):
-        ctx.die()
-    t0 = time.perf_counter()
-    values, _valid = ctx.views[(rank, s.array)]
-    count = s.nbytes // SCALAR_BYTES
-    # Pack straight into the shared-memory arena: the arena view IS the
-    # wire buffer, so no pool is needed here (the threaded backend's
-    # pool counters have no multiprocess counterpart — they stay 0 by
-    # design).
-    dst_view = np.ndarray(
-        (count,), dtype=np.float64, buffer=data.buf,
-        offset=offsets[s.seq],
-    )
-    pack_payload(values, s, dst_view)
-    crc = payload_crc(dst_view) if ctx.integrity else 0
-    tag = (op_id, s.seq, crc)
-    pair = (rank, s.dst)
-    if chaos is None:
-        ctx.chans[pair].put(tag)
-    else:
-        # Mirror the pristine payload, then publish its header — the
-        # write order receivers rely on when repairing from the mirror.
-        m_off = moffs[s.seq]
-        mirror_pay = np.ndarray(
-            (count,), dtype=np.float64, buffer=mirror.buf,
-            offset=m_off + 8,
-        )
-        mirror_pay[:] = dst_view
-        header = np.ndarray(
-            (1,), dtype=np.uint64, buffer=mirror.buf, offset=m_off
-        )
-        header[0] = _mirror_header(op_id, crc)
-        if not chaos.fires("drop", rank, s.dst, s.seq):
-            if chaos.fires("delay", rank, s.dst, s.seq):
-                time.sleep(chaos.plan.delay_s)
-            if chaos.fires("corrupt", rank, s.dst, s.seq):
-                dst_view.view(np.uint8)[0] ^= 0xFF
-            q = ctx.chans[pair]
-            if chaos.fires("dup", rank, s.dst, s.seq):
-                q.put(tag)
-            if (
-                chaos.fires("reorder", rank, s.dst, s.seq)
-                and pair not in ctx.held
-            ):
-                ctx.held[pair] = tag  # posted after the next tag
-            else:
-                q.put(tag)
-                held = ctx.held.pop(pair, None)
-                if held is not None:
-                    q.put(held)
-    rs.send_s += time.perf_counter() - t0
-    # The logical send is counted exactly once even when the tag is
-    # dropped — the repair is accounted separately, keeping the
-    # canonical ledger equal to the plan's prediction.
-    _wire(rs, rank, s.dst, s.nbytes)
-
-
-def _flush_held(ctx: _WorkerState) -> None:
-    for pair, tag in list(ctx.held.items()):
-        ctx.chans[pair].put(tag)
-        del ctx.held[pair]
-
-
-def _try_mirror(ctx, s, op_id, mirror, moffs, count):
-    """The mirror payload for one send, or ``None`` if its header does
-    not (yet) name this op or the payload is mid-write."""
-    m_off = moffs.get(s.seq)
-    if m_off is None:  # no sender staged this seq (schedule mismatch)
-        return None
-    header = np.ndarray(
-        (1,), dtype=np.uint64, buffer=mirror.buf, offset=m_off
-    )
-    h = int(header[0])
-    if (h >> 32) != (op_id & 0xFFFFFFFF):
-        return None
-    crc = h & 0xFFFFFFFF
-    payload = np.ndarray(
-        (count,), dtype=np.float64, buffer=mirror.buf, offset=m_off + 8
-    )
-    if ctx.integrity and payload_crc(payload) != crc:
-        return None
-    return payload
-
-
-def _recv_chaotic(ctx, s, rs, op_id, rnd_no, data, offsets, mirror,
-                  moffs, deadline, delivered, pending) -> None:
-    """Receive under chaos: dedup by seq, stash out-of-order tags,
-    verify checksums, and repair loss/corruption from the mirror arena
-    — NACK after ``nack_timeout_s`` with bounded exponential backoff."""
-    rank = ctx.rank
-    plan = ctx.chaos.plan
-    count = s.nbytes // SCALAR_BYTES
-    values, valid = ctx.views[(rank, s.array)]
-    off = offsets.get(s.seq)
-    # A mismatched schedule can expect a seq no sender staged: no arena
-    # slot exists, so the NACK loop below spins until the watchdog.
-    arena_view = (
-        None if off is None else np.ndarray(
-            (count,), dtype=np.float64, buffer=data.buf, offset=off
-        )
-    )
-    backoff = plan.nack_timeout_s
-    t0 = time.perf_counter()
-
-    def install(payload, retransmit: bool) -> None:
-        rs.wait_s += time.perf_counter() - t0
-        t1 = time.perf_counter()
-        unpack_payload(values, valid, s, payload)
-        rs.recv_s += time.perf_counter() - t1
-        if retransmit:
-            rs.retransmits += 1
-            rs.retrans_bytes += s.nbytes
-        delivered.add(s.seq)
-        ctx.note_recv(s.src, s.seq)
-
-    while True:
-        if s.seq in pending and arena_view is not None:
-            crc = pending.pop(s.seq)
-            if not ctx.integrity or payload_crc(arena_view) == crc:
-                install(arena_view, retransmit=False)
-                return
-            rs.crc_failures += 1
-            payload = _try_mirror(ctx, s, op_id, mirror, moffs, count)
-            if payload is not None:
-                install(payload, retransmit=True)
-                return
-            # Mirror mid-write: fall through to the NACK loop.
-        tag = ctx.ctrl_poll(
-            s.src, min(time.monotonic() + backoff, deadline)
-        )
-        if tag is None:
-            if time.monotonic() >= deadline:
-                raise _Abort()
-            rs.nacks += 1  # receive timeout: pull the retransmit
-            payload = _try_mirror(ctx, s, op_id, mirror, moffs, count)
-            if payload is not None:
-                install(payload, retransmit=True)
-                return
-            backoff = min(backoff * 2.0, plan.backoff_cap_s)
-            continue
-        if not (isinstance(tag, tuple) and len(tag) == 3):
-            continue  # stale reduce payload from an abandoned attempt
-        f_op, f_seq, crc = tag
-        if f_op != op_id:
-            continue
-        if f_seq in delivered or f_seq in pending:
-            rs.dedup_drops += 1
-            continue
-        if f_seq != s.seq:
-            pending[f_seq] = crc  # out-of-order: hold the tag for later
-            continue
-        if arena_view is not None and (
-            not ctx.integrity or payload_crc(arena_view) == crc
-        ):
-            install(arena_view, retransmit=False)
-            return
-        rs.crc_failures += 1
-        payload = _try_mirror(ctx, s, op_id, mirror, moffs, count)
-        if payload is not None:
-            install(payload, retransmit=True)
-            return
-        backoff = min(backoff * 2.0, plan.backoff_cap_s)
-
-
-def _run_op(ctx: _WorkerState, op_id, script, data_name, offsets,
-            mirror_name, moffs) -> RankOpStats:
-    rs = RankOpStats()
-    rank = ctx.rank
-    # Backstop only: the main process's collector fires at watchdog_s
-    # and reads the status block while workers are still stuck.
-    deadline = time.monotonic() + ctx.watchdog_s * 2
-    data = ctx.arena(data_name) if data_name else None
-    mirror = ctx.arena(mirror_name) if mirror_name else None
-    # Per-source dedup sets and out-of-order tag stashes, fresh per op.
-    delivered: dict[int, set] = {}
-    pending: dict[int, dict] = {}
-    for rnd_no, rnd in enumerate(script):
-        for s in rnd["send"]:
-            _post_send(ctx, s, rs, op_id, data, offsets, mirror, moffs)
-        if ctx.chaos is not None:
-            _flush_held(ctx)
-        for s in rnd["local"]:
-            values, valid = ctx.views[(rank, s.array)]
-            install_payload(values, valid, s, extract_payload(values, s))
-            rs.local_copies += 1
-        for s in rnd["recv"]:
-            ctx.set_state(_RECV_WAIT, rnd_no, s.src, s.seq)
-            if ctx.chaos is not None:
-                _recv_chaotic(
-                    ctx, s, rs, op_id, rnd_no, data, offsets, mirror,
-                    moffs, deadline,
-                    delivered.setdefault(s.src, set()),
-                    pending.setdefault(s.src, {}),
-                )
-                ctx.set_state(_RUNNING, rnd_no)
-                continue
-            t0 = time.perf_counter()
-            tag = ctx.ctrl_get(s.src, deadline)
-            rs.wait_s += time.perf_counter() - t0
-            ctx.set_state(_RUNNING, rnd_no)
-            f_op, f_seq, crc = tag
-            if f_op != op_id or f_seq != s.seq:
-                raise TransportError(
-                    f"rank {rank}: message reorder from rank {s.src} "
-                    f"(got seq {f_seq}, expected {s.seq})"
-                )
-            t0 = time.perf_counter()
-            count = s.nbytes // SCALAR_BYTES
-            payload = np.ndarray(
-                (count,), dtype=np.float64, buffer=data.buf,
-                offset=offsets[s.seq],
-            )
-            if ctx.integrity and payload_crc(payload) != crc:
-                rs.crc_failures += 1
-                raise TransportError(
-                    f"rank {rank}: checksum mismatch from rank {s.src} "
-                    f"on seq {f_seq} ({s.nbytes} bytes)"
-                )
-            values, valid = ctx.views[(rank, s.array)]
-            unpack_payload(values, valid, s, payload)
-            ctx.note_recv(s.src, s.seq)
-            rs.recv_s += time.perf_counter() - t0
-        ctx.set_state(_BARRIER, rnd_no)
-        t0 = time.perf_counter()
-        ctx.barrier.wait(timeout=ctx.watchdog_s * 2)
-        ctx.note_round(rnd_no)
-        stall = time.perf_counter() - t0
-        rs.barrier_s += stall
-        if stall > 0.001:
-            rs.barrier_stalls += 1
-    return rs
-
-
-def _run_reduce(ctx: _WorkerState, op_id, piece, op, lowered):
-    rs = RankOpStats()
-    rank = ctx.rank
-    chaos = ctx.chaos
-    deadline = time.monotonic() + ctx.watchdog_s * 2
-    acc = {rank: np.asarray(piece)}
-    for rnd in lowered.gather_rounds:
-        for src, dst in rnd:
-            if src == rank:
-                if chaos is not None and chaos.fires(
-                    "crash", rank, dst, op_id
-                ):
-                    ctx.die()
-                nbytes = sum(
-                    int(p.size) * SCALAR_BYTES for p in acc.values()
-                )
-                ctx.chans[(rank, dst)].put(acc)
-                acc = {}
-                _wire(rs, rank, dst, nbytes)
-            elif dst == rank:
-                ctx.set_state(_RECV_WAIT, -1, src)
-                t0 = time.perf_counter()
-                got = ctx.ctrl_get(src, deadline)
-                while isinstance(got, tuple):
-                    got = ctx.ctrl_get(src, deadline)  # stale op tag
-                rs.wait_s += time.perf_counter() - t0
-                ctx.set_state(_RUNNING)
-                acc.update(got)
-    value = combine_pieces(acc, op) if rank == 0 else None
-    for rnd in lowered.bcast_rounds:
-        for src, dst in rnd:
-            if src == rank:
-                ctx.chans[(rank, dst)].put(value)
-                _wire(rs, rank, dst, SCALAR_BYTES)
-            elif dst == rank:
-                ctx.set_state(_RECV_WAIT, -1, src)
-                t0 = time.perf_counter()
-                value = ctx.ctrl_get(src, deadline)
-                while isinstance(value, tuple):
-                    value = ctx.ctrl_get(src, deadline)  # stale op tag
-                rs.wait_s += time.perf_counter() - t0
-                ctx.set_state(_RUNNING)
-    ctx.set_state(_BARRIER)
-    t0 = time.perf_counter()
-    ctx.barrier.wait(timeout=ctx.watchdog_s * 2)
-    stall = time.perf_counter() - t0
-    rs.barrier_s += stall
-    if stall > 0.001:
-        rs.barrier_stalls += 1
-    return float(value), rs
-
-
-class MultiprocessTransport(Transport):
+class MultiprocessTransport(ConcurrentTransport):
     """One OS process per rank over shared-memory storage."""
 
     name = "multiprocess"
@@ -564,11 +256,11 @@ class MultiprocessTransport(Transport):
         self._ctx = mp.get_context()
         self._storage_sm: shared_memory.SharedMemory | None = None
         self._layout: list[tuple] = []
-        self._data_sm: shared_memory.SharedMemory | None = None
-        self._data_gen = 0
-        self._mirror_sm: shared_memory.SharedMemory | None = None
-        self._mirror_gen = 0
-        self._retired_data: list[shared_memory.SharedMemory] = []
+        # Wire arenas by kind ("dt" data, "mr" mirror): the current
+        # segment, its generation, and grown-out ones still mapped.
+        self._arenas: dict[str, shared_memory.SharedMemory] = {}
+        self._arena_gen = {"dt": 0, "mr": 0}
+        self._retired: list[shared_memory.SharedMemory] = []
         self._chans = {
             (s, d): self._ctx.Queue()
             for s in range(nranks) for d in range(nranks) if s != d
@@ -577,14 +269,15 @@ class MultiprocessTransport(Transport):
         self._results = self._ctx.Queue()
         self._abort = self._ctx.Event()
         self._barrier = self._ctx.Barrier(nranks)
-        self._status = self._ctx.RawArray("q", nranks * _STRIDE)
+        self._status = StatusBlock(
+            self._ctx.RawArray("q", nranks * StatusBlock.STRIDE)
+        )
         self._last_recv = self._ctx.RawArray("q", nranks * nranks)
         for i in range(nranks * nranks):
             self._last_recv[i] = -1
         self._ledger_arr = None
         self._crash_counter = None
-        self._procs: list = []
-        self._op_counter = 0
+        self._procs: list = [None] * nranks
         self._started = False
         self._shut_down = False
 
@@ -620,20 +313,20 @@ class MultiprocessTransport(Transport):
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _spawn_proc(self, rank: int):
+    def _spawn(self, rank: int) -> None:
         plan = self.chaos.plan if self.chaos is not None else None
         p = self._ctx.Process(
             target=_mp_worker,
-            args=(rank, self.nranks, self._storage_sm.name, self._layout,
-                  self._cmd[rank], self._results, self._chans,
-                  self._barrier, self._abort, self._status,
-                  self.watchdog_s, self.integrity, plan,
+            args=(self._cmd[rank], self._results,
+                  rank, self.nranks, self._storage_sm.name, self._layout,
+                  self._chans, self._barrier, self._abort,
+                  self._status.cells, self.watchdog_s, self.integrity, plan,
                   self._ledger_arr, self._crash_counter, self._last_recv),
             name=f"transport-rank-{rank}",
             daemon=True,
         )
         p.start()
-        return p
+        self._procs[rank] = p
 
     def start(self, storage: dict) -> None:
         super().start(storage)
@@ -642,7 +335,7 @@ class MultiprocessTransport(Transport):
         if self._storage_sm is None:
             self.create_storage([])  # reduce-only session: empty arena
         for rank in range(self.nranks):
-            self._procs.append(self._spawn_proc(rank))
+            self._spawn(rank)
         self._started = True
 
     def shutdown(self) -> None:
@@ -666,8 +359,7 @@ class MultiprocessTransport(Transport):
         for q in [*self._chans.values(), *self._cmd, self._results]:
             q.cancel_join_thread()
             q.close()
-        for sm in [self._storage_sm, self._data_sm, self._mirror_sm,
-                   *self._retired_data]:
+        for sm in [self._storage_sm, *self._arenas.values(), *self._retired]:
             if sm is None:
                 continue
             try:
@@ -679,236 +371,58 @@ class MultiprocessTransport(Transport):
             except FileNotFoundError:
                 pass
 
-    # -- dispatch ----------------------------------------------------------
+    # -- carrier hooks -----------------------------------------------------
 
-    def _next_op(self) -> int:
-        self._op_counter += 1
-        return self._op_counter
-
-    def _ensure_data_arena(self, nbytes: int) -> shared_memory.SharedMemory:
-        if self._data_sm is not None and self._data_sm.size >= nbytes:
-            return self._data_sm
-        size = 1 << max(12, (max(nbytes, 1) - 1).bit_length())
-        if self._data_sm is not None:
-            # Workers may still have the old generation mapped; retire it
-            # and unlink everything at shutdown.
-            self._retired_data.append(self._data_sm)
-        self._data_gen += 1
-        self._data_sm = shared_memory.SharedMemory(
-            create=True, size=size,
-            name=f"repro-dt-{self._token}-g{self._data_gen}",
+    def _ensure_arena(self, kind: str,
+                      nbytes: int) -> shared_memory.SharedMemory:
+        sm = self._arenas.get(kind)
+        if sm is not None and sm.size >= nbytes:
+            return sm
+        if sm is not None:
+            # Workers may still have the old generation mapped; retire
+            # it and unlink everything at shutdown.
+            self._retired.append(sm)
+        self._arena_gen[kind] += 1
+        sm = self._arenas[kind] = shared_memory.SharedMemory(
+            create=True, size=1 << max(12, (max(nbytes, 1) - 1).bit_length()),
+            name=f"repro-{kind}-{self._token}-g{self._arena_gen[kind]}",
         )
-        return self._data_sm
+        return sm
 
-    def _ensure_mirror_arena(self, nbytes: int) -> shared_memory.SharedMemory:
-        if self._mirror_sm is not None and self._mirror_sm.size >= nbytes:
-            return self._mirror_sm
-        size = 1 << max(12, (max(nbytes, 1) - 1).bit_length())
-        if self._mirror_sm is not None:
-            self._retired_data.append(self._mirror_sm)
-        self._mirror_gen += 1
-        self._mirror_sm = shared_memory.SharedMemory(
-            create=True, size=size,
-            name=f"repro-mr-{self._token}-g{self._mirror_gen}",
-        )
-        return self._mirror_sm
-
-    def _scripts_for(self, lowered: LoweredComm):
-        scripts = {r: [] for r in range(self.nranks)}
-        for rnd in lowered.rounds:
-            per = {
-                r: {"send": [], "recv": [], "local": []}
-                for r in range(self.nranks)
-            }
-            for s in rnd:
-                if s.is_local:
-                    per[s.src]["local"].append(s)
-                else:
-                    per[s.src]["send"].append(s)
-                    per[s.dst]["recv"].append(s)
-            for r in range(self.nranks):
-                scripts[r].append(per[r])
-        return scripts
-
-    def execute(self, lowered: LoweredComm) -> OpReceipt:
-        return self._dispatch(self._scripts_for(lowered), lowered.algorithm)
-
-    def _dispatch(self, scripts, algorithm: str) -> OpReceipt:
-        offsets: dict[int, int] = {}
-        moffs: dict[int, int] = {}
-        offset = 0
-        m_offset = 0
+    def _plan_wire(self, scripts) -> tuple:
+        """Assign every send its data-arena and mirror-arena slot:
+        ``(data arena name, mirror arena name, seq -> (data offset,
+        mirror offset, element count))``."""
+        slots: dict[int, tuple[int, int, int]] = {}
+        offset = m_offset = 0
         for script in scripts.values():
             for rnd in script:
                 for s in rnd["send"]:
-                    offsets[s.seq] = offset
+                    slots[s.seq] = (offset, m_offset, s.nbytes // SCALAR_BYTES)
                     offset = _align(offset + s.nbytes)
-                    moffs[s.seq] = m_offset
                     m_offset = _align(m_offset + 8 + s.nbytes)
-        data = self._ensure_data_arena(offset) if offset else None
+        data = self._ensure_arena("dt", offset) if offset else None
         mirror = None
         if self.chaos is not None and m_offset:
-            mirror = self._ensure_mirror_arena(m_offset)
+            mirror = self._ensure_arena("mr", m_offset)
             # Stale headers must not validate against the new op.
             mirror.buf[:m_offset] = b"\x00" * m_offset
-        _, receipt = self._submit(
-            lambda rank, op_id: (
-                "op", op_id, scripts[rank],
-                data.name if data else None, offsets,
-                mirror.name if mirror else None, moffs,
-            ),
-            algorithm, checkpoint=True,
+        return (
+            data.name if data else None,
+            mirror.name if mirror else None,
+            slots,
         )
-        return receipt
 
-    def reduce(self, pieces: dict[int, np.ndarray], op: str):
-        lowered = lower_reduction(
-            op,
-            {r: int(np.asarray(p).size) * SCALAR_BYTES
-             for r, p in pieces.items()},
-            self.nranks,
-        )
-        arrs = {
-            rank: np.asarray(pieces.get(rank, np.zeros(0)))
-            for rank in range(self.nranks)
-        }
-        values, receipt = self._submit(
-            lambda rank, op_id: ("reduce", op_id, arrs[rank], op, lowered),
-            "reduce-tree", checkpoint=False,
-        )
-        distinct = set(values.values())
-        if len(distinct) != 1:
-            raise TransportError(
-                f"reduce-tree broadcast diverged across ranks: {distinct}"
-            )
-        self.stats.reduces += 1
-        return distinct.pop(), receipt
+    def _alive(self, rank: int) -> bool:
+        return self._procs[rank].is_alive()
 
-    def _crash_armed(self) -> bool:
-        return self.chaos is not None and self.chaos.plan.rate("crash") > 0.0
+    def _snapshot(self) -> bytes:
+        return bytes(self._storage_sm.buf)
 
-    def _submit(self, make_cmd, algorithm: str,
-                checkpoint: bool) -> tuple[dict[int, float], OpReceipt]:
-        """Dispatch one operation and collect completions, replaying
-        from the storage-arena checkpoint when injected crashes kill
-        worker processes — up to ``max_rank_restarts`` times."""
-        self._check_alive()
-        snapshot = None
-        if checkpoint and self._crash_armed() and self._storage_sm is not None:
-            snapshot = bytes(self._storage_sm.buf)
-        crashes = 0
-        while True:
-            op_id = self._next_op()
-            for rank in range(self.nranks):
-                self._cmd[rank].put(make_cmd(rank, op_id))
-            receipt = OpReceipt(algorithm=algorithm)
-            try:
-                values = self._collect(op_id, receipt)
-            except _RankCrash as crash:
-                crashes += 1
-                if crashes > self.max_rank_restarts:
-                    self._poisoned = "rank crash budget exhausted"
-                    raise RankCrashError(
-                        self.name, crash.dead, crashes - 1,
-                        self.max_rank_restarts,
-                    ) from None
-                t0 = time.monotonic()
-                self._recover(crash.dead, snapshot)
-                self.stats.restarts += len(crash.dead)
-                self.stats.recovery_s += time.monotonic() - t0
-                continue
-            self.stats.count_op(algorithm)
-            self._sync_injected()
-            return values, receipt
+    def _restore(self, snapshot: bytes) -> None:
+        self._storage_sm.buf[:] = snapshot
 
-    def _collect(self, op_id: int, receipt: OpReceipt) -> dict[int, float]:
-        deadline = time.monotonic() + self.watchdog_s
-        done: dict[int, float] = {}
-        stats: list[tuple[int, RankOpStats]] = []
-        failures: list[str] = []
-        while len(done) < self.nranks:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._deadlock(set(range(self.nranks)) - set(done))
-            try:
-                msg = self._results.get(timeout=min(remaining, 0.2))
-            except queue_mod.Empty:
-                dead = [
-                    r for r, p in enumerate(self._procs)
-                    if r not in done and not p.is_alive()
-                ]
-                if dead:
-                    if self.chaos is None:
-                        self._poisoned = "worker process died"
-                        raise TransportError(
-                            "multiprocess transport worker(s) died: "
-                            f"{[self._procs[r].name for r in dead]}"
-                        ) from None
-                    self._quiesce_crash(op_id, done, dead)
-                continue
-            status, rank, msg_op, payload, value = msg
-            if msg_op != op_id:
-                continue
-            if status == "ok":
-                stats.append((rank, payload))
-                done[rank] = value if value is not None else 0.0
-            elif status == "aborted":
-                if not failures:
-                    self._deadlock(set(range(self.nranks)) - set(done))
-                done[rank] = 0.0
-            else:
-                failures.append(f"rank {rank}: {payload}")
-                done[rank] = 0.0
-                self._abort.set()
-                self._barrier.abort()
-        if failures:
-            self._poisoned = "worker failure"
-            raise TransportError(
-                "multiprocess transport worker failed:\n"
-                + "\n".join(failures)
-            )
-        # Absorb only after every rank completed, so an attempt that is
-        # abandoned (crash) contributes nothing to the canonical ledger.
-        for rank, rs in stats:
-            receipt.absorb(rs)
-            self.stats.absorb(rank, rs)
-        return done
-
-    def _quiesce_crash(self, op_id: int, done: dict, dead: list[int]):
-        """Dead worker processes found mid-collect: abort survivors and
-        wait for each to post its (aborted) completion so none is still
-        touching a queue, then hand the dead list to the retry loop."""
-        self._abort.set()
-        try:
-            self._barrier.abort()
-        except Exception:  # noqa: BLE001 - barrier may already be broken
-            pass
-        waiting = {
-            r for r in range(self.nranks)
-            if r not in done and r not in dead
-        }
-        end = time.monotonic() + 5.0
-        while waiting and time.monotonic() < end:
-            for r in list(waiting):
-                if not self._procs[r].is_alive():
-                    waiting.discard(r)
-                    dead.append(r)
-            try:
-                msg = self._results.get(timeout=0.05)
-            except queue_mod.Empty:
-                continue
-            _status, rank, msg_op, _payload, _value = msg
-            if msg_op == op_id:
-                waiting.discard(rank)
-        if waiting:
-            self._deadlock(waiting)
-        raise _RankCrash(sorted(set(dead)))
-
-    def _recover(self, dead: list[int], snapshot: bytes | None) -> None:
-        """Bring the fleet back to a clean pre-operation state: drain
-        stale tags and completions, roll the storage arena back to the
-        checkpoint, respawn the dead workers (they re-attach the shared
-        segments by name), and re-arm the barrier."""
+    def _drain(self) -> None:
         for q in [*self._chans.values(), self._results]:
             while True:
                 try:
@@ -917,59 +431,6 @@ class MultiprocessTransport(Transport):
                     break
                 except Exception:  # noqa: BLE001 - torn pickle from a kill
                     continue
-        if snapshot is not None:
-            self._storage_sm.buf[:] = snapshot
-        for rank in dead:
-            self._procs[rank] = self._spawn_proc(rank)
-        self._barrier.reset()
-        self._abort.clear()
-
-    def _fault_context(self) -> dict | None:
-        if self.chaos is None:
-            return None
-        return {
-            "injected_by_rank": {
-                str(rank): dict(kinds)
-                for rank, kinds in sorted(self.chaos.ledger().items())
-            },
-            "last_recv_seq": {
-                f"{s}->{d}": int(self._last_recv[s * self.nranks + d])
-                for s in range(self.nranks)
-                for d in range(self.nranks)
-                if self._last_recv[s * self.nranks + d] >= 0
-            },
-        }
-
-    def _deadlock(self, missing: set[int]):
-        self._poisoned = "deadlock watchdog"
-        self._abort.set()
-        try:
-            self._barrier.abort()
-        except Exception:  # noqa: BLE001 - barrier may already be broken
-            pass
-        stuck = []
-        for rank in sorted(missing):
-            base = rank * _STRIDE
-            state = _STATE_NAMES.get(self._status[base], "unknown")
-            waiting = None
-            if self._status[base] == _RECV_WAIT:
-                waiting = (
-                    f"message seq {self._status[base + 3]} from rank "
-                    f"{self._status[base + 2]}"
-                )
-            elif self._status[base] == _BARRIER:
-                waiting = f"barrier after round {self._status[base + 1]}"
-            stuck.append({
-                "rank": rank,
-                "state": state,
-                "waiting_on": waiting,
-                "heartbeat": int(self._status[base + 4]),
-                "completed_rounds": int(self._status[base + 5]),
-            })
-        raise DeadlockError(
-            self.name, self.watchdog_s, stuck,
-            fault_context=self._fault_context(),
-        )
 
     def __del__(self) -> None:  # best-effort resource cleanup
         try:

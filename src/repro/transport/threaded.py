@@ -1,45 +1,28 @@
-"""Threaded transport: one worker thread per rank.
+"""Threaded carrier: one worker thread per rank.
 
-Each rank runs a persistent worker; every lowered round is executed
-concurrently — ranks post their sends to lock-free per-pair SPSC
-channels (a ``collections.deque`` per (src, dst) pair; append/popleft
-are atomic under the GIL, so no locks on the data path), then block
-receiving what their round script expects, then meet at a real
-``threading.Barrier``.  Payloads travel in pooled buffers: the sender
-rents one from the pair's :class:`~repro.transport.base.BufferPool`,
-packs the wire bytes into it through a compiled per-geometry kernel,
-and the receiver returns it after install — steady-state rounds
-allocate nothing.  Every message is counted at its wire size.
+The protocol — round loop, wire integrity, NACK/retransmit repair,
+crash recovery, watchdog — is the shared driver in
+:mod:`repro.transport.base` over the sans-IO core in
+:mod:`repro.transport.integrity`.  This module supplies only what
+threads over deques do differently:
 
-Wire integrity: every channel item is a *frame* ``(op_id, seq, buf,
-count, crc, pooled)``.  Receivers verify the CRC32 checksum and the
-sequence number; on a clean run a mismatch is a hard error.  When
-chaos is armed (:meth:`~repro.transport.base.Transport.attach_chaos`)
-the same frames are *repairable*: the sender keeps a pristine copy of
-every in-flight payload in a per-channel outbox, and the receiver
-dedups by sequence number, stashes out-of-order frames, and on a
-checksum failure or receive timeout (a NACK, with bounded exponential
-backoff) installs the retransmission from the outbox.  Retransmitted
-traffic is counted separately (``retransmits``/``retrans_bytes``) so
-the canonical per-pair ledger still matches the lowering's prediction
-exactly.
-
-Rank crash recovery: an injected crash kills the worker thread at a
-send boundary.  The collector notices the dead thread, quiesces the
-survivors, drains the channels back into the pools, restores rank
-storage from the checkpoint taken at operation start, respawns the
-dead workers, resets the barrier, and replays the operation — up to
-``max_rank_restarts`` times, after which a structured
-:class:`~repro.transport.base.RankCrashError` propagates (the
-executor's degradation ladder re-runs the program inline).
-
-A watchdog bounds every blocking wait: if any rank is still stuck when
-it expires, the main thread aborts the fleet, captures each stuck
-worker's Python stack (``sys._current_frames``), and raises a
-structured :class:`~repro.transport.base.DeadlockError` — under chaos
-it carries the injected-fault ledger and last-received sequence
-numbers as ``fault_context``.  After a deadlock the transport is
-poisoned; only ``shutdown`` remains valid.
+* **channels** — a lock-free SPSC ``collections.deque`` per (src, dst)
+  pair (append/popleft are atomic under the GIL, so no locks on the
+  data path);
+* **frames** — ``(op_id, seq, crc, buf, count, pooled)``: the payload
+  travels *in* the frame, in a buffer the sender rents from the pair's
+  :class:`~repro.transport.base.BufferPool` and the receiver returns
+  after install — steady-state rounds allocate nothing;
+* **retransmit source** — a per-channel outbox dict the sender fills
+  with a pristine copy of every in-flight payload (chaos only;
+  GIL-atomic writes, keyed ``(op_id, seq)``);
+* **death and respawn** — an injected crash raises
+  :class:`~repro.transport.integrity.ChaosCrash`, which ends the worker
+  thread without a completion; liveness is ``Thread.is_alive`` and a
+  dead rank gets a fresh thread;
+* **checkpoint** — copies of every rank's numpy storage;
+* **stuck-rank report** — besides the status block, each stuck
+  worker's Python stack from ``sys._current_frames``.
 """
 
 from __future__ import annotations
@@ -51,42 +34,22 @@ import time
 import traceback
 from collections import deque
 
-import numpy as np
-
 from .base import (
     BufferPool,
-    DeadlockError,
-    OpReceipt,
-    RankCrashError,
-    RankOpStats,
-    Transport,
-    TransportError,
-    combine_pieces,
+    ConcurrentTransport,
+    RankPort,
+    StatusBlock,
+    _Abort,
+    _worker_loop,
     pack_payload,
     unpack_payload,
 )
 from .integrity import ChaosCrash, payload_crc
-from .lowering import SCALAR_BYTES, LoweredComm, lower_reduction
+from .lowering import SCALAR_BYTES
 
 #: Spin interval while a channel is empty — long enough to release the
 #: GIL, short enough to keep neighbour-exchange latency low.
 _POLL_S = 0.0002
-
-#: A barrier arrival that waited longer than this counts as a stall.
-_STALL_S = 0.001
-
-
-class _Abort(Exception):
-    """Internal: the main thread cancelled the in-flight operation."""
-
-
-class _RankCrash(Exception):
-    """Internal: the collector found dead worker threads; carries the
-    dead rank list to the dispatch retry loop."""
-
-    def __init__(self, dead: list[int]) -> None:
-        super().__init__(f"dead ranks {dead}")
-        self.dead = dead
 
 
 class SPSCChannel:
@@ -100,21 +63,8 @@ class SPSCChannel:
     def put(self, item) -> None:
         self._items.append(item)
 
-    def get(self, deadline: float, abort: threading.Event, waiting):
-        while True:
-            try:
-                return self._items.popleft()
-            except IndexError:
-                if abort.is_set():
-                    raise _Abort()
-                if time.monotonic() > deadline:
-                    waiting()
-                    raise _Abort()
-                time.sleep(_POLL_S)
-
     def poll(self, deadline: float, abort: threading.Event):
-        """Like :meth:`get` but returns ``None`` at ``deadline`` instead
-        of aborting — the NACK timer of the chaos receive path."""
+        """The next item, or ``None`` once ``deadline`` has passed."""
         while True:
             try:
                 return self._items.popleft()
@@ -124,6 +74,12 @@ class SPSCChannel:
                 if time.monotonic() > deadline:
                     return None
                 time.sleep(_POLL_S)
+
+    def get(self, deadline: float, abort: threading.Event):
+        item = self.poll(deadline, abort)
+        if item is None:
+            raise _Abort()
+        return item
 
     def drain(self) -> list:
         """Pop and return everything (only called while quiesced)."""
@@ -135,7 +91,87 @@ class SPSCChannel:
                 return items
 
 
-class ThreadedTransport(Transport):
+def _give_back(pool: BufferPool, frame: tuple) -> None:
+    """Return the pooled buffer ``frame`` owns, if it owns one (reduce
+    frames and injected duplicates do not)."""
+    if len(frame) == 6 and frame[5]:
+        pool.give(frame[3])
+
+
+class _ThreadPort(RankPort):
+    """Rank endpoint over the transport's shared in-process state."""
+
+    def __init__(self, transport: "ThreadedTransport", rank: int) -> None:
+        self.rank = rank
+        self.nranks = transport.nranks
+        self.chaos = transport.chaos
+        self.integrity = transport.integrity
+        self.watchdog_s = transport.watchdog_s
+        self.abort = transport._abort
+        self.barrier = transport._barrier
+        self.status = transport._status
+        self.last_recv = transport._last_recv
+        self.chans = transport._chan
+        self._transport = transport
+        self._stores: dict = {}  # this rank's storage, bound per operation
+        self._pools = transport._pools
+        self._local_pool = transport._local_pools[rank]
+        self._outbox = transport._outbox
+
+    def begin_op(self, wire) -> None:
+        self._stores = self._transport.storage[self.rank]
+        # Last operation's pristine copies are dead: every receiver
+        # passed that operation's final barrier before this rank did.
+        for dst in range(self.nranks):
+            if dst != self.rank:
+                self._outbox[(self.rank, dst)].clear()
+
+    def views(self, array: str):
+        store = self._stores[array]
+        return store.values, store.valid
+
+    def stage(self, s, rs, op_id: int) -> tuple:
+        pair = (self.rank, s.dst)
+        count = s.nbytes // SCALAR_BYTES
+        pool = self._pools[pair]
+        buf = pool.rent(count, rs)
+        try:
+            pack_payload(self._stores[s.array].values, s, buf[:count])
+        except BaseException:
+            pool.give(buf)  # nothing was posted: the buffer is still ours
+            raise
+        crc = payload_crc(buf[:count]) if self.integrity else 0
+        if self.chaos is not None:
+            self._outbox[pair][(op_id, s.seq)] = buf[:count].copy()
+        return (op_id, s.seq, crc, buf, count, True)
+
+    def payload(self, frame: tuple):
+        return frame[3][:frame[4]]
+
+    def duplicate(self, frame: tuple) -> tuple:
+        return (*frame[:3], self.payload(frame).copy(), frame[4], False)
+
+    def release(self, pair, frame: tuple) -> None:
+        _give_back(self._pools[pair], frame)
+
+    def retransmit(self, pair, op_id: int, seq: int):
+        return self._outbox[pair].get((op_id, seq))
+
+    def local_copy(self, s, rs) -> None:
+        values, valid = self.views(s.array)
+        count = s.nbytes // SCALAR_BYTES
+        buf = self._local_pool.rent(count, rs)
+        try:
+            pack_payload(values, s, buf[:count])
+            unpack_payload(values, valid, s, buf[:count])
+        finally:
+            self._local_pool.give(buf)
+
+    def die(self) -> None:
+        raise ChaosCrash(self.rank)
+
+
+class ThreadedTransport(ConcurrentTransport):
     """Worker-per-rank execution over per-pair SPSC channels."""
 
     name = "threaded"
@@ -152,24 +188,15 @@ class ThreadedTransport(Transport):
         # staging local copies; reused across rounds and operations.
         self._pools = {pair: BufferPool() for pair in self._chan}
         self._local_pools = [BufferPool() for _ in range(nranks)]
+        self._outbox: dict = {pair: {} for pair in self._chan}
         self._cmd = [queue.SimpleQueue() for _ in range(nranks)]
         self._results: queue.SimpleQueue = queue.SimpleQueue()
         self._abort = threading.Event()
         self._barrier = threading.Barrier(nranks)
-        self._pending: dict[int, str] = {}
-        self._op_counter = 0
-        self._threads: list[threading.Thread] = []
+        self._status = StatusBlock([0] * (nranks * StatusBlock.STRIDE))
+        self._last_recv = [-1] * (nranks * nranks)
+        self._threads: list = [None] * nranks
         self._started = False
-        # Chaos repair state, all per-channel: the sender's pristine
-        # outbox (GIL-atomic dict writes; keyed (op_id, seq)), the
-        # receiver's out-of-order stash and dedup set, the sender's
-        # held-back frame for reorder injection, and the last sequence
-        # number each receiver installed (DeadlockError fault context).
-        self._outbox: dict = {pair: {} for pair in self._chan}
-        self._stash: dict = {pair: {} for pair in self._chan}
-        self._delivered: dict = {pair: set() for pair in self._chan}
-        self._held: dict = {}
-        self._last_seq: dict = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -178,16 +205,17 @@ class ThreadedTransport(Transport):
         if self._started:
             return
         for rank in range(self.nranks):
-            self._threads.append(self._spawn(rank))
+            self._spawn(rank)
         self._started = True
 
-    def _spawn(self, rank: int) -> threading.Thread:
+    def _spawn(self, rank: int) -> None:
         t = threading.Thread(
-            target=self._worker_loop, args=(rank,),
+            target=_worker_loop,
+            args=(_ThreadPort(self, rank), self._cmd[rank], self._results),
             name=f"transport-rank-{rank}", daemon=True,
         )
         t.start()
-        return t
+        self._threads[rank] = t
 
     def shutdown(self) -> None:
         if not self._started:
@@ -197,210 +225,15 @@ class ThreadedTransport(Transport):
             self._cmd[rank].put(("stop",))
         for t in self._threads:
             t.join(timeout=5.0)
-        self._threads = []
         self._started = False
         # Return any undelivered pooled frames so pool conservation
         # (free_count == misses) holds even after an aborted run.
-        self._drain_channels()
+        self._drain()
 
-    # -- operations --------------------------------------------------------
+    # -- carrier hooks -----------------------------------------------------
 
-    def execute(self, lowered: LoweredComm) -> OpReceipt:
-        return self._dispatch(self._scripts_for(lowered), lowered.algorithm)
-
-    def _dispatch(self, scripts, algorithm: str) -> OpReceipt:
-        _, receipt = self._submit(
-            lambda rank, op_id: ("op", op_id, scripts[rank]),
-            algorithm, checkpoint=True,
-        )
-        return receipt
-
-    def reduce(self, pieces: dict[int, np.ndarray], op: str):
-        lowered = lower_reduction(
-            op,
-            {r: int(np.asarray(p).size) * SCALAR_BYTES
-             for r, p in pieces.items()},
-            self.nranks,
-        )
-        arrs = {
-            rank: np.asarray(pieces.get(rank, np.zeros(0)))
-            for rank in range(self.nranks)
-        }
-        # Reductions don't mutate rank storage, so a crashed attempt
-        # replays without a checkpoint.
-        values, receipt = self._submit(
-            lambda rank, op_id: ("reduce", op_id, arrs[rank], op, lowered),
-            "reduce-tree", checkpoint=False,
-        )
-        distinct = set(values.values())
-        if len(distinct) != 1:
-            raise TransportError(
-                f"reduce-tree broadcast diverged across ranks: {distinct}"
-            )
-        self.stats.reduces += 1
-        return distinct.pop(), receipt
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _next_op(self) -> int:
-        self._op_counter += 1
-        return self._op_counter
-
-    def _scripts_for(self, lowered: LoweredComm) -> dict[int, list[dict]]:
-        """Per-rank round scripts: what each rank sends, receives (in
-        per-source FIFO order), and installs locally in every round."""
-        scripts: dict[int, list[dict]] = {r: [] for r in range(self.nranks)}
-        for rnd in lowered.rounds:
-            per = {
-                r: {"send": [], "recv": [], "local": []}
-                for r in range(self.nranks)
-            }
-            for s in rnd:
-                if s.is_local:
-                    per[s.src]["local"].append(s)
-                else:
-                    per[s.src]["send"].append(s)
-                    per[s.dst]["recv"].append(s)
-            for r in range(self.nranks):
-                scripts[r].append(per[r])
-        return scripts
-
-    def _crash_armed(self) -> bool:
-        return self.chaos is not None and self.chaos.plan.rate("crash") > 0.0
-
-    def _submit(self, make_cmd, algorithm: str,
-                checkpoint: bool) -> tuple[dict[int, float], OpReceipt]:
-        """Dispatch one operation to every rank and collect completions,
-        replaying from the operation-start checkpoint when injected
-        crashes kill workers — up to ``max_rank_restarts`` times."""
-        self._check_alive()
-        snapshot = None
-        if checkpoint and self._crash_armed():
-            snapshot = self._snapshot()
-        crashes = 0
-        while True:
-            op_id = self._next_op()
-            if self.chaos is not None:
-                self._reset_chaos_state()
-            for rank in range(self.nranks):
-                self._cmd[rank].put(make_cmd(rank, op_id))
-            receipt = OpReceipt(algorithm=algorithm)
-            try:
-                values = self._collect(op_id, receipt)
-            except _RankCrash as crash:
-                crashes += 1
-                if crashes > self.max_rank_restarts:
-                    self._poisoned = "rank crash budget exhausted"
-                    raise RankCrashError(
-                        self.name, crash.dead, crashes - 1,
-                        self.max_rank_restarts,
-                    ) from None
-                t0 = time.monotonic()
-                self._recover(crash.dead, snapshot)
-                self.stats.restarts += len(crash.dead)
-                self.stats.recovery_s += time.monotonic() - t0
-                continue
-            self.stats.count_op(algorithm)
-            self._sync_injected()
-            return values, receipt
-
-    def _collect(self, op_id: int, receipt: OpReceipt) -> dict[int, float]:
-        """Gather one completion per rank, enforcing the watchdog and
-        watching thread liveness.  Per-rank stats are absorbed only
-        after every rank completed, so an attempt that is abandoned
-        (crash, failure) contributes nothing to the canonical ledger."""
-        deadline = time.monotonic() + self.watchdog_s
-        done: dict[int, float] = {}
-        stats: list[tuple[int, RankOpStats]] = []
-        failures: list[str] = []
-        while len(done) < self.nranks:
-            dead = [
-                r for r in range(self.nranks)
-                if r not in done and not self._threads[r].is_alive()
-            ]
-            if dead:
-                if self.chaos is None:
-                    self._poisoned = "worker thread died"
-                    raise TransportError(
-                        f"threaded transport: worker thread(s) {dead} died"
-                    )
-                self._quiesce_crash(op_id, done, dead)
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._deadlock(set(range(self.nranks)) - set(done))
-            try:
-                msg = self._results.get(timeout=min(remaining, 0.05))
-            except queue.Empty:
-                continue
-            status, rank, msg_op, payload, value = msg
-            if msg_op != op_id:
-                continue  # stale completion from an aborted operation
-            if status == "ok":
-                stats.append((rank, payload))
-                done[rank] = value if value is not None else 0.0
-            elif status == "aborted":
-                if not failures:
-                    self._deadlock(set(range(self.nranks)) - set(done))
-                done[rank] = 0.0
-            else:
-                failures.append(f"rank {rank}: {payload}")
-                done[rank] = 0.0
-                # Release ranks blocked on the failed one, then keep
-                # draining so every worker returns to its command loop.
-                self._abort.set()
-                self._barrier.abort()
-        if failures:
-            self._poisoned = "worker failure"
-            raise TransportError(
-                "threaded transport worker failed:\n" + "\n".join(failures)
-            )
-        for rank, rs in stats:
-            receipt.absorb(rs)
-            self.stats.absorb(rank, rs)
-        return done
-
-    def _quiesce_crash(self, op_id: int, done: dict, dead: list[int]):
-        """Dead workers found mid-collect: abort the survivors, wait for
-        each to post its (aborted) completion so none is still touching
-        a channel, then hand the dead list to the retry loop."""
-        self._abort.set()
-        self._barrier.abort()
-        waiting = {
-            r for r in range(self.nranks)
-            if r not in done and r not in dead
-        }
-        end = time.monotonic() + 5.0
-        while waiting and time.monotonic() < end:
-            for r in list(waiting):
-                if not self._threads[r].is_alive():
-                    waiting.discard(r)
-                    dead.append(r)
-            try:
-                msg = self._results.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            _status, rank, msg_op, _payload, _value = msg
-            if msg_op == op_id:
-                waiting.discard(rank)
-        if waiting:
-            self._deadlock(waiting)
-        raise _RankCrash(sorted(set(dead)))
-
-    def _recover(self, dead: list[int], snapshot) -> None:
-        """Bring the fleet back to a clean pre-operation state: all
-        survivors are idle in their command loops (guaranteed by
-        :meth:`_quiesce_crash`), so drain stale frames back to the
-        pools, roll storage back to the checkpoint, respawn the dead
-        workers, and re-arm the barrier."""
-        self._drain_results()
-        self._drain_channels()
-        self._reset_chaos_state()
-        if snapshot is not None:
-            self._restore(snapshot)
-        for rank in dead:
-            self._threads[rank] = self._spawn(rank)
-        self._barrier.reset()
-        self._abort.clear()
+    def _alive(self, rank: int) -> bool:
+        return self._threads[rank].is_alive()
 
     def _snapshot(self) -> dict:
         return {
@@ -418,394 +251,20 @@ class ThreadedTransport(Transport):
                 store.values[:] = values
                 store.valid[:] = valid
 
-    def _drain_results(self) -> None:
+    def _drain(self) -> None:
         while True:
             try:
                 self._results.get_nowait()
             except queue.Empty:
-                return
-
-    def _drain_channels(self) -> None:
+                break
         for pair, chan in self._chan.items():
-            pool = self._pools[pair]
-            for item in chan.drain():
-                if isinstance(item, tuple) and len(item) == 6 and item[5]:
-                    pool.give(item[2])
+            for frame in chan.drain():
+                _give_back(self._pools[pair], frame)
 
-    def _reset_chaos_state(self) -> None:
-        for pair in self._chan:
-            self._outbox[pair].clear()
-            self._stash[pair].clear()
-            self._delivered[pair].clear()
-            frame = self._held.pop(pair, None)
-            if frame is not None:
-                self._pools[pair].give(frame[2])
-
-    def _fault_context(self) -> dict | None:
-        if self.chaos is None:
-            return None
-        return {
-            "injected_by_rank": {
-                str(rank): dict(kinds)
-                for rank, kinds in sorted(self.chaos.ledger().items())
-            },
-            "last_recv_seq": {
-                f"{s}->{d}": seq
-                for (s, d), seq in sorted(self._last_seq.items())
-            },
-        }
-
-    def _deadlock(self, missing: set[int]):
-        self._poisoned = "deadlock watchdog"
-        self._abort.set()
-        self._barrier.abort()
-        stacks: dict[int, str] = {}
+    def _stacks(self, missing: set[int]) -> dict[int, str]:
         frames = sys._current_frames()
-        for rank, t in enumerate(self._threads):
-            if rank in missing and t.ident in frames:
-                stacks[rank] = "".join(
-                    traceback.format_stack(frames[t.ident])
-                )
-        stuck = [
-            {
-                "rank": rank,
-                "state": "stuck",
-                "waiting_on": self._pending.get(rank, "unknown"),
-            }
-            for rank in sorted(missing)
-        ]
-        raise DeadlockError(
-            self.name, self.watchdog_s, stuck, stacks,
-            fault_context=self._fault_context(),
-        )
-
-    # -- worker ------------------------------------------------------------
-
-    def _worker_loop(self, rank: int) -> None:
-        while True:
-            cmd = self._cmd[rank].get()
-            kind = cmd[0]
-            if kind == "stop":
-                return
-            op_id = cmd[1]
-            try:
-                if kind == "op":
-                    rs = self._run_op(rank, cmd[2], op_id)
-                    self._results.put(("ok", rank, op_id, rs, None))
-                else:  # reduce
-                    _, _, piece, op, lowered = cmd
-                    value, rs = self._run_reduce(
-                        rank, piece, op, lowered, op_id
-                    )
-                    self._results.put(("ok", rank, op_id, rs, value))
-            except ChaosCrash:
-                return  # simulated rank death: no result, thread exits
-            except _Abort:
-                self._results.put(("aborted", rank, op_id, None, None))
-            except threading.BrokenBarrierError:
-                self._results.put(("aborted", rank, op_id, None, None))
-            except Exception:  # noqa: BLE001 - reported to the main thread
-                self._results.put(
-                    ("error", rank, op_id, traceback.format_exc(), None)
-                )
-
-    def _barrier_wait(self, rank: int, rs: RankOpStats) -> None:
-        self._pending[rank] = "barrier"
-        t0 = time.perf_counter()
-        try:
-            self._barrier.wait(timeout=self.watchdog_s * 2)
-        finally:
-            stall = time.perf_counter() - t0
-            rs.barrier_s += stall
-            if stall > _STALL_S:
-                rs.barrier_stalls += 1
-            self._pending.pop(rank, None)
-
-    def _run_op(self, rank: int, script: list[dict],
-                op_id: int) -> RankOpStats:
-        rs = RankOpStats()
-        # 2x the main thread's watchdog: the collector is the primary
-        # detector (it captures stacks while workers are still stuck);
-        # this is only the backstop should the collector itself die.
-        deadline = time.monotonic() + self.watchdog_s * 2
-        for rnd in script:
-            for s in rnd["send"]:
-                self._post_send(rank, s, rs, op_id)
-            if self.chaos is not None:
-                self._flush_held(rank)
-            for s in rnd["local"]:
-                store = self.storage[rank][s.array]
-                count = s.nbytes // SCALAR_BYTES
-                pool = self._local_pools[rank]
-                buf = pool.rent(count, rs)
-                try:
-                    pack_payload(store.values, s, buf[:count])
-                    unpack_payload(store.values, store.valid, s, buf[:count])
-                finally:
-                    pool.give(buf)
-                rs.local_copies += 1
-            for s in rnd["recv"]:
-                self._recv_one(rank, s, rs, op_id, deadline)
-            self._barrier_wait(rank, rs)
-        return rs
-
-    # -- send path ---------------------------------------------------------
-
-    def _post_send(self, rank: int, s, rs: RankOpStats, op_id: int) -> None:
-        chaos = self.chaos
-        if chaos is not None and chaos.fires("crash", rank, s.dst, s.seq):
-            raise ChaosCrash(rank)
-        pair = (rank, s.dst)
-        store = self.storage[rank][s.array]
-        count = s.nbytes // SCALAR_BYTES
-        pool = self._pools[pair]
-        t0 = time.perf_counter()
-        buf = pool.rent(count, rs)
-        posted = False
-        try:
-            pack_payload(store.values, s, buf[:count])
-            crc = payload_crc(buf[:count]) if self.integrity else 0
-            if chaos is not None:
-                # Pristine copy first — retransmits serve from here.
-                self._outbox[pair][(op_id, s.seq)] = (buf[:count].copy(), crc)
-                posted = self._post_chaotic(
-                    chaos, pair, s, buf, count, crc, op_id
-                )
-            else:
-                self._chan[pair].put((op_id, s.seq, buf, count, crc, True))
-                posted = True
-        finally:
-            if not posted:  # dropped frame, or pack failed
-                pool.give(buf)
-        rs.send_s += time.perf_counter() - t0
-        # The logical send is counted exactly once even when the frame
-        # is dropped or corrupted — the repair is accounted separately,
-        # keeping the canonical ledger equal to the plan's prediction.
-        rs.sends += 1
-        rs.bytes_sent += s.nbytes
-        rs.pair_msgs[pair] = rs.pair_msgs.get(pair, 0) + 1
-        rs.pair_bytes[pair] = rs.pair_bytes.get(pair, 0) + s.nbytes
-
-    def _post_chaotic(self, chaos, pair, s, buf, count, crc,
-                      op_id: int) -> bool:
-        """Run one frame through the fault plan; returns whether the
-        frame (or its held copy) now owns the pooled buffer."""
-        rank, dst = pair
-        if chaos.fires("drop", rank, dst, s.seq):
-            return False
-        if chaos.fires("delay", rank, dst, s.seq):
-            time.sleep(chaos.plan.delay_s)
-        if chaos.fires("corrupt", rank, dst, s.seq):
-            buf[:count].view(np.uint8)[0] ^= 0xFF
-        frame = (op_id, s.seq, buf, count, crc, True)
-        if chaos.fires("dup", rank, dst, s.seq):
-            self._chan[pair].put(
-                (op_id, s.seq, buf[:count].copy(), count, crc, False)
-            )
-        if chaos.fires("reorder", rank, dst, s.seq) and pair not in self._held:
-            self._held[pair] = frame  # posted after the next frame
-            return True
-        self._chan[pair].put(frame)
-        held = self._held.pop(pair, None)
-        if held is not None:
-            self._chan[pair].put(held)
-        return True
-
-    def _flush_held(self, rank: int) -> None:
-        """End of a round's send phase: post any frame still held back
-        by reorder injection so it arrives within its round."""
-        for dst in range(self.nranks):
-            frame = self._held.pop((rank, dst), None)
-            if frame is not None:
-                self._chan[(rank, dst)].put(frame)
-
-    # -- receive path ------------------------------------------------------
-
-    def _recv_one(self, rank: int, s, rs: RankOpStats, op_id: int,
-                  deadline: float) -> None:
-        pair = (s.src, rank)
-        chan = self._chan[pair]
-        pool = self._pools[pair]
-        store = self.storage[rank][s.array]
-        count = s.nbytes // SCALAR_BYTES
-        self._pending[rank] = (
-            f"recv {s.array} seq {s.seq} from rank {s.src}"
-        )
-        if self.chaos is None:
-            t0 = time.perf_counter()
-            item = chan.get(deadline, self._abort, lambda: None)
-            rs.wait_s += time.perf_counter() - t0
-            self._pending.pop(rank, None)
-            f_op, f_seq, buf, got, crc, pooled = item
-            try:
-                if f_op != op_id or f_seq != s.seq:
-                    raise TransportError(
-                        f"rank {rank}: message reorder from rank {s.src} "
-                        f"(got seq {f_seq}, expected {s.seq})"
-                    )
-                if self.integrity and payload_crc(buf[:got]) != crc:
-                    rs.crc_failures += 1
-                    raise TransportError(
-                        f"rank {rank}: checksum mismatch from rank "
-                        f"{s.src} on seq {f_seq} ({s.nbytes} bytes)"
-                    )
-                t0 = time.perf_counter()
-                unpack_payload(store.values, store.valid, s, buf[:got])
-                rs.recv_s += time.perf_counter() - t0
-            finally:
-                if pooled:
-                    pool.give(buf)
-            self._last_seq[pair] = s.seq
-            return
-        self._recv_chaotic(rank, s, rs, op_id, deadline, chan, pool,
-                           store, count)
-        self._pending.pop(rank, None)
-        self._last_seq[pair] = s.seq
-
-    def _recv_chaotic(self, rank, s, rs, op_id, deadline, chan, pool,
-                      store, count) -> None:
-        """Receive under chaos: dedup by seq, stash out-of-order frames,
-        verify checksums, and repair loss/corruption from the sender's
-        outbox — NACK after ``nack_timeout_s``, backing off
-        exponentially up to ``backoff_cap_s``, bounded by the worker's
-        hard deadline."""
-        pair = (s.src, rank)
-        delivered = self._delivered[pair]
-        stash = self._stash[pair]
-        outbox = self._outbox[pair]
-        plan = self.chaos.plan
-        backoff = plan.nack_timeout_s
-        t0 = time.perf_counter()
-
-        def install(payload, retransmit: bool) -> None:
-            rs.wait_s += time.perf_counter() - t0
-            t1 = time.perf_counter()
-            unpack_payload(store.values, store.valid, s, payload[:count])
-            rs.recv_s += time.perf_counter() - t1
-            if retransmit:
-                rs.retransmits += 1
-                rs.retrans_bytes += s.nbytes
-            delivered.add(s.seq)
-
-        while True:
-            if s.seq in stash:
-                install(stash.pop(s.seq), retransmit=False)
-                return
-            item = chan.poll(
-                min(time.monotonic() + backoff, deadline), self._abort
-            )
-            if item is None:
-                if time.monotonic() >= deadline:
-                    raise _Abort()
-                rs.nacks += 1  # receive timeout: request a retransmit
-                entry = outbox.get((op_id, s.seq))
-                if entry is not None:
-                    install(entry[0], retransmit=True)
-                    return
-                # Sender hasn't staged this payload yet — back off.
-                backoff = min(backoff * 2.0, plan.backoff_cap_s)
-                continue
-            f_op, f_seq, buf, got, crc, pooled = item
-            if f_op != op_id:  # stale frame from an abandoned attempt
-                if pooled:
-                    pool.give(buf)
-                continue
-            if f_seq in delivered or f_seq in stash:
-                rs.dedup_drops += 1
-                if pooled:
-                    pool.give(buf)
-                continue
-            if payload_crc(buf[:got]) != crc:
-                rs.crc_failures += 1
-                if pooled:
-                    pool.give(buf)
-                entry = outbox.get((op_id, f_seq))
-                if entry is None:
-                    continue
-                if f_seq == s.seq:
-                    install(entry[0], retransmit=True)
-                    return
-                rs.retransmits += 1
-                rs.retrans_bytes += entry[0].size * SCALAR_BYTES
-                stash[f_seq] = entry[0].copy()
-                continue
-            if f_seq == s.seq:
-                try:
-                    install(buf[:got], retransmit=False)
-                finally:
-                    if pooled:
-                        pool.give(buf)
-                return
-            stash[f_seq] = buf[:got].copy()  # out-of-order: hold for later
-            if pooled:
-                pool.give(buf)
-
-    # -- reductions --------------------------------------------------------
-
-    def _run_reduce(
-        self, rank: int, piece: np.ndarray, op: str, lowered, op_id: int
-    ) -> tuple[float, RankOpStats]:
-        rs = RankOpStats()
-        deadline = time.monotonic() + self.watchdog_s * 2
-        chaos = self.chaos
-        acc: dict[int, np.ndarray] = {rank: piece}
-        for rnd in lowered.gather_rounds:
-            for src, dst in rnd:
-                if src == rank:
-                    if chaos is not None and chaos.fires(
-                        "crash", rank, dst, op_id
-                    ):
-                        raise ChaosCrash(rank)
-                    nbytes = sum(
-                        int(p.size) * SCALAR_BYTES for p in acc.values()
-                    )
-                    self._chan[(rank, dst)].put(acc)
-                    acc = {}
-                    self._wire(rs, rank, dst, nbytes)
-                elif dst == rank:
-                    self._pending[rank] = f"reduce gather from rank {src}"
-                    t0 = time.perf_counter()
-                    got = self._chan[(src, rank)].get(
-                        deadline, self._abort, lambda: None
-                    )
-                    while isinstance(got, tuple):
-                        # Stale frame from an earlier op (a chaos delay
-                        # or duplicate landing late); recycle and skip.
-                        if got[5]:
-                            self._pools[(src, rank)].give(got[2])
-                        got = self._chan[(src, rank)].get(
-                            deadline, self._abort, lambda: None
-                        )
-                    rs.wait_s += time.perf_counter() - t0
-                    self._pending.pop(rank, None)
-                    acc.update(got)
-        value = combine_pieces(acc, op) if rank == 0 else None
-        for rnd in lowered.bcast_rounds:
-            for src, dst in rnd:
-                if src == rank:
-                    self._chan[(rank, dst)].put(value)
-                    self._wire(rs, rank, dst, SCALAR_BYTES)
-                elif dst == rank:
-                    self._pending[rank] = f"reduce bcast from rank {src}"
-                    t0 = time.perf_counter()
-                    value = self._chan[(src, rank)].get(
-                        deadline, self._abort, lambda: None
-                    )
-                    while isinstance(value, tuple):
-                        if value[5]:
-                            self._pools[(src, rank)].give(value[2])
-                        value = self._chan[(src, rank)].get(
-                            deadline, self._abort, lambda: None
-                        )
-                    rs.wait_s += time.perf_counter() - t0
-                    self._pending.pop(rank, None)
-        self._barrier_wait(rank, rs)
-        return float(value), rs
-
-    @staticmethod
-    def _wire(rs: RankOpStats, src: int, dst: int, nbytes: int) -> None:
-        rs.sends += 1
-        rs.bytes_sent += nbytes
-        pair = (src, dst)
-        rs.pair_msgs[pair] = rs.pair_msgs.get(pair, 0) + 1
-        rs.pair_bytes[pair] = rs.pair_bytes.get(pair, 0) + nbytes
+        return {
+            rank: "".join(traceback.format_stack(frames[t.ident]))
+            for rank, t in enumerate(self._threads)
+            if rank in missing and t.ident in frames
+        }

@@ -15,6 +15,7 @@ never repair: a checksum mismatch without chaos is a hard error.
 from __future__ import annotations
 
 import multiprocessing as mp
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from repro.errors import (
     RESTARTS_EXHAUSTED_CODE,
 )
 from repro.evaluation.programs import BENCHMARKS
+from repro.perf import chaosbench
+from repro.perf.runbench import QUICK_PARAMS
 from repro.runtime.spmd import SPMDExecutor, execute_spmd
 from repro.transport import (
     ChaosTransport,
@@ -36,6 +39,7 @@ from repro.transport import (
     KINDS,
     RankCrashError,
     RuntimeDegradationEvent,
+    TransportError,
     make_transport,
 )
 from repro.transport.integrity import ChaosState, _roll
@@ -162,6 +166,34 @@ class TestSingleFaultEquivalence:
         assert _identical(arrays, oracle)
         assert stats.faults_injected > 0
         assert stats.rank_restarts >= 1
+
+    @pytest.mark.parametrize("program", sorted(BENCHMARKS))
+    def test_mixed_plan_carrier_parity(self, program):
+        # One protocol core, two carriers: under the same non-crash
+        # mixed plan both concurrent backends must inject exactly the
+        # same faults (rolls are pure hashes of (seed, kind, src, dst,
+        # seq), sequenced by the shared core) and heal to the arrays
+        # the sequential inline reference produces.
+        result = compile_program(
+            BENCHMARKS[program], params=QUICK_PARAMS[program]
+        )
+        oracle, _ = execute_spmd(result, transport="inline")
+        plan = FaultPlan(
+            seed=11, drop=0.1, dup=0.1, corrupt=0.1, reorder=0.1
+        )
+        ledgers = {}
+        for backend in ("threaded", "multiprocess"):
+            executor = SPMDExecutor(
+                result, transport=backend, chaos=plan, watchdog_s=15.0
+            )
+            try:
+                executor.run()
+                assert _identical(executor.assemble(), oracle), backend
+                ledgers[backend] = dict(executor.wire.injected)
+            finally:
+                executor.close()
+        assert ledgers["threaded"] == ledgers["multiprocess"]
+        assert sum(ledgers["threaded"].values()) > 0
 
     def test_detection_counters_reach_runtime_stats(self, shallow):
         result, oracle = shallow
@@ -339,6 +371,62 @@ class TestDeadlockFaultContext:
         assert set(ctx) == {"injected_by_rank", "last_recv_seq"}
         d = err.to_dict()
         assert d["fault_context"] == ctx
+
+
+    def test_chaosbench_cell_keeps_structured_failure(self, monkeypatch):
+        # A cell that did not survive must carry what a replay needs:
+        # the plan and the error's structured context, not just its
+        # message.
+        plan = FaultPlan(seed=3, drop=0.25)
+        context = {"injected_by_rank": {"0": {"drop": 2}},
+                   "last_recv_seq": {"0->1": 4}}
+
+        def deadlocked(*args, **kwargs):
+            raise DeadlockError(
+                "threaded", 1.5, [{"rank": 1, "state": "waiting on recv"}],
+                fault_context=context,
+            )
+
+        monkeypatch.setattr(chaosbench, "execute_spmd", deadlocked)
+        cell = chaosbench._run_cell(None, {}, "threaded", plan, 1.5)
+        assert cell["survived"] is False
+        assert cell["error"].startswith("DeadlockError: ")
+        assert cell["failure"]["fault_context"] == context
+        assert cell["failure"]["stuck"][0]["rank"] == 1
+        assert FaultPlan(**cell["plan"]) == plan
+
+
+class TestCollectorParity:
+    """Collector behaviour both carriers now share."""
+
+    @pytest.mark.parametrize("backend", ["threaded", "multiprocess"])
+    def test_dead_worker_on_clean_run_is_noticed_at_once(self, backend):
+        # Liveness is checked on every collector wake-up, so a worker
+        # that is gone fails the operation long before the watchdog.
+        transport = make_transport(backend, 2, watchdog_s=30.0)
+        try:
+            transport.start({})
+            transport._cmd[0].put(("stop",))  # rank 0's worker exits
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match=r"rank\(s\) \[0\] died"):
+                transport.reduce({0: np.ones(2), 1: np.ones(2)}, "SUM")
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            transport.shutdown()
+
+    @pytest.mark.parametrize("backend", ["threaded", "multiprocess"])
+    def test_aborting_an_already_broken_barrier_is_tolerated(self, backend):
+        class Broken:
+            def abort(self):
+                raise RuntimeError("barrier already broken")
+
+        transport = make_transport(backend, 2)
+        try:
+            transport._barrier = Broken()
+            transport._abort_fleet()
+            assert transport._abort.is_set()
+        finally:
+            transport.shutdown()
 
 
 class TestNoZombies:

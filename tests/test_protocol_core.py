@@ -1,0 +1,413 @@
+"""Deterministic simulation of the reliable-channel protocol.
+
+The sans-IO core (:mod:`repro.transport.integrity`) and the rank-side
+driver (:mod:`repro.transport.base`) run here over an in-memory fake
+carrier: one channel, rank 0 sending to rank 1, no threads, no
+processes, no sleeping — the carrier's clock only moves when the
+schedule says a timer fired.  A *schedule* is a list of tokens consumed
+each time the receiver polls its channel:
+
+* ``"S"`` — the sender takes its next step (one ``_post_send``, or the
+  end-of-round flush of reorder-held frames);
+* ``"T"`` — nothing arrives before the receiver's NACK timer fires;
+* ``k`` (an int) — the ``k``-th oldest in-flight frame is delivered, so
+  frames may overtake one another in any order.
+
+When the tokens run out the sender finishes its round and the channel
+delivers FIFO.  Oracle: the run either installs every expected ``seq``
+exactly once with the pristine bytes, or ends in ``_Abort`` at the
+deadline having installed nothing wrong — and the integrity counters
+add up against what the fault plan injected.  A failure prints a
+``replay(...)`` call that reproduces it; to chase a chaos-bench cell
+that did not survive, feed its ``plan`` (and the channel/seq its
+``failure`` block names) to :func:`replay`.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations, permutations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.transport.base import (
+    RankOpStats,
+    RankPort,
+    StatusBlock,
+    _Abort,
+    _flush_held,
+    _post_send,
+    _run_op,
+    pack_payload,
+)
+from repro.transport.integrity import (
+    ABORT,
+    DROP_DUPLICATE,
+    DROP_STALE,
+    INSTALL,
+    NACK,
+    STASH,
+    ChannelReceiver,
+    ChaosState,
+    FaultPlan,
+    payload_crc,
+)
+from repro.transport.lowering import SendOp
+
+OP_ID = 7
+WIDTH = 3  # elements per send
+FAULTS = ("drop", "dup", "corrupt", "reorder", "delay")
+
+
+class World:
+    """Everything both fake ports share: the clock, the channel, the
+    retransmit source, rank storage, and the delivery schedule."""
+
+    def __init__(self, plan: FaultPlan, rounds, schedule, watchdog_s=0.5):
+        self.plan = plan
+        self.chaos = ChaosState(plan, 2)
+        self.now = 0.0
+        self.watchdog_s = watchdog_s
+        self.tokens = list(schedule)
+        self.inflight: list[tuple] = []
+        self.outbox: dict = {}
+        self.delivered = 0
+        self.timeouts = 0
+        self.released: list[int] = []
+        nseq = sum(len(r) for r in rounds)
+        self.src = np.arange(1.0, nseq * WIDTH + 1.0)
+        self.dst = np.zeros_like(self.src)
+        self.valid = np.zeros(self.src.shape, dtype=bool)
+        self.rounds = [
+            [
+                SendOp(seq=seq, src=0, dst=1, array="a",
+                       index=(slice(seq * WIDTH, (seq + 1) * WIDTH, 1),),
+                       nbytes=WIDTH * 8)
+                for seq in rnd
+            ]
+            for rnd in rounds
+        ]
+        self.sender = FakePort(self, 0)
+        self.receiver = FakePort(self, 1)
+        self.sender_stats = RankOpStats()
+        self.steps: list = []   # the sender's remaining steps, this round
+        self.round_no = -1
+
+    # -- the sender, advanced one step at a time by the schedule -----------
+
+    def begin_round(self) -> None:
+        self.round_no += 1
+        held: dict = {}
+        port, rs = self.sender, self.sender_stats
+        self.steps = [
+            (lambda s=s: _post_send(port, s, rs, OP_ID, held))
+            for s in self.rounds[self.round_no]
+        ]
+        self.steps.append(lambda: _flush_held(port, held))
+
+    def sender_step(self) -> None:
+        if self.steps:
+            self.steps.pop(0)()
+
+    # -- the channel --------------------------------------------------------
+
+    def put(self, frame) -> None:
+        self.inflight.append(frame)
+
+    def poll(self, deadline, abort):
+        while True:
+            token = self.tokens.pop(0) if self.tokens else None
+            if token == "S":
+                self.sender_step()
+                continue
+            if token == "T":
+                break
+            if token is None:  # schedule exhausted: finish, then FIFO
+                while self.steps:
+                    self.sender_step()
+                token = 0
+            if self.inflight:
+                self.delivered += 1
+                return self.inflight.pop(token % len(self.inflight))
+            if token == 0 and not self.tokens:
+                break  # nothing will ever arrive: only the timer is left
+        self.timeouts += 1
+        self.now = max(self.now, deadline) + 1e-9
+        return None
+
+    get = poll  # the chaos receive path only polls
+
+
+class FakeBarrier:
+    def __init__(self, world: World) -> None:
+        self.world = world
+
+    def wait(self, timeout=None) -> None:
+        # The real barrier lets the sender finish its round; frames the
+        # receiver did not need stay in flight into the next one.
+        world = self.world
+        while world.steps:
+            world.sender_step()
+        if world.round_no + 1 < len(world.rounds):
+            world.begin_round()
+
+
+class FakePort(RankPort):
+    """The in-memory carrier: frames are ``(op_id, seq, crc, buf, id)``."""
+
+    integrity = True
+    nranks = 2
+    abort = None
+
+    def __init__(self, world: World, rank: int) -> None:
+        self.world = world
+        self.rank = rank
+        self.chaos = world.chaos
+        self.watchdog_s = world.watchdog_s
+        self.barrier = FakeBarrier(world)
+        self.status = StatusBlock([0] * (2 * StatusBlock.STRIDE))
+        self.last_recv = [-1] * 4
+        self.chans = {(0, 1): world}
+        self._next_id = 0
+
+    def clock(self) -> float:
+        return self.world.now
+
+    def sleep(self, seconds: float) -> None:
+        self.world.now += seconds
+
+    def views(self, array):
+        world = self.world
+        if self.rank == 0:
+            return world.src, np.ones(world.src.shape, dtype=bool)
+        return world.dst, world.valid
+
+    def stage(self, s, rs, op_id):
+        buf = np.empty(WIDTH)
+        pack_payload(self.world.src, s, buf)
+        self.world.outbox[(op_id, s.seq)] = buf.copy()
+        self._next_id += 1
+        return (op_id, s.seq, payload_crc(buf), buf, self._next_id)
+
+    def payload(self, frame):
+        return frame[3]
+
+    def duplicate(self, frame):
+        self._next_id += 1
+        return (*frame[:3], frame[3].copy(), self._next_id)
+
+    def release(self, pair, frame) -> None:
+        self.world.released.append(frame[4])
+        frame[3].fill(np.nan)  # a pooled buffer is reused: poison it
+
+    def retransmit(self, pair, op_id, seq):
+        return self.world.outbox.get((op_id, seq))
+
+
+def simulate(plan: FaultPlan, rounds, schedule, watchdog_s=0.5):
+    """One run; returns ``(world, receiver stats or None if aborted)``."""
+    world = World(plan, rounds, schedule, watchdog_s)
+    world.begin_round()
+    script = [
+        {"send": [], "local": [], "recv": list(rnd)} for rnd in world.rounds
+    ]
+    try:
+        return world, _run_op(world.receiver, OP_ID, script, None)
+    except _Abort:
+        return world, None
+
+
+def check(plan: FaultPlan, rounds, schedule, watchdog_s=0.5,
+          may_abort=True) -> None:
+    try:
+        world, rs = simulate(plan, rounds, schedule, watchdog_s)
+        _oracle(world, rs, may_abort)
+    except Exception as exc:
+        pytest.fail(
+            f"{type(exc).__name__}: {exc}\n  replay({plan.as_dict()!r}, "
+            f"{rounds!r}, {list(schedule)!r}, watchdog_s={watchdog_s})"
+        )
+
+
+def replay(plan_fields: dict, rounds, schedule, watchdog_s=0.5):
+    """Re-run one printed failure (or a chaos-bench cell's plan)."""
+    return check(FaultPlan(**plan_fields), rounds, schedule, watchdog_s)
+
+
+def _oracle(world: World, rs, may_abort: bool) -> None:
+    # Never a wrong install, finished or not.
+    assert np.array_equal(world.dst[world.valid], world.src[world.valid])
+    assert len(world.released) == len(set(world.released)), "double release"
+    if rs is None:
+        assert may_abort, "aborted although every frame could be repaired"
+        assert world.now >= world.watchdog_s * 2, "aborted before deadline"
+        return
+    nseq = sum(len(r) for r in world.rounds)
+    assert world.valid.all(), "a recv returned without installing"
+    # Buffer conservation: every frame ever made was released exactly
+    # once or is still in flight — none leaked, dropped ones included.
+    in_flight = [frame[4] for frame in world.inflight]
+    assert sorted(world.released + in_flight) == list(
+        range(1, world.sender._next_id + 1)
+    ), "a frame's buffer leaked"
+    # Every frame handed over was dropped as duplicate, failed its
+    # checksum, or was accepted; NACK answers are the other way in.
+    # Accepting exactly nseq frames means each seq went in exactly once.
+    accepted = (world.delivered - rs.dedup_drops - rs.crc_failures
+                + rs.retransmits)
+    assert accepted == nseq, f"{accepted} frames accepted for {nseq} seqs"
+    injected = world.chaos.ledger().get(0, {})
+    assert rs.crc_failures <= injected.get("corrupt", 0)
+    assert rs.nacks == world.timeouts
+    assert rs.retransmits <= rs.nacks + rs.crc_failures
+    assert rs.retrans_bytes == rs.retransmits * WIDTH * 8
+    assert rs.dedup_drops <= injected.get("dup", 0) + rs.retransmits
+    # A dropped or corrupted send has no good copy on the wire.
+    lost = {
+        s.seq for rnd in world.rounds for s in rnd
+        if any(
+            plan_fires(world.plan, kind, s.seq)
+            for kind in ("drop", "corrupt")
+        )
+    }
+    assert rs.retransmits >= len(lost)
+    # The canonical ledger counts each logical send once, faults or not.
+    assert world.sender_stats.sends == nseq
+    assert world.sender_stats.pair_bytes == {(0, 1): nseq * WIDTH * 8}
+
+
+def plan_fires(plan: FaultPlan, kind: str, seq: int) -> bool:
+    """Whether ``kind`` is injected on send ``seq`` of channel 0→1 —
+    asked of a scratch ledger, so the run's own stays untouched.  A
+    dropped send rolls no further faults."""
+    scratch = ChaosState(plan, 2)
+    if kind != "drop" and scratch.fires("drop", 0, 1, seq):
+        return False
+    return scratch.fires(kind, 0, 1, seq)
+
+
+def _plan(kinds, seed: int, rate: float = 0.5) -> FaultPlan:
+    return FaultPlan(seed=seed, **{kind: rate for kind in kinds})
+
+
+# ---------------------------------------------------------------------------
+# The state table, row by row
+# ---------------------------------------------------------------------------
+
+
+def test_receiver_state_table():
+    rs = RankOpStats()
+    rx = ChannelReceiver(OP_ID, FaultPlan(nack_timeout_s=1.0,
+                                          backoff_cap_s=3.0), rs, 100.0)
+    assert rx.expect(0, now=0.0) is False and rx.wake_at == 1.0
+    assert rx.on_frame(OP_ID - 1, 0, True) is DROP_STALE
+    assert rx.on_frame(OP_ID, 1, True) is STASH          # ran ahead
+    assert rx.on_frame(OP_ID, 1, True) is DROP_DUPLICATE
+    assert rx.on_frame(OP_ID, 2, False) is NACK          # early and corrupt
+    assert rx.on_frame(OP_ID, 2, True, retransmit_bytes=24) is STASH
+    assert rx.on_timeout(1.0) is NACK and rx.wake_at == 3.0   # 1 -> 2
+    assert rx.on_timeout(3.0) is NACK and rx.wake_at == 6.0   # 2 -> cap 3
+    assert rx.on_frame(OP_ID, 0, True) is INSTALL
+    assert rx.expect(1, now=6.0) is True and rx.backoff == 1.0
+    assert rx.on_timeout(100.0) is ABORT
+    assert (rs.dedup_drops, rs.crc_failures, rs.nacks) == (1, 1, 2)
+    assert (rs.retransmits, rs.retrans_bytes) == (1, 24)
+
+
+# ---------------------------------------------------------------------------
+# (i) Exhaustive: every fault subset x every small interleaving
+# ---------------------------------------------------------------------------
+
+
+def _subsets():
+    for size in range(len(FAULTS) + 1):
+        yield from combinations(FAULTS, size)
+
+
+def _arrival_orders(nframes: int):
+    """Sender done first; every delivery order of the in-flight frames,
+    with no timer expiry or one at every position.  Frame ``j`` of the
+    original FIFO order is the token that picks it out of what is left
+    in flight."""
+    for order in permutations(range(nframes)):
+        left = list(range(nframes))
+        tokens = []
+        for frame in order:
+            tokens.append(left.index(frame))
+            left.remove(frame)
+        yield tokens
+        for at in range(nframes + 1):
+            yield tokens[:at] + ["T"] + tokens[at:]
+
+
+def _races(nsteps: int, ntimers: int = 2):
+    """FIFO delivery; every interleaving of the sender's steps with
+    ``ntimers`` timer expiries at the receiver."""
+    slots = nsteps + ntimers
+    for timers in combinations(range(slots), ntimers):
+        yield ["T" if i in timers else "S" for i in range(slots)]
+
+
+@pytest.mark.parametrize(
+    "kinds", list(_subsets()), ids=lambda kinds: "+".join(kinds) or "clean"
+)
+def test_every_interleaving_of_up_to_four_frames(kinds):
+    nsends = 2 if "dup" in kinds else 3  # a dup doubles the frames
+    rounds = [list(range(nsends))]
+    for seed in (1, 2):
+        plan = _plan(kinds, seed)
+        probe, _ = simulate(plan, rounds, ["S"] * (nsends + 1) + ["T"] * 99)
+        nframes = len(probe.inflight)
+        assert nframes <= 4
+        prefix = ["S"] * (nsends + 1)
+        for tokens in _arrival_orders(nframes):
+            check(plan, rounds, prefix + tokens, may_abort=False)
+        for tokens in _races(nsends + 1):
+            check(plan, rounds, tokens, may_abort=False)
+
+
+def test_dead_sender_ends_in_abort_not_a_wrong_install():
+    # The sender never takes a step: nothing is staged, every NACK
+    # finds the retransmit source empty, and the backoff runs to the
+    # deadline.
+    world, rs = simulate(_plan(("drop",), 1), [[0, 1]], ["T"] * 50)
+    assert rs is None
+    assert not world.valid.any()
+    assert world.now >= 1.0
+    # 0.03 doubling to the 0.5 cap: a bounded number of NACKs, not a spin.
+    assert 4 <= world.timeouts <= 8
+
+
+# ---------------------------------------------------------------------------
+# (ii) Seeded multi-fault plans over multi-round scripts
+# ---------------------------------------------------------------------------
+
+RATES = st.sampled_from([0.0, 0.2, 0.5, 1.0])
+
+
+@st.composite
+def scenarios(draw):
+    plan = FaultPlan(
+        seed=draw(st.integers(0, 2**16)),
+        drop=draw(RATES), dup=draw(RATES), corrupt=draw(RATES),
+        delay=draw(RATES), reorder=draw(RATES),
+    )
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rounds, seq = [], 0
+    for size in sizes:
+        rounds.append(list(range(seq, seq + size)))
+        seq += size
+    schedule = draw(st.lists(
+        st.one_of(st.just("S"), st.just("T"), st.integers(0, 5)),
+        max_size=16,
+    ))
+    return plan, rounds, schedule
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(scenarios())
+def test_multi_fault_plans_heal_or_abort(scenario):
+    plan, rounds, schedule = scenario
+    check(plan, rounds, schedule)

@@ -40,6 +40,8 @@ copy, identical payload bytes.
 
 from __future__ import annotations
 
+import builtins
+import types
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
@@ -50,6 +52,8 @@ __all__ = [
     "DynDim",
     "NestSpec",
     "analyze_kernel_spec",
+    "bind_fn",
+    "compile_fn",
     "emit_index",
     "fused_rhs_source",
     "loop_source",
@@ -451,14 +455,26 @@ def unpack_source(index: tuple, shape: tuple, masked: bool) -> str:
     )
 
 
-def compile_fn(source: str, tag: str, ns: dict):
-    """``compile()``/``exec()`` one emitted function and return it.
+def compile_fn(source: str, tag: str) -> types.CodeType:
+    """``compile()`` one emitted function and return its code object —
+    the storage-independent half, built once and kept.
 
     ``tag`` labels the pseudo-filename (tracebacks through generated
     kernels stay attributable); the entry point is read off the
-    ``def`` line.
+    ``def`` line.  :func:`bind_fn` makes it callable.
     """
     entry = source.split("(", 1)[0].split()[-1]
-    code = compile(source, f"<repro-kernel:{tag}>", "exec")
-    exec(code, ns)  # noqa: S102 - executing our own emitted source
-    return ns[entry]
+    scratch: dict = {}
+    exec(  # noqa: S102 - executing our own emitted source
+        compile(source, f"<repro-kernel:{tag}>", "exec"), scratch
+    )
+    return scratch[entry].__code__
+
+
+def bind_fn(code: types.CodeType, ns: dict):
+    """A function running ``code`` with ``ns`` as its globals: every
+    free name of the emitted body (prebound views, constants, helpers)
+    resolves there.  Cheap enough to do per run."""
+    # exec() would add this itself; numpy looks it up in frame globals.
+    ns.setdefault("__builtins__", builtins.__dict__)
+    return types.FunctionType(code, ns)

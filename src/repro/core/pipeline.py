@@ -99,6 +99,9 @@ class CompilationResult:
     ``pass_traces`` holds one :class:`~repro.core.passes.PassTrace` per
     executed pass — wall time, degradation flag, and counters — surfaced
     by the CLI's ``--trace-json`` and the perf bench harness.
+    ``execution_image`` belongs to :mod:`repro.runtime.spmd`: what the
+    first execution of this result worked out about running it, reused
+    by every later one and freed with the result.
     """
 
     ctx: AnalysisContext
@@ -108,6 +111,7 @@ class CompilationResult:
     stats: dict[str, int] = field(default_factory=dict)
     degradations: list[DegradationEvent] = field(default_factory=list)
     pass_traces: list[PassTrace] = field(default_factory=list)
+    execution_image: object = field(default=None, compare=False, repr=False)
 
     @property
     def degraded(self) -> bool:

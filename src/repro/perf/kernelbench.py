@@ -144,12 +144,17 @@ def bench_case(
     strategy: Strategy,
 ) -> dict[str, Any]:
     """One (program, grid, ladder) cell: kernel tier, optional
-    vectorized baseline, bitwise check, speedup."""
-    result = compile_program(source, params=params, strategy=strategy)
-    kern, kern_state = _run_tier(result, "auto")
+    vectorized baseline, bitwise check, speedup.  Each tier runs a
+    freshly compiled result, so ``compile_s`` is a cold build (one
+    result's executions share its execution image)."""
+
+    def fresh():
+        return compile_program(source, params=params, strategy=strategy)
+
+    kern, kern_state = _run_tier(fresh(), "auto")
     cell: dict[str, Any] = {"params": params, "kernel": kern}
     if with_baseline:
-        vec, vec_state = _run_tier(result, "off")
+        vec, vec_state = _run_tier(fresh(), "off")
         identical = set(kern_state) == set(vec_state) and all(
             np.array_equal(kern_state[k], vec_state[k]) for k in kern_state
         )

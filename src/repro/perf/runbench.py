@@ -78,14 +78,19 @@ def bench_program(
     params: dict[str, int],
     strategy: Strategy = Strategy.GLOBAL,
 ) -> dict[str, Any]:
-    """Run one program both ways and compare."""
+    """Run one program both ways and compare.
+
+    Each arm gets a freshly compiled result: executions of one result
+    share its execution image, and ``plan_compile_s`` here means a cold
+    build."""
     result = compile_program(source, params=params, strategy=strategy)
 
     vec_wall, vec_state, vec_stats, executor = _run_executor(
         result, vectorize=True
     )
     elem_wall, elem_state, elem_stats, _ = _run_executor(
-        result, vectorize=False
+        compile_program(source, params=params, strategy=strategy),
+        vectorize=False,
     )
 
     identical = set(vec_state) == set(elem_state) and all(

@@ -83,16 +83,26 @@ class RuntimeStats:
     movement), ``plan_compiles``/``plan_cache_hits`` the communication-
     plan cache, and ``vectorized_firings``/``fallback_firings`` how many
     loop-nest executions ran as whole-block numpy operations versus the
-    element-wise interpreter path.
+    element-wise interpreter path.  ``block_firings`` is the part of
+    ``vectorized_firings`` that took the interpreted block path instead
+    of an emitted kernel.
 
     The kernel counters instrument the fused-codegen layer
     (:mod:`repro.runtime.kernels`): ``kernel_compiles``/
-    ``kernel_cache_hits`` the per-geometry KernelCache,
+    ``kernel_cache_hits`` the per-geometry kernel templates,
     ``kernel_firings`` how many executions ran emitted straight-line
-    code, ``plan_translations`` how many CommPlan cache hits were served
+    code (nest kernels and direct-copy communication kernels alike),
+    ``plan_translations`` how many CommPlan cache hits were served
     by translating a canonical plan to a shifted offset, and
     ``kernel_tier``/``kernel_fallback_reason`` which compute tier ran
     and why a requested tier degraded (empty string: no degradation).
+
+    Plans and kernels live in the result's execution image
+    (:class:`repro.runtime.spmd.ExecutionImage`): a run that finds them
+    there reports zero ``plan_compiles`` / ``plan_translations`` /
+    ``kernel_compiles``, counts every lookup as a hit, and adds only its
+    binding time to ``plan_compile_s``; no other counter may differ
+    between a first and a later run.
     """
 
     messages: int = 0
@@ -105,6 +115,7 @@ class RuntimeStats:
     plan_cache_hits: int = 0
     plan_translations: int = 0
     vectorized_firings: int = 0
+    block_firings: int = 0
     fallback_firings: int = 0
     kernel_firings: int = 0
     kernel_compiles: int = 0
@@ -153,6 +164,7 @@ class RuntimeStats:
             "plan_translations": self.plan_translations,
             "plan_hit_rate": round(self.plan_hit_rate, 4),
             "vectorized_firings": self.vectorized_firings,
+            "block_firings": self.block_firings,
             "fallback_firings": self.fallback_firings,
             "kernel_firings": self.kernel_firings,
             "kernel_compiles": self.kernel_compiles,

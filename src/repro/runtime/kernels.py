@@ -6,12 +6,16 @@ RHS expression tree, re-derives per-rank iteration boxes and index
 tuples, and re-counts remote reads symbolically.  This module is the
 third lowering level — plans become *compiled code*:
 
-* :class:`KernelEngine` owns a per-executor :class:`KernelCache` keyed
-  like CommPlans, ``(nest sid, concrete loop geometry)``.  A miss emits
-  a specialized Python function (:mod:`repro.codegen.kernels`) whose
-  namespace prebinds numpy *views* of the shadow arrays and every
-  participating rank's storage, so a firing is one call of straight-line
-  code: fused RHS statement, per-rank validity/staleness checks, per-rank
+* Kernels are built once per program and bound once per run.  The
+  program's :class:`~repro.runtime.spmd.ExecutionImage` keeps a
+  :class:`KernelTemplate` per ``(tier, nest sid, concrete loop
+  geometry)`` — keyed like CommPlans.  A miss emits a specialized Python
+  function (:mod:`repro.codegen.kernels`), compiles it, and records a
+  *binding recipe*: which ``values`` / ``valid`` / shadow view each free
+  name of the body takes, region by region.  :class:`KernelEngine` (one per executor)
+  binds a template to this run's storage on its first firing, so a
+  firing is one call of straight-line code over prebound numpy views:
+  fused RHS statement, per-rank validity/staleness checks, per-rank
   stores, shadow advance.  The movement accounting (remote reads, bcopy
   calls, elements written) is translation-invariant across firings of
   one geometry and is precomputed at build time.
@@ -24,7 +28,8 @@ third lowering level — plans become *compiled code*:
 
 * The legacy direct-copy communication path gets the same treatment:
   :meth:`KernelEngine.execute_plan_copy` compiles each CommPlan's
-  transfer list into one straight-line function over prebound views —
+  transfer list (the template hangs on the plan) into one straight-line
+  function over prebound views —
   boundary data moves storage-to-storage without the interpreted loop's
   intermediate block copy, with the oracle checks emitted inline.
 
@@ -45,7 +50,9 @@ text, so every failure mode the interpreter detects, the kernel detects.
 from __future__ import annotations
 
 import math
+import sys
 import time
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +61,7 @@ from ..affine import NonAffineError
 from ..codegen.kernels import (
     NestSpec,
     analyze_kernel_spec,
+    bind_fn,
     box_slice_literal,
     compile_fn,
     emit_index,
@@ -66,6 +74,7 @@ from .plans import (
     NestPlan,
     PlanFallback,
     aligned_block,
+    block_alignment,
     concretize_nest,
     rank_kbox,
     ref_np_index,
@@ -73,9 +82,7 @@ from .plans import (
     var_axis_block,
 )
 
-__all__ = ["CompiledKernel", "KernelCache", "KernelEngine", "resolve_tier"]
-
-_MISSING = object()
+__all__ = ["KernelEngine", "KernelTemplate", "resolve_tier"]
 
 
 def resolve_tier(request: str) -> tuple[str, "str | None"]:
@@ -101,25 +108,69 @@ def resolve_tier(request: str) -> tuple[str, "str | None"]:
 
 
 @dataclass
-class CompiledKernel:
-    """One compiled nest firing: the function plus the per-firing
-    accounting constants the interpreted path would have recomputed."""
+class KernelTemplate:
+    """One emitted kernel, independent of any run's storage.
 
-    fn: object
-    source: str
-    elements: int
-    bcopy_calls: int
-    remote_reads: int
+    ``static`` holds the free names bound to run-independent objects
+    (numpy, error types, masks, loop-variable blocks).  ``recipe`` names
+    the rest, one item per region: ``(rank, array, index, align, valid,
+    values, shadow)`` binds the names ``valid`` / ``values`` to ``index``
+    of rank ``rank``'s validity / value array and ``shadow`` to the same
+    region of the sequential shadow — ``None`` for a view the body does
+    not use, the whole array when ``index`` is ``None``, the shadow view
+    taken to iteration-box order when ``align`` holds a
+    :func:`~repro.runtime.plans.block_alignment`.  The accounting
+    constants are what the interpreted path would have recomputed per
+    firing; ``degraded`` carries a numba-tier downgrade to every run
+    that uses the kernel.
+    """
 
+    code: types.CodeType
+    static: dict
+    recipe: tuple
+    elements: int = 0
+    bcopy_calls: int = 0
+    remote_reads: int = 0
+    degraded: str = ""
 
-class KernelCache(dict):
-    """Per-executor compiled-kernel cache, keyed ``(nest sid, axes)``
-    where ``axes`` is the concrete ``(lo, step, count)`` tuple per loop —
-    the same geometry-not-identity discipline as the CommPlan cache."""
+    def __post_init__(self) -> None:
+        # A template lives as long as its program: share each name with
+        # the code object's (interned) copy instead of keeping a second.
+        self.recipe = tuple(
+            (*item[:4], *(n and sys.intern(n) for n in item[4:]))
+            for item in self.recipe
+        )
+
+    def bind(self, storage: dict, shadow: dict):
+        """The kernel as a function over one run's rank ``storage`` and
+        ``shadow`` arrays."""
+        ns = dict(self.static)
+        for rank, array, index, align, valid, values, shadowed in self.recipe:
+            if shadowed:
+                view = shadow[array]
+                if index is not None:
+                    view = view[index]
+                if align is not None:
+                    view = view.transpose(align[0]).reshape(align[1])
+                ns[shadowed] = view
+            if rank is None:
+                continue
+            store = storage[rank][array]
+            if valid:
+                ns[valid] = (
+                    store.valid if index is None else store.valid[index]
+                )
+            if values:
+                ns[values] = (
+                    store.values if index is None else store.values[index]
+                )
+        return bind_fn(self.code, ns)
 
 
 class KernelEngine:
-    """Builds and dispatches fused kernels for one :class:`SPMDExecutor`.
+    """Dispatches fused kernels for one :class:`SPMDExecutor`: templates
+    come from (and on a miss go into) the executor's image, the bound
+    functions are this run's.
 
     The engine's protocol with the executor mirrors the vectorizer's:
     :meth:`try_exec_nest` returns ``True`` (executed), ``False`` (dynamic
@@ -127,33 +178,36 @@ class KernelEngine:
     (kernel-ineligible — the caller keeps the interpreted block path).
     """
 
-    def __init__(self, executor, tier_request: str = "auto") -> None:
-        self.ex = executor
-        self.tier, reason = resolve_tier(tier_request)
-        executor.stats.kernel_tier = self.tier
-        if reason:
-            executor.stats.kernel_fallback_reason = reason
-        self.cache = KernelCache()
-        self.specs: dict[int, NestSpec] = {}
+    def __init__(self, executor, tier: str) -> None:
+        # The run's parts, not the executor: a reference back would tie
+        # executor, storage and bound kernels into a cycle only the
+        # cyclic collector frees, and rank storage is the bulk of a run.
+        self.tier = tier
+        self.image = image = executor.image
+        self.info = image.info
+        self.stats = executor.stats
+        self.storage = executor.storage
+        self.shadow = executor.shadow
+        self.specs: dict[int, NestSpec] = image.kernel_specs
         #: assign sid -> why the nest cannot take the kernel path
-        self.ineligible: dict[int, str] = {}
-        self._copy_fns: dict[int, tuple] = {}
+        self.ineligible: dict[int, str] = image.kernel_ineligible
+        self._nest_fns: dict[tuple, tuple] = {}
+        self._copy_fns: dict[tuple, tuple] = {}
 
     # -- nest kernels ------------------------------------------------------
 
-    def try_exec_nest(self, plan: NestPlan) -> "bool | None":
-        stats = self.ex.stats
-        spec = self.specs.get(plan.outer_sid)
-        if spec is None:
-            spec = self.specs[plan.outer_sid] = analyze_kernel_spec(
-                plan, self.ex.info
-            )
-            if spec.reason is not None:
-                self.ineligible[plan.assign.sid] = spec.reason
+    def try_exec_nest(self, plan: NestPlan, env: dict) -> "bool | None":
+        """Fire ``plan`` under the enclosing loop environment ``env``."""
+        stats = self.stats
+        image = self.image
+        spec, _ = image.publish(
+            self.specs, plan.outer_sid,
+            lambda: analyze_kernel_spec(plan, self.info),
+        )
         if spec.reason is not None:
+            self.ineligible[plan.assign.sid] = spec.reason
             return None
 
-        env = self.ex._env_ints()
         axes = []
         try:
             for lo, hi, step in plan.bounds:
@@ -167,27 +221,37 @@ class KernelEngine:
             stats.fallback_firings += 1
             return False
         args.extend(
-            float(self.ex.shadow._lookup(name)) for name in spec.scal_args
+            float(self.shadow._lookup(name)) for name in spec.scal_args
         )
 
-        key = (plan.outer_sid, tuple(axes))
-        kern = self.cache.get(key, _MISSING)
-        if kern is _MISSING:
+        key = (self.tier, plan.outer_sid, tuple(axes))
+        bound = self._nest_fns.get(key)
+        built = False
+        if bound is None:
             t0 = time.perf_counter()
             try:
-                kern = self._build_nest(spec, env)
+                kern, built = image.publish(
+                    image.nest_templates, key,
+                    lambda: self._build_nest(spec, env),
+                )
+                bound = self._nest_fns[key] = (
+                    kern, kern.bind(self.storage, self.shadow.arrays)
+                )
             except PlanFallback:
-                stats.plan_compile_s += time.perf_counter() - t0
                 stats.fallback_firings += 1
                 return False
-            stats.plan_compile_s += time.perf_counter() - t0
+            finally:
+                stats.plan_compile_s += time.perf_counter() - t0
+            if kern.degraded and not stats.kernel_fallback_reason:
+                stats.kernel_fallback_reason = kern.degraded
+        if built:
             stats.kernel_compiles += 1
-            self.cache[key] = kern
         else:
             stats.kernel_cache_hits += 1
 
+        kern, call = bound
         try:
-            kern.fn(*args)
+            call(*args)
         except PlanFallback:
             # a runtime offset stepped out of bounds: the element-wise
             # path is the one that can report the precise iteration
@@ -202,9 +266,14 @@ class KernelEngine:
 
     # -- nest kernel construction -----------------------------------------
 
-    def _build_nest(self, spec: NestSpec, env: dict) -> CompiledKernel:
-        ex = self.ex
-        info = ex.info
+    def _build_nest(self, spec: NestSpec, env: dict) -> KernelTemplate:
+        """Emit and compile one nest geometry.  Reads the building run's
+        shadow arrays only to prove layout facts every run shares (same
+        shapes, same C order); nothing of the run ends up in the
+        template."""
+        info = self.info
+        image = self.image
+        planner = image.planner
         plan = spec.plan
         conc = concretize_nest(plan, env, info)
         assert conc is not None  # caller proved counts > 0
@@ -213,13 +282,14 @@ class KernelEngine:
         layout = info.layout(name)
         sid = plan.assign.sid
 
-        ns = {
+        static = {
             "_np": np,
             "_math": math,
             "_err": SimulationError,
             "_PF": PlanFallback,
             "_ae": np.array_equal,
         }
+        recipe: list[tuple] = []
         nargs = len(spec.dyn_args) + len(spec.scal_args)
         body: list[str] = []
 
@@ -269,30 +339,37 @@ class KernelEngine:
             is_dyn = any(
                 ("rhs", rid, d) in spec.dyn_dims for d in range(len(rp.subs))
             )
-            shadow_arr = ex.shadow.arrays[cref.name]
             if not is_dyn:
-                blk = aligned_block(
-                    shadow_arr[ref_np_index(cref, full)], cref, full
-                )
+                shadow_arr = self.shadow.arrays[cref.name]
+                idx = ref_np_index(cref, full)
+                blk = aligned_block(shadow_arr[idx], cref, full)
                 # The prebound block must be a live view of the shadow
                 # array (reshape inserting size-1 axes never copies, but
                 # don't let that assumption fail silently).
                 is_dyn = not np.shares_memory(blk, shadow_arr)
                 if not is_dyn:
-                    ns[f"_b{j}"] = blk
+                    recipe.append((
+                        None, cref.name, idx, block_alignment(cref, full),
+                        None, None, f"_b{j}",
+                    ))
             dyn_ref[rid] = is_dyn
             if is_dyn:
-                ns[f"_arr{j}"] = shadow_arr
-                ns[f"_align{j}"] = _aligner(cref, full)
+                recipe.append(
+                    (None, cref.name, None, None, None, None, f"_arr{j}")
+                )
+                static[f"_align{j}"] = _aligner(cref, full)
                 ix = emit_index(spec, "rhs", rid, rp, cref, full, bases)
                 body.append(f"    _b{j} = _align{j}(_arr{j}[{ix}])")
             ref_exprs[rid] = f"_b{j}"
 
         for axis in range(len(plan.vars)):
-            ns[f"_ax{axis}"] = var_axis_block(conc, axis, full)
+            static[f"_ax{axis}"] = var_axis_block(conc, axis, full)
 
+        degraded = ""
         if self.tier == "numba" and not spec.dyn_args:
-            tier_line = self._emit_numba_rhs(spec, conc, ns)
+            tier_line, degraded = self._emit_numba_rhs(
+                spec, conc, static, recipe
+            )
         else:
             tier_line = None
         if tier_line is not None:
@@ -320,7 +397,6 @@ class KernelEngine:
             r = gr.rank
             for rid, cref in conc.refs.items():
                 j = ref_index[rid]
-                store = ex.storage[r][cref.name]
                 msg_invalid = (
                     f"read of {cref.name} at s{sid}: elements not present "
                     f"on rank {r} (missing or misplaced communication)"
@@ -331,9 +407,10 @@ class KernelEngine:
                 )
                 if not dyn_ref[rid]:
                     idx = ref_np_index(cref, kbox)
-                    ns[f"_v{j}_{r}"] = store.valid[idx]
-                    ns[f"_s{j}_{r}"] = store.values[idx]
-                    ns[f"_e{j}_{r}"] = ex.shadow.arrays[cref.name][idx]
+                    recipe.append((
+                        r, cref.name, idx, None,
+                        f"_v{j}_{r}", f"_s{j}_{r}", f"_e{j}_{r}",
+                    ))
                     body.append(
                         f"    if not _v{j}_{r}.all(): "
                         f"raise _err({msg_invalid!r})"
@@ -343,8 +420,10 @@ class KernelEngine:
                         f"raise _err({msg_stale!r})"
                     )
                 else:
-                    ns[f"_rv{j}_{r}"] = store.valid
-                    ns[f"_rs{j}_{r}"] = store.values
+                    recipe.append((
+                        r, cref.name, None, None,
+                        f"_rv{j}_{r}", f"_rs{j}_{r}", None,
+                    ))
                     ix = emit_index(
                         spec, "rhs", rid, plan.rhs_refs[rid], cref, kbox,
                         ref_bases[rid],
@@ -361,9 +440,9 @@ class KernelEngine:
                 # dynamic (serial, in-bounds) dims translate rigidly, so
                 # the local/remote split is firing-invariant.
                 rlayout = info.layout(cref.name)
-                rown = ex.ownership[cref.name]
+                rown = image.ownership[cref.name]
                 region = ref_region(cref, kbox)
-                owned = ex._owner_semantics_region(rlayout, rown, gr)
+                owned = planner.owner_semantics_region(rlayout, rown, gr)
                 local = (
                     region.intersect(owned).count() if owned is not None
                     else 0
@@ -374,20 +453,21 @@ class KernelEngine:
                         repeat *= kcount
                 remote_reads += (region.count() - local) * repeat
 
-            wstore = ex.storage[r][name]
             if layout.distributed_dims:
                 value = f"_blk[{box_slice_literal(kbox)}].transpose({perm!r})"
             else:
                 value = "_val"
             if not lhs_dyn:
                 idx = ref_np_index(conc.lhs, kbox)
-                ns[f"_lw{r}"] = wstore.values[idx]
-                ns[f"_lv{r}"] = wstore.valid[idx]
+                recipe.append(
+                    (r, name, idx, None, f"_lv{r}", f"_lw{r}", None)
+                )
                 body.append(f"    _lw{r}[...] = {value}")
                 body.append(f"    _lv{r}[...] = True")
             else:
-                ns[f"_flw{r}"] = wstore.values
-                ns[f"_flv{r}"] = wstore.valid
+                recipe.append(
+                    (r, name, None, None, f"_flv{r}", f"_flw{r}", None)
+                )
                 ix = emit_index(
                     spec, "lhs", 0, plan.lhs, conc.lhs, kbox, lhs_bases
                 )
@@ -395,14 +475,12 @@ class KernelEngine:
                 body.append(f"    _flv{r}[{ix}] = True")
 
         if not layout.distributed_dims:
-            for gr in ex.ranks:
+            for gr in image.ranks:
                 emit_rank(gr, full)
                 bcopy += 1
         else:
-            own = ex.ownership[name]
-            for gr in ex.ranks:
-                owned = own.owned_rsd(ex._coords_for(layout, gr))
-                kbox = rank_kbox(conc, owned)
+            for gr in image.ranks:
+                kbox = rank_kbox(conc, image.owned[gr.rank, name])
                 if kbox is None:
                     continue
                 emit_rank(gr, kbox)
@@ -411,147 +489,168 @@ class KernelEngine:
         # Shadow advance, last — identical order to the interpreted path,
         # so self-referencing nests alias identically.
         if not lhs_dyn:
-            ns["_shwv"] = ex.shadow.arrays[name][ref_np_index(conc.lhs, full)]
+            recipe.append((
+                None, name, ref_np_index(conc.lhs, full), None,
+                None, None, "_shwv",
+            ))
             body.append("    _shwv[...] = _val")
         else:
-            ns["_shw"] = ex.shadow.arrays[name]
+            recipe.append((None, name, None, None, None, None, "_shw"))
             ix = emit_index(spec, "lhs", 0, plan.lhs, conc.lhs, full, lhs_bases)
             body.append(f"    _shw[{ix}] = _val")
 
         sig = ", ".join(f"_q{i}" for i in range(nargs))
         source = f"def _kernel({sig}):\n" + "\n".join(body) + "\n"
-        fn = compile_fn(source, f"s{sid}", ns)
         elements = 1
         for count in conc.shape:
             elements *= count
-        return CompiledKernel(
-            fn=fn,
-            source=source,
+        return KernelTemplate(
+            code=compile_fn(source, f"s{sid}"),
+            static=static,
+            recipe=recipe,
             elements=elements,
             bcopy_calls=bcopy,
             remote_reads=remote_reads,
+            degraded=degraded,
         )
 
-    def _emit_numba_rhs(self, spec, conc, ns) -> "str | None":
+    def _emit_numba_rhs(
+        self, spec, conc, static: dict, recipe: list
+    ) -> "tuple[str | None, str]":
         """Compile the flattened-loop tier for a static nest; returns the
-        body line that invokes it, or ``None`` to keep the fused numpy
-        statement (degradation recorded, never raised)."""
-        ex = self.ex
+        body line that invokes it — or ``None`` to keep the fused numpy
+        statement — and the degradation reason (recorded, never raised)."""
         plan = spec.plan
         ref_order = list(plan.rhs_refs.keys())
+        names = [conc.refs[rid].name for rid in ref_order]
         try:
             import numba
 
             src = loop_source(spec, conc, ref_order)
-            loop_ns: dict = {"_math": math}
-            pyfn = compile_fn(src, f"loop-s{plan.assign.sid}", loop_ns)
+            pyfn = bind_fn(
+                compile_fn(src, f"loop-s{plan.assign.sid}"), {"_math": math}
+            )
             jitted = numba.njit(pyfn)
-            raws = [
-                ex.shadow.arrays[conc.refs[rid].name] for rid in ref_order
-            ]
             # Trial invocation: compiles eagerly and proves the loop body
             # is nopython-clean.  Writes only the scratch output.
             scal = [0.0] * len(spec.scal_args)
-            jitted(np.empty(conc.shape), *raws, *scal)
+            jitted(
+                np.empty(conc.shape),
+                *(self.shadow.arrays[name] for name in names), *scal,
+            )
         except Exception as exc:
-            if not ex.stats.kernel_fallback_reason:
-                ex.stats.kernel_fallback_reason = (
-                    f"numba tier degraded at s{plan.assign.sid}: {exc}"
-                )
-            return None
-        ns["_loop"] = jitted
-        for i, arr in enumerate(raws):
-            ns[f"_raw{i}"] = arr
-        args = "".join(f", _raw{i}" for i in range(len(raws)))
+            return None, f"numba tier degraded at s{plan.assign.sid}: {exc}"
+        static["_loop"] = jitted
+        recipe.extend(
+            (None, name, None, None, None, None, f"_raw{i}")
+            for i, name in enumerate(names)
+        )
+        args = "".join(f", _raw{i}" for i in range(len(names)))
         args += "".join(
             f", _q{len(spec.dyn_args) + i}"
             for i in range(len(spec.scal_args))
         )
         return (
-            f"    _blk = _np.empty({conc.shape!r}); _loop(_blk{args})"
+            f"    _blk = _np.empty({conc.shape!r}); _loop(_blk{args})", ""
         )
 
     # -- communication copy kernels ----------------------------------------
 
-    def execute_plan_copy(self, plan: CommPlan) -> None:
+    def execute_plan_copy(self, key: tuple, plan: CommPlan) -> None:
         """Run one CommPlan on the legacy direct-copy data path as a
         single compiled function (validity + staleness + slice-to-slice
-        installs over prebound views, no intermediate block copies)."""
-        stats = self.ex.stats
-        cached = self._copy_fns.get(id(plan))
-        if cached is None:
+        installs over prebound views, no intermediate block copies).
+        ``key`` is the plan's key in the image's table: it names this
+        run's binding of the plan's copy template."""
+        stats = self.stats
+        bound = self._copy_fns.get(key)
+        built = False
+        if bound is None:
             t0 = time.perf_counter()
-            cached = self._build_copy(plan)
+            kern = plan.copy
+            if kern is None:
+                with self.image.lock:
+                    kern = plan.copy
+                    if kern is None:
+                        kern = plan.copy = _build_copy(plan)
+                        built = True
+            bound = self._copy_fns[key] = (
+                kern, kern.bind(self.storage, self.shadow.arrays)
+            )
             stats.plan_compile_s += time.perf_counter() - t0
+        if built:
             stats.kernel_compiles += 1
-            self._copy_fns[id(plan)] = cached
         else:
             stats.kernel_cache_hits += 1
-        fn, bcopy = cached
-        fn()
+        kern, call = bound
+        call()
         stats.kernel_firings += 1
-        stats.bcopy_calls += bcopy
+        stats.bcopy_calls += kern.bcopy_calls
         stats.messages += len(plan.wire_pairs)
         stats.bytes_moved += plan.wire_bytes
 
-    def _build_copy(self, plan: CommPlan) -> tuple:
-        ex = self.ex
-        ns = {"_err": SimulationError, "_ae": np.array_equal}
-        body: list[str] = []
-        bcopy = 0
-        for k, t in enumerate(plan.transfers):
-            store = ex.storage[t.src][t.array]
-            ns[f"_sv{k}"] = store.valid[t.index]
-            ns[f"_sd{k}"] = store.values[t.index]
-            ns[f"_ex{k}"] = ex.shadow.arrays[t.array][t.index]
-            if t.mask is None:
-                body.append(
-                    f"    if not _sv{k}.all(): raise _err("
-                    f"{f'extracting invalid data from {t.array} {t.region}'!r})"
-                )
-                msg = (
-                    f"stale data shipped for {t.array} {t.region}: sender "
-                    f"holds values that disagree with the sequential "
-                    f"semantics"
-                )
-                body.append(
-                    f"    if not _ae(_sd{k}, _ex{k}): raise _err({msg!r})"
-                )
-                for dst in t.dsts:
-                    target = ex.storage[dst][t.array]
-                    ns[f"_dv{k}_{dst}"] = target.values[t.index]
-                    ns[f"_dm{k}_{dst}"] = target.valid[t.index]
-                    body.append(f"    _dv{k}_{dst}[...] = _sd{k}")
-                    body.append(f"    _dm{k}_{dst}[...] = True")
-                bcopy += 1 + len(t.dsts)
-            else:
-                ns[f"_mk{k}"] = t.mask
-                msg_fwd = (
-                    f"diagonal forwarding of {t.array}: source rank "
-                    f"{t.src} missing forwarded data"
-                )
-                body.append(
-                    f"    if not _sv{k}[_mk{k}].all(): "
-                    f"raise _err({msg_fwd!r})"
-                )
-                body.append(f"    _t{k} = _sd{k}[_mk{k}]")
-                msg_stale = f"stale data shipped for {t.array} (diagonal phase)"
-                body.append(
-                    f"    if not _ae(_t{k}, _ex{k}[_mk{k}]): "
-                    f"raise _err({msg_stale!r})"
-                )
-                (dst,) = t.dsts
-                target = ex.storage[dst][t.array]
-                ns[f"_dv{k}_{dst}"] = target.values[t.index]
-                ns[f"_dm{k}_{dst}"] = target.valid[t.index]
-                body.append(f"    _dv{k}_{dst}[_mk{k}] = _t{k}")
-                body.append(f"    _dm{k}_{dst}[_mk{k}] = True")
-                bcopy += 2
-        if not body:
-            body.append("    pass")
-        source = "def _copy():\n" + "\n".join(body) + "\n"
-        fn = compile_fn(source, "commplan", ns)
-        return fn, bcopy
+
+def _build_copy(plan: CommPlan) -> KernelTemplate:
+    static = {"_err": SimulationError, "_ae": np.array_equal}
+    recipe: list[tuple] = []
+    body: list[str] = []
+    bcopy = 0
+    for k, t in enumerate(plan.transfers):
+        recipe.append((
+            t.src, t.array, t.index, None,
+            f"_sv{k}", f"_sd{k}", f"_ex{k}",
+        ))
+        recipe.extend(
+            (dst, t.array, t.index, None,
+             f"_dm{k}_{dst}", f"_dv{k}_{dst}", None)
+            for dst in t.dsts
+        )
+        if t.mask is None:
+            body.append(
+                f"    if not _sv{k}.all(): raise _err("
+                f"{f'extracting invalid data from {t.array} {t.region}'!r})"
+            )
+            msg = (
+                f"stale data shipped for {t.array} {t.region}: sender "
+                f"holds values that disagree with the sequential "
+                f"semantics"
+            )
+            body.append(
+                f"    if not _ae(_sd{k}, _ex{k}): raise _err({msg!r})"
+            )
+            for dst in t.dsts:
+                body.append(f"    _dv{k}_{dst}[...] = _sd{k}")
+                body.append(f"    _dm{k}_{dst}[...] = True")
+            bcopy += 1 + len(t.dsts)
+        else:
+            static[f"_mk{k}"] = t.mask
+            msg_fwd = (
+                f"diagonal forwarding of {t.array}: source rank "
+                f"{t.src} missing forwarded data"
+            )
+            body.append(
+                f"    if not _sv{k}[_mk{k}].all(): "
+                f"raise _err({msg_fwd!r})"
+            )
+            body.append(f"    _t{k} = _sd{k}[_mk{k}]")
+            msg_stale = f"stale data shipped for {t.array} (diagonal phase)"
+            body.append(
+                f"    if not _ae(_t{k}, _ex{k}[_mk{k}]): "
+                f"raise _err({msg_stale!r})"
+            )
+            (dst,) = t.dsts
+            body.append(f"    _dv{k}_{dst}[_mk{k}] = _t{k}")
+            body.append(f"    _dm{k}_{dst}[_mk{k}] = True")
+            bcopy += 2
+    if not body:
+        body.append("    pass")
+    source = "def _copy():\n" + "\n".join(body) + "\n"
+    return KernelTemplate(
+        code=compile_fn(source, "commplan"),
+        static=static,
+        recipe=recipe,
+        bcopy_calls=bcopy,
+    )
 
 
 def _aligner(cref, kbox):

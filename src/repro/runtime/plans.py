@@ -29,7 +29,7 @@ analysis once, then run flat block operations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -346,17 +346,24 @@ def ref_region(cref: ConcreteRef, kbox) -> RSD:
     return RSD(tuple(dims))
 
 
-def aligned_block(
-    raw: np.ndarray, cref: ConcreteRef, kbox
-) -> np.ndarray:
-    """Reshape a raw slice (array-dim order) into iteration-box order,
-    with size-1 axes for nest axes the reference does not carry."""
+def block_alignment(cref: ConcreteRef, kbox) -> tuple[tuple, tuple]:
+    """The ``(transpose, reshape)`` pair taking a raw slice of ``cref``
+    (array-dim order) to iteration-box order, with size-1 axes for nest
+    axes the reference does not carry."""
     order = [d[1] for d in cref.dims if d[0] == "a"]  # nest axis per block axis
-    block = raw.transpose(tuple(int(i) for i in np.argsort(order)))
+    perm = tuple(int(i) for i in np.argsort(order))
     target = tuple(
         kbox[a][2] if a in cref.axes else 1 for a in range(len(kbox))
     )
-    return block.reshape(target)
+    return perm, target
+
+
+def aligned_block(
+    raw: np.ndarray, cref: ConcreteRef, kbox
+) -> np.ndarray:
+    """Reshape a raw slice (array-dim order) into iteration-box order."""
+    perm, target = block_alignment(cref, kbox)
+    return raw.transpose(perm).reshape(target)
 
 
 def box_slice(kbox) -> tuple:
@@ -537,11 +544,18 @@ class PlannedTransfer:
 @dataclass
 class CommPlan:
     """A lowered communication operation: flat transfers plus the wire
-    accounting the element-wise executor would have produced."""
+    accounting the element-wise executor would have produced.
+
+    What is derived from a plan hangs on the plan, so it lives and dies
+    with it: ``lowered`` holds the transport send schedule per
+    ``(kind, collectives)``, ``copy`` the direct-copy kernel template.
+    """
 
     transfers: list[PlannedTransfer]
     wire_pairs: frozenset[tuple[int, int]]
     wire_bytes: int
+    lowered: dict = field(default_factory=dict, compare=False, repr=False)
+    copy: object = field(default=None, compare=False, repr=False)
 
     def pair_bytes(self) -> dict[tuple[int, int], int]:
         """Plan-time per-pair wire bytes (self-deliveries excluded) —
@@ -565,18 +579,79 @@ class CommPlanner:
     Owns no storage: partner ranks, overlap regions, and forwarding
     masks depend only on the layout tables and the concrete sections, so
     a plan compiled once is valid for every firing that produces the
-    same sections.
+    same sections — in this run or a later one.
     """
 
-    def __init__(self, info, grid, ranks, ownership, coords_for,
-                 shift_partner, rank_of) -> None:
+    def __init__(self, info, grid, ranks, ownership) -> None:
         self.info = info
         self.grid = grid
         self.ranks = ranks
         self.ownership = ownership
-        self._coords_for = coords_for
-        self._shift_partner = shift_partner
-        self._rank_of = rank_of
+        self._rank_at = {gr.coords: gr.rank for gr in ranks}
+        #: (rank, array) -> the region the rank owns
+        self.owned: dict[tuple[int, str], RSD] = {
+            (gr.rank, name): ownership[name].owned_rsd(
+                self.coords_for(layout, gr)
+            )
+            for gr in ranks
+            for name, layout in info.layouts.items()
+        }
+
+    # -- rank topology -----------------------------------------------------
+
+    def coords_for(self, layout, gr) -> tuple[int, ...]:
+        """Grid coordinates of ``gr`` under ``layout``: all distributed
+        layouts share the program's grid; replicated layouts use
+        coordinate 0 everywhere."""
+        if layout.grid == self.grid:
+            return gr.coords
+        return tuple(0 for _ in layout.grid.shape)
+
+    def shift_partner(
+        self, layout, coords: tuple[int, ...], proc_shifts: tuple[int, ...]
+    ) -> tuple[int, ...] | None:
+        """Partner coordinates for a shift: CYCLIC axes wrap around the
+        grid, BLOCK axes stop at the mesh edge."""
+        wrap_axes = {
+            m.grid_axis
+            for m in layout.dims
+            if m.grid_axis is not None and m.format is DistFormat.CYCLIC
+        }
+        out = []
+        for axis, (c, s, extent) in enumerate(
+            zip(coords, proc_shifts, self.grid.shape)
+        ):
+            c2 = c + s
+            if axis in wrap_axes:
+                c2 %= extent
+            elif not 0 <= c2 < extent:
+                return None
+            out.append(c2)
+        return tuple(out)
+
+    def rank_of(self, coords: tuple[int, ...]) -> int:
+        try:
+            return self._rank_at[coords]
+        except KeyError:
+            raise SimulationError(
+                f"no rank at grid coordinates {coords}"
+            ) from None
+
+    def owner_semantics_region(self, layout, own, gr):
+        """The region whose ``owner_rank_coords`` equal this rank's — the
+        element-wise path's locality test.  Grid axes no dimension maps
+        to default to coordinate 0 there, so ranks elsewhere on such an
+        axis own nothing under that test (returns None)."""
+        coords = self.coords_for(layout, gr)
+        referenced = {
+            m.grid_axis for m in layout.dims if m.grid_axis is not None
+        }
+        for axis, coord in enumerate(coords):
+            if axis not in referenced and coord != 0:
+                return None
+        return own.owned_rsd(coords)
+
+    # -- lowering ----------------------------------------------------------
 
     def compile_op(self, op, sections) -> CommPlan:
         """Lower one PlacedComm given each entry's concrete section
@@ -626,8 +701,7 @@ class CommPlanner:
         nbytes = 0
         all_ranks = tuple(gr.rank for gr in self.ranks)
         for gr in self.ranks:
-            owned = own.owned_rsd(self._coords_for(layout, gr))
-            piece = section.intersect(owned)
+            piece = section.intersect(self.owned[gr.rank, entry.array])
             if piece.is_empty:
                 continue
             size = piece.count()
@@ -653,7 +727,7 @@ class CommPlanner:
         the partner along the one moving axis."""
         nbytes = 0
         for gr in self.ranks:
-            src_coords = self._shift_partner(
+            src_coords = self.shift_partner(
                 layout, gr.coords, mapping.proc_shifts
             )
             if src_coords is None:
@@ -664,7 +738,7 @@ class CommPlanner:
             )
             if recv.is_empty:
                 continue
-            src_rank = self._rank_of(src_coords)
+            src_rank = self.rank_of(src_coords)
             transfers.append(PlannedTransfer(
                 array=entry.array,
                 src=src_rank,
@@ -700,7 +774,7 @@ class CommPlanner:
         eligible: dict[int, np.ndarray] = {}
         for gr in self.ranks:
             mask = np.zeros(layout.shape, dtype=bool)
-            owned = own.owned_rsd(self._coords_for(layout, gr))
+            owned = self.owned[gr.rank, entry.array]
             if not owned.is_empty:
                 mask[_np_index(owned)] = True
             eligible[gr.rank] = mask
@@ -712,7 +786,7 @@ class CommPlanner:
             )
             phase: list[tuple[int, int, tuple, np.ndarray]] = []
             for gr in self.ranks:
-                src_coords = self._shift_partner(
+                src_coords = self.shift_partner(
                     layout, gr.coords, phase_shift
                 )
                 if src_coords is None:
@@ -720,7 +794,7 @@ class CommPlanner:
                 box = boxes[gr.rank]
                 if box.is_empty:
                     continue
-                src_rank = self._rank_of(src_coords)
+                src_rank = self.rank_of(src_coords)
                 idx = _np_index(box)
                 take = eligible[src_rank][idx] & ~eligible[gr.rank][idx]
                 if not take.any():

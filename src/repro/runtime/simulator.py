@@ -168,7 +168,7 @@ class Simulator:
 
     def loop_trip(self, loop: Loop) -> int:
         """Trip count with outer variables at midpoints."""
-        key = id(loop)
+        key = loop.stmt.sid
         if key in self._trip_cache:
             return self._trip_cache[key]
         outer = loop.preheader.loops_containing()

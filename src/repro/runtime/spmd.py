@@ -22,6 +22,15 @@ Faithfulness points:
 * reductions compute per-rank partials over owned elements only, then
   combine — the paper's §6.2 inverted communication structure.
 
+Inspect once, execute many: everything about executing a compiled
+program that depends on neither a run's storage nor its data seed — the
+lowered schedule, nest plans, communication plans with their transport
+lowerings, kernel templates — lives in an :class:`ExecutionImage` owned
+by the :class:`~repro.core.pipeline.CompilationResult`.  The first
+executor of a result builds it (lazily, as the run reaches each
+operation); every later one, on any backend, only binds it to fresh
+storage.
+
 Execution is plan-compiled (:mod:`repro.runtime.plans`): scalarized loop
 nests the vectorizer proves rectangular run as whole-block numpy
 operations per rank — the per-element validity, staleness, and
@@ -36,6 +45,7 @@ equivalence suite asserts bitwise-identical final state.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -57,7 +67,8 @@ from ..transport import (
 )
 from ..transport.lowering import LoweredComm, lower_comm
 from .darray import GridRank, Ownership, RankStorage, grid_ranks
-from .interp import Interpreter, initial_arrays
+from .interp import Interpreter
+from .kernels import KernelEngine, resolve_tier
 from .plans import (
     CommPlan,
     CommPlanner,
@@ -68,6 +79,7 @@ from .plans import (
     concretize_nest,
     eval_rhs_block,
     plan_nests,
+    rank_kbox,
     ref_np_index,
     ref_region,
     store_order,
@@ -79,8 +91,142 @@ from .plans import (
 SPMDStats = RuntimeStats
 
 
+def _placed_key(result: CompilationResult) -> tuple:
+    """What a schedule lowering reads from ``result.placed``: tests and
+    fault-injection harnesses edit that list in place, and an image
+    built before such an edit must not outlive it."""
+    return tuple(
+        (op.position, tuple(entry.id for entry in op.entries))
+        for op in result.placed
+    )
+
+
+class ExecutionImage:
+    """The inspector half of executing one compiled program.
+
+    Holds what is a function of the program alone: the lowered schedule,
+    the rank grid with its ownership tables and planner, the nest plans
+    with their fallback reasons, the CommPlan table (each plan carrying
+    its transport lowerings and copy-kernel template), and the kernel
+    specs and nest-kernel templates.  Holds no rank storage, shadow
+    array, transport, thread or process, and nothing that depends on the
+    data seed — so any number of executors, one after another or
+    concurrently, on any backend, share one image.
+
+    Tables fill as runs reach their keys and entries are never replaced:
+    a miss builds under :attr:`lock` and publishes (:meth:`publish`), a
+    hit reads without it.  The image is reachable only through the
+    result it was built from and is freed with it.
+    """
+
+    def __init__(self, result: CompilationResult) -> None:
+        info = self.info = result.info
+        self.placed_key = _placed_key(result)
+        self.schedule: ScheduledProgram = lower_schedule(result)
+        grids = {
+            layout.grid for layout in info.layouts.values()
+            if layout.distributed_dims
+        }
+        if len(grids) > 1:
+            raise SimulationError(
+                "SPMD execution supports a single processor grid per program"
+            )
+        self.grid = grids.pop() if grids else info.default_grid
+        self.ranks: list[GridRank] = grid_ranks(self.grid.shape)
+        self.ownership = {
+            name: Ownership(layout) for name, layout in info.layouts.items()
+        }
+        self.planner = CommPlanner(
+            info, self.grid, self.ranks, self.ownership
+        )
+        self.owned = self.planner.owned
+        self.lock = threading.Lock()
+        #: (grid shape, anchor, slot at the anchor, sections) -> CommPlan.
+        #: The grid shape is part of the key: a plan's ranks, partners and
+        #: overlap regions are all grid-relative.
+        self.comm_plans: dict[tuple, CommPlan] = {}
+        #: canonical (rank-relative) plans: key -> (plan, offsets).
+        #: Sections differing only in serial-dimension origins share one
+        #: compiled plan, served by translation (gravity's per-iteration
+        #: sections otherwise defeat the exact-tuple table).
+        self.canon_plans: dict[tuple, tuple[CommPlan, tuple]] = {}
+        #: None until the first vectorizing executor asks (nest_tables).
+        self.nest_plans: "dict[int, NestPlan] | None" = None
+        self.fallback_reasons: dict[int, str] = {}
+        self.kernel_specs: dict = {}
+        self.kernel_ineligible: dict[int, str] = {}
+        #: (tier, nest sid, loop geometry) -> KernelTemplate
+        self.nest_templates: dict[tuple, object] = {}
+
+    def publish(self, table: dict, key, build) -> tuple:
+        """``table[key]``, built by ``build()`` under the lock when
+        absent; returns ``(value, built)``.  An exception from ``build``
+        publishes nothing."""
+        value = table.get(key)
+        if value is not None:
+            return value, False
+        with self.lock:
+            value = table.get(key)
+            if value is not None:
+                return value, False
+            value = table[key] = build()
+            return value, True
+
+    def nest_tables(
+        self, stats: RuntimeStats
+    ) -> tuple[dict[int, NestPlan], dict[int, str]]:
+        """Nest plans and fallback reasons, planned on first request
+        (the time goes to the requesting run's ``plan_compile_s``)."""
+        if self.nest_plans is None:
+            with self.lock:
+                if self.nest_plans is None:
+                    t0 = time.perf_counter()
+                    plans, self.fallback_reasons = plan_nests(
+                        self.info, self.info.program.body
+                    )
+                    anchored = set(self.schedule.anchors)
+                    kept: dict[int, NestPlan] = {}
+                    for sid, plan in plans.items():
+                        if _nest_has_interior_comm(plan, anchored):
+                            self.fallback_reasons[plan.assign.sid] = (
+                                "communication anchored inside the nest"
+                            )
+                        else:
+                            kept[sid] = plan
+                    self.nest_plans = kept
+                    stats.plan_compile_s += time.perf_counter() - t0
+        return self.nest_plans, self.fallback_reasons
+
+
+def _nest_has_interior_comm(plan: NestPlan, anchors: set) -> bool:
+    """A communication firing at the loop top or anywhere inside the
+    nest forces per-iteration execution."""
+    for anchor in anchors:
+        if len(anchor) < 2:
+            continue
+        kind, sid = anchor
+        if sid in plan.interior_sids:
+            return True
+        if kind == "loop_top" and sid == plan.outer_sid:
+            return True
+    return False
+
+
+def execution_image(result: CompilationResult) -> ExecutionImage:
+    """The image of ``result``, built on first use and kept on it."""
+    image = result.execution_image
+    if image is None or image.placed_key != _placed_key(result):
+        # Two first executors racing here each build an image and the
+        # later assignment wins; both images are complete, so the loser
+        # merely runs unshared.
+        image = result.execution_image = ExecutionImage(result)
+    return image
+
+
 class SPMDExecutor:
-    """Executes one compiled program on simulated ranks."""
+    """One run of a compiled program on simulated ranks: the result's
+    :class:`ExecutionImage` bound to this run's rank storage, shadow
+    interpreter, transport and counters."""
 
     def __init__(
         self,
@@ -97,21 +243,36 @@ class SPMDExecutor:
     ) -> None:
         self.result = result
         self.info = result.info
-        self.schedule: ScheduledProgram = lower_schedule(result)
         self.stats = RuntimeStats()
         self.vectorize = vectorize
         self.collectives = collectives
 
-        grids = {
-            layout.grid for layout in self.info.layouts.values()
-            if layout.distributed_dims
-        }
-        if len(grids) > 1:
-            raise SimulationError(
-                "SPMD execution supports a single processor grid per program"
+        # Everything that can refuse the request comes before anything
+        # that starts a rank.  Kernel tier: explicit argument wins;
+        # otherwise the compile-side option decides.
+        tier_request = kernels if kernels is not None else getattr(
+            result.ctx.options, "kernels", "auto"
+        )
+        tier = None
+        if tier_request != "off" and vectorize:
+            tier, reason = resolve_tier(tier_request)
+            self.stats.kernel_tier = tier
+            if reason:
+                self.stats.kernel_fallback_reason = reason
+
+        image = self.image = execution_image(result)
+        self.schedule = image.schedule
+        self.grid = image.grid
+        self.ranks = image.ranks
+        self.ownership = image.ownership
+        self.planner = image.planner
+        self._comm_plans = image.comm_plans
+        self.nest_plans: dict[int, NestPlan] = {}
+        self.fallback_reasons: dict[int, str] = {}
+        if vectorize:
+            self.nest_plans, self.fallback_reasons = image.nest_tables(
+                self.stats
             )
-        self.grid = grids.pop() if grids else self.info.default_grid
-        self.ranks: list[GridRank] = grid_ranks(self.grid.shape)
 
         # Optional message-passing backend.  None keeps the legacy
         # direct-copy data path byte for byte.  ``chaos`` (a FaultPlan
@@ -122,115 +283,56 @@ class SPMDExecutor:
             integrity=integrity,
         )
         self.wire = self.transport.stats if self.transport else None
-        self._lowered: dict[int, LoweredComm] = {}
+        try:
+            self._bind(seed)
+            self.kernels = (
+                KernelEngine(self, tier) if tier is not None else None
+            )
+        except BaseException:
+            self.close()
+            raise
 
-        # Sequential shadow: the ground truth every delivered value is
-        # checked against.
+    def _bind(self, seed: int) -> None:
+        """This run's state: the sequential shadow (the ground truth
+        every delivered value is checked against) and each rank's
+        storage, holding its owned regions of the initial arrays."""
         self.shadow = Interpreter(self.info, seed)
-
-        self.ownership = {
-            name: Ownership(layout) for name, layout in self.info.layouts.items()
-        }
-        init = initial_arrays(self.info, seed)
+        init = self.shadow.arrays  # still the initial state; install copies
+        layouts = self.info.layouts
         buffers = None
         if self.transport is not None:
             buffers = self.transport.create_storage(
                 (gr.rank, name, layout.shape)
                 for gr in self.ranks
-                for name, layout in self.info.layouts.items()
+                for name, layout in layouts.items()
             )
         self.storage: dict[int, dict[str, RankStorage]] = {}
         for gr in self.ranks:
             per_rank: dict[str, RankStorage] = {}
-            for name, layout in self.info.layouts.items():
+            for name, layout in layouts.items():
                 store = RankStorage(
                     name, layout.shape,
                     buffers[(gr.rank, name)] if buffers is not None else None,
                 )
-                owned = self.ownership[name].owned_rsd(
-                    self._coords_for(layout, gr)
-                )
+                owned = self.image.owned[gr.rank, name]
                 store.install(owned, init[name][store._np_index(owned)])
                 per_rank[name] = store
             self.storage[gr.rank] = per_rank
         if self.transport is not None:
             self.transport.start(self.storage)
 
-        self._uses_by_sid: dict[int, dict[int, CommEntry]] = {}
-        self._covering: dict[int, CommEntry] = {}
-        for entry in result.entries:
-            winner = entry
-            while winner.eliminated_by is not None:
-                winner = winner.eliminated_by
-            self._covering[entry.id] = winner
-            self._uses_by_sid.setdefault(entry.use.stmt.sid, {})[
-                id(entry.use.ref)
-            ] = entry
-
-        # Plan compilation (the inspector half): nest plans statically,
-        # communication plans lazily per concrete-section tuple.
-        self.planner = CommPlanner(
-            self.info, self.grid, self.ranks, self.ownership,
-            self._coords_for, self._shift_partner, self._rank_of,
-        )
-        self._comm_plans: dict[tuple, CommPlan] = {}
-        #: canonical (rank-relative) plan cache: key -> (plan, offsets).
-        #: Sections differing only in serial-dimension origins share one
-        #: compiled plan, served by translation (satellite of the fused-
-        #: kernel work: gravity's per-iteration sections otherwise defeat
-        #: the exact-tuple cache).
-        self._canon_plans: dict[tuple, tuple[CommPlan, tuple]] = {}
-        self.nest_plans: dict[int, NestPlan] = {}
-        self.fallback_reasons: dict[int, str] = {}
-        self._fallback_assign_sids: set[int] = set()
-        if vectorize:
-            t0 = time.perf_counter()
-            plans, fallbacks = plan_nests(self.info, self.info.program.body)
-            self.fallback_reasons.update(fallbacks)
-            anchored = set(self.schedule.anchors)
-            for sid, plan in plans.items():
-                if self._nest_has_interior_comm(plan, anchored):
-                    self.fallback_reasons[plan.assign.sid] = (
-                        "communication anchored inside the nest"
-                    )
-                    continue
-                self.nest_plans[sid] = plan
-            self._fallback_assign_sids = set(self.fallback_reasons)
-            self.stats.plan_compile_s += time.perf_counter() - t0
-
-        # Fused kernel codegen (the third lowering level).  Explicit
-        # argument wins; otherwise the compile-side option decides.
-        tier_request = kernels if kernels is not None else getattr(
-            result.ctx.options, "kernels", "auto"
-        )
-        self.kernels = None
-        if tier_request != "off" and vectorize:
-            from .kernels import KernelEngine
-
-            self.kernels = KernelEngine(self, tier_request)
-
-    @staticmethod
-    def _nest_has_interior_comm(plan: NestPlan, anchors: set) -> bool:
-        """A communication firing at the loop top or anywhere inside the
-        nest forces per-iteration execution."""
-        for anchor in anchors:
-            if len(anchor) < 2:
-                continue
-            kind, sid = anchor
-            if sid in plan.interior_sids:
-                return True
-            if kind == "loop_top" and sid == plan.outer_sid:
-                return True
-        return False
+    @property
+    def _lowered(self) -> dict[tuple, LoweredComm]:
+        """The transport lowerings made under this executor's
+        ``collectives`` setting, by plan key."""
+        return {
+            key: low
+            for key, plan in self._comm_plans.items()
+            for (_kind, collectives), low in plan.lowered.items()
+            if collectives == self.collectives
+        }
 
     # -- helpers -----------------------------------------------------------
-
-    def _coords_for(self, layout, gr: GridRank) -> tuple[int, ...]:
-        # All distributed layouts share self.grid; replicated layouts use
-        # coordinate 0 everywhere.
-        if layout.grid == self.grid:
-            return gr.coords
-        return tuple(0 for _ in layout.grid.shape)
 
     def _env_ints(self) -> dict[str, int]:
         env = {name: int(v) for name, v in self.shadow.env.items()}
@@ -247,7 +349,7 @@ class SPMDExecutor:
         ops = self.schedule.ops_at(anchor)
         if not ops:
             return
-        for op in ops:
+        for slot, op in enumerate(ops):
             node = self.result.ctx.node_of(op.position)
             sections = tuple(
                 None
@@ -255,33 +357,37 @@ class SPMDExecutor:
                 else self._concrete_section(entry, node)
                 for entry in op.entries
             )
-            # The grid shape is part of the key: a plan's ranks, partners
-            # and overlap regions are all grid-relative, so plans must
-            # never be shared across different rank-grid shapes.
-            key = (self.grid.shape, id(op), sections)
-            plan = self._comm_plans.get(key)
-            if plan is None:
-                ckey, offsets = self._canonical_key(op, sections)
-                base = (
-                    self._canon_plans.get(ckey) if ckey is not None else None
-                )
-                t0 = time.perf_counter()
-                if base is not None:
-                    plan = translate_plan(base[0], base[1], offsets)
-                    self.stats.plan_cache_hits += 1
-                    self.stats.plan_translations += 1
-                else:
-                    plan = self.planner.compile_op(op, sections)
-                    self.stats.plan_compiles += 1
-                    if ckey is not None:
-                        self._canon_plans[ckey] = (plan, offsets)
+            # An op is named by where it sits in the lowered schedule.
+            site = (self.grid.shape, anchor, slot)
+            key = (*site, sections)
+            t0 = time.perf_counter()
+            plan, built = self.image.publish(
+                self._comm_plans, key,
+                lambda: self._plan_op(site, op, sections),
+            )
+            if built:
                 self.stats.plan_compile_s += time.perf_counter() - t0
-                self._comm_plans[key] = plan
             else:
                 self.stats.plan_cache_hits += 1
-            self._execute_plan(plan, op.kind)
+            self._execute_plan(key, plan, op.kind)
 
-    def _canonical_key(self, op, sections):
+    def _plan_op(self, site: tuple, op, sections) -> CommPlan:
+        """A plan for a section tuple the image has not seen: translated
+        from the op's canonical plan when one fits, compiled otherwise.
+        Runs under the image lock."""
+        ckey, offsets = self._canonical_key(site, op, sections)
+        base = self.image.canon_plans.get(ckey) if ckey is not None else None
+        if base is not None:
+            self.stats.plan_cache_hits += 1
+            self.stats.plan_translations += 1
+            return translate_plan(base[0], base[1], offsets)
+        plan = self.planner.compile_op(op, sections)
+        self.stats.plan_compiles += 1
+        if ckey is not None:
+            self.image.canon_plans[ckey] = (plan, offsets)
+        return plan
+
+    def _canonical_key(self, site: tuple, op, sections):
         """Rank-relative form of a section tuple, plus the origins that
         were normalized away.
 
@@ -327,9 +433,9 @@ class SPMDExecutor:
             offsets.append(tuple(origins))
         if not any_rel:
             return None, None
-        return (self.grid.shape, id(op), tuple(canon)), tuple(offsets)
+        return (*site, tuple(canon)), tuple(offsets)
 
-    def _execute_plan(self, plan: CommPlan, kind: str = "general") -> None:
+    def _execute_plan(self, key: tuple, plan: CommPlan, kind: str) -> None:
         """Run one lowered communication operation: flat slice copies
         (legacy path) or real sends through the transport backend.
 
@@ -339,7 +445,7 @@ class SPMDExecutor:
             self._execute_plan_transport(plan, kind)
             return
         if self.kernels is not None:
-            self.kernels.execute_plan_copy(plan)
+            self.kernels.execute_plan_copy(key, plan)
             return
         for t in plan.transfers:
             store = self.storage[t.src][t.array]
@@ -391,17 +497,18 @@ class SPMDExecutor:
 
     def _execute_plan_transport(self, plan: CommPlan, kind: str) -> None:
         """Execute one plan as real messages: lower to a collective
-        schedule (cached per plan), run the validity/staleness oracle
+        schedule (kept on the plan), run the validity/staleness oracle
         over the rounds, dispatch to the backend, then cross-check the
         measured wire traffic against the lowering's prediction exactly."""
-        lowered = self._lowered.get(id(plan))
-        if lowered is None:
-            t0 = time.perf_counter()
-            lowered = lower_comm(
+        t0 = time.perf_counter()
+        lowered, built = self.image.publish(
+            plan.lowered, (kind, self.collectives),
+            lambda: lower_comm(
                 kind, plan, len(self.ranks), collectives=self.collectives
-            )
+            ),
+        )
+        if built:
             self.stats.plan_compile_s += time.perf_counter() - t0
-            self._lowered[id(plan)] = lowered
         self._precheck_lowered(lowered)
         receipt = self.transport.execute(lowered)
         if receipt.pair_bytes != lowered.predicted_pairs:
@@ -486,36 +593,6 @@ class SPMDExecutor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _shift_partner(
-        self, layout, coords: tuple[int, ...], proc_shifts: tuple[int, ...]
-    ) -> tuple[int, ...] | None:
-        """Partner coordinates for a shift: CYCLIC axes wrap around the
-        grid, BLOCK axes stop at the mesh edge."""
-        from ..distribution.layout import DistFormat
-
-        wrap_axes = {
-            m.grid_axis
-            for m in layout.dims
-            if m.grid_axis is not None and m.format is DistFormat.CYCLIC
-        }
-        out = []
-        for axis, (c, s, extent) in enumerate(
-            zip(coords, proc_shifts, self.grid.shape)
-        ):
-            c2 = c + s
-            if axis in wrap_axes:
-                c2 %= extent
-            elif not 0 <= c2 < extent:
-                return None
-            out.append(c2)
-        return tuple(out)
-
-    def _rank_of(self, coords: tuple[int, ...]) -> int:
-        for gr in self.ranks:
-            if gr.coords == coords:
-                return gr.rank
-        raise SimulationError(f"no rank at grid coordinates {coords}")
-
     def _verify_fresh(self, array: str, rsd: RSD, values: np.ndarray) -> None:
         idx = tuple(slice(d.lo - 1, d.hi, d.step) for d in rsd.dims)
         expected = self.shadow.arrays[array][idx]
@@ -552,7 +629,7 @@ class SPMDExecutor:
             self._fire(("before_stmt", stmt.sid))
             if isinstance(stmt, ast.Assign):
                 self._exec_assign(stmt)
-                if stmt.sid in self._fallback_assign_sids:
+                if stmt.sid in self.fallback_reasons:
                     self.stats.fallback_firings += 1
             elif isinstance(stmt, ast.Do):
                 self._fire(("loop_pre", stmt.sid))
@@ -564,7 +641,9 @@ class SPMDExecutor:
                         # True: fused kernel ran.  False: dynamic
                         # fallback (element-wise).  None: kernel-
                         # ineligible — interpreted block path below.
-                        done = self.kernels.try_exec_nest(plan)
+                        done = self.kernels.try_exec_nest(
+                            plan, self._env_ints()
+                        )
                     if done is None:
                         done = self._try_exec_nest(plan)
                 if not done:
@@ -630,12 +709,8 @@ class SPMDExecutor:
         else:
             # Owner-computes: each rank executes the sub-box of iterations
             # whose written elements it owns.
-            own = self.ownership[name]
             for gr in self.ranks:
-                owned = own.owned_rsd(self._coords_for(layout, gr))
-                from .plans import rank_kbox
-
-                kbox = rank_kbox(conc, owned)
+                kbox = rank_kbox(conc, self.image.owned[gr.rank, name])
                 if kbox is None:
                     continue
                 self._check_nest_reads(conc, kbox, gr)
@@ -652,6 +727,7 @@ class SPMDExecutor:
             shadow_block, conc.lhs
         )
         self.stats.vectorized_firings += 1
+        self.stats.block_firings += 1
         total = 1
         for count in conc.shape:
             total *= count
@@ -687,27 +763,13 @@ class SPMDExecutor:
             layout = self.info.layout(cref.name)
             own = self.ownership[cref.name]
             region = ref_region(cref, kbox)
-            owned = self._owner_semantics_region(layout, own, gr)
+            owned = self.planner.owner_semantics_region(layout, own, gr)
             local = region.intersect(owned).count() if owned is not None else 0
             repeat = 1
             for axis, (_, _, kcount) in enumerate(kbox):
                 if axis not in cref.axes:
                     repeat *= kcount
             self.stats.remote_reads += (region.count() - local) * repeat
-
-    def _owner_semantics_region(self, layout, own: Ownership, gr: GridRank):
-        """The region whose ``owner_rank_coords`` equal this rank's — the
-        element-wise path's locality test.  Grid axes no dimension maps
-        to default to coordinate 0 there, so ranks elsewhere on such an
-        axis own nothing under that test (returns None)."""
-        coords = self._coords_for(layout, gr)
-        referenced = {
-            m.grid_axis for m in layout.dims if m.grid_axis is not None
-        }
-        for axis, coord in enumerate(coords):
-            if axis not in referenced and coord != 0:
-                return None
-        return own.owned_rsd(coords)
 
     # -- element-wise statement execution ---------------------------------------
 
@@ -753,7 +815,7 @@ class SPMDExecutor:
 
         # Owner-computes: the owner of the written element evaluates.
         own = self.ownership[stmt.lhs.name]
-        owner = self._rank_of(own.owner_rank_coords(element))
+        owner = self.planner.rank_of(own.owner_rank_coords(element))
         value = self._eval(stmt.rhs, owner, stmt, reductions)
         self.storage[owner][stmt.lhs.name].write(element, value)
         self.shadow.exec_stmt(stmt)
@@ -766,14 +828,10 @@ class SPMDExecutor:
             if not isinstance(node, ast.Reduction):
                 continue
             ref = node.arg
-            layout = self.info.layout(ref.name)
-            own = self.ownership[ref.name]
             section = self._section_of_ref(ref)
             pieces: dict[int, np.ndarray] = {}
             for gr in self.ranks:
-                piece = section.intersect(
-                    own.owned_rsd(self._coords_for(layout, gr))
-                )
+                piece = section.intersect(self.image.owned[gr.rank, ref.name])
                 if piece.is_empty:
                     continue
                 values = self.storage[gr.rank][ref.name].extract(piece)
@@ -851,7 +909,8 @@ class SPMDExecutor:
             own = self.ownership[expr.name]
             layout = self.info.layout(expr.name)
             gr = self.ranks[rank]
-            if own.owner_rank_coords(element) != self._coords_for(layout, gr):
+            here = self.planner.coords_for(layout, gr)
+            if own.owner_rank_coords(element) != here:
                 self.stats.remote_reads += 1
             return value
         if isinstance(expr, ast.BinOp):
@@ -872,10 +931,9 @@ class SPMDExecutor:
         """Global arrays stitched from each rank's owned region."""
         out: dict[str, np.ndarray] = {}
         for name, layout in self.info.layouts.items():
-            own = self.ownership[name]
             result = np.zeros(layout.shape)
             for gr in self.ranks:
-                owned = own.owned_rsd(self._coords_for(layout, gr))
+                owned = self.image.owned[gr.rank, name]
                 idx = tuple(slice(d.lo - 1, d.hi, d.step) for d in owned.dims)
                 result[idx] = self.storage[gr.rank][name].values[idx]
             out[name] = result

@@ -39,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..codegen.kernels import compile_fn, pack_source, unpack_source
+from ..codegen.kernels import bind_fn, compile_fn, pack_source, unpack_source
 from ..errors import SimulationError
 from .integrity import (
     ABORT,
@@ -426,7 +426,7 @@ def pack_payload(values: np.ndarray, send, out: np.ndarray) -> None:
     fn = _PACK_FNS.get(key)
     if fn is None:
         source = pack_source(send.index, shape, send.mask is not None)
-        fn = _PACK_FNS[key] = compile_fn(source, "pack", {"_np": np})
+        fn = _PACK_FNS[key] = bind_fn(compile_fn(source, "pack"), {"_np": np})
     fn(values, out, send.mask)
 
 
@@ -442,7 +442,9 @@ def unpack_payload(values: np.ndarray, valid: np.ndarray, send,
     fn = _UNPACK_FNS.get(key)
     if fn is None:
         source = unpack_source(send.index, shape, send.mask is not None)
-        fn = _UNPACK_FNS[key] = compile_fn(source, "unpack", {"_np": np})
+        fn = _UNPACK_FNS[key] = bind_fn(
+            compile_fn(source, "unpack"), {"_np": np}
+        )
     fn(values, valid, buf, send.mask)
 
 

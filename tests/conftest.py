@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import textwrap
+import threading
+import time
 
 import pytest
 
@@ -11,6 +14,31 @@ from repro.core.pipeline import analyze_entries
 from repro.frontend.analysis import elaborate
 from repro.frontend.parser import parse
 from repro.frontend.scalarizer import scalarize
+
+
+def _live_ranks() -> set:
+    """Transport rank threads and processes (both carriers name them
+    ``transport-rank-N``) alive right now."""
+    ranks = threading.enumerate() + multiprocessing.active_children()
+    return {r for r in ranks if r.name.startswith("transport-rank-")}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_ranks():
+    """A test must stop every transport rank it started: a rank thread
+    or child process still alive after the test fails it."""
+    before = _live_ranks()
+    yield
+    deadline = time.monotonic() + 5.0
+    while (leaked := _live_ranks() - before) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    for rank in leaked:
+        if isinstance(rank, multiprocessing.process.BaseProcess):
+            rank.kill()
+            rank.join(5.0)
+    assert not leaked, (
+        f"ranks left running: {sorted(r.name for r in leaked)}"
+    )
 
 
 def compile_to_context(

@@ -224,6 +224,21 @@ class TestTierSelection:
         tier, reason = resolve_tier("auto")
         assert tier == "python" and reason is None  # probe: silent
 
+    @pytest.mark.parametrize("program", sorted(BENCHMARKS))
+    def test_default_tier_never_takes_the_block_path(self, program):
+        """``kernel_firings`` counts nest and copy kernels,
+        ``vectorized_firings`` nests only, so their difference says
+        nothing about nests missing the kernel tier; ``block_firings``
+        does, and on the Figure 10 programs it is zero — every planned
+        nest runs as an emitted kernel.  Deleting the interpreted block
+        path rests on this number."""
+        result = _compile(program)
+        _, stats = execute_spmd(result)
+        assert stats.vectorized_firings > 0
+        assert stats.block_firings == 0
+        _, off = execute_spmd(result, kernels="off")
+        assert off.block_firings == off.vectorized_firings > 0
+
     def test_auto_is_the_default(self):
         result = _compile("shallow")
         executor = SPMDExecutor(result)

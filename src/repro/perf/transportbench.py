@@ -246,7 +246,8 @@ def format_transport_bench(payload: dict[str, Any]) -> str:
         )
     lines.append(
         f"\n{'backend':13s} {'program':16s} {'wall':>9s} {'msgs':>7s} "
-        f"{'bytes':>10s} {'stalls':>7s} {'exact':>6s}"
+        f"{'bytes':>10s} {'waits':>6s} {'stalls':>7s} {'collect':>9s} "
+        f"{'exact':>6s}"
     )
     for backend, info in sorted(payload["backends"].items()):
         for name, p in sorted(info["programs"].items()):
@@ -254,7 +255,8 @@ def format_transport_bench(payload: dict[str, Any]) -> str:
             lines.append(
                 f"{backend:13s} {name:16s} {p['wall_s'] * 1000:7.1f}ms "
                 f"{wire['messages']:7d} {wire['bytes_sent']:10d} "
-                f"{wire['barrier_stalls']:7d} "
+                f"{wire['barrier_waits']:6d} {wire['barrier_stalls']:7d} "
+                f"{wire['collect_s'] * 1000:7.1f}ms "
                 f"{'yes' if p['bitwise_identical_to_legacy'] else 'NO':>6s}"
             )
     lines.append(

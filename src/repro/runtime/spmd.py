@@ -54,6 +54,7 @@ from ..codegen.spmd import ScheduledProgram, lower_schedule
 from ..comm.entries import CommEntry
 from ..comm.patterns import ReductionMapping
 from ..core.pipeline import CompilationResult
+from ..cost.lower_bound import reduction_tree_messages
 from ..errors import SimulationError
 from ..frontend import ast_nodes as ast
 from ..perf.stats import RuntimeStats
@@ -65,6 +66,7 @@ from ..transport import (
     TransportError,
     make_transport,
 )
+from ..transport.base import combine_pieces
 from ..transport.lowering import LoweredComm, lower_comm
 from .darray import GridRank, Ownership, RankStorage, grid_ranks
 from .interp import Interpreter
@@ -157,6 +159,14 @@ class ExecutionImage:
         self.kernel_ineligible: dict[int, str] = {}
         #: (tier, nest sid, loop geometry) -> KernelTemplate
         self.nest_templates: dict[tuple, object] = {}
+        #: id(``Reduction.arg``) -> index of the placed reduction op that
+        #: covers it: the members of one op share one tree operation.
+        self.reduction_group: dict[int, int] = {
+            id(entry.use.ref): index
+            for index, op in enumerate(result.placed)
+            for entry in op.entries
+            if entry.is_reduction
+        }
 
     def publish(self, table: dict, key, build) -> tuple:
         """``table[key]``, built by ``build()`` under the lock when
@@ -822,8 +832,11 @@ class SPMDExecutor:
 
     def _compute_reductions(self, stmt: ast.Assign) -> dict[int, float]:
         """Allreduce every reduction intrinsic in the statement: per-rank
-        partials over owned elements, combined globally."""
-        out: dict[int, float] = {}
+        partials over owned elements, combined globally — one tree
+        operation per placed reduction op (the schedule's combining,
+        paper §6.2), a reduction no placed op covers on its own.  Every
+        piece is verified fresh before the first tree op is sent."""
+        groups: dict[object, list[tuple[ast.Reduction, dict]]] = {}
         for node in ast.walk_expr(stmt.rhs):
             if not isinstance(node, ast.Reduction):
                 continue
@@ -839,27 +852,27 @@ class SPMDExecutor:
                 pieces[gr.rank] = values
             if not pieces:
                 raise SimulationError(f"reduction over empty section {ref}")
+            group = self.image.reduction_group.get(
+                id(ref), ("alone", id(node))
+            )
+            groups.setdefault(group, []).append((node, pieces))
+        out: dict[int, float] = {}
+        for members in groups.values():
+            pieces = [member_pieces for _, member_pieces in members]
+            ops = [node.op for node, _ in members]
             if self.transport is not None:
                 # Gather tree + broadcast through the backend; the
-                # combine order is canonical (rank-sorted), so the value
-                # is bit-identical to the concatenation below.
-                out[id(node)], _receipt = self.transport.reduce(
-                    pieces, node.op
-                )
+                # combine order is canonical (rank-sorted), so each
+                # value is bit-identical to the direct combine below.
+                values, _receipt = self.transport.reduce(pieces, ops)
             else:
-                flat = np.concatenate(
-                    [pieces[r].ravel() for r in sorted(pieces)]
-                )
-                if node.op == "SUM":
-                    out[id(node)] = float(flat.sum())
-                elif node.op == "MAX":
-                    out[id(node)] = float(flat.max())
-                else:
-                    out[id(node)] = float(flat.min())
-            self.stats.reductions += 1
-            self.stats.messages += max(
-                0, 2 * int(np.ceil(np.log2(max(len(self.ranks), 2))))
-            )
+                values = [
+                    combine_pieces(p, op) for p, op in zip(pieces, ops)
+                ]
+            for (node, _), value in zip(members, values):
+                out[id(node)] = value
+            self.stats.reductions += len(members)
+            self.stats.messages += reduction_tree_messages(len(self.ranks))
         return out
 
     def _section_of_ref(self, ref: ast.ArrayRef) -> RSD:

@@ -5,7 +5,7 @@ sends and receives through a pluggable :class:`~repro.transport.base.
 Transport` interface:
 
 * ``inline`` — deterministic sequential reference backend;
-* ``threaded`` — one worker thread per rank over lock-free per-pair
+* ``threaded`` — one worker thread per rank over blocking per-pair
   queues with a real barrier;
 * ``multiprocess`` — one OS process per rank over
   ``multiprocessing.shared_memory``.
@@ -37,7 +37,7 @@ from .base import (
     TransportError,
     WireStats,
 )
-from .chaos import ChaosTransport, RuntimeDegradationEvent, make_chaos
+from .chaos import ChaosTransport, RuntimeDegradationEvent
 from .inline import InlineTransport
 from .integrity import KINDS, ChaosState, FaultPlan
 from .lowering import (
@@ -125,7 +125,6 @@ __all__ = [
     "WireStats",
     "lower_comm",
     "lower_reduction",
-    "make_chaos",
     "make_transport",
     "reduction_tree",
 ]

@@ -5,7 +5,7 @@ program: the per-rank flat transfers :mod:`repro.runtime.plans` produces
 (lowered into rounds of :class:`~repro.transport.lowering.SendOp`
 records) and the gather-tree reductions.  Three backends implement the
 interface — inline (deterministic sequential reference), threaded (one
-worker per rank over lock-free per-pair queues), and multiprocess (one
+worker per rank over blocking per-pair queues), and multiprocess (one
 OS process per rank over ``multiprocessing.shared_memory``).
 
 Every backend records :class:`WireStats` — per-pair message and byte
@@ -20,12 +20,20 @@ The two concurrent backends share one driver, defined at the bottom of
 this module: :class:`ConcurrentTransport` (the collector: op ids, round
 scripts, checkpoint → submit → collect → quiesce → recover → replay,
 the reduce tree) and the rank-side functions ``_worker_loop`` /
-``_run_op`` / ``_run_reduce`` (the send / local / recv / barrier round
-loop), which feed the sans-IO protocol core of
+``_run_op`` / ``_run_reduce`` (the send / local / recv round loop),
+which feed the sans-IO protocol core of
 :mod:`repro.transport.integrity`.  Both are written against
 :class:`RankPort` and a handful of collector hooks — the *carrier*
 interface — so ``threaded.py`` and ``mp.py`` hold only what differs
-between threads over deques and processes over shared memory.
+between threads over queues and processes over shared memory.
+
+Synchronisation model.  Every wait blocks on the thing waited for: a
+receive on its :class:`Channel`, the collector on its completion queue.
+The collector's gather *is* the operation boundary — no rank is handed
+operation k+1 before all P completions of operation k are in — so a
+barrier separates only the rounds *inside* one operation, and what a
+carrier recycles between operations (outbox copies, arena slots) is
+free once that gather is complete.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from .integrity import (
     payload_crc,
     send_actions,
 )
-from .lowering import SCALAR_BYTES, LoweredComm, lower_reduction
+from .lowering import SCALAR_BYTES, LoweredComm, reduction_tree
 
 
 class TransportError(SimulationError):
@@ -148,6 +156,7 @@ class RankOpStats:
     recv_s: float = 0.0
     wait_s: float = 0.0
     barrier_s: float = 0.0
+    barrier_waits: int = 0
     barrier_stalls: int = 0
     crc_failures: int = 0
     dedup_drops: int = 0
@@ -199,6 +208,7 @@ class WireStats:
     messages: int = 0
     bytes_sent: int = 0
     local_copies: int = 0
+    barrier_waits: int = 0
     barrier_stalls: int = 0
     pool_hits: int = 0
     pool_misses: int = 0
@@ -209,6 +219,9 @@ class WireStats:
     retrans_bytes: int = 0
     restarts: int = 0
     recovery_s: float = 0.0
+    #: Seconds the collector spent blocked in its gather: the ranks'
+    #: idle time at the end of an op (``barrier_s``: between rounds).
+    collect_s: float = 0.0
     injected: dict = field(default_factory=dict)  # fault kind -> count
     pair_msgs: dict = field(default_factory=dict)
     pair_bytes: dict = field(default_factory=dict)
@@ -222,6 +235,7 @@ class WireStats:
         self.messages += rs.sends
         self.bytes_sent += rs.bytes_sent
         self.local_copies += rs.local_copies
+        self.barrier_waits += rs.barrier_waits
         self.barrier_stalls += rs.barrier_stalls
         self.pool_hits += rs.pool_hits
         self.pool_misses += rs.pool_misses
@@ -263,7 +277,9 @@ class WireStats:
             "messages": self.messages,
             "bytes_sent": self.bytes_sent,
             "local_copies": self.local_copies,
+            "barrier_waits": self.barrier_waits,
             "barrier_stalls": self.barrier_stalls,
+            "collect_s": round(self.collect_s, 6),
             "pool_hits": self.pool_hits,
             "pool_misses": self.pool_misses,
             "integrity": {
@@ -336,7 +352,7 @@ class BufferPool:
     install.  ``list.append``/``list.pop`` are atomic under the GIL and
     each pair pool has exactly one renter (the sending rank's thread)
     and one giver (the receiving rank's), so the data path stays
-    lock-free like the SPSC channels it feeds.
+    lock-free.
 
     ``hits``/``misses`` count rents served from the free list versus
     fresh allocations; backends mirror them into
@@ -519,13 +535,15 @@ class Transport:
     def execute(self, lowered: LoweredComm) -> OpReceipt:
         raise NotImplementedError
 
-    def reduce(self, pieces: dict[int, np.ndarray], op: str) -> tuple[
-        float, OpReceipt
-    ]:
-        """Combine per-rank partial vectors through a gather tree and
-        broadcast the result; returns (value, receipt).  The combine
-        order is canonical (rank-sorted concatenation) so every backend
-        produces the bit-identical value."""
+    def reduce(self, pieces, op) -> tuple:
+        """One tree operation for a batch of reductions — ``pieces`` a
+        sequence of per-rank partial-vector dicts, ``op`` the matching
+        reduction names.  All vectors gather up one binomial tree,
+        rank 0 combines each member in canonical order
+        (:func:`combine_pieces`: bit-identical on every backend) and
+        the scalars broadcast back in one message per edge.  Returns
+        ``(values, receipt)``; one dict and one name are a batch of one
+        and return the bare value."""
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -568,6 +586,27 @@ def combine_pieces(pieces: dict[int, np.ndarray], op: str) -> float:
     raise TransportError(f"unknown reduction op {op!r}")
 
 
+def reduce_batch(pieces, op, nranks: int) -> tuple[dict, tuple, bool]:
+    """``reduce`` arguments as ``(rank -> its vector per member, ops,
+    single)``; a rank owning nothing of a member holds an empty one."""
+    single = isinstance(op, str)
+    batch, ops = ([pieces], (op,)) if single else (list(pieces), tuple(op))
+    empty = np.zeros(0)
+    held = {
+        rank: [np.asarray(member.get(rank, empty)) for member in batch]
+        for rank in range(nranks)
+    }
+    return held, ops, single
+
+
+def combine_batch(acc: dict[int, list], ops: tuple) -> tuple[float, ...]:
+    """Rank 0's :func:`combine_pieces` per member of a gathered batch."""
+    return tuple(
+        combine_pieces({rank: vecs[i] for rank, vecs in acc.items()}, op)
+        for i, op in enumerate(ops)
+    )
+
+
 # ---------------------------------------------------------------------------
 # The concurrent driver, written once against the carrier interface
 # ---------------------------------------------------------------------------
@@ -575,8 +614,11 @@ def combine_pieces(pieces: dict[int, np.ndarray], op: str) -> float:
 #: A barrier arrival that waited longer than this counts as a stall.
 _STALL_S = 0.001
 
-#: How often the collector wakes to check worker liveness.
+#: How long the collector's gather sits idle before it probes liveness.
 _LIVENESS_S = 0.05
+
+#: Longest uninterrupted block of a channel wait: the latency of an abort.
+_SLICE_S = 0.02
 
 #: ``seq`` of the reduce tree's frames (schedule sends count from 0).
 _REDUCE_SEQ = -1
@@ -603,6 +645,53 @@ class _RankCrash(Exception):
     def __init__(self, dead: list[int]) -> None:
         super().__init__(f"dead ranks {dead}")
         self.dead = dead
+
+
+class Channel:
+    """One (src, dst) frame queue over anything with ``put`` and
+    ``get(timeout=)`` raising ``queue.Empty`` (``SimpleQueue`` between
+    threads, ``mp.Queue`` between processes).  The receiver blocks on
+    the queue itself in slices of at most :data:`_SLICE_S`, between
+    which it ticks its heartbeat and checks the abort flag."""
+
+    __slots__ = ("_q", "_status", "_rank")
+
+    def __init__(self, q, status: "StatusBlock", rank: int) -> None:
+        self._q, self._status, self._rank = q, status, rank  # the receiver
+
+    def put(self, item) -> None:
+        self._q.put(item)
+
+    def poll(self, deadline: float, abort):
+        """The next item, or ``None`` once ``deadline`` has passed."""
+        while True:
+            timeout = min(_SLICE_S, max(deadline - time.monotonic(), 0.001))
+            try:
+                return self._q.get(timeout=timeout)
+            except queue.Empty:
+                self._status.beat(self._rank)
+                if abort.is_set():
+                    raise _Abort()
+                if time.monotonic() > deadline:
+                    return None
+
+    def get(self, deadline: float, abort):
+        """The next item; :class:`_Abort` once ``deadline`` has passed."""
+        item = self.poll(deadline, abort)
+        if item is None:
+            raise _Abort()
+        return item
+
+    def drain(self) -> list:
+        """Pop and return everything (only called while quiesced)."""
+        items = []
+        while True:
+            try:
+                items.append(self._q.get_nowait())
+            except queue.Empty:
+                return items
+            except Exception:  # noqa: BLE001 - torn pickle from a kill
+                continue
 
 
 class StatusBlock:
@@ -669,9 +758,7 @@ class RankPort:
     ``integrity``, ``watchdog_s``, ``abort`` (event), ``barrier``,
     ``status`` (:class:`StatusBlock`), ``last_recv`` (flat
     ``src * nranks + dst`` array of the last installed seq) and
-    ``chans`` — ``(src, dst) -> channel`` with ``put(frame)``,
-    ``get(deadline, abort)`` (raises :class:`_Abort` at the deadline)
-    and ``poll(deadline, abort)`` (returns ``None`` instead).
+    ``chans`` — ``(src, dst) ->`` :class:`Channel`.
     """
 
     #: Monotonic clock and sleep, overridable so a simulated carrier
@@ -681,7 +768,8 @@ class RankPort:
 
     def begin_op(self, wire) -> None:
         """Attach whatever :meth:`ConcurrentTransport._plan_wire`
-        prepared for this operation."""
+        prepared for this operation; nothing of the previous one is
+        still being read (the collector gathered all its completions)."""
 
     def views(self, array: str) -> tuple[np.ndarray, np.ndarray]:
         """This rank's ``(values, valid)`` storage for ``array``."""
@@ -868,6 +956,7 @@ def _barrier_wait(port: RankPort, rs: RankOpStats, rnd_no: int) -> None:
     finally:
         stall = time.perf_counter() - t0
         rs.barrier_s += stall
+        rs.barrier_waits += 1
         if stall > _STALL_S:
             rs.barrier_stalls += 1
     port.status.round_done(rank, rnd_no)
@@ -877,7 +966,8 @@ def _run_op(port: RankPort, op_id: int, script: list[dict],
             wire) -> RankOpStats:
     """One rank's side of one lowered operation: per round, post the
     sends, install the local copies, receive what the script expects
-    (per-source FIFO order), meet at the barrier."""
+    (per-source FIFO order).  A barrier separates consecutive rounds;
+    the last ends in this rank's completion, for the collector's gather."""
     rs = RankOpStats()
     rank = port.rank
     # 2x the collector's watchdog: the collector is the primary
@@ -889,6 +979,8 @@ def _run_op(port: RankPort, op_id: int, script: list[dict],
     receivers: dict = {}  # src -> (ChannelReceiver, stash), chaos only
     try:
         for rnd_no, rnd in enumerate(script):
+            if rnd_no:
+                _barrier_wait(port, rs, rnd_no - 1)
             for s in rnd["send"]:
                 _post_send(port, s, rs, op_id, held)
             _flush_held(port, held)
@@ -897,7 +989,6 @@ def _run_op(port: RankPort, op_id: int, script: list[dict],
                 rs.local_copies += 1
             for s in rnd["recv"]:
                 _recv_one(port, s, rs, op_id, deadline, rnd_no, receivers)
-            _barrier_wait(port, rs, rnd_no)
     finally:
         for dst, frame in held.items():  # abandoned mid-send-phase
             port.release((rank, dst), frame)
@@ -921,39 +1012,41 @@ def _reduce_recv(port: RankPort, src: int, rs: RankOpStats, op_id: int,
     return frame[2]
 
 
-def _run_reduce(port: RankPort, op_id: int, piece, op: str,
-                lowered) -> tuple[float, RankOpStats]:
-    """One rank's side of the reduce tree: partial vectors gather up to
-    rank 0, are combined in canonical order, and the scalar broadcasts
-    back down."""
+def _run_reduce(port: RankPort, op_id: int, vectors: list,
+                ops: tuple) -> tuple[tuple, RankOpStats]:
+    """One rank's side of the reduce tree: every batch member's partial
+    vectors gather up to rank 0 together, are combined in canonical
+    order, and the scalars broadcast back in one message per edge."""
     rs = RankOpStats()
     rank = port.rank
     chaos = port.chaos
     deadline = port.clock() + port.watchdog_s * 2
-    acc: dict[int, np.ndarray] = {rank: np.asarray(piece)}
-    for rnd in lowered.gather_rounds:
+    gather = reduction_tree(port.nranks)
+    acc: dict[int, list] = {rank: vectors}
+    for rnd in gather:
         for src, dst in rnd:
             if src == rank:
                 if chaos is not None and chaos.fires(
                     "crash", rank, dst, op_id
                 ):
                     port.die()
-                nbytes = sum(int(p.size) * SCALAR_BYTES for p in acc.values())
+                nbytes = SCALAR_BYTES * sum(
+                    int(v.size) for vecs in acc.values() for v in vecs
+                )
                 port.chans[(rank, dst)].put((op_id, _REDUCE_SEQ, acc))
                 acc = {}
                 rs.count_send(rank, dst, nbytes)
             elif dst == rank:
                 acc.update(_reduce_recv(port, src, rs, op_id, deadline))
-    value = combine_pieces(acc, op) if rank == 0 else None
-    for rnd in lowered.bcast_rounds:
-        for src, dst in rnd:
+    values = combine_batch(acc, ops) if rank == 0 else None
+    for rnd in reversed(gather):
+        for dst, src in rnd:  # the gather edge, walked backwards
             if src == rank:
-                port.chans[(rank, dst)].put((op_id, _REDUCE_SEQ, value))
-                rs.count_send(rank, dst, SCALAR_BYTES)
+                port.chans[(rank, dst)].put((op_id, _REDUCE_SEQ, values))
+                rs.count_send(rank, dst, SCALAR_BYTES * len(ops))
             elif dst == rank:
-                value = _reduce_recv(port, src, rs, op_id, deadline)
-    _barrier_wait(port, rs, -1)
-    return float(value), rs
+                values = _reduce_recv(port, src, rs, op_id, deadline)
+    return values, rs
 
 
 def _worker_loop(port: RankPort, cmd_q, res_q) -> None:
@@ -986,8 +1079,9 @@ class ConcurrentTransport(Transport):
     """Collector side of the concurrent driver: one worker per rank.
 
     A carrier subclass creates, before ``start``, the queues
-    ``_cmd[rank]`` and ``_results`` (``put`` / ``get(timeout=)``
-    raising ``queue.Empty``), the ``_abort`` event, the ``_barrier``,
+    ``_cmd[rank]`` (``put`` here, ``get`` in the worker) and
+    ``_results`` (``put`` in the workers, ``get(timeout=)`` raising
+    ``queue.Empty`` here), the ``_abort`` event, the ``_barrier``,
     the ``_status`` :class:`StatusBlock` and the flat ``_last_recv``
     array its ports write, and implements the hooks below; its workers
     run :func:`_worker_loop` over a :class:`RankPort`.
@@ -1042,21 +1136,12 @@ class ConcurrentTransport(Transport):
         )
         return receipt
 
-    def reduce(self, pieces: dict[int, np.ndarray], op: str):
-        lowered = lower_reduction(
-            op,
-            {r: int(np.asarray(p).size) * SCALAR_BYTES
-             for r, p in pieces.items()},
-            self.nranks,
-        )
-        arrs = {
-            rank: np.asarray(pieces.get(rank, np.zeros(0)))
-            for rank in range(self.nranks)
-        }
+    def reduce(self, pieces, op):
+        held, ops, single = reduce_batch(pieces, op, self.nranks)
         # Reductions don't mutate rank storage, so a crashed attempt
         # replays without a checkpoint.
         values, receipt = self._submit(
-            lambda rank, op_id: ("reduce", op_id, arrs[rank], op, lowered),
+            lambda rank, op_id: ("reduce", op_id, held[rank], ops),
             "reduce-tree", checkpoint=False,
         )
         distinct = set(values.values())
@@ -1065,7 +1150,8 @@ class ConcurrentTransport(Transport):
                 f"reduce-tree broadcast diverged across ranks: {distinct}"
             )
         self.stats.reduces += 1
-        return distinct.pop(), receipt
+        result = distinct.pop()
+        return (result[0] if single else list(result)), receipt
 
     # -- dispatch ----------------------------------------------------------
 
@@ -1096,7 +1182,7 @@ class ConcurrentTransport(Transport):
         return self.chaos is not None and self.chaos.plan.rate("crash") > 0.0
 
     def _submit(self, make_cmd, algorithm: str,
-                checkpoint: bool) -> tuple[dict[int, float], OpReceipt]:
+                checkpoint: bool) -> tuple[dict, OpReceipt]:
         """Dispatch one operation to every rank and collect completions,
         replaying from the operation-start checkpoint when injected
         crashes kill workers — up to ``max_rank_restarts`` times."""
@@ -1129,48 +1215,52 @@ class ConcurrentTransport(Transport):
             self._sync_injected()
             return values, receipt
 
-    def _collect(self, op_id: int, receipt: OpReceipt) -> dict[int, float]:
-        """Gather one completion per rank, enforcing the watchdog and
-        checking worker liveness on every wake-up.  Per-rank stats are
-        absorbed only after every rank completed, so an attempt that is
-        abandoned (crash, failure) contributes nothing to the canonical
-        ledger."""
+    def _collect(self, op_id: int, receipt: OpReceipt) -> dict:
+        """Gather one completion per rank — the operation boundary —
+        enforcing the watchdog and probing worker liveness whenever the
+        gather sat idle for ``_LIVENESS_S``.  Per-rank stats are
+        absorbed only after every rank completed, so an abandoned
+        attempt (crash, failure) leaves the canonical ledger alone."""
         deadline = time.monotonic() + self.watchdog_s
-        done: dict[int, float] = {}
+        done: dict = {}
         stats: list[tuple[int, RankOpStats]] = []
         failures: list[str] = []
         while len(done) < self.nranks:
-            dead = [
-                r for r in range(self.nranks)
-                if r not in done and not self._alive(r)
-            ]
-            if dead:
-                if self.chaos is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self._deadlock(set(range(self.nranks)) - set(done))
+            t0 = time.perf_counter()
+            try:
+                msg = self._results.get(timeout=min(remaining, _LIVENESS_S))
+            except queue.Empty:
+                msg = None
+            self.stats.collect_s += time.perf_counter() - t0
+            if msg is None:
+                dead = [
+                    r for r in range(self.nranks)
+                    if r not in done and not self._alive(r)
+                ]
+                if dead:
+                    if self.chaos is not None:
+                        self._quiesce_crash(op_id, done, dead)  # raises
                     self._poisoned = "worker died"
                     raise TransportError(
                         f"{self.name} transport: worker rank(s) {dead} died"
                     )
-                self._quiesce_crash(op_id, done, dead)
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._deadlock(set(range(self.nranks)) - set(done))
-            try:
-                msg = self._results.get(timeout=min(remaining, _LIVENESS_S))
-            except queue.Empty:
                 continue
             status, rank, msg_op, payload, value = msg
             if msg_op != op_id:
                 continue  # stale completion from an aborted operation
             if status == "ok":
                 stats.append((rank, payload))
-                done[rank] = value if value is not None else 0.0
+                done[rank] = value
             elif status == "aborted":
                 if not failures:
                     self._deadlock(set(range(self.nranks)) - set(done))
-                done[rank] = 0.0
+                done[rank] = None
             else:
                 failures.append(f"rank {rank}: {payload}")
-                done[rank] = 0.0
+                done[rank] = None
                 # Release ranks blocked on the failed one, then keep
                 # draining so every worker returns to its command loop.
                 self._abort_fleet()

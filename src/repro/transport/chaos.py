@@ -25,7 +25,7 @@ consumers see compile-time and runtime degradations in one stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -176,29 +176,3 @@ class ChaosTransport(Transport):
     def ledger(self) -> dict[int, dict[str, int]]:
         """Per-rank injected-fault counts (see :meth:`ChaosState.ledger`)."""
         return self.inner.chaos.ledger()
-
-
-def make_chaos(
-    backend_spec,
-    nranks: int,
-    plan: FaultPlan | str | None,
-    watchdog_s: float = 30.0,
-    max_rank_restarts: int | None = None,
-) -> Optional[Transport]:
-    """Build a backend and wrap it in chaos when a plan is given.
-
-    ``plan`` may be a :class:`FaultPlan`, a ``--chaos-spec`` string, or
-    ``None`` (no wrapping).  Used by :func:`repro.transport.
-    make_transport` so chaos composes with every way a transport can be
-    named.
-    """
-    from . import make_transport
-
-    inner = make_transport(backend_spec, nranks, watchdog_s=watchdog_s)
-    if inner is None or plan is None:
-        if inner is not None and max_rank_restarts is not None:
-            inner.max_rank_restarts = max_rank_restarts
-        return inner
-    if isinstance(plan, str):
-        plan = FaultPlan.parse(plan)
-    return ChaosTransport(inner, plan, max_rank_restarts)

@@ -21,12 +21,13 @@ from .base import (
     RankOpStats,
     Transport,
     TransportError,
-    combine_pieces,
+    combine_batch,
     pack_payload,
+    reduce_batch,
     unpack_payload,
 )
 from .integrity import payload_crc
-from .lowering import SCALAR_BYTES, LoweredComm, lower_reduction
+from .lowering import SCALAR_BYTES, LoweredComm, reduction_tree
 
 
 class InlineTransport(Transport):
@@ -124,35 +125,28 @@ class InlineTransport(Transport):
         self._sync_injected()
         return receipt
 
-    def reduce(self, pieces: dict[int, np.ndarray], op: str):
+    def reduce(self, pieces, op):
         self._check_alive()
-        lowered = lower_reduction(
-            op,
-            {r: int(np.asarray(p).size) * SCALAR_BYTES
-             for r, p in pieces.items()},
-            self.nranks,
-        )
+        held, ops, single = reduce_batch(pieces, op, self.nranks)
+        acc = {rank: {rank: vectors} for rank, vectors in held.items()}
         receipt = OpReceipt(algorithm="reduce-tree")
         per_rank = {r: RankOpStats() for r in range(self.nranks)}
-        held: dict[int, dict[int, np.ndarray]] = {
-            r: {r: np.asarray(pieces.get(r, np.zeros(0)))}
-            for r in range(self.nranks)
-        }
-        for rnd in lowered.gather_rounds:
+        gather = reduction_tree(self.nranks)
+        for rnd in gather:
             for src, dst in rnd:
-                payload = held[src]
-                nbytes = sum(int(p.size) * SCALAR_BYTES
-                             for p in payload.values())
+                nbytes = SCALAR_BYTES * sum(
+                    int(v.size) for vecs in acc[src].values() for v in vecs
+                )
                 per_rank[src].count_send(src, dst, nbytes)
-                held[dst].update(payload)
-                held[src] = {}
-        value = combine_pieces(held[0], op)
-        for rnd in lowered.bcast_rounds:
-            for src, dst in rnd:
-                per_rank[src].count_send(src, dst, SCALAR_BYTES)
+                acc[dst].update(acc[src])
+                acc[src] = {}
+        values = combine_batch(acc[0], ops)
+        for rnd in reversed(gather):
+            for dst, src in rnd:  # the gather edge, walked backwards
+                per_rank[src].count_send(src, dst, SCALAR_BYTES * len(ops))
         for rank, rs in per_rank.items():
             receipt.absorb(rs)
             self.stats.absorb(rank, rs)
         self.stats.reduces += 1
         self.stats.count_op("reduce-tree")
-        return value, receipt
+        return (values[0] if single else list(values)), receipt

@@ -10,7 +10,7 @@ Three cooperating pieces live here:
   written sans-IO: plain data in, actions out.  It never sleeps, reads
   a clock, touches a queue or owns a buffer; the concurrent driver in
   :mod:`repro.transport.base` feeds it events and carries out what it
-  answers against whichever carrier (threads + deques, processes +
+  answers against whichever carrier (threads + queues, processes +
   shared memory, or a test's in-memory fake) is underneath.
 
   *Send side* (:func:`send_actions`), event "about to post send
@@ -137,12 +137,6 @@ class FaultPlan:
     @property
     def active(self) -> bool:
         return any(self.rate(k) > 0.0 for k in KINDS)
-
-    @property
-    def needs_outbox(self) -> bool:
-        """Repair machinery is only materialized when a fault class that
-        requires it can fire (clean runs stay copy-free)."""
-        return self.active
 
     @classmethod
     def single(cls, kind: str, seed: int = 0, rate: float = 0.125,

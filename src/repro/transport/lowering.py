@@ -65,26 +65,19 @@ class LoweredComm:
     predicted_pairs: dict = field(default_factory=dict)  # (src,dst)->bytes
     predicted_msgs: dict = field(default_factory=dict)   # (src,dst)->count
 
-    @property
-    def predicted_bytes(self) -> int:
-        return sum(self.predicted_pairs.values())
 
-    def wire_sends(self) -> list[SendOp]:
-        return [s for rnd in self.rounds for s in rnd if not s.is_local]
+def _charge(lowered, src: int, dst: int, nbytes: int) -> None:
+    """Predict one wire message of ``nbytes`` from ``src`` to ``dst``."""
+    key = (src, dst)
+    lowered.predicted_pairs[key] = lowered.predicted_pairs.get(key, 0) + nbytes
+    lowered.predicted_msgs[key] = lowered.predicted_msgs.get(key, 0) + 1
 
 
 def _predict(lowered: LoweredComm) -> LoweredComm:
     for rnd in lowered.rounds:
         for s in rnd:
-            if s.is_local:
-                continue
-            key = (s.src, s.dst)
-            lowered.predicted_pairs[key] = (
-                lowered.predicted_pairs.get(key, 0) + s.nbytes
-            )
-            lowered.predicted_msgs[key] = (
-                lowered.predicted_msgs.get(key, 0) + 1
-            )
+            if not s.is_local:
+                _charge(lowered, s.src, s.dst, s.nbytes)
     return lowered
 
 
@@ -164,17 +157,14 @@ class ReduceLowering:
     """A log-P combining tree over all ranks: ``gather_rounds`` move the
     accumulated partial vectors toward rank 0 (payload grows as subtrees
     merge), rank 0 combines in canonical order, and ``bcast_rounds``
-    fan the 8-byte result back out along the reversed edges."""
+    fan the result — 8 bytes per batch member — back out along the
+    reversed edges."""
 
-    op: str
+    op: "str | tuple"
     gather_rounds: list[list[tuple[int, int]]]  # (src, dst) edges
     bcast_rounds: list[list[tuple[int, int]]]
     predicted_pairs: dict = field(default_factory=dict)
     predicted_msgs: dict = field(default_factory=dict)
-
-    @property
-    def depth(self) -> int:
-        return len(self.gather_rounds)
 
 
 def reduction_tree(nranks: int) -> list[list[tuple[int, int]]]:
@@ -193,33 +183,21 @@ def reduction_tree(nranks: int) -> list[list[tuple[int, int]]]:
 
 
 def lower_reduction(
-    op: str, piece_bytes: dict[int, int], nranks: int
+    op, piece_bytes: dict[int, int], nranks: int, count: int = 1
 ) -> ReduceLowering:
-    """Schedule one reduction and predict its exact wire traffic from
-    the per-rank partial sizes."""
+    """Schedule one tree operation and predict its exact wire traffic
+    from the per-rank partial sizes — summed over the ``count`` members
+    of a batch, whose scalars share each broadcast message."""
     gather = reduction_tree(nranks)
     bcast = [[(dst, src) for src, dst in rnd] for rnd in reversed(gather)]
     lowered = ReduceLowering(op, gather, bcast)
     held = {rank: piece_bytes.get(rank, 0) for rank in range(nranks)}
     for rnd in gather:
         for src, dst in rnd:
-            payload = held[src]
-            key = (src, dst)
-            lowered.predicted_pairs[key] = (
-                lowered.predicted_pairs.get(key, 0) + payload
-            )
-            lowered.predicted_msgs[key] = (
-                lowered.predicted_msgs.get(key, 0) + 1
-            )
+            _charge(lowered, src, dst, held[src])
             held[dst] += held[src]
             held[src] = 0
     for rnd in bcast:
         for src, dst in rnd:
-            key = (src, dst)
-            lowered.predicted_pairs[key] = (
-                lowered.predicted_pairs.get(key, 0) + SCALAR_BYTES
-            )
-            lowered.predicted_msgs[key] = (
-                lowered.predicted_msgs.get(key, 0) + 1
-            )
+            _charge(lowered, src, dst, count * SCALAR_BYTES)
     return lowered

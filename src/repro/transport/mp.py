@@ -11,10 +11,17 @@ processes over shared memory do differently:
   validity masks per (rank, array)); the main process and every worker
   map numpy views over the same segment, so compute results written by
   the executor are immediately visible to the rank that must send them;
-* **channels** — a pickling ``multiprocessing.Queue`` per (src, dst)
-  pair, plus per-rank command queues carrying the round scripts and a
-  results queue returning per-op
-  :class:`~repro.transport.base.RankOpStats`;
+* **channels** — a :class:`~repro.transport.base.Channel` over a
+  pickling ``multiprocessing.Queue`` per (src, dst) pair (a pointwise
+  round may post more tags than a pipe buffers, so this plane keeps
+  the queue's feeder thread);
+* **control plane** — one feeder-less pipe per rank and direction
+  (:class:`_Pipe`): round scripts go down, per-op
+  :class:`~repro.transport.base.RankOpStats` come back and are gathered
+  with ``multiprocessing.connection.wait``.  At most one message is
+  outstanding per pipe (a rank gets its next command only after the
+  collector read its last completion) and each pipe has one writer, so
+  there is no shared write lock a dying rank could hold;
 * **frames** — the bare header tag ``(op_id, seq, crc)``.  The payload
   travels through a shared-memory *data* arena at the per-send offset
   the dispatcher assigned: the sender packs the wire bytes there, then
@@ -28,7 +35,7 @@ processes over shared memory do differently:
 * **death and respawn** — an injected crash calls ``os._exit`` at a
   send boundary (a safe point holding no queue or barrier locks);
   liveness is ``Process.is_alive`` and a respawned worker re-attaches
-  the shared segments by name;
+  the shared segments by name and inherits its rank's two pipes;
 * **checkpoint** — the bytes of the storage arena;
 * **stuck-rank report** — the status block lives in shared memory and
   its heartbeat keeps counting while a rank waits on an empty queue;
@@ -43,15 +50,15 @@ import os
 import queue as queue_mod
 import secrets
 import time
-from multiprocessing import shared_memory
+from multiprocessing import connection, shared_memory
 
 import numpy as np
 
 from .base import (
+    Channel,
     ConcurrentTransport,
     RankPort,
     StatusBlock,
-    _Abort,
     _worker_loop,
     extract_payload,
     install_payload,
@@ -61,7 +68,6 @@ from .integrity import KINDS, ChaosState, payload_crc
 from .lowering import SCALAR_BYTES
 
 _ALIGN = 8
-_POLL_S = 0.02
 
 
 def _align(n: int) -> int:
@@ -94,52 +100,58 @@ def _mirror_header(sm: shared_memory.SharedMemory, offset: int) -> np.ndarray:
     return np.ndarray((1,), dtype=np.uint64, buffer=sm.buf, offset=offset)
 
 
-class _QueueChannel:
-    """One (src, dst) tag queue with the channel surface the driver
-    expects; the receiving rank's heartbeat ticks while it waits."""
+class _Pipe:
+    """One direction of one rank's control plane: a feeder-less pipe
+    with a queue's ``put`` / ``get``.  The collector keeps both ends
+    open, so a respawned rank inherits it and a dead one is no EOF."""
 
-    __slots__ = ("_q", "_status", "_rank")
+    __slots__ = ("reader", "_writer")
 
-    def __init__(self, q, status: StatusBlock, rank: int) -> None:
-        self._q = q
-        self._status = status
-        self._rank = rank
+    def __init__(self, ctx) -> None:
+        self.reader, self._writer = ctx.Pipe(duplex=False)
 
     def put(self, item) -> None:
-        self._q.put(item)
+        self._writer.send(item)
 
-    def poll(self, deadline: float, abort):
-        """The next item, or ``None`` once ``deadline`` has passed."""
-        while True:
-            timeout = min(_POLL_S, max(deadline - time.monotonic(), 0.001))
-            try:
-                return self._q.get(timeout=timeout)
-            except queue_mod.Empty:
-                self._status.beat(self._rank)
-                if abort.is_set():
-                    raise _Abort()
-                if time.monotonic() > deadline:
-                    return None
+    def get(self):
+        return self.reader.recv()
 
-    def get(self, deadline: float, abort):
-        item = self.poll(deadline, abort)
-        if item is None:
-            raise _Abort()
-        return item
+    def drain(self) -> None:
+        while self.reader.poll():
+            self.reader.recv()
+
+    def close(self) -> None:
+        self.reader.close()
+        self._writer.close()
+
+
+class _Completions:
+    """The collector's end of every rank's completion pipe, gathered
+    with ``connection.wait`` behind a queue's ``get(timeout=)``."""
+
+    def __init__(self, pipes: list[_Pipe]) -> None:
+        self._readers = [pipe.reader for pipe in pipes]
+
+    def get(self, timeout: float):
+        ready = connection.wait(self._readers, timeout)
+        if not ready:
+            raise queue_mod.Empty
+        return ready[0].recv()
 
 
 class _ProcessPort(RankPort):
     """Rank endpoint inside a worker process: attaches the shared
     segments by name and maps numpy views over them."""
 
-    def __init__(self, rank, nranks, storage_name, layout, queues, barrier,
+    def __init__(self, rank, nranks, storage_name, layout, chans, barrier,
                  abort, status, watchdog_s, integrity, plan, ledger,
                  crash_counter, last_recv):
         self.rank = rank
         self.nranks = nranks
         self.barrier = barrier
         self.abort = abort
-        self.status = StatusBlock(status)
+        self.status = status
+        self.chans = chans
         self.watchdog_s = watchdog_s
         self.integrity = integrity
         # Rebuild the chaos state locally over the shared primitives:
@@ -149,10 +161,6 @@ class _ProcessPort(RankPort):
             if plan is not None else None
         )
         self.last_recv = last_recv
-        self.chans = {
-            pair: _QueueChannel(q, self.status, rank)
-            for pair, q in queues.items()
-        }
         self._storage_sm = shared_memory.SharedMemory(name=storage_name)
         self._views = _np_views(
             self._storage_sm, [e for e in layout if e[0] == rank]
@@ -261,17 +269,22 @@ class MultiprocessTransport(ConcurrentTransport):
         self._arenas: dict[str, shared_memory.SharedMemory] = {}
         self._arena_gen = {"dt": 0, "mr": 0}
         self._retired: list[shared_memory.SharedMemory] = []
-        self._chans = {
-            (s, d): self._ctx.Queue()
-            for s in range(nranks) for d in range(nranks) if s != d
-        }
-        self._cmd = [self._ctx.Queue() for _ in range(nranks)]
-        self._results = self._ctx.Queue()
-        self._abort = self._ctx.Event()
-        self._barrier = self._ctx.Barrier(nranks)
         self._status = StatusBlock(
             self._ctx.RawArray("q", nranks * StatusBlock.STRIDE)
         )
+        self._queues = {
+            (s, d): self._ctx.Queue()
+            for s in range(nranks) for d in range(nranks) if s != d
+        }
+        self._chans = {
+            pair: Channel(q, self._status, pair[1])
+            for pair, q in self._queues.items()
+        }
+        self._cmd = [_Pipe(self._ctx) for _ in range(nranks)]
+        self._done = [_Pipe(self._ctx) for _ in range(nranks)]
+        self._results = _Completions(self._done)
+        self._abort = self._ctx.Event()
+        self._barrier = self._ctx.Barrier(nranks)
         self._last_recv = self._ctx.RawArray("q", nranks * nranks)
         for i in range(nranks * nranks):
             self._last_recv[i] = -1
@@ -317,10 +330,10 @@ class MultiprocessTransport(ConcurrentTransport):
         plan = self.chaos.plan if self.chaos is not None else None
         p = self._ctx.Process(
             target=_mp_worker,
-            args=(self._cmd[rank], self._results,
+            args=(self._cmd[rank], self._done[rank],
                   rank, self.nranks, self._storage_sm.name, self._layout,
                   self._chans, self._barrier, self._abort,
-                  self._status.cells, self.watchdog_s, self.integrity, plan,
+                  self._status, self.watchdog_s, self.integrity, plan,
                   self._ledger_arr, self._crash_counter, self._last_recv),
             name=f"transport-rank-{rank}",
             daemon=True,
@@ -356,9 +369,11 @@ class MultiprocessTransport(ConcurrentTransport):
                 if p.is_alive():
                     p.terminate()
                     p.join(timeout=2.0)
-        for q in [*self._chans.values(), *self._cmd, self._results]:
+        for q in self._queues.values():
             q.cancel_join_thread()
             q.close()
+        for pipe in (*self._cmd, *self._done):
+            pipe.close()
         for sm in [self._storage_sm, *self._arenas.values(), *self._retired]:
             if sm is None:
                 continue
@@ -392,7 +407,9 @@ class MultiprocessTransport(ConcurrentTransport):
     def _plan_wire(self, scripts) -> tuple:
         """Assign every send its data-arena and mirror-arena slot:
         ``(data arena name, mirror arena name, seq -> (data offset,
-        mirror offset, element count))``."""
+        mirror offset, element count))``.  Slots are reused from one
+        operation to the next: the collector gathered every completion
+        of the previous one, so no receiver is still reading it."""
         slots: dict[int, tuple[int, int, int]] = {}
         offset = m_offset = 0
         for script in scripts.values():
@@ -423,14 +440,10 @@ class MultiprocessTransport(ConcurrentTransport):
         self._storage_sm.buf[:] = snapshot
 
     def _drain(self) -> None:
-        for q in [*self._chans.values(), self._results]:
-            while True:
-                try:
-                    q.get_nowait()
-                except queue_mod.Empty:
-                    break
-                except Exception:  # noqa: BLE001 - torn pickle from a kill
-                    continue
+        # A command pipe holds something only if its rank died before
+        # reading it; the replacement must not run that command.
+        for q in (*self._chans.values(), *self._cmd, *self._done):
+            q.drain()
 
     def __del__(self) -> None:  # best-effort resource cleanup
         try:

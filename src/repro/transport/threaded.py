@@ -4,11 +4,11 @@ The protocol — round loop, wire integrity, NACK/retransmit repair,
 crash recovery, watchdog — is the shared driver in
 :mod:`repro.transport.base` over the sans-IO core in
 :mod:`repro.transport.integrity`.  This module supplies only what
-threads over deques do differently:
+threads over in-process queues do differently:
 
-* **channels** — a lock-free SPSC ``collections.deque`` per (src, dst)
-  pair (append/popleft are atomic under the GIL, so no locks on the
-  data path);
+* **channels** — a :class:`~repro.transport.base.Channel` over a
+  ``queue.SimpleQueue`` per (src, dst) pair: a receiver with nothing to
+  read blocks in the queue's own ``get`` and is woken by the ``put``;
 * **frames** — ``(op_id, seq, crc, buf, count, pooled)``: the payload
   travels *in* the frame, in a buffer the sender rents from the pair's
   :class:`~repro.transport.base.BufferPool` and the receiver returns
@@ -30,65 +30,20 @@ from __future__ import annotations
 import queue
 import sys
 import threading
-import time
 import traceback
-from collections import deque
 
 from .base import (
     BufferPool,
+    Channel,
     ConcurrentTransport,
     RankPort,
     StatusBlock,
-    _Abort,
     _worker_loop,
     pack_payload,
     unpack_payload,
 )
 from .integrity import ChaosCrash, payload_crc
 from .lowering import SCALAR_BYTES
-
-#: Spin interval while a channel is empty — long enough to release the
-#: GIL, short enough to keep neighbour-exchange latency low.
-_POLL_S = 0.0002
-
-
-class SPSCChannel:
-    """Single-producer single-consumer queue for one (src, dst) pair."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self) -> None:
-        self._items: deque = deque()
-
-    def put(self, item) -> None:
-        self._items.append(item)
-
-    def poll(self, deadline: float, abort: threading.Event):
-        """The next item, or ``None`` once ``deadline`` has passed."""
-        while True:
-            try:
-                return self._items.popleft()
-            except IndexError:
-                if abort.is_set():
-                    raise _Abort()
-                if time.monotonic() > deadline:
-                    return None
-                time.sleep(_POLL_S)
-
-    def get(self, deadline: float, abort: threading.Event):
-        item = self.poll(deadline, abort)
-        if item is None:
-            raise _Abort()
-        return item
-
-    def drain(self) -> list:
-        """Pop and return everything (only called while quiesced)."""
-        items = []
-        while True:
-            try:
-                items.append(self._items.popleft())
-            except IndexError:
-                return items
 
 
 def _give_back(pool: BufferPool, frame: tuple) -> None:
@@ -120,8 +75,8 @@ class _ThreadPort(RankPort):
 
     def begin_op(self, wire) -> None:
         self._stores = self._transport.storage[self.rank]
-        # Last operation's pristine copies are dead: every receiver
-        # passed that operation's final barrier before this rank did.
+        # Last operation's pristine copies are dead: the collector held
+        # every receiver's completion of it before submitting this one.
         for dst in range(self.nranks):
             if dst != self.rank:
                 self._outbox[(self.rank, dst)].clear()
@@ -172,15 +127,16 @@ class _ThreadPort(RankPort):
 
 
 class ThreadedTransport(ConcurrentTransport):
-    """Worker-per-rank execution over per-pair SPSC channels."""
+    """Worker-per-rank execution over per-pair in-process channels."""
 
     name = "threaded"
 
     def __init__(self, nranks: int, watchdog_s: float = 30.0) -> None:
         super().__init__(nranks, watchdog_s)
         self.stats.backend = self.name
+        self._status = StatusBlock([0] * (nranks * StatusBlock.STRIDE))
         self._chan = {
-            (s, d): SPSCChannel()
+            (s, d): Channel(queue.SimpleQueue(), self._status, d)
             for s in range(nranks) for d in range(nranks) if s != d
         }
         # One send-buffer pool per channel (rented by the sender,
@@ -193,7 +149,6 @@ class ThreadedTransport(ConcurrentTransport):
         self._results: queue.SimpleQueue = queue.SimpleQueue()
         self._abort = threading.Event()
         self._barrier = threading.Barrier(nranks)
-        self._status = StatusBlock([0] * (nranks * StatusBlock.STRIDE))
         self._last_recv = [-1] * (nranks * nranks)
         self._threads: list = [None] * nranks
         self._started = False

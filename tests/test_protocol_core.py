@@ -26,6 +26,7 @@ that did not survive, feed its ``plan`` (and the channel/seq its
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,7 +55,8 @@ from repro.transport.integrity import (
     FaultPlan,
     payload_crc,
 )
-from repro.transport.lowering import SendOp
+from repro.transport.inline import InlineTransport
+from repro.transport.lowering import LoweredComm, SendOp
 
 OP_ID = 7
 WIDTH = 3  # elements per send
@@ -140,18 +142,29 @@ class World:
     get = poll  # the chaos receive path only polls
 
 
+    # -- the collector -----------------------------------------------------
+
+    def gather(self) -> None:
+        """The operation boundary: the collector holds the receiver's
+        completion (``_run_op`` returned) and now waits for the
+        sender's, so the sender runs to its end.  No barrier does this
+        after the last round; frames the receiver did not need stay in
+        flight into the next operation."""
+        while self.steps:
+            self.sender_step()
+
+
 class FakeBarrier:
+    """The barrier between two rounds of one operation."""
+
     def __init__(self, world: World) -> None:
         self.world = world
 
     def wait(self, timeout=None) -> None:
         # The real barrier lets the sender finish its round; frames the
         # receiver did not need stay in flight into the next one.
-        world = self.world
-        while world.steps:
-            world.sender_step()
-        if world.round_no + 1 < len(world.rounds):
-            world.begin_round()
+        self.world.gather()
+        self.world.begin_round()
 
 
 class FakePort(RankPort):
@@ -214,9 +227,11 @@ def simulate(plan: FaultPlan, rounds, schedule, watchdog_s=0.5):
         {"send": [], "local": [], "recv": list(rnd)} for rnd in world.rounds
     ]
     try:
-        return world, _run_op(world.receiver, OP_ID, script, None)
+        rs = _run_op(world.receiver, OP_ID, script, None)
     except _Abort:
         return world, None
+    world.gather()
+    return world, rs
 
 
 def check(plan: FaultPlan, rounds, schedule, watchdog_s=0.5,
@@ -411,3 +426,316 @@ def scenarios(draw):
 def test_multi_fault_plans_heal_or_abort(scenario):
     plan, rounds, schedule = scenario
     check(plan, rounds, schedule)
+
+
+# ---------------------------------------------------------------------------
+# (iii) Two consecutive operations, no barrier between them
+# ---------------------------------------------------------------------------
+#
+# Up to three ranks, every rank sending one frame to every other, twice
+# — operation k, a "compute" that changes what each rank owns, operation
+# k+1.  Every rank runs the real ``_run_op``; a rank that has to wait
+# runs the others further down the Python stack (a rank blocked in a
+# receive has posted all its sends, so whoever runs nested under it can
+# finish), which gives every start order and every point at which one
+# rank's progress interleaves with another's without a thread.  The
+# only thing between the two operations is the collector's gather: k+1
+# starts once every ``_run_op`` of k has returned.  A *choice point* is
+# a rank polling its channel; the options are every frame in flight on
+# it, every rank not yet started, and (a bounded number of times per
+# operation, and whenever nothing else is left) the NACK timer.
+
+
+class NoBarrier:
+    def wait(self, timeout=None) -> None:
+        raise AssertionError("a single-round operation met at a barrier")
+
+
+class SpyReceiver(ChannelReceiver):
+    """Records what the core answered for frames of another operation."""
+
+    __slots__ = ()
+    stale: list = []
+
+    def on_frame(self, op_id, seq, crc_ok, retransmit_bytes=None):
+        action = super().on_frame(op_id, seq, crc_ok, retransmit_bytes)
+        if op_id != self.op_id:
+            SpyReceiver.stale.append((op_id, self.op_id, action))
+        return action
+
+
+class MeshChannel:
+    def __init__(self, mesh: "Mesh") -> None:
+        self.mesh = mesh
+        self.inflight: list[tuple] = []
+
+    def put(self, frame) -> None:
+        self.inflight.append(frame)
+
+    def poll(self, deadline, abort):
+        mesh = self.mesh
+        while True:
+            options = [("take", i) for i in range(len(self.inflight))]
+            options += [("run", rank) for rank in mesh.unstarted]
+            if mesh.timers_left:
+                options.append(("timer", None))
+            if options:
+                kind, arg = options[mesh.choose(len(options))]
+            else:  # nothing will ever arrive: only the timer is left
+                kind, arg = "timer", None
+                mesh.timers_left += 1
+            if kind == "take":
+                return self.inflight.pop(arg)
+            if kind == "run":
+                mesh.run_rank(arg)
+                continue
+            mesh.timers_left -= 1
+            mesh.now = max(mesh.now, deadline) + 1e-9
+            return None
+
+    get = poll  # chaos is always armed here: the receive path only polls
+
+
+class MeshPort(RankPort):
+    """Frames are ``(op_id, seq, crc, buf, id)``; the retransmit source
+    is a per-rank outbox cleared in ``begin_op`` as the threaded
+    carrier's is."""
+
+    integrity = True
+    abort = None
+    barrier = NoBarrier()
+    watchdog_s = 0.5
+
+    def __init__(self, mesh: "Mesh", rank: int) -> None:
+        self.mesh = mesh
+        self.rank = rank
+        self.nranks = mesh.n
+        self.chaos = mesh.chaos
+        self.status = mesh.status
+        self.last_recv = mesh.last_recv
+        self.chans = mesh.chans
+        self.outbox: dict = {}
+
+    def clock(self) -> float:
+        return self.mesh.now
+
+    def sleep(self, seconds: float) -> None:
+        self.mesh.now += seconds
+
+    def begin_op(self, wire) -> None:
+        # Safe only because of the gather: every receiver returned from
+        # the previous operation before anyone began this one.
+        self.outbox.clear()
+
+    def views(self, array):
+        store = self.mesh.stores[self.rank]
+        return store.values, store.valid
+
+    def stage(self, s, rs, op_id):
+        buf = np.empty(WIDTH)
+        pack_payload(self.views(s.array)[0], s, buf)
+        self.outbox[(s.dst, op_id, s.seq)] = buf.copy()
+        return (op_id, s.seq, payload_crc(buf), buf, self.mesh.new_id())
+
+    def payload(self, frame):
+        return frame[3]
+
+    def duplicate(self, frame):
+        return (*frame[:3], frame[3].copy(), self.mesh.new_id())
+
+    def release(self, pair, frame) -> None:
+        self.mesh.released.append(frame[4])
+        frame[3].fill(np.nan)
+
+    def retransmit(self, pair, op_id, seq):
+        return self.mesh.ports[pair[0]].outbox.get((pair[1], op_id, seq))
+
+
+class Mesh:
+    def __init__(self, n: int, plan: FaultPlan, decisions, timers: int,
+                 depth: int):
+        self.n = n
+        self.chaos = ChaosState(plan, n)
+        self.now = 0.0
+        self.decisions = list(decisions)
+        self.widths: list[int] = []  # options offered at each choice
+        self.timers = timers
+        self.depth = depth  # choice points enumerated per operation
+        self.status = StatusBlock([0] * (n * StatusBlock.STRIDE))
+        self.last_recv = [-1] * (n * n)
+        self.released: list[int] = []
+        self._ids = 0
+        self.chans = {
+            (s, d): MeshChannel(self)
+            for s in range(n) for d in range(n) if s != d
+        }
+        self.stores = [
+            SimpleNamespace(values=np.zeros(n * WIDTH),
+                            valid=np.zeros(n * WIDTH, dtype=bool))
+            for _ in range(n)
+        ]
+        self.ports = [MeshPort(self, rank) for rank in range(n)]
+        self.unstarted: list[int] = []
+        sends, seq = [], 0
+        for s in range(n):
+            for d in range(n):
+                if s != d:
+                    sends.append(SendOp(
+                        seq=seq, src=s, dst=d, array="a",
+                        index=(slice(s * WIDTH, (s + 1) * WIDTH, 1),),
+                        nbytes=WIDTH * 8,
+                    ))
+                    seq += 1
+        self.sends = sends
+
+    def new_id(self) -> int:
+        self._ids += 1
+        return self._ids
+
+    def choose(self, width: int) -> int:
+        self.choices_left -= 1
+        if self.choices_left < 0:
+            return 0  # past the enumerated depth: first option
+        at = len(self.widths)
+        self.widths.append(width)
+        return self.decisions[at] if at < len(self.decisions) else 0
+
+    def compute(self, stores, op_id: int) -> None:
+        """Each rank overwrites the slot it owns (and forgets the rest)."""
+        for rank, store in enumerate(stores):
+            store.valid[:] = False
+            own = slice(rank * WIDTH, (rank + 1) * WIDTH)
+            store.values[own] = op_id * 100.0 + rank * 10.0 + np.arange(WIDTH)
+            store.valid[own] = True
+
+    def run_rank(self, rank: int) -> None:
+        self.unstarted.remove(rank)
+        script = [{
+            "send": [s for s in self.sends if s.src == rank],
+            "local": [],
+            "recv": [s for s in self.sends if s.dst == rank],
+        }]
+        self.stats[rank] = _run_op(self.ports[rank], self.op_id, script, None)
+
+    def run_op(self, op_id: int) -> dict:
+        """Dispatch to every rank and gather every completion."""
+        self.compute(self.stores, op_id)
+        self.op_id = op_id
+        self.stats: dict = {}
+        self.timers_left = self.timers
+        self.choices_left = self.depth
+        self.unstarted = list(range(self.n))
+        while self.unstarted:
+            self.run_rank(self.unstarted[self.choose(len(self.unstarted))])
+        assert sorted(self.stats) == list(range(self.n))
+        return self.stats
+
+
+def _inline_reference(mesh: Mesh, op_ids) -> list:
+    """What ``inline`` installs for the same two operations."""
+    stores = [
+        SimpleNamespace(values=np.zeros(mesh.n * WIDTH),
+                        valid=np.zeros(mesh.n * WIDTH, dtype=bool))
+        for _ in range(mesh.n)
+    ]
+    inline = InlineTransport(mesh.n)
+    inline.start({rank: {"a": store} for rank, store in enumerate(stores)})
+    snapshots = []
+    for op_id in op_ids:
+        mesh.compute(stores, op_id)
+        inline.execute(LoweredComm("pointwise", [mesh.sends]))
+        snapshots.append([
+            (store.values.copy(), store.valid.copy()) for store in stores
+        ])
+    return snapshots
+
+
+def run_two_ops(n: int, plan: FaultPlan, decisions, timers: int = 0,
+                depth: int = 99):
+    """Operations 7 and 8 back to back; returns the mesh and the stale
+    frames seen, after checking both against the inline reference."""
+    SpyReceiver.stale = []
+    mesh = Mesh(n, plan, decisions, timers, depth)
+    reference = _inline_reference(mesh, (OP_ID, OP_ID + 1))
+    for op_id, expected in zip((OP_ID, OP_ID + 1), reference):
+        stats = mesh.run_op(op_id)
+        for store, (values, valid) in zip(mesh.stores, expected):
+            assert np.array_equal(store.valid, valid)
+            assert np.array_equal(store.values, values), (
+                f"op {op_id} installed something inline does not"
+            )
+        assert sum(rs.barrier_waits for rs in stats.values()) == 0
+        assert sum(rs.sends for rs in stats.values()) == len(mesh.sends)
+    in_flight = [f[4] for chan in mesh.chans.values() for f in chan.inflight]
+    assert sorted(mesh.released + in_flight) == list(
+        range(1, mesh._ids + 1)
+    ), "a frame's buffer leaked or was released twice"
+    return mesh, list(SpyReceiver.stale)
+
+
+def every_interleaving(n: int, plan: FaultPlan, timers: int = 0,
+                       depth: int = 99):
+    """Depth-first over every decision sequence: run with a prefix,
+    default (option 0) beyond it, then advance the prefix like an
+    odometer over the widths the run reported."""
+    decisions: list[int] = []
+    while True:
+        mesh, stale = run_two_ops(n, plan, decisions, timers, depth)
+        yield decisions, mesh, stale
+        path = (decisions + [0] * len(mesh.widths))[:len(mesh.widths)]
+        while path and path[-1] + 1 >= mesh.widths[len(path) - 1]:
+            path.pop()
+        if not path:
+            return
+        path[-1] += 1
+        decisions = path
+
+
+@pytest.fixture
+def spy_receiver(monkeypatch):
+    monkeypatch.setattr("repro.transport.base.ChannelReceiver", SpyReceiver)
+
+
+def _check_every_interleaving(n, kinds, seed, timers, depth=99) -> int:
+    plan = _plan(kinds, seed)
+    runs = 0
+    for decisions, _mesh, stale in every_interleaving(n, plan, timers, depth):
+        runs += 1
+        # A frame of the other operation is never anything but dropped.
+        assert all(action is DROP_STALE for _, _, action in stale), (
+            f"replay: run_two_ops({n}, {plan!r}, {decisions!r}, "
+            f"{timers}, {depth})"
+        )
+    return runs
+
+
+@pytest.mark.parametrize(
+    "kinds", list(_subsets()), ids=lambda kinds: "+".join(kinds) or "clean"
+)
+def test_two_consecutive_ops_on_two_ranks(spy_receiver, kinds):
+    for seed in (1, 2):
+        assert _check_every_interleaving(2, kinds, seed, timers=1) > 1
+
+
+@pytest.mark.parametrize("kinds,timers,depth", [
+    ((), 0, 99), ((), 1, 5), (("drop",), 1, 99), (("dup",), 0, 5),
+    (FAULTS, 1, 4),
+], ids=lambda v: ("+".join(v) or "clean") if isinstance(v, tuple) else str(v))
+def test_two_consecutive_ops_on_three_ranks(spy_receiver, kinds, timers,
+                                            depth):
+    # ``depth`` bounds the choice points enumerated per operation where
+    # the full tree is too large; the rest take the first option.
+    assert _check_every_interleaving(3, kinds, 1, timers, depth) > 1
+
+
+def test_late_duplicate_of_op_k_is_drop_stale_in_op_k_plus_1(spy_receiver):
+    # Every send is duplicated; each receiver installs the original and
+    # returns, so the duplicates cross the operation boundary in flight.
+    plan = FaultPlan(seed=1, dup=1.0)
+    mesh, stale = run_two_ops(3, plan, [])
+    assert stale, "no duplicate outlived its operation"
+    assert {(frame_op, rx_op) for frame_op, rx_op, _ in stale} == {
+        (OP_ID, OP_ID + 1)
+    }
+    assert all(action is DROP_STALE for _, _, action in stale)
+    assert len(stale) == len(mesh.sends)  # one late duplicate per channel

@@ -1,0 +1,177 @@
+"""The synchronisation structure of the concurrent transport driver.
+
+Counted and timed against the protocol's own constants, never against
+a throughput number: a receive blocks on its channel (no sleep-poll), a
+barrier stands only between the rounds of one operation, an abort
+reaches a blocked receiver within a few wait slices, and a dead worker
+is found on the collector's next idle wake-up.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.core.pipeline import Strategy, compile_program
+from repro.evaluation.programs import BENCHMARKS
+from repro.runtime.spmd import SPMDExecutor, execute_spmd
+from repro.transport import DeadlockError, TransportError, make_transport
+from repro.transport import base
+from repro.transport.lowering import SendOp
+
+from test_transport import ALLGATHER_SRC, SMALL
+
+CONCURRENT = ["threaded", "multiprocess"]
+
+
+def test_clean_threaded_run_never_sleeps(monkeypatch):
+    # repro.transport.base's ``time`` is the interpreter's: no code on
+    # the threaded wire path (threaded.py imports no clock at all) may
+    # wait by sleeping.
+    def no_sleep(seconds):
+        raise AssertionError(f"time.sleep({seconds}) on the wire path")
+
+    result = compile_program(
+        BENCHMARKS["shallow"], params=SMALL["shallow"],
+        strategy=Strategy.GLOBAL,
+    )
+    expected, _ = execute_spmd(result)
+    monkeypatch.setattr(base.time, "sleep", no_sleep)
+    arrays, stats = execute_spmd(result, transport="threaded")
+    for name, value in expected.items():
+        np.testing.assert_array_equal(arrays[name], value)
+    assert not stats.degradations
+
+
+class TestBarrierWaits:
+    """``RankOpStats.barrier_waits``: rounds - 1 per rank and lowered
+    operation, nothing at its end, nothing in a reduce."""
+
+    def _log(self, source, params, backend):
+        """(algorithm, rounds, rank -> barrier waits) per operation."""
+        result = compile_program(
+            source, params=params, strategy=Strategy.GLOBAL
+        )
+        executor = SPMDExecutor(result, transport=backend)
+        transport = executor.transport
+        waits: dict[int, int] = {}
+        log = []
+        absorb = transport.stats.absorb
+        execute = transport.execute
+        reduce = transport.reduce
+
+        def spying_absorb(rank, rs):
+            waits[rank] = rs.barrier_waits
+            absorb(rank, rs)
+
+        def spying_execute(lowered):
+            waits.clear()
+            receipt = execute(lowered)
+            log.append((lowered.algorithm, len(lowered.rounds), dict(waits)))
+            return receipt
+
+        def spying_reduce(pieces, op):
+            waits.clear()
+            out = reduce(pieces, op)
+            log.append(("reduce-tree", 0, dict(waits)))
+            return out
+
+        transport.stats.absorb = spying_absorb
+        transport.execute = spying_execute
+        transport.reduce = spying_reduce
+        try:
+            executor.run()
+        finally:
+            executor.close()
+        return log, len(executor.ranks), executor.wire
+
+    @pytest.mark.parametrize("backend", CONCURRENT)
+    def test_k_round_ring_waits_k_minus_one_times(self, backend):
+        log, nranks, wire = self._log(ALLGATHER_SRC, None, backend)
+        rings = [row for row in log if row[0] == "ring-allgather"]
+        assert rings
+        for _algorithm, rounds, waits in rings:
+            assert rounds == nranks - 1
+            assert waits == {rank: rounds - 1 for rank in range(nranks)}
+        assert wire.barrier_waits == sum(
+            sum(waits.values()) for _, _, waits in log
+        )
+
+    @pytest.mark.parametrize("backend", CONCURRENT)
+    def test_single_round_ops_and_reduces_never_wait(self, backend):
+        log, nranks, wire = self._log(
+            BENCHMARKS["gravity"], SMALL["gravity"], backend
+        )
+        assert {row[0] for row in log} >= {"neighbor-exchange", "reduce-tree"}
+        for algorithm, rounds, waits in log:
+            assert rounds <= 1, algorithm
+            assert waits == {rank: 0 for rank in range(nranks)}, algorithm
+        assert wire.barrier_waits == 0
+        assert wire.collect_s > 0.0
+        assert wire.as_dict()["collect_s"] == round(wire.collect_s, 6)
+        assert wire.as_dict()["barrier_waits"] == 0
+
+
+def _starved_scripts(nranks: int, victim: int, src: int, seq: int = 5):
+    """Rank ``victim`` expects ``seq`` from ``src``; nobody sends it."""
+    scripts = {
+        rank: [{"send": [], "local": [], "recv": []}]
+        for rank in range(nranks)
+    }
+    scripts[victim][0]["recv"].append(SendOp(
+        seq=seq, src=src, dst=victim, array="x",
+        index=(slice(0, 1, 1),), nbytes=8,
+    ))
+    return scripts
+
+
+@pytest.mark.parametrize("backend", CONCURRENT)
+def test_blocked_receiver_is_named_then_released_by_abort(backend):
+    transport = make_transport(backend, 3, watchdog_s=0.5)
+    try:
+        transport.start({rank: {} for rank in range(3)})
+        with pytest.raises(DeadlockError) as err:
+            transport._dispatch(_starved_scripts(3, 2, 0), "pointwise")
+        # ``_deadlock`` called ``_abort_fleet()`` just before raising.
+        aborted_at = time.monotonic()
+        assert transport._abort.is_set()
+        stuck = {s["rank"]: s for s in err.value.stuck}
+        assert set(stuck) == {2}
+        assert stuck[2]["state"] == "waiting on recv"
+        assert stuck[2]["waiting_on"] == "message seq 5 from rank 0"
+        assert "message seq 5 from rank 0" in str(err.value)
+        while transport._status.describe(2)["state"] != "idle":
+            assert time.monotonic() - aborted_at < 0.1, (
+                "receiver still blocked 0.1 s after the abort"
+            )
+            time.sleep(0.002)
+    finally:
+        transport.shutdown()
+
+
+def test_killed_worker_is_reported_on_the_next_idle_wakeup():
+    transport = make_transport("multiprocess", 2, watchdog_s=30.0)
+    killed_at = []
+
+    def kill():
+        transport._procs[1].kill()
+        killed_at.append(time.monotonic())
+
+    timer = threading.Timer(0.3, kill)
+    try:
+        transport.start({})
+        timer.start()
+        # Rank 0 completes at once, rank 1 blocks in a receive — mid-op
+        # when it is killed.
+        with pytest.raises(TransportError, match=r"rank\(s\) \[1\] died"):
+            transport._dispatch(_starved_scripts(2, 1, 0), "pointwise")
+        reported_at = time.monotonic()
+        assert killed_at, "the operation failed before the worker was killed"
+        assert reported_at - killed_at[0] < 2 * base._LIVENESS_S
+    finally:
+        timer.cancel()
+        timer.join(5.0)
+        transport.shutdown()

@@ -33,15 +33,23 @@ class Affine:
     __slots__ = ("const", "coeffs", "_hash")
 
     def __init__(self, const: int = 0, coeffs: Mapping[str, int] | None = None) -> None:
-        self.const = int(const)
-        items = {}
+        if type(const) is not int:
+            const = int(const)
+        self.const = const
+        items = _NO_COEFFS
         if coeffs:
+            items = {}
             for name, c in coeffs.items():
-                c = int(c)
-                if c != 0:
+                if type(c) is not int:
+                    c = int(c)  # bool, numpy.integer
+                if c:
                     items[name] = c
-        self.coeffs = dict(sorted(items.items()))
-        self._hash = hash((self.const, tuple(self.coeffs.items())))
+            if len(items) > 1:
+                items = dict(sorted(items.items()))
+            elif not items:
+                items = _NO_COEFFS
+        self.coeffs = items
+        self._hash = hash((const, tuple(items.items())))
 
     # -- constructors ------------------------------------------------------
 
@@ -98,10 +106,13 @@ class Affine:
     def __sub__(self, other: "Affine | int") -> "Affine":
         if isinstance(other, int):
             return Affine(self.const - other, self.coeffs)
-        return self + (-other)
+        merged = dict(self.coeffs)
+        for name, c in other.coeffs.items():
+            merged[name] = merged.get(name, 0) - c
+        return Affine(self.const - other.const, merged)
 
     def __rsub__(self, other: int) -> "Affine":
-        return (-self) + other
+        return Affine(other - self.const, {n: -c for n, c in self.coeffs.items()})
 
     def scaled(self, factor: int) -> "Affine":
         if factor == 0:
@@ -123,20 +134,29 @@ class Affine:
 
     def substitute(self, name: str, replacement: "Affine | int") -> "Affine":
         """Replace ``name`` with ``replacement`` throughout."""
-        c = self.coeffs.get(name, 0)
-        if c == 0:
-            return self
-        rest = {n: k for n, k in self.coeffs.items() if n != name}
-        base = Affine(self.const, rest)
-        if isinstance(replacement, int):
-            return base + c * replacement
-        return base + replacement.scaled(c)
+        return self.substitute_all({name: replacement})
 
     def substitute_all(self, bindings: Mapping[str, "Affine | int"]) -> "Affine":
-        out = self
+        """Apply ``bindings`` one after the other (a later binding sees
+        the symbols an earlier replacement introduced)."""
+        const = self.const
+        merged: dict[str, int] | None = None
         for name, repl in bindings.items():
-            out = out.substitute(name, repl)
-        return out
+            c = (self.coeffs if merged is None else merged).get(name)
+            if not c:
+                continue
+            if merged is None:
+                merged = dict(self.coeffs)
+            del merged[name]
+            if isinstance(repl, int):
+                const += c * repl
+                continue
+            const += c * repl.const
+            for n, k in repl.coeffs.items():
+                merged[n] = merged.get(n, 0) + c * k
+        if merged is None:
+            return self
+        return Affine(const, merged)
 
     def evaluate(self, env: Mapping[str, int]) -> int:
         """Evaluate to an integer; every symbol must be bound in ``env``."""
@@ -198,6 +218,9 @@ class Affine:
                 parts.append(str(self.const))
         return "".join(parts)
 
+
+# Every constant form shares this mapping; ``coeffs`` is never mutated.
+_NO_COEFFS: dict[str, int] = {}
 
 # Interning pools for the overwhelmingly common forms (Affine is immutable,
 # so sharing is safe).  Constants cover typical bounds/offsets; the symbol

@@ -34,6 +34,8 @@ any pass with a single ``monkeypatch.setattr`` on this module.
 from __future__ import annotations
 
 import enum
+import gc
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
@@ -354,6 +356,93 @@ class EarliestPlacementPass(PlacementPass):
         return {"redundant": 0}
 
 
+class _CollectorQuiet:
+    """One compile is one collector-quiet region.
+
+    A compile is a bounded batch allocation whose objects almost all
+    survive into the returned result, so generational passes triggered
+    mid-compile traverse the caller's heap and find nothing.  The region
+    pauses the cyclic collector while any compile is inside (compiles may
+    nest or run on several threads) and puts back what the outermost one
+    found: a collector its caller had disabled stays disabled.  It never
+    collects; the interpreter's thresholds do, on the first allocation
+    after the region.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        # ``release()`` takes no arguments where leaving a ``with`` block
+        # builds a tuple for the lock's ``__exit__``: once the collector
+        # is back on, nothing here allocates, so the young pass over the
+        # compile's survivors runs in the caller, after the result is its.
+        self._lock.acquire()
+        try:
+            self._depth -= 1
+            if self._depth == 0 and self._was_enabled:
+                gc.enable()
+        finally:
+            self._lock.release()
+
+
+_collector_quiet = _CollectorQuiet()
+
+
+def _compile(
+    source: "str | ast.Program",
+    params: dict[str, int] | None,
+    strategies: "list[Strategy]",
+    opts: CompilerOptions,
+    dump_after: tuple[str, ...],
+    dump_stream: Optional[TextIO],
+) -> list[CompilationResult]:
+    """The front half (parse → elaborate → scalarize → elaborate →
+    analysis context) once, then one pass pipeline per strategy over that
+    context, all inside the collector-quiet region and the crash-free
+    frontier: any failure surfaces as a :class:`ReproError` subclass — an
+    unexpected exception (a compiler bug) is wrapped in
+    :class:`InternalCompilerError` rather than escaping raw, unless
+    ``opts.strict`` asks for the original."""
+    results: list[CompilationResult] = []
+    with _collector_quiet:
+        try:
+            program = parse(source) if isinstance(source, str) else source
+            info = elaborate(program, params)
+            scalarized = scalarize(program, info)
+            info = elaborate(scalarized, params)
+            ctx = AnalysisContext(info, opts)
+            for strat in strategies:
+                faults: list[DegradationEvent] = []
+                traces: list[PassTrace] = []
+                manager = PassManager.for_strategy(
+                    strat, opts, include_analysis=True,
+                    dump_after=dump_after, dump_stream=dump_stream,
+                )
+                run = manager.execute(ctx, [], faults, traces)
+                results.append(CompilationResult(
+                    ctx, strat, run.entries, run.placed, run.stats, faults, traces
+                ))
+        except ReproError:
+            raise
+        except Exception as exc:
+            if opts.strict:
+                raise
+            raise InternalCompilerError(
+                f"unexpected {type(exc).__name__} during compilation: {exc}"
+            ) from exc
+    return results
+
+
 def compile_program(
     source: "str | ast.Program",
     params: dict[str, int] | None = None,
@@ -375,32 +464,12 @@ def compile_program(
     can assert on the original type.
     """
     strat = Strategy.parse(strategy)  # bad strategy names raise ValueError
-    opts = options or CompilerOptions()
-    faults: list[DegradationEvent] = []
-    traces: list[PassTrace] = []
-    try:
-        program = parse(source) if isinstance(source, str) else source
-        info = elaborate(program, params)
-        scalarized = scalarize(program, info)
-        info = elaborate(scalarized, params)
-
-        ctx = AnalysisContext(info, opts)
-        manager = PassManager.for_strategy(
-            strat, opts, include_analysis=True,
-            dump_after=dump_after, dump_stream=dump_stream,
-        )
-        run = manager.execute(ctx, [], faults, traces)
-    except ReproError:
-        raise
-    except Exception as exc:
-        if opts.strict:
-            raise
-        raise InternalCompilerError(
-            f"unexpected {type(exc).__name__} during compilation: {exc}"
-        ) from exc
-    return CompilationResult(
-        ctx, strat, run.entries, run.placed, run.stats, faults, traces
-    )
+    # Subscripted, not unpacked: unpacking may allocate an iterator, and
+    # the first allocation after the quiet region runs the young pass.
+    return _compile(
+        source, params, [strat], options or CompilerOptions(),
+        dump_after, dump_stream,
+    )[0]
 
 
 def compile_all_strategies(
@@ -420,40 +489,9 @@ def compile_all_strategies(
     its memoized verdict caches, so later strategies hit the section and
     subsumption caches the first strategy warmed.
     """
-    opts = options or CompilerOptions()
-    try:
-        program = parse(source) if isinstance(source, str) else source
-        info = elaborate(program, params)
-        scalarized = scalarize(program, info)
-        info = elaborate(scalarized, params)
-        ctx = AnalysisContext(info, opts)
-    except ReproError:
-        raise
-    except Exception as exc:
-        if opts.strict:
-            raise
-        raise InternalCompilerError(
-            f"unexpected {type(exc).__name__} during compilation: {exc}"
-        ) from exc
-    results: dict[Strategy, CompilationResult] = {}
-    for strat in Strategy:
-        faults: list[DegradationEvent] = []
-        traces: list[PassTrace] = []
-        try:
-            manager = PassManager.for_strategy(
-                strat, opts, include_analysis=True,
-                dump_after=dump_after, dump_stream=dump_stream,
-            )
-            run = manager.execute(ctx, [], faults, traces)
-        except ReproError:
-            raise
-        except Exception as exc:
-            if opts.strict:
-                raise
-            raise InternalCompilerError(
-                f"unexpected {type(exc).__name__} during compilation: {exc}"
-            ) from exc
-        results[strat] = CompilationResult(
-            ctx, strat, run.entries, run.placed, run.stats, faults, traces
-        )
-    return results
+    strategies = list(Strategy)
+    results = _compile(
+        source, params, strategies, options or CompilerOptions(),
+        dump_after, dump_stream,
+    )
+    return dict(zip(strategies, results))

@@ -54,6 +54,8 @@ class LoopContext:
         self.loops: list[NormalizedLoop] = []
         self._subst: dict[str, Affine] = {}  # original var -> affine in norm vars
         self._ranges: dict[str, tuple[int, int]] = {}  # norm var -> [0, trip_max]
+        # id(ref) -> (ref, normalized subscript forms); see subscript_forms
+        self._ref_forms: dict[int, tuple[ast.ArrayRef, list[Affine]]] = {}
 
         for loop in loops:
             stmt = loop.stmt
@@ -89,7 +91,9 @@ class LoopContext:
 
     @property
     def norm_ranges(self) -> dict[str, tuple[int, int]]:
-        return dict(self._ranges)
+        """Range of every normalized variable.  Shared, not copied: callers
+        that add variables of their own copy it first."""
+        return self._ranges
 
     def normalize(self, form: Affine) -> Affine:
         """Rewrite a subscript affine form into normalized variables."""
@@ -97,8 +101,12 @@ class LoopContext:
 
     def subscript_forms(self, ref: ast.ArrayRef) -> list[Affine]:
         """Affine forms (normalized) of every subscript of an element
-        reference.  Section subscripts are widened to their full triplet
-        handled elsewhere; here they are rejected."""
+        reference.  They depend on the reference and this nest only, so
+        each reference is normalized once per context; the table pins the
+        reference, which keeps its ``id`` from being reused."""
+        known = self._ref_forms.get(id(ref))
+        if known is not None:
+            return known[1]
         forms: list[Affine] = []
         for sub in ref.subscripts:
             if isinstance(sub, ast.Triplet):
@@ -113,6 +121,7 @@ class LoopContext:
                     f"non-affine subscript {sub.expr} in {ref}: {exc}"
                 ) from None
             forms.append(self.normalize(form))
+        self._ref_forms[id(ref)] = (ref, forms)
         return forms
 
 

@@ -25,7 +25,7 @@ from ..frontend import ast_nodes as ast
 from ..frontend.analysis import ProgramInfo
 from ..ir.cfg import CFG, Loop
 from ..perf.stats import CacheStats
-from .subscripts import LoopContext, common_prefix_length
+from .subscripts import LoopContext, NormalizedLoop, common_prefix_length
 
 _fresh = itertools.count()
 
@@ -76,13 +76,15 @@ NO_DEP = DepResult(frozenset(), False, 0)
 
 @dataclass
 class _RefForms:
-    """Normalized affine subscript forms for one reference, with the free
-    ranges of its private (non-common) variables."""
+    """One reference as the feasibility test sees it: normalized affine
+    subscript forms, the ranges of every variable they mention, and the
+    normalized loop nest (the first ``cnl`` loops are the common ones).
+    A view: ``forms`` and ``ranges`` belong to the :class:`LoopContext`
+    unless the reference has triplet subscripts."""
 
     forms: list[Affine]
     ranges: dict[str, tuple[int, int]]
-    common_vars: list[str]  # normalized names of the common-loop variables
-    common_trips: list[int]
+    loops: list[NormalizedLoop]
 
 
 class DependenceTester:
@@ -100,6 +102,9 @@ class DependenceTester:
         self.cache_enabled = cache_enabled
         self.stats = stats
         self._cache: dict[tuple, DepResult] = {}
+        # Equal verdicts are one object: a compile keeps a verdict per
+        # (def, use) pair but only a handful of distinct ones.
+        self._verdicts: dict[DepResult, DepResult] = {}
         # LoopContext is a pure function of (loop chain, tag): normalized
         # names derive from loop var/depth, no fresh symbols are minted.
         self._loopctx_cache: dict[tuple, LoopContext] = {}
@@ -161,38 +166,39 @@ class DependenceTester:
         cnl = common_prefix_length(def_loops, use_loops)
 
         try:
-            d = self._ref_forms(def_ref, def_loops, cnl, side="d")
-            u = self._ref_forms(use_ref, use_loops, cnl, side="u")
+            d = self._ref_forms(def_ref, def_loops, side="d")
+            u = self._ref_forms(use_ref, use_loops, side="u")
         except DependenceError:
             # Non-affine subscripts: assume everything, conservatively.
-            levels = frozenset(range(1, cnl + 1))
+            carried = frozenset(range(1, cnl + 1))
             independent = self.precedes_forward(def_stmt, use_stmt)
-            return DepResult(levels, independent, cnl)
-
-        carried = frozenset(
-            level
-            for level in range(1, cnl + 1)
-            if self._feasible(d, u, cnl, carried_level=level)
-        )
-        independent = self._feasible(
-            d, u, cnl, carried_level=None
-        ) and self.precedes_forward(def_stmt, use_stmt)
-        return DepResult(carried, independent, cnl)
+        else:
+            carried = frozenset(
+                level
+                for level in range(1, cnl + 1)
+                if self._feasible(d, u, cnl, carried_level=level)
+            )
+            independent = self._feasible(
+                d, u, cnl, carried_level=None
+            ) and self.precedes_forward(def_stmt, use_stmt)
+        result = DepResult(carried, independent, cnl)
+        return self._verdicts.setdefault(result, result)
 
     # -- reference forms -------------------------------------------------------
 
     def _ref_forms(
-        self, ref: ast.ArrayRef, loops: list[Loop], cnl: int, side: str
+        self, ref: ast.ArrayRef, loops: list[Loop], side: str
     ) -> _RefForms:
-        """Normalized subscript forms.  Common loops (first ``cnl``) are
-        named consistently between the two sides so equality constraints
-        can be expressed by renaming; deeper loops and triplet dimensions
-        get side-private variables."""
+        """Normalized subscript forms.  Loops are named by variable, depth
+        and side, so the common loops of the two sides line up and
+        equality constraints can be expressed by renaming.  An element
+        reference is normalized once per loop context; a triplet
+        dimension gets a fresh side-private variable on every call."""
         ctx = self._loop_context(loops, side)
-        ranges = ctx.norm_ranges
-        common_vars = [nl.norm_var for nl in ctx.loops[:cnl]]
-        common_trips = [nl.trip_max for nl in ctx.loops[:cnl]]
+        if not ref.has_section:
+            return _RefForms(ctx.subscript_forms(ref), ctx.norm_ranges, ctx.loops)
 
+        ranges = dict(ctx.norm_ranges)
         forms: list[Affine] = []
         for dim, sub in enumerate(ref.subscripts):
             if isinstance(sub, ast.Index):
@@ -208,12 +214,13 @@ class DependenceTester:
                 var = f"_t{side}{next(_fresh)}"
                 ranges[var] = (0, count_max)
                 forms.append(lo + Affine.symbol(var, step))
-        return _RefForms(forms, ranges, common_vars, common_trips)
+        return _RefForms(forms, ranges, ctx.loops)
 
     def _loop_context(self, loops: list[Loop], tag: str) -> LoopContext:
         if not self.cache_enabled:
             return LoopContext(self.info, loops, tag=tag)
-        key = (tag, tuple(l.stmt.sid for l in loops))
+        # The innermost loop determines the chain of its ancestors.
+        key = (tag, loops[-1].stmt.sid if loops else None)
         ctx = self._loopctx_cache.get(key)
         if ctx is None:
             ctx = LoopContext(self.info, loops, tag=tag)
@@ -259,8 +266,8 @@ class DependenceTester:
         subst: dict[str, Affine] = {}
         ranges: dict[str, tuple[int, int]] = dict(d.ranges)
         for j in range(cnl):
-            d_var, u_var = d.common_vars[j], u.common_vars[j]
-            trip = min(d.common_trips[j], u.common_trips[j])
+            d_var, u_var = d.loops[j].norm_var, u.loops[j].norm_var
+            trip = min(d.loops[j].trip_max, u.loops[j].trip_max)
             if carried_level is None or j + 1 < carried_level:
                 subst[u_var] = Affine.symbol(d_var)
             elif j + 1 == carried_level:

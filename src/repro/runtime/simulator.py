@@ -21,7 +21,6 @@ factor, and how the gap changes with problem size), not absolute seconds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..comm.compatibility import message_volume
@@ -33,6 +32,7 @@ from ..comm.patterns import (
 )
 from ..core.pipeline import CompilationResult
 from ..core.state import PlacedComm
+from ..cost.lower_bound import reduction_tree_messages
 from ..frontend import ast_nodes as ast
 from ..ir.cfg import Loop, Node
 from ..machine.model import MachineModel
@@ -204,8 +204,7 @@ class Simulator:
             messages = max(1, mapping.partners)
             wire = total_bytes / m.bandwidth_bps
         elif isinstance(mapping, ReductionMapping):
-            procs = mapping.procs_combined()
-            messages = 2 * max(1, math.ceil(math.log2(max(procs, 2))))
+            messages = reduction_tree_messages(mapping.procs_combined())
             wire = messages * total_bytes / m.bandwidth_bps
         elif isinstance(mapping, AllGatherMapping):
             procs = mapping.procs_combined()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import textwrap
 import threading
@@ -38,6 +39,24 @@ def no_leaked_ranks():
             rank.join(5.0)
     assert not leaked, (
         f"ranks left running: {sorted(r.name for r in leaked)}"
+    )
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_collector_pause(request):
+    """A test must leave the cyclic collector as it found it: a compile's
+    collector-quiet region (or a test's own ``gc.disable``) that is still
+    in force afterwards fails the test that leaked it, and is undone so
+    the tests after it do not inherit the pause."""
+    before = gc.isenabled()
+    yield
+    after = gc.isenabled()
+    if after != before:
+        (gc.enable if before else gc.disable)()
+    assert after == before, (
+        f"{request.node.nodeid} left the collector "
+        f"{'enabled' if after else 'disabled'} (it was "
+        f"{'enabled' if before else 'disabled'} when the test began)"
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,3 +151,133 @@ class TestProperties:
         # Display must be deterministic and non-empty.
         assert str(a) == str(Affine(a.const, a.coeffs))
         assert str(a)
+
+
+# -- the lean value against a plain-dict reference model ----------------------
+#
+# The model is ``(const, {name: coeff})`` with no canonical form at all:
+# zeros may be stored, order is whatever the operations produced.  Only
+# ``canon`` (drop zeros, sort) stands between it and an ``Affine``.
+
+
+def canon(const, coeffs):
+    return int(const), {n: int(c) for n, c in sorted(coeffs.items()) if c}
+
+
+def model_of(form):
+    return form.const, dict(form.coeffs)
+
+
+def model_substitute(model, name, repl):
+    const, coeffs = model[0], dict(model[1])
+    c = coeffs.pop(name, 0)
+    if isinstance(repl, int):
+        return const + c * repl, coeffs
+    for n, k in repl[1].items():
+        coeffs[n] = coeffs.get(n, 0) + c * k
+    return const + c * repl[0], coeffs
+
+
+def disguised(draw, value):
+    """``value`` as an ``int``, or as an equal ``bool`` / ``numpy`` integer."""
+    kinds = [int, np.int64, np.int32]
+    if value in (0, 1):
+        kinds.append(bool)
+    return draw(st.sampled_from(kinds))(value)
+
+
+@st.composite
+def spelled_twice(draw):
+    """One form, its canonical model, and two arbitrary spellings of it:
+    terms in any order, zero terms added, values of any integer type."""
+    const = draw(st.integers(-50, 50))
+    coeffs = draw(
+        st.dictionaries(st.sampled_from(SYMS + ["a'd1", "_delta0"]),
+                        st.integers(-5, 5), max_size=5)
+    )
+    spellings = []
+    for _ in range(2):
+        terms = draw(st.permutations(list(coeffs.items())))
+        spellings.append((
+            disguised(draw, const),
+            {name: disguised(draw, c) for name, c in terms},
+        ))
+    return canon(const, coeffs), spellings
+
+
+def binding_st():
+    return st.one_of(st.integers(-9, 9), affine_st())
+
+
+class TestAgainstDictModel:
+    @given(spelled_twice())
+    def test_spelling_never_shows(self, case):
+        (const, coeffs), spellings = case
+        a, b = (Affine(c, k) for c, k in spellings)
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
+        assert hash(a) == hash((const, tuple(coeffs.items())))
+        for form in (a, b):
+            assert type(form.const) is int and form.const == const
+            assert list(form.coeffs.items()) == list(coeffs.items())
+            assert all(type(c) is int for c in form.coeffs.values())
+
+    @given(st.integers(-50, 50))
+    def test_constant_forms_share_one_empty_mapping(self, value):
+        assert Affine(value).coeffs is Affine(value, {"i": 0}).coeffs
+        assert Affine(value).coeffs == {}
+
+    @given(affine_st(), affine_st())
+    def test_sub_is_add_of_negation(self, a, b):
+        assert a - b == a + (-b)
+        assert hash(a - b) == hash(a + (-b)) and str(a - b) == str(a + (-b))
+        assert model_of(a - b) == canon(
+            a.const - b.const,
+            {n: a.coeff(n) - b.coeff(n) for n in a.symbols | b.symbols},
+        )
+
+    @given(affine_st(), st.integers(-60, 60))
+    def test_int_operands(self, a, k):
+        assert a - k == a + (-k) == Affine(a.const - k, a.coeffs)
+        assert k - a == (-a) + k == Affine(k - a.const, (-a).coeffs)
+
+    @given(affine_st(), st.integers(-7, 7))
+    def test_scaled(self, a, k):
+        assert model_of(a.scaled(k)) == canon(
+            a.const * k, {n: c * k for n, c in a.coeffs.items()}
+        )
+
+    @given(affine_st(), st.sampled_from(SYMS), binding_st())
+    def test_substitute(self, a, name, repl):
+        expected = model_substitute(
+            model_of(a), name, repl if isinstance(repl, int) else model_of(repl)
+        )
+        assert model_of(a.substitute(name, repl)) == canon(*expected)
+
+    @given(affine_st(),
+           st.dictionaries(st.sampled_from(SYMS), binding_st(), max_size=4))
+    def test_substitute_all_is_substitute_in_order(self, a, bindings):
+        expected, stepwise = model_of(a), a
+        for name, repl in bindings.items():
+            expected = model_substitute(
+                expected, name,
+                repl if isinstance(repl, int) else model_of(repl),
+            )
+            stepwise = stepwise.substitute(name, repl)
+        out = a.substitute_all(bindings)
+        assert model_of(out) == canon(*expected)
+        assert out == stepwise and hash(out) == hash(stepwise)
+        if not any(name in a.coeffs for name in bindings):
+            assert out is a
+
+    @given(affine_st(), env_st())
+    def test_evaluate_and_interval(self, a, env):
+        const, coeffs = model_of(a)
+        assert a.evaluate(env) == const + sum(c * env[n] for n, c in coeffs.items())
+        ranges = {s: (v - 2, v + 3) for s, v in env.items()}
+        corners = [
+            (c * ranges[n][0], c * ranges[n][1]) for n, c in coeffs.items()
+        ]
+        assert a.interval(ranges) == (
+            const + sum(min(pair) for pair in corners),
+            const + sum(max(pair) for pair in corners),
+        )

@@ -12,7 +12,9 @@ from repro.core.state import PlacedComm
 from repro.cost.lower_bound import reduction_tree_messages
 from repro.errors import SimulationError
 from repro.evaluation.programs import BENCHMARKS
+from repro.machine.model import SP2
 from repro.runtime.interp import interpret
+from repro.runtime.simulator import simulate
 from repro.runtime.spmd import SPMDExecutor, execute_spmd
 from repro.transport import BACKENDS, make_transport
 from repro.transport.base import combine_pieces
@@ -213,3 +215,17 @@ class TestReductionMessageFormula:
             _, stats = execute_spmd(result, transport=backend)
             assert stats.reductions == 8 * PLANES
             assert stats.messages == 0
+
+    def test_simulator_agrees_with_executor_on_one_rank(self):
+        # "simulator counts = executed wire counts" at P = 1: the
+        # simulator held its own copy of the formula, which charged 2.
+        result = compile_program(
+            BENCHMARKS["gravity"], params={"n": 8, "pr": 1, "pc": 1}
+        )
+        _, stats = execute_spmd(result)
+        simulated = sum(
+            cost.total_messages
+            for cost in simulate(result, SP2).comm_ops
+            if cost.op.kind == "reduction"
+        )
+        assert simulated == stats.messages == 0

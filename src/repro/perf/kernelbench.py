@@ -126,6 +126,7 @@ def _run_tier(result, tier: str) -> tuple[dict[str, Any], dict]:
         ),
         "messages": stats.messages,
         "bytes_moved": stats.bytes_moved,
+        "sections_verified": stats.sections_verified,
         "kernel": {
             "tier": stats.kernel_tier,
             "fallback_reason": stats.kernel_fallback_reason,
@@ -272,7 +273,7 @@ def format_kernel_bench(payload: dict[str, Any]) -> str:
     header = (
         f"{'P':>4s} {'ladder':6s} {'program':16s} {'n':>5s} "
         f"{'kern':>9s} {'vec':>9s} {'speedup':>8s} {'elem/s':>12s} "
-        f"{'B/elem':>7s} {'exact':>6s}"
+        f"{'B/elem':>7s} {'exact':>6s} {'checks kern/vec':>16s}"
     )
     lines.append(header)
     for p, sweep in payload["sweeps"].items():
@@ -281,6 +282,12 @@ def format_kernel_bench(payload: dict[str, Any]) -> str:
                 kern = cell["kernel"]
                 vec = cell.get("vectorized")
                 speedup = cell.get("speedup")
+                # freshness tests made: the read cover against the
+                # per-reference count of the interpreted block path
+                checks = (
+                    f"{kern.get('sections_verified', '—')}/"
+                    f"{vec.get('sections_verified', '—') if vec else '—'}"
+                )
                 lines.append(
                     f"{p:>4s} {ladder:6s} {name:16s} "
                     f"{cell['params']['n']:5d} "
@@ -292,6 +299,7 @@ def format_kernel_bench(payload: dict[str, Any]) -> str:
                     f"{kern['bytes_per_element'] or 0:7.2f} "
                     + (f"{'yes' if cell['bitwise_identical'] else 'NO':>6s}"
                        if "bitwise_identical" in cell else f"{'—':>6s}")
+                    + f" {checks:>16s}"
                 )
         reg = sweep["regression"]
         if reg is not None:

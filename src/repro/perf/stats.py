@@ -85,7 +85,14 @@ class RuntimeStats:
     loop-nest executions ran as whole-block numpy operations versus the
     element-wise interpreter path.  ``block_firings`` is the part of
     ``vectorized_firings`` that took the interpreted block path instead
-    of an emitted kernel.
+    of an emitted kernel.  ``sections_verified`` counts the (rank,
+    section) freshness tests — validity mask full, values equal to the
+    sequential shadow — made by nest kernels, copy kernels, reductions
+    and transport sends.  Nest kernels test the read *cover* (the fewest
+    sections holding exactly a rank's reads of an array), the interpreted
+    block path tests per reference, so ``kernels="off"`` reports a larger
+    number for the same elements; per-element reads of the element-wise
+    path are not sections and are not counted.
 
     The kernel counters instrument the fused-codegen layer
     (:mod:`repro.runtime.kernels`): ``kernel_compiles``/
@@ -110,6 +117,7 @@ class RuntimeStats:
     reductions: int = 0
     remote_reads: int = 0
     bcopy_calls: int = 0
+    sections_verified: int = 0
     elements_written: int = 0
     plan_compiles: int = 0
     plan_cache_hits: int = 0
@@ -158,6 +166,7 @@ class RuntimeStats:
             "reductions": self.reductions,
             "remote_reads": self.remote_reads,
             "bcopy_calls": self.bcopy_calls,
+            "sections_verified": self.sections_verified,
             "elements_written": self.elements_written,
             "plan_compiles": self.plan_compiles,
             "plan_cache_hits": self.plan_cache_hits,

@@ -20,6 +20,33 @@ from ..distribution.layout import DistFormat, Layout
 from ..errors import SimulationError
 from ..sections.rsd import RSD, DimSection
 
+try:  # numpy >= 2 puts a Python wrapper in front of this C function
+    from numpy._core.multiarray import count_nonzero
+except ImportError:  # pragma: no cover - numpy 1.x
+    from numpy import count_nonzero
+
+
+def all_valid(valid: np.ndarray) -> bool:
+    """Every element of the validity view is set (one C call)."""
+    return count_nonzero(valid) == valid.size
+
+
+def fresh(values, expected) -> bool:
+    """``values`` carry the bits the sequential semantics hold in
+    ``expected``.  With :func:`all_valid` the runtime's one freshness
+    idiom; :func:`repro.runtime.kernels.emit_checks` spells the same
+    fast paths inline.  The fast path is an element-wise compare and a
+    count, two C calls; only a mismatch reaches the NaN-aware compare: a
+    NaN the semantics also produce is not stale, anything else is."""
+    return not count_nonzero(values != expected) or np.array_equal(
+        values, expected, equal_nan=True
+    )
+
+
+def np_index(rsd: RSD) -> tuple:
+    """The 0-based numpy index of a (1-based, inclusive) section."""
+    return tuple(slice(d.lo - 1, d.hi, d.step) for d in rsd.dims)
+
 
 @dataclass(frozen=True)
 class GridRank:
@@ -162,22 +189,18 @@ class RankStorage:
             assert self.values.shape == shape
             assert self.valid.shape == shape and self.valid.dtype == bool
 
-    @staticmethod
-    def _np_index(rsd: RSD):
-        return tuple(slice(d.lo - 1, d.hi, d.step) for d in rsd.dims)
-
     def install(self, rsd: RSD, values: np.ndarray) -> None:
         if rsd.is_empty:
             return
-        idx = self._np_index(rsd)
+        idx = np_index(rsd)
         self.values[idx] = values
         self.valid[idx] = True
 
     def extract(self, rsd: RSD) -> np.ndarray:
         if rsd.is_empty:
             return np.zeros(tuple(0 for _ in rsd.dims))
-        idx = self._np_index(rsd)
-        if not self.valid[idx].all():
+        idx = np_index(rsd)
+        if not all_valid(self.valid[idx]):
             raise SimulationError(
                 f"extracting invalid data from {self.array} {rsd}"
             )
@@ -202,5 +225,5 @@ class RankStorage:
         writer invalidates stale copies)."""
         keep = np.zeros(self.shape, dtype=bool)
         if not rsd.is_empty:
-            keep[self._np_index(rsd)] = True
+            keep[np_index(rsd)] = True
         self.valid &= keep

@@ -43,8 +43,11 @@ Correctness posture: the emitted code performs *the same numpy
 operations in the same order* as the interpreted block path
 (:func:`~repro.runtime.plans.eval_rhs_block` and
 ``SPMDExecutor._try_exec_nest``), so final state is bitwise-identical;
-the validity and staleness oracles are emitted with identical message
-text, so every failure mode the interpreter detects, the kernel detects.
+the validity and staleness oracles test the same elements with the same
+message text — per rank and array the *cover* of the static references'
+regions (:func:`~repro.sections.rsd.cover`: exactly their elements, in
+the fewest sections) instead of each reference — so every failure mode
+the interpreter detects, the kernel detects.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ from ..codegen.kernels import (
     loop_source,
 )
 from ..errors import SimulationError
+from ..sections.rsd import cover
+from .darray import count_nonzero, fresh, np_index
 from .plans import (
     CommPlan,
     NestPlan,
@@ -121,8 +126,9 @@ class KernelTemplate:
     taken to iteration-box order when ``align`` holds a
     :func:`~repro.runtime.plans.block_alignment`.  The accounting
     constants are what the interpreted path would have recomputed per
-    firing; ``degraded`` carries a numba-tier downgrade to every run
-    that uses the kernel.
+    firing — ``sections`` is the number of (rank, section) freshness
+    tests the body makes, after the read cover; ``degraded`` carries a
+    numba-tier downgrade to every run that uses the kernel.
     """
 
     code: types.CodeType
@@ -131,6 +137,7 @@ class KernelTemplate:
     elements: int = 0
     bcopy_calls: int = 0
     remote_reads: int = 0
+    sections: int = 0
     degraded: str = ""
 
     def __post_init__(self) -> None:
@@ -262,6 +269,7 @@ class KernelEngine:
         stats.elements_written += kern.elements
         stats.bcopy_calls += kern.bcopy_calls
         stats.remote_reads += kern.remote_reads
+        stats.sections_verified += kern.sections
         return True
 
     # -- nest kernel construction -----------------------------------------
@@ -282,13 +290,7 @@ class KernelEngine:
         layout = info.layout(name)
         sid = plan.assign.sid
 
-        static = {
-            "_np": np,
-            "_math": math,
-            "_err": SimulationError,
-            "_PF": PlanFallback,
-            "_ae": np.array_equal,
-        }
+        static = {"_np": np, "_math": math, "_PF": PlanFallback, **_CHECK_NAMES}
         recipe: list[tuple] = []
         nargs = len(spec.dyn_args) + len(spec.scal_args)
         body: list[str] = []
@@ -390,35 +392,22 @@ class KernelEngine:
 
         remote_reads = 0
         bcopy = 0
+        sections = 0
         ref_index = {rid: j for j, rid in enumerate(plan.rhs_refs)}
 
         def emit_rank(gr, kbox) -> None:
-            nonlocal remote_reads
+            nonlocal remote_reads, sections
             r = gr.rank
+            # Cover, then check.  Per array read: the static references'
+            # regions, and one (valid, values, shadow, size) test per
+            # dynamic-offset reference (its region moves with the firing).
+            reads: dict[str, tuple[list, list]] = {}
             for rid, cref in conc.refs.items():
                 j = ref_index[rid]
-                msg_invalid = (
-                    f"read of {cref.name} at s{sid}: elements not present "
-                    f"on rank {r} (missing or misplaced communication)"
-                )
-                msg_stale = (
-                    f"rank {r} read stale {cref.name} at s{sid}: rank data "
-                    f"disagrees with the sequential semantics"
-                )
+                region = ref_region(cref, kbox)
+                statics, checks = reads.setdefault(cref.name, ([], []))
                 if not dyn_ref[rid]:
-                    idx = ref_np_index(cref, kbox)
-                    recipe.append((
-                        r, cref.name, idx, None,
-                        f"_v{j}_{r}", f"_s{j}_{r}", f"_e{j}_{r}",
-                    ))
-                    body.append(
-                        f"    if not _v{j}_{r}.all(): "
-                        f"raise _err({msg_invalid!r})"
-                    )
-                    body.append(
-                        f"    if not _ae(_s{j}_{r}, _e{j}_{r}): "
-                        f"raise _err({msg_stale!r})"
-                    )
+                    statics.append(region)
                 else:
                     recipe.append((
                         r, cref.name, None, None,
@@ -428,20 +417,15 @@ class KernelEngine:
                         spec, "rhs", rid, plan.rhs_refs[rid], cref, kbox,
                         ref_bases[rid],
                     )
-                    body.append(
-                        f"    if not _rv{j}_{r}[{ix}].all(): "
-                        f"raise _err({msg_invalid!r})"
-                    )
-                    body.append(
-                        f"    if not _ae(_rs{j}_{r}[{ix}], _arr{j}[{ix}]): "
-                        f"raise _err({msg_stale!r})"
-                    )
+                    checks.append((
+                        f"_rv{j}_{r}[{ix}]", f"_rs{j}_{r}[{ix}]",
+                        f"_arr{j}[{ix}]", region.count(),
+                    ))
                 # movement accounting, hoisted to build time: regions on
                 # dynamic (serial, in-bounds) dims translate rigidly, so
                 # the local/remote split is firing-invariant.
                 rlayout = info.layout(cref.name)
                 rown = image.ownership[cref.name]
-                region = ref_region(cref, kbox)
                 owned = planner.owner_semantics_region(rlayout, rown, gr)
                 local = (
                     region.intersect(owned).count() if owned is not None
@@ -452,6 +436,28 @@ class KernelEngine:
                     if axis not in cref.axes:
                         repeat *= kcount
                 remote_reads += (region.count() - local) * repeat
+
+            for a, (array, (statics, checks)) in enumerate(reads.items()):
+                # Static references verify the fewest sections that hold
+                # exactly their elements.
+                for n, section in enumerate(cover(statics)):
+                    names = tuple(f"_{c}{a}_{n}_{r}" for c in "vse")
+                    recipe.append(
+                        (r, array, np_index(section), None, *names)
+                    )
+                    checks.append((*names, section.count()))
+                invalid = (
+                    f"read of {array} at s{sid}: elements not present "
+                    f"on rank {r} (missing or misplaced communication)"
+                )
+                stale = (
+                    f"rank {r} read stale {array} at s{sid}: rank data "
+                    f"disagrees with the sequential semantics"
+                )
+                lines = [emit_checks(*c, invalid, stale) for c in checks]
+                body.extend(valid for valid, _ in lines)
+                body.extend(same for _, same in lines)
+                sections += len(checks)
 
             if layout.distributed_dims:
                 value = f"_blk[{box_slice_literal(kbox)}].transpose({perm!r})"
@@ -511,6 +517,7 @@ class KernelEngine:
             elements=elements,
             bcopy_calls=bcopy,
             remote_reads=remote_reads,
+            sections=sections,
             degraded=degraded,
         )
 
@@ -586,12 +593,39 @@ class KernelEngine:
         call()
         stats.kernel_firings += 1
         stats.bcopy_calls += kern.bcopy_calls
+        stats.sections_verified += kern.sections
         stats.messages += len(plan.wire_pairs)
         stats.bytes_moved += plan.wire_bytes
 
 
+def emit_checks(
+    valid: str, values: str, expected: str, size: int,
+    invalid: str, stale: str,
+) -> tuple[str, str]:
+    """The emitted form of :func:`~repro.runtime.darray.all_valid` and
+    :func:`~repro.runtime.darray.fresh` over ``size`` elements: their
+    fast paths inline (no Python call on a pass), the NaN-aware slow
+    path behind a mismatch.  Returns the validity line and the
+    staleness line."""
+    return (
+        f"    if _cnz({valid}) != {size}: raise _err({invalid!r})",
+        f"    _cnz({values} != {expected}) and "
+        f"_stale({values}, {expected}, {stale!r})",
+    )
+
+
+def _stale(values, expected, message: str) -> None:
+    """The slow path of an emitted staleness test: a mismatch was seen;
+    raise unless it is a NaN the semantics hold too."""
+    if not fresh(values, expected):
+        raise SimulationError(message)
+
+
+_CHECK_NAMES = {"_err": SimulationError, "_cnz": count_nonzero, "_stale": _stale}
+
+
 def _build_copy(plan: CommPlan) -> KernelTemplate:
-    static = {"_err": SimulationError, "_ae": np.array_equal}
+    static = dict(_CHECK_NAMES)
     recipe: list[tuple] = []
     body: list[str] = []
     bcopy = 0
@@ -606,42 +640,27 @@ def _build_copy(plan: CommPlan) -> KernelTemplate:
             for dst in t.dsts
         )
         if t.mask is None:
-            body.append(
-                f"    if not _sv{k}.all(): raise _err("
-                f"{f'extracting invalid data from {t.array} {t.region}'!r})"
-            )
-            msg = (
+            take, moved = "[...]", f"_sd{k}"
+            body.extend(emit_checks(
+                f"_sv{k}", f"_sd{k}", f"_ex{k}", t.region.count(),
+                f"extracting invalid data from {t.array} {t.region}",
                 f"stale data shipped for {t.array} {t.region}: sender "
-                f"holds values that disagree with the sequential "
-                f"semantics"
-            )
-            body.append(
-                f"    if not _ae(_sd{k}, _ex{k}): raise _err({msg!r})"
-            )
-            for dst in t.dsts:
-                body.append(f"    _dv{k}_{dst}[...] = _sd{k}")
-                body.append(f"    _dm{k}_{dst}[...] = True")
-            bcopy += 1 + len(t.dsts)
+                f"holds values that disagree with the sequential semantics",
+            ))
         else:
+            take, moved = f"[_mk{k}]", f"_t{k}"
             static[f"_mk{k}"] = t.mask
-            msg_fwd = (
+            valid, same = emit_checks(
+                f"_sv{k}{take}", moved, f"_ex{k}{take}", int(t.mask.sum()),
                 f"diagonal forwarding of {t.array}: source rank "
-                f"{t.src} missing forwarded data"
+                f"{t.src} missing forwarded data",
+                f"stale data shipped for {t.array} (diagonal phase)",
             )
-            body.append(
-                f"    if not _sv{k}[_mk{k}].all(): "
-                f"raise _err({msg_fwd!r})"
-            )
-            body.append(f"    _t{k} = _sd{k}[_mk{k}]")
-            msg_stale = f"stale data shipped for {t.array} (diagonal phase)"
-            body.append(
-                f"    if not _ae(_t{k}, _ex{k}[_mk{k}]): "
-                f"raise _err({msg_stale!r})"
-            )
-            (dst,) = t.dsts
-            body.append(f"    _dv{k}_{dst}[_mk{k}] = _t{k}")
-            body.append(f"    _dm{k}_{dst}[_mk{k}] = True")
-            bcopy += 2
+            body += [valid, f"    {moved} = _sd{k}{take}", same]
+        for dst in t.dsts:
+            body.append(f"    _dv{k}_{dst}{take} = {moved}")
+            body.append(f"    _dm{k}_{dst}{take} = True")
+        bcopy += 1 + len(t.dsts)
     if not body:
         body.append("    pass")
     source = "def _copy():\n" + "\n".join(body) + "\n"
@@ -650,6 +669,7 @@ def _build_copy(plan: CommPlan) -> KernelTemplate:
         static=static,
         recipe=recipe,
         bcopy_calls=bcopy,
+        sections=len(plan.transfers),
     )
 
 

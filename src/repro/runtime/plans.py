@@ -40,6 +40,7 @@ from ..errors import SimulationError
 from ..frontend import ast_nodes as ast
 from ..frontend.analysis import ProgramInfo
 from ..sections.rsd import RSD, DimSection
+from .darray import np_index
 
 
 class PlanFallback(Exception):
@@ -569,10 +570,6 @@ class CommPlan:
         return out
 
 
-def _np_index(rsd: RSD):
-    return tuple(slice(d.lo - 1, d.hi, d.step) for d in rsd.dims)
-
-
 class CommPlanner:
     """Lowers placed communication operations into :class:`CommPlan`\\ s.
 
@@ -709,7 +706,7 @@ class CommPlanner:
                 array=entry.array,
                 src=gr.rank,
                 dsts=all_ranks,
-                index=_np_index(piece),
+                index=np_index(piece),
                 region=piece,
                 nbytes=size * layout.elem_bytes,
             ))
@@ -743,7 +740,7 @@ class CommPlanner:
                 array=entry.array,
                 src=src_rank,
                 dsts=(gr.rank,),
-                index=_np_index(recv),
+                index=np_index(recv),
                 region=recv,
                 nbytes=recv.count() * layout.elem_bytes,
             ))
@@ -776,7 +773,7 @@ class CommPlanner:
             mask = np.zeros(layout.shape, dtype=bool)
             owned = self.owned[gr.rank, entry.array]
             if not owned.is_empty:
-                mask[_np_index(owned)] = True
+                mask[np_index(owned)] = True
             eligible[gr.rank] = mask
 
         for phase_no, axis in enumerate(axes):
@@ -795,7 +792,7 @@ class CommPlanner:
                 if box.is_empty:
                     continue
                 src_rank = self.rank_of(src_coords)
-                idx = _np_index(box)
+                idx = np_index(box)
                 take = eligible[src_rank][idx] & ~eligible[gr.rank][idx]
                 if not take.any():
                     continue

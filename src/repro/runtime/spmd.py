@@ -69,6 +69,7 @@ from ..transport import (
 from ..transport.base import combine_pieces
 from ..transport.lowering import LoweredComm, lower_comm
 from .darray import GridRank, Ownership, RankStorage, grid_ranks
+from .darray import all_valid, fresh, np_index  # the freshness idiom
 from .interp import Interpreter
 from .kernels import KernelEngine, resolve_tier
 from .plans import (
@@ -109,8 +110,11 @@ class ExecutionImage:
     Holds what is a function of the program alone: the lowered schedule,
     the rank grid with its ownership tables and planner, the nest plans
     with their fallback reasons, the CommPlan table (each plan carrying
-    its transport lowerings and copy-kernel template), and the kernel
-    specs and nest-kernel templates.  Holds no rank storage, shadow
+    its transport lowerings and copy-kernel template), the kernel specs
+    and nest-kernel templates, and the geometry of each distinct firing
+    (:attr:`firings`: which plan keys an anchor fires under given loop
+    variable values; :attr:`reduction_pieces`: how a concrete reduction
+    section splits over the ranks).  Holds no rank storage, shadow
     array, transport, thread or process, and nothing that depends on the
     data seed — so any number of executors, one after another or
     concurrently, on any backend, share one image.
@@ -159,6 +163,12 @@ class ExecutionImage:
         self.kernel_ineligible: dict[int, str] = {}
         #: (tier, nest sid, loop geometry) -> KernelTemplate
         self.nest_templates: dict[tuple, object] = {}
+        #: (anchor, enclosing loop variables' values) -> the CommPlan key
+        #: of each op firing there: a firing's geometry, derived once.
+        self.firings: dict[tuple, tuple] = {}
+        #: (statement sid, reduction ordinal, concrete section) -> the
+        #: (rank, owned piece, numpy index) triples that reduction reads.
+        self.reduction_pieces: dict[tuple, tuple] = {}
         #: id(``Reduction.arg``) -> index of the placed reduction op that
         #: covers it: the members of one op share one tree operation.
         self.reduction_group: dict[int, int] = {
@@ -325,7 +335,7 @@ class SPMDExecutor:
                     buffers[(gr.rank, name)] if buffers is not None else None,
                 )
                 owned = self.image.owned[gr.rank, name]
-                store.install(owned, init[name][store._np_index(owned)])
+                store.install(owned, init[name][np_index(owned)])
                 per_rank[name] = store
             self.storage[gr.rank] = per_rank
         if self.transport is not None:
@@ -359,6 +369,30 @@ class SPMDExecutor:
         ops = self.schedule.ops_at(anchor)
         if not ops:
             return
+        # Sections are a function of the anchor and the enclosing loop
+        # variables (``shadow.env`` holds exactly those, outermost first).
+        keys, _ = self.image.publish(
+            self.image.firings, (anchor, *self.shadow.env.values()),
+            lambda: self._firing_keys(anchor, ops),
+        )
+        for key, op in zip(keys, ops):
+            t0 = time.perf_counter()
+            plan, built = self.image.publish(
+                self._comm_plans, key,
+                lambda: self._plan_op(key[:3], op, key[3]),
+            )
+            if built:
+                self.stats.plan_compile_s += time.perf_counter() - t0
+            else:
+                self.stats.plan_cache_hits += 1
+            self._execute_plan(key, plan, op.kind)
+
+    def _firing_keys(self, anchor: tuple, ops) -> tuple:
+        """The CommPlan key of each op at ``anchor`` under the current
+        loop environment: an op is named by where it sits in the lowered
+        schedule, a plan by that site and its entries' concrete sections.
+        Runs under the image lock."""
+        keys = []
         for slot, op in enumerate(ops):
             node = self.result.ctx.node_of(op.position)
             sections = tuple(
@@ -367,19 +401,8 @@ class SPMDExecutor:
                 else self._concrete_section(entry, node)
                 for entry in op.entries
             )
-            # An op is named by where it sits in the lowered schedule.
-            site = (self.grid.shape, anchor, slot)
-            key = (*site, sections)
-            t0 = time.perf_counter()
-            plan, built = self.image.publish(
-                self._comm_plans, key,
-                lambda: self._plan_op(site, op, sections),
-            )
-            if built:
-                self.stats.plan_compile_s += time.perf_counter() - t0
-            else:
-                self.stats.plan_cache_hits += 1
-            self._execute_plan(key, plan, op.kind)
+            keys.append((self.grid.shape, anchor, slot, sections))
+        return tuple(keys)
 
     def _plan_op(self, site: tuple, op, sections) -> CommPlan:
         """A plan for a section tuple the image has not seen: translated
@@ -460,46 +483,30 @@ class SPMDExecutor:
         for t in plan.transfers:
             store = self.storage[t.src][t.array]
             if t.mask is None:
-                if not store.valid[t.index].all():
-                    raise SimulationError(
-                        f"extracting invalid data from {t.array} {t.region}"
-                    )
-                values = store.values[t.index]
-                expected = self.shadow.arrays[t.array][t.index]
-                if not np.array_equal(values, expected):
-                    raise SimulationError(
-                        f"stale data shipped for {t.array} {t.region}: sender "
-                        f"holds values that disagree with the sequential "
-                        f"semantics"
-                    )
-                values = values.copy()
-                for dst in t.dsts:
-                    target = self.storage[dst][t.array]
-                    target.values[t.index] = values
-                    target.valid[t.index] = True
-                self.stats.bcopy_calls += 1 + len(t.dsts)
+                take = ...  # the whole indexed box
+                invalid = f"extracting invalid data from {t.array} {t.region}"
+                stale = (
+                    f"stale data shipped for {t.array} {t.region}: sender "
+                    f"holds values that disagree with the sequential semantics"
+                )
             else:
                 take = t.mask
-                if not store.valid[t.index][take].all():
-                    raise SimulationError(
-                        f"diagonal forwarding of {t.array}: source rank "
-                        f"{t.src} missing forwarded data"
-                    )
-                values = store.values[t.index][take]
-                expected = self.shadow.arrays[t.array][t.index][take]
-                if not np.array_equal(values, expected):
-                    raise SimulationError(
-                        f"stale data shipped for {t.array} (diagonal phase)"
-                    )
-                (dst,) = t.dsts
+                invalid = (
+                    f"diagonal forwarding of {t.array}: source rank "
+                    f"{t.src} missing forwarded data"
+                )
+                stale = f"stale data shipped for {t.array} (diagonal phase)"
+            if not all_valid(store.valid[t.index][take]):
+                raise SimulationError(invalid)
+            values = store.values[t.index][take]
+            if not fresh(values, self.shadow.arrays[t.array][t.index][take]):
+                raise SimulationError(stale)
+            for dst in t.dsts:
                 target = self.storage[dst][t.array]
-                region_vals = target.values[t.index]
-                region_valid = target.valid[t.index]
-                region_vals[take] = values
-                region_valid[take] = True
-                target.values[t.index] = region_vals
-                target.valid[t.index] = region_valid
-                self.stats.bcopy_calls += 2
+                target.values[t.index][take] = values
+                target.valid[t.index][take] = True
+            self.stats.bcopy_calls += 1 + len(t.dsts)
+        self.stats.sections_verified += len(plan.transfers)
         self.stats.messages += len(plan.wire_pairs)
         self.stats.bytes_moved += plan.wire_bytes
 
@@ -564,13 +571,13 @@ class SPMDExecutor:
                     s.mask if s.mask is not None
                     else np.ones(region_valid.shape, dtype=bool)
                 )
-                if not (region_valid | delivered)[take].all():
+                if not all_valid((region_valid | delivered)[take]):
                     raise SimulationError(
                         f"extracting invalid data from {s.array} "
                         f"(rank {s.src}, {lowered.algorithm})"
                     )
                 check = take & region_valid & ~delivered
-                if check.any() and not np.array_equal(
+                if not fresh(
                     store.values[s.index][check],
                     self.shadow.arrays[s.array][s.index][check],
                 ):
@@ -578,6 +585,7 @@ class SPMDExecutor:
                         f"stale data shipped for {s.array}: sender holds "
                         f"values that disagree with the sequential semantics"
                     )
+            self.stats.sections_verified += len(rnd)
             for s in rnd:
                 overlay = sim.get((s.dst, s.array))
                 if overlay is None:
@@ -602,15 +610,6 @@ class SPMDExecutor:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _verify_fresh(self, array: str, rsd: RSD, values: np.ndarray) -> None:
-        idx = tuple(slice(d.lo - 1, d.hi, d.step) for d in rsd.dims)
-        expected = self.shadow.arrays[array][idx]
-        if not np.array_equal(values, expected):
-            raise SimulationError(
-                f"stale data shipped for {array} {rsd}: sender holds values "
-                f"that disagree with the sequential semantics"
-            )
 
     # -- statement execution -------------------------------------------------
 
@@ -755,12 +754,12 @@ class SPMDExecutor:
         for rid, cref in conc.refs.items():
             idx = ref_np_index(cref, kbox)
             store = self.storage[gr.rank][cref.name]
-            if not np.all(store.valid[idx]):
+            if not all_valid(store.valid[idx]):
                 raise SimulationError(
                     f"read of {cref.name} at s{sid}: elements not present on "
                     f"rank {gr.rank} (missing or misplaced communication)"
                 )
-            if not np.array_equal(
+            if not fresh(
                 store.values[idx], self.shadow.arrays[cref.name][idx]
             ):
                 raise SimulationError(
@@ -780,6 +779,7 @@ class SPMDExecutor:
                 if axis not in cref.axes:
                     repeat *= kcount
             self.stats.remote_reads += (region.count() - local) * repeat
+        self.stats.sections_verified += len(conc.refs)
 
     # -- element-wise statement execution ---------------------------------------
 
@@ -837,21 +837,28 @@ class SPMDExecutor:
         paper §6.2), a reduction no placed op covers on its own.  Every
         piece is verified fresh before the first tree op is sent."""
         groups: dict[object, list[tuple[ast.Reduction, dict]]] = {}
-        for node in ast.walk_expr(stmt.rhs):
-            if not isinstance(node, ast.Reduction):
-                continue
+        nodes = (
+            n for n in ast.walk_expr(stmt.rhs) if isinstance(n, ast.Reduction)
+        )
+        for ordinal, node in enumerate(nodes):
             ref = node.arg
+            name = ref.name
             section = self._section_of_ref(ref)
-            pieces: dict[int, np.ndarray] = {}
-            for gr in self.ranks:
-                piece = section.intersect(self.image.owned[gr.rank, ref.name])
-                if piece.is_empty:
-                    continue
-                values = self.storage[gr.rank][ref.name].extract(piece)
-                self._verify_fresh(ref.name, piece, values)
-                pieces[gr.rank] = values
-            if not pieces:
+            owners, _ = self.image.publish(
+                self.image.reduction_pieces, (stmt.sid, ordinal, section),
+                lambda: self._owned_pieces(name, section),
+            )
+            if not owners:
                 raise SimulationError(f"reduction over empty section {ref}")
+            pieces: dict[int, np.ndarray] = {}
+            for rank, piece, index in owners:
+                values = pieces[rank] = self.storage[rank][name].extract(piece)
+                if not fresh(values, self.shadow.arrays[name][index]):
+                    raise SimulationError(
+                        f"stale data shipped for {name} {piece}: sender holds "
+                        f"values that disagree with the sequential semantics"
+                    )
+            self.stats.sections_verified += len(owners)
             group = self.image.reduction_group.get(
                 id(ref), ("alone", id(node))
             )
@@ -874,6 +881,18 @@ class SPMDExecutor:
             self.stats.reductions += len(members)
             self.stats.messages += reduction_tree_messages(len(self.ranks))
         return out
+
+    def _owned_pieces(self, name: str, section: RSD) -> tuple:
+        """``section`` of array ``name`` split over the ranks owning part
+        of it, as (rank, piece, numpy index).  Runs under the image lock."""
+        pieces = (
+            (gr.rank, section.intersect(self.image.owned[gr.rank, name]))
+            for gr in self.ranks
+        )
+        return tuple(
+            (rank, piece, np_index(piece))
+            for rank, piece in pieces if not piece.is_empty
+        )
 
     def _section_of_ref(self, ref: ast.ArrayRef) -> RSD:
         dims = []
@@ -914,7 +933,7 @@ class SPMDExecutor:
             truth = float(
                 self.shadow.arrays[expr.name][tuple(c - 1 for c in element)]
             )
-            if value != truth:
+            if value != truth and not fresh(value, truth):
                 raise SimulationError(
                     f"rank {rank} read stale {expr.name}{element} at "
                     f"s{stmt.sid}: has {value!r}, semantics say {truth!r}"
@@ -947,7 +966,7 @@ class SPMDExecutor:
             result = np.zeros(layout.shape)
             for gr in self.ranks:
                 owned = self.image.owned[gr.rank, name]
-                idx = tuple(slice(d.lo - 1, d.hi, d.step) for d in owned.dims)
+                idx = np_index(owned)
                 result[idx] = self.storage[gr.rank][name].values[idx]
             out[name] = result
         for name, value in self.shadow.scalars.items():

@@ -21,6 +21,7 @@ the paper's "approximated by a single section descriptor" rule.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -264,3 +265,39 @@ class RSD:
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(d) for d in self.dims) + "]"
+
+
+def cover(sections) -> tuple[RSD, ...]:
+    """The fewest descriptors this algebra finds for the union of
+    ``sections``, element for element: a section another contains is
+    dropped (§4.6 subsumption) and two whose :meth:`RSD.hull` is *exact*
+    become that hull, until no pair allows either.  An inexact hull is
+    never taken, so the result holds exactly the inputs' elements — a
+    consumer that handles every member handles every input element and
+    nothing else (members may still overlap).  The result is a function of the input *set*
+    (members are kept sorted, the first mergeable pair in that order
+    goes first), not of the order references happened to be written in.
+    """
+    def order(section: RSD) -> tuple:
+        return tuple((d.lo, d.hi, d.step) for d in section.dims)
+
+    work = sorted({s for s in sections if not s.is_empty}, key=order)
+    while True:
+        for a, b in itertools.combinations(work, 2):
+            if a.contains(b):
+                union = a
+            elif b.contains(a):
+                union = b
+            elif sum(x != y for x, y in zip(a.dims, b.dims)) > 1:
+                # the box around two sections that differ in two
+                # dimensions has a corner neither holds
+                continue
+            else:
+                union, exact = a.hull(b)
+                if not exact:
+                    continue
+            rest = (s for s in work if s != a and s != b)
+            work = sorted({union, *rest}, key=order)
+            break
+        else:
+            return tuple(work)

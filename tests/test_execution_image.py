@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import sys
 import threading
 import types
 import weakref
@@ -25,9 +26,11 @@ from repro.errors import SimulationError
 from repro.evaluation.programs import BENCHMARKS
 from repro.ir.cfg import Position
 from repro.runtime.darray import RankStorage
-from repro.runtime.interp import Interpreter
+from repro.runtime.interp import Interpreter, interpret
 from repro.runtime.kernels import KernelEngine
-from repro.runtime.spmd import SPMDExecutor, execute_spmd
+from repro.runtime.spmd import SPMDExecutor, execute_spmd, execution_image
+from repro.sections.rsd import RSD
+from repro.sections.symbolic import SymSection
 from repro.transport import Transport
 
 SMALL = {
@@ -42,8 +45,8 @@ SMALL = {
 #: Counters a cold and a warm run must agree on exactly.
 SAME = (
     "messages", "bytes_moved", "reductions", "bcopy_calls", "remote_reads",
-    "elements_written", "kernel_firings", "vectorized_firings",
-    "block_firings", "fallback_firings", "kernel_tier",
+    "sections_verified", "elements_written", "kernel_firings",
+    "vectorized_firings", "block_firings", "fallback_firings", "kernel_tier",
 )
 
 CASES = [
@@ -117,6 +120,7 @@ class TestWarmRunsBuildNothing:
             assert stats.plan_compiles == stats.plan_translations == 0
             assert stats.messages == ref_stats.messages
             assert stats.bytes_moved == ref_stats.bytes_moved
+            assert stats.sections_verified == ref_stats.sections_verified
             assert wire.bytes_sent == sum(wire.pair_bytes.values())
             assert wire.messages == sum(wire.pair_msgs.values())
 
@@ -150,6 +154,166 @@ class TestWarmRunsBuildNothing:
                 } <= {"pointwise", "neighbor-exchange", "augmented-exchange"}
         finally:
             executor.close()
+
+
+def _count_calls_from(monkeypatch, cls, method: str, caller: str) -> list:
+    """Patch ``cls.method`` to record each call made (at any depth)
+    under a function named ``caller``."""
+    calls: list = []
+    original = getattr(cls, method)
+
+    def counting(self, *args):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != caller:
+            frame = frame.f_back
+        if frame is not None:
+            calls.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, method, counting)
+    return calls
+
+
+REDUCTION_ON_A_RUNTIME_SCALAR = """
+PROGRAM red
+  PARAM n = 16
+  PROCESSORS pr(4)
+  REAL a(n)
+  DISTRIBUTE a(BLOCK) ONTO pr
+  REAL m
+  REAL q
+  REAL s
+  s = 0
+  m = 10 * q - 3
+  DO k = 1, 3
+    m = m + 2
+    s = s + SUM(a(1:m))
+  END DO
+END PROGRAM
+"""
+
+
+class TestWarmRunsDeriveNothing:
+    """Geometry belongs to the image: which plans an anchor fires under
+    given loop-variable values, and how a concrete reduction section
+    splits over the ranks, are derived by the first run that gets there."""
+
+    @pytest.mark.parametrize("program", ["gravity", "shallow"])
+    def test_no_concretize_and_no_intersect_on_a_warm_run(
+        self, program, monkeypatch
+    ):
+        result = _compile(program)
+        concretized = _count_calls_from(
+            monkeypatch, SymSection, "concretize", "_fire"
+        )
+        intersected = _count_calls_from(
+            monkeypatch, RSD, "intersect", "_compute_reductions"
+        )
+        cold = execute_spmd(result)
+        assert concretized
+        assert bool(intersected) == (cold[1].reductions > 0)
+        image = result.execution_image
+        firings = dict(image.firings)
+        pieces = dict(image.reduction_pieces)
+        del concretized[:], intersected[:]
+        warm = execute_spmd(result, seed=99)
+        assert not concretized and not intersected
+        assert image.firings == firings
+        assert image.reduction_pieces == pieces
+        assert all(image.firings[k] is v for k, v in firings.items())
+        _assert_same_run(warm, execute_spmd(_compile(program), seed=99))
+
+    def test_tables_hold_positions_and_values_only(self):
+        result = _compile("gravity")
+        execute_spmd(result)
+        image = result.execution_image
+        for (anchor, *loop_values), keys in image.firings.items():
+            assert anchor in image.schedule.anchors
+            assert all(isinstance(v, float) for v in loop_values)
+            assert len(keys) == len(image.schedule.ops_at(anchor))
+            assert all(key in image.comm_plans for key in keys)
+        nranks = len(image.ranks)
+        for (sid, ordinal, section), owners in image.reduction_pieces.items():
+            assert isinstance(sid, int) and isinstance(ordinal, int)
+            assert isinstance(section, RSD)
+            assert 0 < len(owners) <= nranks
+            assert sum(piece.count() for _, piece, _ in owners) == (
+                section.count()
+            )
+            for rank, piece, index in owners:
+                assert 0 <= rank < nranks and section.contains(piece)
+                assert index == tuple(
+                    slice(d.lo - 1, d.hi, d.step) for d in piece.dims
+                )
+
+    def test_a_section_from_a_runtime_scalar_gets_its_own_entry(self):
+        """``SUM(a(1:m))`` with ``m`` computed from a seeded scalar: the
+        concrete section is part of the key, so another seed's section
+        is a new entry beside the old ones, never a stale hit."""
+        result = compile_program(
+            REDUCTION_ON_A_RUNTIME_SCALAR, strategy="comb"
+        )
+        seen: dict = {}
+        for seed in (1, 2, 3, 1, 2):
+            state, stats = execute_spmd(result, seed=seed)
+            want = interpret(result.info, seed=seed)
+            assert state["s"] == want["s"] and state["m"] == want["m"]
+            table = result.execution_image.reduction_pieces
+            sections = {key[2] for key in table}
+            assert {key[:2] for key in table} == {(next(iter(table))[0], 0)}
+            for offset in (2, 4, 6):
+                m = int(round(want["m"])) - 6 + offset
+                assert RSD.of((1, m)) in sections
+            assert all(table[key] is owners for key, owners in seen.items())
+            seen = dict(table)
+        assert len(seen) >= 3
+
+
+class TestSectionsVerified:
+    """``RuntimeStats.sections_verified`` is a count of tests made, so it
+    is pinned: a change in it is a change in what the oracle looks at."""
+
+    #: gravity ``comb`` at n = 20 — grid, nest kernels' share, whole run,
+    #: and the whole run under ``kernels="off"``, which tests per
+    #: reference as every path did before the read cover (nest share
+    #: then: 3 388 on 2x2, 13 552 on 4x4; the other tests — transfers
+    #: and reduction pieces — are the same 576 / 2 304 either way).
+    PINNED = [((2, 2), 1804, 2380, 3964), ((4, 4), 7216, 9520, 15856)]
+
+    @pytest.mark.parametrize("grid,nest,total,per_reference", PINNED)
+    def test_gravity_counts(self, grid, nest, total, per_reference):
+        result = compile_program(
+            BENCHMARKS["gravity"],
+            params={"n": 20, "pr": grid[0], "pc": grid[1]}, strategy="comb",
+        )
+        executor = SPMDExecutor(result)
+        fire = executor.kernels.try_exec_nest
+        share = 0
+
+        def metered(plan, env):
+            nonlocal share
+            before = executor.stats.sections_verified
+            done = fire(plan, env)
+            share += executor.stats.sections_verified - before
+            return done
+
+        executor.kernels.try_exec_nest = metered
+        assert executor.run().sections_verified == total
+        assert share == nest
+        off = execute_spmd(result, kernels="off")[1]
+        assert off.sections_verified == per_reference
+        assert per_reference - total == {(2, 2): 3388, (4, 4): 13552}[grid] - nest
+
+    def test_a_template_carries_its_count(self):
+        result = _compile("gravity")
+        stats = execute_spmd(result)[1]
+        image = result.execution_image
+        assert all(t.sections > 0 for t in image.nest_templates.values())
+        assert all(
+            plan.copy.sections == len(plan.transfers)
+            for plan in image.comm_plans.values() if plan.copy is not None
+        )
+        assert stats.as_dict()["sections_verified"] == stats.sections_verified
 
 
 class TestOracleOnWarmRuns:
@@ -211,6 +375,36 @@ class TestSharing:
             )
             _assert_same_run(outcomes[slot], want)
         assert _built_nothing(execute_spmd(result)[1])
+
+    def test_two_threads_fill_the_geometry_tables_once(self, monkeypatch):
+        result = _compile("gravity")
+        # racing *first* executors may each build an image (the loser
+        # runs unshared); the tables of one image are the subject here
+        image = execution_image(result)
+        derived = _count_calls_from(
+            monkeypatch, SPMDExecutor, "_firing_keys", "_fire"
+        )
+        split = _count_calls_from(
+            monkeypatch, RSD, "intersect", "_compute_reductions"
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=execute_spmd, args=(result,))
+                for _ in range(3)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.execution_image is image
+        assert len(derived) == len(image.firings)
+        assert len(split) == len(image.ranks) * len(image.reduction_pieces)
+        _assert_same_run(execute_spmd(result), execute_spmd(_compile("gravity")))
 
     def test_image_dies_with_its_result(self):
         result = _compile("trimesh")

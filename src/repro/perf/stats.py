@@ -108,8 +108,13 @@ class RuntimeStats:
     (:class:`repro.runtime.spmd.ExecutionImage`): a run that finds them
     there reports zero ``plan_compiles`` / ``plan_translations`` /
     ``kernel_compiles``, counts every lookup as a hit, and adds only its
-    binding time to ``plan_compile_s``; no other counter may differ
-    between a first and a later run.
+    binding time to ``plan_compile_s``.  On a transport the image also
+    keeps what the placed ops of each firing merge into (one wire
+    operation per run of mutually independent ops): ``firing_merges``
+    counts the firings a run had to lower and merge,
+    ``firing_dep_tests`` the member-against-run dependence tests that
+    took, and a warm run reports zero of both.  No other counter may
+    differ between a first and a later run.
     """
 
     messages: int = 0
@@ -131,6 +136,10 @@ class RuntimeStats:
     kernel_tier: str = "off"
     kernel_fallback_reason: str = ""
     plan_compile_s: float = 0.0
+    #: Firings whose ops were lowered and merged into wire operations,
+    #: and the dependence tests that took — both zero on a warm image.
+    firing_merges: int = 0
+    firing_dep_tests: int = 0
     # Fault-tolerance counters, synced from the transport's WireStats
     # after each run (all zero without chaos / a transport backend).
     faults_injected: int = 0
@@ -181,6 +190,8 @@ class RuntimeStats:
             "kernel_tier": self.kernel_tier,
             "kernel_fallback_reason": self.kernel_fallback_reason,
             "plan_compile_s": round(self.plan_compile_s, 6),
+            "firing_merges": self.firing_merges,
+            "firing_dep_tests": self.firing_dep_tests,
             "faults_injected": self.faults_injected,
             "faults_detected": self.faults_detected,
             "retransmits": self.retransmits,

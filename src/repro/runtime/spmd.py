@@ -67,7 +67,12 @@ from ..transport import (
     make_transport,
 )
 from ..transport.base import combine_pieces
-from ..transport.lowering import LoweredComm, lower_comm
+from ..transport.lowering import (
+    LoweredComm,
+    independent_runs,
+    lower_comm,
+    merge_lowered,
+)
 from .darray import GridRank, Ownership, RankStorage, grid_ranks
 from .darray import all_valid, fresh, np_index  # the freshness idiom
 from .interp import Interpreter
@@ -166,6 +171,10 @@ class ExecutionImage:
         #: (anchor, enclosing loop variables' values) -> the CommPlan key
         #: of each op firing there: a firing's geometry, derived once.
         self.firings: dict[tuple, tuple] = {}
+        #: (collectives, the CommPlan keys of a firing) -> its wire
+        #: operations: per run of mutually independent ops their merged
+        #: lowering and the members' summed plan messages and bytes.
+        self.wire_firings: dict[tuple, tuple] = {}
         #: (statement sid, reduction ordinal, concrete section) -> the
         #: (rank, owned piece, numpy index) triples that reduction reads.
         self.reduction_pieces: dict[tuple, tuple] = {}
@@ -375,6 +384,7 @@ class SPMDExecutor:
             self.image.firings, (anchor, *self.shadow.env.values()),
             lambda: self._firing_keys(anchor, ops),
         )
+        wire = [] if self.transport is not None else None
         for key, op in zip(keys, ops):
             t0 = time.perf_counter()
             plan, built = self.image.publish(
@@ -385,7 +395,12 @@ class SPMDExecutor:
                 self.stats.plan_compile_s += time.perf_counter() - t0
             else:
                 self.stats.plan_cache_hits += 1
-            self._execute_plan(key, plan, op.kind)
+            if wire is None:
+                self._execute_plan(key, plan, op.kind)
+            else:
+                wire.append((plan, op.kind))
+        if wire:
+            self._fire_wire(keys, wire)
 
     def _firing_keys(self, anchor: tuple, ops) -> tuple:
         """The CommPlan key of each op at ``anchor`` under the current
@@ -469,14 +484,11 @@ class SPMDExecutor:
         return (*site, tuple(canon)), tuple(offsets)
 
     def _execute_plan(self, key: tuple, plan: CommPlan, kind: str) -> None:
-        """Run one lowered communication operation: flat slice copies
-        (legacy path) or real sends through the transport backend.
+        """Run one lowered communication operation as flat slice copies
+        (the direct-copy path; a transport runs firings, :meth:`_fire_wire`).
 
         Combined entries share wire messages — the plan's pair set counts
         deliveries between the same (src, dst) once per operation."""
-        if self.transport is not None:
-            self._execute_plan_transport(plan, kind)
-            return
         if self.kernels is not None:
             self.kernels.execute_plan_copy(key, plan)
             return
@@ -512,39 +524,64 @@ class SPMDExecutor:
 
     # -- transport execution ---------------------------------------------------
 
-    def _execute_plan_transport(self, plan: CommPlan, kind: str) -> None:
-        """Execute one plan as real messages: lower to a collective
-        schedule (kept on the plan), run the validity/staleness oracle
-        over the rounds, dispatch to the backend, then cross-check the
-        measured wire traffic against the lowering's prediction exactly."""
+    def _fire_wire(self, keys: tuple, members: list) -> None:
+        """Execute the ops of one firing — ``members``: each one's
+        ``(plan, kind)`` — as real messages, one wire operation per run
+        of mutually independent ops (kept in the image): run the
+        validity/staleness oracle over the merged rounds, dispatch to
+        the backend, then cross-check the measured wire traffic against
+        the lowerings' summed prediction exactly."""
         t0 = time.perf_counter()
-        lowered, built = self.image.publish(
-            plan.lowered, (kind, self.collectives),
-            lambda: lower_comm(
-                kind, plan, len(self.ranks), collectives=self.collectives
-            ),
+        wire_ops, built = self.image.publish(
+            self.image.wire_firings, (self.collectives, keys),
+            lambda: self._merge_firing(members),
         )
         if built:
             self.stats.plan_compile_s += time.perf_counter() - t0
-        self._precheck_lowered(lowered)
-        receipt = self.transport.execute(lowered)
-        if receipt.pair_bytes != lowered.predicted_pairs:
-            raise TransportError(
-                f"wire accounting mismatch ({lowered.algorithm}): measured "
-                f"per-pair bytes {receipt.pair_bytes} != predicted "
-                f"{lowered.predicted_pairs}"
+        for lowered, messages, nbytes in wire_ops:
+            self._precheck_lowered(lowered)
+            receipt = self.transport.execute(lowered)
+            if receipt.pair_bytes != lowered.predicted_pairs:
+                raise TransportError(
+                    f"wire accounting mismatch ({lowered.algorithm}): "
+                    f"measured per-pair bytes {receipt.pair_bytes} != "
+                    f"predicted {lowered.predicted_pairs}"
+                )
+            if receipt.pair_msgs != lowered.predicted_msgs:
+                raise TransportError(
+                    f"wire accounting mismatch ({lowered.algorithm}): "
+                    f"measured per-pair messages {receipt.pair_msgs} != "
+                    f"predicted {lowered.predicted_msgs}"
+                )
+            # Keep the plan-level counters the element-wise path reports,
+            # so RuntimeStats stays comparable across execution modes;
+            # the raw measured traffic lives in ``self.wire``.
+            self.stats.messages += messages
+            self.stats.bytes_moved += nbytes
+
+    def _merge_firing(self, members: list) -> tuple:
+        """The wire operations of a firing the image has not seen: lower
+        every member (kept on its plan), split them into independent
+        runs and merge each.  Runs under the image lock."""
+        lowerings = []
+        for plan, kind in members:
+            key = (kind, self.collectives)
+            if key not in plan.lowered:
+                plan.lowered[key] = lower_comm(
+                    kind, plan, len(self.ranks), collectives=self.collectives
+                )
+            lowerings.append(plan.lowered[key])
+        runs, tests = independent_runs(lowerings)
+        self.stats.firing_merges += 1
+        self.stats.firing_dep_tests += tests
+        return tuple(
+            (
+                merge_lowered([lowerings[i] for i in run]),
+                sum(len(members[i][0].wire_pairs) for i in run),
+                sum(members[i][0].wire_bytes for i in run),
             )
-        if receipt.pair_msgs != lowered.predicted_msgs:
-            raise TransportError(
-                f"wire accounting mismatch ({lowered.algorithm}): measured "
-                f"per-pair messages {receipt.pair_msgs} != predicted "
-                f"{lowered.predicted_msgs}"
-            )
-        # Keep the plan-level counters the element-wise path reports, so
-        # RuntimeStats stays comparable across execution modes; the raw
-        # measured traffic lives in ``self.wire``.
-        self.stats.messages += len(plan.wire_pairs)
-        self.stats.bytes_moved += plan.wire_bytes
+            for run in runs
+        )
 
     def _precheck_lowered(self, lowered: LoweredComm) -> None:
         """The legacy path's validity and staleness oracle, round-aware.
@@ -832,10 +869,11 @@ class SPMDExecutor:
 
     def _compute_reductions(self, stmt: ast.Assign) -> dict[int, float]:
         """Allreduce every reduction intrinsic in the statement: per-rank
-        partials over owned elements, combined globally — one tree
-        operation per placed reduction op (the schedule's combining,
-        paper §6.2), a reduction no placed op covers on its own.  Every
-        piece is verified fresh before the first tree op is sent."""
+        partials over owned elements, combined globally — one tree per
+        placed reduction op (the schedule's combining, paper §6.2), a
+        reduction no placed op covers on its own, and all of the
+        statement's trees in one wire operation.  Every piece is
+        verified fresh before anything is sent."""
         groups: dict[object, list[tuple[ast.Reduction, dict]]] = {}
         nodes = (
             n for n in ast.walk_expr(stmt.rhs) if isinstance(n, ast.Reduction)
@@ -864,21 +902,26 @@ class SPMDExecutor:
             )
             groups.setdefault(group, []).append((node, pieces))
         out: dict[int, float] = {}
-        for members in groups.values():
-            pieces = [member_pieces for _, member_pieces in members]
-            ops = [node.op for node, _ in members]
-            if self.transport is not None:
-                # Gather tree + broadcast through the backend; the
-                # combine order is canonical (rank-sorted), so each
-                # value is bit-identical to the direct combine below.
-                values, _receipt = self.transport.reduce(pieces, ops)
-            else:
-                values = [
-                    combine_pieces(p, op) for p, op in zip(pieces, ops)
-                ]
-            for (node, _), value in zip(members, values):
+        if not groups:
+            return out
+        trees = list(groups.values())
+        pieces = [[vectors for _, vectors in tree] for tree in trees]
+        ops = [[node.op for node, _ in tree] for tree in trees]
+        if self.transport is not None:
+            # Every tree of the statement in one wire operation: gather
+            # trees + broadcasts through the backend; the combine order
+            # is canonical (rank-sorted), so each value is bit-identical
+            # to the direct combine below.
+            values, _receipt = self.transport.reduce(pieces, ops)
+        else:
+            values = [
+                [combine_pieces(p, op) for p, op in zip(tree_pieces, tree_ops)]
+                for tree_pieces, tree_ops in zip(pieces, ops)
+            ]
+        for tree, tree_values in zip(trees, values):
+            for (node, _), value in zip(tree, tree_values):
                 out[id(node)] = value
-            self.stats.reductions += len(members)
+            self.stats.reductions += len(tree)
             self.stats.messages += reduction_tree_messages(len(self.ranks))
         return out
 

@@ -33,7 +33,12 @@ The collector's gather *is* the operation boundary — no rank is handed
 operation k+1 before all P completions of operation k are in — so a
 barrier separates only the rounds *inside* one operation, and what a
 carrier recycles between operations (outbox copies, arena slots) is
-free once that gather is complete.
+free once that gather is complete.  An operation is as large as the
+executor can make it — every placed op of a firing, every reduction
+tree of a statement — because each one costs a collector round trip (P
+commands down, P completions up); a rank posts every send of a round,
+or every tree's frame of an edge, before it blocks on the first
+receive, and an operation without a round is not dispatched at all.
 """
 
 from __future__ import annotations
@@ -181,15 +186,19 @@ class RankOpStats:
 
 @dataclass
 class OpReceipt:
-    """What one executed operation actually put on the wire."""
+    """What one executed operation actually put on the wire, in total
+    and (``ranks``) as each rank measured its own part.  An operation
+    without a round is never dispatched and leaves its receipt empty."""
 
     algorithm: str
     messages: int = 0
     bytes_sent: int = 0
     pair_msgs: dict = field(default_factory=dict)
     pair_bytes: dict = field(default_factory=dict)
+    ranks: dict = field(default_factory=dict)  # rank -> RankOpStats
 
-    def absorb(self, rank_stats: RankOpStats) -> None:
+    def absorb(self, rank: int, rank_stats: RankOpStats) -> None:
+        self.ranks[rank] = rank_stats
         self.messages += rank_stats.sends
         self.bytes_sent += rank_stats.bytes_sent
         for pair, n in rank_stats.pair_msgs.items():
@@ -203,7 +212,10 @@ class WireStats:
     """Cumulative wire-level accounting for one transport instance."""
 
     backend: str
+    #: Wire operations dispatched — on the concurrent backends one
+    #: command to every rank and one gather of their completions.
     ops: int = 0
+    #: Reduction trees run (one ``reduce`` may carry several).
     reduces: int = 0
     messages: int = 0
     bytes_sent: int = 0
@@ -229,7 +241,8 @@ class WireStats:
     recv_s: dict = field(default_factory=dict)
     wait_s: dict = field(default_factory=dict)
     barrier_s: dict = field(default_factory=dict)
-    algorithms: dict = field(default_factory=dict)  # algorithm -> op count
+    #: algorithm -> placed ops (and trees) executed, dispatched or not.
+    algorithms: dict = field(default_factory=dict)
 
     def absorb(self, rank: int, rs: RankOpStats) -> None:
         self.messages += rs.sends
@@ -255,9 +268,11 @@ class WireStats:
         self.wait_s[rank] = self.wait_s.get(rank, 0.0) + rs.wait_s
         self.barrier_s[rank] = self.barrier_s.get(rank, 0.0) + rs.barrier_s
 
-    def count_op(self, algorithm: str) -> None:
-        self.ops += 1
-        self.algorithms[algorithm] = self.algorithms.get(algorithm, 0) + 1
+    def count_op(self, members: Iterable[str], dispatched: bool) -> None:
+        """One wire operation carrying the placed ops ``members``."""
+        self.ops += dispatched
+        for algorithm in members:
+            self.algorithms[algorithm] = self.algorithms.get(algorithm, 0) + 1
 
     @property
     def faults_injected(self) -> int:
@@ -535,15 +550,17 @@ class Transport:
     def execute(self, lowered: LoweredComm) -> OpReceipt:
         raise NotImplementedError
 
-    def reduce(self, pieces, op) -> tuple:
-        """One tree operation for a batch of reductions — ``pieces`` a
-        sequence of per-rank partial-vector dicts, ``op`` the matching
-        reduction names.  All vectors gather up one binomial tree,
-        rank 0 combines each member in canonical order
-        (:func:`combine_pieces`: bit-identical on every backend) and
-        the scalars broadcast back in one message per edge.  Returns
-        ``(values, receipt)``; one dict and one name are a batch of one
-        and return the bare value."""
+    def reduce(self, trees, ops) -> tuple:
+        """The reduction trees of one statement as one wire operation.
+        ``trees[t][m]`` is member ``m`` of tree ``t`` as a ``rank ->
+        partial vector`` dict, ``ops[t][m]`` its reduction name.  Each
+        tree gathers its members' vectors up the binomial tree in its
+        own frames, rank 0 combines every member in canonical order
+        (:func:`combine_pieces`: bit-identical on every backend) and a
+        tree's scalars broadcast back in one message per edge; a rank
+        posts the frames of all trees on an edge before it awaits any.
+        Returns ``(values, receipt)`` with ``values[t][m]`` a float and
+        one receipt for the whole operation."""
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -586,21 +603,30 @@ def combine_pieces(pieces: dict[int, np.ndarray], op: str) -> float:
     raise TransportError(f"unknown reduction op {op!r}")
 
 
-def reduce_batch(pieces, op, nranks: int) -> tuple[dict, tuple, bool]:
-    """``reduce`` arguments as ``(rank -> its vector per member, ops,
-    single)``; a rank owning nothing of a member holds an empty one."""
-    single = isinstance(op, str)
-    batch, ops = ([pieces], (op,)) if single else (list(pieces), tuple(op))
+def reduce_batch(trees, ops, nranks: int) -> tuple[dict, tuple]:
+    """``reduce`` arguments as ``(rank -> per tree its vector of every
+    member, per tree its ops)``; a rank owning nothing of a member holds
+    an empty vector."""
+    trees = [list(tree) for tree in trees]
+    ops = tuple(tuple(tree_ops) for tree_ops in ops)
+    if [len(tree) for tree in trees] != [len(tree_ops) for tree_ops in ops]:
+        raise TransportError(
+            f"reduce: {[len(tree) for tree in trees]} members per tree "
+            f"but ops for {[len(tree_ops) for tree_ops in ops]}"
+        )
     empty = np.zeros(0)
     held = {
-        rank: [np.asarray(member.get(rank, empty)) for member in batch]
+        rank: [
+            [np.asarray(member.get(rank, empty)) for member in tree]
+            for tree in trees
+        ]
         for rank in range(nranks)
     }
-    return held, ops, single
+    return held, ops
 
 
 def combine_batch(acc: dict[int, list], ops: tuple) -> tuple[float, ...]:
-    """Rank 0's :func:`combine_pieces` per member of a gathered batch."""
+    """Rank 0's :func:`combine_pieces` per member of one gathered tree."""
     return tuple(
         combine_pieces({rank: vecs[i] for rank, vecs in acc.items()}, op)
         for i, op in enumerate(ops)
@@ -620,8 +646,11 @@ _LIVENESS_S = 0.05
 #: Longest uninterrupted block of a channel wait: the latency of an abort.
 _SLICE_S = 0.02
 
-#: ``seq`` of the reduce tree's frames (schedule sends count from 0).
-_REDUCE_SEQ = -1
+def _tree_seq(tree: int) -> int:
+    """``seq`` of the frames of tree ``tree`` of a reduce operation:
+    negative, where schedule sends count from 0."""
+    return -1 - tree
+
 
 # Rank self-reported states for the watchdog's stuck-rank report.
 _IDLE, _RUNNING, _RECV_WAIT, _BARRIER = 0, 1, 2, 3
@@ -996,14 +1025,14 @@ def _run_op(port: RankPort, op_id: int, script: list[dict],
 
 
 def _reduce_recv(port: RankPort, src: int, rs: RankOpStats, op_id: int,
-                 deadline: float):
+                 seq: int, deadline: float):
     rank = port.rank
     pair = (src, rank)
-    port.status.set(rank, _RECV_WAIT, -1, src)
+    port.status.set(rank, _RECV_WAIT, -1, src, seq)
     t0 = time.perf_counter()
     while True:
         frame = port.chans[pair].get(deadline, port.abort)
-        if frame[0] == op_id and frame[1] == _REDUCE_SEQ:
+        if frame[0] == op_id and frame[1] == seq:
             break
         # A frame of an earlier operation (a chaos delay or duplicate
         # landing late): recycle and skip.
@@ -1012,40 +1041,58 @@ def _reduce_recv(port: RankPort, src: int, rs: RankOpStats, op_id: int,
     return frame[2]
 
 
-def _run_reduce(port: RankPort, op_id: int, vectors: list,
+def _run_reduce(port: RankPort, op_id: int, trees: list,
                 ops: tuple) -> tuple[tuple, RankOpStats]:
-    """One rank's side of the reduce tree: every batch member's partial
-    vectors gather up to rank 0 together, are combined in canonical
-    order, and the scalars broadcast back in one message per edge."""
+    """One rank's side of a statement's reduce trees.  ``trees[t]``
+    holds this rank's vector of every member of tree ``t``; each tree
+    gathers up to rank 0 in frames of its own (``seq`` :func:`_tree_seq`
+    ``(t)``), is combined there in canonical order, and its scalars
+    broadcast back in one message per edge.  On every edge the frames
+    of all trees are posted before the first is awaited, so a rank
+    blocks once per edge, not once per tree."""
     rs = RankOpStats()
     rank = port.rank
     chaos = port.chaos
     deadline = port.clock() + port.watchdog_s * 2
     gather = reduction_tree(port.nranks)
-    acc: dict[int, list] = {rank: vectors}
+    accs: list[dict[int, list]] = [{rank: vectors} for vectors in trees]
     for rnd in gather:
         for src, dst in rnd:
             if src == rank:
-                if chaos is not None and chaos.fires(
-                    "crash", rank, dst, op_id
-                ):
-                    port.die()
-                nbytes = SCALAR_BYTES * sum(
-                    int(v.size) for vecs in acc.values() for v in vecs
-                )
-                port.chans[(rank, dst)].put((op_id, _REDUCE_SEQ, acc))
-                acc = {}
-                rs.count_send(rank, dst, nbytes)
+                for t, acc in enumerate(accs):
+                    if chaos is not None and chaos.fires(
+                        "crash", rank, dst, op_id + t
+                    ):
+                        port.die()
+                    nbytes = SCALAR_BYTES * sum(
+                        int(v.size) for vecs in acc.values() for v in vecs
+                    )
+                    port.chans[(rank, dst)].put((op_id, _tree_seq(t), acc))
+                    rs.count_send(rank, dst, nbytes)
+                accs = [{} for _ in trees]
             elif dst == rank:
-                acc.update(_reduce_recv(port, src, rs, op_id, deadline))
-    values = combine_batch(acc, ops) if rank == 0 else None
+                for t, acc in enumerate(accs):
+                    acc.update(_reduce_recv(
+                        port, src, rs, op_id, _tree_seq(t), deadline
+                    ))
+    values = None
+    if rank == 0:
+        values = tuple(
+            combine_batch(acc, tree_ops) for acc, tree_ops in zip(accs, ops)
+        )
     for rnd in reversed(gather):
         for dst, src in rnd:  # the gather edge, walked backwards
             if src == rank:
-                port.chans[(rank, dst)].put((op_id, _REDUCE_SEQ, values))
-                rs.count_send(rank, dst, SCALAR_BYTES * len(ops))
+                for t, tree_ops in enumerate(ops):
+                    port.chans[(rank, dst)].put(
+                        (op_id, _tree_seq(t), values[t])
+                    )
+                    rs.count_send(rank, dst, SCALAR_BYTES * len(tree_ops))
             elif dst == rank:
-                values = _reduce_recv(port, src, rs, op_id, deadline)
+                values = tuple(
+                    _reduce_recv(port, src, rs, op_id, _tree_seq(t), deadline)
+                    for t in range(len(ops))
+                )
     return values, rs
 
 
@@ -1126,7 +1173,15 @@ class ConcurrentTransport(Transport):
     # -- operations --------------------------------------------------------
 
     def execute(self, lowered: LoweredComm) -> OpReceipt:
-        return self._dispatch(self._scripts_for(lowered), lowered.algorithm)
+        if lowered.rounds:
+            receipt = self._dispatch(
+                self._scripts_for(lowered), lowered.algorithm
+            )
+        else:  # nothing to say to the ranks: no command, no gather
+            self._check_alive()
+            receipt = OpReceipt(algorithm=lowered.algorithm)
+        self.stats.count_op(lowered.members, bool(lowered.rounds))
+        return receipt
 
     def _dispatch(self, scripts, algorithm: str) -> OpReceipt:
         wire = self._plan_wire(scripts)
@@ -1136,22 +1191,24 @@ class ConcurrentTransport(Transport):
         )
         return receipt
 
-    def reduce(self, pieces, op):
-        held, ops, single = reduce_batch(pieces, op, self.nranks)
+    def reduce(self, trees, ops):
+        held, ops = reduce_batch(trees, ops, self.nranks)
         # Reductions don't mutate rank storage, so a crashed attempt
         # replays without a checkpoint.
         values, receipt = self._submit(
             lambda rank, op_id: ("reduce", op_id, held[rank], ops),
             "reduce-tree", checkpoint=False,
         )
-        distinct = set(values.values())
-        if len(distinct) != 1:
-            raise TransportError(
-                f"reduce-tree broadcast diverged across ranks: {distinct}"
-            )
-        self.stats.reduces += 1
-        result = distinct.pop()
-        return (result[0] if single else list(result)), receipt
+        for t in range(len(ops)):
+            distinct = {per_tree[t] for per_tree in values.values()}
+            if len(distinct) != 1:
+                raise TransportError(
+                    f"reduce-tree broadcast diverged across ranks "
+                    f"(tree {t}): {distinct}"
+                )
+        self.stats.reduces += len(ops)
+        self.stats.count_op(("reduce-tree",) * len(ops), True)
+        return [list(tree_values) for tree_values in values[0]], receipt
 
     # -- dispatch ----------------------------------------------------------
 
@@ -1185,7 +1242,8 @@ class ConcurrentTransport(Transport):
                 checkpoint: bool) -> tuple[dict, OpReceipt]:
         """Dispatch one operation to every rank and collect completions,
         replaying from the operation-start checkpoint when injected
-        crashes kill workers — up to ``max_rank_restarts`` times."""
+        crashes kill workers — up to ``max_rank_restarts`` times.  The
+        caller ledgers it (:meth:`WireStats.count_op`)."""
         self._check_alive()
         snapshot = None
         if checkpoint and self._crash_armed():
@@ -1211,7 +1269,6 @@ class ConcurrentTransport(Transport):
                 self.stats.restarts += len(crash.dead)
                 self.stats.recovery_s += time.monotonic() - t0
                 continue
-            self.stats.count_op(algorithm)
             self._sync_injected()
             return values, receipt
 
@@ -1271,7 +1328,7 @@ class ConcurrentTransport(Transport):
                 + "\n".join(failures)
             )
         for rank, rs in stats:
-            receipt.absorb(rs)
+            receipt.absorb(rank, rs)
             self.stats.absorb(rank, rs)
         return done
 

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-import numpy as np
-
 from ..errors import (
     DEADLOCK_DEGRADED_CODE,
     RANK_RESTART_CODE,
@@ -165,10 +163,8 @@ class ChaosTransport(Transport):
     def execute(self, lowered) -> OpReceipt:
         return self.inner.execute(lowered)
 
-    def reduce(self, pieces: dict[int, np.ndarray], op: str) -> tuple[
-        float, OpReceipt
-    ]:
-        return self.inner.reduce(pieces, op)
+    def reduce(self, trees, ops) -> tuple[list, OpReceipt]:
+        return self.inner.reduce(trees, ops)
 
     def shutdown(self) -> None:
         self.inner.shutdown()

@@ -48,7 +48,9 @@ class InlineTransport(Transport):
         self._check_alive()
         chaos = self.chaos
         receipt = OpReceipt(algorithm=lowered.algorithm)
-        per_rank = {r: RankOpStats() for r in range(self.nranks)}
+        # An operation without a round involves no rank: empty receipt.
+        ranks = range(self.nranks) if lowered.rounds else ()
+        per_rank = {r: RankOpStats() for r in ranks}
         for rnd in lowered.rounds:
             # Stage entries: (send, wire buf or None if dropped, count,
             # pristine copy, crc, duplicated).  Fault injection happens
@@ -119,34 +121,38 @@ class InlineTransport(Transport):
                 else:
                     per_rank[s.src].count_send(s.src, s.dst, s.nbytes)
         for rank, rs in per_rank.items():
-            receipt.absorb(rs)
+            receipt.absorb(rank, rs)
             self.stats.absorb(rank, rs)
-        self.stats.count_op(lowered.algorithm)
+        self.stats.count_op(lowered.members, bool(lowered.rounds))
         self._sync_injected()
         return receipt
 
-    def reduce(self, pieces, op):
+    def reduce(self, trees, ops):
         self._check_alive()
-        held, ops, single = reduce_batch(pieces, op, self.nranks)
-        acc = {rank: {rank: vectors} for rank, vectors in held.items()}
+        held, ops = reduce_batch(trees, ops, self.nranks)
         receipt = OpReceipt(algorithm="reduce-tree")
         per_rank = {r: RankOpStats() for r in range(self.nranks)}
         gather = reduction_tree(self.nranks)
-        for rnd in gather:
-            for src, dst in rnd:
-                nbytes = SCALAR_BYTES * sum(
-                    int(v.size) for vecs in acc[src].values() for v in vecs
-                )
-                per_rank[src].count_send(src, dst, nbytes)
-                acc[dst].update(acc[src])
-                acc[src] = {}
-        values = combine_batch(acc[0], ops)
-        for rnd in reversed(gather):
-            for dst, src in rnd:  # the gather edge, walked backwards
-                per_rank[src].count_send(src, dst, SCALAR_BYTES * len(ops))
+        values = []
+        for t, tree_ops in enumerate(ops):
+            acc = {rank: {rank: held[rank][t]} for rank in held}
+            for rnd in gather:
+                for src, dst in rnd:
+                    nbytes = SCALAR_BYTES * sum(
+                        int(v.size) for vecs in acc[src].values() for v in vecs
+                    )
+                    per_rank[src].count_send(src, dst, nbytes)
+                    acc[dst].update(acc[src])
+                    acc[src] = {}
+            values.append(list(combine_batch(acc[0], tree_ops)))
+            for rnd in reversed(gather):
+                for dst, src in rnd:  # the gather edge, walked backwards
+                    per_rank[src].count_send(
+                        src, dst, SCALAR_BYTES * len(tree_ops)
+                    )
         for rank, rs in per_rank.items():
-            receipt.absorb(rs)
+            receipt.absorb(rank, rs)
             self.stats.absorb(rank, rs)
-        self.stats.reduces += 1
-        self.stats.count_op("reduce-tree")
-        return (values[0] if single else list(values)), receipt
+        self.stats.reduces += len(ops)
+        self.stats.count_op(("reduce-tree",) * len(ops), True)
+        return values, receipt

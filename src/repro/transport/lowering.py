@@ -27,7 +27,8 @@ simulator check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from math import gcd
 
 import numpy as np
 
@@ -55,15 +56,29 @@ class SendOp:
 
 @dataclass
 class LoweredComm:
-    """One communication operation as rounds of sends.  All sends in a
-    round read state as of the end of the previous round (a barrier
-    separates rounds); within a round, written regions are disjoint per
-    destination, so delivery order cannot change the result."""
+    """One wire operation as rounds of sends: the lowering of one placed
+    op, or (:func:`merge_lowered`) of the mutually independent placed
+    ops that fire together.  All sends in a round read state as of the
+    end of the previous round (a barrier separates rounds).  Within a
+    round of a single placed op the written regions are disjoint per
+    destination; a merged round may write one region twice (``orig``'s
+    redundant messages), with equal values — every delivery of a firing
+    carries what the sequential semantics hold at that program point —
+    so delivery order cannot change the result either way.
+
+    ``members`` names the algorithm of every placed op the operation
+    carries; ``seq`` numbers are unique within it and increase in
+    script order on every (src, dst) channel."""
 
     algorithm: str
     rounds: list[list[SendOp]]
     predicted_pairs: dict = field(default_factory=dict)  # (src,dst)->bytes
     predicted_msgs: dict = field(default_factory=dict)   # (src,dst)->count
+    members: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.members:
+            self.members = (self.algorithm,)
 
 
 def _charge(lowered, src: int, dst: int, nbytes: int) -> None:
@@ -142,6 +157,101 @@ def lower_comm(
     else:
         algorithm = "pointwise"
     return _predict(LoweredComm(algorithm, rounds))
+
+
+# ---------------------------------------------------------------------------
+# Firings: the placed ops at one anchor as one wire operation
+# ---------------------------------------------------------------------------
+
+
+def _span(part) -> tuple:
+    """(start, stop, step) of one dimension of a numpy index box."""
+    if isinstance(part, slice):
+        return part.start, part.stop, part.step or 1
+    return part, part + 1, 1
+
+
+def _may_overlap(a: tuple, b: tuple) -> bool:
+    """Whether two index boxes can share an element: in every dimension
+    the intervals meet and the strides' residues agree.  Conservative —
+    an open-ended slice, or a shared residue that falls outside the
+    common interval, answers True."""
+    for (p0, p1, ps), (q0, q1, qs) in zip(map(_span, a), map(_span, b)):
+        if None in (p0, p1, q0, q1):
+            continue
+        if p0 >= q1 or q0 >= p1 or (p0 - q0) % gcd(ps, qs):
+            return False
+    return True
+
+
+def _touches(sends, boxes: dict) -> bool:
+    """Whether a send reads or writes — ``boxes`` is keyed by what the
+    caller asks about — a box already recorded for its rank and array."""
+    return any(
+        _may_overlap(index, box)
+        for key, index in sends
+        for box in boxes.get(key, ())
+    )
+
+
+def independent_runs(
+    members: list[LoweredComm],
+) -> tuple[list[list[int]], int]:
+    """Split the lowerings of one firing, in schedule order, into runs
+    whose members may share one wire operation.  Two members are
+    independent when neither reads (sends from) a region the other
+    delivers: the later one would miss a delivery it must see, and a
+    forwarding round of the earlier one would be satisfied by a delivery
+    the schedule never promised it — the validity oracle must keep
+    refusing that.  A first round reads only what the rank held before
+    the firing, so of the earlier members only rounds after the first
+    are tested.  Writes need no test (see :class:`LoweredComm`).  The
+    test is static, on index boxes, masks ignored.  Returns ``(runs of
+    member indices, tests made)``."""
+    runs: list[list[int]] = [[]]
+    delivered: dict[tuple[int, str], list[tuple]] = {}
+    forwarded: dict[tuple[int, str], list[tuple]] = {}
+    tests = 0
+    for i, member in enumerate(members):
+        reads = [
+            ((s.src, s.array), s.index) for rnd in member.rounds for s in rnd
+        ]
+        writes = [
+            ((s.dst, s.array), s.index) for rnd in member.rounds for s in rnd
+        ]
+        if reads and delivered:
+            tests += 1
+            if _touches(reads, delivered) or _touches(writes, forwarded):
+                runs.append([])
+                delivered, forwarded = {}, {}
+        runs[-1].append(i)
+        for key, index in writes:
+            delivered.setdefault(key, []).append(index)
+        for rnd in member.rounds[1:]:
+            for s in rnd:
+                forwarded.setdefault((s.src, s.array), []).append(s.index)
+    return runs, tests
+
+
+def merge_lowered(members: list[LoweredComm]) -> LoweredComm:
+    """The members of one independent run as one wire operation: round
+    ``r`` is the members' rounds ``r`` one after the other, sends
+    renumbered in that order; the prediction is the members' summed."""
+    if len(members) == 1:
+        return members[0]
+    algorithms = tuple(a for m in members for a in m.members)
+    merged = LoweredComm(
+        "+".join(dict.fromkeys(algorithms)), [], members=algorithms
+    )
+    seq = 0
+    for r in range(max(len(m.rounds) for m in members)):
+        rnd: list[SendOp] = []
+        for m in members:
+            for s in m.rounds[r] if r < len(m.rounds) else ():
+                rnd.append(replace(s, seq=seq))
+                seq += 1
+        merged.rounds.append(rnd)
+    return _predict(merged)
 
 
 # ---------------------------------------------------------------------------

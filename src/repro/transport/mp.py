@@ -320,7 +320,7 @@ class MultiprocessTransport(ConcurrentTransport):
             create=True, size=max(offset, _ALIGN),
             name=f"repro-st-{self._token}",
         )
-        self._storage_sm.buf[:] = b"\x00" * len(self._storage_sm.buf)
+        # A new POSIX segment reads as zeros: nothing to clear.
         self._layout = layout
         return _np_views(self._storage_sm, layout)
 

@@ -409,7 +409,9 @@ class TestCollectorParity:
             transport._cmd[0].put(("stop",))  # rank 0's worker exits
             t0 = time.monotonic()
             with pytest.raises(TransportError, match=r"rank\(s\) \[0\] died"):
-                transport.reduce({0: np.ones(2), 1: np.ones(2)}, "SUM")
+                transport.reduce(
+                    [[{0: np.ones(2), 1: np.ones(2)}]], [["SUM"]]
+                )
             assert time.monotonic() - t0 < 5.0
         finally:
             transport.shutdown()

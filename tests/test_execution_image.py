@@ -25,6 +25,7 @@ from repro.core.pipeline import compile_program
 from repro.errors import SimulationError
 from repro.evaluation.programs import BENCHMARKS
 from repro.ir.cfg import Position
+from repro.runtime import spmd
 from repro.runtime.darray import RankStorage
 from repro.runtime.interp import Interpreter, interpret
 from repro.runtime.kernels import KernelEngine
@@ -32,6 +33,7 @@ from repro.runtime.spmd import SPMDExecutor, execute_spmd, execution_image
 from repro.sections.rsd import RSD
 from repro.sections.symbolic import SymSection
 from repro.transport import Transport
+from repro.transport.lowering import merge_lowered
 
 SMALL = {
     "shallow": {"n": 8, "nsteps": 2, "pr": 2, "pc": 2},
@@ -222,6 +224,43 @@ class TestWarmRunsDeriveNothing:
         assert image.reduction_pieces == pieces
         assert all(image.firings[k] is v for k, v in firings.items())
         _assert_same_run(warm, execute_spmd(_compile(program), seed=99))
+
+    @pytest.mark.parametrize("backend", ["inline", "threaded", "multiprocess"])
+    @pytest.mark.parametrize("program,strategy", [
+        ("gravity", "orig"), ("hydflo_flux", "orig"), ("shallow", "comb"),
+    ])
+    def test_a_warm_run_merges_nothing(
+        self, program, strategy, backend, monkeypatch
+    ):
+        """What the ops of a firing merge into belongs to the image: a
+        second execution lowers nothing, tests no dependence and merges
+        no firing — on any backend, the first having run on another."""
+        merges = []
+        monkeypatch.setattr(
+            spmd, "merge_lowered",
+            lambda members: merges.append(len(members))
+            or merge_lowered(members),
+        )
+        result = _compile(program, strategy)
+        cold = execute_spmd(result, transport="inline")
+        assert cold[1].firing_merges == len(
+            result.execution_image.wire_firings
+        ) > 0
+        assert cold[1].firing_dep_tests > 0 and max(merges) > 1
+        wire_firings = dict(result.execution_image.wire_firings)
+        del merges[:]
+        warm = execute_spmd(result, seed=99, transport=backend)
+        assert warm[1].firing_merges == warm[1].firing_dep_tests == 0
+        assert not merges
+        assert all(
+            result.execution_image.wire_firings[k] is v
+            for k, v in wire_firings.items()
+        )
+        _assert_same_run(
+            warm,
+            execute_spmd(_compile(program, strategy), seed=99,
+                         transport=backend),
+        )
 
     def test_tables_hold_positions_and_values_only(self):
         result = _compile("gravity")

@@ -80,22 +80,15 @@ class TestGravity:
             assert wire.algorithms["reduce-tree"] == tree_ops
             assert stats.reductions == ref_stats.reductions == 8 * PLANES
             assert stats.messages == ref_stats.messages
-        # RuntimeStats.messages: the plans' pairs plus one tree's worth
-        # per tree op (not per Reduction node).
-        executor = SPMDExecutor(result, transport="inline")
-        plan_messages = []
-        run_plan = executor._execute_plan_transport
-
-        def spying(plan, kind):
-            plan_messages.append(len(plan.wire_pairs))
-            run_plan(plan, kind)
-
-        executor._execute_plan_transport = spying
-        try:
-            executor.run()
-        finally:
-            executor.close()
-        assert ref_stats.messages == sum(plan_messages) + (
+        # RuntimeStats.messages: the plans' pairs (every firing the
+        # image recorded happened once) plus one tree's worth per tree
+        # op (not per Reduction node).
+        image = result.execution_image
+        plan_messages = sum(
+            len(image.comm_plans[key].wire_pairs)
+            for keys in image.firings.values() for key in keys
+        )
+        assert ref_stats.messages == plan_messages + (
             tree_ops * reduction_tree_messages(4)
         )
 
@@ -183,14 +176,14 @@ class TestBatchedTreeOp:
         transport = make_transport(backend, 4, watchdog_s=10.0)
         try:
             transport.start({r: {} for r in range(4)})
-            values, receipt = transport.reduce(batch, ops)
-            single, single_receipt = transport.reduce(batch[0], "SUM")
+            values, receipt = transport.reduce([batch], [ops])
+            single, single_receipt = transport.reduce([[batch[0]]], [["SUM"]])
         finally:
             transport.shutdown()
-        assert values == [
+        assert values == [[
             combine_pieces(pieces, op) for pieces, op in zip(batch, ops)
-        ]
-        assert single == values[0]
+        ]]
+        assert single == [[values[0][0]]]
         assert transport.stats.reduces == 2
         nbytes = {
             r: 8 * sum(int(pieces[r].size) for pieces in batch if r in pieces)

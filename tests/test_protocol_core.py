@@ -56,7 +56,7 @@ from repro.transport.integrity import (
     payload_crc,
 )
 from repro.transport.inline import InlineTransport
-from repro.transport.lowering import LoweredComm, SendOp
+from repro.transport.lowering import LoweredComm, SendOp, merge_lowered
 
 OP_ID = 7
 WIDTH = 3  # elements per send
@@ -452,15 +452,24 @@ class NoBarrier:
 
 
 class SpyReceiver(ChannelReceiver):
-    """Records what the core answered for frames of another operation."""
+    """Records what the core answered for frames of another operation,
+    and for intact first copies of this one's that ran ahead of the
+    ``seq`` the schedule was waiting for."""
 
     __slots__ = ()
     stale: list = []
+    early: list = []
 
     def on_frame(self, op_id, seq, crc_ok, retransmit_bytes=None):
+        ahead = (
+            op_id == self.op_id and crc_ok and seq != self.expected
+            and seq not in self.seen
+        )
         action = super().on_frame(op_id, seq, crc_ok, retransmit_bytes)
         if op_id != self.op_id:
             SpyReceiver.stale.append((op_id, self.op_id, action))
+        elif ahead:
+            SpyReceiver.early.append((seq, self.expected, action))
         return action
 
 
@@ -553,7 +562,7 @@ class MeshPort(RankPort):
 
 class Mesh:
     def __init__(self, n: int, plan: FaultPlan, decisions, timers: int,
-                 depth: int):
+                 depth: int, members: int = 1):
         self.n = n
         self.chaos = ChaosState(plan, n)
         self.now = 0.0
@@ -569,24 +578,35 @@ class Mesh:
             (s, d): MeshChannel(self)
             for s in range(n) for d in range(n) if s != d
         }
-        self.stores = [
-            SimpleNamespace(values=np.zeros(n * WIDTH),
-                            valid=np.zeros(n * WIDTH, dtype=bool))
-            for _ in range(n)
-        ]
+        self.stores = self.fresh_stores(n, members)
         self.ports = [MeshPort(self, rank) for rank in range(n)]
         self.unstarted: list[int] = []
-        sends, seq = [], 0
-        for s in range(n):
-            for d in range(n):
-                if s != d:
-                    sends.append(SendOp(
-                        seq=seq, src=s, dst=d, array="a",
-                        index=(slice(s * WIDTH, (s + 1) * WIDTH, 1),),
-                        nbytes=WIDTH * 8,
-                    ))
-                    seq += 1
-        self.sends = sends
+        # Each member is a placed op of its own — every rank sends its
+        # slot of the member's stripe to every other, numbered from 0 —
+        # and the wire operation is their merge.
+        self.members = [
+            LoweredComm("pointwise", [[
+                SendOp(
+                    seq=seq, src=s, dst=d, array="a",
+                    index=(slice((m * n + s) * WIDTH,
+                                 (m * n + s + 1) * WIDTH, 1),),
+                    nbytes=WIDTH * 8,
+                )
+                for seq, (s, d) in enumerate(
+                    (s, d) for s in range(n) for d in range(n) if s != d
+                )
+            ]])
+            for m in range(members)
+        ]
+        self.sends = merge_lowered(self.members).rounds[0]
+
+    @staticmethod
+    def fresh_stores(n: int, members: int) -> list:
+        return [
+            SimpleNamespace(values=np.zeros(members * n * WIDTH),
+                            valid=np.zeros(members * n * WIDTH, dtype=bool))
+            for _ in range(n)
+        ]
 
     def new_id(self) -> int:
         self._ids += 1
@@ -601,12 +621,17 @@ class Mesh:
         return self.decisions[at] if at < len(self.decisions) else 0
 
     def compute(self, stores, op_id: int) -> None:
-        """Each rank overwrites the slot it owns (and forgets the rest)."""
+        """Each rank overwrites the slot it owns of every member's
+        stripe (and forgets the rest)."""
         for rank, store in enumerate(stores):
             store.valid[:] = False
-            own = slice(rank * WIDTH, (rank + 1) * WIDTH)
-            store.values[own] = op_id * 100.0 + rank * 10.0 + np.arange(WIDTH)
-            store.valid[own] = True
+            for m in range(len(self.members)):
+                at = (m * self.n + rank) * WIDTH
+                own = slice(at, at + WIDTH)
+                store.values[own] = (
+                    op_id * 100.0 + rank * 10.0 + m * 1000.0 + np.arange(WIDTH)
+                )
+                store.valid[own] = True
 
     def run_rank(self, rank: int) -> None:
         self.unstarted.remove(rank)
@@ -632,18 +657,16 @@ class Mesh:
 
 
 def _inline_reference(mesh: Mesh, op_ids) -> list:
-    """What ``inline`` installs for the same two operations."""
-    stores = [
-        SimpleNamespace(values=np.zeros(mesh.n * WIDTH),
-                        valid=np.zeros(mesh.n * WIDTH, dtype=bool))
-        for _ in range(mesh.n)
-    ]
+    """What ``inline`` installs for the same two operations, executing
+    each member's own lowering one after the other."""
+    stores = mesh.fresh_stores(mesh.n, len(mesh.members))
     inline = InlineTransport(mesh.n)
     inline.start({rank: {"a": store} for rank, store in enumerate(stores)})
     snapshots = []
     for op_id in op_ids:
         mesh.compute(stores, op_id)
-        inline.execute(LoweredComm("pointwise", [mesh.sends]))
+        for member in mesh.members:
+            inline.execute(member)
         snapshots.append([
             (store.values.copy(), store.valid.copy()) for store in stores
         ])
@@ -651,11 +674,12 @@ def _inline_reference(mesh: Mesh, op_ids) -> list:
 
 
 def run_two_ops(n: int, plan: FaultPlan, decisions, timers: int = 0,
-                depth: int = 99):
+                depth: int = 99, members: int = 1):
     """Operations 7 and 8 back to back; returns the mesh and the stale
     frames seen, after checking both against the inline reference."""
     SpyReceiver.stale = []
-    mesh = Mesh(n, plan, decisions, timers, depth)
+    SpyReceiver.early = []
+    mesh = Mesh(n, plan, decisions, timers, depth, members)
     reference = _inline_reference(mesh, (OP_ID, OP_ID + 1))
     for op_id, expected in zip((OP_ID, OP_ID + 1), reference):
         stats = mesh.run_op(op_id)
@@ -674,13 +698,13 @@ def run_two_ops(n: int, plan: FaultPlan, decisions, timers: int = 0,
 
 
 def every_interleaving(n: int, plan: FaultPlan, timers: int = 0,
-                       depth: int = 99):
+                       depth: int = 99, members: int = 1):
     """Depth-first over every decision sequence: run with a prefix,
     default (option 0) beyond it, then advance the prefix like an
     odometer over the widths the run reported."""
     decisions: list[int] = []
     while True:
-        mesh, stale = run_two_ops(n, plan, decisions, timers, depth)
+        mesh, stale = run_two_ops(n, plan, decisions, timers, depth, members)
         yield decisions, mesh, stale
         path = (decisions + [0] * len(mesh.widths))[:len(mesh.widths)]
         while path and path[-1] + 1 >= mesh.widths[len(path) - 1]:
@@ -696,15 +720,18 @@ def spy_receiver(monkeypatch):
     monkeypatch.setattr("repro.transport.base.ChannelReceiver", SpyReceiver)
 
 
-def _check_every_interleaving(n, kinds, seed, timers, depth=99) -> int:
+def _check_every_interleaving(n, kinds, seed, timers, depth=99,
+                              members=1) -> int:
     plan = _plan(kinds, seed)
     runs = 0
-    for decisions, _mesh, stale in every_interleaving(n, plan, timers, depth):
+    for decisions, _mesh, stale in every_interleaving(
+        n, plan, timers, depth, members
+    ):
         runs += 1
         # A frame of the other operation is never anything but dropped.
         assert all(action is DROP_STALE for _, _, action in stale), (
             f"replay: run_two_ops({n}, {plan!r}, {decisions!r}, "
-            f"{timers}, {depth})"
+            f"{timers}, {depth}, {members})"
         )
     return runs
 
@@ -739,3 +766,53 @@ def test_late_duplicate_of_op_k_is_drop_stale_in_op_k_plus_1(spy_receiver):
     }
     assert all(action is DROP_STALE for _, _, action in stale)
     assert len(stale) == len(mesh.sends)  # one late duplicate per channel
+
+
+# ---------------------------------------------------------------------------
+# (iv) A merged operation: two placed ops in one wire operation
+# ---------------------------------------------------------------------------
+#
+# The same mesh with two members per operation — each rank now has two
+# frames in flight on every channel, member 1's ahead of member 2's in
+# the script — against ``inline`` executing the two members one after
+# the other.
+
+
+@pytest.mark.parametrize(
+    "kinds", list(_subsets()), ids=lambda kinds: "+".join(kinds) or "clean"
+)
+def test_merged_op_of_two_members_on_two_ranks(spy_receiver, kinds):
+    # Every delivery order, every fault subset; ``depth`` bounds the
+    # tree where a dup doubles the frames.
+    depth = 5 if "dup" in kinds else 99
+    for seed in (1, 2):
+        assert _check_every_interleaving(
+            2, kinds, seed, timers=0, depth=depth, members=2
+        ) > 1
+
+
+@pytest.mark.parametrize("kinds,timers,depth", [
+    ((), 0, 5), (("drop",), 1, 4), (("reorder",), 0, 5), (FAULTS, 1, 3),
+], ids=lambda v: ("+".join(v) or "clean") if isinstance(v, tuple) else str(v))
+def test_merged_op_of_two_members_on_three_ranks(spy_receiver, kinds, timers,
+                                                 depth):
+    assert _check_every_interleaving(
+        3, kinds, 1, timers, depth, members=2
+    ) > 1
+
+
+def test_member_two_ahead_of_member_one_is_stashed_not_stale(spy_receiver):
+    # No fault armed: the only way a frame runs ahead is the channel
+    # delivering member 2's before member 1's.  One operation id covers
+    # both, so the core keeps it for its turn.
+    overtakes = 0
+    for _decisions, _mesh, stale in every_interleaving(
+        2, _plan((), 1), members=2
+    ):
+        assert not stale
+        overtakes += bool(SpyReceiver.early)
+        assert all(
+            action is STASH and seq > expected
+            for seq, expected, action in SpyReceiver.early
+        )
+    assert overtakes, "no interleaving delivered member 2's frame first"

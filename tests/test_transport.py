@@ -142,37 +142,58 @@ class TestBackendEquivalence:
     ):
         """The property test of the issue: with collectives disabled
         (so the lowering is the plan's own point-to-point shape), the
-        transport-measured per-pair byte totals equal the sum of
-        ``CommPlan.pair_bytes()`` over every firing, plus the reduction
-        receipts — exactly, for all six programs x strategies x
-        backends."""
+        transport-measured per-pair byte and message totals equal the
+        sum of the ``CommPlan``s' over the members of every firing, plus
+        the reduction receipts — exactly, for all six programs x
+        strategies x backends."""
         result = _compile(program, strategy)
         executor = SPMDExecutor(
             result, transport=backend, collectives=False
         )
-        expected: dict[tuple[int, int], int] = {}
-        plain_exec = executor._execute_plan_transport
-
-        def spying_exec(plan, kind):
-            for pair, n in plan.pair_bytes().items():
-                expected[pair] = expected.get(pair, 0) + n
-            plain_exec(plan, kind)
-
-        executor._execute_plan_transport = spying_exec
+        executed, reduce_receipts = [], []
+        plain_execute = executor.transport.execute
         plain_reduce = executor.transport.reduce
 
-        def spying_reduce(pieces, op):
-            value, receipt = plain_reduce(pieces, op)
-            for pair, n in receipt.pair_bytes.items():
-                expected[pair] = expected.get(pair, 0) + n
-            return value, receipt
+        def spying_execute(lowered):
+            executed.append(lowered)
+            return plain_execute(lowered)
 
+        def spying_reduce(trees, ops):
+            values, receipt = plain_reduce(trees, ops)
+            reduce_receipts.append(receipt)
+            return values, receipt
+
+        executor.transport.execute = spying_execute
         executor.transport.reduce = spying_reduce
         try:
             executor.run()
-            assert executor.wire.pair_bytes == expected
         finally:
             executor.close()
+        # A fresh image records every firing of the run, and a firing —
+        # an anchor under its enclosing loop values — happens once.
+        image = executor.image
+        assert len(executed) == sum(
+            len(image.wire_firings[False, keys])
+            for keys in image.firings.values()
+        )
+        nbytes: dict[tuple[int, int], int] = {}
+        msgs: dict[tuple[int, int], int] = {}
+        for keys in image.firings.values():
+            for key in keys:
+                plan = image.comm_plans[key]
+                for pair, n in plan.pair_bytes().items():
+                    nbytes[pair] = nbytes.get(pair, 0) + n
+                for t in plan.transfers:
+                    for dst in t.dsts:
+                        if dst != t.src:
+                            msgs[t.src, dst] = msgs.get((t.src, dst), 0) + 1
+        for receipt in reduce_receipts:
+            for pair, n in receipt.pair_bytes.items():
+                nbytes[pair] = nbytes.get(pair, 0) + n
+            for pair, n in receipt.pair_msgs.items():
+                msgs[pair] = msgs.get(pair, 0) + n
+        assert executor.wire.pair_bytes == nbytes
+        assert executor.wire.pair_msgs == msgs
 
 
 class TestCollectiveEndToEnd:
@@ -283,10 +304,10 @@ class TestReductionLowering:
         transport = make_transport(backend, 4, watchdog_s=10.0)
         try:
             transport.start({r: {} for r in range(4)})
-            value, receipt = transport.reduce(pieces, op)
+            values, receipt = transport.reduce([[pieces]], [[op]])
         finally:
             transport.shutdown()
-        assert value == expected
+        assert values == [[expected]]
         assert receipt.pair_bytes == lower_reduction(
             op, {r: p.size * 8 for r, p in pieces.items()}, 4
         ).predicted_pairs

@@ -46,40 +46,58 @@ def test_clean_threaded_run_never_sleeps(monkeypatch):
     assert not stats.degradations
 
 
-class TestBarrierWaits:
-    """``RankOpStats.barrier_waits``: rounds - 1 per rank and lowered
-    operation, nothing at its end, nothing in a reduce."""
+#: ALLGATHER_SRC with a second array gathered by the same statement:
+#: under ``orig`` two rings fire at one anchor, as one wire operation.
+RING_IN_A_FIRING_SRC = """
+PROGRAM agf
+  PARAM n = 12
+  PROCESSORS p(4)
+  REAL b(n)
+  REAL c(n)
+  REAL r(n)
+  DISTRIBUTE b(BLOCK) ONTO p
+  DISTRIBUTE c(BLOCK) ONTO p
+  DO i = 1, 2
+    b(1:n) = b(1:n) + 1.0
+    c(1:n) = c(1:n) + 2.0
+    r(1:n) = b(1:n) + c(1:n)
+    b(1:n) = b(1:n) * 0.5 + r(1:n) * 0.25
+  END DO
+END
+"""
 
-    def _log(self, source, params, backend):
-        """(algorithm, rounds, rank -> barrier waits) per operation."""
-        result = compile_program(
-            source, params=params, strategy=Strategy.GLOBAL
-        )
+
+class TestBarrierWaits:
+    """``RankOpStats.barrier_waits``, read from the receipts: rounds - 1
+    per rank and wire operation, nothing at its end, nothing in a
+    reduce."""
+
+    def _log(self, source, params, backend, strategy=Strategy.GLOBAL):
+        """(members, rounds, rank -> barrier waits) per operation."""
+        result = compile_program(source, params=params, strategy=strategy)
         executor = SPMDExecutor(result, transport=backend)
         transport = executor.transport
-        waits: dict[int, int] = {}
         log = []
-        absorb = transport.stats.absorb
         execute = transport.execute
         reduce = transport.reduce
 
-        def spying_absorb(rank, rs):
-            waits[rank] = rs.barrier_waits
-            absorb(rank, rs)
+        def waits(receipt):
+            return {
+                rank: rs.barrier_waits for rank, rs in receipt.ranks.items()
+            }
 
         def spying_execute(lowered):
-            waits.clear()
             receipt = execute(lowered)
-            log.append((lowered.algorithm, len(lowered.rounds), dict(waits)))
+            log.append(
+                (lowered.members, len(lowered.rounds), waits(receipt))
+            )
             return receipt
 
-        def spying_reduce(pieces, op):
-            waits.clear()
-            out = reduce(pieces, op)
-            log.append(("reduce-tree", 0, dict(waits)))
-            return out
+        def spying_reduce(trees, ops):
+            values, receipt = reduce(trees, ops)
+            log.append((("reduce-tree",), 0, waits(receipt)))
+            return values, receipt
 
-        transport.stats.absorb = spying_absorb
         transport.execute = spying_execute
         transport.reduce = spying_reduce
         try:
@@ -91,9 +109,26 @@ class TestBarrierWaits:
     @pytest.mark.parametrize("backend", CONCURRENT)
     def test_k_round_ring_waits_k_minus_one_times(self, backend):
         log, nranks, wire = self._log(ALLGATHER_SRC, None, backend)
-        rings = [row for row in log if row[0] == "ring-allgather"]
+        rings = [row for row in log if "ring-allgather" in row[0]]
         assert rings
-        for _algorithm, rounds, waits in rings:
+        for _members, rounds, waits in rings:
+            assert rounds == nranks - 1
+            assert waits == {rank: rounds - 1 for rank in range(nranks)}
+        assert wire.barrier_waits == sum(
+            sum(waits.values()) for _, _, waits in log
+        )
+
+    @pytest.mark.parametrize("backend", CONCURRENT)
+    def test_ring_as_one_member_of_a_merged_firing(self, backend):
+        log, nranks, wire = self._log(
+            RING_IN_A_FIRING_SRC, None, backend, Strategy.ORIG
+        )
+        merged = [
+            row for row in log
+            if "ring-allgather" in row[0] and len(row[0]) > 1
+        ]
+        assert merged, [row[0] for row in log]
+        for _members, rounds, waits in merged:
             assert rounds == nranks - 1
             assert waits == {rank: rounds - 1 for rank in range(nranks)}
         assert wire.barrier_waits == sum(
@@ -105,10 +140,15 @@ class TestBarrierWaits:
         log, nranks, wire = self._log(
             BENCHMARKS["gravity"], SMALL["gravity"], backend
         )
-        assert {row[0] for row in log} >= {"neighbor-exchange", "reduce-tree"}
-        for algorithm, rounds, waits in log:
-            assert rounds <= 1, algorithm
-            assert waits == {rank: 0 for rank in range(nranks)}, algorithm
+        assert {
+            algorithm for row in log for algorithm in row[0]
+        } >= {"neighbor-exchange", "reduce-tree"}
+        for members, rounds, waits in log:
+            assert rounds <= 1, members
+            if rounds or members == ("reduce-tree",):
+                assert waits == {rank: 0 for rank in range(nranks)}, members
+            else:  # never dispatched: nobody measured anything
+                assert waits == {}
         assert wire.barrier_waits == 0
         assert wire.collect_s > 0.0
         assert wire.as_dict()["collect_s"] == round(wire.collect_s, 6)

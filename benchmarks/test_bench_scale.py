@@ -10,7 +10,7 @@ at each size.
 from __future__ import annotations
 
 from repro.core.pipeline import Strategy, compile_program
-from repro.perf.bench import synthetic_program
+from repro.evaluation.programs import synthetic_program
 
 
 def compile_sizes(sizes: list[int]) -> dict[int, tuple[int, int]]:

@@ -23,14 +23,6 @@ Offsets along *distributed* dimensions change rank participation and
 mark the nest kernel-ineligible (the vectorized interpreter path keeps
 it, with the reason recorded).
 
-Two compute tiers share the checks/stores skeleton:
-
-* **python** — the fused numpy statement described above;
-* **numba** — :func:`loop_source` emits the same RHS as flattened
-  strided scalar loops over the full iteration box, suitable for
-  ``numba.njit``; the runtime wraps and falls back to the python tier
-  when numba is absent or compilation fails.
-
 :func:`pack_source` / :func:`unpack_source` emit the transfer-buffer
 kernels the transport backends use: gather a send's indexed box straight
 into a pooled (or shared-memory) wire buffer and scatter it back into
@@ -56,7 +48,6 @@ __all__ = [
     "compile_fn",
     "emit_index",
     "fused_rhs_source",
-    "loop_source",
     "pack_source",
     "unpack_source",
     "slice_literal",
@@ -225,7 +216,7 @@ def box_slice_literal(kbox) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fused RHS emission (python tier)
+# Fused RHS emission
 # ---------------------------------------------------------------------------
 
 _CMP = {"==": "==", "/=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -298,106 +289,6 @@ def fused_rhs_source(
         raise SimulationError(f"cannot emit kernel source for {expr!r}")
 
     return ev(spec.plan.assign.rhs)
-
-
-# ---------------------------------------------------------------------------
-# Flattened strided loops (numba tier)
-# ---------------------------------------------------------------------------
-
-_INTRINSIC_SCALAR = {
-    "SQRT": "_math.sqrt({0})",
-    "ABS": "abs({0})",
-    "EXP": "_math.exp({0})",
-    "LOG": "_math.log({0})",
-    "MOD": "({0} % {1})",
-    "MIN": "min({0}, {1})",
-    "MAX": "max({0}, {1})",
-}
-
-
-def loop_source(
-    spec: NestSpec, conc: ConcreteNest, ref_order: list
-) -> str:
-    """Flattened strided scalar loops computing the full-box RHS block
-    element by element — the ``numba.njit``-compilable tier.
-
-    ``ref_order`` fixes the positional array arguments (``id(ArrayRef)``
-    in order); the emitted function signature is
-    ``_loop(out, _a0, ..., _q0, ...)`` with scalar arguments last.
-    Only valid for fully-static nests (no dynamic offsets).
-    """
-    var_axis = {v: i for i, v in enumerate(spec.plan.vars)}
-    arg_of = {rid: i for i, rid in enumerate(ref_order)}
-    scal_arg = {
-        name: len(spec.dyn_args) + i for i, name in enumerate(spec.scal_args)
-    }
-
-    def scalar_index(cref) -> str:
-        parts = []
-        for dim in cref.dims:
-            if dim[0] == "p":
-                parts.append(str(dim[1] - 1))
-                continue
-            _, axis, start, stride = dim
-            if stride == 1:
-                parts.append(f"_k{axis} + {start - 1}")
-            else:
-                parts.append(f"_k{axis} * {stride} + {start - 1}")
-        return ", ".join(parts)
-
-    def ev(expr: ast.Expr) -> str:
-        if isinstance(expr, ast.Num):
-            return repr(float(expr.value))
-        if isinstance(expr, ast.VarRef):
-            axis = var_axis.get(expr.name)
-            if axis is not None:
-                lo_v, step, _ = conc.axes[axis]
-                return f"({lo_v}.0 + {step}.0 * _k{axis})"
-            return f"_q{scal_arg[expr.name]}"
-        if isinstance(expr, ast.ArrayRef):
-            cref = conc.refs[id(expr)]
-            return f"_a{arg_of[id(expr)]}[{scalar_index(cref)}]"
-        if isinstance(expr, ast.BinOp):
-            left, right = ev(expr.left), ev(expr.right)
-            if expr.op in ("+", "-", "*", "/"):
-                return f"({left} {expr.op} {right})"
-            if expr.op in _CMP:
-                return f"(1.0 if {left} {_CMP[expr.op]} {right} else 0.0)"
-            if expr.op == "AND":
-                return (
-                    f"(1.0 if ({left} != 0.0) and ({right} != 0.0) "
-                    f"else 0.0)"
-                )
-            if expr.op == "OR":
-                return (
-                    f"(1.0 if ({left} != 0.0) or ({right} != 0.0) else 0.0)"
-                )
-            raise SimulationError(f"unknown operator {expr.op!r}")
-        if isinstance(expr, ast.UnOp):
-            value = ev(expr.operand)
-            if expr.op == "-":
-                return f"(-{value})"
-            return f"(0.0 if {value} != 0 else 1.0)"
-        if isinstance(expr, ast.Intrinsic):
-            tmpl = _INTRINSIC_SCALAR.get(expr.name)
-            if tmpl is None:
-                raise SimulationError(f"unknown intrinsic {expr.name!r}")
-            return tmpl.format(*[ev(a) for a in expr.args])
-        raise SimulationError(f"cannot emit loop source for {expr!r}")
-
-    arrays = ", ".join(f"_a{i}" for i in range(len(ref_order)))
-    scalars = ", ".join(
-        f"_q{len(spec.dyn_args) + i}" for i in range(len(spec.scal_args))
-    )
-    sig = ", ".join(p for p in ("out", arrays, scalars) if p)
-    lines = [f"def _loop({sig}):"]
-    indent = "    "
-    for axis, count in enumerate(conc.shape):
-        lines.append(f"{indent}for _k{axis} in range({count}):")
-        indent += "    "
-    subscript = ", ".join(f"_k{a}" for a in range(len(conc.shape)))
-    lines.append(f"{indent}out[{subscript}] = {ev(spec.plan.assign.rhs)}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -85,12 +85,6 @@ class CompilerOptions:
     # optimizations that depend on the canonical §4.5→§4.6→§4.7 order.
     disabled_passes: tuple[str, ...] = ()
     pass_pipeline: "tuple[str, ...] | None" = None
-    # Runtime kernel codegen tier (see repro.runtime.kernels): 'auto'
-    # probes for numba and otherwise emits fused numpy statements;
-    # 'python'/'numba' force a tier ('numba' degrades to 'python' with a
-    # recorded reason when unavailable); 'off' keeps the interpreted
-    # block path.  SPMDExecutor(kernels=...) overrides per run.
-    kernels: str = "auto"  # 'auto' | 'python' | 'numba' | 'off'
 
 
 class AnalysisContext:

@@ -100,7 +100,7 @@ class CompilationResult:
     compile (empty for a clean run); the schedule is sound either way.
     ``pass_traces`` holds one :class:`~repro.core.passes.PassTrace` per
     executed pass — wall time, degradation flag, and counters — surfaced
-    by the CLI's ``--trace-json`` and the perf bench harness.
+    by the CLI's ``--trace-json`` and the service response.
     ``execution_image`` belongs to :mod:`repro.runtime.spmd`: what the
     first execution of this result worked out about running it, reused
     by every later one and freed with the result.

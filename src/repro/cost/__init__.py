@@ -3,9 +3,8 @@
 Before this package, cost knowledge was scattered across five layers
 that never talked: the :mod:`repro.machine.model` presets, the §6.1
 simulator, the Figure 5 profiler (which derived the combining knee but
-fed nothing back), the greedy/ILP/solver combiners (hard-coded 20 KB),
-and bench-time-only transport calibration.  Everything routes through
-here now:
+fed nothing back), and the greedy/ILP/solver combiners (hard-coded
+20 KB).  Everything routes through here now:
 
 * :class:`~repro.cost.model.CostModel` wraps a
   :class:`~repro.machine.model.MachineModel` and derives the combining
@@ -13,8 +12,8 @@ here now:
   every placement pass reads it via ``AnalysisContext.cost_model``.
 * :mod:`repro.cost.lower_bound` computes an HBL-style per-program
   communication floor (Christ–Demmel–Knight–Scanlon–Yelick, arXiv
-  1308.0068, adapted to the owner-computes partition), so every BENCH
-  number can be read as "bytes moved vs. how few were possible".
+  1308.0068, adapted to the owner-computes partition), so every byte
+  count can be read as "bytes moved vs. how few were possible".
 """
 
 from .model import (

@@ -327,6 +327,39 @@ BENCHMARKS = {
     "hydflo_hydro": HYDFLO_HYDRO,
 }
 
+#: Small sizes that keep every benchmark quick to execute on a 2×2 grid
+#: (shallow stays finite; the staleness oracle cannot tell NaN from
+#: corruption).
+QUICK_PARAMS: dict[str, dict[str, int]] = {
+    "shallow": {"n": 8, "nsteps": 2, "pr": 2, "pc": 2},
+    "gravity": {"n": 8, "pr": 2, "pc": 2},
+    "trimesh": {"n": 8, "nsweeps": 2, "pr": 2, "pc": 2},
+    "trimesh_gauss": {"n": 8, "nsweeps": 2, "pr": 2, "pc": 2},
+    "hydflo_flux": {"n": 8, "nsteps": 1, "pr": 2, "pc": 2},
+    "hydflo_hydro": {"n": 8, "nsteps": 2, "pr": 2, "pc": 2},
+}
+
+
+def synthetic_program(phases: int) -> str:
+    """``phases`` stencil statements over ``phases + 1`` arrays, each a
+    shifted read of the previous phase's output, inside one time loop.
+    The scalability workload: entries grow linearly, CommSet work roughly
+    quadratically."""
+    arrays = [f"x{i}" for i in range(phases + 1)]
+    decls = "\n".join(
+        f"REAL {a}(n)\nDISTRIBUTE {a}(BLOCK) ONTO p" for a in arrays
+    )
+    stmts = "\n".join(
+        f"{arrays[i + 1]}(2:n-1) = {arrays[i]}(1:n-2) + {arrays[i]}(3:n)"
+        for i in range(phases)
+    )
+    feedback = f"{arrays[0]}(2:n-1) = {arrays[-1]}(2:n-1)"
+    return (
+        f"PROGRAM scale\nPARAM n = 64\nPROCESSORS p(4)\n{decls}\n"
+        f"DO t = 1, 10\n{stmts}\n{feedback}\nEND DO\nEND"
+    )
+
+
 # The paper's Figure 10 table: routine -> (comm type, orig, nored, comb).
 PAPER_TABLE = {
     ("shallow", "main", "NNC"): (20, 14, 8),

@@ -108,77 +108,6 @@ class MachineModel:
         return flop_count / self.flops
 
 
-def fit_linear_cost(
-    sizes: "list[int]", times: "list[float]"
-) -> tuple[float, float]:
-    """Least-squares fit of the linear cost model ``t = C + n/B`` to
-    measured (message size, time) points; returns ``(startup_s,
-    bandwidth_bps)``.  This is how the transport micro-benchmarks
-    calibrate a :class:`MachineModel` for the host: the fitted intercept
-    is the per-message overhead, the slope's inverse the per-byte
-    bandwidth.  Degenerate inputs (fewer than two distinct sizes, or a
-    non-positive slope from timer noise) fall back to a zero-intercept
-    bandwidth estimate."""
-    if len(sizes) != len(times) or not sizes:
-        raise ValueError("need matching, non-empty size/time samples")
-    n = float(len(sizes))
-    sx = sum(float(s) for s in sizes)
-    sy = sum(times)
-    sxx = sum(float(s) * s for s in sizes)
-    sxy = sum(float(s) * t for s, t in zip(sizes, times))
-    denom = n * sxx - sx * sx
-    if denom > 0:
-        slope = (n * sxy - sx * sy) / denom
-        intercept = (sy - slope * sx) / n
-        if slope > 0:
-            return max(intercept, 0.0), 1.0 / slope
-    # Non-physical slope: the dispatch handshake dominates and time is
-    # flat (or noisy-decreasing) in size — charge the floor to startup
-    # and derive bandwidth from raw throughput.
-    total_bytes = sum(float(s) for s in sizes)
-    total_time = max(sy, 1e-12)
-    return max(min(times), 0.0), max(total_bytes / total_time, 1.0)
-
-
-def calibrated_model(
-    name: str,
-    startup_s: float,
-    bandwidth_bps: float,
-    base: "MachineModel | None" = None,
-) -> MachineModel:
-    """A :class:`MachineModel` with measured message constants.
-
-    Contract: ``startup_s`` and ``bandwidth_bps`` come from
-    :func:`fit_linear_cost` over real transport micro-benchmarks and are
-    taken verbatim (floored at physical minima).  Every *curve shape*
-    (bcopy bandwidths, cache size, flops) is inherited from ``base``
-    (default SP2) unscaled.  The remaining *per-message time* constants —
-    ``inject_s`` and ``sw_overhead_s`` — scale with the measured startup
-    by the ratio ``startup_s / base.startup_s``, preserving the base
-    machine's proportions: a backend whose dispatch handshake is 10x the
-    SP2's is charged 10x its software overhead too, rather than zero.
-    (``sw_overhead_s`` used to be silently zeroed here, which made
-    calibrated models claim a per-message cost *below* the fitted
-    intercept; the fitted intercept measures the whole handshake, and the
-    split between "wire startup" and "software overhead" keeps the base
-    ratio.)  This turns the representative presets into a model of the
-    machine actually running the backends, so §6.1 predictions can be
-    read in host seconds."""
-    base = base or SP2
-    scale = max(startup_s, 1e-9) / base.startup_s
-    return MachineModel(
-        name=name,
-        startup_s=max(startup_s, 1e-9),
-        inject_s=base.inject_s * scale,
-        bandwidth_bps=max(bandwidth_bps, 1.0),
-        bcopy_cache_bps=base.bcopy_cache_bps,
-        bcopy_mem_bps=base.bcopy_mem_bps,
-        cache_bytes=base.cache_bytes,
-        flops=base.flops,
-        sw_overhead_s=base.sw_overhead_s * scale,
-    )
-
-
 SP2 = MachineModel(
     name="SP2",
     startup_s=40e-6,

@@ -5,11 +5,14 @@ changing what it computes:
 
 * :mod:`repro.perf.stats` — cache hit/miss instrumentation shared by the
   analysis caches (sections, dependence verdicts, combinability,
-  subsumption, live ranges);
+  subsumption, live ranges), and the SPMD executor's runtime counters;
+* :mod:`repro.perf.cache` — the two-tier schedule cache shared by the
+  batch driver and the compile service;
 * :mod:`repro.perf.batch` — the parallel batch-compile driver with a
-  content-hash result cache (the "heavy traffic" serving scenario);
-* :mod:`repro.perf.bench` — the perf-regression harness that emits
-  ``BENCH_compile.json`` so successive PRs have a trajectory to compare.
+  content-hash result cache (the "heavy traffic" serving scenario).
+
+Speed is measured by the end-to-end benchmark (``benchmarks/e2e``,
+declared in ``BENCHMARK.json``), not from inside this package.
 
 Every *memo cache* is ablatable through
 :attr:`repro.core.context.CompilerOptions.enable_caches`; cached and

@@ -54,7 +54,7 @@ def canonical_bytes(value: Any) -> bytes:
 
 @dataclass
 class CacheStats:
-    """Counters for both tiers; ``as_dict`` feeds bench payloads."""
+    """Counters for both tiers; ``as_dict`` feeds the batch and service reports."""
 
     memory_hits: int = 0
     disk_hits: int = 0

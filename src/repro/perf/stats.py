@@ -2,24 +2,19 @@
 
 Every memoized verdict cache in the pipeline records its traffic in a
 :class:`CacheStats`, aggregated per :class:`~repro.core.context.AnalysisContext`
-in a :class:`CacheStatsRegistry`.  The perf-regression harness
-(:mod:`repro.perf.bench`) reads these to report hit rates in
-``BENCH_compile.json``; nothing else depends on them, so the counters are
-plain ints (no locks — a context is single-threaded by construction).
+in a :class:`CacheStatsRegistry`.  The end-to-end benchmark's traced
+runs read these to report hit rates; nothing in the compiler depends on
+them, so the counters are plain ints (no locks — a context is
+single-threaded by construction).
 
 :class:`RuntimeStats` is the execution-side counterpart: the SPMD
 executor (:mod:`repro.runtime.spmd`) counts messages, bytes, block
 copies, plan-cache traffic, and vectorized-vs-fallback statement firings
-in one; the runtime bench harness (:mod:`repro.perf.runbench`) serializes
-it into ``BENCH_spmd.json``.  :func:`environment_metadata` stamps both
-bench payloads so trajectories across machines/PRs stay comparable.
+in one; ``repro run`` prints it and the end-to-end benchmark reads it.
 """
 
 from __future__ import annotations
 
-import os
-import platform
-import sys
 from dataclasses import dataclass, field
 
 
@@ -101,8 +96,8 @@ class RuntimeStats:
     code (nest kernels and direct-copy communication kernels alike),
     ``plan_translations`` how many CommPlan cache hits were served
     by translating a canonical plan to a shifted offset, and
-    ``kernel_tier``/``kernel_fallback_reason`` which compute tier ran
-    and why a requested tier degraded (empty string: no degradation).
+    ``kernel_tier`` whether the kernels ran (``"python"``) or the run
+    was the per-reference reference (``"off"``).
 
     Plans and kernels live in the result's execution image
     (:class:`repro.runtime.spmd.ExecutionImage`): a run that finds them
@@ -134,7 +129,6 @@ class RuntimeStats:
     kernel_compiles: int = 0
     kernel_cache_hits: int = 0
     kernel_tier: str = "off"
-    kernel_fallback_reason: str = ""
     plan_compile_s: float = 0.0
     #: Firings whose ops were lowered and merged into wire operations,
     #: and the dependence tests that took — both zero on a warm image.
@@ -188,7 +182,6 @@ class RuntimeStats:
             "kernel_compiles": self.kernel_compiles,
             "kernel_cache_hits": self.kernel_cache_hits,
             "kernel_tier": self.kernel_tier,
-            "kernel_fallback_reason": self.kernel_fallback_reason,
             "plan_compile_s": round(self.plan_compile_s, 6),
             "firing_merges": self.firing_merges,
             "firing_dep_tests": self.firing_dep_tests,
@@ -199,19 +192,3 @@ class RuntimeStats:
             "recovery_s": round(self.recovery_s, 6),
             "degradations": list(self.degradations),
         }
-
-
-def environment_metadata() -> dict[str, "str | int"]:
-    """The machine/interpreter fingerprint stamped into bench payloads."""
-    import numpy
-
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "numpy": numpy.__version__,
-        "cpu_count": os.cpu_count() or 1,
-        "machine": platform.machine(),
-        "system": platform.system(),
-        "hostname": platform.node(),
-        "executable": sys.executable,
-    }

@@ -8,8 +8,8 @@ third lowering level — plans become *compiled code*:
 
 * Kernels are built once per program and bound once per run.  The
   program's :class:`~repro.runtime.spmd.ExecutionImage` keeps a
-  :class:`KernelTemplate` per ``(tier, nest sid, concrete loop
-  geometry)`` — keyed like CommPlans.  A miss emits a specialized Python
+  :class:`KernelTemplate` per ``(nest sid, concrete loop geometry)`` —
+  keyed like CommPlans.  A miss emits a specialized Python
   function (:mod:`repro.codegen.kernels`), compiles it, and records a
   *binding recipe*: which ``values`` / ``valid`` / shadow view each free
   name of the body takes, region by region.  :class:`KernelEngine` (one per executor)
@@ -33,12 +33,6 @@ third lowering level — plans become *compiled code*:
   boundary data moves storage-to-storage without the interpreted loop's
   intermediate block copy, with the oracle checks emitted inline.
 
-* An optional ``numba`` tier replaces the fused numpy statement with
-  flattened strided scalar loops compiled by ``numba.njit``.  Tier
-  resolution (:func:`resolve_tier`) and per-nest compilation both
-  degrade to the python tier — recorded as ``kernel_fallback_reason``
-  in :class:`~repro.perf.stats.RuntimeStats`, never an error.
-
 Correctness posture: the emitted code performs *the same numpy
 operations in the same order* as the interpreted block path
 (:func:`~repro.runtime.plans.eval_rhs_block` and
@@ -52,7 +46,6 @@ the interpreter detects, the kernel detects.
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 import types
@@ -69,7 +62,6 @@ from ..codegen.kernels import (
     compile_fn,
     emit_index,
     fused_rhs_source,
-    loop_source,
 )
 from ..errors import SimulationError
 from ..sections.rsd import cover
@@ -87,29 +79,7 @@ from .plans import (
     var_axis_block,
 )
 
-__all__ = ["KernelEngine", "KernelTemplate", "resolve_tier"]
-
-
-def resolve_tier(request: str) -> tuple[str, "str | None"]:
-    """Resolve a kernel tier request to what this interpreter can run.
-
-    ``"python"`` is always available.  ``"numba"`` and ``"auto"`` probe
-    for an importable numba; an explicit ``"numba"`` request that cannot
-    be honored degrades to ``"python"`` with the reason (never an
-    error), while ``"auto"`` degrades silently.
-    """
-    if request == "python":
-        return "python", None
-    if request not in ("numba", "auto"):
-        raise ValueError(f"unknown kernel tier {request!r}")
-    try:
-        import numba  # noqa: F401
-
-        return "numba", None
-    except Exception as exc:  # pragma: no cover - numba present
-        if request == "numba":
-            return "python", f"numba unavailable ({exc}); using python tier"
-        return "python", None
+__all__ = ["KernelEngine", "KernelTemplate"]
 
 
 @dataclass
@@ -127,8 +97,7 @@ class KernelTemplate:
     :func:`~repro.runtime.plans.block_alignment`.  The accounting
     constants are what the interpreted path would have recomputed per
     firing — ``sections`` is the number of (rank, section) freshness
-    tests the body makes, after the read cover; ``degraded`` carries a
-    numba-tier downgrade to every run that uses the kernel.
+    tests the body makes, after the read cover.
     """
 
     code: types.CodeType
@@ -138,7 +107,6 @@ class KernelTemplate:
     bcopy_calls: int = 0
     remote_reads: int = 0
     sections: int = 0
-    degraded: str = ""
 
     def __post_init__(self) -> None:
         # A template lives as long as its program: share each name with
@@ -185,11 +153,10 @@ class KernelEngine:
     (kernel-ineligible — the caller keeps the interpreted block path).
     """
 
-    def __init__(self, executor, tier: str) -> None:
+    def __init__(self, executor) -> None:
         # The run's parts, not the executor: a reference back would tie
         # executor, storage and bound kernels into a cycle only the
         # cyclic collector frees, and rank storage is the bulk of a run.
-        self.tier = tier
         self.image = image = executor.image
         self.info = image.info
         self.stats = executor.stats
@@ -231,7 +198,7 @@ class KernelEngine:
             float(self.shadow._lookup(name)) for name in spec.scal_args
         )
 
-        key = (self.tier, plan.outer_sid, tuple(axes))
+        key = (plan.outer_sid, tuple(axes))
         bound = self._nest_fns.get(key)
         built = False
         if bound is None:
@@ -249,8 +216,6 @@ class KernelEngine:
                 return False
             finally:
                 stats.plan_compile_s += time.perf_counter() - t0
-            if kern.degraded and not stats.kernel_fallback_reason:
-                stats.kernel_fallback_reason = kern.degraded
         if built:
             stats.kernel_compiles += 1
         else:
@@ -290,7 +255,7 @@ class KernelEngine:
         layout = info.layout(name)
         sid = plan.assign.sid
 
-        static = {"_np": np, "_math": math, "_PF": PlanFallback, **_CHECK_NAMES}
+        static = {"_np": np, "_PF": PlanFallback, **_CHECK_NAMES}
         recipe: list[tuple] = []
         nargs = len(spec.dyn_args) + len(spec.scal_args)
         body: list[str] = []
@@ -367,21 +332,11 @@ class KernelEngine:
         for axis in range(len(plan.vars)):
             static[f"_ax{axis}"] = var_axis_block(conc, axis, full)
 
-        degraded = ""
-        if self.tier == "numba" and not spec.dyn_args:
-            tier_line, degraded = self._emit_numba_rhs(
-                spec, conc, static, recipe
-            )
-        else:
-            tier_line = None
-        if tier_line is not None:
-            body.append(tier_line)
-        else:
-            expr = fused_rhs_source(spec, conc, ref_exprs)
-            body.append(
-                f"    _blk = _np.broadcast_to("
-                f"_np.asarray({expr}, _np.float64), {conc.shape!r})"
-            )
+        expr = fused_rhs_source(spec, conc, ref_exprs)
+        body.append(
+            f"    _blk = _np.broadcast_to("
+            f"_np.asarray({expr}, _np.float64), {conc.shape!r})"
+        )
 
         perm = tuple(d[1] for d in conc.lhs.dims if d[0] == "a")
         body.append(f"    _val = _blk.transpose({perm!r})")
@@ -518,47 +473,6 @@ class KernelEngine:
             bcopy_calls=bcopy,
             remote_reads=remote_reads,
             sections=sections,
-            degraded=degraded,
-        )
-
-    def _emit_numba_rhs(
-        self, spec, conc, static: dict, recipe: list
-    ) -> "tuple[str | None, str]":
-        """Compile the flattened-loop tier for a static nest; returns the
-        body line that invokes it — or ``None`` to keep the fused numpy
-        statement — and the degradation reason (recorded, never raised)."""
-        plan = spec.plan
-        ref_order = list(plan.rhs_refs.keys())
-        names = [conc.refs[rid].name for rid in ref_order]
-        try:
-            import numba
-
-            src = loop_source(spec, conc, ref_order)
-            pyfn = bind_fn(
-                compile_fn(src, f"loop-s{plan.assign.sid}"), {"_math": math}
-            )
-            jitted = numba.njit(pyfn)
-            # Trial invocation: compiles eagerly and proves the loop body
-            # is nopython-clean.  Writes only the scratch output.
-            scal = [0.0] * len(spec.scal_args)
-            jitted(
-                np.empty(conc.shape),
-                *(self.shadow.arrays[name] for name in names), *scal,
-            )
-        except Exception as exc:
-            return None, f"numba tier degraded at s{plan.assign.sid}: {exc}"
-        static["_loop"] = jitted
-        recipe.extend(
-            (None, name, None, None, None, None, f"_raw{i}")
-            for i, name in enumerate(names)
-        )
-        args = "".join(f", _raw{i}" for i in range(len(names)))
-        args += "".join(
-            f", _q{len(spec.dyn_args) + i}"
-            for i in range(len(spec.scal_args))
-        )
-        return (
-            f"    _blk = _np.empty({conc.shape!r}); _loop(_blk{args})", ""
         )
 
     # -- communication copy kernels ----------------------------------------

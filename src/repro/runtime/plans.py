@@ -14,7 +14,7 @@ analysis once, then run flat block operations:
   geometry, so the whole nest executes as one block operation per rank
   instead of ``count`` interpreted iterations.  Statements the vectorizer
   cannot prove rectangular keep the element-wise path; the reason is
-  recorded so the bench harness can report degradations.
+  recorded so the executor can report degradations.
 
 * **Communication plans** (:class:`CommPlanner`): every
   :class:`~repro.core.state.PlacedComm` is lowered once per concrete

@@ -76,7 +76,7 @@ from ..transport.lowering import (
 from .darray import GridRank, Ownership, RankStorage, grid_ranks
 from .darray import all_valid, fresh, np_index  # the freshness idiom
 from .interp import Interpreter
-from .kernels import KernelEngine, resolve_tier
+from .kernels import KernelEngine
 from .plans import (
     CommPlan,
     CommPlanner,
@@ -166,7 +166,7 @@ class ExecutionImage:
         self.fallback_reasons: dict[int, str] = {}
         self.kernel_specs: dict = {}
         self.kernel_ineligible: dict[int, str] = {}
-        #: (tier, nest sid, loop geometry) -> KernelTemplate
+        #: (nest sid, loop geometry) -> KernelTemplate
         self.nest_templates: dict[tuple, object] = {}
         #: (anchor, enclosing loop variables' values) -> the CommPlan key
         #: of each op firing there: a firing's geometry, derived once.
@@ -268,7 +268,6 @@ class SPMDExecutor:
         kernels: "str | None" = None,
         chaos=None,
         max_rank_restarts: "int | None" = None,
-        integrity: "bool | None" = None,
     ) -> None:
         self.result = result
         self.info = result.info
@@ -277,17 +276,14 @@ class SPMDExecutor:
         self.collectives = collectives
 
         # Everything that can refuse the request comes before anything
-        # that starts a rank.  Kernel tier: explicit argument wins;
-        # otherwise the compile-side option decides.
-        tier_request = kernels if kernels is not None else getattr(
-            result.ctx.options, "kernels", "auto"
-        )
-        tier = None
-        if tier_request != "off" and vectorize:
-            tier, reason = resolve_tier(tier_request)
-            self.stats.kernel_tier = tier
-            if reason:
-                self.stats.kernel_fallback_reason = reason
+        # that starts a rank.
+        if kernels not in (None, "off"):
+            raise ValueError(
+                f"unknown kernel tier {kernels!r}; expected None or 'off'"
+            )
+        use_kernels = kernels is None and vectorize
+        if use_kernels:
+            self.stats.kernel_tier = "python"
 
         image = self.image = execution_image(result)
         self.schedule = image.schedule
@@ -309,14 +305,11 @@ class SPMDExecutor:
         self.transport = make_transport(
             transport, len(self.ranks), watchdog_s=watchdog_s,
             chaos=chaos, max_rank_restarts=max_rank_restarts,
-            integrity=integrity,
         )
         self.wire = self.transport.stats if self.transport else None
         try:
             self._bind(seed)
-            self.kernels = (
-                KernelEngine(self, tier) if tier is not None else None
-            )
+            self.kernels = KernelEngine(self) if use_kernels else None
         except BaseException:
             self.close()
             raise
@@ -1027,16 +1020,16 @@ def execute_spmd(
     kernels: "str | None" = None,
     chaos=None,
     max_rank_restarts: "int | None" = None,
-    integrity: "bool | None" = None,
 ) -> tuple[dict[str, np.ndarray], RuntimeStats]:
     """Run a compiled program on simulated ranks; returns the assembled
     final state and movement statistics.  Raises on any missing-data or
     staleness violation.  ``vectorize=False`` forces the element-wise
     reference path for every statement; ``transport`` selects a real
     message-passing backend (``inline``/``threaded``/``multiprocess``)
-    instead of the default direct-copy data path; ``kernels`` picks the
-    fused-codegen tier (``"auto"``/``"python"``/``"numba"``/``"off"``,
-    default from ``CompilerOptions.kernels``).
+    instead of the default direct-copy data path; ``kernels="off"``
+    runs planned nests on the interpreted per-reference block path
+    instead of the fused kernels (the reference they are checked
+    against).
 
     ``chaos`` arms deterministic fault injection (a
     :class:`~repro.transport.integrity.FaultPlan` or ``--chaos-spec``
@@ -1051,7 +1044,6 @@ def execute_spmd(
         result, seed, vectorize=vectorize, transport=transport,
         collectives=collectives, watchdog_s=watchdog_s, kernels=kernels,
         chaos=chaos, max_rank_restarts=max_rank_restarts,
-        integrity=integrity,
     )
     degraded = None
     try:

@@ -47,7 +47,7 @@ DEFAULT_NODE_LIMIT = 4_000_000
 
 @dataclass
 class SolveReport:
-    """What the anytime search did — surfaced in pass stats and bench."""
+    """What the anytime search did — surfaced in pass stats."""
 
     seed_messages: int
     best_messages: int

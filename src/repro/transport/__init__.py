@@ -65,17 +65,15 @@ def make_transport(
     watchdog_s: float = 30.0,
     chaos: "FaultPlan | str | None" = None,
     max_rank_restarts: int | None = None,
-    integrity: bool | None = None,
 ) -> Transport | None:
     """Resolve a transport spec: ``None`` (keep the legacy direct-copy
     path), a backend name from :data:`BACKENDS`, or an already-built
     :class:`Transport` instance (returned as-is, though ``chaos`` /
-    ``max_rank_restarts`` / ``integrity`` are still applied).
+    ``max_rank_restarts`` are still applied).
 
     ``chaos`` arms fault injection: a :class:`FaultPlan` or a
     ``--chaos-spec`` string (see :meth:`FaultPlan.parse`), wrapping the
-    backend in a :class:`ChaosTransport`.  ``integrity=False`` disables
-    checksum verification on clean runs (chaos forces it back on).
+    backend in a :class:`ChaosTransport`.
     """
     if spec is None:
         return None
@@ -90,8 +88,6 @@ def make_transport(
                 f"expected one of {sorted(BACKENDS)}"
             ) from None
         transport = cls(nranks, watchdog_s=watchdog_s)
-    if integrity is not None:
-        transport.integrity = integrity
     if max_rank_restarts is not None:
         transport.max_rank_restarts = max_rank_restarts
     if chaos is not None:

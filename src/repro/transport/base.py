@@ -500,9 +500,6 @@ class Transport:
         self._poisoned: str | None = None
         self.chaos = None  # ChaosState when fault injection is armed
         self.max_rank_restarts = 2
-        # Wire integrity (CRC32 frame checksums) is on by default; the
-        # chaos bench turns it off to measure clean-run overhead.
-        self.integrity = True
 
     def attach_chaos(self, chaos, max_rank_restarts: int | None = None):
         """Arm fault injection.  Called by :class:`~repro.transport.
@@ -510,7 +507,6 @@ class Transport:
         ``self.chaos`` on their data paths and enable the repair
         machinery (outbox, dedup, NACK/retransmit) when it is set."""
         self.chaos = chaos
-        self.integrity = True  # corruption detection requires checksums
         if max_rank_restarts is not None:
             self.max_rank_restarts = max_rank_restarts
         return self
@@ -784,7 +780,7 @@ class RankPort:
 
     Attributes the carrier sets: ``rank``, ``nranks``, ``chaos``
     (:class:`~repro.transport.integrity.ChaosState` or ``None``),
-    ``integrity``, ``watchdog_s``, ``abort`` (event), ``barrier``,
+    ``watchdog_s``, ``abort`` (event), ``barrier``,
     ``status`` (:class:`StatusBlock`), ``last_recv`` (flat
     ``src * nranks + dst`` array of the last installed seq) and
     ``chans`` — ``(src, dst) ->`` :class:`Channel`.
@@ -899,7 +895,7 @@ def _recv_one(port: RankPort, s, rs: RankOpStats, op_id: int,
                     f"(got seq {frame[1]}, expected {s.seq})"
                 )
             payload = port.payload(frame)
-            if port.integrity and payload_crc(payload) != frame[2]:
+            if payload_crc(payload) != frame[2]:
                 rs.crc_failures += 1
                 raise TransportError(
                     f"rank {rank}: checksum mismatch from rank {s.src} "

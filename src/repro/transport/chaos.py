@@ -144,14 +144,6 @@ class ChaosTransport(Transport):
     def max_rank_restarts(self, value) -> None:
         pass
 
-    @property
-    def integrity(self) -> bool:
-        return self.inner.integrity
-
-    @integrity.setter
-    def integrity(self, value) -> None:
-        pass  # chaos forces integrity on; the wrapper never relaxes it
-
     def create_storage(
         self, specs: Iterable[tuple[int, str, tuple[int, ...]]]
     ) -> dict:

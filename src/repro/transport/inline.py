@@ -64,7 +64,7 @@ class InlineTransport(Transport):
                 count = s.nbytes // SCALAR_BYTES
                 buf = self._pool.rent(count, per_rank[s.src])
                 pack_payload(store.values, s, buf[:count])
-                crc = payload_crc(buf[:count]) if self.integrity else 0
+                crc = payload_crc(buf[:count])
                 pristine = None
                 duplicated = False
                 if chaos is not None and not s.is_local:
@@ -98,10 +98,7 @@ class InlineTransport(Transport):
                     )
                 else:
                     payload = buf[:count]
-                    if (
-                        self.integrity
-                        and payload_crc(payload) != crc
-                    ):
+                    if payload_crc(payload) != crc:
                         rs.crc_failures += 1
                         if pristine is None:
                             raise TransportError(

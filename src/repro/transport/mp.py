@@ -144,7 +144,7 @@ class _ProcessPort(RankPort):
     segments by name and maps numpy views over them."""
 
     def __init__(self, rank, nranks, storage_name, layout, chans, barrier,
-                 abort, status, watchdog_s, integrity, plan, ledger,
+                 abort, status, watchdog_s, plan, ledger,
                  crash_counter, last_recv):
         self.rank = rank
         self.nranks = nranks
@@ -153,7 +153,6 @@ class _ProcessPort(RankPort):
         self.status = status
         self.chans = chans
         self.watchdog_s = watchdog_s
-        self.integrity = integrity
         # Rebuild the chaos state locally over the shared primitives:
         # every process sees one ledger and one crash budget.
         self.chaos = (
@@ -193,7 +192,7 @@ class _ProcessPort(RankPort):
         data_off, mirror_off, count = self._slots[s.seq]
         wire = _f64_view(self._data, data_off, count)
         pack_payload(self._views[(self.rank, s.array)][0], s, wire)
-        crc = payload_crc(wire) if self.integrity else 0
+        crc = payload_crc(wire)
         if self.chaos is not None:
             # Mirror the pristine payload, then publish its header — the
             # write order receivers rely on when repairing from it.
@@ -333,7 +332,7 @@ class MultiprocessTransport(ConcurrentTransport):
             args=(self._cmd[rank], self._done[rank],
                   rank, self.nranks, self._storage_sm.name, self._layout,
                   self._chans, self._barrier, self._abort,
-                  self._status, self.watchdog_s, self.integrity, plan,
+                  self._status, self.watchdog_s, plan,
                   self._ledger_arr, self._crash_counter, self._last_recv),
             name=f"transport-rank-{rank}",
             daemon=True,

@@ -60,7 +60,6 @@ class _ThreadPort(RankPort):
         self.rank = rank
         self.nranks = transport.nranks
         self.chaos = transport.chaos
-        self.integrity = transport.integrity
         self.watchdog_s = transport.watchdog_s
         self.abort = transport._abort
         self.barrier = transport._barrier
@@ -95,7 +94,7 @@ class _ThreadPort(RankPort):
         except BaseException:
             pool.give(buf)  # nothing was posted: the buffer is still ours
             raise
-        crc = payload_crc(buf[:count]) if self.integrity else 0
+        crc = payload_crc(buf[:count])
         if self.chaos is not None:
             self._outbox[pair][(op_id, s.seq)] = buf[:count].copy()
         return (op_id, s.seq, crc, buf, count, True)

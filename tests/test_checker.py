@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.pipeline import Strategy, compile_all_strategies, compile_program
 from repro.errors import SimulationError
-from repro.evaluation.programs import BENCHMARKS
+from repro.evaluation.programs import BENCHMARKS, synthetic_program
 from repro.ir.cfg import Position
 from repro.runtime.checker import ScheduleChecker, check_schedule
 
@@ -41,6 +41,15 @@ class TestValidSchedules:
     def test_stencil(self, stencil_source):
         for strategy, result in compile_all_strategies(stencil_source).items():
             check_schedule(result)
+
+    def test_synthetic_48_phases(self):
+        # The scalability workload: 48 chained stencil phases in one time
+        # loop, 49 arrays — the largest schedule the suite checks.
+        for strategy, result in compile_all_strategies(
+            synthetic_program(48)
+        ).items():
+            stats = check_schedule(result)
+            assert stats.deliveries > 0, strategy
 
     def test_deliveries_match_dynamic_op_count(self, stencil_source):
         result = compile_program(stencil_source, strategy="comb")

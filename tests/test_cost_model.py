@@ -134,6 +134,22 @@ class TestContextWiring:
         )
         assert result.ctx.cost_model.machine is NOW
 
+    def test_high_startup_machine_recombines(self):
+        # The machine changes the schedule, not just its predicted time:
+        # NOW's larger knee lets hydflo_flux's comb schedule merge
+        # messages the SP2 threshold keeps apart.
+        from repro.evaluation.programs import BENCHMARKS
+
+        params = {"n": 32, "nsteps": 1, "pr": 2, "pc": 2}
+        sites = {
+            machine: compile_program(
+                BENCHMARKS["hydflo_flux"], params=params, strategy="comb",
+                options=CompilerOptions(machine=machine),
+            ).call_sites()
+            for machine in ("SP2", "NOW")
+        }
+        assert sites == {"SP2": 10, "NOW": 6}
+
     def test_historical_ilp_import_path(self):
         from repro.core.ilp import CostModel as IlpCostModel
 
@@ -215,8 +231,7 @@ class TestLowerBound:
     def test_benchmarks_respect_the_floor(self):
         # QUICK_PARAMS sizes: the default shallow params diverge to
         # non-finite values, which the staleness oracle rejects.
-        from repro.evaluation.programs import BENCHMARKS
-        from repro.perf.runbench import QUICK_PARAMS
+        from repro.evaluation.programs import BENCHMARKS, QUICK_PARAMS
 
         for name in sorted(BENCHMARKS):
             for strategy in Strategy:

@@ -535,7 +535,7 @@ class TestConstructorFailureLeaksNothing:
         threads = threading.active_count()
         children = len(multiprocessing.active_children())
 
-        def refuse(self, executor, tier):
+        def refuse(self, executor):
             raise RuntimeError("engine refused")
 
         monkeypatch.setattr(KernelEngine, "__init__", refuse)

@@ -8,8 +8,8 @@ arrays, same movement counters, same wire traffic on every transport
 backend — and the staleness oracle keeps its full detection power.
 Also covered here: the CommPlan canonicalization that the kernel work
 rode in on (gravity's shifting all-pairs geometry must now hit the plan
-cache), the transport send-buffer pools, and the tier-degradation
-contract for the optional numba backend.
+cache), the transport send-buffer pools, and the two accepted values of
+``kernels`` (the default runs the kernels, ``"off"`` the reference).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.core.pipeline import Strategy, compile_program
 from repro.errors import SimulationError
 from repro.evaluation.programs import BENCHMARKS
 from repro.runtime.interp import interpret
-from repro.runtime.kernels import resolve_tier
 from repro.runtime.spmd import SPMDExecutor, execute_spmd
 
 SMALL = {
@@ -42,14 +41,6 @@ def _compile(program: str, strategy: Strategy = Strategy.GLOBAL):
     )
 
 
-def _numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Bitwise equivalence: six programs x three strategies, kernels on/off
 # ---------------------------------------------------------------------------
@@ -62,7 +53,7 @@ class TestKernelBitwise:
         self, program, strategy
     ):
         result = _compile(program, strategy)
-        kern_state, kern_stats = execute_spmd(result, kernels="python")
+        kern_state, kern_stats = execute_spmd(result)
         off_state, off_stats = execute_spmd(result, kernels="off")
         ref = interpret(result.info)
         assert set(kern_state) == set(off_state)
@@ -83,13 +74,33 @@ class TestKernelBitwise:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_movement_counters_match(self, program, strategy):
         result = _compile(program, strategy)
-        _, kern = execute_spmd(result, kernels="python")
+        _, kern = execute_spmd(result)
         _, off = execute_spmd(result, kernels="off")
         assert kern.messages == off.messages
         assert kern.bytes_moved == off.bytes_moved
         assert kern.remote_reads == off.remote_reads
         assert kern.reductions == off.reductions
         assert kern.bcopy_calls == off.bcopy_calls
+
+    @pytest.mark.parametrize("program, params", [
+        ("shallow", {"n": 32, "nsteps": 2, "pr": 8, "pc": 8}),
+        ("trimesh", {"n": 32, "nsweeps": 2, "pr": 8, "pc": 8}),
+    ], ids=["shallow", "trimesh"])
+    def test_p64_kernels_match_off(self, program, params):
+        """At P = 64 the per-rank blocks are 4×4: fixed per-firing
+        overhead dominates, the regime the fused kernels exist for."""
+        result = compile_program(BENCHMARKS[program], params=params)
+        kern_state, kern = execute_spmd(result)
+        off_state, off = execute_spmd(result, kernels="off")
+        assert kern.kernel_firings > 0
+        assert set(kern_state) == set(off_state)
+        for name in kern_state:
+            np.testing.assert_array_equal(
+                kern_state[name], off_state[name], err_msg=name
+            )
+        assert (kern.messages, kern.bytes_moved) == (
+            off.messages, off.bytes_moved
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +115,7 @@ class TestWireParity:
         result = _compile(program, Strategy.GLOBAL)
         wires = {}
         states = {}
-        for tier in ("python", "off"):
+        for tier in (None, "off"):
             executor = SPMDExecutor(
                 result, transport=backend, kernels=tier
             )
@@ -115,19 +126,19 @@ class TestWireParity:
             finally:
                 executor.close()
         for key in ("messages", "bytes_sent", "pair_msgs", "pair_bytes"):
-            assert wires["python"][key] == wires["off"][key], (
+            assert wires[None][key] == wires["off"][key], (
                 f"{program}/{backend}: wire {key} differs across tiers"
             )
-        for name in states["python"]:
+        for name in states[None]:
             np.testing.assert_array_equal(
-                states["python"][name], states["off"][name],
+                states[None][name], states["off"][name],
                 err_msg=f"{program}/{backend}: {name}",
             )
 
     def test_wire_bytes_identical_multiprocess(self):
         result = _compile("shallow", Strategy.GLOBAL)
         wires = {}
-        for tier in ("python", "off"):
+        for tier in (None, "off"):
             executor = SPMDExecutor(
                 result, transport="multiprocess", kernels=tier,
                 watchdog_s=120.0,
@@ -137,8 +148,8 @@ class TestWireParity:
                 wires[tier] = executor.wire.as_dict()
             finally:
                 executor.close()
-        assert wires["python"]["bytes_sent"] == wires["off"]["bytes_sent"]
-        assert wires["python"]["messages"] == wires["off"]["messages"]
+        assert wires[None]["bytes_sent"] == wires["off"]["bytes_sent"]
+        assert wires[None]["messages"] == wires["off"]["messages"]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +188,7 @@ class TestBufferPools:
 
 
 # ---------------------------------------------------------------------------
-# Tier selection and degradation
+# Tier selection: the kernels or the per-reference reference
 # ---------------------------------------------------------------------------
 
 
@@ -191,38 +202,11 @@ class TestTierSelection:
 
     def test_python_tier_fires_and_caches(self):
         result = _compile("shallow")
-        _, stats = execute_spmd(result, kernels="python")
+        _, stats = execute_spmd(result)
         assert stats.kernel_tier == "python"
         assert stats.kernel_firings > 0
         assert stats.kernel_compiles > 0
         assert stats.kernel_cache_hits > 0  # time loop reuses geometries
-
-    @pytest.mark.skipif(
-        _numba_available(), reason="numba installed: degradation impossible"
-    )
-    def test_numba_request_degrades_to_python_with_reason(self):
-        # An explicit numba request on a machine without numba must not
-        # fail: it degrades to the python tier and records why.
-        result = _compile("shallow")
-        state, stats = execute_spmd(result, kernels="numba")
-        assert stats.kernel_tier == "python"
-        assert stats.kernel_fallback_reason != ""
-        assert stats.kernel_firings > 0
-        ref_state, _ = execute_spmd(result, kernels="off")
-        for name in state:
-            np.testing.assert_array_equal(state[name], ref_state[name])
-
-    @pytest.mark.skipif(
-        _numba_available(), reason="numba installed: degradation impossible"
-    )
-    def test_resolve_tier_contract(self):
-        # "off" never reaches resolve_tier: the executor skips engine
-        # construction entirely for that request.
-        assert resolve_tier("python") == ("python", None)
-        tier, reason = resolve_tier("numba")
-        assert tier == "python" and reason  # explicit request: recorded
-        tier, reason = resolve_tier("auto")
-        assert tier == "python" and reason is None  # probe: silent
 
     @pytest.mark.parametrize("program", sorted(BENCHMARKS))
     def test_default_tier_never_takes_the_block_path(self, program):
@@ -296,14 +280,14 @@ class TestPlanCanonicalization:
 class TestOraclePreserved:
     def test_dropped_schedule_detected_by_kernels(self):
         result = _compile("shallow", Strategy.GLOBAL)
-        executor = SPMDExecutor(result, kernels="python")
+        executor = SPMDExecutor(result)
         executor.schedule.anchors.clear()
         with pytest.raises(SimulationError, match="not present"):
             executor.run()
 
     def test_partial_drop_detected_by_kernels(self):
         result = _compile("shallow", Strategy.GLOBAL)
-        executor = SPMDExecutor(result, kernels="python")
+        executor = SPMDExecutor(result)
         anchors = executor.schedule.anchors
         for anchor in sorted(anchors, key=repr)[::2]:
             del anchors[anchor]
@@ -350,7 +334,7 @@ def kernel_program(draw):
 @given(source=kernel_program())
 def test_random_programs_kernels_match_elementwise(source):
     result = compile_program(source, strategy=Strategy.GLOBAL)
-    kern_state, kern_stats = execute_spmd(result, kernels="python")
+    kern_state, kern_stats = execute_spmd(result)
     elem_state, elem_stats = execute_spmd(
         result, vectorize=False, kernels="off"
     )

@@ -20,12 +20,11 @@ from hypothesis import given, settings
 from repro.codegen.report import schedule_report
 from repro.core.context import AnalysisContext, CompilerOptions
 from repro.core.pipeline import Strategy, compile_program
-from repro.evaluation.programs import BENCHMARKS
+from repro.evaluation.programs import BENCHMARKS, synthetic_program
 from repro.frontend.analysis import elaborate
 from repro.frontend.parser import parse
 from repro.frontend.scalarizer import scalarize
 from repro.perf.batch import BatchCompiler, BatchJob, job_key
-from repro.perf.bench import synthetic_program
 
 from test_property_pipeline import program_source
 

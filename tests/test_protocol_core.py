@@ -18,9 +18,10 @@ delivers FIFO.  Oracle: the run either installs every expected ``seq``
 exactly once with the pristine bytes, or ends in ``_Abort`` at the
 deadline having installed nothing wrong — and the integrity counters
 add up against what the fault plan injected.  A failure prints a
-``replay(...)`` call that reproduces it; to chase a chaos-bench cell
-that did not survive, feed its ``plan`` (and the channel/seq its
-``failure`` block names) to :func:`replay`.
+``replay(...)`` call that reproduces it; to chase a chaos-matrix cell
+(``tests/test_chaos.py``) that did not survive, feed its plan (and the
+channel/seq its ``DeadlockError.fault_context`` names) to
+:func:`replay`.
 """
 
 from __future__ import annotations
@@ -170,7 +171,6 @@ class FakeBarrier:
 class FakePort(RankPort):
     """The in-memory carrier: frames are ``(op_id, seq, crc, buf, id)``."""
 
-    integrity = True
     nranks = 2
     abort = None
 
@@ -247,7 +247,7 @@ def check(plan: FaultPlan, rounds, schedule, watchdog_s=0.5,
 
 
 def replay(plan_fields: dict, rounds, schedule, watchdog_s=0.5):
-    """Re-run one printed failure (or a chaos-bench cell's plan)."""
+    """Re-run one printed failure (or a chaos-matrix cell's plan)."""
     return check(FaultPlan(**plan_fields), rounds, schedule, watchdog_s)
 
 
@@ -510,7 +510,6 @@ class MeshPort(RankPort):
     is a per-rank outbox cleared in ``begin_op`` as the threaded
     carrier's is."""
 
-    integrity = True
     abort = None
     barrier = NoBarrier()
     watchdog_s = 0.5

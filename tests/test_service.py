@@ -11,12 +11,13 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import time
+from typing import Any
 
 import pytest
 
 from repro.perf.batch import RetryPolicy
 from repro.perf.cache import ScheduleCache, canonical_bytes
-from repro.perf.servicebench import Conn
 from repro.service.app import (
     CompileRequest,
     CompileService,
@@ -43,6 +44,77 @@ BAD_SRC = "PROGRAM broken\nREAL a(n)\nEND PROGRAM\n"
 
 def run(coro):
     return asyncio.run(coro)
+
+
+class Conn:
+    """One keep-alive connection; requests may be pipelined (send many,
+    then read the responses back in order)."""
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        self.reader: asyncio.StreamReader | None = None
+        self.writer: asyncio.StreamWriter | None = None
+        self._sent_at: list[float] = []  # FIFO: responses come in order
+
+    async def open(self) -> "Conn":
+        self.reader, self.writer = await asyncio.open_connection(
+            self.host, self.port
+        )
+        return self
+
+    def send(
+        self,
+        obj: Any,
+        path: str = "/v1/compile",
+        method: str = "POST",
+        headers: dict[str, str] | None = None,
+    ) -> None:
+        body = json.dumps(obj).encode() if obj is not None else b""
+        head = [f"{method} {path} HTTP/1.1", "Host: test",
+                "Content-Type: application/json",
+                f"Content-Length: {len(body)}"]
+        head.extend(f"{k}: {v}" for k, v in (headers or {}).items())
+        assert self.writer is not None
+        self.writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
+        self._sent_at.append(time.perf_counter())
+
+    async def read_response(self) -> tuple[int, dict[str, str], Any, float]:
+        """(status, headers, decoded body, latency_ms) for the oldest
+        outstanding request on this connection."""
+        assert self.reader is not None
+        head = await self.reader.readuntil(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        status = int(lines[0].split(" ")[1])
+        headers: dict[str, str] = {}
+        for line in lines[1:]:
+            name, sep, value = line.partition(":")
+            if sep:
+                headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", "0"))
+        body = await self.reader.readexactly(length) if length else b""
+        latency_ms = (time.perf_counter() - self._sent_at.pop(0)) * 1000
+        return status, headers, json.loads(body) if body else None, latency_ms
+
+    async def request(
+        self,
+        obj: Any,
+        path: str = "/v1/compile",
+        method: str = "POST",
+        headers: dict[str, str] | None = None,
+    ) -> tuple[int, dict[str, str], Any, float]:
+        self.send(obj, path=path, method=method, headers=headers)
+        assert self.writer is not None
+        await self.writer.drain()
+        return await self.read_response()
+
+    async def close(self) -> None:
+        if self.writer is not None:
+            self.writer.close()
+            try:
+                await self.writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
 
 
 async def _start(**kwargs) -> CompileServer:

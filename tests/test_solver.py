@@ -9,6 +9,9 @@ ladder, never-worse-than-greedy guarantee on random programs).
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.context import CompilerOptions
 from repro.core.pipeline import Strategy, compile_program
 from repro.errors import SOLVER_FALLBACK_CODE
-from repro.evaluation.programs import BENCHMARKS
+from repro.evaluation.programs import BENCHMARKS, QUICK_PARAMS
 from repro.runtime.checker import check_schedule
 from repro.solver import (
     SAT,
@@ -237,6 +240,32 @@ class TestAnytime:
             BENCHMARKS["trimesh"], strategy="comb"
         ).call_sites()
         check_schedule(exact)
+
+
+with open(os.path.join(
+    os.path.dirname(__file__), "golden", "schedules.json"
+)) as fh:
+    GOLDEN_RECORDS = json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_exact_meets_golden_optimum(name):
+    """The greedy-vs-optimal gap, checked: on every golden record the
+    solver proved optimal, the ``exact`` pipeline reaches exactly
+    ``optimal_messages`` — more is a solver regression, fewer beats a
+    proved optimum — and it is never worse than greedy ``comb``.  The
+    oracle runs at QUICK_PARAMS (the default sizes take minutes)."""
+    exact_options = CompilerOptions(pass_pipeline=("exact",))
+    exact = compile_program(BENCHMARKS[name], options=exact_options)
+    comb = compile_program(BENCHMARKS[name], strategy="comb")
+    assert not exact.degradations
+    assert exact.call_sites() <= comb.call_sites()
+    for strategy, record in GOLDEN_RECORDS[name].items():
+        if record["proved_optimal"]:
+            assert exact.call_sites() == record["optimal_messages"], strategy
+    check_schedule(compile_program(
+        BENCHMARKS[name], params=QUICK_PARAMS[name], options=exact_options,
+    ))
 
 
 class TestDegradation:

@@ -130,24 +130,21 @@ def analyze_kernel_spec(plan: NestPlan, info) -> NestSpec:
 
     nest_vars = set(plan.vars)
     seen: set[str] = set()
-
-    def collect(expr: ast.Expr) -> None:
-        # value positions only: subscript variables are geometry, already
-        # classified above, not runtime scalar inputs
+    # Value positions only, preorder: subscript variables are geometry,
+    # already classified above, not runtime scalar inputs.
+    work: list[ast.Expr] = [plan.assign.rhs]
+    while work:
+        expr = work.pop()
         if isinstance(expr, ast.VarRef):
             if expr.name not in nest_vars and expr.name not in seen:
                 seen.add(expr.name)
                 spec.scal_args.append(expr.name)
         elif isinstance(expr, ast.BinOp):
-            collect(expr.left)
-            collect(expr.right)
+            work += (expr.right, expr.left)
         elif isinstance(expr, ast.UnOp):
-            collect(expr.operand)
+            work.append(expr.operand)
         elif isinstance(expr, ast.Intrinsic):
-            for a in expr.args:
-                collect(a)
-
-    collect(plan.assign.rhs)
+            work += reversed(expr.args)
     return spec
 
 
@@ -243,52 +240,47 @@ def fused_rhs_source(
     identical numpy operations in identical order, so the block is
     bitwise-identical to the interpreted path's.
     """
-    var_axis = {v: i for i, v in enumerate(spec.plan.vars)}
-    scal_arg = {
-        name: len(spec.dyn_args) + i for i, name in enumerate(spec.scal_args)
-    }
+    var_text = {v: f"_ax{i}" for i, v in enumerate(spec.plan.vars)}
+    for i, name in enumerate(spec.scal_args):
+        var_text.setdefault(name, f"_q{len(spec.dyn_args) + i}")
+    return _emit_rhs(spec.plan.assign.rhs, var_text, ref_exprs)
 
-    def ev(expr: ast.Expr) -> str:
-        if isinstance(expr, ast.Num):
-            return repr(float(expr.value))
-        if isinstance(expr, ast.VarRef):
-            axis = var_axis.get(expr.name)
-            if axis is not None:
-                return f"_ax{axis}"
-            return f"_q{scal_arg[expr.name]}"
-        if isinstance(expr, ast.ArrayRef):
-            return ref_exprs[id(expr)]
-        if isinstance(expr, ast.BinOp):
-            left, right = ev(expr.left), ev(expr.right)
-            if expr.op in ("+", "-", "*", "/"):
-                return f"({left} {expr.op} {right})"
-            if expr.op in _CMP:
-                return (
-                    f"_np.where({left} {_CMP[expr.op]} {right}, 1.0, 0.0)"
-                )
-            if expr.op == "AND":
-                return (
-                    f"_np.where(({left} != 0) & ({right} != 0), 1.0, 0.0)"
-                )
-            if expr.op == "OR":
-                return (
-                    f"_np.where(({left} != 0) | ({right} != 0), 1.0, 0.0)"
-                )
-            raise SimulationError(f"unknown operator {expr.op!r}")
-        if isinstance(expr, ast.UnOp):
-            value = ev(expr.operand)
-            if expr.op == "-":
-                return f"(-{value})"
-            return f"_np.where({value} != 0, 0.0, 1.0)"
-        if isinstance(expr, ast.Intrinsic):
-            fn = _INTRINSIC_NP.get(expr.name)
-            if fn is None:
-                raise SimulationError(f"unknown intrinsic {expr.name!r}")
-            args = ", ".join(ev(a) for a in expr.args)
-            return f"{fn}({args})"
-        raise SimulationError(f"cannot emit kernel source for {expr!r}")
 
-    return ev(spec.plan.assign.rhs)
+def _emit_rhs(expr: ast.Expr, var_text: dict, ref_exprs: dict) -> str:
+    """Source text for ``expr``: ``var_text`` maps variable names and
+    ``ref_exprs`` ``id(ArrayRef)`` to the text standing for them."""
+    if isinstance(expr, ast.Num):
+        return repr(float(expr.value))
+    if isinstance(expr, ast.VarRef):
+        return var_text[expr.name]
+    if isinstance(expr, ast.ArrayRef):
+        return ref_exprs[id(expr)]
+    if isinstance(expr, ast.BinOp):
+        left = _emit_rhs(expr.left, var_text, ref_exprs)
+        right = _emit_rhs(expr.right, var_text, ref_exprs)
+        if expr.op in ("+", "-", "*", "/"):
+            return f"({left} {expr.op} {right})"
+        if expr.op in _CMP:
+            return f"_np.where({left} {_CMP[expr.op]} {right}, 1.0, 0.0)"
+        if expr.op == "AND":
+            return f"_np.where(({left} != 0) & ({right} != 0), 1.0, 0.0)"
+        if expr.op == "OR":
+            return f"_np.where(({left} != 0) | ({right} != 0), 1.0, 0.0)"
+        raise SimulationError(f"unknown operator {expr.op!r}")
+    if isinstance(expr, ast.UnOp):
+        value = _emit_rhs(expr.operand, var_text, ref_exprs)
+        if expr.op == "-":
+            return f"(-{value})"
+        return f"_np.where({value} != 0, 0.0, 1.0)"
+    if isinstance(expr, ast.Intrinsic):
+        fn = _INTRINSIC_NP.get(expr.name)
+        if fn is None:
+            raise SimulationError(f"unknown intrinsic {expr.name!r}")
+        args = ", ".join(
+            _emit_rhs(a, var_text, ref_exprs) for a in expr.args
+        )
+        return f"{fn}({args})"
+    raise SimulationError(f"cannot emit kernel source for {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +344,17 @@ def compile_fn(source: str, tag: str) -> types.CodeType:
 
     ``tag`` labels the pseudo-filename (tracebacks through generated
     kernels stay attributable); the entry point is read off the
-    ``def`` line.  :func:`bind_fn` makes it callable.
+    ``def`` line.  :func:`bind_fn` makes it callable.  The code object is
+    taken from the module's constants rather than by executing the
+    ``def``: a function made in a scratch namespace is a reference cycle
+    (it is in its own globals).
     """
     entry = source.split("(", 1)[0].split()[-1]
-    scratch: dict = {}
-    exec(  # noqa: S102 - executing our own emitted source
-        compile(source, f"<repro-kernel:{tag}>", "exec"), scratch
+    module = compile(source, f"<repro-kernel:{tag}>", "exec")
+    return next(
+        code for code in module.co_consts
+        if isinstance(code, types.CodeType) and code.co_name == entry
     )
-    return scratch[entry].__code__
 
 
 def bind_fn(code: types.CodeType, ns: dict):

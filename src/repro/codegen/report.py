@@ -9,6 +9,8 @@ their anchors.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..core.pipeline import CompilationResult
 from ..core.state import PlacedComm
 from ..frontend import ast_nodes as ast
@@ -60,33 +62,35 @@ def annotated_listing(result: CompilationResult) -> str:
         for op in schedule.ops_at(anchor):
             lines.append("  " * indent + "! " + _op_line(result, op))
 
-    def emit_body(body: list[ast.Stmt], indent: int) -> None:
-        for stmt in body:
-            emit_ops(("before_stmt", stmt.sid), indent)
-            if isinstance(stmt, ast.Assign):
-                lines.append("  " * indent + str(stmt))
-            elif isinstance(stmt, ast.Do):
-                emit_ops(("loop_pre", stmt.sid), indent)
-                lines.append(
-                    "  " * indent
-                    + f"DO {stmt.var} = {stmt.lo}, {stmt.hi}, {stmt.step}"
-                )
-                emit_ops(("loop_top", stmt.sid), indent + 1)
-                emit_body(stmt.body, indent + 1)
-                lines.append("  " * indent + "END DO")
-                emit_ops(("loop_post", stmt.sid), indent)
-            elif isinstance(stmt, ast.If):
-                lines.append("  " * indent + f"IF {stmt.cond} THEN")
-                emit_body(stmt.then_body, indent + 1)
-                if stmt.else_body:
-                    lines.append("  " * indent + "ELSE")
-                    emit_body(stmt.else_body, indent + 1)
-                lines.append("  " * indent + "END IF")
-            emit_ops(("after_stmt", stmt.sid), indent)
-
     lines.append(f"PROGRAM {result.program.name}")
     emit_ops(("start",), 1)
-    emit_body(result.program.body, 1)
+    _emit_body(result.program.body, 1, lines, emit_ops)
     emit_ops(("end",), 1)
     lines.append("END PROGRAM")
     return "\n".join(lines)
+
+
+def _emit_body(body: list[ast.Stmt], indent: int, lines: list[str],
+               emit_ops: Callable[[tuple, int], None]) -> None:
+    for stmt in body:
+        emit_ops(("before_stmt", stmt.sid), indent)
+        if isinstance(stmt, ast.Assign):
+            lines.append("  " * indent + str(stmt))
+        elif isinstance(stmt, ast.Do):
+            emit_ops(("loop_pre", stmt.sid), indent)
+            lines.append(
+                "  " * indent
+                + f"DO {stmt.var} = {stmt.lo}, {stmt.hi}, {stmt.step}"
+            )
+            emit_ops(("loop_top", stmt.sid), indent + 1)
+            _emit_body(stmt.body, indent + 1, lines, emit_ops)
+            lines.append("  " * indent + "END DO")
+            emit_ops(("loop_post", stmt.sid), indent)
+        elif isinstance(stmt, ast.If):
+            lines.append("  " * indent + f"IF {stmt.cond} THEN")
+            _emit_body(stmt.then_body, indent + 1, lines, emit_ops)
+            if stmt.else_body:
+                lines.append("  " * indent + "ELSE")
+                _emit_body(stmt.else_body, indent + 1, lines, emit_ops)
+            lines.append("  " * indent + "END IF")
+        emit_ops(("after_stmt", stmt.sid), indent)

@@ -31,7 +31,7 @@ Anchor = tuple
 
 def _loop_of(ctx: AnalysisContext, node: Node, role: str) -> Loop:
     for loop in ctx.cfg.loops:
-        if getattr(loop, role) is node:
+        if getattr(loop, role) == node.id:
             return loop
     raise CodegenError(f"no loop with {role} node {node!r}")
 
@@ -77,19 +77,20 @@ def anchor_of_position(ctx: AnalysisContext, pos: Position) -> Anchor:
             raise CodegenError(
                 f"empty node {node!r} with {len(node.succs)} successors"
             )
-        node = node.succs[0]
+        node = ctx.cfg.nodes[node.succs[0]]
 
 
 @dataclass
 class ScheduledProgram:
-    """A compiled program plus its executable communication schedule."""
+    """A compiled program's executable communication schedule.
 
-    result: CompilationResult
+    Holds the analysis context, not the :class:`CompilationResult`: a
+    schedule kept on the result (in its execution image) must not point
+    back at it.
+    """
+
+    ctx: AnalysisContext
     anchors: dict[Anchor, list[PlacedComm]] = field(default_factory=dict)
-
-    @property
-    def ctx(self) -> AnalysisContext:
-        return self.result.ctx
 
     def ops_at(self, anchor: Anchor) -> list[PlacedComm]:
         return self.anchors.get(anchor, [])
@@ -97,7 +98,7 @@ class ScheduledProgram:
 
 def lower_schedule(result: CompilationResult) -> ScheduledProgram:
     """Anchor every placed communication operation in the AST walk."""
-    sched = ScheduledProgram(result)
+    sched = ScheduledProgram(result.ctx)
     for op in result.placed:
         anchor = anchor_of_position(result.ctx, op.position)
         sched.anchors.setdefault(anchor, []).append(op)

@@ -185,6 +185,9 @@ class CommEntry:
     earliest, ``candidates[-1]`` the latest.  ``absorbed`` accumulates
     entries this one subsumed during global redundancy elimination — the
     final group placement must stay within their constraint sets too.
+    ``eliminated_by`` is the *id* of the entry that absorbed this one
+    (``None`` while alive): an object link back would close a reference
+    cycle with ``absorbed``.
     """
 
     use: Use
@@ -194,7 +197,7 @@ class CommEntry:
     comm_level: int = -1
     candidates: list[Position] = field(default_factory=list)
     absorbed: list["CommEntry"] = field(default_factory=list)
-    eliminated_by: Optional["CommEntry"] = None
+    eliminated_by: Optional[int] = None
     id: int = -1
     label: str = ""
     _candidate_set: Optional[frozenset[Position]] = field(

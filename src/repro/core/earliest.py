@@ -61,6 +61,7 @@ def _rcount(
     """Iterative Rcount (Figure 8c): number of distinct dependence-bearing
     defs reachable from ``start`` through φ parameters and preserving
     links."""
+    defs = ctx.ssa.defs
     count = 0
     stack = [start]
     # Bound re-walks of regular-def chains within this one Rcount call
@@ -73,7 +74,7 @@ def _rcount(
             if d.id in visit:
                 continue
             visit.add(d.id)
-            stack.extend(p for p in d.params if p is not None)
+            stack += [defs[p] for p in d.params]
         elif isinstance(d, EntryDef):
             count += 1
         else:
@@ -84,7 +85,7 @@ def _rcount(
             if is_array_dep(ctx, d, use, level):
                 count += 1
             elif d.preserving and d.prev is not None:
-                stack.append(d.prev)
+                stack.append(defs[d.prev])
     return count
 
 
@@ -95,9 +96,7 @@ def _test(ctx: AnalysisContext, d: SSADef, use: Use) -> bool:
         visit: set[int] = {d.id}
         positives = 0
         for param in d.params:
-            if param is None:
-                continue
-            if _rcount(ctx, param, use, cnl, visit) > 0:
+            if _rcount(ctx, ctx.ssa.defs[param], use, cnl, visit) > 0:
                 positives += 1
                 if positives >= 2:
                     return True
@@ -108,6 +107,7 @@ def _test(ctx: AnalysisContext, d: SSADef, use: Use) -> bool:
 def earliest_def(ctx: AnalysisContext, use: Use) -> SSADef:
     """Depth-first preorder walk (Figure 8a): the first def passing Test is
     Earliest(u)."""
+    defs = ctx.ssa.defs
     seen: set[int] = set()
     stack: list[SSADef] = [use.reaching]
     while stack:
@@ -117,14 +117,12 @@ def earliest_def(ctx: AnalysisContext, use: Use) -> SSADef:
         seen.add(d.id)
         if _test(ctx, d, use):
             return d
-        children: list[SSADef] = []
-        if isinstance(d, PhiDef):
-            children = [p for p in d.params if p is not None]
-        elif isinstance(d, RegularDef) and d.preserving and d.prev is not None:
-            children = [d.prev]
         # Reverse so the first parameter (acyclic / zero-trip side) is
         # explored first.
-        stack.extend(reversed(children))
+        if isinstance(d, PhiDef):
+            stack += [defs[p] for p in reversed(d.params)]
+        elif isinstance(d, RegularDef) and d.preserving and d.prev is not None:
+            stack.append(defs[d.prev])
     raise PlacementError(
         f"Earliest walk for {use!r} exhausted without a dominating def "
         f"(ENTRY should have terminated it)"

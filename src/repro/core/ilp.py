@@ -108,28 +108,34 @@ def optimal_placement(
     # Order entries most-constrained-first for better pruning.
     order = sorted(live, key=lambda e: (len(e.candidates), e.id))
 
-    def search(i: int) -> None:
-        nonlocal best_cost, best_assignment
+    # Depth-first search; ``stack[i]`` is the next candidate to try for
+    # ``order[i]`` and a stack one deeper than ``order`` is a leaf.
+    stack = [0]
+    while stack:
+        i = len(stack) - 1
         if i == len(order):
             cost = placement_cost(ctx, assignment, live, model)
             if cost < best_cost:
                 best_cost = cost
                 best_assignment = dict(assignment)
-            return
+            stack.pop()
+            continue
         entry = order[i]
-        for pos in entry.candidates:
-            assignment[entry.id] = pos
-            # Partial-assignment lower bound: the cost of what is already
-            # placed can only grow as more entries are added at *other*
-            # positions, but grouping can absorb same-position additions —
-            # so only prune on the cost of fully-assigned prefixes when it
-            # already exceeds the best complete solution.
-            prefix = {e.id: assignment[e.id] for e in order[: i + 1]}
-            if placement_cost(ctx, prefix, order[: i + 1], model) < best_cost:
-                search(i + 1)
-        assignment.pop(entry.id, None)
-
-    search(0)
+        k = stack[i]
+        if k == len(entry.candidates):
+            assignment.pop(entry.id, None)
+            stack.pop()
+            continue
+        stack[i] = k + 1
+        assignment[entry.id] = entry.candidates[k]
+        # Partial-assignment lower bound: the cost of what is already
+        # placed can only grow as more entries are added at *other*
+        # positions, but grouping can absorb same-position additions —
+        # so only prune on the cost of fully-assigned prefixes when it
+        # already exceeds the best complete solution.
+        prefix = {e.id: assignment[e.id] for e in order[: i + 1]}
+        if placement_cost(ctx, prefix, order[: i + 1], model) < best_cost:
+            stack.append(0)
     if not best_assignment and live:
         raise PlacementError("no feasible assignment found")
     return best_assignment, best_cost

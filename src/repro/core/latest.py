@@ -26,13 +26,14 @@ from __future__ import annotations
 from ..comm.entries import CommEntry
 from ..frontend import ast_nodes as ast
 from ..ir.cfg import Position
-from ..ir.ssa import EntryDef, PhiDef, RegularDef, SSADef, Use
+from ..ir.ssa import SSA, EntryDef, PhiDef, RegularDef, SSADef, Use
 from .context import AnalysisContext
 
 
-def reaching_regular_defs(use: Use) -> list[SSADef]:
+def reaching_regular_defs(ssa: SSA, use: Use) -> list[SSADef]:
     """Every regular def (plus the ENTRY pseudo-def) that may reach ``use``
     through φ parameters and preserving-def links."""
+    defs = ssa.defs
     found: list[SSADef] = []
     seen: set[int] = set()
     stack: list[SSADef] = [use.reaching]
@@ -42,11 +43,11 @@ def reaching_regular_defs(use: Use) -> list[SSADef]:
             continue
         seen.add(d.id)
         if isinstance(d, PhiDef):
-            stack.extend(p for p in d.params if p is not None)
+            stack += [defs[p] for p in d.params]
         elif isinstance(d, RegularDef):
             found.append(d)
             if d.preserving and d.prev is not None:
-                stack.append(d.prev)
+                stack.append(defs[d.prev])
         else:  # EntryDef
             found.append(d)
     return found
@@ -55,7 +56,7 @@ def reaching_regular_defs(use: Use) -> list[SSADef]:
 def comm_level(ctx: AnalysisContext, use: Use) -> int:
     """The paper's CommLevel(u)."""
     level = 0
-    for d in reaching_regular_defs(use):
+    for d in reaching_regular_defs(ctx.ssa, use):
         if isinstance(d, EntryDef):
             continue  # initial values constrain nothing for Latest
         assert isinstance(d, RegularDef)
@@ -94,7 +95,7 @@ def compute_latest(ctx: AnalysisContext, entry: CommEntry) -> None:
     # Preheader of the loop at level ``level + 1`` containing u
     # (loops_containing is outermost-first, so index ``level``).
     loop = use.node.loops_containing()[level]
-    pre = loop.preheader
+    pre = ctx.cfg.nodes[loop.preheader]
     entry.latest_pos = ctx.cfg.position(pre.id, len(pre.stmts) - 1)
 
 
@@ -124,7 +125,7 @@ def extend_reduction_latest(
             barriers.append(ctx.cfg.position_before(u.stmt))
     for phis in ctx.ssa.phis.values():
         for phi in phis:
-            if any(p is result_def for p in phi.params):
+            if result_def.id in phi.params:
                 barriers.append(ctx.cfg.position(phi.node.id, -1))
     if not barriers:
         return None

@@ -404,10 +404,11 @@ def format_state_dump(pass_name: str, run: PlacementRun) -> str:
         f"== dump after pass '{pass_name}': "
         f"{len(alive)}/{len(run.entries)} entries alive =="
     ]
+    labels = {e.id: e.label for e in run.entries}
     for e in run.entries:
         if e.eliminated_by is not None:
             lines.append(
-                f"  {e.label:16s} ELIMINATED by {e.eliminated_by.label}"
+                f"  {e.label:16s} ELIMINATED by {labels[e.eliminated_by]}"
             )
             continue
         chain = e.candidates or []

@@ -267,7 +267,7 @@ def _place_earliest(
     for entry in sorted(entries, key=dominance_key):
         killer = next((prior for prior in kept if covers(prior, entry)), None)
         if killer is not None:
-            entry.eliminated_by = killer
+            entry.eliminated_by = killer.id
             killer.absorbed.append(entry)
             redundant += 1
             continue
@@ -275,7 +275,7 @@ def _place_earliest(
         # point is tested): this entry may subsume an already-kept one.
         for prior in list(kept):
             if covers(entry, prior):
-                prior.eliminated_by = entry
+                prior.eliminated_by = entry.id
                 entry.absorbed.append(prior)
                 kept.remove(prior)
                 redundant += 1

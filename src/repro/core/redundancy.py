@@ -141,7 +141,7 @@ def redundancy_eliminate(ctx: AnalysisContext, state: PlacementState) -> int:
                         # Transitive absorption: anything the loser had
                         # absorbed moves to the winner, constraints intact.
                         for moved in loser.absorbed:
-                            moved.eliminated_by = winner
+                            moved.eliminated_by = winner.id
                             winner.absorbed.append(moved)
                         loser.absorbed = []
                         for constraint in state.absorb_constraints.pop(

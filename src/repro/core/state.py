@@ -131,7 +131,7 @@ class PlacementState:
             raise PlacementError(
                 f"eliminating {victim!r} with empty coverage constraint"
             )
-        victim.eliminated_by = by
+        victim.eliminated_by = by.id
         by.absorbed.append(victim)
         self.absorb_constraints.setdefault(by.id, []).append(valid_positions)
         for p in self.active[victim.id]:

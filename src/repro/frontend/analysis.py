@@ -311,7 +311,7 @@ def _check_body(program: ast.Program, info: ProgramInfo) -> None:
 
     def check_expr(
         expr: ast.Expr,
-        loop_vars: set[str],
+        loop_vars: frozenset[str],
         where: str,
         loc: SourceLocation | None,
     ) -> None:
@@ -360,36 +360,43 @@ def _check_body(program: ast.Program, info: ProgramInfo) -> None:
                     location=loc,
                 )
 
-    def check_stmts(body: list[ast.Stmt], loop_vars: set[str]) -> None:
-        for stmt in body:
-            where = f"statement {stmt.sid} ({stmt.loc})"
-            loc = stmt.loc
-            if isinstance(stmt, ast.Assign):
-                if isinstance(stmt.lhs, ast.VarRef):
-                    if stmt.lhs.name not in info.scalars:
-                        raise SemanticError(
-                            f"{where}: assignment to undeclared scalar "
-                            f"{stmt.lhs.name!r}",
-                            location=loc,
-                        )
-                else:
-                    check_expr(stmt.lhs, loop_vars, where, loc)
-                check_expr(stmt.rhs, loop_vars, where, loc)
-            elif isinstance(stmt, ast.Do):
-                if stmt.var in info.scalars or stmt.var in info.params:
+    # (statement, loop variables in scope), in program order: an explicit
+    # stack, since a nested function that calls itself is a reference
+    # cycle holding this frame's ``info``.
+    work: list[tuple[ast.Stmt, frozenset[str]]] = [
+        (stmt, frozenset()) for stmt in reversed(program.body)
+    ]
+    while work:
+        stmt, loop_vars = work.pop()
+        where = f"statement {stmt.sid} ({stmt.loc})"
+        loc = stmt.loc
+        if isinstance(stmt, ast.Assign):
+            if isinstance(stmt.lhs, ast.VarRef):
+                if stmt.lhs.name not in info.scalars:
                     raise SemanticError(
-                        f"{where}: loop variable {stmt.var!r} shadows a "
-                        f"declaration",
+                        f"{where}: assignment to undeclared scalar "
+                        f"{stmt.lhs.name!r}",
                         location=loc,
                     )
-                for bound in (stmt.lo, stmt.hi, stmt.step):
-                    check_expr(bound, loop_vars, where, loc)
-                    check_replicated_control(bound, where, "loop bound", loc)
-                check_stmts(stmt.body, loop_vars | {stmt.var})
-            elif isinstance(stmt, ast.If):
-                check_expr(stmt.cond, loop_vars, where, loc)
-                check_replicated_control(stmt.cond, where, "branch condition", loc)
-                check_stmts(stmt.then_body, loop_vars)
-                check_stmts(stmt.else_body, loop_vars)
-
-    check_stmts(program.body, set())
+            else:
+                check_expr(stmt.lhs, loop_vars, where, loc)
+            check_expr(stmt.rhs, loop_vars, where, loc)
+        elif isinstance(stmt, ast.Do):
+            if stmt.var in info.scalars or stmt.var in info.params:
+                raise SemanticError(
+                    f"{where}: loop variable {stmt.var!r} shadows a "
+                    f"declaration",
+                    location=loc,
+                )
+            for bound in (stmt.lo, stmt.hi, stmt.step):
+                check_expr(bound, loop_vars, where, loc)
+                check_replicated_control(bound, where, "loop bound", loc)
+            inner = loop_vars | {stmt.var}
+            work += [(s, inner) for s in reversed(stmt.body)]
+        elif isinstance(stmt, ast.If):
+            check_expr(stmt.cond, loop_vars, where, loc)
+            check_replicated_control(stmt.cond, where, "branch condition", loc)
+            work += [
+                (s, loop_vars)
+                for s in reversed(stmt.then_body + stmt.else_body)
+            ]

@@ -302,26 +302,25 @@ class Scalarizer:
     def _check_rhs_sections_only_in_reductions(
         self, expr: ast.Expr, where: str
     ) -> None:
-        def visit(node: ast.Expr) -> None:
-            if isinstance(node, ast.Reduction):
-                return  # sections allowed inside
-            if isinstance(node, ast.ArrayRef) and node.has_section:
-                raise ScalarizationError(
-                    f"{where}: sectioned reference {node} on the RHS of a "
-                    f"non-sectioned assignment (only reductions may keep "
-                    f"sections)",
-                    location=self._loc,
-                )
-            if isinstance(node, ast.BinOp):
-                visit(node.left)
-                visit(node.right)
-            elif isinstance(node, ast.UnOp):
-                visit(node.operand)
-            elif isinstance(node, ast.Intrinsic):
-                for a in node.args:
-                    visit(a)
-
-        visit(expr)
+        if isinstance(expr, ast.Reduction):
+            return  # sections allowed inside
+        if isinstance(expr, ast.ArrayRef) and expr.has_section:
+            raise ScalarizationError(
+                f"{where}: sectioned reference {expr} on the RHS of a "
+                f"non-sectioned assignment (only reductions may keep "
+                f"sections)",
+                location=self._loc,
+            )
+        if isinstance(expr, ast.BinOp):
+            children: tuple = (expr.left, expr.right)
+        elif isinstance(expr, ast.UnOp):
+            children = (expr.operand,)
+        elif isinstance(expr, ast.Intrinsic):
+            children = expr.args
+        else:
+            return
+        for child in children:
+            self._check_rhs_sections_only_in_reductions(child, where)
 
 
 def scalarize(program: ast.Program, info: ProgramInfo) -> ast.Program:

@@ -19,6 +19,14 @@ The CFG also provides the *position* vocabulary used by placement:
 a :class:`Position` is "immediately after statement ``index`` of node
 ``node``", with index ``-1`` meaning the top of the node — the landing
 spot for communication hoisted to a preheader or attached to a φ-def.
+
+The graph is a table, not a web of objects: a node names its
+predecessors and successors by index into :attr:`CFG.nodes`, and a loop
+names its anchor nodes the same way and its children by index into
+:attr:`CFG.loops`.  The only object references point *outwards* — a
+node to its innermost loop, a loop to its parent — so a CFG holds no
+reference cycle and is freed by reference counting the moment its last
+holder lets go.
 """
 
 from __future__ import annotations
@@ -48,13 +56,14 @@ class NodeKind(enum.Enum):
 
 @dataclass(eq=False, slots=True)
 class Node:
-    """One basic block of the augmented CFG."""
+    """One basic block of the augmented CFG; ``id`` is its index in
+    :attr:`CFG.nodes`, ``preds``/``succs`` are node ids."""
 
     id: int
     kind: NodeKind
     stmts: list[ast.Assign] = field(default_factory=list)
-    preds: list["Node"] = field(default_factory=list)
-    succs: list["Node"] = field(default_factory=list)
+    preds: tuple[int, ...] = ()
+    succs: tuple[int, ...] = ()
     loop: Optional["Loop"] = None  # innermost containing loop
     branch_cond: Optional[ast.Expr] = None
     label: str = ""
@@ -90,19 +99,21 @@ class Node:
 class Loop:
     """One DO loop of the program with its CFG anchor nodes.
 
-    ``depth`` is 1 for an outermost loop (so a node directly inside it has
-    ``nl == 1``); the paper's ``NL(L)`` equals ``depth - 1``.
+    ``id`` is the loop's index in :attr:`CFG.loops`; the four anchors are
+    node ids and ``children`` are loop ids.  ``depth`` is 1 for an
+    outermost loop (so a node directly inside it has ``nl == 1``); the
+    paper's ``NL(L)`` equals ``depth - 1``.
     """
 
+    id: int
     stmt: ast.Do
-    preheader: Node
-    header: Node
-    latch: Node
-    postexit: Node
+    preheader: int
+    header: int
+    latch: int
+    postexit: int
     parent: Optional["Loop"] = None
-    children: list["Loop"] = field(default_factory=list)
+    children: list[int] = field(default_factory=list)
     depth: int = 1
-    body_nodes: list[Node] = field(default_factory=list)
 
     @property
     def var(self) -> str:
@@ -223,9 +234,9 @@ class CFG:
 
     @staticmethod
     def _link(a: Node, b: Node) -> None:
-        if b not in a.succs:
-            a.succs.append(b)
-            b.preds.append(a)
+        if b.id not in a.succs:
+            a.succs += (b.id,)
+            b.preds += (a.id,)
 
     def _lower(self, program: ast.Program) -> None:
         first = self._new_node(NodeKind.BLOCK)
@@ -260,18 +271,19 @@ class CFG:
             NodeKind.POSTEXIT, loop=outer, label=f"post({stmt.var})"
         )
         loop = Loop(
+            id=len(self.loops),
             stmt=stmt,
-            preheader=preheader,
-            header=header,
-            latch=latch,
-            postexit=postexit,
+            preheader=preheader.id,
+            header=header.id,
+            latch=latch.id,
+            postexit=postexit.id,
             parent=outer,
             depth=depth,
         )
         header.loop = loop
         latch.loop = loop
         if outer is not None:
-            outer.children.append(loop)
+            outer.children.append(loop.id)
         self.loops.append(loop)
 
         self._link(current, preheader)
@@ -316,17 +328,13 @@ class CFG:
         return cont
 
     def _check_consistency(self) -> None:
-        for node in self.nodes:
+        nodes = self.nodes
+        for node in nodes:
             for s in node.succs:
-                if node not in s.preds:
-                    raise PlacementError(f"CFG edge {node}->{s} not mirrored")
-        for loop in self.loops:
-            loop.body_nodes = []
-        for node in self.nodes:  # one ancestor walk per node, in id order
-            loop = node.loop
-            while loop is not None:
-                loop.body_nodes.append(node)
-                loop = loop.parent
+                if node.id not in nodes[s].preds:
+                    raise PlacementError(
+                        f"CFG edge {node}->{nodes[s]} not mirrored"
+                    )
 
     # -- queries ------------------------------------------------------------
 
@@ -386,6 +394,7 @@ class CFG:
         seen: set[int] = set()
         order: list[Node] = []
 
+        nodes = self.nodes
         stack: list[tuple[Node, int]] = [(self.entry, 0)]
         seen.add(self.entry.id)
         while stack:
@@ -393,9 +402,9 @@ class CFG:
             if i < len(node.succs):
                 stack[-1] = (node, i + 1)
                 succ = node.succs[i]
-                if succ.id not in seen:
-                    seen.add(succ.id)
-                    stack.append((succ, 0))
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append((nodes[succ], 0))
             else:
                 order.append(node)
                 stack.pop()
@@ -407,7 +416,7 @@ class CFG:
     def dump(self) -> str:
         lines = []
         for node in self.nodes:
-            succs = ", ".join(str(s.id) for s in node.succs)
+            succs = ", ".join(str(s) for s in node.succs)
             loop = f" in {node.loop}" if node.loop else ""
             lines.append(f"{node!r}{loop} -> [{succs}]")
             for i, stmt in enumerate(node.stmts):

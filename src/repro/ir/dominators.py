@@ -32,36 +32,36 @@ class DominatorInfo:
     # -- core algorithm --------------------------------------------------------
 
     def _compute_idoms(self) -> None:
-        entry = self.cfg.entry
-        idom: dict[int, Node] = {entry.id: entry}
-
-        def intersect(a: Node, b: Node) -> Node:
-            while a is not b:
-                while self._rpo_index[a.id] > self._rpo_index[b.id]:
-                    a = idom[a.id]
-                while self._rpo_index[b.id] > self._rpo_index[a.id]:
-                    b = idom[b.id]
-            return a
+        nodes = self.cfg.nodes
+        entry = self.cfg.entry.id
+        rpo_index = self._rpo_index
+        idom: dict[int, int] = {entry: entry}
 
         changed = True
         while changed:
             changed = False
             for node in self._rpo:
-                if node is entry:
+                if node.id == entry:
                     continue
-                processed = [p for p in node.preds if p.id in idom]
+                processed = [p for p in node.preds if p in idom]
                 if not processed:
                     continue
                 new_idom = processed[0]
-                for p in processed[1:]:
-                    new_idom = intersect(p, new_idom)
-                if idom.get(node.id) is not new_idom:
+                for b in processed[1:]:
+                    a = new_idom  # intersect(b, new_idom) up the tree
+                    while a != b:
+                        while rpo_index[a] > rpo_index[b]:
+                            a = idom[a]
+                        while rpo_index[b] > rpo_index[a]:
+                            b = idom[b]
+                    new_idom = a
+                if idom.get(node.id) != new_idom:
                     idom[node.id] = new_idom
                     changed = True
-        self.idom = idom
         for node in self._rpo:
             if node.id not in idom:
                 raise PlacementError(f"unreachable node {node!r} in CFG")
+        self.idom = {nid: nodes[d] for nid, d in idom.items()}
 
     def _dfs_order(self) -> None:
         """Preorder/postorder numbering of the dominator tree enabling O(1)
@@ -92,14 +92,15 @@ class DominatorInfo:
 
     def _compute_frontiers(self) -> dict[int, set[int]]:
         frontier: dict[int, set[int]] = {n.id: set() for n in self._rpo}
+        idom = self.idom
         for node in self._rpo:
             if len(node.preds) < 2:
                 continue
-            for pred in node.preds:
-                runner = pred
-                while runner is not self.idom[node.id]:
-                    frontier[runner.id].add(node.id)
-                    runner = self.idom[runner.id]
+            stop = idom[node.id].id
+            for runner in node.preds:
+                while runner != stop:
+                    frontier[runner].add(node.id)
+                    runner = idom[runner].id
         return frontier
 
     # -- queries ------------------------------------------------------------

@@ -18,30 +18,35 @@ relies on:
 
 Scalar defs are killing; array defs are preserving.  Loop induction
 variables and parameters are not SSA variables.
+
+Defs live in one table per SSA (:attr:`SSA.defs`, indexed by
+``SSADef.id``), and def-to-def links — φ parameters, ``prev`` — are ids
+into it.  Around a loop back edge those links run in a circle (the
+header φ's ``r_post`` reaches itself through ``prev``), so as object
+references they would make every compile's SSA a reference cycle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, TypeVar, Union
 
 from ..errors import PlacementError
 from ..frontend import ast_nodes as ast
 from .cfg import CFG, Node, NodeKind
 from .dominators import DominatorInfo
 
-_def_ids = itertools.count()
-
 
 @dataclass(eq=False)
 class SSADef:
-    """Base class: one SSA version of one variable."""
+    """Base class: one SSA version of one variable; ``id`` is its index in
+    :attr:`SSA.defs`."""
 
     var: str
     node: Node
     version: int = field(default=-1)
-    id: int = field(default_factory=lambda: next(_def_ids))
+    id: int = field(default=-1)
 
     @property
     def is_phi(self) -> bool:
@@ -68,15 +73,15 @@ class RegularDef(SSADef):
     """A def from an assignment statement.
 
     ``preserving`` is True for array defs (they write a section, keeping
-    the rest) and False for scalar defs.  ``prev`` is the version visible
-    immediately before this def — the version a preserving def passes
-    through.
+    the rest) and False for scalar defs.  ``prev`` is the id of the
+    version visible immediately before this def — the version a
+    preserving def passes through.
     """
 
     stmt: ast.Assign = None  # type: ignore[assignment]
     ref: Union[ast.ArrayRef, ast.VarRef] = None  # type: ignore[assignment]
     preserving: bool = True
-    prev: Optional[SSADef] = None
+    prev: Optional[int] = None
 
     def __repr__(self) -> str:
         return f"{self.var}_{self.version}@s{self.stmt.sid}"
@@ -84,15 +89,15 @@ class RegularDef(SSADef):
 
 @dataclass(eq=False, repr=False)
 class PhiDef(SSADef):
-    """A φ-def at a merge node; ``params[i]`` is the version flowing in
-    along ``node.preds[i]``.
+    """A φ-def at a merge node; ``params[i]`` is the id of the version
+    flowing in along ``node.preds[i]``.
 
     At a loop header the parameters are the paper's ``r_pre`` (from the
     preheader) and ``r_post`` (from the latch); at a postexit they merge
     the zero-trip and loop-exit versions.
     """
 
-    params: list[Optional[SSADef]] = field(default_factory=list)
+    params: list[Optional[int]] = field(default_factory=list)
 
     @property
     def kind(self) -> str:
@@ -126,6 +131,45 @@ class Use:
         return f"use({self.ref}@s{self.stmt.sid} <- {self.reaching!r})"
 
 
+def _collect_uses(
+    expr: ast.Expr, in_reduction: bool, tracked: set[str], found: list
+) -> None:
+    """Append ``(var, ref, in_reduction)`` for every read of a ``tracked``
+    variable in ``expr``, preorder."""
+    if isinstance(expr, ast.VarRef):
+        if expr.name in tracked:
+            found.append((expr.name, expr, in_reduction))
+    elif isinstance(expr, ast.ArrayRef):
+        if expr.name in tracked:
+            found.append((expr.name, expr, in_reduction))
+        _collect_subscript_uses(expr, in_reduction, tracked, found)
+    elif isinstance(expr, ast.BinOp):
+        _collect_uses(expr.left, in_reduction, tracked, found)
+        _collect_uses(expr.right, in_reduction, tracked, found)
+    elif isinstance(expr, ast.UnOp):
+        _collect_uses(expr.operand, in_reduction, tracked, found)
+    elif isinstance(expr, ast.Reduction):
+        _collect_uses(expr.arg, True, tracked, found)
+    elif isinstance(expr, ast.Intrinsic):
+        for a in expr.args:
+            _collect_uses(a, in_reduction, tracked, found)
+
+
+def _collect_subscript_uses(
+    ref: ast.ArrayRef, in_reduction: bool, tracked: set[str], found: list
+) -> None:
+    for sub in ref.subscripts:
+        if isinstance(sub, ast.Index):
+            _collect_uses(sub.expr, in_reduction, tracked, found)
+        else:
+            for part in (sub.lo, sub.hi, sub.step):
+                if part is not None:
+                    _collect_uses(part, in_reduction, tracked, found)
+
+
+_D = TypeVar("_D", bound=SSADef)
+
+
 class SSA:
     """SSA construction and queries for one CFG."""
 
@@ -135,6 +179,7 @@ class SSA:
         self.cfg = cfg
         self.dom = dom
         self.vars = set(tracked_vars)
+        self.defs: list[SSADef] = []
         self.entry_defs: dict[str, EntryDef] = {}
         self.phis: dict[int, list[PhiDef]] = {n.id: [] for n in cfg.nodes}
         self.defs_of_stmt: dict[int, list[RegularDef]] = {}
@@ -160,41 +205,9 @@ class SSA:
         """(var, ref, in_reduction) for every tracked read in the statement,
         including reads in LHS subscripts (they do not define anything)."""
         found: list[tuple[str, ast.Expr, bool]] = []
-
-        def visit(expr: ast.Expr, in_reduction: bool) -> None:
-            if isinstance(expr, ast.VarRef):
-                if expr.name in self.vars:
-                    found.append((expr.name, expr, in_reduction))
-            elif isinstance(expr, ast.ArrayRef):
-                if expr.name in self.vars:
-                    found.append((expr.name, expr, in_reduction))
-                for sub in expr.subscripts:
-                    if isinstance(sub, ast.Index):
-                        visit(sub.expr, in_reduction)
-                    else:
-                        for part in (sub.lo, sub.hi, sub.step):
-                            if part is not None:
-                                visit(part, in_reduction)
-            elif isinstance(expr, ast.BinOp):
-                visit(expr.left, in_reduction)
-                visit(expr.right, in_reduction)
-            elif isinstance(expr, ast.UnOp):
-                visit(expr.operand, in_reduction)
-            elif isinstance(expr, ast.Reduction):
-                visit(expr.arg, True)
-            elif isinstance(expr, ast.Intrinsic):
-                for a in expr.args:
-                    visit(a, in_reduction)
-
-        visit(stmt.rhs, False)
+        _collect_uses(stmt.rhs, False, self.vars, found)
         if isinstance(stmt.lhs, ast.ArrayRef):
-            for sub in stmt.lhs.subscripts:
-                if isinstance(sub, ast.Index):
-                    visit(sub.expr, False)
-                else:
-                    for part in (sub.lo, sub.hi, sub.step):
-                        if part is not None:
-                            visit(part, False)
+            _collect_subscript_uses(stmt.lhs, False, self.vars, found)
         return found
 
     # -- construction ------------------------------------------------------------
@@ -222,7 +235,7 @@ class SSA:
                         continue
                     has_phi.add(fid)
                     fnode = self.cfg.node_by_id(fid)
-                    phi = PhiDef(var=var, node=fnode)
+                    phi = self._add(PhiDef(var=var, node=fnode))
                     phi.params = [None] * len(fnode.preds)
                     self.phis[fid].append(phi)
                     if fid not in queued:
@@ -232,7 +245,7 @@ class SSA:
         # 3. Rename along the dominator tree.
         stacks: dict[str, list[SSADef]] = {}
         for var in self.vars:
-            entry_def = EntryDef(var=var, node=self.cfg.entry)
+            entry_def = self._add(EntryDef(var=var, node=self.cfg.entry))
             entry_def.version = next(self._version_counters[var])
             self.entry_defs[var] = entry_def
             stacks[var] = [entry_def]
@@ -243,6 +256,11 @@ class SSA:
             for phi in node_phis:
                 if any(p is None for p in phi.params):
                     raise PlacementError(f"unfilled φ parameter in {phi!r}")
+
+    def _add(self, d: _D) -> _D:
+        d.id = len(self.defs)
+        self.defs.append(d)
+        return d
 
     def _rename(self, root: Node, stacks: dict[str, list[SSADef]]) -> None:
         # Iterative dominator-tree walk (explicit stack): large scalarized
@@ -274,23 +292,23 @@ class SSA:
                     self.uses.append(use)
                     self._use_key[(stmt.sid, id(ref))] = use
                 for var, ref, preserving in self._defs_in_stmt(stmt):
-                    d = RegularDef(
+                    d = self._add(RegularDef(
                         var=var,
                         node=node,
                         stmt=stmt,
                         ref=ref,
                         preserving=preserving,
-                        prev=stacks[var][-1],
-                    )
+                        prev=stacks[var][-1].id,
+                    ))
                     d.version = next(self._version_counters[var])
                     stacks[var].append(d)
                     pushed.append(var)
                     self.defs_of_stmt.setdefault(stmt.sid, []).append(d)
 
             for succ in node.succs:
-                slot = succ.preds.index(node)
-                for phi in self.phis[succ.id]:
-                    phi.params[slot] = stacks[phi.var][-1]
+                slot = self.cfg.nodes[succ].preds.index(node.id)
+                for phi in self.phis[succ]:
+                    phi.params[slot] = stacks[phi.var][-1].id
 
             work.append((node, True, pushed))
             for child in reversed(self.dom.children[node.id]):

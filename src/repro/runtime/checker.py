@@ -78,10 +78,11 @@ class ScheduleChecker(Interpreter):
         # eliminated.
         self._covering: dict[int, CommEntry] = {}
         self._uses_by_sid: dict[int, list[CommEntry]] = {}
+        by_id = {entry.id: entry for entry in result.entries}
         for entry in result.entries:
             winner = entry
             while winner.eliminated_by is not None:
-                winner = winner.eliminated_by
+                winner = by_id[winner.eliminated_by]
             self._covering[entry.id] = winner
             self._uses_by_sid.setdefault(entry.use.stmt.sid, []).append(entry)
 

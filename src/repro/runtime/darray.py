@@ -219,11 +219,3 @@ class RankStorage:
         idx = tuple(c - 1 for c in element)
         self.values[idx] = value
         self.valid[idx] = True
-
-    def invalidate_all_except(self, rsd: RSD) -> None:
-        """Drop validity everywhere but the owned region (used when a
-        writer invalidates stale copies)."""
-        keep = np.zeros(self.shape, dtype=bool)
-        if not rsd.is_empty:
-            keep[np_index(rsd)] = True
-        self.valid &= keep

@@ -42,19 +42,11 @@ def initial_scalars(info: ProgramInfo, seed: int = 12345) -> dict[str, float]:
 class Interpreter:
     """Evaluates a (possibly unscalarized) program over numpy arrays."""
 
-    def __init__(
-        self, info: ProgramInfo, seed: int = 12345, vectorize: bool = False
-    ) -> None:
+    def __init__(self, info: ProgramInfo, seed: int = 12345) -> None:
         self.info = info
         self.arrays = initial_arrays(info, seed)
         self.scalars = initial_scalars(info, seed)
         self.env: dict[str, float] = {}
-        self.vectorize = vectorize
-        self._nest_plans: dict[int, object] = {}
-        if vectorize:
-            from .plans import plan_nests
-
-            self._nest_plans, _ = plan_nests(info, info.program.body)
 
     # -- expression evaluation -----------------------------------------------
 
@@ -184,9 +176,6 @@ class Interpreter:
         if isinstance(stmt, ast.Assign):
             self.exec_assign(stmt)
         elif isinstance(stmt, ast.Do):
-            plan = self._nest_plans.get(stmt.sid)
-            if plan is not None and self._exec_nest_block(plan):
-                return
             lo = self.eval_index(stmt.lo)
             hi = self.eval_index(stmt.hi)
             step = self.eval_index(stmt.step)
@@ -199,42 +188,6 @@ class Interpreter:
                 self.exec_body(stmt.then_body)
             else:
                 self.exec_body(stmt.else_body)
-
-    def _exec_nest_block(self, plan) -> bool:
-        """Execute a planned rectangular nest as one block operation.
-
-        Returns False (caller iterates element-wise) when the plan cannot
-        be concretized under the current environment."""
-        from .plans import (
-            PlanFallback,
-            concretize_nest,
-            eval_rhs_block,
-            ref_np_index,
-            store_order,
-        )
-
-        env = {name: int(v) for name, v in self.env.items()}
-        env.update(self.info.params)
-        try:
-            conc = concretize_nest(plan, env, self.info)
-        except PlanFallback:
-            return False
-        if conc is None:
-            return True  # empty iteration space
-        full = conc.full_box()
-        block = np.broadcast_to(
-            np.asarray(
-                eval_rhs_block(conc, full, self.arrays, self._lookup),
-                dtype=np.float64,
-            ),
-            conc.shape,
-        )
-        # The vectorizer only admits identical-subscript self-reads, so a
-        # view of the target aliases each element onto itself — safe.
-        self.arrays[conc.lhs.name][ref_np_index(conc.lhs, full)] = (
-            store_order(block, conc.lhs)
-        )
-        return True
 
     def exec_assign(self, stmt: ast.Assign) -> None:
         value = self.eval_expr(stmt.rhs)
@@ -257,10 +210,8 @@ class Interpreter:
         return out
 
 
-def interpret(
-    info: ProgramInfo, seed: int = 12345, vectorize: bool = False
-) -> dict[str, np.ndarray]:
+def interpret(info: ProgramInfo, seed: int = 12345) -> dict[str, np.ndarray]:
     """Run a program to completion and return its final state."""
-    interp = Interpreter(info, seed, vectorize=vectorize)
+    interp = Interpreter(info, seed)
     interp.run()
     return interp.state()

@@ -196,22 +196,26 @@ def plan_nests(
     """
     plans: dict[int, NestPlan] = {}
     fallbacks: dict[int, str] = {}
-
-    def visit(stmts: list[ast.Stmt], reason: str | None) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.Do):
-                outcome = analyze_nest(info, stmt)
-                if isinstance(outcome, NestPlan):
-                    plans[stmt.sid] = outcome
-                else:
-                    visit(stmt.body, outcome)
-            elif isinstance(stmt, ast.If):
-                visit(stmt.then_body, reason)
-                visit(stmt.else_body, reason)
-            elif isinstance(stmt, ast.Assign) and reason is not None:
-                fallbacks[stmt.sid] = reason
-
-    visit(body, None)
+    # Statements in program order, each with the reason its innermost
+    # enclosing unplanned loop gave (None outside any loop).
+    work: list[tuple[ast.Stmt, "str | None"]] = [
+        (stmt, None) for stmt in reversed(body)
+    ]
+    while work:
+        stmt, reason = work.pop()
+        if isinstance(stmt, ast.Do):
+            outcome = analyze_nest(info, stmt)
+            if isinstance(outcome, NestPlan):
+                plans[stmt.sid] = outcome
+            else:
+                work += [(s, outcome) for s in reversed(stmt.body)]
+        elif isinstance(stmt, ast.If):
+            work += [
+                (s, reason)
+                for s in reversed(stmt.then_body + stmt.else_body)
+            ]
+        elif isinstance(stmt, ast.Assign) and reason is not None:
+            fallbacks[stmt.sid] = reason
     return plans, fallbacks
 
 
@@ -480,32 +484,40 @@ def eval_rhs_block(
     resolves non-nest variables (loop vars of enclosing loops, scalars,
     parameters) exactly like the element-wise interpreter.
     """
-    var_axis = {v: i for i, v in enumerate(conc.plan.vars)}
+    env = (conc, kbox, arrays, scalar_lookup,
+           {v: i for i, v in enumerate(conc.plan.vars)})
+    return _eval_block(conc.plan.assign.rhs, env)
 
-    def ev(expr: ast.Expr):
-        if isinstance(expr, ast.Num):
-            return float(expr.value)
-        if isinstance(expr, ast.VarRef):
-            axis = var_axis.get(expr.name)
-            if axis is not None:
-                return var_axis_block(conc, axis, kbox)
-            return float(scalar_lookup(expr.name))
-        if isinstance(expr, ast.ArrayRef):
-            cref = conc.refs[id(expr)]
-            raw = arrays[cref.name][ref_np_index(cref, kbox)]
-            return aligned_block(raw, cref, kbox)
-        if isinstance(expr, ast.BinOp):
-            return _vec_binop(expr.op, ev(expr.left), ev(expr.right))
-        if isinstance(expr, ast.UnOp):
-            value = ev(expr.operand)
-            if expr.op == "-":
-                return -value
-            return np.where(value != 0, 0.0, 1.0)
-        if isinstance(expr, ast.Intrinsic):
-            return _vec_intrinsic(expr.name, [ev(a) for a in expr.args])
-        raise SimulationError(f"cannot block-evaluate {expr!r}")
 
-    return ev(conc.plan.assign.rhs)
+def _eval_block(expr: ast.Expr, env: tuple):
+    """:func:`eval_rhs_block` of one sub-expression; ``env`` is
+    ``(conc, kbox, arrays, scalar_lookup, var_axis)``."""
+    conc, kbox, arrays, scalar_lookup, var_axis = env
+    if isinstance(expr, ast.Num):
+        return float(expr.value)
+    if isinstance(expr, ast.VarRef):
+        axis = var_axis.get(expr.name)
+        if axis is not None:
+            return var_axis_block(conc, axis, kbox)
+        return float(scalar_lookup(expr.name))
+    if isinstance(expr, ast.ArrayRef):
+        cref = conc.refs[id(expr)]
+        raw = arrays[cref.name][ref_np_index(cref, kbox)]
+        return aligned_block(raw, cref, kbox)
+    if isinstance(expr, ast.BinOp):
+        return _vec_binop(
+            expr.op, _eval_block(expr.left, env), _eval_block(expr.right, env)
+        )
+    if isinstance(expr, ast.UnOp):
+        value = _eval_block(expr.operand, env)
+        if expr.op == "-":
+            return -value
+        return np.where(value != 0, 0.0, 1.0)
+    if isinstance(expr, ast.Intrinsic):
+        return _vec_intrinsic(
+            expr.name, [_eval_block(a, env) for a in expr.args]
+        )
+    raise SimulationError(f"cannot block-evaluate {expr!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ class Simulator:
         key = loop.stmt.sid
         if key in self._trip_cache:
             return self._trip_cache[key]
-        outer = loop.preheader.loops_containing()
+        outer = self.ctx.cfg.nodes[loop.preheader].loops_containing()
         env = self._midpoint_env(outer)
         lo = self.info.affine(loop.stmt.lo).evaluate(env)
         hi = self.info.affine(loop.stmt.hi).evaluate(env)

@@ -127,7 +127,9 @@ class ExecutionImage:
     Tables fill as runs reach their keys and entries are never replaced:
     a miss builds under :attr:`lock` and publishes (:meth:`publish`), a
     hit reads without it.  The image is reachable only through the
-    result it was built from and is freed with it.
+    result it was built from and keeps what it reads of that result,
+    never the result itself, so reference counting frees the two
+    together.
     """
 
     def __init__(self, result: CompilationResult) -> None:

@@ -157,12 +157,12 @@ def solve_schedule(
 
 def _capture_marks(
     entries: list[CommEntry],
-) -> list[tuple[CommEntry, Optional[CommEntry], list[CommEntry]]]:
+) -> list[tuple[CommEntry, Optional[int], list[CommEntry]]]:
     return [(e, e.eliminated_by, list(e.absorbed)) for e in entries]
 
 
 def _restore_marks(
-    marks: list[tuple[CommEntry, Optional[CommEntry], list[CommEntry]]],
+    marks: list[tuple[CommEntry, Optional[int], list[CommEntry]]],
 ) -> None:
     for entry, eliminated_by, absorbed in marks:
         entry.eliminated_by = eliminated_by
@@ -177,7 +177,7 @@ def _apply_decoded(
     by_id = {e.id: e for e in entries}
     for loser_id, winner_id in decoded.eliminations.items():
         loser, winner = by_id[loser_id], by_id[winner_id]
-        loser.eliminated_by = winner
+        loser.eliminated_by = winner.id
         winner.absorbed.append(loser)
     placed = [
         PlacedComm(position, [by_id[i] for i in member_ids])

@@ -33,53 +33,52 @@ class TestStructure:
         cfg = build("PROGRAM t\nREAL s\ns = 1\nEND")
         assert cfg.entry.kind is NodeKind.ENTRY
         assert cfg.exit.kind is NodeKind.EXIT
-        assert cfg.exit.succs == []
+        assert cfg.exit.succs == ()
 
     def test_edges_mirrored(self):
         cfg = build(SRC_LOOP)
         for node in cfg.nodes:
             for s in node.succs:
-                assert node in s.preds
+                assert node.id in cfg.nodes[s].preds
             for p in node.preds:
-                assert node in p.succs
+                assert node.id in cfg.nodes[p].succs
 
     def test_loop_anchor_nodes(self):
         cfg = build(SRC_LOOP)
         (loop,) = cfg.loops
-        assert loop.preheader.kind is NodeKind.PREHEADER
-        assert loop.header.kind is NodeKind.HEADER
-        assert loop.latch.kind is NodeKind.LATCH
-        assert loop.postexit.kind is NodeKind.POSTEXIT
+        nodes = cfg.nodes
+        assert nodes[loop.preheader].kind is NodeKind.PREHEADER
+        assert nodes[loop.header].kind is NodeKind.HEADER
+        assert nodes[loop.latch].kind is NodeKind.LATCH
+        assert nodes[loop.postexit].kind is NodeKind.POSTEXIT
 
     def test_zero_trip_edge(self):
         cfg = build(SRC_LOOP)
         (loop,) = cfg.loops
-        assert loop.postexit in loop.preheader.succs
+        assert loop.postexit in cfg.nodes[loop.preheader].succs
 
     def test_postexit_pred_order_zero_trip_first(self):
         # SSA φ-exit parameter order depends on this.
         cfg = build(SRC_LOOP)
         (loop,) = cfg.loops
-        assert loop.postexit.preds[0] is loop.preheader
-        assert loop.postexit.preds[1] is loop.header
+        assert cfg.nodes[loop.postexit].preds == (loop.preheader, loop.header)
 
     def test_header_pred_order_preheader_first(self):
         cfg = build(SRC_LOOP)
         (loop,) = cfg.loops
-        assert loop.header.preds[0] is loop.preheader
-        assert loop.header.preds[1] is loop.latch
+        assert cfg.nodes[loop.header].preds == (loop.preheader, loop.latch)
 
     def test_back_edge(self):
         cfg = build(SRC_LOOP)
         (loop,) = cfg.loops
-        assert loop.header in loop.latch.succs
+        assert loop.header in cfg.nodes[loop.latch].succs
 
     def test_preheader_outside_loop(self):
         cfg = build(SRC_LOOP)
         (loop,) = cfg.loops
-        assert loop.preheader.nl == 0
-        assert loop.header.nl == 1
-        assert loop.postexit.nl == 0
+        assert cfg.nodes[loop.preheader].nl == 0
+        assert cfg.nodes[loop.header].nl == 1
+        assert cfg.nodes[loop.postexit].nl == 0
 
     def test_branch_and_join(self):
         cfg = build(SRC_IF)
@@ -93,7 +92,7 @@ class TestStructure:
         cfg = build("PROGRAM t\nREAL s\nIF s > 0 THEN\ns = 1\nEND IF\nEND")
         branch = next(n for n in cfg.nodes if n.kind is NodeKind.BRANCH)
         join = next(n for n in cfg.nodes if n.kind is NodeKind.JOIN)
-        assert join in branch.succs  # fall-through edge
+        assert join.id in branch.succs  # fall-through edge
 
 
 class TestNesting:
@@ -111,14 +110,14 @@ END"""
         outer, inner = cfg.loops
         assert outer.depth == 1 and inner.depth == 2
         assert inner.parent is outer
-        assert outer.children == [inner]
+        assert outer.children == [inner.id]
 
     def test_contains(self):
         cfg = build(self.SRC)
         outer, inner = cfg.loops
         assert outer.contains_loop(inner)
         assert not inner.contains_loop(outer)
-        assert outer.contains_node(inner.header)
+        assert outer.contains_node(cfg.nodes[inner.header])
 
     def test_cnl(self):
         cfg = build(self.SRC)

@@ -71,7 +71,7 @@ class TestCorruptedSchedules:
         result = compile_program(stencil_source, strategy="comb")
         ctx = result.ctx
         time_loop = ctx.cfg.loops[0]
-        bad = Position(time_loop.preheader.id, -1)
+        bad = Position(time_loop.preheader, -1)
         for pc in result.placed:
             if any(e.array == "a" for e in pc.entries):
                 pc.position = bad

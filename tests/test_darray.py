@@ -133,11 +133,3 @@ class TestRankStorage:
         store.install(RSD.of((1, 4)), np.ones(4))
         with pytest.raises(SimulationError):
             store.extract(RSD.of((3, 6)))
-
-    def test_invalidate_all_except(self):
-        store = RankStorage("a", (8,))
-        store.install(RSD.of((1, 8)), np.ones(8))
-        store.invalidate_all_except(RSD.of((1, 4)))
-        assert store.read((2,)) == 1.0
-        with pytest.raises(SimulationError):
-            store.read((6,))

@@ -27,7 +27,7 @@ def brute_force_dominators(cfg: CFG) -> dict[int, set[int]]:
         for node in cfg.nodes:
             if node is cfg.entry:
                 continue
-            preds = [dom[p.id] for p in node.preds]
+            preds = [dom[p] for p in node.preds]
             new = set.intersection(*preds) | {node.id} if preds else {node.id}
             if new != dom[node.id]:
                 dom[node.id] = new
@@ -105,12 +105,12 @@ class TestQueries:
     def test_dom_tree_path(self):
         cfg, dom = build(PROGRAMS[1])
         (loop,) = cfg.loops
-        path = dom.dom_tree_path(loop.postexit, cfg.entry)
-        assert path[0] is loop.postexit
-        assert path[-1] is cfg.entry
+        path = [n.id for n in dom.dom_tree_path(cfg.nodes[loop.postexit], cfg.entry)]
+        assert path[0] == loop.postexit
+        assert path[-1] == cfg.entry.id
         # postexit's dominator parent chain skips the loop body entirely.
         assert loop.preheader in path
-        assert all(n is not loop.latch for n in path)
+        assert loop.latch not in path
 
     def test_dom_tree_path_requires_dominance(self):
         cfg, dom = build(PROGRAMS[2])
@@ -133,8 +133,8 @@ class TestQueries:
     def test_position_dominance_across_blocks(self):
         cfg, dom = build(PROGRAMS[1])
         (loop,) = cfg.loops
-        pre = Position(loop.preheader.id, -1)
-        hdr = Position(loop.header.id, -1)
+        pre = Position(loop.preheader, -1)
+        hdr = Position(loop.header, -1)
         assert dom.position_dominates(pre, hdr)
         assert not dom.position_dominates(hdr, pre)
 

@@ -113,7 +113,7 @@ class TestReachingDefs:
     def test_all_writers_found_through_phis(self, fig4_source):
         ctx, entries = analyzed(fig4_source)
         a_entry = next(e for e in entries if e.array == "a")
-        defs = reaching_regular_defs(a_entry.use)
+        defs = reaching_regular_defs(ctx.ssa, a_entry.use)
         stmts = {
             str(d.stmt) for d in defs if hasattr(d, "stmt") and d.stmt is not None
         }
@@ -123,7 +123,7 @@ class TestReachingDefs:
     def test_entry_def_included(self, fig4_source):
         ctx, entries = analyzed(fig4_source)
         b_entry = next(e for e in entries if e.array == "b")
-        defs = reaching_regular_defs(b_entry.use)
+        defs = reaching_regular_defs(ctx.ssa, b_entry.use)
         from repro.ir.ssa import EntryDef
 
         assert any(isinstance(d, EntryDef) for d in defs)
@@ -131,5 +131,5 @@ class TestReachingDefs:
     def test_chain_does_not_loop_forever(self, stencil_source):
         ctx, entries = analyzed(stencil_source)
         for e in entries:
-            defs = reaching_regular_defs(e.use)
+            defs = reaching_regular_defs(ctx.ssa, e.use)
             assert len(defs) < 20

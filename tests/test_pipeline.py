@@ -65,10 +65,11 @@ class TestResultStructure:
 
     def test_eliminated_entries_have_live_winners(self, fig4_source):
         result = compile_program(fig4_source, strategy="comb")
+        by_id = {e.id: e for e in result.entries}
         for e in result.eliminated_entries():
-            winner = e.eliminated_by
+            winner = by_id[e.eliminated_by]
             while winner.eliminated_by is not None:
-                winner = winner.eliminated_by
+                winner = by_id[winner.eliminated_by]
             assert winner.alive
 
     def test_stats_populated(self, fig4_source):

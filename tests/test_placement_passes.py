@@ -93,7 +93,7 @@ class TestRedundancyElimination:
         assert eliminated == 2
         a1, b1, a2, b2 = entries
         assert not a1.alive and not b1.alive
-        assert a1.eliminated_by is a2 and b1.eliminated_by is b2
+        assert a1.eliminated_by == a2.id and b1.eliminated_by == b2.id
         assert a1 in a2.absorbed and b1 in b2.absorbed
 
     def test_subsumes_at_respects_sections(self, fig4_source):
@@ -185,4 +185,4 @@ class TestRedundancyElimination:
         assert len(survivors[0].absorbed) == 2
         # absorbed entries must point at the live winner, not at each other
         for victim in survivors[0].absorbed:
-            assert victim.eliminated_by is survivors[0]
+            assert victim.eliminated_by == survivors[0].id

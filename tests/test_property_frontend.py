@@ -143,7 +143,7 @@ END""",
     ]
 
     @staticmethod
-    def _reachable_writers(start):
+    def _reachable_writers(ssa, start):
         """All regular defs visible from an SSA def through φ params and
         preserving links."""
         seen, out, stack = set(), set(), [start]
@@ -153,11 +153,11 @@ END""",
                 continue
             seen.add(d.id)
             if isinstance(d, PhiDef):
-                stack.extend(p for p in d.params if p is not None)
+                stack.extend(ssa.defs[p] for p in d.params)
             elif isinstance(d, RegularDef):
                 out.add(d.stmt.sid)
                 if d.preserving and d.prev is not None:
-                    stack.append(d.prev)
+                    stack.append(ssa.defs[d.prev])
             else:
                 out.add(0)  # ENTRY
         return out
@@ -179,7 +179,7 @@ END""",
                 use = by_use.get((stmt.sid, var))
                 if use is None:
                     continue
-                visible = self._reachable_writers(use.reaching)
+                visible = self._reachable_writers(ssa, use.reaching)
                 expected = writer.sid if writer is not None else 0
                 assert expected in visible, (
                     f"{source.splitlines()[0]}: use of {var} at s{stmt.sid} "

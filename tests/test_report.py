@@ -22,21 +22,21 @@ class TestAnchors:
         result = compile_program(stencil_source, strategy="orig")
         ctx = result.ctx
         loop = ctx.cfg.loops[0]
-        anchor = anchor_of_position(ctx, Position(loop.preheader.id, -1))
+        anchor = anchor_of_position(ctx, Position(loop.preheader, -1))
         assert anchor == ("loop_pre", loop.stmt.sid)
 
     def test_header_anchor(self, stencil_source):
         result = compile_program(stencil_source, strategy="orig")
         ctx = result.ctx
         loop = ctx.cfg.loops[0]
-        anchor = anchor_of_position(ctx, Position(loop.header.id, -1))
+        anchor = anchor_of_position(ctx, Position(loop.header, -1))
         assert anchor == ("loop_top", loop.stmt.sid)
 
     def test_postexit_anchor(self, stencil_source):
         result = compile_program(stencil_source, strategy="orig")
         ctx = result.ctx
         loop = ctx.cfg.loops[0]
-        anchor = anchor_of_position(ctx, Position(loop.postexit.id, -1))
+        anchor = anchor_of_position(ctx, Position(loop.postexit, -1))
         assert anchor == ("loop_post", loop.stmt.sid)
 
     def test_entry_anchor(self, fig4_source):

@@ -52,7 +52,7 @@ class TestWidening:
         (e,) = entries
         inner = e.use.node.loops_containing()[-1]
         # the preheader of the innermost loop lives inside the outer loop
-        sec = ctx.sections.section_at(e.use, inner.preheader)
+        sec = ctx.sections.section_at(e.use, ctx.cfg.nodes[inner.preheader])
         outer_var = e.use.node.loops_containing()[-2].var
         assert outer_var in sec.dims[0].lo.symbols
         assert sec.dims[1].count_const() == 14
@@ -128,7 +128,7 @@ class TestLoopRanges:
             """
         )
         loops = ctx.cfg.loops
-        inner_body = loops[1].header.succs[0]
+        inner_body = ctx.cfg.nodes[ctx.cfg.nodes[loops[1].header].succs[0]]
         ranges = ctx.sections.live_ranges_at(inner_body)
         assert ranges["i"] == (1, 8)
         assert ranges["j"] == (1, 8)  # lower bound widened via i's range

@@ -25,7 +25,8 @@ class TestTripCounting:
         sim = Simulator(result, SP2)
         # innermost body node of the scalarized nest inside the time loop
         inner = result.ctx.cfg.loops[-1]
-        body = inner.header.succs[0]
+        cfg = result.ctx.cfg
+        body = cfg.nodes[cfg.nodes[inner.header].succs[0]]
         assert sim.executions_of(body) == 4 * sim.loop_trip(inner)
 
     def test_hoisted_comm_executes_less(self, stencil_source):

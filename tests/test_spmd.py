@@ -107,7 +107,7 @@ class TestFailureDetection:
         time_loop = ctx.cfg.loops[0]
         for pc in result.placed:
             if any(e.array == "a" for e in pc.entries):
-                pc.position = Position(time_loop.preheader.id, -1)
+                pc.position = Position(time_loop.preheader, -1)
         with pytest.raises(SimulationError, match="stale"):
             execute_spmd(result)
 

@@ -68,16 +68,6 @@ class TestBitwiseEquivalence:
         assert vec.remote_reads == elem.remote_reads
         assert vec.reductions == elem.reductions
 
-    @pytest.mark.parametrize("program", sorted(BENCHMARKS))
-    def test_vectorized_interpreter_matches(self, program):
-        result = _compile(program, Strategy.GLOBAL)
-        ref = interpret(result.info)
-        vec = interpret(result.info, vectorize=True)
-        for name in ref:
-            np.testing.assert_array_equal(
-                vec[name], ref[name], err_msg=f"{program}: {name}"
-            )
-
 
 class TestVectorizerCoverage:
     def test_benchmarks_vectorize(self):

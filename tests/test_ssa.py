@@ -41,8 +41,8 @@ class TestPhiPlacement:
     def test_loop_header_and_postexit_phis(self):
         cfg, ssa = build(SRC_LOOP)
         (loop,) = cfg.loops
-        header_phis = ssa.phis[loop.header.id]
-        postexit_phis = ssa.phis[loop.postexit.id]
+        header_phis = ssa.phis[loop.header]
+        postexit_phis = ssa.phis[loop.postexit]
         assert [p.var for p in header_phis] == ["a"]
         assert [p.var for p in postexit_phis] == ["a"]
         assert header_phis[0].kind == "enter"
@@ -51,8 +51,8 @@ class TestPhiPlacement:
     def test_phi_enter_params(self):
         cfg, ssa = build(SRC_LOOP)
         (loop,) = cfg.loops
-        (phi,) = ssa.phis[loop.header.id]
-        r_pre, r_post = phi.params
+        (phi,) = ssa.phis[loop.header]
+        r_pre, r_post = (ssa.defs[p] for p in phi.params)
         # r_pre: the def before the loop (a(1) = 0).
         assert isinstance(r_pre, RegularDef) and str(r_pre.stmt) == "a(1) = 0"
         # r_post: the def inside the loop body.
@@ -61,8 +61,8 @@ class TestPhiPlacement:
     def test_phi_exit_params(self):
         cfg, ssa = build(SRC_LOOP)
         (loop,) = cfg.loops
-        (phi,) = ssa.phis[loop.postexit.id]
-        zero_trip, from_loop = phi.params
+        (phi,) = ssa.phis[loop.postexit]
+        zero_trip, from_loop = (ssa.defs[p] for p in phi.params)
         assert isinstance(zero_trip, RegularDef)  # the pre-loop def
         assert isinstance(from_loop, PhiDef)  # the header φ via the exit edge
         assert from_loop.kind == "enter"
@@ -82,7 +82,7 @@ END"""
         join = next(n for n in cfg.nodes if n.kind is NodeKind.JOIN)
         (phi,) = [p for p in ssa.phis[join.id] if p.var == "a"]
         assert phi.kind == "join"
-        assert all(isinstance(p, RegularDef) for p in phi.params)
+        assert all(isinstance(ssa.defs[p], RegularDef) for p in phi.params)
 
     def test_no_phi_for_untouched_variable(self):
         src = """PROGRAM t
@@ -95,7 +95,7 @@ END DO
 END"""
         cfg, ssa = build(src)
         (loop,) = cfg.loops
-        assert [p.var for p in ssa.phis[loop.header.id]] == ["a"]
+        assert [p.var for p in ssa.phis[loop.header]] == ["a"]
 
 
 class TestDefsAndUses:

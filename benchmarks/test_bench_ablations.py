@@ -82,7 +82,9 @@ def test_ablation_subset_elimination(benchmark):
     def run():
         out = {}
         for enabled in (True, False):
-            options = CompilerOptions(enable_subset_elimination=enabled)
+            options = CompilerOptions(
+                disabled_passes=() if enabled else ("subset",)
+            )
             out[enabled] = {
                 name: compile_program(src, None, Strategy.GLOBAL, options).call_sites()
                 for name, src in BENCHMARKS.items()
@@ -100,7 +102,7 @@ def test_ablation_redundancy_elimination(benchmark):
     """Without §4.6, combining alone cannot reach the paper's counts."""
 
     def run():
-        options = CompilerOptions(enable_redundancy_elimination=False)
+        options = CompilerOptions(disabled_passes=("redundancy",))
         return {
             name: compile_program(src, None, Strategy.GLOBAL, options).call_sites()
             for name, src in BENCHMARKS.items()

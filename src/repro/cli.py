@@ -120,12 +120,16 @@ def _pass_options(args: argparse.Namespace) -> CompilerOptions:
                   file=sys.stderr)
             raise _CliExit(2)
         extra["combine_threshold_bytes"] = threshold
-    return CompilerOptions(
-        strict=args.strict,
-        disabled_passes=disabled,
-        pass_pipeline=pipeline,
-        **extra,
-    )
+    try:
+        return CompilerOptions(
+            strict=args.strict,
+            disabled_passes=disabled,
+            pass_pipeline=pipeline,
+            **extra,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise _CliExit(2) from None
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -256,14 +260,10 @@ def cmd_profile(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    from .core.context import CompilerOptions
+def cmd_reproduce(_args: argparse.Namespace) -> int:
     from .evaluation.reproduce import main as reproduce_main
 
-    options = None
-    if getattr(args, "no_caches", False):
-        options = CompilerOptions(enable_caches=False)
-    return reproduce_main(options)
+    return reproduce_main()
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -271,11 +271,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
     from .perf.batch import BatchCompiler, BatchJob, RetryPolicy, benchmark_jobs
 
-    options = CompilerOptions(enable_caches=not args.no_caches)
     if args.benchmarks:
-        jobs = benchmark_jobs(
-            strategies=[s.value for s in Strategy], options=options
-        )
+        jobs = benchmark_jobs(strategies=[s.value for s in Strategy])
     elif args.files:
         params = _parse_params(args.param)
         jobs = [
@@ -284,7 +281,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 source=_read_source(path),
                 params=params or None,
                 strategy=args.strategy,
-                options=options,
             )
             for path in args.files
         ]
@@ -476,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(--pipeline exact); the solver always returns its "
                         "best incumbent, the greedy comb schedule at worst "
                         "(default 1000)")
-    p.add_argument("--machine", choices=sorted(MACHINES), default=None,
+    p.add_argument("--machine", default=None, metavar="NAME",
                    help="machine model the combining threshold is derived "
-                        "from (default SP2)")
+                        f"from: {' | '.join(sorted(MACHINES))} (default SP2)")
     p.add_argument("--threshold-bytes", type=int, default=None, metavar="N",
                    help="override the machine-derived combining threshold "
                         "(ablations; default: derive from --machine)")
@@ -502,12 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("profile", help="Figure 5 bandwidth profiles").set_defaults(
         func=cmd_profile
     )
-    p = sub.add_parser(
+    sub.add_parser(
         "reproduce", help="run every paper check and print PASS/FAIL"
-    )
-    p.add_argument("--no-caches", action="store_true",
-                   help="disable every memoized analysis cache (ablation)")
-    p.set_defaults(func=cmd_reproduce)
+    ).set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser(
         "batch", help="batch-compile many programs with result caching"
@@ -522,8 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process-pool size (1 = serial, default)")
     p.add_argument("--repeat", type=int, default=1,
                    help="run the batch N times (demonstrates result caching)")
-    p.add_argument("--no-caches", action="store_true",
-                   help="disable the per-compile analysis caches")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-job wall-clock timeout (forces pooled "
                         "execution; default none)")

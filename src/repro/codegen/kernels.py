@@ -1,12 +1,11 @@
 """Source emission for fused per-rank runtime kernels.
 
-The vectorized SPMD executor interprets every nest firing: it walks the
-RHS expression tree in Python, re-derives per-rank iteration boxes and
-numpy index tuples, and re-counts remote reads with RSD arithmetic.  All
-of that is geometry — constant for a given (nest, concrete per-rank
-layout) pair.  This module lowers that geometry one level further into
-*source text*: a specialized Python function per (nest, geometry) key
-whose body is
+Executing a planned nest means walking its RHS expression tree,
+deriving per-rank iteration boxes and numpy index tuples, and counting
+remote reads with RSD arithmetic.  All of that is geometry — constant
+for a given (nest, concrete per-rank layout) pair.  This module lowers
+that geometry into *source text*: a specialized Python function per
+(nest, geometry) key whose body is
 
 * one fused statement computing the shadow block over prebound aligned
   views (no AST walk, no per-reference temporaries),
@@ -20,8 +19,8 @@ indexing a serial array dimension — gravity's ``g(i, :, :)``) become
 runtime arguments: the emitted index expressions reference ``_q{n}``
 instead of a literal, so one compiled kernel serves every iteration.
 Offsets along *distributed* dimensions change rank participation and
-mark the nest kernel-ineligible (the vectorized interpreter path keeps
-it, with the reason recorded).
+mark the nest kernel-ineligible (it runs element-wise, with the reason
+recorded).
 
 :func:`pack_source` / :func:`unpack_source` emit the transfer-buffer
 kernels the transport backends use: gather a send's indexed box straight
@@ -236,9 +235,9 @@ def fused_rhs_source(
     ``ref_exprs`` maps ``id(ArrayRef)`` to the source text standing for
     that reference's aligned block (a prebound view name, or an inline
     aligner call for dynamic references).  Operator and intrinsic
-    lowering matches :func:`repro.runtime.plans.eval_rhs_block` —
-    identical numpy operations in identical order, so the block is
-    bitwise-identical to the interpreted path's.
+    lowering matches :meth:`repro.runtime.interp.Interpreter._binop` /
+    ``_intrinsic`` element by element, so the block is bitwise-identical
+    to the element-wise path's values.
     """
     var_text = {v: f"_ax{i}" for i, v in enumerate(spec.plan.vars)}
     for i, name in enumerate(spec.scal_args):

@@ -30,21 +30,18 @@ class SectionBuilder:
 
     Sections are hash-consed: value-equal results share one object via the
     intern pool, and the per-(use, node) memo cache makes repeated queries
-    from the redundancy/combining passes O(1).  Both caches can be
-    disabled (``cache_enabled=False``) for the ablation/equivalence suite;
-    results are byte-identical either way.
+    from the redundancy/combining passes O(1).  :meth:`_build` is the
+    unmemoized computation every cached section must equal.
     """
 
     def __init__(
         self,
         info: ProgramInfo,
         cfg: CFG,
-        cache_enabled: bool = True,
         stats: "CacheStats | None" = None,
     ) -> None:
         self.info = info
         self.cfg = cfg
-        self.cache_enabled = cache_enabled
         self.stats = stats
         self._cache: dict[tuple[int, int, int], SymSection] = {}
         self._section_pool: dict[SymSection, SymSection] = {}
@@ -91,8 +88,6 @@ class SectionBuilder:
     def section_at(self, use: Use, placement: Node) -> SymSection:
         """The section ``use`` reads, widened over every loop that contains
         the use but not the placement node."""
-        if not self.cache_enabled:
-            return self._build(use, placement)
         key = (use.stmt.sid, id(use.ref), placement.id)
         cached = self._cache.get(key)
         if cached is not None:
@@ -164,8 +159,6 @@ class SectionBuilder:
         """Value ranges of loop variables live at ``node`` (memoized per
         node — the greedy pass asks for the same node's ranges once per
         entry pair)."""
-        if not self.cache_enabled:
-            return self.loop_ranges(node.loops_containing())
         ranges = self._ranges_cache.get(node.id)
         if ranges is None:
             ranges = self.loop_ranges(node.loops_containing())

@@ -22,6 +22,14 @@ from ..machine.model import MachineModel
 from ..perf.stats import CacheStatsRegistry
 
 
+#: The accepted values of each enumerated option, the paper's choice first.
+OPTION_CHOICES: dict[str, tuple[str, ...]] = {
+    "greedy_order": ("constrained", "arbitrary", "reversed"),
+    "group_placement": ("latest", "earliest"),
+    "placement_search": ("greedy", "ilp"),
+}
+
+
 @dataclass
 class CompilerOptions:
     """Tuning knobs for the placement algorithm.
@@ -35,32 +43,28 @@ class CompilerOptions:
     "derive from the machine").  ``hull_slack`` and ``hull_const`` bound
     how much larger the single-descriptor union may be than the two
     sections it replaces (§4.7's "small constant").  ``greedy_order``
-    and the two ``enable_*`` switches exist for the ablation benchmarks:
-    ``constrained`` is the paper's most-constrained-first rule, and the
-    paper's §6 notes that subset elimination must be dropped if overlap
-    ever becomes an objective.
+    exists for the ablation benchmarks: ``constrained`` is the paper's
+    most-constrained-first rule.  A pass is dropped by naming it in
+    ``disabled_passes`` — e.g. ``("subset",)``, which the paper's §6 says
+    overlap optimization would need.
+
+    The enumerated options (:data:`OPTION_CHOICES`) and ``machine`` are
+    checked on construction: an unknown value raises ``ValueError``
+    before anything compiles.
     """
 
-    combine_threshold_bytes: "int | None" = None
-    machine: "str | MachineModel" = "SP2"
+    combine_threshold_bytes: int | None = None
+    machine: str | MachineModel = "SP2"
     hull_slack: float = 0.25
     hull_const: int = 64
-    greedy_order: str = "constrained"  # 'constrained' | 'arbitrary' | 'reversed'
-    enable_subset_elimination: bool = True
-    enable_redundancy_elimination: bool = True
+    greedy_order: str = "constrained"
     # §6.2 extension: let a reduction's combine phase slide later, down to
     # the first use of its result (reversed reached-uses analysis).
     reduction_flexibility: bool = False
     # Final group placement: 'latest' is the paper's choice (reduce buffer
     # and cache contention); 'earliest' maximizes CPU-network overlap (§6's
     # trade-off, exercised by the overlap ablation benchmark).
-    group_placement: str = "latest"  # 'latest' | 'earliest'
-    # Master switch for every memoized analysis cache (section memo,
-    # dependence-verdict memo, live-range memo, combinability and
-    # subsumption verdict caches).  Exists so the perf-equivalence suite
-    # can assert that cached and uncached pipelines produce byte-identical
-    # schedules; leave True outside of that ablation.
-    enable_caches: bool = True
+    group_placement: str = "latest"
     # Fault boundaries: by default a failing optimization pass degrades to
     # the sound LATEST placement (per-entry where possible) and records a
     # DegradationEvent; strict=True re-raises instead, for tests and
@@ -69,7 +73,7 @@ class CompilerOptions:
     # Final combining pass: 'greedy' is the paper's §4.7 heuristic; 'ilp'
     # uses the exact §6.1 branch-and-bound where tractable, degrading to
     # greedy when the search space is exceeded.
-    placement_search: str = "greedy"  # 'greedy' | 'ilp'
+    placement_search: str = "greedy"
     # Wall-clock budget for the whole-pipeline exact placement search
     # (the 'exact' pipeline, see repro.solver).  The anytime driver
     # always returns its best incumbent — the greedy comb schedule when
@@ -84,7 +88,17 @@ class CompilerOptions:
     # via the Latest-placement terminal fallback, but schedules may lose
     # optimizations that depend on the canonical §4.5→§4.6→§4.7 order.
     disabled_passes: tuple[str, ...] = ()
-    pass_pipeline: "tuple[str, ...] | None" = None
+    pass_pipeline: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        resolve_machine(self.machine)
+        for name, choices in OPTION_CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(
+                    f"unknown {name} {value!r} (expected one of: "
+                    f"{', '.join(choices)})"
+                )
 
 
 class AnalysisContext:
@@ -103,19 +117,12 @@ class AnalysisContext:
         self.dom = DominatorInfo(self.cfg)
         tracked = set(info.layouts) | set(info.scalars)
         self.ssa = SSA(self.cfg, self.dom, tracked)
-        caches_on = self.options.enable_caches
         self.cache_stats = CacheStatsRegistry()
         self.tester = DependenceTester(
-            info,
-            self.cfg,
-            cache_enabled=caches_on,
-            stats=self.cache_stats.get("dependence"),
+            info, self.cfg, stats=self.cache_stats.get("dependence")
         )
         self.sections = SectionBuilder(
-            info,
-            self.cfg,
-            cache_enabled=caches_on,
-            stats=self.cache_stats.get("section"),
+            info, self.cfg, stats=self.cache_stats.get("section")
         )
         self.classifier = PatternClassifier(info)
         # Pass-level verdict caches (paper §4.6/§4.7 predicates).  Both

@@ -36,8 +36,6 @@ def _combinable_at(
     under the unordered id pair plus the node id — one evaluation serves
     every position of a block, in both argument orders.
     """
-    if not ctx.options.enable_caches:
-        return _combinable_at_impl(ctx, a, b, pos)
     if a.id <= b.id:
         key = (a.id, b.id, pos.node_id)
     else:

@@ -145,16 +145,18 @@ class PlacementPass:
     #: Human description of the applied fallback, for the event record.
     fallback_desc: str = ""
 
-    def enabled(self, options: CompilerOptions) -> bool:
-        """Legacy option switches (``enable_subset_elimination`` …)."""
-        return True
-
     def run(self, run: PlacementRun) -> Optional[dict[str, int]]:
         raise NotImplementedError
 
     def recover(self, run: PlacementRun) -> Optional[dict[str, int]]:
         """Apply the fallback after a fault; returns stat overrides."""
         return None
+
+
+def _enabled(p: PlacementPass, options: CompilerOptions) -> bool:
+    """``disabled_passes`` is the one way to drop a pass, and only an
+    optimization pass can be dropped."""
+    return not (p.optimization and p.name in options.disabled_passes)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +289,12 @@ class PassManager:
                 self._run_pass(p, run, traces)
                 run.stats["entries"] = len(run.entries)
                 continue
-            if not self._enabled(p, ctx.options):
+            if not _enabled(p, ctx.options):
                 continue
             self._run_pass(p, run, traces)
         if run.placed is None:
             self._terminal_fallback(run)
         return run
-
-    def _enabled(self, p: PlacementPass, options: CompilerOptions) -> bool:
-        if p.name in options.disabled_passes and p.optimization:
-            return False
-        return p.enabled(options)
 
     def _run_pass(
         self,
@@ -469,16 +466,13 @@ def list_passes(
     rows = []
     for name in sorted(registered_passes()):
         p = _REGISTRY[name]
-        enabled = p.enabled(opts) and not (
-            name in opts.disabled_passes and p.optimization
-        )
         rows.append(
             {
                 "name": p.name,
                 "section": p.section,
                 "pipelines": in_pipelines.get(name, []),
                 "optimization": p.optimization,
-                "enabled": enabled,
+                "enabled": _enabled(p, opts),
                 "description": p.description,
             }
         )

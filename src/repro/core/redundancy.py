@@ -49,11 +49,12 @@ def subsumes_at(
       footprint shares one id, and re-analysis rounds (multi-strategy
       compiles, fixed-point re-passes) hit instead of recomputing the
       containment.
+
+    :func:`_subsumes_at_impl` is the unmemoized predicate every verdict
+    must equal.
     """
     if winner is loser:
         return False
-    if not ctx.options.enable_caches:
-        return _subsumes_at_impl(ctx, winner, loser, pos)
     stats = ctx.cache_stats.get("subsumes")
     pair_key = (id(winner.use), id(loser.use))
     static = ctx._subsumes_static_cache.get(pair_key)
@@ -165,9 +166,6 @@ class RedundancyEliminationPass(PlacementPass):
     mutates_state = True
     mutates_entries = True  # eliminated_by/absorbed marks roll back too
     fallback_desc = "pass rolled back (no eliminations)"
-
-    def enabled(self, options) -> bool:
-        return options.enable_redundancy_elimination
 
     def run(self, run: PlacementRun) -> dict[str, int]:
         from . import pipeline as pl  # late: monkeypatchable namespace

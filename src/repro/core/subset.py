@@ -8,13 +8,13 @@ final solution: ``CommSet(S1) ⊆ CommSet(S2)  ⇒  CommSet(S1) := ∅``.
 For *equal* sets either may be emptied (paper); we keep the later
 (dominance-deepest) position, consistent with the final push-late rule.
 The paper notes this step must be dropped if overlap optimization is ever
-added (§6) — the ablation benchmark exercises exactly that switch.
+added (§6) — ``disabled_passes=("subset",)`` does exactly that.
 """
 
 from __future__ import annotations
 
 from ..ir.cfg import Position
-from .context import AnalysisContext, CompilerOptions
+from .context import AnalysisContext
 from .passes import PlacementPass, PlacementRun, register_pass
 from .state import PlacementState
 
@@ -72,9 +72,6 @@ class SubsetEliminationPass(PlacementPass):
     needs_state = True
     mutates_state = True
     fallback_desc = "pass skipped (all candidates kept)"
-
-    def enabled(self, options: CompilerOptions) -> bool:
-        return options.enable_subset_elimination
 
     def run(self, run: PlacementRun) -> dict[str, int]:
         from . import pipeline as pl  # late: monkeypatchable namespace

@@ -94,12 +94,10 @@ class DependenceTester:
         self,
         info: ProgramInfo,
         cfg: CFG,
-        cache_enabled: bool = True,
         stats: "CacheStats | None" = None,
     ) -> None:
         self.info = info
         self.cfg = cfg
-        self.cache_enabled = cache_enabled
         self.stats = stats
         self._cache: dict[tuple, DepResult] = {}
         # Equal verdicts are one object: a compile keeps a verdict per
@@ -138,8 +136,6 @@ class DependenceTester:
         loop-independent flag."""
         if def_ref.name != use_ref.name:
             raise DependenceError("flow_dependence called on different arrays")
-        if not self.cache_enabled:
-            return self._test(def_stmt, def_ref, use_stmt, use_ref)
         key = (def_stmt.sid, id(def_ref), use_stmt.sid, id(use_ref))
         cached = self._cache.get(key)
         if cached is not None:
@@ -217,8 +213,6 @@ class DependenceTester:
         return _RefForms(forms, ranges, ctx.loops)
 
     def _loop_context(self, loops: list[Loop], tag: str) -> LoopContext:
-        if not self.cache_enabled:
-            return LoopContext(self.info, loops, tag=tag)
         # The innermost loop determines the chain of its ancestors.
         key = (tag, loops[-1].stmt.sid if loops else None)
         ctx = self._loopctx_cache.get(key)

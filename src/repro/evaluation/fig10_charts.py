@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.context import CompilerOptions
 from ..core.pipeline import Strategy, compile_all_strategies
 from ..machine.model import MACHINES, MachineModel
 from ..runtime.simulator import SimReport, simulate
@@ -64,14 +63,14 @@ CHART_SPECS: dict[str, tuple[str, str, tuple[int, int], list[int]]] = {
 }
 
 
-def run_chart(key: str, options: "CompilerOptions | None" = None) -> Chart:
+def run_chart(key: str) -> Chart:
     machine_name, program, (pr, pc), sizes = CHART_SPECS[key]
     machine: MachineModel = MACHINES[machine_name]
     source = BENCHMARKS[program]
     points: list[ChartPoint] = []
     for n in sizes:
         params = {"n": n, "pr": pr, "pc": pc}
-        results = compile_all_strategies(source, params=params, options=options)
+        results = compile_all_strategies(source, params=params)
         reports: dict[str, SimReport] = {
             strat.value: simulate(result, machine)
             for strat, result in results.items()
@@ -87,8 +86,8 @@ def run_chart(key: str, options: "CompilerOptions | None" = None) -> Chart:
     return Chart(key, machine_name, program, (pr, pc), points)
 
 
-def run_all(options: "CompilerOptions | None" = None) -> list[Chart]:
-    return [run_chart(key, options) for key in CHART_SPECS]
+def run_all() -> list[Chart]:
+    return [run_chart(key) for key in CHART_SPECS]
 
 
 def format_chart(chart: Chart) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.context import CompilerOptions
 from ..core.pipeline import Strategy, compile_all_strategies
 from .programs import BENCHMARKS, PAPER_TABLE
 
@@ -47,15 +46,13 @@ class TableRow:
         return self.measured == self.paper
 
 
-def build_table(options: "CompilerOptions | None" = None) -> list[TableRow]:
+def build_table() -> list[TableRow]:
     """Compile every benchmark under every strategy and collect the rows."""
     counts: dict[str, dict[str, dict[str, int]]] = {}
     for program, source in BENCHMARKS.items():
         counts[program] = {
             strat.value: result.call_sites_by_kind()
-            for strat, result in compile_all_strategies(
-                source, options=options
-            ).items()
+            for strat, result in compile_all_strategies(source).items()
         }
 
     rows: list[TableRow] = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.context import CompilerOptions
 from ..core.pipeline import compile_all_strategies
 from ..machine.model import MACHINES
 from .fig5_profile import profile_machine
@@ -52,10 +51,8 @@ class Reproduction:
         return "\n".join(lines)
 
 
-def check_fig10_table(
-    repro: Reproduction, options: "CompilerOptions | None" = None
-) -> None:
-    rows = build_table(options)
+def check_fig10_table(repro: Reproduction) -> None:
+    rows = build_table()
     for row in rows:
         repro.record(
             f"Fig 10 table: {row.benchmark}/{row.routine}/{row.comm_type}",
@@ -64,11 +61,9 @@ def check_fig10_table(
         )
 
 
-def check_fig10_charts(
-    repro: Reproduction, options: "CompilerOptions | None" = None
-) -> None:
+def check_fig10_charts(repro: Reproduction) -> None:
     for key in CHART_SPECS:
-        chart = run_chart(key, options)
+        chart = run_chart(key)
         monotone = all(
             p.normalized("comb") <= p.normalized("nored") + 1e-9
             and p.normalized("nored") <= 1.0 + 1e-9
@@ -94,9 +89,7 @@ def check_fig5(repro: Reproduction) -> None:
         )
 
 
-def check_dynamic_oracles(
-    repro: Reproduction, options: "CompilerOptions | None" = None
-) -> None:
+def check_dynamic_oracles(repro: Reproduction) -> None:
     import numpy as np
 
     from ..runtime.checker import check_schedule
@@ -112,9 +105,7 @@ def check_dynamic_oracles(
         "hydflo_hydro": {"n": 8, "nsteps": 2, "pr": 2, "pc": 2},
     }
     for program, params in small.items():
-        results = compile_all_strategies(
-            BENCHMARKS[program], params=params, options=options
-        )
+        results = compile_all_strategies(BENCHMARKS[program], params=params)
         try:
             for result in results.values():
                 check_schedule(result)
@@ -129,20 +120,18 @@ def check_dynamic_oracles(
             repro.record(f"dynamic validation: {program}", False, str(exc))
 
 
-def run_reproduction(
-    include_charts: bool = True, options: "CompilerOptions | None" = None
-) -> Reproduction:
+def run_reproduction(include_charts: bool = True) -> Reproduction:
     repro = Reproduction()
-    check_fig10_table(repro, options)
+    check_fig10_table(repro)
     if include_charts:
-        check_fig10_charts(repro, options)
+        check_fig10_charts(repro)
     check_fig5(repro)
-    check_dynamic_oracles(repro, options)
+    check_dynamic_oracles(repro)
     return repro
 
 
-def main(options: "CompilerOptions | None" = None) -> int:
-    repro = run_reproduction(options=options)
+def main() -> int:
+    repro = run_reproduction()
     print(repro.format())
     return 0 if repro.ok else 1
 

@@ -14,12 +14,10 @@ changing what it computes:
 Speed is measured by the end-to-end benchmark (``benchmarks/e2e``,
 declared in ``BENCHMARK.json``), not from inside this package.
 
-Every *memo cache* is ablatable through
-:attr:`repro.core.context.CompilerOptions.enable_caches`; cached and
-uncached pipelines are asserted byte-identical by
-``tests/test_perf_caches.py``.  Data-structure changes (position
-interning, dense dominator tables, the CommSet inverted index) are exact
-by construction and always on.
+Every *memo cache* is always on; ``tests/test_perf_caches.py`` checks
+each verdict it serves against the same query on a fresh object.
+Data-structure changes (position interning, dense dominator tables, the
+CommSet inverted index) are exact by construction.
 
 Submodules are imported lazily — ``import repro.perf`` must stay cheap
 because :mod:`repro.core.context` imports :mod:`repro.perf.stats`.

@@ -50,6 +50,7 @@ from typing import Callable, Iterable, Optional
 
 from ..core.context import CompilerOptions
 from ..core.pipeline import Strategy, compile_program
+from ..machine.model import MACHINES
 from .cache import ScheduleCache
 
 
@@ -85,6 +86,21 @@ class BatchResult:
         return not self.error
 
 
+_OPTION_NAMES = tuple(f.name for f in fields(CompilerOptions))
+_DEFAULT_OPTIONS = CompilerOptions()
+
+
+def _option_text(name: str, value) -> str:
+    """One spelling per schedule: a preset machine passed as its model
+    object hashes as its name, the disabled passes as a sorted set."""
+    if name == "machine" and not isinstance(value, str):
+        if MACHINES.get(value.name) == value:
+            return value.name
+    elif name == "disabled_passes":
+        return str(tuple(sorted(set(value))))
+    return str(value)
+
+
 def job_key(job: BatchJob) -> str:
     """Content hash over everything that determines the schedule."""
     h = hashlib.sha256()
@@ -92,9 +108,11 @@ def job_key(job: BatchJob) -> str:
     for name, value in sorted((job.params or {}).items()):
         h.update(f"|{name}={value}".encode())
     h.update(f"|strategy={Strategy.parse(job.strategy).value}".encode())
-    options = job.options or CompilerOptions()
-    for f in fields(CompilerOptions):
-        h.update(f"|{f.name}={getattr(options, f.name)}".encode())
+    options = job.options or _DEFAULT_OPTIONS
+    h.update("".join([
+        f"|{name}={_option_text(name, getattr(options, name))}"
+        for name in _OPTION_NAMES
+    ]).encode())
     return h.hexdigest()
 
 
@@ -464,16 +482,12 @@ class BatchCompiler:
         return fresh
 
 
-def benchmark_jobs(
-    strategies: Iterable[str] = ("comb",),
-    options: Optional[CompilerOptions] = None,
-) -> list[BatchJob]:
+def benchmark_jobs(strategies: Iterable[str] = ("comb",)) -> list[BatchJob]:
     """The paper's benchmark programs as a ready-made job list."""
     from ..evaluation.programs import BENCHMARKS
 
     return [
-        BatchJob(name=f"{name}:{strategy}", source=source,
-                 strategy=strategy, options=options)
+        BatchJob(name=f"{name}:{strategy}", source=source, strategy=strategy)
         for name, source in BENCHMARKS.items()
         for strategy in strategies
     ]

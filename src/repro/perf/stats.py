@@ -77,27 +77,23 @@ class RuntimeStats:
     block extract/install operations (the runtime's unit of data
     movement), ``plan_compiles``/``plan_cache_hits`` the communication-
     plan cache, and ``vectorized_firings``/``fallback_firings`` how many
-    loop-nest executions ran as whole-block numpy operations versus the
-    element-wise interpreter path.  ``block_firings`` is the part of
-    ``vectorized_firings`` that took the interpreted block path instead
-    of an emitted kernel.  ``sections_verified`` counts the (rank,
-    section) freshness tests — validity mask full, values equal to the
-    sequential shadow — made by nest kernels, copy kernels, reductions
-    and transport sends.  Nest kernels test the read *cover* (the fewest
-    sections holding exactly a rank's reads of an array), the interpreted
-    block path tests per reference, so ``kernels="off"`` reports a larger
-    number for the same elements; per-element reads of the element-wise
-    path are not sections and are not counted.
+    loop-nest executions ran as fused kernels versus the element-wise
+    interpreter path.  ``sections_verified`` counts the (rank, section)
+    freshness tests — validity mask full, values equal to the sequential
+    shadow — made by nest kernels, copy kernels, the interpreted copy
+    loop, reductions and transport sends.  Nest kernels test the read
+    *cover* (the fewest sections holding exactly a rank's reads of an
+    array); per-element reads of the element-wise path are not sections
+    and are not counted, so ``vectorize=False`` reports the nest
+    kernels' share less (and ``bcopy_calls`` likewise).
 
     The kernel counters instrument the fused-codegen layer
     (:mod:`repro.runtime.kernels`): ``kernel_compiles``/
     ``kernel_cache_hits`` the per-geometry kernel templates,
     ``kernel_firings`` how many executions ran emitted straight-line
     code (nest kernels and direct-copy communication kernels alike),
-    ``plan_translations`` how many CommPlan cache hits were served
-    by translating a canonical plan to a shifted offset, and
-    ``kernel_tier`` whether the kernels ran (``"python"``) or the run
-    was the per-reference reference (``"off"``).
+    and ``plan_translations`` how many CommPlan cache hits were served
+    by translating a canonical plan to a shifted offset.
 
     Plans and kernels live in the result's execution image
     (:class:`repro.runtime.spmd.ExecutionImage`): a run that finds them
@@ -123,12 +119,10 @@ class RuntimeStats:
     plan_cache_hits: int = 0
     plan_translations: int = 0
     vectorized_firings: int = 0
-    block_firings: int = 0
     fallback_firings: int = 0
     kernel_firings: int = 0
     kernel_compiles: int = 0
     kernel_cache_hits: int = 0
-    kernel_tier: str = "off"
     plan_compile_s: float = 0.0
     #: Firings whose ops were lowered and merged into wire operations,
     #: and the dependence tests that took — both zero on a warm image.
@@ -176,12 +170,10 @@ class RuntimeStats:
             "plan_translations": self.plan_translations,
             "plan_hit_rate": round(self.plan_hit_rate, 4),
             "vectorized_firings": self.vectorized_firings,
-            "block_firings": self.block_firings,
             "fallback_firings": self.fallback_firings,
             "kernel_firings": self.kernel_firings,
             "kernel_compiles": self.kernel_compiles,
             "kernel_cache_hits": self.kernel_cache_hits,
-            "kernel_tier": self.kernel_tier,
             "plan_compile_s": round(self.plan_compile_s, 6),
             "firing_merges": self.firing_merges,
             "firing_dep_tests": self.firing_dep_tests,

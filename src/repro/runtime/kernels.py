@@ -1,10 +1,10 @@
 """Fused per-rank kernel execution for the SPMD runtime.
 
-The vectorized executor already collapses a planned nest into block
-numpy operations, but every firing still *interprets*: it re-walks the
-RHS expression tree, re-derives per-rank iteration boxes and index
-tuples, and re-counts remote reads symbolically.  This module is the
-third lowering level — plans become *compiled code*:
+The element-wise executor interprets every iteration of a planned nest:
+it walks the RHS expression tree per element, evaluates each subscript,
+and tests each read against the sequential shadow one value at a time.
+All of that but the values is geometry, constant for a given (nest,
+concrete loop geometry) pair — so plans become *compiled code*:
 
 * Kernels are built once per program and bound once per run.  The
   program's :class:`~repro.runtime.spmd.ExecutionImage` keeps a
@@ -23,8 +23,8 @@ third lowering level — plans become *compiled code*:
 * Subscript offsets that vary across firings (an enclosing loop variable
   indexing a serial dimension) become runtime arguments evaluated per
   firing; offsets that move along a *distributed* dimension would change
-  rank participation, so such nests stay on the interpreted block path
-  with the reason recorded (:attr:`KernelEngine.ineligible`).
+  rank participation, so such nests run element-wise with the reason
+  recorded (:attr:`KernelEngine.ineligible`).
 
 * The legacy direct-copy communication path gets the same treatment:
   :meth:`KernelEngine.execute_plan_copy` compiles each CommPlan's
@@ -33,15 +33,14 @@ third lowering level — plans become *compiled code*:
   boundary data moves storage-to-storage without the interpreted loop's
   intermediate block copy, with the oracle checks emitted inline.
 
-Correctness posture: the emitted code performs *the same numpy
-operations in the same order* as the interpreted block path
-(:func:`~repro.runtime.plans.eval_rhs_block` and
-``SPMDExecutor._try_exec_nest``), so final state is bitwise-identical;
-the validity and staleness oracles test the same elements with the same
-message text — per rank and array the *cover* of the static references'
-regions (:func:`~repro.sections.rsd.cover`: exactly their elements, in
-the fewest sections) instead of each reference — so every failure mode
-the interpreter detects, the kernel detects.
+Correctness posture: the emitted code computes each element with the
+same IEEE operations, in the same order, as the element-wise
+interpreter, so final state is bitwise-identical; the validity and
+staleness oracles test the same elements — per rank and array the
+*cover* of the references' regions (:func:`~repro.sections.rsd.cover`:
+exactly their elements, in the fewest sections) instead of one element
+at a time — and name the same statement, rank, array and failure kind,
+so every failure mode the interpreter detects, the kernel detects.
 """
 
 from __future__ import annotations
@@ -95,9 +94,9 @@ class KernelTemplate:
     not use, the whole array when ``index`` is ``None``, the shadow view
     taken to iteration-box order when ``align`` holds a
     :func:`~repro.runtime.plans.block_alignment`.  The accounting
-    constants are what the interpreted path would have recomputed per
-    firing — ``sections`` is the number of (rank, section) freshness
-    tests the body makes, after the read cover.
+    constants are firing-invariant and counted once, at build time —
+    ``sections`` is the number of (rank, section) freshness tests the
+    body makes, after the read cover.
     """
 
     code: types.CodeType
@@ -147,10 +146,10 @@ class KernelEngine:
     come from (and on a miss go into) the executor's image, the bound
     functions are this run's.
 
-    The engine's protocol with the executor mirrors the vectorizer's:
-    :meth:`try_exec_nest` returns ``True`` (executed), ``False`` (dynamic
-    fallback — the caller runs the nest element-wise), or ``None``
-    (kernel-ineligible — the caller keeps the interpreted block path).
+    :meth:`try_exec_nest` returns ``True`` when the nest ran as a kernel
+    and ``False`` when the caller must run it element-wise: the nest is
+    kernel-ineligible (reason in :attr:`ineligible`) or a runtime offset
+    could not be bound.  Each ``False`` counts one ``fallback_firings``.
     """
 
     def __init__(self, executor) -> None:
@@ -170,7 +169,7 @@ class KernelEngine:
 
     # -- nest kernels ------------------------------------------------------
 
-    def try_exec_nest(self, plan: NestPlan, env: dict) -> "bool | None":
+    def try_exec_nest(self, plan: NestPlan, env: dict) -> bool:
         """Fire ``plan`` under the enclosing loop environment ``env``."""
         stats = self.stats
         image = self.image
@@ -180,7 +179,8 @@ class KernelEngine:
         )
         if spec.reason is not None:
             self.ineligible[plan.assign.sid] = spec.reason
-            return None
+            stats.fallback_firings += 1
+            return False
 
         axes = []
         try:
@@ -447,8 +447,8 @@ class KernelEngine:
                 emit_rank(gr, kbox)
                 bcopy += 1
 
-        # Shadow advance, last — identical order to the interpreted path,
-        # so self-referencing nests alias identically.
+        # Shadow advance, last: every check above compares against the
+        # shadow as it was before the firing.
         if not lhs_dyn:
             recipe.append((
                 None, name, ref_np_index(conc.lhs, full), None,

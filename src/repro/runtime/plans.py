@@ -371,18 +371,16 @@ def aligned_block(
     return raw.transpose(perm).reshape(target)
 
 
-def box_slice(kbox) -> tuple:
-    """k-space numpy index selecting ``kbox`` out of a full-box block."""
-    return tuple(
-        slice(k0, k0 + kstep * (kcount - 1) + 1, kstep)
-        for k0, kstep, kcount in kbox
+def var_axis_block(conc: ConcreteNest, axis: int, kbox) -> np.ndarray:
+    """The loop variable's runtime values over ``kbox``, aligned on its
+    nest axis (so ``a(i) = i * 2`` style value uses vectorize too)."""
+    lo_v, step, _ = conc.axes[axis]
+    k0, kstep, kcount = kbox[axis]
+    values = (
+        lo_v + step * (k0 + kstep * np.arange(kcount, dtype=np.float64))
     )
-
-
-def store_order(block: np.ndarray, clhs: ConcreteRef) -> np.ndarray:
-    """Transpose a box-shaped block into the LHS's array-dim order."""
-    axes = tuple(d[1] for d in clhs.dims if d[0] == "a")
-    return block.transpose(axes)
+    shape = tuple(kcount if a == axis else 1 for a in range(len(kbox)))
+    return values.reshape(shape)
 
 
 def rank_kbox(conc: ConcreteNest, owned: RSD):
@@ -407,117 +405,6 @@ def rank_kbox(conc: ConcreteNest, owned: RSD):
         kbox[axis] = (k0, kstep, kcount)
     assert all(b is not None for b in kbox)
     return tuple(kbox)
-
-
-# ---------------------------------------------------------------------------
-# Block expression evaluation
-# ---------------------------------------------------------------------------
-
-
-def _vec_binop(op: str, left, right):
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return left / right
-    if op == "==":
-        return np.where(left == right, 1.0, 0.0)
-    if op == "/=":
-        return np.where(left != right, 1.0, 0.0)
-    if op == "<":
-        return np.where(left < right, 1.0, 0.0)
-    if op == "<=":
-        return np.where(left <= right, 1.0, 0.0)
-    if op == ">":
-        return np.where(left > right, 1.0, 0.0)
-    if op == ">=":
-        return np.where(left >= right, 1.0, 0.0)
-    if op == "AND":
-        return np.where((left != 0) & (right != 0), 1.0, 0.0)
-    if op == "OR":
-        return np.where((left != 0) | (right != 0), 1.0, 0.0)
-    raise SimulationError(f"unknown operator {op!r}")
-
-
-def _vec_intrinsic(name: str, args):
-    if name == "SQRT":
-        return np.sqrt(args[0])
-    if name == "ABS":
-        return np.abs(args[0])
-    if name == "EXP":
-        return np.exp(args[0])
-    if name == "LOG":
-        return np.log(args[0])
-    if name == "MOD":
-        return np.mod(args[0], args[1])
-    if name == "MIN":
-        return np.minimum(args[0], args[1])
-    if name == "MAX":
-        return np.maximum(args[0], args[1])
-    raise SimulationError(f"unknown intrinsic {name!r}")
-
-
-def var_axis_block(conc: ConcreteNest, axis: int, kbox) -> np.ndarray:
-    """The loop variable's runtime values over ``kbox``, aligned on its
-    nest axis (so ``a(i) = i * 2`` style value uses vectorize too)."""
-    lo_v, step, _ = conc.axes[axis]
-    k0, kstep, kcount = kbox[axis]
-    values = (
-        lo_v + step * (k0 + kstep * np.arange(kcount, dtype=np.float64))
-    )
-    shape = tuple(kcount if a == axis else 1 for a in range(len(kbox)))
-    return values.reshape(shape)
-
-
-def eval_rhs_block(
-    conc: ConcreteNest,
-    kbox,
-    arrays: dict[str, np.ndarray],
-    scalar_lookup,
-):
-    """Evaluate the nest's RHS over ``kbox`` against global ``arrays``.
-
-    Returns a value broadcastable to the box shape.  ``scalar_lookup``
-    resolves non-nest variables (loop vars of enclosing loops, scalars,
-    parameters) exactly like the element-wise interpreter.
-    """
-    env = (conc, kbox, arrays, scalar_lookup,
-           {v: i for i, v in enumerate(conc.plan.vars)})
-    return _eval_block(conc.plan.assign.rhs, env)
-
-
-def _eval_block(expr: ast.Expr, env: tuple):
-    """:func:`eval_rhs_block` of one sub-expression; ``env`` is
-    ``(conc, kbox, arrays, scalar_lookup, var_axis)``."""
-    conc, kbox, arrays, scalar_lookup, var_axis = env
-    if isinstance(expr, ast.Num):
-        return float(expr.value)
-    if isinstance(expr, ast.VarRef):
-        axis = var_axis.get(expr.name)
-        if axis is not None:
-            return var_axis_block(conc, axis, kbox)
-        return float(scalar_lookup(expr.name))
-    if isinstance(expr, ast.ArrayRef):
-        cref = conc.refs[id(expr)]
-        raw = arrays[cref.name][ref_np_index(cref, kbox)]
-        return aligned_block(raw, cref, kbox)
-    if isinstance(expr, ast.BinOp):
-        return _vec_binop(
-            expr.op, _eval_block(expr.left, env), _eval_block(expr.right, env)
-        )
-    if isinstance(expr, ast.UnOp):
-        value = _eval_block(expr.operand, env)
-        if expr.op == "-":
-            return -value
-        return np.where(value != 0, 0.0, 1.0)
-    if isinstance(expr, ast.Intrinsic):
-        return _vec_intrinsic(
-            expr.name, [_eval_block(a, env) for a in expr.args]
-        )
-    raise SimulationError(f"cannot block-evaluate {expr!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,16 @@ operation); every later one, on any backend, only binds it to fresh
 storage.
 
 Execution is plan-compiled (:mod:`repro.runtime.plans`): scalarized loop
-nests the vectorizer proves rectangular run as whole-block numpy
-operations per rank — the per-element validity, staleness, and
+nests the vectorizer proves rectangular run as fused per-rank kernels
+(:mod:`repro.runtime.kernels`) — the per-element validity, staleness, and
 remote-read accounting collapses into bulk mask/equality checks over the
 same regions — and each communication firing executes a cached
 :class:`~repro.runtime.plans.CommPlan` of flat slice copies instead of
-re-deriving partners and overlap regions.  Statements the vectorizer
-declines (and every statement when ``vectorize=False``) take the
-original element-wise path, so the two modes are mutually checking; the
-equivalence suite asserts bitwise-identical final state.
+re-deriving partners and overlap regions.  Everything else — statements
+the vectorizer declines, nests the kernel engine finds ineligible, and
+every statement when ``vectorize=False`` — takes the element-wise path,
+so the two modes are mutually checking; the equivalence suite asserts
+bitwise-identical final state.
 """
 
 from __future__ import annotations
@@ -77,22 +78,7 @@ from .darray import GridRank, Ownership, RankStorage, grid_ranks
 from .darray import all_valid, fresh, np_index  # the freshness idiom
 from .interp import Interpreter
 from .kernels import KernelEngine
-from .plans import (
-    CommPlan,
-    CommPlanner,
-    ConcreteNest,
-    NestPlan,
-    PlanFallback,
-    box_slice,
-    concretize_nest,
-    eval_rhs_block,
-    plan_nests,
-    rank_kbox,
-    ref_np_index,
-    ref_region,
-    store_order,
-    translate_plan,
-)
+from .plans import CommPlan, CommPlanner, NestPlan, plan_nests, translate_plan
 
 #: Backwards-compatible alias — the executor's counters moved into the
 #: shared instrumentation module alongside the compile-side CacheStats.
@@ -267,7 +253,6 @@ class SPMDExecutor:
         transport: "str | None" = None,
         collectives: bool = True,
         watchdog_s: float = 30.0,
-        kernels: "str | None" = None,
         chaos=None,
         max_rank_restarts: "int | None" = None,
     ) -> None:
@@ -279,14 +264,6 @@ class SPMDExecutor:
 
         # Everything that can refuse the request comes before anything
         # that starts a rank.
-        if kernels not in (None, "off"):
-            raise ValueError(
-                f"unknown kernel tier {kernels!r}; expected None or 'off'"
-            )
-        use_kernels = kernels is None and vectorize
-        if use_kernels:
-            self.stats.kernel_tier = "python"
-
         image = self.image = execution_image(result)
         self.schedule = image.schedule
         self.grid = image.grid
@@ -311,7 +288,7 @@ class SPMDExecutor:
         self.wire = self.transport.stats if self.transport else None
         try:
             self._bind(seed)
-            self.kernels = KernelEngine(self) if use_kernels else None
+            self.kernels = KernelEngine(self) if vectorize else None
         except BaseException:
             self.close()
             raise
@@ -674,28 +651,15 @@ class SPMDExecutor:
                     self.stats.fallback_firings += 1
             elif isinstance(stmt, ast.Do):
                 self._fire(("loop_pre", stmt.sid))
+                # A planned nest fires as one fused kernel; the engine
+                # answers False when it cannot (kernel-ineligible, or a
+                # runtime offset it cannot bind) and the loop runs
+                # element-wise.
                 plan = self.nest_plans.get(stmt.sid)
-                done = False
-                if plan is not None:
-                    done = None
-                    if self.kernels is not None:
-                        # True: fused kernel ran.  False: dynamic
-                        # fallback (element-wise).  None: kernel-
-                        # ineligible — interpreted block path below.
-                        done = self.kernels.try_exec_nest(
-                            plan, self._env_ints()
-                        )
-                    if done is None:
-                        done = self._try_exec_nest(plan)
-                if not done:
-                    lo = self.shadow.eval_index(stmt.lo)
-                    hi = self.shadow.eval_index(stmt.hi)
-                    step = self.shadow.eval_index(stmt.step)
-                    for value in range(lo, hi + 1, step):
-                        self.shadow.env[stmt.var] = float(value)
-                        self._fire(("loop_top", stmt.sid))
-                        self._exec_body(stmt.body)
-                    self.shadow.env.pop(stmt.var, None)
+                if plan is None or not self.kernels.try_exec_nest(
+                    plan, self._env_ints()
+                ):
+                    self._exec_loop(stmt)
                 self._fire(("loop_post", stmt.sid))
             elif isinstance(stmt, ast.If):
                 if bool(self.shadow.eval_expr(stmt.cond)):
@@ -704,116 +668,18 @@ class SPMDExecutor:
                     self._exec_body(stmt.else_body)
             self._fire(("after_stmt", stmt.sid))
 
-    # -- vectorized nest execution ----------------------------------------------
-
-    def _try_exec_nest(self, plan: NestPlan) -> bool:
-        """Execute a planned nest as block operations; False reverts the
-        caller to the element-wise loop (dynamic fallback)."""
-        try:
-            conc = concretize_nest(plan, self._env_ints(), self.info)
-        except PlanFallback:
-            self.stats.fallback_firings += 1
-            return False
-        if conc is None:
-            return True  # empty iteration space: nothing to do
-        full = conc.full_box()
-        name = conc.lhs.name
-        layout = self.info.layout(name)
-
-        # Ground-truth block from the sequential shadow.  Every rank's
-        # reads are verified valid *and* equal to the shadow below, so
-        # the owner-computed block is necessarily this block — writing it
-        # preserves the element-wise path's values bit for bit while
-        # keeping the full validation.
-        shadow_block = np.broadcast_to(
-            np.asarray(
-                eval_rhs_block(conc, full, self.shadow.arrays,
-                               self.shadow._lookup),
-                dtype=np.float64,
-            ),
-            conc.shape,
-        )
-
-        if not layout.distributed_dims:
-            # Replicated array: every rank reads (checked) and stores the
-            # whole region.  Divergence across ranks is impossible once
-            # each rank's reads are pinned to the shadow, which is what
-            # the element-wise path's cross-rank comparison established.
-            lhs_idx = ref_np_index(conc.lhs, full)
-            value = store_order(shadow_block, conc.lhs)
-            for gr in self.ranks:
-                self._check_nest_reads(conc, full, gr)
-                store = self.storage[gr.rank][name]
-                store.values[lhs_idx] = value
-                store.valid[lhs_idx] = True
-            self.stats.bcopy_calls += len(self.ranks)
-        else:
-            # Owner-computes: each rank executes the sub-box of iterations
-            # whose written elements it owns.
-            for gr in self.ranks:
-                kbox = rank_kbox(conc, self.image.owned[gr.rank, name])
-                if kbox is None:
-                    continue
-                self._check_nest_reads(conc, kbox, gr)
-                lhs_idx = ref_np_index(conc.lhs, kbox)
-                store = self.storage[gr.rank][name]
-                store.values[lhs_idx] = store_order(
-                    shadow_block[box_slice(kbox)], conc.lhs
-                )
-                store.valid[lhs_idx] = True
-                self.stats.bcopy_calls += 1
-
-        # Advance the shadow by the same block.
-        self.shadow.arrays[name][ref_np_index(conc.lhs, full)] = store_order(
-            shadow_block, conc.lhs
-        )
-        self.stats.vectorized_firings += 1
-        self.stats.block_firings += 1
-        total = 1
-        for count in conc.shape:
-            total *= count
-        self.stats.elements_written += total
-        return True
-
-    def _check_nest_reads(
-        self, conc: ConcreteNest, kbox, gr: GridRank
-    ) -> None:
-        """Bulk form of the per-element read checks: every element each
-        RHS reference touches over ``kbox`` must be valid on the rank and
-        agree with the sequential shadow; remote reads are counted with
-        the same per-iteration semantics as the element-wise path."""
-        sid = conc.plan.assign.sid
-        for rid, cref in conc.refs.items():
-            idx = ref_np_index(cref, kbox)
-            store = self.storage[gr.rank][cref.name]
-            if not all_valid(store.valid[idx]):
-                raise SimulationError(
-                    f"read of {cref.name} at s{sid}: elements not present on "
-                    f"rank {gr.rank} (missing or misplaced communication)"
-                )
-            if not fresh(
-                store.values[idx], self.shadow.arrays[cref.name][idx]
-            ):
-                raise SimulationError(
-                    f"rank {gr.rank} read stale {cref.name} at s{sid}: rank "
-                    f"data disagrees with the sequential semantics"
-                )
-            # remote_reads: one count per iteration whose element lives on
-            # another rank; iterations over axes the reference does not
-            # carry re-read the same element.
-            layout = self.info.layout(cref.name)
-            own = self.ownership[cref.name]
-            region = ref_region(cref, kbox)
-            owned = self.planner.owner_semantics_region(layout, own, gr)
-            local = region.intersect(owned).count() if owned is not None else 0
-            repeat = 1
-            for axis, (_, _, kcount) in enumerate(kbox):
-                if axis not in cref.axes:
-                    repeat *= kcount
-            self.stats.remote_reads += (region.count() - local) * repeat
-        self.stats.sections_verified += len(conc.refs)
-
     # -- element-wise statement execution ---------------------------------------
+
+    def _exec_loop(self, stmt: ast.Do) -> None:
+        """Run a DO loop one iteration at a time."""
+        lo = self.shadow.eval_index(stmt.lo)
+        hi = self.shadow.eval_index(stmt.hi)
+        step = self.shadow.eval_index(stmt.step)
+        for value in range(lo, hi + 1, step):
+            self.shadow.env[stmt.var] = float(value)
+            self._fire(("loop_top", stmt.sid))
+            self._exec_body(stmt.body)
+        self.shadow.env.pop(stmt.var, None)
 
     def _exec_assign(self, stmt: ast.Assign) -> None:
         reductions = self._compute_reductions(stmt)
@@ -965,12 +831,17 @@ class SPMDExecutor:
             element = tuple(
                 self.shadow.eval_index(sub.expr) for sub in expr.subscripts
             )
+            at = tuple(c - 1 for c in element)
             store = self.storage[rank][expr.name]
-            value = store.read(element)
+            if not store.valid[at]:
+                raise SimulationError(
+                    f"read of {expr.name}{element} at s{stmt.sid}: element "
+                    f"not present on rank {rank} (missing or misplaced "
+                    f"communication)"
+                )
+            value = float(store.values[at])
             # Cross-check against ground truth: catches stale halos.
-            truth = float(
-                self.shadow.arrays[expr.name][tuple(c - 1 for c in element)]
-            )
+            truth = float(self.shadow.arrays[expr.name][at])
             if value != truth and not fresh(value, truth):
                 raise SimulationError(
                     f"rank {rank} read stale {expr.name}{element} at "
@@ -1019,19 +890,17 @@ def execute_spmd(
     transport: "str | None" = None,
     collectives: bool = True,
     watchdog_s: float = 30.0,
-    kernels: "str | None" = None,
     chaos=None,
     max_rank_restarts: "int | None" = None,
 ) -> tuple[dict[str, np.ndarray], RuntimeStats]:
     """Run a compiled program on simulated ranks; returns the assembled
     final state and movement statistics.  Raises on any missing-data or
     staleness violation.  ``vectorize=False`` forces the element-wise
-    reference path for every statement; ``transport`` selects a real
-    message-passing backend (``inline``/``threaded``/``multiprocess``)
-    instead of the default direct-copy data path; ``kernels="off"``
-    runs planned nests on the interpreted per-reference block path
-    instead of the fused kernels (the reference they are checked
-    against).
+    reference path for every statement and the interpreted copy loop
+    for every communication (the reference the kernels are checked
+    against); ``transport`` selects a real message-passing backend
+    (``inline``/``threaded``/``multiprocess``) instead of the default
+    direct-copy data path.
 
     ``chaos`` arms deterministic fault injection (a
     :class:`~repro.transport.integrity.FaultPlan` or ``--chaos-spec``
@@ -1044,7 +913,7 @@ def execute_spmd(
     degrades: transport errors propagate as before."""
     executor = SPMDExecutor(
         result, seed, vectorize=vectorize, transport=transport,
-        collectives=collectives, watchdog_s=watchdog_s, kernels=kernels,
+        collectives=collectives, watchdog_s=watchdog_s,
         chaos=chaos, max_rank_restarts=max_rank_restarts,
     )
     degraded = None
@@ -1081,7 +950,7 @@ def execute_spmd(
     # deterministic inline backend, faults off.
     fallback = SPMDExecutor(
         result, seed, vectorize=vectorize, transport="inline",
-        collectives=collectives, watchdog_s=watchdog_s, kernels=kernels,
+        collectives=collectives, watchdog_s=watchdog_s,
     )
     try:
         stats = fallback.run()

@@ -49,11 +49,14 @@ BACKPRESSURE_RETRY_AFTER = 1
 
 
 class RequestError(Exception):
-    """A malformed request: HTTP 400 with a one-line reason."""
+    """A request the service refuses before compiling: HTTP 400 when it
+    is malformed, 422 when it is well-formed but names an option value
+    the compiler rejects; a one-line reason either way."""
 
-    def __init__(self, message: str) -> None:
+    def __init__(self, message: str, status: int = 400) -> None:
         super().__init__(message)
         self.message = message
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -76,43 +79,56 @@ class CompileRequest:
         ))
 
 
-_OPTION_FIELDS = {f.name: f for f in fields(CompilerOptions)}
-_DEFAULTS = CompilerOptions()
+#: JSON form of each type a ``CompilerOptions`` annotation names: the
+#: test a value must pass and the words for it.
+_JSON_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "int": (
+        lambda v: isinstance(v, int) and not isinstance(v, bool),
+        "an integer",
+    ),
+    "float": (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+        "a number",
+    ),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[str, ...]": (
+        lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+        "a list of strings",
+    ),
+    "None": (lambda v: v is None, "null"),
+}
+
+#: option name -> the JSON types its declared annotation admits
+#: (``MachineModel`` has none: a request names a preset as a string).
+_OPTION_TYPES = {
+    f.name: [
+        _JSON_TYPES[part] for part in map(str.strip, f.type.split("|"))
+        if part in _JSON_TYPES
+    ]
+    for f in fields(CompilerOptions)
+}
 
 
 def _parse_options(obj: Any) -> CompilerOptions:
+    """``CompilerOptions`` from a request's ``options`` object, each
+    value checked against its field's declared type."""
     if not isinstance(obj, dict):
         raise RequestError("'options' must be an object")
     coerced: dict[str, Any] = {}
     for name, value in obj.items():
-        f = _OPTION_FIELDS.get(name)
-        if f is None:
-            known = ", ".join(sorted(_OPTION_FIELDS))
+        types = _OPTION_TYPES.get(name)
+        if types is None:
+            known = ", ".join(sorted(_OPTION_TYPES))
             raise RequestError(f"unknown option {name!r} (known: {known})")
-        default = getattr(_DEFAULTS, name)
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise RequestError(f"option {name!r} must be a boolean")
-        elif isinstance(default, int):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise RequestError(f"option {name!r} must be an integer")
-        elif isinstance(default, float):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise RequestError(f"option {name!r} must be a number")
-        elif isinstance(default, str):
-            if not isinstance(value, str):
-                raise RequestError(f"option {name!r} must be a string")
-        elif isinstance(default, tuple) or default is None:
-            if value is not None:
-                if not isinstance(value, list) or not all(
-                    isinstance(v, str) for v in value
-                ):
-                    raise RequestError(
-                        f"option {name!r} must be a list of strings or null"
-                    )
-                value = tuple(value)
-        coerced[name] = value
-    return CompilerOptions(**coerced)
+        if not any(accepts(value) for accepts, _ in types):
+            words = " or ".join(word for _, word in types)
+            raise RequestError(f"option {name!r} must be {words}")
+        coerced[name] = tuple(value) if isinstance(value, list) else value
+    try:
+        return CompilerOptions(**coerced)
+    except ValueError as exc:
+        raise RequestError(str(exc), status=422) from None
 
 
 def parse_request(obj: Any) -> CompileRequest:

@@ -248,9 +248,9 @@ class CompileServer:
             )
         except RequestError as exc:
             status, payload, extra = (
-                400, _error_body("bad_request", exc.message), {}
+                exc.status, _error_body("bad_request", exc.message), {}
             )
-            self.service.stats.count(400)
+            self.service.stats.count(exc.status)
         except Exception as exc:  # noqa: BLE001 - the transport catch-all
             status, payload, extra = (
                 500,

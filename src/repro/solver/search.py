@@ -209,9 +209,9 @@ class ExactPlacementPass(PlacementPass):
         ctx = run.ctx
         # Greedy comb incumbent on a private working state.
         state = PlacementState(ctx, run.entries)
-        if ctx.options.enable_subset_elimination:
+        if "subset" not in ctx.options.disabled_passes:
             pl.subset_eliminate(ctx, state)
-        if ctx.options.enable_redundancy_elimination:
+        if "redundancy" not in ctx.options.disabled_passes:
             pl.redundancy_eliminate(ctx, state)
         seed_placed = pl.greedy_choose(ctx, state)
         seed_marks = _capture_marks(run.entries)

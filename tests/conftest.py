@@ -76,6 +76,16 @@ def compile_to_context(
     return AnalysisContext(info, options)
 
 
+#: One bad value per option ``CompilerOptions`` checks on construction;
+#: every entry point must refuse each before compiling.
+BAD_OPTION_VALUES = [
+    ("greedy_order", "bogus"),
+    ("group_placement", "bogus"),
+    ("placement_search", "bogus"),
+    ("machine", "bogus"),
+]
+
+
 def analyzed(source: str, params: dict[str, int] | None = None):
     """Context plus fully analyzed entries (latest/earliest/candidates)."""
     ctx = compile_to_context(source, params)

@@ -131,8 +131,8 @@ def test_distinct_options_do_not_collide(tmp_path):
 
     jobs = [
         BatchJob(name="default", source=GOOD),
-        BatchJob(name="nocache", source=GOOD,
-                 options=CompilerOptions(enable_caches=False)),
+        BatchJob(name="now", source=GOOD,
+                 options=CompilerOptions(machine="NOW")),
     ]
     compiler = BatchCompiler(cache_dir=tmp_path)
     results = compiler.run(jobs)

@@ -114,6 +114,15 @@ class TestCompile:
         payload = json.loads(capsys.readouterr().out)
         assert payload["diagnostics"] == []
 
+    @pytest.mark.parametrize("machine", ["bogus", "sp2", ""])
+    def test_unknown_machine_fails_before_compiling(
+        self, program_file, capsys, machine
+    ):
+        assert main(["compile", program_file, "--machine", machine]) == 2
+        captured = capsys.readouterr()
+        assert "unknown machine" in captured.err
+        assert "strategy" not in captured.out
+
     def test_strict_flag_accepted(self, program_file):
         assert main(["compile", program_file, "--strict"]) == 0
 

@@ -322,37 +322,52 @@ class TestBudgets:
 # -- per-reference forms are the per-pair forms --------------------------------
 
 
-def recorded_queries(ctx):
+def recorded_queries(ctx, forget: bool = False):
     """Every flow-dependence test one analysis of ``ctx`` runs, with its
-    verdict."""
+    verdict.  ``forget`` empties the tester's memo tables before each
+    query, so every verdict and loop context is computed afresh in the
+    compile's own order."""
     queries = []
     real = DependenceTester._test
+    asked = DependenceTester.flow_dependence
 
     def recording(self, def_stmt, def_ref, use_stmt, use_ref):
         verdict = real(self, def_stmt, def_ref, use_stmt, use_ref)
         queries.append((def_stmt, def_ref, use_stmt, use_ref, verdict))
         return verdict
 
+    def forgetting(self, *query):
+        self._cache.clear()
+        self._loopctx_cache.clear()
+        return asked(self, *query)
+
     DependenceTester._test = recording
+    if forget:
+        DependenceTester.flow_dependence = forgetting
     try:
         analyze_entries(ctx)
     finally:
         DependenceTester._test = real
+        DependenceTester.flow_dependence = asked
     return queries
 
 
 class TestPerReferenceForms:
-    @pytest.mark.parametrize("caches", [True, False], ids=["caches", "no-caches"])
+    @pytest.mark.parametrize(
+        "forget", [False, True], ids=["caches", "no-cache-hits"]
+    )
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_verdicts_equal_a_per_pair_rebuild(self, name, caches):
+    def test_verdicts_equal_a_per_pair_rebuild(self, name, forget):
+        """``no-cache-hits``: the compile's tester forgets its memo
+        before every query, so each one is computed afresh."""
         source = stencil(12) if name == "stencil64" else PROGRAMS[name]
-        ctx = compile_to_context(source, options=CompilerOptions(enable_caches=caches))
-        queries = recorded_queries(ctx)
+        ctx = compile_to_context(source)
+        queries = recorded_queries(ctx, forget=forget)
         assert queries
         for def_stmt, def_ref, use_stmt, use_ref, verdict in queries:
             # A tester nobody has asked anything: every form is rebuilt
             # for this pair alone.
-            fresh = DependenceTester(ctx.info, ctx.cfg, cache_enabled=False)
+            fresh = DependenceTester(ctx.info, ctx.cfg)
             rebuilt = fresh.flow_dependence(def_stmt, def_ref, use_stmt, use_ref)
             assert rebuilt == verdict, (str(def_stmt), str(use_stmt))
 
@@ -420,7 +435,7 @@ class TestPerReferenceForms:
             ([1], False), ([], True),
         ]
         for ref, verdict in zip(across, shallow):
-            fresh = DependenceTester(ctx.info, ctx.cfg, cache_enabled=False)
+            fresh = DependenceTester(ctx.info, ctx.cfg)
             assert fresh.flow_dependence(first, first.lhs, second, ref) == verdict
 
 

@@ -29,6 +29,7 @@ from repro.runtime import spmd
 from repro.runtime.darray import RankStorage
 from repro.runtime.interp import Interpreter, interpret
 from repro.runtime.kernels import KernelEngine
+from repro.runtime.plans import concretize_nest, rank_kbox
 from repro.runtime.spmd import SPMDExecutor, execute_spmd, execution_image
 from repro.sections.rsd import RSD
 from repro.sections.symbolic import SymSection
@@ -48,7 +49,7 @@ SMALL = {
 SAME = (
     "messages", "bytes_moved", "reductions", "bcopy_calls", "remote_reads",
     "sections_verified", "elements_written", "kernel_firings",
-    "vectorized_firings", "block_firings", "fallback_firings", "kernel_tier",
+    "vectorized_firings", "fallback_firings",
 )
 
 CASES = [
@@ -128,7 +129,6 @@ class TestWarmRunsBuildNothing:
 
     @pytest.mark.parametrize("options", [
         {"vectorize": False},
-        {"kernels": "off"},
         {"transport": "inline", "collectives": False},
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_ablations_on_a_warm_result(self, options):
@@ -146,8 +146,7 @@ class TestWarmRunsBuildNothing:
             if options.get("vectorize") is False:
                 assert not executor.nest_plans
                 assert not executor.fallback_reasons
-            if options.get("kernels") == "off":
-                assert executor.kernels is None and executor.nest_plans
+                assert executor.kernels is None
             if options.get("collectives") is False:
                 executor.run()
                 assert executor._lowered
@@ -313,10 +312,10 @@ class TestSectionsVerified:
     is pinned: a change in it is a change in what the oracle looks at."""
 
     #: gravity ``comb`` at n = 20 — grid, nest kernels' share, whole run,
-    #: and the whole run under ``kernels="off"``, which tests per
-    #: reference as every path did before the read cover (nest share
-    #: then: 3 388 on 2x2, 13 552 on 4x4; the other tests — transfers
-    #: and reduction pieces — are the same 576 / 2 304 either way).
+    #: and what the whole run would make testing each reference instead
+    #: of the cover.  Under ``vectorize=False`` the run makes only the
+    #: tests outside nests (transfers and reduction pieces: 576 on 2x2,
+    #: 2 304 on 4x4), since element-wise reads are not sections.
     PINNED = [((2, 2), 1804, 2380, 3964), ((4, 4), 7216, 9520, 15856)]
 
     @pytest.mark.parametrize("grid,nest,total,per_reference", PINNED)
@@ -327,21 +326,28 @@ class TestSectionsVerified:
         )
         executor = SPMDExecutor(result)
         fire = executor.kernels.try_exec_nest
-        share = 0
+        share = references = 0
 
         def metered(plan, env):
-            nonlocal share
+            nonlocal share, references
             before = executor.stats.sections_verified
             done = fire(plan, env)
             share += executor.stats.sections_verified - before
+            conc = concretize_nest(plan, env, executor.info)
+            name = plan.lhs.name
+            for gr in executor.ranks:
+                if not executor.info.layout(name).distributed_dims or (
+                    rank_kbox(conc, executor.image.owned[gr.rank, name])
+                ):
+                    references += len(conc.refs)
             return done
 
         executor.kernels.try_exec_nest = metered
         assert executor.run().sections_verified == total
         assert share == nest
-        off = execute_spmd(result, kernels="off")[1]
-        assert off.sections_verified == per_reference
-        assert per_reference - total == {(2, 2): 3388, (4, 4): 13552}[grid] - nest
+        assert total - nest + references == per_reference
+        off = execute_spmd(result, vectorize=False)[1]
+        assert off.sections_verified == total - nest
 
     def test_a_template_carries_its_count(self):
         result = _compile("gravity")
@@ -519,19 +525,19 @@ class TestImageHoldsNoRunState:
 
 
 class TestConstructorFailureLeaksNothing:
-    """``kernels="bogus"`` used to raise after ``transport.start()`` and
-    leave every rank running."""
+    """A refused request must raise before ``transport.start()``, or it
+    leaves every rank running."""
 
     @pytest.mark.parametrize("backend", ["threaded", "multiprocess"])
-    def test_bad_tier_starts_no_rank(self, backend):
+    def test_bad_request_starts_no_rank(self, backend):
         result = compile_program(
             BENCHMARKS["shallow"],
             params={"n": 10, "nsteps": 1, "pr": 5, "pc": 5},
         )
         threads = threading.active_count()
         children = len(multiprocessing.active_children())
-        with pytest.raises(ValueError, match="unknown kernel tier"):
-            execute_spmd(result, transport=backend, kernels="bogus")
+        with pytest.raises(ValueError, match="bad chaos spec"):
+            execute_spmd(result, transport=backend, chaos="drop")
         assert threading.active_count() == threads
         assert len(multiprocessing.active_children()) == children
 

@@ -5,11 +5,12 @@ set (a message delivered it) and it equals the sequential shadow (the
 message was not sent too early).  The runtime has one spelling of that
 pair (:func:`repro.runtime.darray.all_valid` / ``fresh``, and the form
 :func:`repro.runtime.kernels.emit_checks` emits); nest kernels apply it
-to the read *cover* instead of to every reference.  These tests pin the
-consequences: NaN bits the semantics also hold are not stale, a
+to the read *cover* instead of to every element read.  These tests pin
+the consequences: NaN bits the semantics also hold are not stale, a
 corrupted element inside any read region is caught by the kernel path
-and by ``kernels="off"`` with the same words, one outside is caught by
-neither, and no second spelling creeps back in.
+and by the element-wise path for the same statement, rank, array and
+kind, one outside is caught by neither, and no second spelling creeps
+back in.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class TestHelperPair:
 
 PATHS = {
     "direct-copy": {},
-    "kernels-off": {"kernels": "off"},
     "element-wise": {"vectorize": False},
     "inline": {"transport": "inline"},
     "threaded": {"transport": "threaded"},
@@ -94,9 +94,7 @@ class TestNanIsNotStale:
         for name, expected in want.items():
             np.testing.assert_array_equal(state[name], expected, name)
 
-    @pytest.mark.parametrize(
-        "path", ["direct-copy", "kernels-off", "element-wise"]
-    )
+    @pytest.mark.parametrize("path", ["direct-copy", "element-wise"])
     def test_a_corrupted_neighbour_of_a_nan_still_raises(
         self, stencil_source, path
     ):
@@ -132,17 +130,61 @@ SMALL = {
 
 
 def hook_nest_firings(executor: SPMDExecutor, probe) -> None:
-    """Route every block execution of a planned nest through
-    ``probe(fire, plan)``; ``fire()`` runs it.  A kernel-ineligible nest
-    reaches the probe twice on the kernel path: the engine declines
-    (``None``), then the interpreted block path takes it."""
-    if executor.kernels is not None:
-        engine = executor.kernels.try_exec_nest
-        executor.kernels.try_exec_nest = lambda plan, env: probe(
-            lambda: engine(plan, env), plan
-        )
-    block = executor._try_exec_nest
-    executor._try_exec_nest = lambda plan: probe(lambda: block(plan), plan)
+    """Route every kernel firing of a planned nest through
+    ``probe(fire, plan)``; ``fire()`` runs it."""
+    engine = executor.kernels.try_exec_nest
+    executor.kernels.try_exec_nest = lambda plan, env: probe(
+        lambda: engine(plan, env), plan
+    )
+
+
+def attempt(executor: SPMDExecutor, plan, run) -> tuple:
+    """``run()`` one firing of ``plan``'s nest, then put back everything
+    a firing writes (rank storage and shadow of the written array, the
+    loop environment): returns ``(what it raised or None, its result)``."""
+    name = plan.lhs.name
+    stores = [executor.storage[gr.rank][name] for gr in executor.ranks]
+    saved = [(s.values.copy(), s.valid.copy()) for s in stores]
+    shadow = executor.shadow.arrays[name].copy()
+    env = dict(executor.shadow.env)
+    said = outcome = None
+    try:
+        outcome = run()
+    except SimulationError as exc:
+        said = str(exc)
+    for s, (values, valid) in zip(stores, saved):
+        s.values[...] = values
+        s.valid[...] = valid
+    executor.shadow.arrays[name][...] = shadow
+    executor.shadow.env.clear()
+    executor.shadow.env.update(env)
+    return said, outcome
+
+
+def element_wise(executor: SPMDExecutor, plan) -> "str | None":
+    """What the element-wise path says about one firing of ``plan``."""
+    return attempt(
+        executor, plan, lambda: executor._exec_loop(plan.loops[0])
+    )[0]
+
+
+ABSENT = re.compile(
+    r"read of (\w+)(?:\([^)]*\))? at s(\d+): elements? not present "
+    r"on rank (\d+) "
+)
+STALE = re.compile(r"rank (\d+) read stale (\w+)(?:\([^)]*\))? at s(\d+): ")
+
+
+def verdict(said: str) -> tuple:
+    """(statement, rank, array, kind) named by a freshness error."""
+    m = ABSENT.match(said)
+    if m:
+        array, sid, rank = m.groups()
+        return int(sid), int(rank), array, "valid"
+    m = STALE.match(said)
+    assert m, said
+    rank, array, sid = m.groups()
+    return int(sid), int(rank), array, "value"
 
 
 def rank_reads(executor: SPMDExecutor, conc):
@@ -172,14 +214,15 @@ def rank_reads(executor: SPMDExecutor, conc):
             yield gr.rank, array, inside, list(picks)
 
 
-def verdicts(program: str, **options) -> list[tuple]:
+def verdicts(program: str) -> list[tuple]:
     """Run ``program``; before each nest firing corrupt, one at a time,
     the first, a middle and the last element of what each reference
     reads on each rank — validity bit, then value — and record what the
-    firing says; then corrupt one element *outside* each (rank, array)
-    read region and fire for real."""
+    kernel path and the element-wise path each say about that firing;
+    then corrupt one element *outside* each (rank, array) read region,
+    which neither path may notice, and fire for real."""
     result = compile_program(BENCHMARKS[program], params=SMALL[program])
-    executor = SPMDExecutor(result, **options)
+    executor = SPMDExecutor(result)
     recorded: list[tuple] = []
     firing = itertools.count()
 
@@ -188,48 +231,28 @@ def verdicts(program: str, **options) -> list[tuple]:
         if conc is None:
             return fire()
         sid = plan.assign.sid
-        written = [
-            executor.storage[gr.rank][conc.lhs.name] for gr in executor.ranks
-        ]
         reads = list(rank_reads(executor, conc))
-        ordinal = None
+        ordinal = next(firing)
         for rank, array, _, picks in reads:
             store = executor.storage[rank][array]
             for element, kind in itertools.product(picks, ("valid", "value")):
                 at = tuple(c - 1 for c in element)
-                # a failed firing has already stored the ranks before
-                # the one that raised: put the written array back
-                before = [(s.values.copy(), s.valid.copy()) for s in written]
                 value = store.values[at]
                 assert store.valid[at]
                 if kind == "valid":
                     store.valid[at] = False
                 else:
                     store.values[at] = value + 1.0
-                try:
-                    outcome = fire()
-                except SimulationError as exc:
-                    said = str(exc)
-                else:
-                    said = None
+                kernel, _ = attempt(executor, plan, fire)
+                elementwise = element_wise(executor, plan)
                 store.values[at] = value
                 store.valid[at] = True
-                for s, (values, valid) in zip(written, before):
-                    s.values[...] = values
-                    s.valid[...] = valid
-                if said is None:
-                    # the engine declined the nest; the block path is next
-                    assert outcome is None and ordinal is None
-                    return fire()
-                if ordinal is None:
-                    ordinal = next(firing)
-                want = (
-                    f"read of {array} at s{sid}: elements not present on "
-                    f"rank {rank} " if kind == "valid"
-                    else f"rank {rank} read stale {array} at s{sid}: "
+                assert kernel is not None and elementwise is not None
+                want = (sid, rank, array, kind)
+                assert verdict(kernel) == verdict(elementwise) == want, (
+                    kernel, elementwise,
                 )
-                assert said.startswith(want), (said, want)
-                recorded.append((ordinal, rank, array, element, kind, said))
+                recorded.append((ordinal, rank, array, element, kind))
 
         # one element outside each (rank, array) read region
         outside = []
@@ -245,6 +268,7 @@ def verdicts(program: str, **options) -> list[tuple]:
                 )
                 store.values[spare] += 1.0
                 store.valid[spare] = False
+        assert element_wise(executor, plan) is None
         outcome = fire()  # must not raise
         for store, spare, value, valid in outside:
             store.values[spare] = value
@@ -262,39 +286,40 @@ def verdicts(program: str, **options) -> list[tuple]:
 class TestSameVerdict:
     @pytest.mark.parametrize("program", sorted(SMALL))
     def test_kernel_path_and_kernels_off_say_the_same(self, program):
-        kernel = verdicts(program)
-        off = verdicts(program, kernels="off")
-        assert kernel and len(kernel) == len(off)
-        assert kernel == off
+        """Kernels off is the element-wise path, asked about the same
+        firing under the same corruption."""
+        said = verdicts(program)
+        assert said
+        assert {kind for *_, kind in said} == {"valid", "value"}
 
     def test_the_one_corner_partly_invalid_and_partly_stale(
         self, stencil_source
     ):
         """Rank 1 reads a(4:7) and a(6:9) at ``b = a(i-1) + a(i+1)``.
-        With a(4) stale *and* a(9) absent, testing per reference finds
-        the first reference stale before it looks at the second; the
-        cover a(4:9) is tested for validity first.  Both raise, both
-        name the array, the statement and the rank."""
+        With a(4) stale *and* a(9) absent, the element-wise path reads
+        a(4) first and finds it stale; the cover a(4:9) is tested for
+        validity first.  Both raise, both name the array, the statement
+        and the rank."""
         result = compile_program(stencil_source, strategy="comb")
+        executor = SPMDExecutor(result)
         said = {}
-        for path in ("direct-copy", "kernels-off"):
-            executor = SPMDExecutor(result, **PATHS[path])
 
-            def probe(fire, plan, executor=executor):
+        def probe(fire, plan):
+            if plan.lhs.name == "b":
                 a = executor.storage[1]["a"]
-                if plan.lhs.name == "b":
-                    a.values[3] += 1.0
-                    a.valid[8] = False
-                return fire()
+                a.values[3] += 1.0
+                a.valid[8] = False
+                said["element-wise"] = element_wise(executor, plan)
+            return fire()
 
-            hook_nest_firings(executor, probe)
-            with pytest.raises(SimulationError) as err:
-                executor.run()
-            said[path] = str(err.value)
-        assert said["kernels-off"].startswith("rank 1 read stale a at s")
+        hook_nest_firings(executor, probe)
+        with pytest.raises(SimulationError) as err:
+            executor.run()
+        said["direct-copy"] = str(err.value)
+        assert said["element-wise"].startswith("rank 1 read stale a(4,) at s")
         assert said["direct-copy"].startswith("read of a at s")
         assert "on rank 1 " in said["direct-copy"]
-        sid = re.search(r"at (s\d+)", said["kernels-off"]).group(1)
+        sid = re.search(r"at (s\d+)", said["element-wise"]).group(1)
         assert f"at {sid}:" in said["direct-copy"]
 
 

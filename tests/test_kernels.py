@@ -1,15 +1,17 @@
-"""Fused-kernel tier equivalence suite.
+"""Fused-kernel equivalence suite.
 
 The compiled per-rank kernels (:mod:`repro.runtime.kernels`) must be an
-invisible optimization, exactly like the vectorized runtime they sit
-on: for every Figure 10 program under every placement strategy, running
-with kernels on is bitwise-identical to kernels off — same final
-arrays, same movement counters, same wire traffic on every transport
-backend — and the staleness oracle keeps its full detection power.
-Also covered here: the CommPlan canonicalization that the kernel work
-rode in on (gravity's shifting all-pairs geometry must now hit the plan
-cache), the transport send-buffer pools, and the two accepted values of
-``kernels`` (the default runs the kernels, ``"off"`` the reference).
+invisible optimization: for every Figure 10 program under every
+placement strategy, the default run is bitwise-identical to the
+element-wise reference (``vectorize=False``: kernels off, every nest
+iterated, every communication through the interpreted copy loop) and to
+the sequential interpreter — same final arrays, same movement counters,
+same wire traffic on every transport backend — and the staleness oracle
+keeps its full detection power.  A nest the kernel engine finds
+ineligible runs element-wise inside the default run and must agree just
+the same.  Also covered here: the CommPlan canonicalization that the
+kernel work rode in on (gravity's shifting all-pairs geometry must now
+hit the plan cache) and the transport send-buffer pools.
 """
 
 from __future__ import annotations
@@ -41,6 +43,28 @@ def _compile(program: str, strategy: Strategy = Strategy.GLOBAL):
     )
 
 
+def _metered_run(result):
+    """A default run, plus what its nest kernels alone added to the
+    path-level counters (``bcopy_calls``, ``sections_verified``)."""
+    executor = SPMDExecutor(result)
+    fire = executor.kernels.try_exec_nest
+    share = {"bcopy_calls": 0, "sections_verified": 0}
+
+    def metered(plan, env):
+        before = {k: getattr(executor.stats, k) for k in share}
+        done = fire(plan, env)
+        for k in share:
+            share[k] += getattr(executor.stats, k) - before[k]
+        return done
+
+    executor.kernels.try_exec_nest = metered
+    try:
+        stats = executor.run()
+        return executor.assemble(), stats, share
+    finally:
+        executor.close()
+
+
 # ---------------------------------------------------------------------------
 # Bitwise equivalence: six programs x three strategies, kernels on/off
 # ---------------------------------------------------------------------------
@@ -52,9 +76,10 @@ class TestKernelBitwise:
     def test_kernels_match_interpreted_and_reference(
         self, program, strategy
     ):
+        """The interpreted reference is the element-wise path."""
         result = _compile(program, strategy)
         kern_state, kern_stats = execute_spmd(result)
-        off_state, off_stats = execute_spmd(result, kernels="off")
+        off_state, off_stats = execute_spmd(result, vectorize=False)
         ref = interpret(result.info)
         assert set(kern_state) == set(off_state)
         for name in ref:
@@ -73,14 +98,19 @@ class TestKernelBitwise:
     @pytest.mark.parametrize("program", sorted(BENCHMARKS))
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_movement_counters_match(self, program, strategy):
+        """Run-level counters are equal; the path-level ones differ by
+        exactly the nest kernels' share, since element-wise reads are
+        neither block copies nor verified sections."""
         result = _compile(program, strategy)
-        _, kern = execute_spmd(result)
-        _, off = execute_spmd(result, kernels="off")
+        _, kern, nests = _metered_run(result)
+        _, off = execute_spmd(result, vectorize=False)
         assert kern.messages == off.messages
         assert kern.bytes_moved == off.bytes_moved
         assert kern.remote_reads == off.remote_reads
         assert kern.reductions == off.reductions
-        assert kern.bcopy_calls == off.bcopy_calls
+        assert nests["bcopy_calls"] > 0
+        for counter, share in nests.items():
+            assert getattr(kern, counter) - share == getattr(off, counter)
 
     @pytest.mark.parametrize("program, params", [
         ("shallow", {"n": 32, "nsteps": 2, "pr": 8, "pc": 8}),
@@ -88,10 +118,11 @@ class TestKernelBitwise:
     ], ids=["shallow", "trimesh"])
     def test_p64_kernels_match_off(self, program, params):
         """At P = 64 the per-rank blocks are 4×4: fixed per-firing
-        overhead dominates, the regime the fused kernels exist for."""
+        overhead dominates, the regime the fused kernels exist for.
+        Kernels off is ``vectorize=False``."""
         result = compile_program(BENCHMARKS[program], params=params)
         kern_state, kern = execute_spmd(result)
-        off_state, off = execute_spmd(result, kernels="off")
+        off_state, off = execute_spmd(result, vectorize=False)
         assert kern.kernel_firings > 0
         assert set(kern_state) == set(off_state)
         for name in kern_state:
@@ -115,41 +146,41 @@ class TestWireParity:
         result = _compile(program, Strategy.GLOBAL)
         wires = {}
         states = {}
-        for tier in (None, "off"):
+        for vectorize in (True, False):
             executor = SPMDExecutor(
-                result, transport=backend, kernels=tier
+                result, transport=backend, vectorize=vectorize
             )
             try:
                 executor.run()
-                states[tier] = executor.assemble()
-                wires[tier] = executor.wire.as_dict()
+                states[vectorize] = executor.assemble()
+                wires[vectorize] = executor.wire.as_dict()
             finally:
                 executor.close()
         for key in ("messages", "bytes_sent", "pair_msgs", "pair_bytes"):
-            assert wires[None][key] == wires["off"][key], (
+            assert wires[True][key] == wires[False][key], (
                 f"{program}/{backend}: wire {key} differs across tiers"
             )
-        for name in states[None]:
+        for name in states[True]:
             np.testing.assert_array_equal(
-                states[None][name], states["off"][name],
+                states[True][name], states[False][name],
                 err_msg=f"{program}/{backend}: {name}",
             )
 
     def test_wire_bytes_identical_multiprocess(self):
         result = _compile("shallow", Strategy.GLOBAL)
         wires = {}
-        for tier in (None, "off"):
+        for vectorize in (True, False):
             executor = SPMDExecutor(
-                result, transport="multiprocess", kernels=tier,
+                result, transport="multiprocess", vectorize=vectorize,
                 watchdog_s=120.0,
             )
             try:
                 executor.run()
-                wires[tier] = executor.wire.as_dict()
+                wires[vectorize] = executor.wire.as_dict()
             finally:
                 executor.close()
-        assert wires[None]["bytes_sent"] == wires["off"]["bytes_sent"]
-        assert wires[None]["messages"] == wires["off"]["messages"]
+        assert wires[True]["bytes_sent"] == wires[False]["bytes_sent"]
+        assert wires[True]["messages"] == wires[False]["messages"]
 
 
 # ---------------------------------------------------------------------------
@@ -188,40 +219,51 @@ class TestBufferPools:
 
 
 # ---------------------------------------------------------------------------
-# Tier selection: the kernels or the per-reference reference
+# Tier selection: the kernels, or the element-wise reference
 # ---------------------------------------------------------------------------
 
 
 class TestTierSelection:
     def test_off_runs_no_kernels(self):
+        """``vectorize=False`` turns the kernels off."""
         result = _compile("shallow")
-        _, stats = execute_spmd(result, kernels="off")
-        assert stats.kernel_tier == "off"
+        executor = SPMDExecutor(result, vectorize=False)
+        try:
+            assert executor.kernels is None and not executor.nest_plans
+            stats = executor.run()
+        finally:
+            executor.close()
         assert stats.kernel_firings == 0
         assert stats.kernel_compiles == 0
+        assert stats.vectorized_firings == 0
 
     def test_python_tier_fires_and_caches(self):
         result = _compile("shallow")
         _, stats = execute_spmd(result)
-        assert stats.kernel_tier == "python"
         assert stats.kernel_firings > 0
         assert stats.kernel_compiles > 0
         assert stats.kernel_cache_hits > 0  # time loop reuses geometries
 
     @pytest.mark.parametrize("program", sorted(BENCHMARKS))
     def test_default_tier_never_takes_the_block_path(self, program):
-        """``kernel_firings`` counts nest and copy kernels,
-        ``vectorized_firings`` nests only, so their difference says
-        nothing about nests missing the kernel tier; ``block_firings``
-        does, and on the Figure 10 programs it is zero — every planned
-        nest runs as an emitted kernel.  Deleting the interpreted block
-        path rests on this number."""
+        """Every planned nest of the Figure 10 programs runs as an
+        emitted kernel: none is kernel-ineligible, so no nest firing
+        falls back to the element-wise path.  (``fallback_firings``
+        still counts the assignments in loops the vectorizer declines.)"""
         result = _compile(program)
-        _, stats = execute_spmd(result)
-        assert stats.vectorized_firings > 0
-        assert stats.block_firings == 0
-        _, off = execute_spmd(result, kernels="off")
-        assert off.block_firings == off.vectorized_firings > 0
+        executor = SPMDExecutor(result)
+        try:
+            fire = executor.kernels.try_exec_nest
+            fired = []
+            executor.kernels.try_exec_nest = (
+                lambda plan, env: fired.append(fire(plan, env)) or fired[-1]
+            )
+            stats = executor.run()
+        finally:
+            executor.close()
+        assert fired and all(fired)
+        assert stats.vectorized_firings == len(fired)
+        assert not result.execution_image.kernel_ineligible
 
     def test_auto_is_the_default(self):
         result = _compile("shallow")
@@ -232,6 +274,62 @@ class TestTierSelection:
         finally:
             executor.close()
         assert stats.kernel_firings > 0
+
+
+# ---------------------------------------------------------------------------
+# A kernel-ineligible nest runs element-wise inside the default run
+# ---------------------------------------------------------------------------
+
+#: A row sweep: the enclosing ``k`` moves each nest's offset along the
+#: distributed dimension, so rank participation changes per firing.
+ROW_SWEEP = """PROGRAM sweep
+PARAM n = 16
+PROCESSORS p(4)
+REAL a(n, n)
+REAL b(n, n)
+DISTRIBUTE a(BLOCK, *) ONTO p
+DISTRIBUTE b(BLOCK, *) ONTO p
+DO k = 2, n - 1
+  b(k, 1:n) = a(k - 1, 1:n) + a(k + 1, 1:n)
+  a(k, 1:n) = 0.5 * b(k, 1:n)
+END DO
+END PROGRAM
+"""
+
+
+class TestKernelIneligibleNest:
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return compile_program(ROW_SWEEP, strategy=Strategy.GLOBAL)
+
+    def test_both_nests_are_named_with_the_reason(self, sweep):
+        execute_spmd(sweep)
+        image = sweep.execution_image
+        sids = {plan.assign.sid for plan in image.nest_plans.values()}
+        assert len(sids) == 2
+        assert set(image.kernel_ineligible) == sids
+        for reason in image.kernel_ineligible.values():
+            assert "varies along a distributed dimension" in reason
+
+    @pytest.mark.parametrize("transport", [None, "inline"])
+    def test_bitwise_equal_to_the_interpreter(self, sweep, transport):
+        state, stats = execute_spmd(sweep, transport=transport)
+        for name, expected in interpret(sweep.info).items():
+            np.testing.assert_array_equal(state[name], expected, name)
+        # 14 sweep steps, two nests each, none as a kernel
+        assert stats.fallback_firings == 28
+        assert stats.vectorized_firings == 0
+
+    def test_movement_equals_the_element_wise_reference(self, sweep):
+        _, stats = execute_spmd(sweep)
+        _, off = execute_spmd(sweep, vectorize=False)
+        assert off.fallback_firings == 0
+        assert (stats.messages, stats.bytes_moved) == (
+            off.messages, off.bytes_moved
+        )
+        assert (stats.remote_reads, stats.reductions) == (
+            off.remote_reads, off.reductions
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +433,7 @@ def kernel_program(draw):
 def test_random_programs_kernels_match_elementwise(source):
     result = compile_program(source, strategy=Strategy.GLOBAL)
     kern_state, kern_stats = execute_spmd(result)
-    elem_state, elem_stats = execute_spmd(
-        result, vectorize=False, kernels="off"
-    )
+    elem_state, elem_stats = execute_spmd(result, vectorize=False)
     for name in kern_state:
         np.testing.assert_array_equal(
             kern_state[name], elem_state[name], err_msg=name

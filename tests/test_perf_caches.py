@@ -1,83 +1,130 @@
-"""Cache-ablation equivalence suite.
+"""Memo-cache equivalence suite.
 
-Every memoized analysis cache (section, dependence, loop-context,
-combinability, subsumption) sits behind ``CompilerOptions.enable_caches``.
-The caches are pure speedups: compiling with them on and off must produce
-*identical* schedules — same Figure-10 message counts, same placement
-report, byte for byte — on every paper benchmark, every strategy, and on
-randomly generated programs.  This suite is the proof obligation for that
-claim, plus correctness tests for the batch driver's content-hash result
-cache and the O(1) dominator-depth table.
+Every memoized analysis cache (section, live-range, dependence,
+loop-context, combinability, subsumption) is a pure speedup, always on.
+The proof obligation: every verdict a compile is served — hit or miss —
+equals the same query asked of an object that has answered nothing
+before (``SectionBuilder._build``, a new ``DependenceTester``,
+``_combinable_at_impl``, ``_subsumes_at_impl``), on every paper
+benchmark under every strategy and on randomly generated programs.  The
+file also holds correctness tests for the batch driver's content-hash
+result cache and the O(1) dominator-depth table.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import pytest
 from hypothesis import given, settings
 
-from repro.codegen.report import schedule_report
+from repro.comm.entries import SectionBuilder
+from repro.core import greedy, redundancy
 from repro.core.context import AnalysisContext, CompilerOptions
 from repro.core.pipeline import Strategy, compile_program
+from repro.dependence.tests import DependenceTester
 from repro.evaluation.programs import BENCHMARKS, synthetic_program
 from repro.frontend.analysis import elaborate
 from repro.frontend.parser import parse
 from repro.frontend.scalarizer import scalarize
+from repro.machine.model import NOW, SP2
 from repro.perf.batch import BatchCompiler, BatchJob, job_key
 
 from test_property_pipeline import program_source
 
-CACHED = CompilerOptions()
-UNCACHED = CompilerOptions(enable_caches=False)
+
+@contextlib.contextmanager
+def served_verdicts():
+    """Record every memoized verdict served while the block runs, by
+    cache name, as ``(object asked, query arguments, verdict)``."""
+    log: dict[str, list] = {
+        "combinable": [], "subsumes": [], "section": [], "dependence": [],
+    }
+    patches = [
+        (greedy, "_combinable_at", "combinable"),
+        (redundancy, "subsumes_at", "subsumes"),
+        (SectionBuilder, "section_at", "section"),
+        (DependenceTester, "flow_dependence", "dependence"),
+    ]
+    real = [getattr(owner, name) for owner, name, _ in patches]
+
+    def recorder(fn, cache):
+        def served(asked, *args):
+            verdict = fn(asked, *args)
+            log[cache].append((asked, args, verdict))
+            return verdict
+        return served
+
+    for (owner, name, cache), fn in zip(patches, real):
+        setattr(owner, name, recorder(fn, cache))
+    try:
+        yield log
+    finally:
+        for (owner, name, _), fn in zip(patches, real):
+            setattr(owner, name, fn)
 
 
-def _schedule_fingerprint(source, strategy, options, params=None):
-    result = compile_program(source, params, strategy, options)
-    return (
-        result.call_sites(),
-        result.call_sites_by_kind(),
-        schedule_report(result),
-    )
+#: cache name -> the same query on an object that has answered nothing
+FRESH = {
+    "combinable": lambda ctx, args: greedy._combinable_at_impl(ctx, *args),
+    "subsumes": lambda ctx, args: redundancy._subsumes_at_impl(ctx, *args),
+    "section": lambda builder, args: SectionBuilder(
+        builder.info, builder.cfg
+    )._build(*args),
+    "dependence": lambda tester, args: DependenceTester(
+        tester.info, tester.cfg
+    ).flow_dependence(*args),
+}
+
+
+def assert_verdicts_fresh(source, strategy) -> tuple:
+    """Compile; every verdict served equals the fresh query's.  Returns
+    the log and the result."""
+    with served_verdicts() as log:
+        result = compile_program(source, strategy=strategy)
+    for cache, served in log.items():
+        checked: set = set()
+        for asked, args, verdict in served:
+            key = (id(asked), *map(id, args), id(verdict))
+            if key in checked:
+                continue
+            checked.add(key)
+            assert FRESH[cache](asked, args) == verdict, (cache, args)
+    return log, result
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_caches_do_not_change_benchmark_schedules(name, strategy):
-    """Figure-10 counts and the full placement report are identical with
-    caches on and off, for every benchmark x strategy pair."""
-    source = BENCHMARKS[name]
-    cached = _schedule_fingerprint(source, strategy, CACHED)
-    uncached = _schedule_fingerprint(source, strategy, UNCACHED)
-    assert cached == uncached
+    """Every served verdict equals a fresh query, for every benchmark x
+    strategy pair — so the caches cannot change a schedule."""
+    log, _ = assert_verdicts_fresh(BENCHMARKS[name], strategy)
+    assert log["dependence"]
+    if strategy is Strategy.GLOBAL:
+        assert all(log.values())
 
 
 def test_caches_do_not_change_synthetic_schedule():
-    source = synthetic_program(16)
-    assert _schedule_fingerprint(
-        source, Strategy.GLOBAL, CACHED
-    ) == _schedule_fingerprint(source, Strategy.GLOBAL, UNCACHED)
+    log, _ = assert_verdicts_fresh(synthetic_program(16), Strategy.GLOBAL)
+    assert all(log.values())
 
 
 @settings(max_examples=25, deadline=None)
 @given(source=program_source())
 def test_caches_do_not_change_random_schedules(source):
     for strategy in Strategy:
-        assert _schedule_fingerprint(
-            source, strategy, CACHED
-        ) == _schedule_fingerprint(source, strategy, UNCACHED)
+        assert_verdicts_fresh(source, strategy)
 
 
-def test_cache_stats_track_lookups_only_when_enabled():
-    source = BENCHMARKS["shallow"]
-    cached = compile_program(source, options=CACHED)
-    rates = cached.ctx.cache_stats.as_dict()
-    assert rates["section"]["hits"] + rates["section"]["misses"] > 0
-    assert rates["dependence"]["hits"] + rates["dependence"]["misses"] > 0
-
-    uncached = compile_program(source, options=UNCACHED)
-    for stats in uncached.ctx.cache_stats.as_dict().values():
-        assert stats["hits"] == 0 and stats["misses"] == 0
+def test_cache_stats_count_every_lookup():
+    """Each served verdict is one hit or one miss of its cache."""
+    with served_verdicts() as log:
+        result = compile_program(BENCHMARKS["shallow"])
+    rates = result.ctx.cache_stats.as_dict()
+    for cache, served in log.items():
+        assert rates[cache]["hits"] + rates[cache]["misses"] == len(served)
+    assert rates["section"]["hits"] > 0 and rates["dependence"]["hits"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
@@ -88,7 +135,7 @@ def test_subsumes_cache_hits_across_strategies(name):
     benchmark.  Guards against regressing to a dead cache key."""
     from repro.core.pipeline import compile_all_strategies
 
-    results = compile_all_strategies(BENCHMARKS[name], options=CACHED)
+    results = compile_all_strategies(BENCHMARKS[name])
     ctx = next(iter(results.values())).ctx
     # Strategies share one context by construction.
     assert all(r.ctx is ctx for r in results.values())
@@ -143,12 +190,69 @@ def test_job_key_is_stable_and_content_sensitive():
         dataclasses.replace(SHALLOW_JOB, params={"n": 128})
     )
     assert job_key(SHALLOW_JOB) != job_key(
-        dataclasses.replace(SHALLOW_JOB, options=UNCACHED)
+        dataclasses.replace(
+            SHALLOW_JOB, options=CompilerOptions(greedy_order="reversed")
+        )
     )
     # Spelled-out strategy aliases hash identically.
     assert job_key(
         dataclasses.replace(SHALLOW_JOB, options=CompilerOptions())
     ) == job_key(SHALLOW_JOB)
+
+
+@pytest.mark.parametrize("one, other", [
+    ({"machine": "SP2"}, {"machine": SP2}),
+    ({"machine": "NOW"}, {"machine": NOW}),
+    ({"disabled_passes": ("subset", "redundancy")},
+     {"disabled_passes": ("redundancy", "subset")}),
+    ({"disabled_passes": ("subset",)},
+     {"disabled_passes": ("subset", "subset")}),
+], ids=["SP2", "NOW", "pass-order", "pass-repeat"])
+def test_one_schedule_one_key(one, other):
+    """Spellings of the same options share a key (one compile, one
+    cache entry)."""
+    keys = {
+        job_key(dataclasses.replace(
+            SHALLOW_JOB, options=CompilerOptions(**options)
+        ))
+        for options in (one, other)
+    }
+    assert len(keys) == 1
+
+
+#: a value other than the default for every CompilerOptions field
+CHANGED = {
+    "combine_threshold_bytes": 4096,
+    "machine": "NOW",
+    "hull_slack": 0.5,
+    "hull_const": 32,
+    "greedy_order": "arbitrary",
+    "reduction_flexibility": True,
+    "group_placement": "earliest",
+    "strict": True,
+    "placement_search": "ilp",
+    "solver_budget_ms": 10,
+    "disabled_passes": ("subset",),
+    "pass_pipeline": ("greedy",),
+}
+
+
+def test_every_field_changes_the_key():
+    names = [f.name for f in dataclasses.fields(CompilerOptions)]
+    assert sorted(CHANGED) == sorted(names)
+    base = job_key(SHALLOW_JOB)
+    keys = {
+        job_key(dataclasses.replace(
+            SHALLOW_JOB, options=CompilerOptions(**{name: value})
+        ))
+        for name, value in CHANGED.items()
+    }
+    assert base not in keys and len(keys) == len(CHANGED)
+    # a calibrated model named like a preset is not the preset
+    calibrated = dataclasses.replace(SP2, startup_s=SP2.startup_s * 2)
+    assert job_key(dataclasses.replace(
+        SHALLOW_JOB, options=CompilerOptions(machine=calibrated)
+    )) != base
 
 
 def test_batch_cache_hit_matches_fresh_compile():
@@ -192,18 +296,23 @@ def test_batch_surfaces_errors_without_killing_the_run():
     assert compiler.stats.errors == 1
 
 
-def test_batch_results_independent_of_cache_options():
-    """A batch compiled with caches off reports the same schedules."""
+def test_batch_results_independent_of_option_spelling():
+    """Two spellings of one schedule's options are one job: the second
+    is deduped onto the first and reports its schedule."""
+    spellings = (
+        CompilerOptions(machine="NOW", disabled_passes=("subset", "greedy")),
+        CompilerOptions(machine=NOW, disabled_passes=("greedy", "subset")),
+    )
     jobs = [
         BatchJob(name=name, source=source, options=options)
         for name, source in sorted(BENCHMARKS.items())[:2]
-        for options in (CACHED, UNCACHED)
+        for options in spellings
     ]
-    results = BatchCompiler().run(jobs)
-    by_name: dict[str, list] = {}
-    for r in results:
-        by_name.setdefault(r.name, []).append(r)
-    for name, (on, off) in by_name.items():
-        assert on.call_sites == off.call_sites
-        assert on.call_sites_by_kind == off.call_sites_by_kind
-        assert on.entries == off.entries
+    compiler = BatchCompiler()
+    results = compiler.run(jobs)
+    assert compiler.stats.compiled == 2 and compiler.stats.deduped == 2
+    for first, second in zip(results[::2], results[1::2]):
+        assert first.key == second.key
+        assert first.call_sites == second.call_sites
+        assert first.call_sites_by_kind == second.call_sites_by_kind
+        assert first.entries == second.entries

@@ -3,14 +3,19 @@ cross-strategy invariants."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.context import CompilerOptions
 from repro.core.pipeline import (
     Strategy,
     compile_all_strategies,
     compile_program,
 )
 from repro.frontend.parser import parse
+
+from conftest import BAD_OPTION_VALUES
 
 
 class TestStrategyParsing:
@@ -33,6 +38,19 @@ class TestStrategyParsing:
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             Strategy.parse("quantum")
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize(
+        "name,value", BAD_OPTION_VALUES, ids=[n for n, _ in BAD_OPTION_VALUES]
+    )
+    def test_bad_value_fails_before_compiling(self, name, value):
+        """Refused on construction, and by ``dataclasses.replace``: no
+        caller holds an options object the compiler would misread."""
+        with pytest.raises(ValueError, match=f"unknown {name}"):
+            CompilerOptions(**{name: value})
+        with pytest.raises(ValueError, match=f"unknown {name}"):
+            dataclasses.replace(CompilerOptions(), **{name: value})
 
 
 class TestResultStructure:

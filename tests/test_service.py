@@ -16,6 +16,8 @@ from typing import Any
 
 import pytest
 
+from repro.core.context import CompilerOptions
+from repro.core.pipeline import compile_program
 from repro.perf.batch import RetryPolicy
 from repro.perf.cache import ScheduleCache, canonical_bytes
 from repro.service.app import (
@@ -24,9 +26,11 @@ from repro.service.app import (
     RequestError,
     parse_request,
 )
-from repro.service.payload import compile_payload
+from repro.service.payload import compile_payload, schedule_payload
 from repro.service.quota import QuotaRegistry, TokenBucket
 from repro.service.server import CompileServer
+
+from conftest import BAD_OPTION_VALUES
 
 SRC = """PROGRAM svc
 PARAM n = 8
@@ -194,6 +198,48 @@ class TestHttpCompile:
                 assert status == 422 and not body["ok"]
                 assert body["diagnostics"]
                 assert body["diagnostics"][0]["severity"] == "error"
+            finally:
+                await conn.close()
+                await server.stop()
+        run(t())
+
+    def test_threshold_override_is_accepted(self):
+        """An option whose default is ``None`` is parsed by its declared
+        type, not its default's."""
+        async def t():
+            server = await _start()
+            conn = await _client(server)
+            try:
+                status, _h, body, _ms = await conn.request({
+                    "source": SRC, "options": {"combine_threshold_bytes": 4096},
+                })
+                assert status == 200 and body["ok"]
+                direct = compile_program(
+                    SRC, strategy="comb",
+                    options=CompilerOptions(combine_threshold_bytes=4096),
+                )
+                assert canonical_bytes(body["result"]) == canonical_bytes(
+                    schedule_payload(direct)
+                )
+            finally:
+                await conn.close()
+                await server.stop()
+        run(t())
+
+    @pytest.mark.parametrize(
+        "name,value", BAD_OPTION_VALUES, ids=[n for n, _ in BAD_OPTION_VALUES]
+    )
+    def test_bad_option_value_is_422(self, name, value):
+        async def t():
+            server = await _start()
+            conn = await _client(server)
+            try:
+                status, _h, body, _ms = await conn.request(
+                    {"source": SRC, "options": {name: value}}
+                )
+                assert status == 422 and not body["ok"]
+                assert body["error"]["message"].startswith(f"unknown {name}")
+                assert server.service.stats.compiled == 0
             finally:
                 await conn.close()
                 await server.stop()

@@ -72,7 +72,7 @@ class TestBitwiseEquivalence:
 class TestVectorizerCoverage:
     def test_benchmarks_vectorize(self):
         """Every scalarized benchmark has planned nests, and the executor
-        actually fires them (block path, not just plan existence)."""
+        actually fires them (as kernels, not just plan existence)."""
         for program in sorted(BENCHMARKS):
             result = _compile(program, Strategy.GLOBAL)
             executor = SPMDExecutor(result, vectorize=True)

@@ -267,8 +267,6 @@ def cmd_reproduce(_args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from .perf.batch import BatchCompiler, BatchJob, RetryPolicy, benchmark_jobs
 
     if args.benchmarks:
@@ -299,8 +297,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if args.ndjson:
         def on_result(res):  # noqa: ANN001 - BatchResult
             print(json.dumps(
-                {"kind": "result", "ok": res.ok,
-                 **dataclasses.asdict(res)},
+                {"kind": "result", "ok": res.ok, **res.as_dict()},
                 sort_keys=True,
             ), flush=True)
     compiler = BatchCompiler(
@@ -545,8 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8377,
                    help="listen port (0 = ephemeral; default 8377)")
     p.add_argument("--workers", type=int, default=2,
-                   help="compile process-pool size (0 = in-process "
-                        "threads, for tests; default 2)")
+                   help="compile process-pool size (0 = one compile at a "
+                        "time on one in-process thread, for tests; "
+                        "default 2)")
     p.add_argument("--memory-budget", type=int,
                    default=64 * 1024 * 1024, metavar="BYTES",
                    help="in-memory schedule-cache budget (default 64 MiB)")

@@ -6,10 +6,10 @@ changing what it computes:
 * :mod:`repro.perf.stats` — cache hit/miss instrumentation shared by the
   analysis caches (sections, dependence verdicts, combinability,
   subsumption, live ranges), and the SPMD executor's runtime counters;
-* :mod:`repro.perf.cache` — the two-tier schedule cache shared by the
-  batch driver and the compile service;
-* :mod:`repro.perf.batch` — the parallel batch-compile driver with a
-  content-hash result cache (the "heavy traffic" serving scenario).
+* :mod:`repro.perf.cache` — the two-tier schedule cache behind the
+  compile service, which the batch driver and ``repro serve`` share;
+* :mod:`repro.perf.batch` — the batch-compile driver: a job list sent
+  through the compile service (the "heavy traffic" serving scenario).
 
 Speed is measured by the end-to-end benchmark (``benchmarks/e2e``,
 declared in ``BENCHMARK.json``), not from inside this package.

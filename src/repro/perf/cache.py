@@ -1,10 +1,15 @@
 """Two-tier cross-request schedule cache.
 
-One implementation shared by the batch driver (:mod:`repro.perf.batch`)
-and the compile service (:mod:`repro.service`): schedules are expensive
+One cache behind the one compile driver, the compile service
+(:mod:`repro.service`), which ``repro serve`` and ``repro batch``
+(:mod:`repro.perf.batch`) both front: schedules are expensive
 whole-procedure work (the paper's Figure 10 compile times), so once a
 program has been compiled its schedule should be amortized across every
 later request that hashes to the same :func:`repro.perf.batch.job_key`.
+Every value the driver puts is a
+:func:`~repro.service.payload.compile_payload` record, and it looks
+values up through :func:`~repro.service.payload.is_payload`, so a
+directory one front end warmed serves the other.
 
 Two tiers:
 
@@ -22,8 +27,10 @@ Disk entries carry their own key and a sha256 over the canonical value
 encoding.  A corrupted or truncated entry — unparsable JSON, a key
 mismatch, a checksum mismatch — is **treated as a miss**: the file is
 unlinked, the ``corrupt`` counter bumps, and the next durable put
-rewrites it.  A lookup therefore never returns a value for the wrong
-key and never raises on bad disk state.
+rewrites it.  So is a well-formed value the reader's ``valid`` check
+rejects — a record an older version wrote, or a hand edit whose
+checksum was recomputed.  A lookup therefore never returns a value for
+the wrong key and never raises on bad disk state.
 
 All operations are thread-safe (one reentrant lock); the cache is
 shared between the asyncio event loop and executor callbacks.
@@ -37,7 +44,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 #: Canonical JSON encoding: the byte-identity currency of the cache
 #: (checksums, byte budgets, and the service's correctness checks all
@@ -133,16 +140,23 @@ class ScheduleCache:
 
     # -- lookups --------------------------------------------------------------
 
-    def lookup(self, key: str) -> tuple[Any, Optional[str]]:
+    def lookup(
+        self, key: str, valid: Optional[Callable[[Any], bool]] = None
+    ) -> tuple[Any, Optional[str]]:
         """``(value, tier)`` where tier is ``"memory"``, ``"disk"``, or
-        ``None`` on a miss.  Disk hits are promoted into memory."""
+        ``None`` on a miss.  Disk hits are promoted into memory.
+
+        A disk value ``valid`` rejects (a record the reader does not
+        know) is a miss like a corrupt file: unlinked and counted under
+        ``corrupt``, so the caller's next put rewrites it.  Memory hits
+        are not re-checked: only the caller's own puts reach that tier."""
         with self._lock:
             entry = self._memory.get(key)
             if entry is not None:
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
                 return entry.value, "memory"
-            value = self._disk_read(key)
+            value = self._disk_read(key, valid)
             if value is not None:
                 self.stats.disk_hits += 1
                 self._admit(key, value, durable=True)
@@ -206,7 +220,9 @@ class ScheduleCache:
             return None
         return os.path.join(self.cache_dir, key[:2], f"{key}.json")
 
-    def _disk_read(self, key: str) -> Any:
+    def _disk_read(
+        self, key: str, valid: Optional[Callable[[Any], bool]] = None
+    ) -> Any:
         path = self._path(key)
         if path is None:
             return None
@@ -225,6 +241,8 @@ class ScheduleCache:
         except (TypeError, ValueError):
             return self._quarantine_file(path)
         if envelope.get("key") != key or envelope.get("sha256") != digest:
+            return self._quarantine_file(path)
+        if valid is not None and not valid(value):
             return self._quarantine_file(path)
         return value
 

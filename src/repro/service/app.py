@@ -1,24 +1,30 @@
 """The compile service core: cache, coalescing, pool, quotas.
 
-:class:`CompileService` is transport-agnostic — the HTTP/JSON-RPC front
-end in :mod:`repro.service.server` and the tests talk to
-:meth:`CompileService.handle_compile` directly.  One request flows:
+:class:`CompileService` is the one compile driver: the HTTP/JSON-RPC
+front end in :mod:`repro.service.server` (``repro serve``) and the batch
+driver :class:`~repro.perf.batch.BatchCompiler` (``repro batch``) both
+talk to :meth:`CompileService.handle_compile`.  One request flows:
 
 1. **quota** — the tenant's token bucket either grants or yields a
    ``429`` with ``Retry-After``;
 2. **quarantine** — a key that repeatedly killed or timed out its
    worker is answered ``503`` immediately, never recompiled;
 3. **cache** — the shared :class:`~repro.perf.cache.ScheduleCache`
-   (memory LRU, then content-addressed disk);
+   (memory LRU, then content-addressed disk); a value that is not a
+   compile payload is a miss;
 4. **coalescing** — identical in-flight programs await one compilation
    future instead of recompiling (N concurrent identical requests cost
    exactly one compile);
-5. **pool** — the compile runs in a bounded
-   :class:`~concurrent.futures.ProcessPoolExecutor` under the batch
-   driver's :class:`~repro.perf.batch.RetryPolicy`: per-attempt
-   timeout, kill-and-rebuild of the poisoned pool, bounded retries with
-   exponential backoff, then quarantine.  ``workers=0`` compiles on the
-   event loop's thread executor instead (tests, tiny deployments) — no
+5. **pool** — the compile runs :func:`~repro.service.payload.
+   compile_worker` on a bounded
+   :class:`~concurrent.futures.ProcessPoolExecutor` (handed at most one
+   compile more than it has ``workers``) under a :class:`RetryPolicy`:
+   per-attempt timeout,
+   kill-and-rebuild of the poisoned pool, bounded retries with
+   exponential backoff, then quarantine (see
+   :meth:`CompileService._compile_with_policy` for who is charged).
+   ``workers=0`` compiles on one thread off the event loop instead, one
+   compile at a time (tests, the default serial ``repro batch``) — no
    crash isolation, and a timed-out thread cannot be killed.
 
 Backpressure: when more than ``max_pending`` *distinct* compilations
@@ -30,15 +36,20 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from ..core.context import CompilerOptions
 from ..core.pipeline import Strategy
-from ..perf.batch import BatchJob, RetryPolicy, job_key, kill_pool
 from ..perf.cache import ScheduleCache
-from .payload import compile_worker, options_fields, rebuild_options
+from . import payload as worker
+from .payload import is_payload, job_key, options_fields, rebuild_options
 from .quota import QuotaRegistry
 
 DEFAULT_TENANT = "anon"
@@ -73,10 +84,40 @@ class CompileRequest:
     id: Any = None
 
     def key(self) -> str:
-        return job_key(BatchJob(
-            name="service", source=self.source, params=self.params,
-            strategy=self.strategy, options=self.options,
-        ))
+        return job_key(self)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Fault policy for pooled compilation.
+
+    ``timeout`` is per-attempt wall-clock seconds (``None`` disables it;
+    the batch driver takes a timeout to mean pooled execution even with
+    one worker, since an in-process compile cannot be interrupted).  A
+    compile that times out or whose worker crashes is retried up to
+    ``max_retries`` times, sleeping ``backoff * 2**(attempt-1)`` seconds
+    first.  After ``quarantine_after`` failed attempts (or when retries
+    run out) the program is quarantined: it gets a ``503`` payload and
+    is never run again by this service.
+    """
+
+    timeout: Optional[float] = None
+    max_retries: int = 2
+    backoff: float = 0.1
+    quarantine_after: int = 3
+
+
+def _kill_pool(pool: Executor) -> None:
+    """Tear down a pool that may hold a stuck or dead worker: a
+    cancelled future does not stop the process holding it.  Futures
+    still on the pool fail with ``BrokenProcessPool`` once their worker
+    is gone, so their callers see a crash, not a cancellation."""
+    for proc in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            proc.terminate()
+        except (OSError, ValueError):
+            pass
+    pool.shutdown(wait=False)
 
 
 #: JSON form of each type a ``CompilerOptions`` annotation names: the
@@ -214,6 +255,16 @@ class ServiceStats:
         }
 
 
+class _Pool:
+    """An executor and the compiles on it: how many shared it when it
+    failed decides who is charged for the failure."""
+
+    def __init__(self, executor: Executor) -> None:
+        self.executor = executor
+        self.users = 0
+        self.users_at_failure: Optional[int] = None
+
+
 class CompileService:
     """See the module docstring for the request flow."""
 
@@ -236,7 +287,8 @@ class CompileService:
         self.max_pending = max_pending
         self.stats = ServiceStats()
         self.quarantined: set[str] = set()
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool: _Pool | None = None
+        self._slots: asyncio.Semaphore | None = None
         self._inflight: dict[str, asyncio.Future] = {}
         self._started = time.monotonic()
 
@@ -244,11 +296,18 @@ class CompileService:
 
     async def start(self, prewarm: bool = True) -> None:
         """Create (and optionally pre-fork) the worker pool."""
-        if self.workers > 0 and self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            if prewarm:
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(self._pool, int, 0)
+        if self._pool is not None:
+            return
+        self._pool = _Pool(self._new_executor(self.workers))
+        # One compile more than there are workers: a process pool starts
+        # its next queued call the moment a worker frees up, without a
+        # round trip through this loop.  In-process: one at a time.
+        self._slots = asyncio.Semaphore(self.workers + 1)
+        if prewarm and self.workers > 0:
+            # Forks the workers; the empty program fails to parse at once.
+            await asyncio.get_running_loop().run_in_executor(
+                self._pool.executor, worker.compile_worker, "", None, "comb", {}
+            )
 
     async def close(self) -> None:
         for fut in list(self._inflight.values()):
@@ -256,14 +315,22 @@ class CompileService:
                 fut.cancel()
         self._inflight.clear()
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+            self._pool.executor.shutdown(wait=False, cancel_futures=True)
+            self._pool = self._slots = None
 
-    def _rebuild_pool(self) -> None:
-        self.stats.pool_rebuilds += 1
-        if self._pool is not None:
-            kill_pool(self._pool)
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+    def _new_executor(self, workers: int) -> Executor:
+        if self.workers == 0:
+            return ThreadPoolExecutor(max_workers=1)
+        return ProcessPoolExecutor(max_workers=workers)
+
+    def _discard(self, pool: _Pool) -> None:
+        """Kill a pool that failed.  The shared pool is rebuilt only if
+        it is still the current one: every compile it broke lands here,
+        and the first has already replaced it."""
+        if pool is self._pool:
+            self.stats.pool_rebuilds += 1
+            self._pool = _Pool(self._new_executor(self.workers))
+        _kill_pool(pool.executor)
 
     # -- the request path -----------------------------------------------------
 
@@ -293,7 +360,7 @@ class CompileService:
             return self._finish(req, self._quarantined_payload(key), key=key,
                                 retry_after=QUARANTINE_RETRY_AFTER)
 
-        payload, tier = self.cache.lookup(key)
+        payload, tier = self.cache.lookup(key, is_payload)
         if payload is not None:
             return self._finish(req, payload, key=key, cache=tier)
 
@@ -363,12 +430,16 @@ class CompileService:
         if not fut.done():
             fut.set_result(payload)
 
-    async def _invoke_worker(self, req: CompileRequest) -> dict[str, Any]:
-        """One pooled compile attempt (patchable in tests)."""
+    async def _invoke_worker(
+        self, req: CompileRequest, executor: Executor
+    ) -> dict[str, Any]:
+        """One compile attempt on ``executor`` (patchable in tests).  The
+        worker is looked up at call time, so a test that replaces
+        ``repro.service.payload.compile_worker`` reaches the pool."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            self._pool,
-            compile_worker,
+            executor,
+            worker.compile_worker,
             req.source,
             req.params,
             req.strategy,
@@ -378,33 +449,77 @@ class CompileService:
     async def _compile_with_policy(
         self, req: CompileRequest, key: str
     ) -> dict[str, Any]:
-        """The batch driver's timeout/retry/quarantine ladder, async."""
+        """The one timeout/retry/quarantine ladder, for ``repro serve``
+        and ``repro batch`` alike.
+
+        A failed attempt is charged to its program only if the program
+        ran alone on the pool that failed: a dying or stuck worker takes
+        every compile on its pool down, so one that shared the pool may
+        be collateral.  The first attempt runs on the shared pool; every
+        retry runs alone on a one-worker pool it owns, so a retry's
+        failure always names its culprit and a collateral compile is
+        retried once, uncharged.
+        """
+        if self._slots is None:
+            await self.start(prewarm=False)
         policy = self.policy
-        attempts = 0
+        charged = 0
+        retry = False
         while True:
-            attempts += 1
-            try:
-                return await asyncio.wait_for(
-                    self._invoke_worker(req), timeout=policy.timeout
-                )
-            except (asyncio.TimeoutError, TimeoutError):
-                self.stats.timeouts += 1
-                why = f"timed out after {policy.timeout}s"
-                self._rebuild_pool()  # the stuck worker still holds it
-            except (BrokenExecutor, RuntimeError, OSError) as exc:
-                why = f"worker crashed ({type(exc).__name__})"
-                self._rebuild_pool()
-            out_of_retries = attempts > policy.max_retries
-            if attempts >= policy.quarantine_after or out_of_retries:
+            async with self._slots:
+                payload, why, charge = await self._attempt(req, retry)
+            if not why:
+                return payload
+            charged += charge
+            if charged >= policy.quarantine_after or charged > policy.max_retries:
                 self.quarantined.add(key)
                 self.stats.quarantined += 1
                 payload = self._quarantined_payload(key)
                 payload["error"]["message"] = (
-                    f"quarantined after {attempts} failed attempts: {why}"
+                    f"quarantined after {charged} failed attempts: {why}"
                 )
                 return payload
             self.stats.retries += 1
-            await asyncio.sleep(policy.backoff * (2 ** max(0, attempts - 1)))
+            retry = True
+            await asyncio.sleep(policy.backoff * (2 ** max(0, charged - 1)))
+
+    async def _attempt(
+        self, req: CompileRequest, retry: bool
+    ) -> tuple[Optional[dict[str, Any]], str, bool]:
+        """One compile on the shared pool, or for a retry on a one-worker
+        pool of its own: ``(payload, "", False)`` on success, else
+        ``(None, why, charged)``."""
+        pool = _Pool(self._new_executor(1)) if retry else self._pool
+        pool.users += 1
+        try:
+            try:
+                payload = await asyncio.wait_for(
+                    self._invoke_worker(req, pool.executor),
+                    timeout=self.policy.timeout,
+                )
+                return payload, "", False
+            except (asyncio.TimeoutError, TimeoutError):
+                self.stats.timeouts += 1
+                why = f"timed out after {self.policy.timeout}s"
+            except (BrokenExecutor, RuntimeError, OSError) as exc:
+                # RuntimeError: submitted to a pool that another of its
+                # victims has already shut down.
+                why = f"worker crashed ({type(exc).__name__})"
+            except Exception as exc:
+                # E.g. unpicklable arguments: the pool is healthy and
+                # this compile is the culprit.
+                return None, f"compile failed ({type(exc).__name__}: {exc})", True
+            # The pool is broken (a stuck worker still holds it after a
+            # timeout).  Whoever was on it when the first of its victims
+            # got here shares the blame.
+            if pool.users_at_failure is None:
+                pool.users_at_failure = pool.users
+            self._discard(pool)
+            return None, why, pool.users_at_failure == 1
+        finally:
+            pool.users -= 1
+            if retry:
+                pool.executor.shutdown(wait=False)
 
     def _quarantined_payload(self, key: str) -> dict[str, Any]:
         return {
@@ -471,6 +586,7 @@ __all__ = [
     "CompileRequest",
     "CompileService",
     "RequestError",
+    "RetryPolicy",
     "ServiceResponse",
     "ServiceStats",
     "parse_request",

@@ -34,7 +34,7 @@ import time
 from datetime import datetime, timezone
 from typing import Any, Optional, TextIO
 
-from .app import CompileService, RequestError, parse_request
+from .app import CompileService, RequestError, RetryPolicy, parse_request
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_HEAD_BYTES = 64 * 1024
@@ -395,7 +395,6 @@ def run_server(args: Any) -> int:
     """Build the service from CLI args and serve until SIGINT/SIGTERM."""
     import signal
 
-    from ..perf.batch import RetryPolicy
     from ..perf.cache import ScheduleCache
     from .quota import QuotaRegistry
 

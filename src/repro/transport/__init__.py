@@ -37,7 +37,7 @@ from .base import (
     TransportError,
     WireStats,
 )
-from .chaos import ChaosTransport, RuntimeDegradationEvent
+from .chaos import RuntimeDegradationEvent
 from .inline import InlineTransport
 from .integrity import KINDS, ChaosState, FaultPlan
 from .lowering import (
@@ -71,9 +71,10 @@ def make_transport(
     :class:`Transport` instance (returned as-is, though ``chaos`` /
     ``max_rank_restarts`` are still applied).
 
-    ``chaos`` arms fault injection: a :class:`FaultPlan` or a
-    ``--chaos-spec`` string (see :meth:`FaultPlan.parse`), wrapping the
-    backend in a :class:`ChaosTransport`.
+    ``chaos`` arms fault injection on the backend itself: a
+    :class:`FaultPlan` or a ``--chaos-spec`` string (see
+    :meth:`FaultPlan.parse`).  The backend keeps its name and type; its
+    fault ledger is ``transport.chaos.ledger()``.
     """
     if spec is None:
         return None
@@ -93,8 +94,11 @@ def make_transport(
     if chaos is not None:
         if isinstance(chaos, str):
             chaos = FaultPlan.parse(chaos)
-        return ChaosTransport(
-            transport, chaos, max_rank_restarts=max_rank_restarts
+        # The multiprocess backend keeps the ledger in shared memory.
+        make_state = getattr(transport, "make_chaos_state", None)
+        transport.attach_chaos(
+            make_state(chaos) if make_state is not None
+            else ChaosState(chaos, transport.nranks),
         )
     return transport
 
@@ -102,7 +106,6 @@ def make_transport(
 __all__ = [
     "BACKENDS",
     "ChaosState",
-    "ChaosTransport",
     "DeadlockError",
     "FaultPlan",
     "InlineTransport",

@@ -501,15 +501,12 @@ class Transport:
         self.chaos = None  # ChaosState when fault injection is armed
         self.max_rank_restarts = 2
 
-    def attach_chaos(self, chaos, max_rank_restarts: int | None = None):
-        """Arm fault injection.  Called by :class:`~repro.transport.
-        chaos.ChaosTransport` before ``start``; backends read
-        ``self.chaos`` on their data paths and enable the repair
-        machinery (outbox, dedup, NACK/retransmit) when it is set."""
+    def attach_chaos(self, chaos) -> None:
+        """Arm fault injection.  Called by :func:`~repro.transport.
+        make_transport` before ``start``; backends read ``self.chaos``
+        on their data paths and enable the repair machinery (outbox,
+        dedup, NACK/retransmit) when it is set."""
         self.chaos = chaos
-        if max_rank_restarts is not None:
-            self.max_rank_restarts = max_rank_restarts
-        return self
 
     def _sync_injected(self) -> None:
         """Mirror the chaos ledger's cumulative totals into the wire

@@ -1,18 +1,14 @@
-"""ChaosTransport: fault injection around any transport backend.
+"""Runtime degradation records for chaos runs.
 
-:class:`ChaosTransport` implements the :class:`~repro.transport.base.
-Transport` interface as a thin delegator around an inner backend.  Its
-one real job happens before ``start``: it builds a :class:`~repro.
-transport.integrity.ChaosState` from its seeded :class:`~repro.
-transport.integrity.FaultPlan` and *arms* the inner backend with it
-(``inner.attach_chaos``).  From then on the inner backend's own data
-paths consult the plan at every wire event — injection has to live
-where the wire lives, because drops, duplicates, corruption, delays,
-reordering, and crashes are per-send decisions taken inside worker
-threads/processes.  The wrapper keeps construction composable
-(``ChaosTransport(make_transport("threaded", n), plan)`` works for any
-backend) and owns the pieces that are backend-agnostic: the fault
-ledger, restart budget, and the runtime degradation record type.
+Fault injection itself has no class of its own:
+:func:`repro.transport.make_transport` arms the backend it builds with a
+:class:`~repro.transport.integrity.ChaosState` over the seeded
+:class:`~repro.transport.integrity.FaultPlan` (``attach_chaos``), and
+the backend's own data paths consult the plan at every wire event —
+injection has to live where the wire lives, because drops, duplicates,
+corruption, delays, reordering, and crashes are per-send decisions
+taken inside worker threads/processes.  The fault ledger is
+``transport.chaos.ledger()``.
 
 :class:`RuntimeDegradationEvent` is the runtime sibling of the
 compile-side :class:`~repro.core.faults.DegradationEvent`: one record
@@ -25,7 +21,7 @@ consumers see compile-time and runtime degradations in one stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from ..errors import (
     DEADLOCK_DEGRADED_CODE,
@@ -33,8 +29,6 @@ from ..errors import (
     RESTARTS_EXHAUSTED_CODE,
     Diagnostic,
 )
-from .base import OpReceipt, Transport
-from .integrity import ChaosState, FaultPlan
 
 #: W07xx code per degradation reason.
 _REASON_CODES = {
@@ -86,81 +80,3 @@ class RuntimeDegradationEvent:
             "detail": self.detail,
             "fallback": self.fallback,
         }
-
-
-class ChaosTransport(Transport):
-    """Seeded fault injection wrapped around any backend.
-
-    Delegates the whole :class:`Transport` lifecycle to ``inner`` —
-    including ``stats``, so wire accounting (and the executor's exact
-    parity asserts) read through unchanged — after arming it with a
-    shared :class:`ChaosState` built from ``plan``.
-    """
-
-    name = "chaos"
-
-    def __init__(
-        self,
-        inner: Transport,
-        plan: FaultPlan,
-        max_rank_restarts: int | None = None,
-    ) -> None:
-        self.inner = inner
-        self.plan = plan
-        self.nranks = inner.nranks
-        self.watchdog_s = inner.watchdog_s
-        self.name = f"chaos({inner.name})"
-        state_factory = getattr(inner, "make_chaos_state", None)
-        if state_factory is not None:
-            state = state_factory(plan)
-        else:
-            state = ChaosState(plan, inner.nranks)
-        inner.attach_chaos(state, max_rank_restarts)
-
-    # Everything below is pure delegation: the inner backend owns the
-    # wire, the workers, the stats, and the poisoning state.
-
-    @property
-    def chaos(self) -> ChaosState:
-        return self.inner.chaos
-
-    @chaos.setter
-    def chaos(self, value) -> None:  # Transport.__init__ compatibility
-        pass
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @stats.setter
-    def stats(self, value) -> None:
-        pass
-
-    @property
-    def max_rank_restarts(self) -> int:
-        return self.inner.max_rank_restarts
-
-    @max_rank_restarts.setter
-    def max_rank_restarts(self, value) -> None:
-        pass
-
-    def create_storage(
-        self, specs: Iterable[tuple[int, str, tuple[int, ...]]]
-    ) -> dict:
-        return self.inner.create_storage(specs)
-
-    def start(self, storage: dict) -> None:
-        self.inner.start(storage)
-
-    def execute(self, lowered) -> OpReceipt:
-        return self.inner.execute(lowered)
-
-    def reduce(self, trees, ops) -> tuple[list, OpReceipt]:
-        return self.inner.reduce(trees, ops)
-
-    def shutdown(self) -> None:
-        self.inner.shutdown()
-
-    def ledger(self) -> dict[int, dict[str, int]]:
-        """Per-rank injected-fault counts (see :meth:`ChaosState.ledger`)."""
-        return self.inner.chaos.ledger()

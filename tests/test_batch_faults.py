@@ -1,21 +1,23 @@
-"""Crash-safety tests for the batch driver: timeout, retry, quarantine,
-and checkpoint/resume.
+"""Crash-safety tests for the one compile driver behind ``repro batch``
+and ``repro serve``: timeout, retry, quarantine, crash attribution, and
+checkpoint/resume.
 
 Worker-fault injection relies on the Linux ``fork`` start method: a
-monkeypatched ``repro.perf.batch._compile_job`` in the parent is inherited
-by pool workers forked afterwards, so a test can make the *worker side*
-crash or hang on demand.
+monkeypatched ``repro.service.payload.compile_worker`` in the parent is
+inherited by pool workers forked afterwards, so a test can make the
+*worker side* crash or hang on demand.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
+import sys
 import time
 
 import pytest
 
-from repro.perf import batch as batch_mod
 from repro.perf.batch import (
     BatchCompiler,
     BatchJob,
@@ -23,6 +25,9 @@ from repro.perf.batch import (
     benchmark_jobs,
     job_key,
 )
+from repro.service import app as app_mod
+from repro.service import payload as payload_mod
+from repro.service.app import CompileRequest, CompileService
 
 GOOD = """PROGRAM good
 PARAM n = 8
@@ -34,6 +39,8 @@ DISTRIBUTE b(BLOCK) ONTO p
 b(2:n-1) = a(1:n-2)
 END PROGRAM
 """
+BAD = GOOD.replace("PROGRAM good", "PROGRAM bad")
+SLOW = GOOD.replace("PROGRAM good", "PROGRAM slow")
 
 
 def good_job(name: str = "good") -> BatchJob:
@@ -43,36 +50,55 @@ def good_job(name: str = "good") -> BatchJob:
 # -- worker-side fault injectors ---------------------------------------------
 # Pool submission pickles the callable by qualified name, so injectors must
 # be module-level functions (a monkeypatched closure is unpicklable).  They
-# are installed as ``batch_mod._compile_job`` in the parent; fork-started
-# workers inherit the patched module, and the flag-file path in
-# ``_FLAG_PATH`` (set before the pool spawns) crosses the fork the same way.
+# are installed as ``repro.service.payload.compile_worker`` in the parent;
+# fork-started workers inherit the patched module, and the flag-file path
+# in ``_FLAG_PATH`` (set before the pool spawns) crosses the fork the same
+# way.  The worker sees no job names, so injectors pick their victim by
+# the program's name in the source.
 
-_REAL_COMPILE_JOB = batch_mod._compile_job
+_REAL_COMPILE_WORKER = payload_mod.compile_worker
 _FLAG_PATH = ""
 
 
-def _crash_on_bad(job, key):
-    if job.name == "bad":
+def _crash_on_bad(source, *args):
+    if "PROGRAM bad" in source:
         os._exit(17)  # hard worker death: BrokenProcessPool
-    return _REAL_COMPILE_JOB(job, key)
+    return _REAL_COMPILE_WORKER(source, *args)
 
 
-def _always_crash(job, key):
+def _always_crash(source, *args):
     os._exit(17)
 
 
-def _crash_once(job, key):
+def _crash_once(source, *args):
     if not os.path.exists(_FLAG_PATH):
         with open(_FLAG_PATH, "w") as fh:
             fh.write("x")
         os._exit(17)
-    return _REAL_COMPILE_JOB(job, key)
+    return _REAL_COMPILE_WORKER(source, *args)
 
 
-def _hang_on_slow(job, key):
-    if job.name == "slow":
+def _hang_on_slow(source, *args):
+    if "PROGRAM slow" in source:
         time.sleep(60)
-    return _REAL_COMPILE_JOB(job, key)
+    return _REAL_COMPILE_WORKER(source, *args)
+
+
+def _crash_bad_slowly_compile_good(source, *args):
+    """The bad program logs one pool break and dies; the good one is
+    still compiling when it does, so the break takes it down too."""
+    if "PROGRAM bad" in source:
+        with open(_FLAG_PATH, "a") as fh:
+            fh.write("x")
+        os._exit(17)
+    time.sleep(0.3)
+    return _REAL_COMPILE_WORKER(source, *args)
+
+
+def _flag_path(monkeypatch, tmp_path, name: str) -> str:
+    path = str(tmp_path / name)
+    monkeypatch.setattr(sys.modules[__name__], "_FLAG_PATH", path)
+    return path
 
 
 class TestCheckpointResume:
@@ -103,20 +129,19 @@ class TestCheckpointResume:
             for i in range(4)
         ]
         ckpt = tmp_path / "batch.json"
-        real = batch_mod._compile_job
         calls = {"n": 0}
 
-        def dies_after_two(job, key):
+        def dies_after_two(*args):
             if calls["n"] >= 2:
                 raise SystemExit(9)  # simulated kill -9 mid-run
             calls["n"] += 1
-            return real(job, key)
+            return _REAL_COMPILE_WORKER(*args)
 
-        monkeypatch.setattr(batch_mod, "_compile_job", dies_after_two)
+        monkeypatch.setattr(payload_mod, "compile_worker", dies_after_two)
         with pytest.raises(SystemExit):
             BatchCompiler(checkpoint_path=ckpt).run(jobs)
 
-        monkeypatch.setattr(batch_mod, "_compile_job", real)
+        monkeypatch.setattr(payload_mod, "compile_worker", _REAL_COMPILE_WORKER)
         resumed = BatchCompiler(checkpoint_path=ckpt)
         assert resumed.stats.resumed == 2
         results = resumed.run(jobs)
@@ -137,9 +162,10 @@ class TestCheckpointResume:
         ckpt = tmp_path / "batch.json"
         compiler = BatchCompiler(checkpoint_path=ckpt)
         compiler.run([good_job()])
-        payload = json.loads(ckpt.read_text())
-        assert len(payload["results"]) == 1
-        assert payload["quarantined"] == []
+        saved = json.loads(ckpt.read_text())
+        (record,) = saved["results"].values()
+        assert payload_mod.is_payload(record)
+        assert saved["quarantined"] == []
 
     def test_changed_source_not_served_from_checkpoint(self, tmp_path):
         ckpt = tmp_path / "batch.json"
@@ -153,9 +179,9 @@ class TestCheckpointResume:
 
 class TestWorkerCrash:
     def test_crashing_worker_quarantined_good_job_survives(self, monkeypatch):
-        bad = BatchJob(name="bad", source=GOOD)
+        bad = BatchJob(name="bad", source=BAD)
         bad_key = job_key(bad)
-        monkeypatch.setattr(batch_mod, "_compile_job", _crash_on_bad)
+        monkeypatch.setattr(payload_mod, "compile_worker", _crash_on_bad)
         compiler = BatchCompiler(
             workers=2,
             policy=RetryPolicy(backoff=0.0, max_retries=1, quarantine_after=2),
@@ -170,7 +196,7 @@ class TestWorkerCrash:
         assert compiler.stats.quarantined == 1
 
     def test_quarantined_job_not_retried_on_next_run(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "_compile_job", _always_crash)
+        monkeypatch.setattr(payload_mod, "compile_worker", _always_crash)
         compiler = BatchCompiler(
             workers=1,
             policy=RetryPolicy(
@@ -179,20 +205,15 @@ class TestWorkerCrash:
         )
         (first,) = compiler.run([good_job()])
         assert "quarantined" in first.error
-        monkeypatch.setattr(batch_mod, "_compile_job", _REAL_COMPILE_JOB)
-        (second,) = compiler.run([good_job()])  # served from result cache
+        monkeypatch.setattr(payload_mod, "compile_worker", _REAL_COMPILE_WORKER)
+        (second,) = compiler.run([good_job()])  # answered from quarantine
         assert second.from_cache and "quarantined" in second.error
 
     def test_transient_crash_recovers_on_retry(self, monkeypatch, tmp_path):
         """First attempt dies, retry succeeds: the flag file is the
         cross-process 'already crashed once' signal."""
-        import sys
-
-        monkeypatch.setattr(
-            sys.modules[__name__], "_FLAG_PATH",
-            str(tmp_path / "crashed-once"),
-        )
-        monkeypatch.setattr(batch_mod, "_compile_job", _crash_once)
+        _flag_path(monkeypatch, tmp_path, "crashed-once")
+        monkeypatch.setattr(payload_mod, "compile_worker", _crash_once)
         compiler = BatchCompiler(
             workers=1,
             policy=RetryPolicy(
@@ -215,11 +236,51 @@ class TestWorkerCrash:
         (result,) = compiler.run([poisoned])
         assert not result.ok
         assert "quarantined" in result.error
+        assert result.elapsed == 0.0
+        json.dumps(result.as_dict())
+
+
+class TestServiceCrashAttribution:
+    def test_crashing_request_quarantined_good_request_survives(
+        self, monkeypatch, tmp_path
+    ):
+        """The service twin of the batch case: one request whose worker
+        dies and one good request, at once, on two workers.  The good
+        one is collateral, so it is retried alone, uncharged; the bad
+        one is charged only for the attempts it made alone."""
+        breaks_log = _flag_path(monkeypatch, tmp_path, "pool-breaks")
+        monkeypatch.setattr(
+            payload_mod, "compile_worker", _crash_bad_slowly_compile_good
+        )
+        policy = RetryPolicy(backoff=0.05, max_retries=2, quarantine_after=3)
+
+        async def both():
+            service = CompileService(workers=2, policy=policy)
+            await service.start(prewarm=False)
+            try:
+                return service, await asyncio.gather(
+                    service.handle_compile(CompileRequest(source=BAD)),
+                    service.handle_compile(CompileRequest(source=GOOD)),
+                )
+            finally:
+                await service.close()
+
+        service, (bad, good) = asyncio.run(both())
+        assert good.status == 200
+        assert bad.status == 503
+        assert bad.body["error"]["message"].startswith(
+            "quarantined after 3 failed attempts: worker crashed"
+        )
+        assert service.stats.quarantined == 1
+        with open(breaks_log) as fh:
+            breaks = len(fh.read())
+        assert breaks == 4  # the shared pool, then three retries alone
+        assert service.stats.pool_rebuilds <= breaks
 
 
 class TestTimeout:
     def test_hung_job_times_out_and_quarantines(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "_compile_job", _hang_on_slow)
+        monkeypatch.setattr(payload_mod, "compile_worker", _hang_on_slow)
         compiler = BatchCompiler(
             workers=2,
             policy=RetryPolicy(
@@ -228,7 +289,7 @@ class TestTimeout:
         )
         results = compiler.run(
             [
-                BatchJob(name="slow", source=GOOD),
+                BatchJob(name="slow", source=SLOW),
                 BatchJob(name="ok", source=GOOD.replace("n = 8", "n = 10")),
             ]
         )
@@ -237,6 +298,11 @@ class TestTimeout:
         assert "timed out" in by_name["slow"].error
         assert by_name["ok"].ok
         assert compiler.stats.timeouts >= 1
+        # A verdict no compile produced still summarizes (--ndjson).
+        assert not by_name["slow"].from_cache
+        assert by_name["slow"].elapsed == 0.0
+        for r in results:
+            json.dumps(r.as_dict())
 
 
 class TestPolicyValidation:
@@ -248,14 +314,14 @@ class TestPolicyValidation:
 
     def test_timeout_forces_pool_even_with_one_worker(self, monkeypatch):
         spawned = {"pool": False}
-        real_pool = batch_mod.ProcessPoolExecutor
+        real_pool = app_mod.ProcessPoolExecutor
 
         class SpyPool(real_pool):
             def __init__(self, *args, **kwargs):
                 spawned["pool"] = True
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setattr(app_mod, "ProcessPoolExecutor", SpyPool)
         compiler = BatchCompiler(workers=1, policy=RetryPolicy(timeout=30.0))
         (result,) = compiler.run([good_job()])
         assert result.ok and spawned["pool"]

@@ -38,7 +38,7 @@ from repro.errors import (
 from repro.evaluation.programs import BENCHMARKS, QUICK_PARAMS
 from repro.runtime.spmd import SPMDExecutor, execute_spmd
 from repro.transport import (
-    ChaosTransport,
+    BACKENDS,
     DeadlockError,
     FaultPlan,
     KINDS,
@@ -300,6 +300,41 @@ class TestDegradationLadder:
         assert stats.faults_injected == 0
         assert stats.retransmits == 0
 
+    @pytest.mark.parametrize("backend", ["threaded", "multiprocess"])
+    def test_degradations_name_the_armed_backend(self, backend, shallow):
+        """Chaos arms the backend itself: it keeps its type and name,
+        and every W07xx event names it plainly — a recovered restart and
+        an exhausted restart budget alike."""
+        transport = make_transport(
+            backend, 4, chaos=FaultPlan(seed=1, crash=1.0, crash_budget=1)
+        )
+        try:
+            assert type(transport) is BACKENDS[backend]
+            assert transport.name == backend
+            assert transport.chaos.ledger() == {}
+        finally:
+            transport.shutdown()
+        result, _ = shallow
+        _, restarted = execute_spmd(
+            result, transport=backend, watchdog_s=15.0,
+            chaos=FaultPlan(seed=1, crash=1.0, crash_budget=1),
+        )
+        _, exhausted = execute_spmd(
+            result, transport=backend, watchdog_s=15.0,
+            chaos=FaultPlan(seed=1, crash=1.0, crash_budget=50),
+            max_rank_restarts=1,
+        )
+        events = restarted.degradations + exhausted.degradations
+        assert [e["code"] for e in events] == [
+            RANK_RESTART_CODE, RESTARTS_EXHAUSTED_CODE
+        ]
+        assert {e["backend"] for e in events} == {backend}
+        diag = RuntimeDegradationEvent(
+            reason="rank_restart", backend=events[0]["backend"],
+            detail="x", fallback="none",
+        ).diagnostic()
+        assert diag.message.startswith(f"{backend} transport degraded")
+
     def test_degradation_event_codes(self):
         for reason, code in [
             ("rank_restart", RANK_RESTART_CODE),
@@ -337,20 +372,17 @@ class TestPoolConservation:
         transport = make_transport(
             "threaded", 4, watchdog_s=15.0, chaos=plan
         )
-        inner = transport.inner if isinstance(
-            transport, ChaosTransport
-        ) else transport
         executor = SPMDExecutor(result, transport=transport)
         try:
             executor.run()
         finally:
             executor.close()
-        for pair, pool in inner._pools.items():
+        for pair, pool in transport._pools.items():
             assert pool.free_count() == pool.misses, (
                 f"pool {pair}: {pool.free_count()} free buffers but "
                 f"{pool.misses} allocated — a wire buffer leaked"
             )
-        for rank, pool in enumerate(inner._local_pools):
+        for rank, pool in enumerate(transport._local_pools):
             assert pool.free_count() == pool.misses
 
 
@@ -373,8 +405,6 @@ class TestDeadlockFaultContext:
             ),
         )
         transport = executor.transport
-        if isinstance(transport, ChaosTransport):
-            transport = transport.inner
         try:
             ops = [
                 op

@@ -477,7 +477,7 @@ class TestServiceCore:
             await service.start()
             gate = asyncio.Event()
 
-            async def gated(req: CompileRequest):
+            async def gated(req: CompileRequest, executor):
                 await gate.wait()
                 return compile_payload(
                     req.source, req.params, req.strategy, req.options
@@ -510,7 +510,7 @@ class TestServiceCore:
             await service.start()
             gate = asyncio.Event()
 
-            async def gated(req: CompileRequest):
+            async def gated(req: CompileRequest, executor):
                 await gate.wait()
                 return compile_payload(
                     req.source, req.params, req.strategy, req.options
@@ -551,7 +551,7 @@ class TestServiceCore:
             )
             await service.start()
 
-            async def hang(req: CompileRequest):
+            async def hang(req: CompileRequest, executor):
                 await asyncio.sleep(30)
 
             service._invoke_worker = hang

@@ -385,7 +385,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             chaos=args.chaos_spec,
             max_rank_restarts=args.max_rank_restarts,
         )
-    except ValueError as exc:  # bad --chaos-spec
+    except ValueError as exc:  # bad --chaos-spec, or chaos on inline
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for event in stats.degradations:

@@ -21,12 +21,6 @@ instead of a literal, so one compiled kernel serves every iteration.
 Offsets along *distributed* dimensions change rank participation and
 mark the nest kernel-ineligible (it runs element-wise, with the reason
 recorded).
-
-:func:`pack_source` / :func:`unpack_source` emit the transfer-buffer
-kernels the transport backends use: gather a send's indexed box straight
-into a pooled (or shared-memory) wire buffer and scatter it back into
-rank storage, with the index tuple baked in — no intermediate block
-copy, identical payload bytes.
 """
 
 from __future__ import annotations
@@ -47,8 +41,6 @@ __all__ = [
     "compile_fn",
     "emit_index",
     "fused_rhs_source",
-    "pack_source",
-    "unpack_source",
     "slice_literal",
 ]
 
@@ -283,58 +275,8 @@ def _emit_rhs(expr: ast.Expr, var_text: dict, ref_exprs: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Transfer pack/unpack kernels
+# Compilation
 # ---------------------------------------------------------------------------
-
-
-def index_text(index: tuple) -> str:
-    """Bracket text for a concrete numpy index tuple of ints/slices."""
-    parts = []
-    for part in index:
-        if isinstance(part, slice):
-            start = "" if part.start is None else str(part.start)
-            stop = "" if part.stop is None else str(part.stop)
-            body = f"{start}:{stop}"
-            if part.step not in (None, 1):
-                body += f":{part.step}"
-            parts.append(body)
-        else:
-            parts.append(str(int(part)))
-    return ", ".join(parts)
-
-
-def pack_source(index: tuple, shape: tuple, masked: bool) -> str:
-    """A function gathering one send's indexed box into a flat wire
-    buffer — the contiguous-copy half of ``extract_payload`` with the
-    geometry baked in, writing straight into a caller-provided (pooled
-    or shared-memory) buffer instead of allocating."""
-    ix = index_text(index)
-    if masked:
-        return (
-            "def _pack(values, out, mask):\n"
-            f"    out[...] = values[{ix}][mask]\n"
-        )
-    return (
-        "def _pack(values, out, mask):\n"
-        f"    out.reshape({shape!r})[...] = values[{ix}]\n"
-    )
-
-
-def unpack_source(index: tuple, shape: tuple, masked: bool) -> str:
-    """The inverse: scatter a flat wire buffer into rank storage and
-    mark the region valid (``install_payload`` with baked geometry)."""
-    ix = index_text(index)
-    if masked:
-        return (
-            "def _unpack(values, valid, buf, mask):\n"
-            f"    values[{ix}][mask] = buf\n"
-            f"    valid[{ix}][mask] = True\n"
-        )
-    return (
-        "def _unpack(values, valid, buf, mask):\n"
-        f"    values[{ix}] = buf.reshape({shape!r})\n"
-        f"    valid[{ix}] = True\n"
-    )
 
 
 def compile_fn(source: str, tag: str) -> types.CodeType:

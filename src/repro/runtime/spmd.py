@@ -69,9 +69,11 @@ from ..transport import (
 )
 from ..transport.base import combine_pieces
 from ..transport.lowering import (
+    SCALAR_BYTES,
     LoweredComm,
     independent_runs,
     lower_comm,
+    lower_reduction,
     merge_lowered,
 )
 from .darray import GridRank, Ownership, RankStorage, grid_ranks
@@ -238,6 +240,22 @@ def execution_image(result: CompilationResult) -> ExecutionImage:
         # merely runs unshared.
         image = result.execution_image = ExecutionImage(result)
     return image
+
+
+def _check_receipt(receipt, predicted_pairs: dict,
+                   predicted_msgs: dict) -> None:
+    """The wire-level cross-check: what one operation measured on the
+    wire, per (src, dst) pair, must equal what its lowering predicted."""
+    for what, measured, predicted in (
+        ("bytes", receipt.pair_bytes, predicted_pairs),
+        ("messages", receipt.pair_msgs, predicted_msgs),
+    ):
+        if measured != predicted:
+            raise TransportError(
+                f"wire accounting mismatch ({receipt.algorithm}): "
+                f"measured per-pair {what} {measured} != "
+                f"predicted {predicted}"
+            )
 
 
 class SPMDExecutor:
@@ -513,18 +531,9 @@ class SPMDExecutor:
         for lowered, messages, nbytes in wire_ops:
             self._precheck_lowered(lowered)
             receipt = self.transport.execute(lowered)
-            if receipt.pair_bytes != lowered.predicted_pairs:
-                raise TransportError(
-                    f"wire accounting mismatch ({lowered.algorithm}): "
-                    f"measured per-pair bytes {receipt.pair_bytes} != "
-                    f"predicted {lowered.predicted_pairs}"
-                )
-            if receipt.pair_msgs != lowered.predicted_msgs:
-                raise TransportError(
-                    f"wire accounting mismatch ({lowered.algorithm}): "
-                    f"measured per-pair messages {receipt.pair_msgs} != "
-                    f"predicted {lowered.predicted_msgs}"
-                )
+            _check_receipt(
+                receipt, lowered.predicted_pairs, lowered.predicted_msgs
+            )
             # Keep the plan-level counters the element-wise path reports,
             # so RuntimeStats stays comparable across execution modes;
             # the raw measured traffic lives in ``self.wire``.
@@ -773,7 +782,8 @@ class SPMDExecutor:
             # trees + broadcasts through the backend; the combine order
             # is canonical (rank-sorted), so each value is bit-identical
             # to the direct combine below.
-            values, _receipt = self.transport.reduce(pieces, ops)
+            values, receipt = self.transport.reduce(pieces, ops)
+            self._check_reduce_receipt(pieces, ops, receipt)
         else:
             values = [
                 [combine_pieces(p, op) for p, op in zip(tree_pieces, tree_ops)]
@@ -785,6 +795,28 @@ class SPMDExecutor:
             self.stats.reductions += len(tree)
             self.stats.messages += reduction_tree_messages(len(self.ranks))
         return out
+
+    def _check_reduce_receipt(self, pieces: list, ops: list,
+                              receipt) -> None:
+        """Measured == predicted for one reduce: the prediction is the
+        sum, over its trees, of each tree's :func:`lower_reduction` from
+        the bytes every rank holds of the tree's members."""
+        nranks = len(self.ranks)
+        pairs: dict = {}
+        msgs: dict = {}
+        for tree_pieces, tree_ops in zip(pieces, ops):
+            held: dict[int, int] = {}
+            for member in tree_pieces:
+                for rank, vector in member.items():
+                    held[rank] = held.get(rank, 0) + SCALAR_BYTES * vector.size
+            lowered = lower_reduction(
+                tuple(tree_ops), held, nranks, count=len(tree_ops)
+            )
+            for pair, n in lowered.predicted_pairs.items():
+                pairs[pair] = pairs.get(pair, 0) + n
+            for pair, n in lowered.predicted_msgs.items():
+                msgs[pair] = msgs.get(pair, 0) + n
+        _check_receipt(receipt, pairs, msgs)
 
     def _owned_pieces(self, name: str, section: RSD) -> tuple:
         """``section`` of array ``name`` split over the ranks owning part

@@ -17,18 +17,20 @@ executor cross-checks against the plan-time predictions exactly.
 
 :mod:`repro.transport.integrity` holds the wire-integrity layer as a
 sans-IO protocol core (sequence numbers, CRC32 checksums, dedup,
-NACK/retransmit) and the seeded deterministic fault plans that
-:mod:`repro.transport.chaos` injects through any backend.  The two
-concurrent backends share one driver (:mod:`repro.transport.base`) and
-differ only in their carrier (``threaded.py``, ``mp.py``); ``inline``
-is the independent sequential reference.  Injected rank crashes are
-recovered by checkpoint/restart, and past the restart budget the
-executor degrades gracefully to the ``inline`` backend.
+NACK/retransmit) and the seeded deterministic fault plans that the two
+concurrent backends inject on their own data paths when
+:func:`make_transport` arms them.  Those backends share one driver
+(:mod:`repro.transport.base`) and differ only in their carrier
+(``threaded.py``, ``mp.py``); ``inline`` is the independent, fault-free
+sequential reference.  Injected rank crashes are recovered by
+checkpoint/restart, and past the restart budget the executor degrades
+gracefully to the ``inline`` backend.
 """
 
 from __future__ import annotations
 
 from .base import (
+    ConcurrentTransport,
     DeadlockError,
     OpReceipt,
     RankCrashError,
@@ -74,7 +76,9 @@ def make_transport(
     ``chaos`` arms fault injection on the backend itself: a
     :class:`FaultPlan` or a ``--chaos-spec`` string (see
     :meth:`FaultPlan.parse`).  The backend keeps its name and type; its
-    fault ledger is ``transport.chaos.ledger()``.
+    fault ledger is ``transport.chaos.ledger()``.  Only the concurrent
+    backends inject faults: ``chaos`` on any other raises
+    ``ValueError``.
     """
     if spec is None:
         return None
@@ -89,6 +93,11 @@ def make_transport(
                 f"expected one of {sorted(BACKENDS)}"
             ) from None
         transport = cls(nranks, watchdog_s=watchdog_s)
+    if chaos is not None and not isinstance(transport, ConcurrentTransport):
+        raise ValueError(
+            f"fault injection needs a concurrent backend ('threaded' or "
+            f"'multiprocess'); {transport.name!r} is the fault-free reference"
+        )
     if max_rank_restarts is not None:
         transport.max_rank_restarts = max_rank_restarts
     if chaos is not None:

@@ -8,6 +8,12 @@ interface — inline (deterministic sequential reference), threaded (one
 worker per rank over blocking per-pair queues), and multiprocess (one
 OS process per rank over ``multiprocessing.shared_memory``).
 
+A send is one numpy copy on every backend: :func:`pack` copies the
+send's box (``values[send.index]``, compacted by the mask when there is
+one) into a flat wire buffer, :func:`install` copies a flat payload back
+into rank storage and marks it valid.  Nothing caches by geometry and no
+buffer is handed back.
+
 Every backend records :class:`WireStats` — per-pair message and byte
 counts, per-rank send/receive/wait time, barrier stalls — and returns an
 :class:`OpReceipt` per operation so the executor can cross-check the
@@ -32,8 +38,8 @@ receive on its :class:`Channel`, the collector on its completion queue.
 The collector's gather *is* the operation boundary — no rank is handed
 operation k+1 before all P completions of operation k are in — so a
 barrier separates only the rounds *inside* one operation, and what a
-carrier recycles between operations (outbox copies, arena slots) is
-free once that gather is complete.  An operation is as large as the
+carrier reuses between operations (outboxes, arena slots) is free once
+that gather is complete.  An operation is as large as the
 executor can make it — every placed op of a firing, every reduction
 tree of a statement — because each one costs a collector round trip (P
 commands down, P completions up); a rank posts every send of a round,
@@ -52,16 +58,15 @@ from typing import Iterable
 
 import numpy as np
 
-from ..codegen.kernels import bind_fn, compile_fn, pack_source, unpack_source
 from ..errors import SimulationError
 from .integrity import (
     ABORT,
     CORRUPT,
-    DROP,
     DUPLICATE,
     HOLD,
     INSTALL,
     NACK,
+    POST,
     SLEEP,
     STASH,
     ChannelReceiver,
@@ -155,8 +160,6 @@ class RankOpStats:
     sends: int = 0
     bytes_sent: int = 0
     local_copies: int = 0
-    pool_hits: int = 0
-    pool_misses: int = 0
     send_s: float = 0.0
     recv_s: float = 0.0
     wait_s: float = 0.0
@@ -222,6 +225,8 @@ class WireStats:
     local_copies: int = 0
     barrier_waits: int = 0
     barrier_stalls: int = 0
+    #: Always 0: a send allocates its buffer (or packs into the
+    #: multiprocess arena); kept for readers of the names.
     pool_hits: int = 0
     pool_misses: int = 0
     crc_failures: int = 0
@@ -250,8 +255,6 @@ class WireStats:
         self.local_copies += rs.local_copies
         self.barrier_waits += rs.barrier_waits
         self.barrier_stalls += rs.barrier_stalls
-        self.pool_hits += rs.pool_hits
-        self.pool_misses += rs.pool_misses
         self.crc_failures += rs.crc_failures
         self.dedup_drops += rs.dedup_drops
         self.nacks += rs.nacks
@@ -333,150 +336,28 @@ class WireStats:
         }
 
 
-def extract_payload(values: np.ndarray, send) -> np.ndarray:
-    """The wire payload of one send: the indexed box, compacted by the
-    mask for the diagonal augmented exchanges."""
-    raw = values[send.index]
+def pack(values: np.ndarray, send, out: np.ndarray) -> None:
+    """Copy one send's wire payload into ``out``, a flat float64 buffer
+    of exactly its element count: the box ``values[send.index]`` (a
+    basic-index view), compacted by ``send.mask`` when the send has one
+    (the diagonal augmented exchanges)."""
+    box = values[send.index]
     if send.mask is not None:
-        return np.ascontiguousarray(raw[send.mask])
-    return np.ascontiguousarray(raw)
+        box = box[send.mask]
+    out.reshape(np.shape(box))[...] = box
 
 
-def install_payload(values: np.ndarray, valid: np.ndarray, send,
-                    payload: np.ndarray) -> None:
-    """Install a received payload into a rank's storage (and mark it
-    valid), inverting :func:`extract_payload`."""
+def install(values: np.ndarray, valid: np.ndarray, send,
+            buf: np.ndarray) -> None:
+    """Copy a flat payload into rank storage and mark the region valid,
+    inverting :func:`pack`."""
+    index = send.index
     if send.mask is None:
-        values[send.index] = payload.reshape(values[send.index].shape)
-        valid[send.index] = True
+        values[index] = buf.reshape(np.shape(values[index]))
+        valid[index] = True
     else:
-        region = values[send.index]
-        region[send.mask] = payload
-        values[send.index] = region
-        vregion = valid[send.index]
-        vregion[send.mask] = True
-        valid[send.index] = vregion
-
-
-class BufferPool:
-    """Size-bucketed free lists of wire buffers.
-
-    The threaded backend keeps one pool per (src, dst) pair so send
-    staging stops allocating after the first round: the sender rents a
-    power-of-two-sized float64 buffer, the receiver returns it after
-    install.  ``list.append``/``list.pop`` are atomic under the GIL and
-    each pair pool has exactly one renter (the sending rank's thread)
-    and one giver (the receiving rank's), so the data path stays
-    lock-free.
-
-    ``hits``/``misses`` count rents served from the free list versus
-    fresh allocations; backends mirror them into
-    :class:`RankOpStats` so they surface in :class:`WireStats`.
-    """
-
-    __slots__ = ("_buckets", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._buckets: dict[int, list[np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def _bucket(count: int) -> int:
-        return 1 << max(count - 1, 0).bit_length()
-
-    def rent(self, count: int, rs: RankOpStats | None = None) -> np.ndarray:
-        """A float64 buffer of at least ``count`` elements (callers use
-        ``buf[:count]``); reused if the bucket has a free one."""
-        size = self._bucket(count)
-        free = self._buckets.get(size)
-        if free:
-            try:
-                buf = free.pop()
-            except IndexError:
-                buf = None
-            if buf is not None:
-                self.hits += 1
-                if rs is not None:
-                    rs.pool_hits += 1
-                return buf
-        self.misses += 1
-        if rs is not None:
-            rs.pool_misses += 1
-        return np.empty(size, dtype=np.float64)
-
-    def give(self, buf: np.ndarray) -> None:
-        """Return a rented buffer to its bucket."""
-        self._buckets.setdefault(buf.shape[0], []).append(buf)
-
-    def free_count(self) -> int:
-        """Buffers currently sitting in the free lists.  At quiescence
-        (no op in flight) conservation holds: every allocation ever made
-        (``misses``) is either in a free list or leaked — so
-        ``free_count() == misses`` proves no buffer escaped, even on
-        exception paths."""
-        return sum(len(free) for free in self._buckets.values())
-
-
-# Compiled pack/unpack functions, keyed by the send's normalized index
-# geometry (slices are unhashable, so each is flattened to a
-# ('s', start, stop, step) tuple) plus whether a mask compacts the box.
-# The population is bounded by the distinct transfer geometries of the
-# programs run in this process — the same reuse argument as the
-# executor's CommPlan cache.
-_PACK_FNS: dict = {}
-_UNPACK_FNS: dict = {}
-
-
-def _send_key(send) -> tuple:
-    """(cache key, unmasked box shape) for one send's geometry, or
-    (None, None) when the index is not fully concrete."""
-    parts = []
-    shape = []
-    for p in send.index:
-        if isinstance(p, slice):
-            if p.start is None or p.stop is None:
-                return None, None
-            step = 1 if p.step is None else p.step
-            parts.append(("s", p.start, p.stop, step))
-            shape.append(len(range(p.start, p.stop, step)))
-        else:
-            parts.append(("i", int(p)))
-    return (tuple(parts), send.mask is not None), tuple(shape)
-
-
-def pack_payload(values: np.ndarray, send, out: np.ndarray) -> None:
-    """Gather one send's wire payload straight into ``out`` (a pooled
-    or shared-memory buffer of exactly the payload's element count)
-    through a compiled per-geometry kernel — :func:`extract_payload`
-    without the intermediate allocation."""
-    key, shape = _send_key(send)
-    if key is None:  # pragma: no cover - planner always emits concrete slices
-        out[...] = extract_payload(values, send).ravel()
-        return
-    fn = _PACK_FNS.get(key)
-    if fn is None:
-        source = pack_source(send.index, shape, send.mask is not None)
-        fn = _PACK_FNS[key] = bind_fn(compile_fn(source, "pack"), {"_np": np})
-    fn(values, out, send.mask)
-
-
-def unpack_payload(values: np.ndarray, valid: np.ndarray, send,
-                   buf: np.ndarray) -> None:
-    """Scatter a received wire buffer into rank storage and mark the
-    region valid — :func:`install_payload` through a compiled
-    per-geometry kernel (no region copy round-trip)."""
-    key, shape = _send_key(send)
-    if key is None:  # pragma: no cover - planner always emits concrete slices
-        install_payload(values, valid, send, buf)
-        return
-    fn = _UNPACK_FNS.get(key)
-    if fn is None:
-        source = unpack_source(send.index, shape, send.mask is not None)
-        fn = _UNPACK_FNS[key] = bind_fn(
-            compile_fn(source, "unpack"), {"_np": np}
-        )
-    fn(values, valid, buf, send.mask)
+        values[index][send.mask] = buf  # the view writes through
+        valid[index][send.mask] = True
 
 
 class Transport:
@@ -498,27 +379,10 @@ class Transport:
         self.watchdog_s = watchdog_s
         self.stats = WireStats(backend=self.name)
         self._poisoned: str | None = None
-        self.chaos = None  # ChaosState when fault injection is armed
+        # ChaosState when fault injection is armed (concurrent backends
+        # only: see :meth:`ConcurrentTransport.attach_chaos`).
+        self.chaos = None
         self.max_rank_restarts = 2
-
-    def attach_chaos(self, chaos) -> None:
-        """Arm fault injection.  Called by :func:`~repro.transport.
-        make_transport` before ``start``; backends read ``self.chaos``
-        on their data paths and enable the repair machinery (outbox,
-        dedup, NACK/retransmit) when it is set."""
-        self.chaos = chaos
-
-    def _sync_injected(self) -> None:
-        """Mirror the chaos ledger's cumulative totals into the wire
-        stats (the ledger is authoritative; this is the reporting
-        copy).  Backends call this after each completed operation."""
-        if self.chaos is None:
-            return
-        total: dict[str, int] = {}
-        for row in self.chaos.ledger().values():
-            for kind, n in row.items():
-                total[kind] = total.get(kind, 0) + n
-        self.stats.injected = total
 
     # -- storage ----------------------------------------------------------
 
@@ -704,14 +568,13 @@ class Channel:
             raise _Abort()
         return item
 
-    def drain(self) -> list:
-        """Pop and return everything (only called while quiesced)."""
-        items = []
+    def drain(self) -> None:
+        """Discard everything queued (only called while quiesced)."""
         while True:
             try:
-                items.append(self._q.get_nowait())
+                self._q.get_nowait()
             except queue.Empty:
-                return items
+                return
             except Exception:  # noqa: BLE001 - torn pickle from a kill
                 continue
 
@@ -772,8 +635,10 @@ class RankPort:
 
     A *frame* is a tuple whose first three fields are the header
     ``(op_id, seq, crc)``; what follows is the carrier's business (the
-    threaded carrier appends the pooled buffer, the multiprocess tag
-    stops there because its payload sits in a shared arena).
+    threaded carrier appends the payload array, the multiprocess tag
+    stops there because its payload sits in a shared arena).  A frame
+    is never handed back: a duplicate is the same frame posted twice, a
+    dropped or consumed one is simply let go.
 
     Attributes the carrier sets: ``rank``, ``nranks``, ``chaos``
     (:class:`~repro.transport.integrity.ChaosState` or ``None``),
@@ -797,10 +662,11 @@ class RankPort:
         """This rank's ``(values, valid)`` storage for ``array``."""
         raise NotImplementedError
 
-    def stage(self, s, rs: RankOpStats, op_id: int) -> tuple:
-        """Pack send ``s`` into a wire buffer, checksum it, and return
-        its frame; when chaos is armed also leave a pristine copy in the
-        retransmit source *before* returning."""
+    def stage(self, s, op_id: int) -> tuple:
+        """:func:`pack` send ``s`` into a wire buffer no rank storage
+        shares, checksum it, and return its frame; when chaos is armed
+        also leave a pristine copy in the retransmit source *before*
+        returning."""
         raise NotImplementedError
 
     def payload(self, frame: tuple) -> np.ndarray | None:
@@ -808,23 +674,18 @@ class RankPort:
         cannot locate it — a frame of some other operation)."""
         raise NotImplementedError
 
-    def duplicate(self, frame: tuple) -> tuple:
-        """A second frame for the same send (dup injection)."""
-        raise NotImplementedError
-
-    def release(self, pair: tuple[int, int], frame: tuple) -> None:
-        """``frame`` was consumed or discarded: take back any buffer it
-        owns.  Frames that own nothing need no override."""
-
     def retransmit(self, pair: tuple[int, int], op_id: int,
                    seq: int) -> np.ndarray | None:
         """The pristine payload of ``seq`` from the retransmit source,
         or ``None`` if the sender has not staged it (yet)."""
         raise NotImplementedError
 
-    def local_copy(self, s, rs: RankOpStats) -> None:
+    def local_copy(self, s) -> None:
         """Install a ``src == dst`` send without touching the wire."""
-        raise NotImplementedError
+        values, valid = self.views(s.array)
+        payload = np.empty(s.nbytes // SCALAR_BYTES)
+        pack(values, s, payload)
+        install(values, valid, s, payload)
 
     def die(self) -> None:
         """An injected crash fired: kill this rank at once, reporting
@@ -838,25 +699,22 @@ def _post_send(port: RankPort, s, rs: RankOpStats, op_id: int,
     chaos = port.chaos
     if chaos is not None and chaos.fires("crash", rank, s.dst, s.seq):
         port.die()
-    pair = (rank, s.dst)
     t0 = time.perf_counter()
-    frame = port.stage(s, rs, op_id)
-    chan = port.chans[pair]
+    frame = port.stage(s, op_id)
+    chan = port.chans[(rank, s.dst)]
     if chaos is None:
         chan.put(frame)
     else:
         for action in send_actions(chaos, rank, s.dst, s.seq, s.dst in held):
-            if action is DROP:
-                port.release(pair, frame)
-            elif action is SLEEP:
+            if action is SLEEP:
                 port.sleep(chaos.plan.delay_s)
             elif action is CORRUPT:
                 port.payload(frame).view(np.uint8)[0] ^= 0xFF
             elif action is DUPLICATE:
-                chan.put(port.duplicate(frame))
+                chan.put(frame)  # the same frame, posted twice
             elif action is HOLD:
                 held[s.dst] = frame  # posted after the channel's next frame
-            else:  # POST
+            elif action is POST:  # a DROP posts nothing
                 chan.put(frame)
                 late = held.pop(s.dst, None)
                 if late is not None:
@@ -885,23 +743,20 @@ def _recv_one(port: RankPort, s, rs: RankOpStats, op_id: int,
         frame = port.chans[pair].get(deadline, port.abort)
         t1 = time.perf_counter()
         rs.wait_s += t1 - t0
-        try:
-            if frame[0] != op_id or frame[1] != s.seq:
-                raise TransportError(
-                    f"rank {rank}: message reorder from rank {s.src} "
-                    f"(got seq {frame[1]}, expected {s.seq})"
-                )
-            payload = port.payload(frame)
-            if payload_crc(payload) != frame[2]:
-                rs.crc_failures += 1
-                raise TransportError(
-                    f"rank {rank}: checksum mismatch from rank {s.src} "
-                    f"on seq {s.seq} ({s.nbytes} bytes)"
-                )
-            values, valid = port.views(s.array)
-            unpack_payload(values, valid, s, payload)
-        finally:
-            port.release(pair, frame)
+        if frame[0] != op_id or frame[1] != s.seq:
+            raise TransportError(
+                f"rank {rank}: message reorder from rank {s.src} "
+                f"(got seq {frame[1]}, expected {s.seq})"
+            )
+        payload = port.payload(frame)
+        if payload_crc(payload) != frame[2]:
+            rs.crc_failures += 1
+            raise TransportError(
+                f"rank {rank}: checksum mismatch from rank {s.src} "
+                f"on seq {s.seq} ({s.nbytes} bytes)"
+            )
+        values, valid = port.views(s.array)
+        install(values, valid, s, payload)
         rs.recv_s += time.perf_counter() - t1
     # The state stays "waiting on recv" until the next recv or the
     # barrier overwrites it; nothing in between can block.
@@ -926,47 +781,43 @@ def _recv_chaotic(port: RankPort, s, rs: RankOpStats, op_id: int,
     values, valid = port.views(s.array)
     t0 = time.perf_counter()
 
-    def install(payload: np.ndarray) -> None:
+    def deliver(payload: np.ndarray) -> None:
         t1 = time.perf_counter()
         rs.wait_s += t1 - t0
-        unpack_payload(values, valid, s, payload)
+        install(values, valid, s, payload)
         rs.recv_s += time.perf_counter() - t1
 
     if rx.expect(s.seq, port.clock()):
-        install(stash.pop(s.seq))
+        deliver(stash.pop(s.seq))
         return
     while True:
         frame = chan.poll(rx.wake_at, port.abort)
-        try:
-            if frame is None:
-                seq = s.seq
-                action = rx.on_timeout(port.clock())
-                if action is ABORT:
-                    raise _Abort()
-            else:
-                seq = frame[1]
-                payload = port.payload(frame)
-                action = rx.on_frame(
-                    frame[0], seq,
-                    payload is not None and payload_crc(payload) == frame[2],
-                )
-            if action is NACK:
-                payload = port.retransmit(pair, op_id, seq)
-                if payload is None:
-                    continue  # not staged yet: the timer keeps running
-                action = rx.on_frame(
-                    op_id, seq, True,
-                    retransmit_bytes=payload.size * SCALAR_BYTES,
-                )
-            if action is INSTALL:
-                install(payload)
-                return
-            if action is STASH:
-                # The copy outlives the frame's buffer, released below.
-                stash[seq] = payload.copy()
-        finally:
-            if frame is not None:
-                port.release(pair, frame)
+        if frame is None:
+            seq = s.seq
+            action = rx.on_timeout(port.clock())
+            if action is ABORT:
+                raise _Abort()
+        else:
+            seq = frame[1]
+            payload = port.payload(frame)
+            action = rx.on_frame(
+                frame[0], seq,
+                payload is not None and payload_crc(payload) == frame[2],
+            )
+        if action is NACK:
+            payload = port.retransmit(pair, op_id, seq)
+            if payload is None:
+                continue  # not staged yet: the timer keeps running
+            action = rx.on_frame(
+                op_id, seq, True,
+                retransmit_bytes=payload.size * SCALAR_BYTES,
+            )
+        if action is INSTALL:
+            deliver(payload)
+            return
+        if action is STASH:
+            # Nothing rewrites a payload within its operation attempt.
+            stash[seq] = payload
 
 
 def _barrier_wait(port: RankPort, rs: RankOpStats, rnd_no: int) -> None:
@@ -991,7 +842,6 @@ def _run_op(port: RankPort, op_id: int, script: list[dict],
     (per-source FIFO order).  A barrier separates consecutive rounds;
     the last ends in this rank's completion, for the collector's gather."""
     rs = RankOpStats()
-    rank = port.rank
     # 2x the collector's watchdog: the collector is the primary
     # detector (it reads the stuck-rank report while workers are still
     # stuck); this is only the backstop should the collector itself die.
@@ -999,37 +849,31 @@ def _run_op(port: RankPort, op_id: int, script: list[dict],
     port.begin_op(wire)
     held: dict = {}       # dst -> frame held back by reorder injection
     receivers: dict = {}  # src -> (ChannelReceiver, stash), chaos only
-    try:
-        for rnd_no, rnd in enumerate(script):
-            if rnd_no:
-                _barrier_wait(port, rs, rnd_no - 1)
-            for s in rnd["send"]:
-                _post_send(port, s, rs, op_id, held)
-            _flush_held(port, held)
-            for s in rnd["local"]:
-                port.local_copy(s, rs)
-                rs.local_copies += 1
-            for s in rnd["recv"]:
-                _recv_one(port, s, rs, op_id, deadline, rnd_no, receivers)
-    finally:
-        for dst, frame in held.items():  # abandoned mid-send-phase
-            port.release((rank, dst), frame)
+    for rnd_no, rnd in enumerate(script):
+        if rnd_no:
+            _barrier_wait(port, rs, rnd_no - 1)
+        for s in rnd["send"]:
+            _post_send(port, s, rs, op_id, held)
+        _flush_held(port, held)
+        for s in rnd["local"]:
+            port.local_copy(s)
+            rs.local_copies += 1
+        for s in rnd["recv"]:
+            _recv_one(port, s, rs, op_id, deadline, rnd_no, receivers)
     return rs
 
 
 def _reduce_recv(port: RankPort, src: int, rs: RankOpStats, op_id: int,
                  seq: int, deadline: float):
     rank = port.rank
-    pair = (src, rank)
+    chan = port.chans[(src, rank)]
     port.status.set(rank, _RECV_WAIT, -1, src, seq)
     t0 = time.perf_counter()
-    while True:
-        frame = port.chans[pair].get(deadline, port.abort)
-        if frame[0] == op_id and frame[1] == seq:
-            break
+    frame = chan.get(deadline, port.abort)
+    while frame[0] != op_id or frame[1] != seq:
         # A frame of an earlier operation (a chaos delay or duplicate
-        # landing late): recycle and skip.
-        port.release(pair, frame)
+        # landing late): skip it.
+        frame = chan.get(deadline, port.abort)
     rs.wait_s += time.perf_counter() - t0
     return frame[2]
 
@@ -1130,6 +974,25 @@ class ConcurrentTransport(Transport):
     def __init__(self, nranks: int, watchdog_s: float = 30.0) -> None:
         super().__init__(nranks, watchdog_s)
         self._op_counter = 0
+
+    def attach_chaos(self, chaos) -> None:
+        """Arm fault injection.  Called by :func:`~repro.transport.
+        make_transport` before ``start``; the ports read ``chaos`` on
+        their data paths and enable the repair machinery (outbox, dedup,
+        NACK/retransmit) when it is set."""
+        self.chaos = chaos
+
+    def _sync_injected(self) -> None:
+        """Mirror the chaos ledger's cumulative totals into the wire
+        stats (the ledger is authoritative; this is the reporting
+        copy), after each completed operation."""
+        if self.chaos is None:
+            return
+        total: dict[str, int] = {}
+        for row in self.chaos.ledger().values():
+            for kind, n in row.items():
+                total[kind] = total.get(kind, 0) + n
+        self.stats.injected = total
 
     # -- carrier hooks -----------------------------------------------------
 

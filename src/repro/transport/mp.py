@@ -24,9 +24,11 @@ processes over shared memory do differently:
   there is no shared write lock a dying rank could hold;
 * **frames** — the bare header tag ``(op_id, seq, crc)``.  The payload
   travels through a shared-memory *data* arena at the per-send offset
-  the dispatcher assigned: the sender packs the wire bytes there, then
-  posts the tag; the queue's ordering is the happens-before edge that
-  makes the bytes safe to read;
+  the dispatcher assigned: the sender packs the wire bytes there
+  (:func:`~repro.transport.base.pack`), then posts the tag; the
+  queue's ordering is the happens-before edge that makes the bytes safe
+  to read.  The arena is the wire, not a pool (the pool counters stay
+  0); a duplicate is the same tag posted twice;
 * **retransmit source** — a *mirror* arena (chaos only): the sender
   copies every pristine payload there and then publishes an
   ``(op_id << 32) | crc`` header in front of it, payload first, so a
@@ -60,9 +62,7 @@ from .base import (
     RankPort,
     StatusBlock,
     _worker_loop,
-    extract_payload,
-    install_payload,
-    pack_payload,
+    pack,
 )
 from .integrity import KINDS, ChaosState, payload_crc
 from .lowering import SCALAR_BYTES
@@ -184,14 +184,12 @@ class _ProcessPort(RankPort):
     def views(self, array: str):
         return self._views[(self.rank, array)]
 
-    def stage(self, s, rs, op_id: int) -> tuple:
+    def stage(self, s, op_id: int) -> tuple:
         # Pack straight into the shared-memory arena: the arena view IS
-        # the wire buffer, so no pool is needed here (the threaded
-        # carrier's pool counters have no multiprocess counterpart —
-        # they stay 0 by design).
+        # the wire buffer.
         data_off, mirror_off, count = self._slots[s.seq]
         wire = _f64_view(self._data, data_off, count)
-        pack_payload(self._views[(self.rank, s.array)][0], s, wire)
+        pack(self._views[(self.rank, s.array)][0], s, wire)
         crc = payload_crc(wire)
         if self.chaos is not None:
             # Mirror the pristine payload, then publish its header — the
@@ -210,9 +208,6 @@ class _ProcessPort(RankPort):
             return None
         return _f64_view(self._data, slot[0], slot[2])
 
-    def duplicate(self, frame: tuple) -> tuple:
-        return frame  # a second tag naming the same arena slot
-
     def retransmit(self, pair, op_id: int, seq: int):
         slot = self._slots.get(seq)
         if slot is None or self._mirror is None:
@@ -225,10 +220,6 @@ class _ProcessPort(RankPort):
         if payload_crc(payload) != header & 0xFFFFFFFF:
             return None  # torn: the payload is mid-write
         return payload
-
-    def local_copy(self, s, rs) -> None:
-        values, valid = self._views[(self.rank, s.array)]
-        install_payload(values, valid, s, extract_payload(values, s))
 
     def die(self) -> None:
         # The short sleep lets the queues' feeder threads flush

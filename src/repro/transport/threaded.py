@@ -9,10 +9,10 @@ threads over in-process queues do differently:
 * **channels** — a :class:`~repro.transport.base.Channel` over a
   ``queue.SimpleQueue`` per (src, dst) pair: a receiver with nothing to
   read blocks in the queue's own ``get`` and is woken by the ``put``;
-* **frames** — ``(op_id, seq, crc, buf, count, pooled)``: the payload
-  travels *in* the frame, in a buffer the sender rents from the pair's
-  :class:`~repro.transport.base.BufferPool` and the receiver returns
-  after install — steady-state rounds allocate nothing;
+* **frames** — ``(op_id, seq, crc, payload)``: the payload travels *in*
+  the frame, a fresh array of exactly the send's size filled by
+  :func:`~repro.transport.base.pack` and never handed back — a
+  duplicate is the same frame posted twice;
 * **retransmit source** — a per-channel outbox dict the sender fills
   with a pristine copy of every in-flight payload (chaos only;
   GIL-atomic writes, keyed ``(op_id, seq)``);
@@ -32,25 +32,18 @@ import sys
 import threading
 import traceback
 
+import numpy as np
+
 from .base import (
-    BufferPool,
     Channel,
     ConcurrentTransport,
     RankPort,
     StatusBlock,
     _worker_loop,
-    pack_payload,
-    unpack_payload,
+    pack,
 )
 from .integrity import ChaosCrash, payload_crc
 from .lowering import SCALAR_BYTES
-
-
-def _give_back(pool: BufferPool, frame: tuple) -> None:
-    """Return the pooled buffer ``frame`` owns, if it owns one (reduce
-    frames and injected duplicates do not)."""
-    if len(frame) == 6 and frame[5]:
-        pool.give(frame[3])
 
 
 class _ThreadPort(RankPort):
@@ -68,8 +61,6 @@ class _ThreadPort(RankPort):
         self.chans = transport._chan
         self._transport = transport
         self._stores: dict = {}  # this rank's storage, bound per operation
-        self._pools = transport._pools
-        self._local_pool = transport._local_pools[rank]
         self._outbox = transport._outbox
 
     def begin_op(self, wire) -> None:
@@ -84,42 +75,19 @@ class _ThreadPort(RankPort):
         store = self._stores[array]
         return store.values, store.valid
 
-    def stage(self, s, rs, op_id: int) -> tuple:
-        pair = (self.rank, s.dst)
-        count = s.nbytes // SCALAR_BYTES
-        pool = self._pools[pair]
-        buf = pool.rent(count, rs)
-        try:
-            pack_payload(self._stores[s.array].values, s, buf[:count])
-        except BaseException:
-            pool.give(buf)  # nothing was posted: the buffer is still ours
-            raise
-        crc = payload_crc(buf[:count])
+    def stage(self, s, op_id: int) -> tuple:
+        payload = np.empty(s.nbytes // SCALAR_BYTES)
+        pack(self._stores[s.array].values, s, payload)
+        crc = payload_crc(payload)
         if self.chaos is not None:
-            self._outbox[pair][(op_id, s.seq)] = buf[:count].copy()
-        return (op_id, s.seq, crc, buf, count, True)
+            self._outbox[(self.rank, s.dst)][(op_id, s.seq)] = payload.copy()
+        return (op_id, s.seq, crc, payload)
 
     def payload(self, frame: tuple):
-        return frame[3][:frame[4]]
-
-    def duplicate(self, frame: tuple) -> tuple:
-        return (*frame[:3], self.payload(frame).copy(), frame[4], False)
-
-    def release(self, pair, frame: tuple) -> None:
-        _give_back(self._pools[pair], frame)
+        return frame[3]
 
     def retransmit(self, pair, op_id: int, seq: int):
         return self._outbox[pair].get((op_id, seq))
-
-    def local_copy(self, s, rs) -> None:
-        values, valid = self.views(s.array)
-        count = s.nbytes // SCALAR_BYTES
-        buf = self._local_pool.rent(count, rs)
-        try:
-            pack_payload(values, s, buf[:count])
-            unpack_payload(values, valid, s, buf[:count])
-        finally:
-            self._local_pool.give(buf)
 
     def die(self) -> None:
         raise ChaosCrash(self.rank)
@@ -138,11 +106,6 @@ class ThreadedTransport(ConcurrentTransport):
             (s, d): Channel(queue.SimpleQueue(), self._status, d)
             for s in range(nranks) for d in range(nranks) if s != d
         }
-        # One send-buffer pool per channel (rented by the sender,
-        # returned by the receiver after install) plus one per rank for
-        # staging local copies; reused across rounds and operations.
-        self._pools = {pair: BufferPool() for pair in self._chan}
-        self._local_pools = [BufferPool() for _ in range(nranks)]
         self._outbox: dict = {pair: {} for pair in self._chan}
         self._cmd = [queue.SimpleQueue() for _ in range(nranks)]
         self._results: queue.SimpleQueue = queue.SimpleQueue()
@@ -180,9 +143,6 @@ class ThreadedTransport(ConcurrentTransport):
         for t in self._threads:
             t.join(timeout=5.0)
         self._started = False
-        # Return any undelivered pooled frames so pool conservation
-        # (free_count == misses) holds even after an aborted run.
-        self._drain()
 
     # -- carrier hooks -----------------------------------------------------
 
@@ -211,9 +171,8 @@ class ThreadedTransport(ConcurrentTransport):
                 self._results.get_nowait()
             except queue.Empty:
                 break
-        for pair, chan in self._chan.items():
-            for frame in chan.drain():
-                _give_back(self._pools[pair], frame)
+        for chan in self._chan.values():
+            chan.drain()
 
     def _stacks(self, missing: set[int]) -> dict[int, str]:
         frames = sys._current_frames()

@@ -326,3 +326,37 @@ class TestBatchNdjson:
         (summary,) = [r for r in records if r["kind"] == "summary"]
         assert result["from_cache"] is True
         assert summary["cache"]["disk_hits"] == 1
+
+
+class TestRun:
+    def test_clean_threaded_run(self, program_file, capsys):
+        import json
+
+        assert main([
+            "run", program_file, "--transport", "threaded",
+            "--diagnostics-json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagnostics"] == []
+
+    def test_chaos_on_threaded_heals(self, program_file, capsys):
+        assert main([
+            "run", program_file, "--transport", "threaded",
+            "--chaos-spec", "seed=7,drop=0.1,corrupt=0.1",
+        ]) == 0
+        report = dict(
+            line.split()[:2] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("   ")
+        )
+        assert int(report["faults_injected"]) > 0
+
+    def test_bad_chaos_spec(self, program_file, capsys):
+        assert main(["run", program_file, "--chaos-spec", "explode=1"]) == 2
+        assert "bad chaos spec" in capsys.readouterr().err
+
+    def test_chaos_on_inline_is_refused(self, program_file, capsys):
+        assert main([
+            "run", program_file, "--transport", "inline",
+            "--chaos-spec", "seed=7,drop=0.1",
+        ]) == 2
+        assert "'threaded' or 'multiprocess'" in capsys.readouterr().err

@@ -16,7 +16,12 @@ from repro.machine.model import SP2
 from repro.runtime.interp import interpret
 from repro.runtime.simulator import simulate
 from repro.runtime.spmd import SPMDExecutor, execute_spmd
-from repro.transport import BACKENDS, make_transport
+from repro.transport import (
+    BACKENDS,
+    InlineTransport,
+    TransportError,
+    make_transport,
+)
 from repro.transport.base import combine_pieces
 from repro.transport.lowering import lower_reduction
 
@@ -115,6 +120,28 @@ class TestGravity:
                 messages.append(str(err.value))
             assert "stale data shipped for g" in messages[0]
             assert len(set(messages)) == 1
+
+    @pytest.mark.parametrize("field", ["pair_bytes", "pair_msgs"])
+    def test_a_miscounted_tree_edge_is_refused(self, field):
+        # The reduce receipt is cross-checked against lower_reduction
+        # like every other operation's against its lowering.
+        class Miscounting(InlineTransport):
+            def reduce(self, trees, ops):
+                values, receipt = super().reduce(trees, ops)
+                counts = getattr(receipt, field)
+                edge = min(counts)
+                counts[edge] += 1
+                return values, receipt
+
+        result = compile_program(BENCHMARKS["gravity"], params=GRAVITY)
+        executor = SPMDExecutor(result, transport=Miscounting(4))
+        try:
+            with pytest.raises(
+                TransportError, match=r"wire accounting mismatch \(reduce-tree\)"
+            ):
+                executor.run()
+        finally:
+            executor.close()
 
 
 class TestGroupShapes:

@@ -11,10 +11,13 @@ keeps its full detection power.  A nest the kernel engine finds
 ineligible runs element-wise inside the default run and must agree just
 the same.  Also covered here: the CommPlan canonicalization that the
 kernel work rode in on (gravity's shifting all-pairs geometry must now
-hit the plan cache) and the transport send-buffer pools.
+hit the plan cache) and the transport's one pack / install pair.
 """
 
 from __future__ import annotations
+
+import importlib
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,6 +29,8 @@ from repro.errors import SimulationError
 from repro.evaluation.programs import BENCHMARKS
 from repro.runtime.interp import interpret
 from repro.runtime.spmd import SPMDExecutor, execute_spmd
+from repro.transport.base import install, pack
+from repro.transport.lowering import SendOp
 
 SMALL = {
     "shallow": {"n": 8, "nsteps": 2, "pr": 2, "pc": 2},
@@ -184,38 +189,96 @@ class TestWireParity:
 
 
 # ---------------------------------------------------------------------------
-# Send-buffer pools
+# A send is one numpy copy: pack / install
 # ---------------------------------------------------------------------------
 
 
-class TestBufferPools:
-    @pytest.mark.parametrize("backend", ["inline", "threaded"])
-    def test_pools_hit_after_first_round(self, backend):
-        result = _compile("shallow", Strategy.GLOBAL)
-        executor = SPMDExecutor(result, transport=backend)
-        try:
-            executor.run()
-            wire = executor.wire.as_dict()
-        finally:
-            executor.close()
-        assert wire["pool_hits"] > 0, f"{backend}: pool never reused a buffer"
-        # Steady state: reuse must dominate fresh allocation.
-        assert wire["pool_hits"] > wire["pool_misses"]
+@st.composite
+def send_boxes(draw):
+    """A storage shape and one send over it: per dimension a single
+    index or a strided slice, and a mask over the box or none."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    index = []
+    for n in shape:
+        start = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            index.append(start)
+            continue
+        step = draw(st.integers(1, 3))
+        count = draw(st.integers(1, (n - 1 - start) // step + 1))
+        index.append(slice(start, start + step * (count - 1) + 1, step))
+    box = tuple(
+        len(range(*p.indices(n))) for p, n in zip(index, shape)
+        if isinstance(p, slice)
+    )
+    mask = None
+    if box and draw(st.booleans()):
+        flat = draw(st.lists(
+            st.booleans(), min_size=int(np.prod(box)),
+            max_size=int(np.prod(box)),
+        ))
+        mask = np.array(flat, dtype=bool).reshape(box)
+    return shape, tuple(index), mask
 
-    def test_multiprocess_pools_unused_by_design(self):
-        # The mp backend packs straight into the shared-memory arena, so
-        # its pool counters stay zero (documented in transport/mp.py).
-        result = _compile("shallow", Strategy.GLOBAL)
-        executor = SPMDExecutor(
-            result, transport="multiprocess", watchdog_s=120.0
-        )
-        try:
-            executor.run()
-            wire = executor.wire.as_dict()
-        finally:
-            executor.close()
-        assert wire["pool_hits"] == 0
-        assert wire["pool_misses"] == 0
+
+@settings(max_examples=200, deadline=None)
+@given(send_boxes())
+def test_install_of_pack_is_an_element_wise_copy(case):
+    shape, index, mask = case
+    # The elements the send moves, in payload order: the box in C
+    # order, the masked-out ones skipped.
+    axes = [
+        range(*p.indices(n)) if isinstance(p, slice) else (p,)
+        for p, n in zip(index, shape)
+    ]
+    coords = list(product(*axes))
+    if mask is not None:
+        coords = [c for c, keep in zip(coords, mask.ravel()) if keep]
+    src = np.arange(1.0, np.prod(shape) + 1.0).reshape(shape)
+    send = SendOp(seq=0, src=0, dst=1, array="a", index=index,
+                  nbytes=8 * len(coords), mask=mask)
+    payload = np.empty(len(coords))
+    pack(src, send, payload)
+    assert payload.tolist() == [src[c] for c in coords]
+    values = np.zeros(shape)
+    valid = np.zeros(shape, dtype=bool)
+    install(values, valid, send, payload)
+    expected = np.zeros(shape)
+    expected_valid = np.zeros(shape, dtype=bool)
+    for c in coords:
+        expected[c] = src[c]
+        expected_valid[c] = True
+    np.testing.assert_array_equal(values, expected)
+    np.testing.assert_array_equal(valid, expected_valid)
+
+
+@pytest.mark.parametrize("backend", ["inline", "threaded"])
+def test_staged_payload_never_shares_rank_storage(backend, monkeypatch):
+    # A payload viewing rank storage would let an injected ``corrupt``
+    # flip a byte of the sender's array.
+    module = importlib.import_module(f"repro.transport.{backend}")
+    real_pack = module.pack
+    payloads = []
+
+    def spy(values, send, out):
+        real_pack(values, send, out)
+        payloads.append(out)
+
+    monkeypatch.setattr(module, "pack", spy)
+    executor = SPMDExecutor(_compile("shallow"), transport=backend)
+    try:
+        executor.run()
+        stores = [
+            store for per_rank in executor.storage.values()
+            for store in per_rank.values()
+        ]
+    finally:
+        executor.close()
+    assert payloads
+    for out in payloads:
+        for store in stores:
+            assert not np.shares_memory(out, store.values)
+            assert not np.shares_memory(out, store.valid)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from repro.transport.base import (
     _flush_held,
     _post_send,
     _run_op,
-    pack_payload,
+    pack,
 )
 from repro.transport.integrity import (
     ABORT,
@@ -78,7 +78,6 @@ class World:
         self.outbox: dict = {}
         self.delivered = 0
         self.timeouts = 0
-        self.released: list[int] = []
         nseq = sum(len(r) for r in rounds)
         self.src = np.arange(1.0, nseq * WIDTH + 1.0)
         self.dst = np.zeros_like(self.src)
@@ -169,7 +168,7 @@ class FakeBarrier:
 
 
 class FakePort(RankPort):
-    """The in-memory carrier: frames are ``(op_id, seq, crc, buf, id)``."""
+    """The in-memory carrier: frames are ``(op_id, seq, crc, buf)``."""
 
     nranks = 2
     abort = None
@@ -183,7 +182,6 @@ class FakePort(RankPort):
         self.status = StatusBlock([0] * (2 * StatusBlock.STRIDE))
         self.last_recv = [-1] * 4
         self.chans = {(0, 1): world}
-        self._next_id = 0
 
     def clock(self) -> float:
         return self.world.now
@@ -197,23 +195,14 @@ class FakePort(RankPort):
             return world.src, np.ones(world.src.shape, dtype=bool)
         return world.dst, world.valid
 
-    def stage(self, s, rs, op_id):
+    def stage(self, s, op_id):
         buf = np.empty(WIDTH)
-        pack_payload(self.world.src, s, buf)
+        pack(self.world.src, s, buf)
         self.world.outbox[(op_id, s.seq)] = buf.copy()
-        self._next_id += 1
-        return (op_id, s.seq, payload_crc(buf), buf, self._next_id)
+        return (op_id, s.seq, payload_crc(buf), buf)
 
     def payload(self, frame):
         return frame[3]
-
-    def duplicate(self, frame):
-        self._next_id += 1
-        return (*frame[:3], frame[3].copy(), self._next_id)
-
-    def release(self, pair, frame) -> None:
-        self.world.released.append(frame[4])
-        frame[3].fill(np.nan)  # a pooled buffer is reused: poison it
 
     def retransmit(self, pair, op_id, seq):
         return self.world.outbox.get((op_id, seq))
@@ -254,19 +243,12 @@ def replay(plan_fields: dict, rounds, schedule, watchdog_s=0.5):
 def _oracle(world: World, rs, may_abort: bool) -> None:
     # Never a wrong install, finished or not.
     assert np.array_equal(world.dst[world.valid], world.src[world.valid])
-    assert len(world.released) == len(set(world.released)), "double release"
     if rs is None:
         assert may_abort, "aborted although every frame could be repaired"
         assert world.now >= world.watchdog_s * 2, "aborted before deadline"
         return
     nseq = sum(len(r) for r in world.rounds)
     assert world.valid.all(), "a recv returned without installing"
-    # Buffer conservation: every frame ever made was released exactly
-    # once or is still in flight — none leaked, dropped ones included.
-    in_flight = [frame[4] for frame in world.inflight]
-    assert sorted(world.released + in_flight) == list(
-        range(1, world.sender._next_id + 1)
-    ), "a frame's buffer leaked"
     # Every frame handed over was dropped as duplicate, failed its
     # checksum, or was accepted; NACK answers are the other way in.
     # Accepting exactly nseq frames means each seq went in exactly once.
@@ -506,7 +488,7 @@ class MeshChannel:
 
 
 class MeshPort(RankPort):
-    """Frames are ``(op_id, seq, crc, buf, id)``; the retransmit source
+    """Frames are ``(op_id, seq, crc, buf)``; the retransmit source
     is a per-rank outbox cleared in ``begin_op`` as the threaded
     carrier's is."""
 
@@ -539,21 +521,14 @@ class MeshPort(RankPort):
         store = self.mesh.stores[self.rank]
         return store.values, store.valid
 
-    def stage(self, s, rs, op_id):
+    def stage(self, s, op_id):
         buf = np.empty(WIDTH)
-        pack_payload(self.views(s.array)[0], s, buf)
+        pack(self.views(s.array)[0], s, buf)
         self.outbox[(s.dst, op_id, s.seq)] = buf.copy()
-        return (op_id, s.seq, payload_crc(buf), buf, self.mesh.new_id())
+        return (op_id, s.seq, payload_crc(buf), buf)
 
     def payload(self, frame):
         return frame[3]
-
-    def duplicate(self, frame):
-        return (*frame[:3], frame[3].copy(), self.mesh.new_id())
-
-    def release(self, pair, frame) -> None:
-        self.mesh.released.append(frame[4])
-        frame[3].fill(np.nan)
 
     def retransmit(self, pair, op_id, seq):
         return self.mesh.ports[pair[0]].outbox.get((pair[1], op_id, seq))
@@ -571,8 +546,6 @@ class Mesh:
         self.depth = depth  # choice points enumerated per operation
         self.status = StatusBlock([0] * (n * StatusBlock.STRIDE))
         self.last_recv = [-1] * (n * n)
-        self.released: list[int] = []
-        self._ids = 0
         self.chans = {
             (s, d): MeshChannel(self)
             for s in range(n) for d in range(n) if s != d
@@ -606,10 +579,6 @@ class Mesh:
                             valid=np.zeros(members * n * WIDTH, dtype=bool))
             for _ in range(n)
         ]
-
-    def new_id(self) -> int:
-        self._ids += 1
-        return self._ids
 
     def choose(self, width: int) -> int:
         self.choices_left -= 1
@@ -689,10 +658,6 @@ def run_two_ops(n: int, plan: FaultPlan, decisions, timers: int = 0,
             )
         assert sum(rs.barrier_waits for rs in stats.values()) == 0
         assert sum(rs.sends for rs in stats.values()) == len(mesh.sends)
-    in_flight = [f[4] for chan in mesh.chans.values() for f in chan.inflight]
-    assert sorted(mesh.released + in_flight) == list(
-        range(1, mesh._ids + 1)
-    ), "a frame's buffer leaked or was released twice"
     return mesh, list(SpyReceiver.stale)
 
 

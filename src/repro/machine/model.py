@@ -81,7 +81,7 @@ class MachineModel:
             return 0.0
         return nbytes / self.bcopy_time(nbytes)
 
-    # -- collectives ------------------------------------------------------------
+    # -- collective operations --------------------------------------------------
 
     def reduce_time(self, nbytes: int, procs: int) -> float:
         """Binary-tree combine (+ broadcast of the result) over ``procs``."""

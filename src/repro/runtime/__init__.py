@@ -4,13 +4,12 @@ executor, and the bulk-synchronous cost simulator."""
 from .checker import CheckStats, ScheduleChecker, check_schedule
 from .interp import Interpreter, initial_arrays, initial_scalars, interpret
 from .simulator import SimReport, Simulator, simulate
-from .spmd import SPMDExecutor, SPMDStats, execute_spmd
+from .spmd import SPMDExecutor, execute_spmd
 
 __all__ = [
     "CheckStats",
     "Interpreter",
     "SPMDExecutor",
-    "SPMDStats",
     "ScheduleChecker",
     "SimReport",
     "Simulator",

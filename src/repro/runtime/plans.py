@@ -447,14 +447,14 @@ class CommPlan:
     accounting the element-wise executor would have produced.
 
     What is derived from a plan hangs on the plan, so it lives and dies
-    with it: ``lowered`` holds the transport send schedule per
-    ``(kind, collectives)``, ``copy`` the direct-copy kernel template.
+    with it: ``lowered`` holds the transport send schedule, ``copy`` the
+    direct-copy kernel template.
     """
 
     transfers: list[PlannedTransfer]
     wire_pairs: frozenset[tuple[int, int]]
     wire_bytes: int
-    lowered: dict = field(default_factory=dict, compare=False, repr=False)
+    lowered: object = field(default=None, compare=False, repr=False)
     copy: object = field(default=None, compare=False, repr=False)
 
     def pair_bytes(self) -> dict[tuple[int, int], int]:

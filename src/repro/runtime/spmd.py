@@ -69,22 +69,18 @@ from ..transport import (
 )
 from ..transport.base import combine_pieces
 from ..transport.lowering import (
-    SCALAR_BYTES,
     LoweredComm,
     independent_runs,
     lower_comm,
     lower_reduction,
     merge_lowered,
+    tree_sizes,
 )
 from .darray import GridRank, Ownership, RankStorage, grid_ranks
 from .darray import all_valid, fresh, np_index  # the freshness idiom
 from .interp import Interpreter
 from .kernels import KernelEngine
 from .plans import CommPlan, CommPlanner, NestPlan, plan_nests, translate_plan
-
-#: Backwards-compatible alias — the executor's counters moved into the
-#: shared instrumentation module alongside the compile-side CacheStats.
-SPMDStats = RuntimeStats
 
 
 def _placed_key(result: CompilationResult) -> tuple:
@@ -161,9 +157,9 @@ class ExecutionImage:
         #: (anchor, enclosing loop variables' values) -> the CommPlan key
         #: of each op firing there: a firing's geometry, derived once.
         self.firings: dict[tuple, tuple] = {}
-        #: (collectives, the CommPlan keys of a firing) -> its wire
-        #: operations: per run of mutually independent ops their merged
-        #: lowering and the members' summed plan messages and bytes.
+        #: the CommPlan keys of a firing -> its wire operations: per run
+        #: of mutually independent ops their merged lowering and the
+        #: members' summed plan messages and bytes.
         self.wire_firings: dict[tuple, tuple] = {}
         #: (statement sid, reduction ordinal, concrete section) -> the
         #: (rank, owned piece, numpy index) triples that reduction reads.
@@ -269,7 +265,6 @@ class SPMDExecutor:
         seed: int = 12345,
         vectorize: bool = True,
         transport: "str | None" = None,
-        collectives: bool = True,
         watchdog_s: float = 30.0,
         chaos=None,
         max_rank_restarts: "int | None" = None,
@@ -278,7 +273,6 @@ class SPMDExecutor:
         self.info = result.info
         self.stats = RuntimeStats()
         self.vectorize = vectorize
-        self.collectives = collectives
 
         # Everything that can refuse the request comes before anything
         # that starts a rank.
@@ -339,17 +333,6 @@ class SPMDExecutor:
             self.storage[gr.rank] = per_rank
         if self.transport is not None:
             self.transport.start(self.storage)
-
-    @property
-    def _lowered(self) -> dict[tuple, LoweredComm]:
-        """The transport lowerings made under this executor's
-        ``collectives`` setting, by plan key."""
-        return {
-            key: low
-            for key, plan in self._comm_plans.items()
-            for (_kind, collectives), low in plan.lowered.items()
-            if collectives == self.collectives
-        }
 
     # -- helpers -----------------------------------------------------------
 
@@ -477,8 +460,9 @@ class SPMDExecutor:
         """Run one lowered communication operation as flat slice copies
         (the direct-copy path; a transport runs firings, :meth:`_fire_wire`).
 
-        Combined entries share wire messages — the plan's pair set counts
-        deliveries between the same (src, dst) once per operation."""
+        ``messages`` is charged the plan's ``wire_pairs``: deliveries
+        between the same (src, dst) count once per operation, however
+        many combined entries they carry."""
         if self.kernels is not None:
             self.kernels.execute_plan_copy(key, plan)
             return
@@ -523,7 +507,7 @@ class SPMDExecutor:
         the lowerings' summed prediction exactly."""
         t0 = time.perf_counter()
         wire_ops, built = self.image.publish(
-            self.image.wire_firings, (self.collectives, keys),
+            self.image.wire_firings, keys,
             lambda: self._merge_firing(members),
         )
         if built:
@@ -546,12 +530,9 @@ class SPMDExecutor:
         runs and merge each.  Runs under the image lock."""
         lowerings = []
         for plan, kind in members:
-            key = (kind, self.collectives)
-            if key not in plan.lowered:
-                plan.lowered[key] = lower_comm(
-                    kind, plan, len(self.ranks), collectives=self.collectives
-                )
-            lowerings.append(plan.lowered[key])
+            if plan.lowered is None:
+                plan.lowered = lower_comm(kind, plan)
+            lowerings.append(plan.lowered)
         runs, tests = independent_runs(lowerings)
         self.stats.firing_merges += 1
         self.stats.firing_dep_tests += tests
@@ -568,13 +549,12 @@ class SPMDExecutor:
         """The legacy path's validity and staleness oracle, round-aware.
 
         Sends in round ``r`` may legitimately forward data delivered in
-        rounds ``< r`` (diagonal phases, ring forwarding), which is not
-        in the sender's storage yet when this runs — so we simulate
-        delivery with an overlay mask.  Overlay-delivered elements are
-        shadow-equal by induction (their original source was checked
-        here when it sent), so the value comparison applies only to
-        elements the sender holds for real and that no earlier round
-        overwrote."""
+        rounds ``< r`` (diagonal phases), which is not in the sender's
+        storage yet when this runs — so we simulate delivery with an
+        overlay mask.  Overlay-delivered elements are shadow-equal by
+        induction (their original source was checked here when it
+        sent), so the value comparison applies only to elements the
+        sender holds for real and that no earlier round overwrote."""
         sim: dict[tuple[int, str], np.ndarray] = {}
         for rnd in lowered.rounds:
             for s in rnd:
@@ -783,7 +763,7 @@ class SPMDExecutor:
             # is canonical (rank-sorted), so each value is bit-identical
             # to the direct combine below.
             values, receipt = self.transport.reduce(pieces, ops)
-            self._check_reduce_receipt(pieces, ops, receipt)
+            self._check_reduce_receipt(pieces, receipt)
         else:
             values = [
                 [combine_pieces(p, op) for p, op in zip(tree_pieces, tree_ops)]
@@ -796,27 +776,15 @@ class SPMDExecutor:
             self.stats.messages += reduction_tree_messages(len(self.ranks))
         return out
 
-    def _check_reduce_receipt(self, pieces: list, ops: list,
-                              receipt) -> None:
-        """Measured == predicted for one reduce: the prediction is the
-        sum, over its trees, of each tree's :func:`lower_reduction` from
-        the bytes every rank holds of the tree's members."""
+    def _check_reduce_receipt(self, pieces: list, receipt) -> None:
+        """Measured == predicted for one reduce: the prediction is
+        :func:`lower_reduction` of the statement's trees from the sizes
+        of the partials every rank holds."""
         nranks = len(self.ranks)
-        pairs: dict = {}
-        msgs: dict = {}
-        for tree_pieces, tree_ops in zip(pieces, ops):
-            held: dict[int, int] = {}
-            for member in tree_pieces:
-                for rank, vector in member.items():
-                    held[rank] = held.get(rank, 0) + SCALAR_BYTES * vector.size
-            lowered = lower_reduction(
-                tuple(tree_ops), held, nranks, count=len(tree_ops)
-            )
-            for pair, n in lowered.predicted_pairs.items():
-                pairs[pair] = pairs.get(pair, 0) + n
-            for pair, n in lowered.predicted_msgs.items():
-                msgs[pair] = msgs.get(pair, 0) + n
-        _check_receipt(receipt, pairs, msgs)
+        lowered = lower_reduction(tree_sizes(pieces, nranks), nranks)
+        _check_receipt(
+            receipt, lowered.predicted_pairs, lowered.predicted_msgs
+        )
 
     def _owned_pieces(self, name: str, section: RSD) -> tuple:
         """``section`` of array ``name`` split over the ranks owning part
@@ -920,7 +888,6 @@ def execute_spmd(
     seed: int = 12345,
     vectorize: bool = True,
     transport: "str | None" = None,
-    collectives: bool = True,
     watchdog_s: float = 30.0,
     chaos=None,
     max_rank_restarts: "int | None" = None,
@@ -945,8 +912,8 @@ def execute_spmd(
     degrades: transport errors propagate as before."""
     executor = SPMDExecutor(
         result, seed, vectorize=vectorize, transport=transport,
-        collectives=collectives, watchdog_s=watchdog_s,
-        chaos=chaos, max_rank_restarts=max_rank_restarts,
+        watchdog_s=watchdog_s, chaos=chaos,
+        max_rank_restarts=max_rank_restarts,
     )
     degraded = None
     try:
@@ -982,7 +949,7 @@ def execute_spmd(
     # deterministic inline backend, faults off.
     fallback = SPMDExecutor(
         result, seed, vectorize=vectorize, transport="inline",
-        collectives=collectives, watchdog_s=watchdog_s,
+        watchdog_s=watchdog_s,
     )
     try:
         stats = fallback.run()

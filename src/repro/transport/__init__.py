@@ -10,10 +10,11 @@ Transport` interface:
 * ``multiprocess`` — one OS process per rank over
   ``multiprocessing.shared_memory``.
 
-:mod:`repro.transport.lowering` turns classified plans into collective
-schedules (neighbor exchange, ring allgather, combining-tree
-reductions); every backend records wire-level accounting that the
-executor cross-checks against the plan-time predictions exactly.
+:mod:`repro.transport.lowering` turns classified plans, and a
+statement's reduction trees, into rounds of sends; every backend walks
+them, a reduce frame as a schedule frame, and records wire-level
+accounting that the executor cross-checks against the plan-time
+predictions exactly.
 
 :mod:`repro.transport.integrity` holds the wire-integrity layer as a
 sans-IO protocol core (sequence numbers, CRC32 checksums, dedup,
@@ -44,7 +45,6 @@ from .inline import InlineTransport
 from .integrity import KINDS, ChaosState, FaultPlan
 from .lowering import (
     LoweredComm,
-    ReduceLowering,
     SendOp,
     lower_comm,
     lower_reduction,
@@ -124,7 +124,6 @@ __all__ = [
     "OpReceipt",
     "RankCrashError",
     "RankOpStats",
-    "ReduceLowering",
     "RuntimeDegradationEvent",
     "SendOp",
     "ThreadedTransport",

@@ -22,12 +22,16 @@ watchdog bounds every blocking wait; a schedule that would deadlock
 (mismatched send/receive) raises a structured :class:`DeadlockError`
 instead of hanging.
 
+A reduction is lowered too (:func:`~repro.transport.lowering.
+lower_reduction`), and its flat frames are staged, checksummed, faulted
+and repaired exactly as a schedule send's.
+
 The two concurrent backends share one driver, defined at the bottom of
 this module: :class:`ConcurrentTransport` (the collector: op ids, round
-scripts, checkpoint → submit → collect → quiesce → recover → replay,
-the reduce tree) and the rank-side functions ``_worker_loop`` /
-``_run_op`` / ``_run_reduce`` (the send / local / recv round loop),
-which feed the sans-IO protocol core of
+scripts, checkpoint → submit → collect → quiesce → recover → replay)
+and the rank-side functions ``_worker_loop`` / ``_run_op`` (the send /
+local / recv round loop, over rank storage or a reduce's
+:class:`_TreeWalk`), which feed the sans-IO protocol core of
 :mod:`repro.transport.integrity`.  Both are written against
 :class:`RankPort` and a handful of collector hooks — the *carrier*
 interface — so ``threaded.py`` and ``mp.py`` hold only what differs
@@ -74,7 +78,7 @@ from .integrity import (
     payload_crc,
     send_actions,
 )
-from .lowering import SCALAR_BYTES, LoweredComm, reduction_tree
+from .lowering import SCALAR_BYTES, LoweredComm, lower_reduction, tree_sizes
 
 
 class TransportError(SimulationError):
@@ -410,14 +414,15 @@ class Transport:
     def reduce(self, trees, ops) -> tuple:
         """The reduction trees of one statement as one wire operation.
         ``trees[t][m]`` is member ``m`` of tree ``t`` as a ``rank ->
-        partial vector`` dict, ``ops[t][m]`` its reduction name.  Each
-        tree gathers its members' vectors up the binomial tree in its
-        own frames, rank 0 combines every member in canonical order
-        (:func:`combine_pieces`: bit-identical on every backend) and a
-        tree's scalars broadcast back in one message per edge; a rank
-        posts the frames of all trees on an edge before it awaits any.
-        Returns ``(values, receipt)`` with ``values[t][m]`` a float and
-        one receipt for the whole operation."""
+        partial vector`` dict, ``ops[t][m]`` its reduction name.  The
+        backend walks the rounds of :func:`~repro.transport.lowering.
+        lower_reduction`: each tree gathers its members' partials up the
+        binomial tree in its own frames, rank 0 combines every member in
+        canonical order (:func:`combine`: bit-identical on every
+        backend) and a tree's results broadcast back in one frame per
+        edge; a rank posts the frames of all trees on an edge before it
+        awaits any.  Returns ``(values, receipt)`` with ``values[t][m]``
+        a float and one receipt for the whole operation."""
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -438,19 +443,17 @@ class Transport:
         self.shutdown()
 
 
-def combine_pieces(pieces: dict[int, np.ndarray], op: str) -> float:
-    """Canonical reduction combine: rank-sorted concatenation of the
-    non-empty partial vectors, then one numpy reduction — exactly the
-    element-wise executor's order, so the value is bit-stable across
-    tree shapes and backends."""
-    ordered = [
-        np.asarray(pieces[rank]).ravel()
-        for rank in sorted(pieces)
-        if np.asarray(pieces[rank]).size
-    ]
-    if not ordered:
+_EMPTY = np.zeros(0)
+
+
+def combine(parts: list, op: str) -> float:
+    """Canonical reduction combine: the concatenation of ``parts``, one
+    member's flat partials in rank order, then one numpy reduction —
+    exactly the element-wise executor's order, so the value is
+    bit-stable across tree shapes and backends."""
+    flat = np.concatenate(parts) if parts else _EMPTY
+    if not flat.size:
         raise TransportError("reduction over empty partial set")
-    flat = np.concatenate(ordered)
     if op == "SUM":
         return float(flat.sum())
     if op == "MAX":
@@ -460,34 +463,74 @@ def combine_pieces(pieces: dict[int, np.ndarray], op: str) -> float:
     raise TransportError(f"unknown reduction op {op!r}")
 
 
-def reduce_batch(trees, ops, nranks: int) -> tuple[dict, tuple]:
-    """``reduce`` arguments as ``(rank -> per tree its vector of every
-    member, per tree its ops)``; a rank owning nothing of a member holds
-    an empty vector."""
-    trees = [list(tree) for tree in trees]
+def combine_pieces(pieces: dict[int, np.ndarray], op: str) -> float:
+    """:func:`combine` of a ``rank -> partial`` dict."""
+    return combine([np.ravel(pieces[rank]) for rank in sorted(pieces)], op)
+
+
+def reduce_args(trees, ops, nranks: int) -> tuple[tuple, list, tuple]:
+    """``reduce``'s arguments as the trees' sizes (what
+    :func:`lower_reduction` lowers), per rank its flat partial of every
+    member of every tree (``vectors[rank][t][m]``, empty where it owns
+    none), and the ops as tuples."""
     ops = tuple(tuple(tree_ops) for tree_ops in ops)
     if [len(tree) for tree in trees] != [len(tree_ops) for tree_ops in ops]:
         raise TransportError(
             f"reduce: {[len(tree) for tree in trees]} members per tree "
             f"but ops for {[len(tree_ops) for tree_ops in ops]}"
         )
-    empty = np.zeros(0)
-    held = {
-        rank: [
-            [np.asarray(member.get(rank, empty)) for member in tree]
+    vectors = [
+        [
+            [member[rank].ravel() if rank in member else _EMPTY
+             for member in tree]
             for tree in trees
         ]
         for rank in range(nranks)
-    }
-    return held, ops
+    ]
+    return tree_sizes(trees, nranks), vectors, ops
 
 
-def combine_batch(acc: dict[int, list], ops: tuple) -> tuple[float, ...]:
-    """Rank 0's :func:`combine_pieces` per member of one gathered tree."""
-    return tuple(
-        combine_pieces({rank: vecs[i] for rank, vecs in acc.items()}, op)
-        for i, op in enumerate(ops)
-    )
+class _TreeWalk:
+    """One rank's side of a reduce operation.  ``parts[t][m]`` holds, in
+    rank order, the partials of member ``m`` of tree ``t`` its subtree
+    owns: a parent holding ranks ``[base, base+step)`` receives
+    ``[base+step, base+2·step)``, so appending keeps that order."""
+
+    barriers = False  # receives order the rounds
+
+    def __init__(self, vectors: list, ops: tuple) -> None:
+        self.parts = [[[vector] for vector in tree] for tree in vectors]
+        self.ops = ops
+        self.values: list = [None] * len(ops)
+
+    def fill(self, s, out: np.ndarray) -> None:
+        """Write frame ``s``'s flat payload into ``out``."""
+        if s.counts is None:
+            out[:] = self.result(s.tree)
+        else:
+            np.concatenate(
+                [part for member in self.parts[s.tree] for part in member],
+                out=out,
+            )
+
+    def deliver(self, s, payload: np.ndarray) -> None:
+        if s.counts is None:
+            self.values[s.tree] = tuple(payload.tolist())
+            return
+        at = 0
+        for member, count in zip(self.parts[s.tree], s.counts):
+            member.append(payload[at:at + count])
+            at += count
+
+    def result(self, tree: int) -> tuple:
+        """Tree ``tree``'s values: broadcast to this rank, or — at the
+        root — combined from everything gathered."""
+        if self.values[tree] is None:
+            self.values[tree] = tuple(
+                combine(member, op)
+                for member, op in zip(self.parts[tree], self.ops[tree])
+            )
+        return self.values[tree]
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +545,6 @@ _LIVENESS_S = 0.05
 
 #: Longest uninterrupted block of a channel wait: the latency of an abort.
 _SLICE_S = 0.02
-
-def _tree_seq(tree: int) -> int:
-    """``seq`` of the frames of tree ``tree`` of a reduce operation:
-    negative, where schedule sends count from 0."""
-    return -1 - tree
-
 
 # Rank self-reported states for the watchdog's stuck-rank report.
 _IDLE, _RUNNING, _RECV_WAIT, _BARRIER = 0, 1, 2, 3
@@ -638,7 +675,10 @@ class RankPort:
     threaded carrier appends the payload array, the multiprocess tag
     stops there because its payload sits in a shared arena).  A frame
     is never handed back: a duplicate is the same frame posted twice, a
-    dropped or consumed one is simply let go.
+    dropped or consumed one is simply let go.  The port is also the
+    *side* (:func:`_run_op`) of a schedule operation: it packs a send
+    from rank storage (:meth:`fill`) and installs a received payload
+    (:meth:`deliver`); a reduce's side is a :class:`_TreeWalk`.
 
     Attributes the carrier sets: ``rank``, ``nranks``, ``chaos``
     (:class:`~repro.transport.integrity.ChaosState` or ``None``),
@@ -653,6 +693,8 @@ class RankPort:
     clock = staticmethod(time.monotonic)
     sleep = staticmethod(time.sleep)
 
+    barriers = True
+
     def begin_op(self, wire) -> None:
         """Attach whatever :meth:`ConcurrentTransport._plan_wire`
         prepared for this operation; nothing of the previous one is
@@ -662,11 +704,18 @@ class RankPort:
         """This rank's ``(values, valid)`` storage for ``array``."""
         raise NotImplementedError
 
-    def stage(self, s, op_id: int) -> tuple:
-        """:func:`pack` send ``s`` into a wire buffer no rank storage
-        shares, checksum it, and return its frame; when chaos is armed
-        also leave a pristine copy in the retransmit source *before*
-        returning."""
+    def fill(self, s, out: np.ndarray) -> None:
+        pack(self.views(s.array)[0], s, out)
+
+    def deliver(self, s, payload: np.ndarray) -> None:
+        values, valid = self.views(s.array)
+        install(values, valid, s, payload)
+
+    def stage(self, s, op_id: int, fill) -> tuple:
+        """Have ``fill(s, buf)`` write send ``s``'s payload into a wire
+        buffer no rank storage shares, checksum it, and return its
+        frame; when chaos is armed also leave a pristine copy in the
+        retransmit source *before* returning."""
         raise NotImplementedError
 
     def payload(self, frame: tuple) -> np.ndarray | None:
@@ -694,13 +743,13 @@ class RankPort:
 
 
 def _post_send(port: RankPort, s, rs: RankOpStats, op_id: int,
-               held: dict) -> None:
+               held: dict, fill) -> None:
     rank = port.rank
     chaos = port.chaos
     if chaos is not None and chaos.fires("crash", rank, s.dst, s.seq):
         port.die()
     t0 = time.perf_counter()
-    frame = port.stage(s, op_id)
+    frame = port.stage(s, op_id, fill)
     chan = port.chans[(rank, s.dst)]
     if chaos is None:
         chan.put(frame)
@@ -709,7 +758,7 @@ def _post_send(port: RankPort, s, rs: RankOpStats, op_id: int,
             if action is SLEEP:
                 port.sleep(chaos.plan.delay_s)
             elif action is CORRUPT:
-                port.payload(frame).view(np.uint8)[0] ^= 0xFF
+                frame = _corrupt(port, frame)
             elif action is DUPLICATE:
                 chan.put(frame)  # the same frame, posted twice
             elif action is HOLD:
@@ -723,6 +772,17 @@ def _post_send(port: RankPort, s, rs: RankOpStats, op_id: int,
     rs.count_send(rank, s.dst, s.nbytes)
 
 
+def _corrupt(port: RankPort, frame: tuple) -> tuple:
+    """Flip the first payload byte after the checksum was taken — or,
+    for an empty payload (a gather frame of a subtree owning nothing of
+    its tree), the checksum itself."""
+    payload = port.payload(frame)
+    if payload.size:
+        payload.view(np.uint8)[0] ^= 0xFF
+        return frame
+    return (frame[0], frame[1], frame[2] ^ 0xFF, *frame[3:])
+
+
 def _flush_held(port: RankPort, held: dict) -> None:
     """End of a round's send phase: post any frame still held back by
     reorder injection so it arrives within its round."""
@@ -731,13 +791,17 @@ def _flush_held(port: RankPort, held: dict) -> None:
         port.chans[(port.rank, dst)].put(frame)
 
 
-def _recv_one(port: RankPort, s, rs: RankOpStats, op_id: int,
-              deadline: float, rnd_no: int, receivers: dict) -> None:
+def _receive(port: RankPort, s, rs: RankOpStats, op_id: int,
+             deadline: float, rnd_no: int, receivers: dict, deliver) -> None:
+    """Receive expected send ``s`` and ``deliver`` its payload: checked
+    against its checksum on the clean path, repaired through the
+    channel's :class:`ChannelReceiver` under chaos."""
     rank = port.rank
     pair = (s.src, rank)
     port.status.set(rank, _RECV_WAIT, rnd_no, s.src, s.seq)
     if port.chaos is not None:
-        _recv_chaotic(port, s, rs, op_id, deadline, receivers)
+        payload = _recv_chaotic(port, s, rs, op_id, deadline, receivers)
+        t1 = time.perf_counter()
     else:
         t0 = time.perf_counter()
         frame = port.chans[pair].get(deadline, port.abort)
@@ -755,21 +819,20 @@ def _recv_one(port: RankPort, s, rs: RankOpStats, op_id: int,
                 f"rank {rank}: checksum mismatch from rank {s.src} "
                 f"on seq {s.seq} ({s.nbytes} bytes)"
             )
-        values, valid = port.views(s.array)
-        install(values, valid, s, payload)
-        rs.recv_s += time.perf_counter() - t1
+    deliver(s, payload)
+    rs.recv_s += time.perf_counter() - t1
     # The state stays "waiting on recv" until the next recv or the
     # barrier overwrites it; nothing in between can block.
     port.last_recv[s.src * port.nranks + rank] = s.seq
 
 
 def _recv_chaotic(port: RankPort, s, rs: RankOpStats, op_id: int,
-                  deadline: float, receivers: dict) -> None:
+                  deadline: float, receivers: dict) -> np.ndarray:
     """Receive one expected send under chaos: report frame arrivals and
     NACK-timer expiries to the channel's :class:`ChannelReceiver` and
-    carry out what it answers.  ``receivers`` holds, per source rank and
-    for this operation attempt only, the receiver and the payloads it
-    had stashed."""
+    carry out what it answers, up to the payload it accepts.
+    ``receivers`` holds, per source rank and for this operation attempt
+    only, the receiver and the payloads it had stashed."""
     pair = (s.src, port.rank)
     try:
         rx, stash = receivers[s.src]
@@ -778,18 +841,10 @@ def _recv_chaotic(port: RankPort, s, rs: RankOpStats, op_id: int,
             ChannelReceiver(op_id, port.chaos.plan, rs, deadline), {}
         )
     chan = port.chans[pair]
-    values, valid = port.views(s.array)
     t0 = time.perf_counter()
-
-    def deliver(payload: np.ndarray) -> None:
-        t1 = time.perf_counter()
-        rs.wait_s += t1 - t0
-        install(values, valid, s, payload)
-        rs.recv_s += time.perf_counter() - t1
-
     if rx.expect(s.seq, port.clock()):
-        deliver(stash.pop(s.seq))
-        return
+        rs.wait_s += time.perf_counter() - t0
+        return stash.pop(s.seq)
     while True:
         frame = chan.poll(rx.wake_at, port.abort)
         if frame is None:
@@ -813,8 +868,8 @@ def _recv_chaotic(port: RankPort, s, rs: RankOpStats, op_id: int,
                 retransmit_bytes=payload.size * SCALAR_BYTES,
             )
         if action is INSTALL:
-            deliver(payload)
-            return
+            rs.wait_s += time.perf_counter() - t0
+            return payload
         if action is STASH:
             # Nothing rewrites a payload within its operation attempt.
             stash[seq] = payload
@@ -835,12 +890,17 @@ def _barrier_wait(port: RankPort, rs: RankOpStats, rnd_no: int) -> None:
     port.status.round_done(rank, rnd_no)
 
 
-def _run_op(port: RankPort, op_id: int, script: list[dict],
-            wire) -> RankOpStats:
-    """One rank's side of one lowered operation: per round, post the
-    sends, install the local copies, receive what the script expects
-    (per-source FIFO order).  A barrier separates consecutive rounds;
-    the last ends in this rank's completion, for the collector's gather."""
+def _run_op(port: RankPort, op_id: int, script: list[dict], wire,
+            side=None) -> RankOpStats:
+    """One rank's side of one operation: per round, post the sends,
+    install the local copies, receive what the script expects
+    (per-source FIFO order).  ``side`` — the port itself unless given —
+    writes each send's payload and takes each received one
+    (:meth:`RankPort.fill` / :meth:`RankPort.deliver`); where it asks
+    for ``barriers`` one separates consecutive rounds.  The last round
+    ends in this rank's completion, for the collector's gather."""
+    if side is None:
+        side = port
     rs = RankOpStats()
     # 2x the collector's watchdog: the collector is the primary
     # detector (it reads the stuck-rank report while workers are still
@@ -850,87 +910,58 @@ def _run_op(port: RankPort, op_id: int, script: list[dict],
     held: dict = {}       # dst -> frame held back by reorder injection
     receivers: dict = {}  # src -> (ChannelReceiver, stash), chaos only
     for rnd_no, rnd in enumerate(script):
-        if rnd_no:
+        if rnd_no and side.barriers:
             _barrier_wait(port, rs, rnd_no - 1)
         for s in rnd["send"]:
-            _post_send(port, s, rs, op_id, held)
-        _flush_held(port, held)
+            _post_send(port, s, rs, op_id, held, side.fill)
+        if held:
+            _flush_held(port, held)
         for s in rnd["local"]:
             port.local_copy(s)
             rs.local_copies += 1
         for s in rnd["recv"]:
-            _recv_one(port, s, rs, op_id, deadline, rnd_no, receivers)
+            _receive(port, s, rs, op_id, deadline, rnd_no, receivers,
+                     side.deliver)
     return rs
 
 
-def _reduce_recv(port: RankPort, src: int, rs: RankOpStats, op_id: int,
-                 seq: int, deadline: float):
-    rank = port.rank
-    chan = port.chans[(src, rank)]
-    port.status.set(rank, _RECV_WAIT, -1, src, seq)
-    t0 = time.perf_counter()
-    frame = chan.get(deadline, port.abort)
-    while frame[0] != op_id or frame[1] != seq:
-        # A frame of an earlier operation (a chaos delay or duplicate
-        # landing late): skip it.
-        frame = chan.get(deadline, port.abort)
-    rs.wait_s += time.perf_counter() - t0
-    return frame[2]
+def _run_reduce(port: RankPort, op_id: int, sizes: tuple, wire,
+                vectors: list, ops: tuple) -> tuple[tuple, RankOpStats]:
+    """One rank's side of a statement's reduce trees: the rounds of
+    their lowering (:func:`lower_reduction`), against a :class:`_TreeWalk`
+    over this rank's partials ``vectors[t][m]``.  Returns every tree's
+    values and the rank's stats."""
+    lowered = lower_reduction(sizes, port.nranks)
+    walk = _TreeWalk(vectors, ops)
+    rs = _run_op(port, op_id, _scripts(lowered, port.nranks)[port.rank],
+                 wire, walk)
+    return tuple(walk.result(t) for t in range(len(ops))), rs
 
 
-def _run_reduce(port: RankPort, op_id: int, trees: list,
-                ops: tuple) -> tuple[tuple, RankOpStats]:
-    """One rank's side of a statement's reduce trees.  ``trees[t]``
-    holds this rank's vector of every member of tree ``t``; each tree
-    gathers up to rank 0 in frames of its own (``seq`` :func:`_tree_seq`
-    ``(t)``), is combined there in canonical order, and its scalars
-    broadcast back in one message per edge.  On every edge the frames
-    of all trees are posted before the first is awaited, so a rank
-    blocks once per edge, not once per tree."""
-    rs = RankOpStats()
-    rank = port.rank
-    chaos = port.chaos
-    deadline = port.clock() + port.watchdog_s * 2
-    gather = reduction_tree(port.nranks)
-    accs: list[dict[int, list]] = [{rank: vectors} for vectors in trees]
-    for rnd in gather:
-        for src, dst in rnd:
-            if src == rank:
-                for t, acc in enumerate(accs):
-                    if chaos is not None and chaos.fires(
-                        "crash", rank, dst, op_id + t
-                    ):
-                        port.die()
-                    nbytes = SCALAR_BYTES * sum(
-                        int(v.size) for vecs in acc.values() for v in vecs
-                    )
-                    port.chans[(rank, dst)].put((op_id, _tree_seq(t), acc))
-                    rs.count_send(rank, dst, nbytes)
-                accs = [{} for _ in trees]
-            elif dst == rank:
-                for t, acc in enumerate(accs):
-                    acc.update(_reduce_recv(
-                        port, src, rs, op_id, _tree_seq(t), deadline
-                    ))
-    values = None
-    if rank == 0:
-        values = tuple(
-            combine_batch(acc, tree_ops) for acc, tree_ops in zip(accs, ops)
-        )
-    for rnd in reversed(gather):
-        for dst, src in rnd:  # the gather edge, walked backwards
-            if src == rank:
-                for t, tree_ops in enumerate(ops):
-                    port.chans[(rank, dst)].put(
-                        (op_id, _tree_seq(t), values[t])
-                    )
-                    rs.count_send(rank, dst, SCALAR_BYTES * len(tree_ops))
-            elif dst == rank:
-                values = tuple(
-                    _reduce_recv(port, src, rs, op_id, _tree_seq(t), deadline)
-                    for t in range(len(ops))
-                )
-    return values, rs
+def _scripts_for(lowered: LoweredComm, nranks: int) -> dict[int, list[dict]]:
+    """Per-rank round scripts: what each rank sends, receives (in
+    per-source FIFO order), and installs locally in every round."""
+    scripts: dict[int, list[dict]] = {r: [] for r in range(nranks)}
+    for rnd in lowered.rounds:
+        per = {
+            r: {"send": [], "recv": [], "local": []} for r in range(nranks)
+        }
+        for s in rnd:
+            if s.is_local:
+                per[s.src]["local"].append(s)
+            else:
+                per[s.src]["send"].append(s)
+                per[s.dst]["recv"].append(s)
+        for r in range(nranks):
+            scripts[r].append(per[r])
+    return scripts
+
+
+def _scripts(lowered: LoweredComm, nranks: int) -> dict[int, list[dict]]:
+    """:func:`_scripts_for`, kept on the lowering for its next run."""
+    if lowered.scripts is None:
+        lowered.scripts = _scripts_for(lowered, nranks)
+    return lowered.scripts
 
 
 def _worker_loop(port: RankPort, cmd_q, res_q) -> None:
@@ -1031,7 +1062,7 @@ class ConcurrentTransport(Transport):
     def execute(self, lowered: LoweredComm) -> OpReceipt:
         if lowered.rounds:
             receipt = self._dispatch(
-                self._scripts_for(lowered), lowered.algorithm
+                _scripts(lowered, self.nranks), lowered.algorithm
             )
         else:  # nothing to say to the ranks: no command, no gather
             self._check_alive()
@@ -1048,12 +1079,17 @@ class ConcurrentTransport(Transport):
         return receipt
 
     def reduce(self, trees, ops):
-        held, ops = reduce_batch(trees, ops, self.nranks)
+        sizes, vectors, ops = reduce_args(trees, ops, self.nranks)
+        lowered = lower_reduction(sizes, self.nranks)
+        wire = self._plan_wire(_scripts(lowered, self.nranks))
         # Reductions don't mutate rank storage, so a crashed attempt
-        # replays without a checkpoint.
+        # replays without a checkpoint.  A rank lowers the sizes itself:
+        # a few ints pickle in a fraction of the sends' time.
         values, receipt = self._submit(
-            lambda rank, op_id: ("reduce", op_id, held[rank], ops),
-            "reduce-tree", checkpoint=False,
+            lambda rank, op_id: (
+                "reduce", op_id, sizes, wire, vectors[rank], ops
+            ),
+            lowered.algorithm, checkpoint=False,
         )
         for t in range(len(ops)):
             distinct = {per_tree[t] for per_tree in values.values()}
@@ -1063,7 +1099,7 @@ class ConcurrentTransport(Transport):
                     f"(tree {t}): {distinct}"
                 )
         self.stats.reduces += len(ops)
-        self.stats.count_op(("reduce-tree",) * len(ops), True)
+        self.stats.count_op(lowered.members, True)
         return [list(tree_values) for tree_values in values[0]], receipt
 
     # -- dispatch ----------------------------------------------------------
@@ -1071,25 +1107,6 @@ class ConcurrentTransport(Transport):
     def _next_op(self) -> int:
         self._op_counter += 1
         return self._op_counter
-
-    def _scripts_for(self, lowered: LoweredComm) -> dict[int, list[dict]]:
-        """Per-rank round scripts: what each rank sends, receives (in
-        per-source FIFO order), and installs locally in every round."""
-        scripts: dict[int, list[dict]] = {r: [] for r in range(self.nranks)}
-        for rnd in lowered.rounds:
-            per = {
-                r: {"send": [], "recv": [], "local": []}
-                for r in range(self.nranks)
-            }
-            for s in rnd:
-                if s.is_local:
-                    per[s.src]["local"].append(s)
-                else:
-                    per[s.src]["send"].append(s)
-                    per[s.dst]["recv"].append(s)
-            for r in range(self.nranks):
-                scripts[r].append(per[r])
-        return scripts
 
     def _crash_armed(self) -> bool:
         return self.chaos is not None and self.chaos.plan.rate("crash") > 0.0

@@ -2,13 +2,15 @@
 
 Executes every lowered round in plan order inside the calling thread —
 snapshot all payloads first, then install — which is exactly the
-delivery semantics the concurrent backends must reproduce.  No real
-concurrency, but full wire accounting: every non-local send is counted
-as a message with its payload bytes, so the measured-vs-predicted
-cross-check exercises the same code path as the threaded and
-multiprocess backends.  Every payload is checksummed as on the wire;
-faults are never injected here (:func:`~repro.transport.make_transport`
-refuses ``chaos=`` for this backend).
+delivery semantics the concurrent backends must reproduce.  A reduce
+walks the rounds of its lowering the same way, each rank's side a
+:class:`~repro.transport.base._TreeWalk`.  No real concurrency, but
+full wire accounting: every non-local send is counted as a message with
+its payload bytes, so the measured-vs-predicted cross-check exercises
+the same code path as the threaded and multiprocess backends.  Every
+payload is checksummed as on the wire; faults are never injected here
+(:func:`~repro.transport.make_transport` refuses ``chaos=`` for this
+backend).
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from .base import (
     RankOpStats,
     Transport,
     TransportError,
-    combine_batch,
+    _TreeWalk,
     install,
     pack,
-    reduce_batch,
+    reduce_args,
 )
 from .integrity import payload_crc
-from .lowering import SCALAR_BYTES, LoweredComm, reduction_tree
+from .lowering import SCALAR_BYTES, LoweredComm, lower_reduction
 
 
 class InlineTransport(Transport):
@@ -42,6 +44,35 @@ class InlineTransport(Transport):
 
     def execute(self, lowered: LoweredComm) -> OpReceipt:
         self._check_alive()
+
+        def fill(s, out):
+            pack(self.storage[s.src][s.array].values, s, out)
+
+        def deliver(s, payload):
+            store = self.storage[s.dst][s.array]
+            install(store.values, store.valid, s, payload)
+
+        receipt = self._run(lowered, fill, deliver)
+        self.stats.count_op(lowered.members, bool(lowered.rounds))
+        return receipt
+
+    def reduce(self, trees, ops):
+        self._check_alive()
+        sizes, vectors, ops = reduce_args(trees, ops, self.nranks)
+        lowered = lower_reduction(sizes, self.nranks)
+        walks = [_TreeWalk(vectors[rank], ops) for rank in range(self.nranks)]
+        receipt = self._run(
+            lowered,
+            lambda s, out: walks[s.src].fill(s, out),
+            lambda s, payload: walks[s.dst].deliver(s, payload),
+        )
+        self.stats.reduces += len(ops)
+        self.stats.count_op(lowered.members, True)
+        return [list(walks[0].result(t)) for t in range(len(ops))], receipt
+
+    def _run(self, lowered: LoweredComm, fill, deliver) -> OpReceipt:
+        """Run ``lowered`` round by round: ``fill`` a fresh buffer for
+        every send of a round, then check and ``deliver`` each."""
         receipt = OpReceipt(algorithm=lowered.algorithm)
         # An operation without a round involves no rank: empty receipt.
         ranks = range(self.nranks) if lowered.rounds else ()
@@ -51,7 +82,7 @@ class InlineTransport(Transport):
             for s in rnd:
                 t0 = time.perf_counter()
                 payload = np.empty(s.nbytes // SCALAR_BYTES)
-                pack(self.storage[s.src][s.array].values, s, payload)
+                fill(s, payload)
                 staged.append((s, payload, payload_crc(payload)))
                 per_rank[s.src].send_s += time.perf_counter() - t0
             for s, payload, crc in staged:
@@ -60,8 +91,7 @@ class InlineTransport(Transport):
                     raise TransportError(
                         f"inline transport: checksum mismatch (seq {s.seq})"
                     )
-                store = self.storage[s.dst][s.array]
-                install(store.values, store.valid, s, payload)
+                deliver(s, payload)
                 rs = per_rank[s.dst]
                 rs.recv_s += time.perf_counter() - t0
                 if s.is_local:
@@ -71,35 +101,4 @@ class InlineTransport(Transport):
         for rank, rs in per_rank.items():
             receipt.absorb(rank, rs)
             self.stats.absorb(rank, rs)
-        self.stats.count_op(lowered.members, bool(lowered.rounds))
         return receipt
-
-    def reduce(self, trees, ops):
-        self._check_alive()
-        held, ops = reduce_batch(trees, ops, self.nranks)
-        receipt = OpReceipt(algorithm="reduce-tree")
-        per_rank = {r: RankOpStats() for r in range(self.nranks)}
-        gather = reduction_tree(self.nranks)
-        values = []
-        for t, tree_ops in enumerate(ops):
-            acc = {rank: {rank: held[rank][t]} for rank in held}
-            for rnd in gather:
-                for src, dst in rnd:
-                    nbytes = SCALAR_BYTES * sum(
-                        int(v.size) for vecs in acc[src].values() for v in vecs
-                    )
-                    per_rank[src].count_send(src, dst, nbytes)
-                    acc[dst].update(acc[src])
-                    acc[src] = {}
-            values.append(list(combine_batch(acc[0], tree_ops)))
-            for rnd in reversed(gather):
-                for dst, src in rnd:  # the gather edge, walked backwards
-                    per_rank[src].count_send(
-                        src, dst, SCALAR_BYTES * len(tree_ops)
-                    )
-        for rank, rs in per_rank.items():
-            receipt.absorb(rank, rs)
-            self.stats.absorb(rank, rs)
-        self.stats.reduces += len(ops)
-        self.stats.count_op(("reduce-tree",) * len(ops), True)
-        return values, receipt

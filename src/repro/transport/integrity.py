@@ -2,9 +2,10 @@
 
 Three cooperating pieces live here:
 
-* the **integrity layer** — every wire payload travels in a *frame*
-  whose header is ``(op_id, seq, crc)``: the operation id, the schedule
-  sequence number, and a CRC32 checksum of the payload bytes;
+* the **integrity layer** — every wire payload, a schedule send's or a
+  reduce tree's, travels in a *frame* whose header is ``(op_id, seq,
+  crc)``: the operation id, the send's sequence number in its
+  operation, and a CRC32 checksum of the payload bytes;
 
 * the **protocol core** — the one copy of the reliable-channel logic,
   written sans-IO: plain data in, actions out.  It never sleeps, reads
@@ -59,8 +60,9 @@ Three cooperating pieces live here:
   at the same program point forever.
 
 Fault taxonomy (``KINDS``): ``drop`` (frame never enters the channel),
-``dup`` (a second, non-pooled copy follows the original), ``corrupt``
-(bytes of the wire copy flipped after the checksum was taken),
+``dup`` (the same frame is posted a second time), ``corrupt``
+(bytes of the wire copy flipped after the checksum was taken — the
+checksum itself for an empty payload),
 ``delay`` (the sender sleeps before posting), ``reorder`` (the frame is
 held back and posted after its successor), ``crash`` (the worker
 thread/process dies at a send boundary — a safe point that holds no
@@ -182,10 +184,10 @@ class ChaosState:
     """Mutable chaos bookkeeping shared by one transport's workers.
 
     Tracks the per-rank injected-fault ledger (what the plan actually
-    fired, by kind) and the remaining crash budget.  The threaded and
-    inline backends use plain process memory behind a lock; the
-    multiprocess backend passes shared primitives (``ledger_array``: a
-    flat ``RawArray('q', nranks * len(KINDS))``, ``crash_counter``: an
+    fired, by kind) and the remaining crash budget.  The threaded
+    backend uses plain process memory behind a lock; the multiprocess
+    backend passes shared primitives (``ledger_array``: a flat
+    ``RawArray('q', nranks * len(KINDS))``, ``crash_counter``: an
     ``mp.Value``) so worker processes and the collector see one ledger.
     """
 

@@ -1,4 +1,4 @@
-"""Collective lowering: CommPlans → transport send schedules.
+"""Collective lowering: CommPlans and reductions → transport send schedules.
 
 The pattern classifier (:mod:`repro.comm.patterns`) already names the
 shape of every placed operation; this module exploits it when turning a
@@ -8,14 +8,12 @@ shape of every placed operation; this module exploits it when turning a
   posted concurrently in one round (diagonal augmented exchanges keep
   their phase structure: phase ``k`` forwards data phase ``k-1``
   delivered, so phases become barrier-separated rounds);
-* **allgather** → *ring*: every owner's piece travels around the rank
-  ring in ``P-1`` barrier-separated rounds, each rank forwarding the
-  piece it received the round before — same total bytes as the direct
-  broadcast, neighbor-only pairs;
-* **reduction** → *log-P combining tree* (:func:`lower_reduction`):
-  partial vectors gather up a binomial tree to rank 0, are combined in
-  canonical order, and the scalar result broadcasts back down;
-* **general** (and anything the recognizers decline) → raw
+* **reduction** → *log-P combining tree* (:func:`lower_reduction`): the
+  partials of a statement's reduction trees gather up a binomial tree
+  to rank 0, are combined there in canonical order, and the results
+  broadcast back down the reversed edges — numbered sends
+  (:class:`TreeSend`) whose flat payloads travel as schedule frames do;
+* anything else (and anything the recognizers decline) → raw
   point-to-point exactly as planned.
 
 Every lowering carries its own *predicted* per-pair message/byte
@@ -28,11 +26,13 @@ simulator check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
-from ..runtime.plans import CommPlan, PlannedTransfer
+from ..runtime.plans import CommPlan
 
 
 @dataclass
@@ -64,17 +64,22 @@ class LoweredComm:
     destination; a merged round may write one region twice (``orig``'s
     redundant messages), with equal values — every delivery of a firing
     carries what the sequential semantics hold at that program point —
-    so delivery order cannot change the result either way.
+    so delivery order cannot change the result either way.  A
+    reduce-tree (:func:`lower_reduction`) is ordered by its receives
+    instead, and waits at no barrier.
 
     ``members`` names the algorithm of every placed op the operation
     carries; ``seq`` numbers are unique within it and increase in
     script order on every (src, dst) channel."""
 
     algorithm: str
-    rounds: list[list[SendOp]]
+    rounds: list[list[SendOp | TreeSend]]
     predicted_pairs: dict = field(default_factory=dict)  # (src,dst)->bytes
     predicted_msgs: dict = field(default_factory=dict)   # (src,dst)->count
     members: tuple[str, ...] = ()
+    #: rank -> its round script, filled by a concurrent transport on
+    #: first dispatch.
+    scripts: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -110,46 +115,12 @@ def _pointwise_rounds(plan: CommPlan) -> list[list[SendOp]]:
     return [by_phase[p] for p in sorted(by_phase)]
 
 
-def _ring_rounds(plan: CommPlan, nranks: int) -> list[list[SendOp]] | None:
-    """Ring lowering of an all-destinations broadcast plan, or None when
-    the plan does not have the expected shape (every transfer unmasked
-    with the full rank set as destinations)."""
-    pieces: list[PlannedTransfer] = []
-    all_ranks = tuple(range(nranks))
-    for t in plan.transfers:
-        if t.mask is not None or tuple(sorted(t.dsts)) != all_ranks:
-            return None
-        pieces.append(t)
-    if not pieces or nranks < 3:
-        return None  # P<3: the ring degenerates to the direct sends
-    rounds: list[list[SendOp]] = []
-    seq = 0
-    for step in range(1, nranks):
-        rnd: list[SendOp] = []
-        for t in pieces:
-            src = (t.src + step - 1) % nranks
-            dst = (t.src + step) % nranks
-            rnd.append(SendOp(
-                seq=seq, src=src, dst=dst, array=t.array,
-                index=t.index, nbytes=t.nbytes,
-            ))
-            seq += 1
-        rounds.append(rnd)
-    return rounds
-
-
-def lower_comm(
-    kind: str, plan: CommPlan, nranks: int, collectives: bool = True
-) -> LoweredComm:
-    """Lower one plan to the cheapest collective its classified shape
-    admits; anything unrecognized (or ``collectives=False``) stays raw
+def lower_comm(kind: str, plan: CommPlan) -> LoweredComm:
+    """Lower one plan to its rounds of sends: a shift is a neighbor
+    (or, with phases, augmented) exchange, anything else stays raw
     point-to-point."""
-    if collectives and kind == "allgather":
-        ring = _ring_rounds(plan, nranks)
-        if ring is not None:
-            return _predict(LoweredComm("ring-allgather", ring))
     rounds = _pointwise_rounds(plan)
-    if collectives and kind == "shift":
+    if kind == "shift":
         algorithm = (
             "neighbor-exchange" if len(rounds) <= 1
             else "augmented-exchange"
@@ -262,19 +233,22 @@ def merge_lowered(members: list[LoweredComm]) -> LoweredComm:
 SCALAR_BYTES = 8
 
 
-@dataclass
-class ReduceLowering:
-    """A log-P combining tree over all ranks: ``gather_rounds`` move the
-    accumulated partial vectors toward rank 0 (payload grows as subtrees
-    merge), rank 0 combines in canonical order, and ``bcast_rounds``
-    fan the result — 8 bytes per batch member — back out along the
-    reversed edges."""
+class TreeSend(NamedTuple):
+    """One frame of a reduce-tree operation: tree ``tree``'s traffic on
+    the edge ``src -> dst``.  A gather frame (``counts`` set) carries,
+    member after member, the ``counts[m]`` partials the sender's subtree
+    holds of member ``m`` in rank order; a broadcast frame (``counts``
+    None) carries the tree's results, one per member.  Either is a flat
+    float64 payload the rank builds whole."""
 
-    op: "str | tuple"
-    gather_rounds: list[list[tuple[int, int]]]  # (src, dst) edges
-    bcast_rounds: list[list[tuple[int, int]]]
-    predicted_pairs: dict = field(default_factory=dict)
-    predicted_msgs: dict = field(default_factory=dict)
+    seq: int
+    src: int
+    dst: int
+    tree: int
+    counts: tuple[int, ...] | None
+    nbytes: int
+
+    is_local = False
 
 
 def reduction_tree(nranks: int) -> list[list[tuple[int, int]]]:
@@ -292,22 +266,53 @@ def reduction_tree(nranks: int) -> list[list[tuple[int, int]]]:
     return rounds
 
 
-def lower_reduction(
-    op, piece_bytes: dict[int, int], nranks: int, count: int = 1
-) -> ReduceLowering:
-    """Schedule one tree operation and predict its exact wire traffic
-    from the per-rank partial sizes — summed over the ``count`` members
-    of a batch, whose scalars share each broadcast message."""
+def tree_sizes(trees, nranks: int) -> tuple:
+    """``sizes[t][m][rank]``: the element count of rank ``rank``'s
+    partial (an array) of member ``m`` of tree ``t``, from
+    ``trees[t][m]``, a ``rank -> partial`` dict."""
+    return tuple(
+        tuple(
+            tuple(member[rank].size if rank in member else 0
+                  for rank in range(nranks))
+            for member in tree
+        )
+        for tree in trees
+    )
+
+
+@lru_cache(maxsize=256)
+def lower_reduction(sizes: tuple, nranks: int) -> LoweredComm:
+    """The reduction trees of one statement (their :func:`tree_sizes`)
+    as one operation: every edge of the binomial gather toward rank 0,
+    then every edge reversed for the broadcast, each tree's frame on an
+    edge before the next edge's.  Receives, not barriers, order the
+    rounds.  Kept per size pattern: a statement's trees have the same
+    sizes on every execution."""
+    held = [[list(member) for member in tree] for tree in sizes]
     gather = reduction_tree(nranks)
-    bcast = [[(dst, src) for src, dst in rnd] for rnd in reversed(gather)]
-    lowered = ReduceLowering(op, gather, bcast)
-    held = {rank: piece_bytes.get(rank, 0) for rank in range(nranks)}
-    for rnd in gather:
-        for src, dst in rnd:
-            _charge(lowered, src, dst, held[src])
-            held[dst] += held[src]
-            held[src] = 0
-    for rnd in bcast:
-        for src, dst in rnd:
-            _charge(lowered, src, dst, count * SCALAR_BYTES)
-    return lowered
+    rounds: list[list[TreeSend]] = []
+    seq = 0
+    for edges in gather:
+        rnd = []
+        for src, dst in edges:
+            for t, tree in enumerate(held):
+                counts = tuple(member[src] for member in tree)
+                rnd.append(TreeSend(
+                    seq, src, dst, t, counts, SCALAR_BYTES * sum(counts)
+                ))
+                seq += 1
+                for member in tree:
+                    member[dst] += member[src]
+        rounds.append(rnd)
+    for edges in reversed(gather):
+        rnd = []
+        for child, parent in edges:
+            for t, tree in enumerate(held):
+                rnd.append(TreeSend(
+                    seq, parent, child, t, None, SCALAR_BYTES * len(tree)
+                ))
+                seq += 1
+        rounds.append(rnd)
+    return _predict(LoweredComm(
+        "reduce-tree", rounds, members=("reduce-tree",) * len(sizes)
+    ))

@@ -24,8 +24,9 @@ processes over shared memory do differently:
   there is no shared write lock a dying rank could hold;
 * **frames** — the bare header tag ``(op_id, seq, crc)``.  The payload
   travels through a shared-memory *data* arena at the per-send offset
-  the dispatcher assigned: the sender packs the wire bytes there
-  (:func:`~repro.transport.base.pack`), then posts the tag; the
+  the dispatcher assigned — a schedule send's or a reduce frame's
+  alike: the sender writes the wire bytes there (for a schedule send,
+  :func:`~repro.transport.base.pack`), then posts the tag; the
   queue's ordering is the happens-before edge that makes the bytes safe
   to read.  The arena is the wire, not a pool (the pool counters stay
   0); a duplicate is the same tag posted twice;
@@ -62,7 +63,6 @@ from .base import (
     RankPort,
     StatusBlock,
     _worker_loop,
-    pack,
 )
 from .integrity import KINDS, ChaosState, payload_crc
 from .lowering import SCALAR_BYTES
@@ -184,12 +184,12 @@ class _ProcessPort(RankPort):
     def views(self, array: str):
         return self._views[(self.rank, array)]
 
-    def stage(self, s, op_id: int) -> tuple:
-        # Pack straight into the shared-memory arena: the arena view IS
+    def stage(self, s, op_id: int, fill) -> tuple:
+        # Fill straight into the shared-memory arena: the arena view IS
         # the wire buffer.
         data_off, mirror_off, count = self._slots[s.seq]
         wire = _f64_view(self._data, data_off, count)
-        pack(self._views[(self.rank, s.array)][0], s, wire)
+        fill(s, wire)
         crc = payload_crc(wire)
         if self.chaos is not None:
             # Mirror the pristine payload, then publish its header — the

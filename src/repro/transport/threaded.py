@@ -10,9 +10,10 @@ threads over in-process queues do differently:
   ``queue.SimpleQueue`` per (src, dst) pair: a receiver with nothing to
   read blocks in the queue's own ``get`` and is woken by the ``put``;
 * **frames** — ``(op_id, seq, crc, payload)``: the payload travels *in*
-  the frame, a fresh array of exactly the send's size filled by
-  :func:`~repro.transport.base.pack` and never handed back — a
-  duplicate is the same frame posted twice;
+  the frame, a fresh array of exactly the send's size — packed from
+  rank storage (:func:`~repro.transport.base.pack`), or a reduce frame's
+  partials — and never handed back; a duplicate is the same frame
+  posted twice;
 * **retransmit source** — a per-channel outbox dict the sender fills
   with a pristine copy of every in-flight payload (chaos only;
   GIL-atomic writes, keyed ``(op_id, seq)``);
@@ -40,7 +41,6 @@ from .base import (
     RankPort,
     StatusBlock,
     _worker_loop,
-    pack,
 )
 from .integrity import ChaosCrash, payload_crc
 from .lowering import SCALAR_BYTES
@@ -65,6 +65,8 @@ class _ThreadPort(RankPort):
 
     def begin_op(self, wire) -> None:
         self._stores = self._transport.storage[self.rank]
+        if self.chaos is None:
+            return  # nothing is ever put in the outbox
         # Last operation's pristine copies are dead: the collector held
         # every receiver's completion of it before submitting this one.
         for dst in range(self.nranks):
@@ -75,9 +77,9 @@ class _ThreadPort(RankPort):
         store = self._stores[array]
         return store.values, store.valid
 
-    def stage(self, s, op_id: int) -> tuple:
+    def stage(self, s, op_id: int, fill) -> tuple:
         payload = np.empty(s.nbytes // SCALAR_BYTES)
-        pack(self._stores[s.array].values, s, payload)
+        fill(s, payload)
         crc = payload_crc(payload)
         if self.chaos is not None:
             self._outbox[(self.rank, s.dst)][(op_id, s.seq)] = payload.copy()

@@ -47,6 +47,7 @@ from repro.transport import (
     TransportError,
     make_transport,
 )
+from repro.transport.base import _scripts_for, combine_pieces
 from repro.transport.integrity import ChaosState, _roll
 from repro.transport.lowering import lower_comm
 
@@ -65,6 +66,26 @@ PROGRAM diag
     b(2:n, 2:n) = a(2:n, 2:n) * 0.5
   END DO
 END
+"""
+
+
+#: Reductions are all this program puts on the wire; ranks 2 and 3 own
+#: nothing of ``b(1:6)``, so some of its gather frames are empty.
+REDUCE_ONLY_SRC = """
+PROGRAM sums
+  PARAM n = 16
+  PROCESSORS p(4)
+  REAL a(n)
+  REAL b(n)
+  REAL s
+  DISTRIBUTE a(BLOCK) ONTO p
+  DISTRIBUTE b(BLOCK) ONTO p
+  DO t = 1, 3
+    a(1:n) = a(1:n) * 0.5 + 1.0
+    s = SUM(a(1:n)) + MAXVAL(b(1:6))
+    b(1:n) = b(1:n) + 0.001 * s
+  END DO
+END PROGRAM
 """
 
 
@@ -249,6 +270,46 @@ class TestSingleFaultEquivalence:
         assert ledgers["threaded"] == ledgers["multiprocess"]
         assert sum(ledgers["threaded"].values()) > 0
 
+    @pytest.mark.parametrize("backend", ["threaded", "multiprocess"])
+    def test_reduce_frames_heal_from_corruption_and_loss(self, backend):
+        # A reduce frame is a wire frame: checksummed, NACKed and
+        # retransmitted like a schedule send.
+        result = compile_program(REDUCE_ONLY_SRC)
+        oracle, _ = execute_spmd(result, transport="inline")
+        for kind in ("corrupt", "drop"):
+            executor = SPMDExecutor(
+                result, transport=backend, watchdog_s=15.0,
+                chaos=FaultPlan.single(kind, seed=1, rate=0.3),
+            )
+            receipts = []
+            reduce = executor.transport.reduce
+
+            def spying_reduce(trees, ops):
+                values, receipt = reduce(trees, ops)
+                receipts.append(receipt)
+                # The values themselves: a scalar's reduction reaches
+                # the assembled arrays only through the shadow.
+                assert values == [
+                    [combine_pieces(member, op)
+                     for member, op in zip(tree, tree_ops)]
+                    for tree, tree_ops in zip(trees, ops)
+                ]
+                return values, receipt
+
+            executor.transport.reduce = spying_reduce
+            try:
+                executor.run()
+                assert _identical(executor.assemble(), oracle), kind
+                wire = executor.wire
+            finally:
+                executor.close()
+            assert wire.messages == sum(r.messages for r in receipts) > 0
+            ranks = [rs for r in receipts for rs in r.ranks.values()]
+            assert sum(rs.retransmits for rs in ranks) > 0, kind
+            if kind == "corrupt":
+                assert sum(rs.crc_failures for rs in ranks) > 0
+            assert set(wire.injected) == {kind}
+
     def test_detection_counters_reach_runtime_stats(self, shallow):
         result, oracle = shallow
         plan = FaultPlan(seed=3, drop=0.25, corrupt=0.25)
@@ -371,7 +432,7 @@ class TestDegradationLadder:
 
 
 def _tampered_scripts(transport, lowered):
-    scripts = transport._scripts_for(lowered)
+    scripts = _scripts_for(lowered, transport.nranks)
     for rank in sorted(scripts):
         for rnd in scripts[rank]:
             if rnd["send"]:
@@ -403,7 +464,7 @@ class TestDeadlockFaultContext:
                 for entry in op.entries
             )
             plan = executor.planner.compile_op(op, sections)
-            lowered = lower_comm(op.kind, plan, len(executor.ranks))
+            lowered = lower_comm(op.kind, plan)
             scripts, _victim = _tampered_scripts(transport, lowered)
             with pytest.raises(DeadlockError) as err:
                 transport._dispatch(scripts, lowered.algorithm)

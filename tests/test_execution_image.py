@@ -129,10 +129,9 @@ class TestWarmRunsBuildNothing:
 
     @pytest.mark.parametrize("options", [
         {"vectorize": False},
-        {"transport": "inline", "collectives": False},
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_ablations_on_a_warm_result(self, options):
-        """The ablation switches select what runs, not what the image
+        """The ablation switch selects what runs, not what the image
         happens to hold."""
         result = _compile("shallow")
         execute_spmd(result)
@@ -143,16 +142,9 @@ class TestWarmRunsBuildNothing:
         )
         executor = SPMDExecutor(result, **options)
         try:
-            if options.get("vectorize") is False:
-                assert not executor.nest_plans
-                assert not executor.fallback_reasons
-                assert executor.kernels is None
-            if options.get("collectives") is False:
-                executor.run()
-                assert executor._lowered
-                assert {
-                    low.algorithm for low in executor._lowered.values()
-                } <= {"pointwise", "neighbor-exchange", "augmented-exchange"}
+            assert not executor.nest_plans
+            assert not executor.fallback_reasons
+            assert executor.kernels is None
         finally:
             executor.close()
 

@@ -21,15 +21,17 @@ from repro.evaluation.programs import BENCHMARKS
 from repro.runtime import spmd
 from repro.runtime.darray import RankStorage
 from repro.runtime.spmd import SPMDExecutor
-from repro.transport import BACKENDS, ChaosState, FaultPlan, make_transport
+from repro.transport import BACKENDS, FaultPlan, make_transport
 from repro.transport.base import combine_pieces
+from repro.transport.integrity import _roll
 from repro.transport.lowering import (
     LoweredComm,
     SendOp,
     _predict,
     independent_runs,
+    lower_reduction,
     merge_lowered,
-    reduction_tree,
+    tree_sizes,
 )
 
 from test_grouped_reductions import _run
@@ -174,13 +176,13 @@ class TestHandBuiltFirings:
     def test_a_forwarding_round_may_not_lean_on_a_later_member(self):
         # An earlier member's second round reading what a later member
         # delivers is not a delivery the schedule promised it.
-        ring = _predict(LoweredComm("ring-allgather", [
+        forwarding = _predict(LoweredComm("augmented-exchange", [
             [SendOp(0, 0, 1, "x", (slice(0, 2, 1),), 16)],
             [SendOp(1, 1, 2, "x", (slice(0, 2, 1),), 16)],
         ]))
-        runs, _ = independent_runs([ring, _member((0, 1, 1))])
+        runs, _ = independent_runs([forwarding, _member((0, 1, 1))])
         assert runs == [[0], [1]]
-        runs, _ = independent_runs([ring, _member((0, 1, 4))])
+        runs, _ = independent_runs([forwarding, _member((0, 1, 4))])
         assert runs == [[0, 1]]
 
     def test_disjoint_strides_and_other_ranks_are_independent(self):
@@ -319,21 +321,24 @@ def _four_trees(nranks: int):
 
 
 def _crash_in_second_tree(nranks: int) -> FaultPlan:
-    """A plan that kills a rank as it posts the second tree's frame of
-    the transport's first operation (crash rolls are keyed ``op_id +
-    tree``; the budget allows one) and nowhere in the first tree."""
-    edges = [edge for rnd in reduction_tree(nranks) for edge in rnd]
-    for seed in range(10_000):
-        plan = FaultPlan(seed=seed, crash=0.2, crash_budget=1)
-
-        def fires(seq):
-            return any(
-                ChaosState(plan, nranks).fires("crash", src, dst, seq)
-                for src, dst in edges
+    """A plan that kills a rank as it posts one of the second tree's
+    frames (crash rolls are keyed by the frame's ``(src, dst, seq)``;
+    the budget allows one) and at none of the first tree's."""
+    trees, _ops = _four_trees(nranks)
+    lowered = lower_reduction(tree_sizes(trees, nranks), nranks)
+    sends = [s for rnd in lowered.rounds for s in rnd]
+    for seed in range(100):
+        # The lowest crash roll of each tree's frames: a rate between
+        # them fires in the second tree only.
+        first, second = (
+            min(_roll(seed, "crash", s.src, s.dst, s.seq)
+                for s in sends if s.tree == tree)
+            for tree in (0, 1)
+        )
+        if second < first:
+            return FaultPlan(
+                seed=seed, crash=(first + second) / 2, crash_budget=1
             )
-
-        if fires(2) and not fires(1):
-            return plan
     raise AssertionError("no seed crashes the second tree only")
 
 

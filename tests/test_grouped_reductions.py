@@ -23,7 +23,7 @@ from repro.transport import (
     make_transport,
 )
 from repro.transport.base import combine_pieces
-from repro.transport.lowering import lower_reduction
+from repro.transport.lowering import lower_reduction, tree_sizes
 
 GRAVITY = {"n": 8, "pr": 2, "pc": 2}
 PLANES = GRAVITY["n"] - 2  # DO i = 2, n-1
@@ -212,13 +212,14 @@ class TestBatchedTreeOp:
         ]]
         assert single == [[values[0][0]]]
         assert transport.stats.reduces == 2
-        nbytes = {
-            r: 8 * sum(int(pieces[r].size) for pieces in batch if r in pieces)
-            for r in range(4)
-        }
-        predicted = lower_reduction(ops, nbytes, 4, count=len(ops))
+        predicted = lower_reduction(tree_sizes([batch], 4), 4)
         assert receipt.pair_bytes == predicted.predicted_pairs
         assert receipt.pair_msgs == predicted.predicted_msgs
+        # Every partial not on rank 0 reaches it once, members together.
+        assert receipt.pair_bytes[1, 0] + receipt.pair_bytes[2, 0] == 8 * sum(
+            int(vector.size)
+            for pieces in batch for rank, vector in pieces.items() if rank
+        )
         # One message per tree edge and direction, however many members.
         assert receipt.messages == single_receipt.messages == 2 * 3
 

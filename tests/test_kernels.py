@@ -255,8 +255,11 @@ def test_install_of_pack_is_an_element_wise_copy(case):
 @pytest.mark.parametrize("backend", ["inline", "threaded"])
 def test_staged_payload_never_shares_rank_storage(backend, monkeypatch):
     # A payload viewing rank storage would let an injected ``corrupt``
-    # flip a byte of the sender's array.
-    module = importlib.import_module(f"repro.transport.{backend}")
+    # flip a byte of the sender's array.  The threaded port packs
+    # through the driver's ``RankPort.fill``.
+    module = importlib.import_module(
+        "repro.transport." + {"inline": "inline", "threaded": "base"}[backend]
+    )
     real_pack = module.pack
     payloads = []
 

@@ -22,10 +22,17 @@ add up against what the fault plan injected.  A failure prints a
 (``tests/test_chaos.py``) that did not survive, feed its plan (and the
 channel/seq its ``DeadlockError.fault_context`` names) to
 :func:`replay`.
+
+Sections (iii)-(v) widen the carrier to a mesh of two or three ranks;
+(v) runs a reduce, whose ranks receive before they send, as one thread
+per rank of which only the one holding the baton runs — still no
+sleeping, and every step still picked by the test.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
@@ -42,13 +49,17 @@ from repro.transport.base import (
     _flush_held,
     _post_send,
     _run_op,
-    pack,
+    _run_reduce,
+    _TreeWalk,
+    combine_pieces,
+    reduce_args,
 )
 from repro.transport.integrity import (
     ABORT,
     DROP_DUPLICATE,
     DROP_STALE,
     INSTALL,
+    KINDS,
     NACK,
     STASH,
     ChannelReceiver,
@@ -57,7 +68,12 @@ from repro.transport.integrity import (
     payload_crc,
 )
 from repro.transport.inline import InlineTransport
-from repro.transport.lowering import LoweredComm, SendOp, merge_lowered
+from repro.transport.lowering import (
+    LoweredComm,
+    SendOp,
+    lower_reduction,
+    merge_lowered,
+)
 
 OP_ID = 7
 WIDTH = 3  # elements per send
@@ -104,7 +120,7 @@ class World:
         held: dict = {}
         port, rs = self.sender, self.sender_stats
         self.steps = [
-            (lambda s=s: _post_send(port, s, rs, OP_ID, held))
+            (lambda s=s: _post_send(port, s, rs, OP_ID, held, port.fill))
             for s in self.rounds[self.round_no]
         ]
         self.steps.append(lambda: _flush_held(port, held))
@@ -195,9 +211,9 @@ class FakePort(RankPort):
             return world.src, np.ones(world.src.shape, dtype=bool)
         return world.dst, world.valid
 
-    def stage(self, s, op_id):
+    def stage(self, s, op_id, fill):
         buf = np.empty(WIDTH)
-        pack(self.world.src, s, buf)
+        fill(s, buf)
         self.world.outbox[(op_id, s.seq)] = buf.copy()
         return (op_id, s.seq, payload_crc(buf), buf)
 
@@ -521,9 +537,9 @@ class MeshPort(RankPort):
         store = self.mesh.stores[self.rank]
         return store.values, store.valid
 
-    def stage(self, s, op_id):
-        buf = np.empty(WIDTH)
-        pack(self.views(s.array)[0], s, buf)
+    def stage(self, s, op_id, fill):
+        buf = np.empty(s.nbytes // 8)
+        fill(s, buf)
         self.outbox[(s.dst, op_id, s.seq)] = buf.copy()
         return (op_id, s.seq, payload_crc(buf), buf)
 
@@ -780,3 +796,275 @@ def test_member_two_ahead_of_member_one_is_stashed_not_stale(spy_receiver):
             for seq, expected, action in SpyReceiver.early
         )
     assert overtakes, "no interleaving delivered member 2's frame first"
+
+
+# ---------------------------------------------------------------------------
+# (v) A reduce operation: the statement's trees as wire frames
+# ---------------------------------------------------------------------------
+#
+# Every rank runs the real ``_run_reduce`` over the rounds of
+# ``lower_reduction``.  A reduce rank receives before it sends (gather
+# up, then broadcast down), so ranks cannot run nested as above: each
+# is a thread, but only one runs at a time — a rank polling its channel
+# hands the baton back to the scheduler, which picks the next step from
+# the decision list exactly as ``Mesh.choose`` does.  A choice point is
+# any rank polling; the options are every frame in flight to a polling
+# rank, every rank not yet started, and (a bounded number of times) a
+# polling rank's NACK timer.  With nothing else left, simulated time
+# moves to the earliest timer.  Oracle: every rank's values equal
+# ``combine_pieces`` of the inputs bitwise, or the rank ends in
+# ``_Abort`` — and every payload any rank took in is bitwise the one
+# its sender staged.
+
+
+@functools.cache
+def _tree_inputs(n: int):
+    """Two trees: member 1 of the first has nothing on rank 1, and only
+    rank 0 owns the second, so some gather frames are empty."""
+    rng = np.random.default_rng(3)
+    trees = [
+        [{r: rng.standard_normal(1 + r % 2) for r in range(n)},
+         {r: rng.standard_normal(1) for r in range(n) if r != 1}],
+        [{0: rng.standard_normal(2)}],
+    ]
+    ops = [["SUM", "MAX"], ["MIN"]]
+    expected = tuple(
+        tuple(combine_pieces(member, op) for member, op in zip(tree, tops))
+        for tree, tops in zip(trees, ops)
+    )
+    return trees, ops, expected
+
+
+class CheckedWalk(_TreeWalk):
+    """Refuses any payload that is not what its sender staged."""
+
+    mesh = None
+
+    def deliver(self, s, payload):
+        pristine = CheckedWalk.mesh.ports[s.src].outbox[(s.dst, OP_ID, s.seq)]
+        assert payload.tobytes() == pristine.tobytes(), (
+            f"seq {s.seq} {s.src}->{s.dst}: a wrong payload was taken in"
+        )
+        super().deliver(s, payload)
+
+
+class TreeChannel:
+    def __init__(self, mesh: "TreeMesh", dst: int) -> None:
+        self.mesh = mesh
+        self.dst = dst
+        self.inflight: list[tuple] = []
+
+    def put(self, frame) -> None:
+        self.inflight.append(frame)
+
+    def poll(self, deadline, abort):
+        """Pass the baton on and wait for it to come back with the
+        answer: a frame, or ``None`` once the timer fired."""
+        mesh = self.mesh
+        mesh.polling[self.dst] = (self, deadline)
+        mesh.pass_baton(self.dst)
+        if mesh.stopped:
+            raise _Abort()
+        return mesh.answer.pop(self.dst)
+
+    get = poll  # chaos is always armed here: the receive path only polls
+
+
+class TreeMesh:
+    """One ``_run_reduce`` on every rank, every step picked here.  The
+    rank that gives up the baton picks the next step and hands it on,
+    so a rank taking its own next frame keeps running."""
+
+    def __init__(self, n: int, plan: FaultPlan, decisions, timers: int,
+                 depth: int):
+        self.n = n
+        self.chaos = ChaosState(plan, n)
+        self.now = 0.0
+        self.decisions = list(decisions)
+        self.widths: list[int] = []
+        self.timers_left = timers
+        self.choices_left = depth
+        self.status = StatusBlock([0] * (n * StatusBlock.STRIDE))
+        self.last_recv = [-1] * (n * n)
+        self.chans = {
+            (s, d): TreeChannel(self, d)
+            for s in range(n) for d in range(n) if s != d
+        }
+        self.stores = Mesh.fresh_stores(n, 1)
+        self.ports = [MeshPort(self, rank) for rank in range(n)]
+        trees, ops, self.expected = _tree_inputs(n)
+        self.sizes, self.vectors, self.ops = reduce_args(trees, ops, n)
+        lowered = lower_reduction(self.sizes, n)
+        self.sends = [s for rnd in lowered.rounds for s in rnd]
+        self.unstarted = list(range(n))
+        self.polling: dict = {}  # rank -> (channel, wake-up time)
+        self.answer: dict = {}
+        self.outcome: dict = {}  # rank -> (values, stats) | "abort"
+        self.wake = [threading.Semaphore(0) for _ in range(n)]
+        self.done = threading.Semaphore(0)
+        self.stopped = False
+
+    choose = Mesh.choose
+
+    def _step(self) -> int:
+        """Pick and apply the next step; the rank that takes it."""
+        polling = sorted(self.polling)
+        options = [
+            ("take", rank, i)
+            for rank in polling
+            for i in range(len(self.polling[rank][0].inflight))
+        ]
+        options += [("run", rank, None) for rank in self.unstarted]
+        if self.timers_left:
+            options += [("timer", rank, None) for rank in polling]
+        if options:
+            kind, rank, at = options[self.choose(len(options))]
+        else:  # only time is left: the earliest timer fires
+            kind, at = "timer", None
+            rank = min(polling, key=lambda r: self.polling[r][1])
+            self.timers_left += 1
+        if kind == "run":
+            self.unstarted.remove(rank)
+        elif kind == "take":
+            chan, _ = self.polling.pop(rank)
+            self.answer[rank] = chan.inflight.pop(at)
+        else:
+            self.timers_left -= 1
+            _, wake_at = self.polling.pop(rank)
+            self.now = max(self.now, wake_at) + 1e-9
+            self.answer[rank] = None
+        return rank
+
+    def pass_baton(self, me) -> None:
+        """``me`` — a polling rank, a finished one, or ``None`` for the
+        caller of :meth:`run` — lets the next step run; a polling rank
+        returns once the baton is back."""
+        if self.stopped or len(self.outcome) == self.n:
+            self.done.release()
+            return
+        rank = self._step()
+        if rank == me:
+            return
+        self.wake[rank].release()
+        if me is not None and me not in self.outcome:
+            self.wake[me].acquire()
+
+    def _rank(self, rank: int) -> None:
+        self.wake[rank].acquire()
+        try:
+            if self.stopped:
+                raise _Abort()
+            outcome = _run_reduce(
+                self.ports[rank], OP_ID, self.sizes, None,
+                self.vectors[rank], self.ops,
+            )
+        except _Abort:
+            outcome = "abort"
+        except BaseException as exc:  # noqa: BLE001 - run_reduce raises it
+            outcome = exc
+        self.outcome[rank] = outcome
+        self.pass_baton(rank)
+
+    def run(self) -> dict:
+        threads = [
+            threading.Thread(target=self._rank, args=(rank,), daemon=True)
+            for rank in range(self.n)
+        ]
+        for thread in threads:
+            thread.start()
+        self.pass_baton(None)
+        finished = self.done.acquire(timeout=30.0)
+        self.stopped = True
+        for wake in self.wake:
+            wake.release()
+        for thread in threads:
+            thread.join(5.0)
+        assert finished, "the reduce mesh stalled"
+        return self.outcome
+
+
+def run_reduce(n: int, plan: FaultPlan, decisions, timers: int = 0,
+               depth: int = 99) -> TreeMesh:
+    """One reduce op on ``n`` ranks; checks the oracle, returns the mesh."""
+    mesh = TreeMesh(n, plan, decisions, timers, depth)
+    CheckedWalk.mesh = mesh
+    for rank, outcome in sorted(mesh.run().items()):
+        if isinstance(outcome, BaseException):
+            raise outcome
+        if outcome == "abort":
+            continue
+        values, rs = outcome
+        assert [list(map(float.hex, tree)) for tree in values] == [
+            list(map(float.hex, tree)) for tree in mesh.expected
+        ], f"rank {rank} ended with values inline does not produce"
+        assert rs.barrier_waits == 0
+    finished = [o for o in mesh.outcome.values() if o != "abort"]
+    if len(finished) == n:
+        assert sum(rs.sends for _, rs in finished) == len(mesh.sends)
+    return mesh
+
+
+def every_reduce_interleaving(n: int, plan: FaultPlan, timers: int = 0,
+                              depth: int = 99):
+    """The odometer of :func:`every_interleaving`, over reduce runs."""
+    decisions: list[int] = []
+    while True:
+        mesh = run_reduce(n, plan, decisions, timers, depth)
+        yield decisions, mesh
+        path = (decisions + [0] * len(mesh.widths))[:len(mesh.widths)]
+        while path and path[-1] + 1 >= mesh.widths[len(path) - 1]:
+            path.pop()
+        if not path:
+            return
+        path[-1] += 1
+        decisions = path
+
+
+@pytest.fixture
+def checked_walk(monkeypatch):
+    monkeypatch.setattr("repro.transport.base._TreeWalk", CheckedWalk)
+
+
+def _check_every_reduce_interleaving(n, kinds, seed, timers, depth) -> None:
+    plan = _plan(kinds, seed)
+    runs = finished = 0
+    for decisions, mesh in every_reduce_interleaving(n, plan, timers, depth):
+        runs += 1
+        finished += "abort" not in mesh.outcome.values()
+    assert runs > 1
+    assert finished, f"no run of {plan!r} on {n} ranks finished"
+
+
+@pytest.mark.parametrize(
+    "kinds", list(_subsets()), ids=lambda kinds: "+".join(kinds) or "clean"
+)
+def test_reduce_on_two_ranks(checked_walk, kinds):
+    for seed in (1, 2):
+        _check_every_reduce_interleaving(2, kinds, seed, 1, 99)
+
+
+@pytest.mark.parametrize(
+    "kinds", list(_subsets()), ids=lambda kinds: "+".join(kinds) or "clean"
+)
+def test_reduce_on_three_ranks(checked_walk, kinds):
+    # ``depth`` bounds the choice points enumerated, as on the mesh.
+    _check_every_reduce_interleaving(3, kinds, 1, 1, 5)
+
+
+def test_reduce_frames_draw_every_fault_and_heal(checked_walk):
+    # Every kind at rate 1: each frame is dropped, or (a second plan)
+    # delayed, corrupted, duplicated and held back — and still every
+    # rank ends with the values ``combine_pieces`` gives.
+    for plan in (FaultPlan(seed=1, drop=1.0),
+                 FaultPlan(seed=1, delay=1.0, corrupt=1.0, dup=1.0,
+                           reorder=1.0)):
+        mesh = run_reduce(3, plan, [])
+        assert "abort" not in mesh.outcome.values()
+        injected = mesh.chaos.ledger()
+        for kind in KINDS[:-1]:
+            if plan.rate(kind):
+                assert sum(row.get(kind, 0) for row in injected.values())
+        stats = [rs for _, rs in mesh.outcome.values()]
+        assert sum(rs.retransmits for rs in stats) > 0
+        if plan.corrupt:
+            assert sum(rs.crc_failures for rs in stats) > 0

@@ -1,5 +1,5 @@
 """Transport-layer suite: backend equivalence, wire accounting,
-collective lowering, and the deadlock watchdog.
+schedule and reduction lowering, and the deadlock watchdog.
 
 The three message-passing backends must be invisible optimizations:
 for every Figure 10 program under every placement strategy, the final
@@ -30,11 +30,12 @@ from repro.transport import (
     TransportError,
     make_transport,
 )
-from repro.transport.base import combine_pieces
+from repro.transport.base import _scripts_for, combine_pieces
 from repro.transport.lowering import (
     lower_comm,
     lower_reduction,
     reduction_tree,
+    tree_sizes,
 )
 
 SMALL = {
@@ -46,8 +47,8 @@ SMALL = {
     "hydflo_hydro": {"n": 8, "nsteps": 2, "pr": 2, "pc": 2},
 }
 
-#: Distributed → replicated copy on four ranks: classifies as allgather
-#: and (P=4 ≥ 3, unmasked, all-rank destinations) lowers to the ring.
+#: Distributed → replicated copy on four ranks: classifies as allgather,
+#: which lowers to the plan's own point-to-point sends.
 ALLGATHER_SRC = """
 PROGRAM ag
   PARAM n = 12
@@ -140,16 +141,13 @@ class TestBackendEquivalence:
     def test_per_pair_bytes_match_commplan_exactly(
         self, program, strategy, backend
     ):
-        """The property test of the issue: with collectives disabled
-        (so the lowering is the plan's own point-to-point shape), the
+        """The lowering is the plan's own point-to-point shape, so the
         transport-measured per-pair byte and message totals equal the
         sum of the ``CommPlan``s' over the members of every firing, plus
         the reduction receipts — exactly, for all six programs x
         strategies x backends."""
         result = _compile(program, strategy)
-        executor = SPMDExecutor(
-            result, transport=backend, collectives=False
-        )
+        executor = SPMDExecutor(result, transport=backend)
         executed, reduce_receipts = [], []
         plain_execute = executor.transport.execute
         plain_reduce = executor.transport.reduce
@@ -173,7 +171,7 @@ class TestBackendEquivalence:
         # an anchor under its enclosing loop values — happens once.
         image = executor.image
         assert len(executed) == sum(
-            len(image.wire_firings[False, keys])
+            len(image.wire_firings[keys])
             for keys in image.firings.values()
         )
         nbytes: dict[tuple[int, int], int] = {}
@@ -198,17 +196,17 @@ class TestBackendEquivalence:
 
 class TestCollectiveEndToEnd:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_ring_allgather(self, backend):
+    def test_allgather_is_pointwise(self, backend):
         result = compile_program(ALLGATHER_SRC, strategy=Strategy.GLOBAL)
         ref, _ = execute_spmd(result)
         state, _stats, wire, _plans, _ex = _run_transport(result, backend)
         for name in ref:
             np.testing.assert_array_equal(state[name], ref[name])
-        assert wire.algorithms.get("ring-allgather", 0) > 0
-        # Ring property: traffic only between ring neighbours.
-        nranks = 4
-        for (src, dst) in wire.pair_bytes:
-            assert dst == (src + 1) % nranks
+        # Every owner sends its piece to the three other ranks, in one
+        # round: nobody waits at a barrier.
+        assert set(wire.algorithms) == {"pointwise"}
+        assert (wire.messages, wire.bytes_sent) == (24, 576)
+        assert wire.barrier_waits == 0
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_augmented_diagonal_exchange(self, backend):
@@ -218,40 +216,6 @@ class TestCollectiveEndToEnd:
         for name in ref:
             np.testing.assert_array_equal(state[name], ref[name])
         assert wire.algorithms.get("augmented-exchange", 0) > 0
-
-    def test_ring_conserves_bytes_vs_pointwise(self):
-        """The ring moves exactly the same total bytes as the direct
-        broadcast: each piece travels P-1 hops instead of being sent to
-        P-1 destinations."""
-        result = compile_program(ALLGATHER_SRC, strategy=Strategy.GLOBAL)
-        ring_ex = SPMDExecutor(result, transport="inline")
-        flat_ex = SPMDExecutor(
-            result, transport="inline", collectives=False
-        )
-        try:
-            ring_ex.run()
-            flat_ex.run()
-            ring_ag = [
-                low for low in ring_ex._lowered.values()
-                if low.algorithm == "ring-allgather"
-            ]
-            flat_ag = [
-                low for low in flat_ex._lowered.values()
-                if low.algorithm == "pointwise"
-                and len(low.rounds) == len(ring_ag[0].rounds) - 2
-            ]
-            assert ring_ag
-            for low in ring_ag:
-                # Total bytes equal the pointwise lowering of the same
-                # plan (P-1 hops of each piece == P-1 direct copies).
-                total = sum(low.predicted_pairs.values())
-                per_round = sum(
-                    s.nbytes for s in low.rounds[0] if not s.is_local
-                )
-                assert total == per_round * len(low.rounds)
-        finally:
-            ring_ex.close()
-            flat_ex.close()
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +234,8 @@ class TestReductionLowering:
         assert sorted(senders) == list(range(1, nranks))
 
     def test_predictions_account_growing_payloads(self):
-        lowered = lower_reduction("SUM", {0: 8, 1: 8, 2: 8, 3: 8}, 4)
+        # One tree of one member, one element on each of four ranks.
+        lowered = lower_reduction((((1, 1, 1, 1),),), 4)
         # Gather: (1->0, 3->2) with 8 bytes each, then 2->0 with 16.
         assert lowered.predicted_pairs[(1, 0)] == 8
         assert lowered.predicted_pairs[(3, 2)] == 8
@@ -309,8 +274,63 @@ class TestReductionLowering:
             transport.shutdown()
         assert values == [[expected]]
         assert receipt.pair_bytes == lower_reduction(
-            op, {r: p.size * 8 for r, p in pieces.items()}, 4
+            tree_sizes([[pieces]], 4), 4
         ).predicted_pairs
+
+
+#: gravity at n=8: per (grid, strategy) its reduce commands and their
+#: wire messages and bytes — what the trees cost however their frames
+#: are laid out.  ``orig`` posts four trees per statement, ``comb`` one.
+GRAVITY_REDUCES = {
+    ((1, 2), "orig"): (12, 96, 1920), ((1, 2), "comb"): (12, 24, 1920),
+    ((2, 2), "orig"): (12, 288, 4224), ((2, 2), "comb"): (12, 72, 4224),
+    ((4, 4), "orig"): (12, 1440, 11904), ((4, 4), "comb"): (12, 360, 11904),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize(
+    "grid", [(1, 2), (2, 2), (4, 4)], ids=lambda g: f"{g[0]}x{g[1]}"
+)
+def test_gravity_reduce_traffic_is_pinned(grid, backend):
+    for strategy in ("orig", "comb"):
+        result = compile_program(
+            BENCHMARKS["gravity"],
+            params={"n": 8, "pr": grid[0], "pc": grid[1]}, strategy=strategy,
+        )
+        ref, _ = execute_spmd(result)
+        executor = SPMDExecutor(result, transport=backend)
+        calls = []
+        reduce = executor.transport.reduce
+
+        def spying_reduce(trees, ops):
+            values, receipt = reduce(trees, ops)
+            calls.append((trees, receipt))
+            assert values == [
+                [combine_pieces(member, op)
+                 for member, op in zip(tree, tree_ops)]
+                for tree, tree_ops in zip(trees, ops)
+            ]
+            return values, receipt
+
+        executor.transport.reduce = spying_reduce
+        try:
+            executor.run()
+            state = executor.assemble()
+        finally:
+            executor.close()
+        for name in ref:
+            np.testing.assert_array_equal(state[name], ref[name])
+        for trees, receipt in calls:
+            nranks = grid[0] * grid[1]
+            lowered = lower_reduction(tree_sizes(trees, nranks), nranks)
+            assert receipt.pair_msgs == lowered.predicted_msgs
+            assert receipt.pair_bytes == lowered.predicted_pairs
+        assert (
+            len(calls),
+            sum(receipt.messages for _, receipt in calls),
+            sum(receipt.bytes_sent for _, receipt in calls),
+        ) == GRAVITY_REDUCES[grid, strategy]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +379,7 @@ class TestPlanCacheGridScope:
 def _tampered_scripts(transport, lowered):
     """A genuinely mismatched schedule: drop one rank's first expected
     receive's matching send, so the receiver waits forever."""
-    scripts = transport._scripts_for(lowered)
+    scripts = _scripts_for(lowered, transport.nranks)
     for rank in sorted(scripts):
         for rnd in scripts[rank]:
             if rnd["send"]:
@@ -397,7 +417,7 @@ class TestDeadlockWatchdog:
                 for entry in op.entries
             )
             plan = executor.planner.compile_op(op, sections)
-            lowered = lower_comm(op.kind, plan, len(executor.ranks))
+            lowered = lower_comm(op.kind, plan)
             scripts, victim = _tampered_scripts(transport, lowered)
 
             with pytest.raises(DeadlockError) as err:

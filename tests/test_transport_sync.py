@@ -22,7 +22,7 @@ from repro.transport import DeadlockError, TransportError, make_transport
 from repro.transport import base
 from repro.transport.lowering import SendOp
 
-from test_transport import ALLGATHER_SRC, SMALL
+from test_transport import DIAGONAL_SRC, SMALL
 
 CONCURRENT = ["threaded", "multiprocess"]
 
@@ -46,22 +46,23 @@ def test_clean_threaded_run_never_sleeps(monkeypatch):
     assert not stats.degradations
 
 
-#: ALLGATHER_SRC with a second array gathered by the same statement:
-#: under ``orig`` two rings fire at one anchor, as one wire operation.
-RING_IN_A_FIRING_SRC = """
-PROGRAM agf
-  PARAM n = 12
-  PROCESSORS p(4)
-  REAL b(n)
-  REAL c(n)
-  REAL r(n)
-  DISTRIBUTE b(BLOCK) ONTO p
-  DISTRIBUTE c(BLOCK) ONTO p
-  DO i = 1, 2
-    b(1:n) = b(1:n) + 1.0
-    c(1:n) = c(1:n) + 2.0
-    r(1:n) = b(1:n) + c(1:n)
-    b(1:n) = b(1:n) * 0.5 + r(1:n) * 0.25
+#: DIAGONAL_SRC with a second array read diagonally by the same
+#: statement: under ``orig`` two augmented exchanges fire at one anchor,
+#: as one wire operation.
+DIAGONAL_IN_A_FIRING_SRC = """
+PROGRAM diagf
+  PARAM n = 8
+  PROCESSORS p(2, 2)
+  REAL a(n, n)
+  REAL b(n, n)
+  REAL c(n, n)
+  DISTRIBUTE a(BLOCK, BLOCK) ONTO p
+  DISTRIBUTE b(BLOCK, BLOCK) ONTO p
+  DISTRIBUTE c(BLOCK, BLOCK) ONTO p
+  DO k = 1, 2
+    a(2:n, 2:n) = b(1:n-1, 1:n-1) + c(1:n-1, 1:n-1)
+    b(2:n, 2:n) = a(2:n, 2:n) * 0.5
+    c(2:n, 2:n) = a(2:n, 2:n) * 0.25
   END DO
 END
 """
@@ -107,29 +108,30 @@ class TestBarrierWaits:
         return log, len(executor.ranks), executor.wire
 
     @pytest.mark.parametrize("backend", CONCURRENT)
-    def test_k_round_ring_waits_k_minus_one_times(self, backend):
-        log, nranks, wire = self._log(ALLGATHER_SRC, None, backend)
-        rings = [row for row in log if "ring-allgather" in row[0]]
-        assert rings
-        for _members, rounds, waits in rings:
-            assert rounds == nranks - 1
+    def test_k_round_exchange_waits_k_minus_one(self, backend):
+        log, nranks, wire = self._log(DIAGONAL_SRC, None, backend)
+        exchanges = [row for row in log if "augmented-exchange" in row[0]]
+        assert exchanges
+        for _members, rounds, waits in exchanges:
+            assert rounds == 2
             assert waits == {rank: rounds - 1 for rank in range(nranks)}
+        assert wire.barrier_waits == nranks * len(exchanges)
         assert wire.barrier_waits == sum(
             sum(waits.values()) for _, _, waits in log
         )
 
     @pytest.mark.parametrize("backend", CONCURRENT)
-    def test_ring_as_one_member_of_a_merged_firing(self, backend):
+    def test_exchange_in_a_merged_firing(self, backend):
         log, nranks, wire = self._log(
-            RING_IN_A_FIRING_SRC, None, backend, Strategy.ORIG
+            DIAGONAL_IN_A_FIRING_SRC, None, backend, Strategy.ORIG
         )
         merged = [
             row for row in log
-            if "ring-allgather" in row[0] and len(row[0]) > 1
+            if "augmented-exchange" in row[0] and len(row[0]) > 1
         ]
         assert merged, [row[0] for row in log]
         for _members, rounds, waits in merged:
-            assert rounds == nranks - 1
+            assert rounds == 2
             assert waits == {rank: rounds - 1 for rank in range(nranks)}
         assert wire.barrier_waits == sum(
             sum(waits.values()) for _, _, waits in log

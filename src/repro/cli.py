@@ -407,9 +407,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"== executed on {args.transport} "
           f"({len(arrays)} arrays/scalars assembled)")
     report = stats.as_dict()
+    # What the transport sent, beside what the schedule is charged: on a
+    # program without reductions the two pairs agree.
+    report["wire_frames"] = stats.wire.messages
+    report["wire_bytes"] = stats.wire.bytes_sent
     for key in (
-        "messages", "bytes_moved", "reductions", "faults_injected",
-        "faults_detected", "retransmits", "rank_restarts",
+        "messages", "bytes_moved", "wire_frames", "wire_bytes",
+        "reductions", "faults_injected", "faults_detected", "retransmits",
+        "rank_restarts",
     ):
         print(f"   {key:16s} {report[key]}")
     if stats.degradations:

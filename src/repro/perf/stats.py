@@ -138,6 +138,10 @@ class RuntimeStats:
     #: Runtime degradation records (see :class:`repro.transport.chaos.
     #: RuntimeDegradationEvent.to_dict`), in occurrence order.
     degradations: list = field(default_factory=list)
+    #: What the run's transport actually sent — its
+    #: :class:`~repro.transport.base.WireStats` — beside the charged
+    #: ``messages`` / ``bytes_moved``; ``None`` on the direct-copy path.
+    wire: object = field(default=None, compare=False, repr=False)
 
     @property
     def plan_hit_rate(self) -> float:

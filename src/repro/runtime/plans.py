@@ -25,11 +25,14 @@ analysis once, then run flat block operations:
   handful of ``bcopy``-style slice copies; firing the same operation
   again with the same concrete sections reuses the plan from a cache
   keyed only by the enclosing loop variables' effect on the section.
+  A plan the executor runs sends each element once per destination
+  (:func:`send_once`): a combined entry's box nested inside another's
+  is not sent twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -444,7 +447,11 @@ class PlannedTransfer:
 @dataclass
 class CommPlan:
     """A lowered communication operation: flat transfers plus the wire
-    accounting the element-wise executor would have produced.
+    accounting the element-wise executor would have produced.  The plan
+    an executor runs sends each element once per destination
+    (:func:`send_once`); ``wire_pairs`` are its messages — one per
+    partner, however many combined entries it carries — and
+    ``wire_bytes`` its payload bytes.
 
     What is derived from a plan hangs on the plan, so it lives and dies
     with it: ``lowered`` holds the transport send schedule, ``copy`` the
@@ -779,3 +786,51 @@ def translate_plan(
             entry_idx=t.entry_idx,
         ))
     return CommPlan(transfers, plan.wire_pairs, plan.wire_bytes)
+
+
+def send_once(plan: CommPlan) -> CommPlan:
+    """``plan`` sending the union of its sections: each element at most
+    once per destination and phase.  An unmasked transfer whose box lies
+    inside another unmasked box of the same array, phase and source
+    loses the destinations the two share — the other box delivers those
+    elements, with the same values, in the same round.  Of two equal
+    boxes the earlier transfer keeps them.  Partial overlaps and masked
+    transfers stay as planned; ``wire_bytes`` is what is left, and
+    ``wire_pairs`` cannot change (the outer box still reaches every
+    partner).  Returns ``plan`` itself when nothing nests.
+
+    Runs on the plan the executor uses, after :func:`translate_plan`:
+    entries translate by their own deltas, so a box that nests in the
+    canonical plan need not nest in a translated one."""
+    transfers = plan.transfers
+    groups: dict[tuple, list[int]] = {}
+    for i, t in enumerate(transfers):
+        if t.mask is None:
+            for dst in t.dsts:
+                groups.setdefault((t.phase, t.src, dst, t.array), []).append(i)
+    dropped: dict[int, set[int]] = {}
+    for (_, _, dst, _), members in groups.items():
+        if len(members) < 2:
+            continue
+        for i in members:
+            inner = transfers[i].region
+            if any(
+                transfers[j].region.contains(inner)
+                and (j < i or not inner.contains(transfers[j].region))
+                for j in members if j != i
+            ):
+                dropped.setdefault(i, set()).add(dst)
+    if not dropped:
+        return plan
+    kept: list[PlannedTransfer] = []
+    nbytes = 0
+    for i, t in enumerate(transfers):
+        gone = dropped.get(i)
+        if gone:
+            dsts = tuple(d for d in t.dsts if d not in gone)
+            if not dsts:
+                continue
+            t = replace(t, dsts=dsts)
+        kept.append(t)
+        nbytes += t.nbytes * sum(dst != t.src for dst in t.dsts)
+    return CommPlan(kept, plan.wire_pairs, nbytes)

@@ -80,7 +80,14 @@ from .darray import GridRank, Ownership, RankStorage, grid_ranks
 from .darray import all_valid, fresh, np_index  # the freshness idiom
 from .interp import Interpreter
 from .kernels import KernelEngine
-from .plans import CommPlan, CommPlanner, NestPlan, plan_nests, translate_plan
+from .plans import (
+    CommPlan,
+    CommPlanner,
+    NestPlan,
+    plan_nests,
+    send_once,
+    translate_plan,
+)
 
 
 def _placed_key(result: CompilationResult) -> tuple:
@@ -394,19 +401,21 @@ class SPMDExecutor:
 
     def _plan_op(self, site: tuple, op, sections) -> CommPlan:
         """A plan for a section tuple the image has not seen: translated
-        from the op's canonical plan when one fits, compiled otherwise.
+        from the op's canonical plan when one fits, compiled otherwise,
+        and sending each element once per destination (the canonical
+        plan keeps every transfer: a translation may unnest two boxes).
         Runs under the image lock."""
         ckey, offsets = self._canonical_key(site, op, sections)
         base = self.image.canon_plans.get(ckey) if ckey is not None else None
         if base is not None:
             self.stats.plan_cache_hits += 1
             self.stats.plan_translations += 1
-            return translate_plan(base[0], base[1], offsets)
+            return send_once(translate_plan(base[0], base[1], offsets))
         plan = self.planner.compile_op(op, sections)
         self.stats.plan_compiles += 1
         if ckey is not None:
             self.image.canon_plans[ckey] = (plan, offsets)
-        return plan
+        return send_once(plan)
 
     def _canonical_key(self, site: tuple, op, sections):
         """Rank-relative form of a section tuple, plus the origins that
@@ -462,7 +471,10 @@ class SPMDExecutor:
 
         ``messages`` is charged the plan's ``wire_pairs``: deliveries
         between the same (src, dst) count once per operation, however
-        many combined entries they carry."""
+        many combined entries they carry — as a transport sends them, one
+        frame per partner and round.  ``bytes_moved`` is the plan's
+        ``wire_bytes``: the union of its sections, each element once per
+        destination."""
         if self.kernels is not None:
             self.kernels.execute_plan_copy(key, plan)
             return
@@ -500,11 +512,12 @@ class SPMDExecutor:
 
     def _fire_wire(self, keys: tuple, members: list) -> None:
         """Execute the ops of one firing — ``members``: each one's
-        ``(plan, kind)`` — as real messages, one wire operation per run
-        of mutually independent ops (kept in the image): run the
-        validity/staleness oracle over the merged rounds, dispatch to
-        the backend, then cross-check the measured wire traffic against
-        the lowerings' summed prediction exactly."""
+        ``(plan, kind)`` — as real messages (each placed op one frame
+        per partner and round, never coalesced with another member's),
+        one wire operation per run of mutually independent ops (kept in
+        the image): run the validity/staleness oracle over the merged
+        rounds, dispatch to the backend, then cross-check the measured
+        wire traffic against the lowerings' summed prediction exactly."""
         t0 = time.perf_counter()
         wire_ops, built = self.image.publish(
             self.image.wire_firings, keys,
@@ -550,52 +563,67 @@ class SPMDExecutor:
 
         Sends in round ``r`` may legitimately forward data delivered in
         rounds ``< r`` (diagonal phases), which is not in the sender's
-        storage yet when this runs — so we simulate delivery with an
-        overlay mask.  Overlay-delivered elements are shadow-equal by
-        induction (their original source was checked here when it
-        sent), so the value comparison applies only to elements the
-        sender holds for real and that no earlier round overwrote."""
+        storage yet when this runs — so delivery is simulated with an
+        overlay mask, built only for rounds a later round can read.
+        Overlay-delivered elements are shadow-equal by induction (their
+        original source was checked here when it sent), so the value
+        comparison applies only to elements the sender holds for real
+        and that no earlier round overwrote.  A box nothing was
+        delivered to earlier in the operation is tested in place."""
         sim: dict[tuple[int, str], np.ndarray] = {}
-        for rnd in lowered.rounds:
+        shadow = self.shadow.arrays
+        last = len(lowered.rounds) - 1
+        for rnd_no, rnd in enumerate(lowered.rounds):
             for s in rnd:
-                store = self.storage[s.src][s.array]
-                region_valid = store.valid[s.index]
-                overlay = sim.get((s.src, s.array))
-                delivered = (
-                    overlay[s.index] if overlay is not None
-                    else np.zeros_like(region_valid)
-                )
-                take = (
-                    s.mask if s.mask is not None
-                    else np.ones(region_valid.shape, dtype=bool)
-                )
-                if not all_valid((region_valid | delivered)[take]):
-                    raise SimulationError(
-                        f"extracting invalid data from {s.array} "
-                        f"(rank {s.src}, {lowered.algorithm})"
-                    )
-                check = take & region_valid & ~delivered
-                if not fresh(
-                    store.values[s.index][check],
-                    self.shadow.arrays[s.array][s.index][check],
-                ):
-                    raise SimulationError(
-                        f"stale data shipped for {s.array}: sender holds "
-                        f"values that disagree with the sequential semantics"
-                    )
-            self.stats.sections_verified += len(rnd)
+                stores = self.storage[s.src]
+                for box in s.boxes:
+                    store = stores[box.array]
+                    overlay = sim.get((s.src, box.array))
+                    if overlay is None:
+                        valid = store.valid[box.index]
+                        values = store.values[box.index]
+                        expected = shadow[box.array][box.index]
+                        if box.mask is not None:
+                            valid = valid[box.mask]
+                            values = values[box.mask]
+                            expected = expected[box.mask]
+                        ok = all_valid(valid)
+                    else:
+                        region_valid = store.valid[box.index]
+                        delivered = overlay[box.index]
+                        take = (
+                            box.mask if box.mask is not None
+                            else np.ones(region_valid.shape, dtype=bool)
+                        )
+                        ok = all_valid((region_valid | delivered)[take])
+                        check = take & region_valid & ~delivered
+                        values = store.values[box.index][check]
+                        expected = shadow[box.array][box.index][check]
+                    if not ok:
+                        raise SimulationError(
+                            f"extracting invalid data from {box.array} "
+                            f"(rank {s.src}, {lowered.algorithm})"
+                        )
+                    if not fresh(values, expected):
+                        raise SimulationError(
+                            f"stale data shipped for {box.array}: sender "
+                            f"holds values that disagree with the "
+                            f"sequential semantics"
+                        )
+                self.stats.sections_verified += len(s.boxes)
+            if rnd_no == last:
+                break
             for s in rnd:
-                overlay = sim.get((s.dst, s.array))
-                if overlay is None:
-                    overlay = sim[(s.dst, s.array)] = np.zeros(
-                        self.storage[s.dst][s.array].shape, dtype=bool
-                    )
-                region = overlay[s.index]
-                if s.mask is None:
-                    region[...] = True
-                else:
-                    region[s.mask] = True
-                overlay[s.index] = region
+                for box in s.boxes:
+                    overlay = sim.get((s.dst, box.array))
+                    if overlay is None:
+                        overlay = sim[(s.dst, box.array)] = np.zeros(
+                            self.storage[s.dst][box.array].shape, dtype=bool
+                        )
+                    if box.mask is None:
+                        overlay[box.index] = True
+                    else:
+                        overlay[box.index][box.mask] = True
 
     def close(self) -> None:
         """Release the transport backend (workers, shared memory).
@@ -616,6 +644,7 @@ class SPMDExecutor:
         self._exec_body(self.info.program.body)
         self._fire(("end",))
         self.stats.sync_faults(self.wire)
+        self.stats.wire = self.wire
         if self.wire is not None and self.wire.restarts > 0:
             # The run completed on the requested backend, but only by
             # restarting crashed ranks — record that as a (recovered)

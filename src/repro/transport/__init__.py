@@ -11,10 +11,11 @@ Transport` interface:
   ``multiprocessing.shared_memory``.
 
 :mod:`repro.transport.lowering` turns classified plans, and a
-statement's reduction trees, into rounds of sends; every backend walks
-them, a reduce frame as a schedule frame, and records wire-level
-accounting that the executor cross-checks against the plan-time
-predictions exactly.
+statement's reduction trees, into rounds of sends — a placed op one
+frame per partner and round, its combined sections boxes of that one
+frame; every backend walks them, a reduce frame as a schedule frame,
+and records wire-level accounting that the executor cross-checks
+against the plan-time predictions exactly.
 
 :mod:`repro.transport.integrity` holds the wire-integrity layer as a
 sans-IO protocol core (sequence numbers, CRC32 checksums, dedup,
@@ -44,6 +45,7 @@ from .chaos import RuntimeDegradationEvent
 from .inline import InlineTransport
 from .integrity import KINDS, ChaosState, FaultPlan
 from .lowering import (
+    Box,
     LoweredComm,
     SendOp,
     lower_comm,
@@ -114,6 +116,7 @@ def make_transport(
 
 __all__ = [
     "BACKENDS",
+    "Box",
     "ChaosState",
     "DeadlockError",
     "FaultPlan",

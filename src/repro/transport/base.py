@@ -8,11 +8,14 @@ interface — inline (deterministic sequential reference), threaded (one
 worker per rank over blocking per-pair queues), and multiprocess (one
 OS process per rank over ``multiprocessing.shared_memory``).
 
-A send is one numpy copy on every backend: :func:`pack` copies the
-send's box (``values[send.index]``, compacted by the mask when there is
-one) into a flat wire buffer, :func:`install` copies a flat payload back
-into rank storage and marks it valid.  Nothing caches by geometry and no
-buffer is handed back.
+A send is one frame with one flat payload on every backend, one numpy
+copy per box: :func:`pack` copies the send's boxes (each
+``values[box.index]``, compacted by its mask when there is one) one
+after the other into a flat wire buffer, :func:`install` copies the
+payload back into rank storage box by box and marks each region valid.
+A frame of several boxes still has one header, one checksum, one arena
+slot, one crash roll and one retransmit.  Nothing caches by geometry
+and no buffer is handed back.
 
 Every backend records :class:`WireStats` — per-pair message and byte
 counts, per-rank send/receive/wait time, barrier stalls — and returns an
@@ -340,28 +343,37 @@ class WireStats:
         }
 
 
-def pack(values: np.ndarray, send, out: np.ndarray) -> None:
+def pack(views, send, out: np.ndarray) -> None:
     """Copy one send's wire payload into ``out``, a flat float64 buffer
-    of exactly its element count: the box ``values[send.index]`` (a
-    basic-index view), compacted by ``send.mask`` when the send has one
-    (the diagonal augmented exchanges)."""
-    box = values[send.index]
-    if send.mask is not None:
-        box = box[send.mask]
-    out.reshape(np.shape(box))[...] = box
+    of exactly its element count: box after box, each ``values[box.
+    index]`` (a basic-index view) compacted by ``box.mask`` when it has
+    one (the diagonal augmented exchanges), at the offset the boxes
+    before it fill.  ``views(array)`` is the sender's ``(values,
+    valid)`` storage of ``array``."""
+    at = 0
+    for box in send.boxes:
+        block = views(box.array)[0][box.index]
+        if box.mask is not None:
+            block = block[box.mask]
+        out[at:at + box.count].reshape(np.shape(block))[...] = block
+        at += box.count
 
 
-def install(values: np.ndarray, valid: np.ndarray, send,
-            buf: np.ndarray) -> None:
-    """Copy a flat payload into rank storage and mark the region valid,
-    inverting :func:`pack`."""
-    index = send.index
-    if send.mask is None:
-        values[index] = buf.reshape(np.shape(values[index]))
-        valid[index] = True
-    else:
-        values[index][send.mask] = buf  # the view writes through
-        valid[index][send.mask] = True
+def install(views, send, buf: np.ndarray) -> None:
+    """Copy a flat payload into rank storage box by box and mark each
+    region valid, inverting :func:`pack`; ``views(array)`` is the
+    receiver's ``(values, valid)`` storage of ``array``."""
+    at = 0
+    for box in send.boxes:
+        values, valid = views(box.array)
+        part = buf[at:at + box.count]
+        if box.mask is None:
+            values[box.index] = part.reshape(np.shape(values[box.index]))
+            valid[box.index] = True
+        else:
+            values[box.index][box.mask] = part  # the view writes through
+            valid[box.index][box.mask] = True
+        at += box.count
 
 
 class Transport:
@@ -705,11 +717,10 @@ class RankPort:
         raise NotImplementedError
 
     def fill(self, s, out: np.ndarray) -> None:
-        pack(self.views(s.array)[0], s, out)
+        pack(self.views, s, out)
 
     def deliver(self, s, payload: np.ndarray) -> None:
-        values, valid = self.views(s.array)
-        install(values, valid, s, payload)
+        install(self.views, s, payload)
 
     def stage(self, s, op_id: int, fill) -> tuple:
         """Have ``fill(s, buf)`` write send ``s``'s payload into a wire
@@ -731,10 +742,9 @@ class RankPort:
 
     def local_copy(self, s) -> None:
         """Install a ``src == dst`` send without touching the wire."""
-        values, valid = self.views(s.array)
         payload = np.empty(s.nbytes // SCALAR_BYTES)
-        pack(values, s, payload)
-        install(values, valid, s, payload)
+        pack(self.views, s, payload)
+        install(self.views, s, payload)
 
     def die(self) -> None:
         """An injected crash fired: kill this rank at once, reporting

@@ -33,6 +33,17 @@ from .integrity import payload_crc
 from .lowering import SCALAR_BYTES, LoweredComm, lower_reduction
 
 
+def _views(stores: dict):
+    """One rank's ``array -> (values, valid)`` lookup, as
+    :func:`~repro.transport.base.pack` and ``install`` take it."""
+
+    def views(array: str):
+        store = stores[array]
+        return store.values, store.valid
+
+    return views
+
+
 class InlineTransport(Transport):
     """Sequential in-process execution of lowered schedules."""
 
@@ -45,12 +56,13 @@ class InlineTransport(Transport):
     def execute(self, lowered: LoweredComm) -> OpReceipt:
         self._check_alive()
 
+        views = [_views(self.storage[rank]) for rank in range(self.nranks)]
+
         def fill(s, out):
-            pack(self.storage[s.src][s.array].values, s, out)
+            pack(views[s.src], s, out)
 
         def deliver(s, payload):
-            store = self.storage[s.dst][s.array]
-            install(store.values, store.valid, s, payload)
+            install(views[s.dst], s, payload)
 
         receipt = self._run(lowered, fill, deliver)
         self.stats.count_op(lowered.members, bool(lowered.rounds))

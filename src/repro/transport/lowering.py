@@ -5,16 +5,18 @@ shape of every placed operation; this module exploits it when turning a
 :class:`~repro.runtime.plans.CommPlan` into wire traffic:
 
 * **shift** → *neighbor exchange*: the plan's point-to-point transfers,
-  posted concurrently in one round (diagonal augmented exchanges keep
-  their phase structure: phase ``k`` forwards data phase ``k-1``
-  delivered, so phases become barrier-separated rounds);
+  one frame per partner carrying every section the op's combined
+  entries send it, posted concurrently in one round (diagonal
+  augmented exchanges keep their phase structure: phase ``k`` forwards
+  data phase ``k-1`` delivered, so phases become barrier-separated
+  rounds);
 * **reduction** → *log-P combining tree* (:func:`lower_reduction`): the
   partials of a statement's reduction trees gather up a binomial tree
   to rank 0, are combined there in canonical order, and the results
   broadcast back down the reversed edges — numbered sends
   (:class:`TreeSend`) whose flat payloads travel as schedule frames do;
 * anything else (and anything the recognizers decline) → raw
-  point-to-point exactly as planned.
+  point-to-point exactly as planned, again one frame per partner.
 
 Every lowering carries its own *predicted* per-pair message/byte
 accounting, computed from the same geometry the backend will execute —
@@ -35,19 +37,32 @@ import numpy as np
 from ..runtime.plans import CommPlan
 
 
+class Box(NamedTuple):
+    """One section of a frame: the ``index`` box of ``array`` (a numpy
+    basic index), compacted by ``mask`` when there is one (the diagonal
+    augmented exchanges), ``count`` elements on the wire."""
+
+    array: str
+    index: tuple
+    mask: np.ndarray | None
+    count: int
+
+
 @dataclass
 class SendOp:
-    """One wire message (or local install when ``src == dst``): move
-    the ``index`` box of ``array`` from rank ``src`` to rank ``dst``.
-    Picklable — the multiprocess control plane ships these verbatim."""
+    """One wire frame (or local install when ``src == dst``): the
+    ``boxes`` of rank ``src``'s storage, one after the other in one flat
+    payload of ``nbytes``, installed box by box on rank ``dst``.  A
+    placed op sends one frame per (round, src, dst), carrying every
+    section its combined entries move on that edge — Figure 5's one
+    start-up plus one ``bcopy`` of the packed sections.  Picklable — the
+    multiprocess control plane ships these verbatim."""
 
     seq: int
     src: int
     dst: int
-    array: str
-    index: tuple
+    boxes: tuple[Box, ...]
     nbytes: int
-    mask: np.ndarray | None = None
 
     @property
     def is_local(self) -> bool:
@@ -60,8 +75,11 @@ class LoweredComm:
     op, or (:func:`merge_lowered`) of the mutually independent placed
     ops that fire together.  All sends in a round read state as of the
     end of the previous round (a barrier separates rounds).  Within a
-    round of a single placed op the written regions are disjoint per
-    destination; a merged round may write one region twice (``orig``'s
+    round of a single placed op a destination receives each element at
+    most once: one frame per partner, carrying the union of the plan's
+    sections (:func:`~repro.runtime.plans.send_once` drops a nested
+    box; partial overlaps, none of which the benchmarks plan, would
+    stay).  A merged round may write one region twice (``orig``'s
     redundant messages), with equal values — every delivery of a firing
     carries what the sequential semantics hold at that program point —
     so delivery order cannot change the result either way.  A
@@ -102,17 +120,24 @@ def _predict(lowered: LoweredComm) -> LoweredComm:
 
 
 def _pointwise_rounds(plan: CommPlan) -> list[list[SendOp]]:
-    """The plan's transfers as sends, grouped by phase (round)."""
-    by_phase: dict[int, list[SendOp]] = {}
-    seq = 0
+    """The plan's transfers as frames, one per (phase, src, dst) in
+    order of first use, its boxes in transfer order; one round per
+    phase."""
+    frames: dict[tuple[int, int, int], list] = {}
     for t in plan.transfers:
+        box = Box(t.array, t.index, t.mask, t.nbytes // SCALAR_BYTES)
         for dst in t.dsts:
-            by_phase.setdefault(t.phase, []).append(SendOp(
-                seq=seq, src=t.src, dst=dst, array=t.array,
-                index=t.index, nbytes=t.nbytes, mask=t.mask,
-            ))
-            seq += 1
-    return [by_phase[p] for p in sorted(by_phase)]
+            frame = frames.setdefault((t.phase, t.src, dst), [[], 0])
+            frame[0].append(box)
+            frame[1] += t.nbytes
+    rounds: dict[int, list[SendOp]] = {}
+    for seq, ((phase, src, dst), (boxes, nbytes)) in enumerate(
+        sorted(frames.items(), key=lambda item: item[0][0])
+    ):
+        rounds.setdefault(phase, []).append(
+            SendOp(seq, src, dst, tuple(boxes), nbytes)
+        )
+    return list(rounds.values())
 
 
 def lower_comm(kind: str, plan: CommPlan) -> LoweredComm:
@@ -185,10 +210,12 @@ def independent_runs(
     tests = 0
     for i, member in enumerate(members):
         reads = [
-            ((s.src, s.array), s.index) for rnd in member.rounds for s in rnd
+            ((s.src, b.array), b.index)
+            for rnd in member.rounds for s in rnd for b in s.boxes
         ]
         writes = [
-            ((s.dst, s.array), s.index) for rnd in member.rounds for s in rnd
+            ((s.dst, b.array), b.index)
+            for rnd in member.rounds for s in rnd for b in s.boxes
         ]
         if reads and delivered:
             tests += 1
@@ -200,7 +227,8 @@ def independent_runs(
             delivered.setdefault(key, []).append(index)
         for rnd in member.rounds[1:]:
             for s in rnd:
-                forwarded.setdefault((s.src, s.array), []).append(s.index)
+                for b in s.boxes:
+                    forwarded.setdefault((s.src, b.array), []).append(b.index)
     return runs, tests
 
 

@@ -11,9 +11,9 @@ threads over in-process queues do differently:
   read blocks in the queue's own ``get`` and is woken by the ``put``;
 * **frames** — ``(op_id, seq, crc, payload)``: the payload travels *in*
   the frame, a fresh array of exactly the send's size — packed from
-  rank storage (:func:`~repro.transport.base.pack`), or a reduce frame's
-  partials — and never handed back; a duplicate is the same frame
-  posted twice;
+  rank storage box by box (:func:`~repro.transport.base.pack`), or a
+  reduce frame's partials — and never handed back; a duplicate is the
+  same frame posted twice;
 * **retransmit source** — a per-channel outbox dict the sender fills
   with a pristine copy of every in-flight payload (chaos only;
   GIL-atomic writes, keyed ``(op_id, seq)``);

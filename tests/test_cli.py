@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import main
 
+from test_wire_frames import HALO3_SRC
+
 
 @pytest.fixture
 def program_file(tmp_path):
@@ -349,6 +351,28 @@ class TestRun:
             if line.startswith("   ")
         )
         assert int(report["faults_injected"]) > 0
+
+    @pytest.mark.parametrize("transport", ["inline", "multiprocess"])
+    def test_prints_what_it_sent_beside_what_it_charged(
+        self, program_file, tmp_path, capsys, transport
+    ):
+        # Without reductions every charged message is one frame on the
+        # wire and every charged byte a byte on it — nested halos (the
+        # second program: a(1:n-2) inside a(2:n-1)) included.
+        halo3 = tmp_path / "halo3.hpf"
+        halo3.write_text(HALO3_SRC)
+        for path in (program_file, str(halo3)):
+            assert main(["run", path, "--transport", transport]) == 0
+            report = {
+                key: int(value) for key, value in (
+                    line.split()[:2]
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("   ")
+                )
+            }
+            assert report["wire_frames"] == report["messages"] > 0
+            assert report["wire_bytes"] == report["bytes_moved"] > 0
+        assert (report["messages"], report["bytes_moved"]) == (15, 360)
 
     def test_bad_chaos_spec(self, program_file, capsys):
         assert main(["run", program_file, "--chaos-spec", "explode=1"]) == 2

@@ -25,6 +25,7 @@ from repro.transport import BACKENDS, FaultPlan, make_transport
 from repro.transport.base import combine_pieces
 from repro.transport.integrity import _roll
 from repro.transport.lowering import (
+    Box,
     LoweredComm,
     SendOp,
     _predict,
@@ -115,13 +116,18 @@ class TestMergedEqualsMemberByMember:
 WIDTH = 2
 
 
+def _send(seq, src, dst, array, index, nbytes) -> SendOp:
+    """A frame of one unmasked box."""
+    return SendOp(seq, src, dst, (Box(array, index, None, nbytes // 8),),
+                  nbytes)
+
+
 def _member(*sends) -> LoweredComm:
     """One single-round placed op: ``(src, dst, first element)`` each a
     WIDTH-element send of array ``x``, numbered from 0 as every
     lowering numbers its own."""
     return _predict(LoweredComm("pointwise", [[
-        SendOp(seq=seq, src=src, dst=dst, array="x",
-               index=(slice(at, at + WIDTH, 1),), nbytes=WIDTH * 8)
+        _send(seq, src, dst, "x", (slice(at, at + WIDTH, 1),), WIDTH * 8)
         for seq, (src, dst, at) in enumerate(sends)
     ]]))
 
@@ -177,8 +183,8 @@ class TestHandBuiltFirings:
         # An earlier member's second round reading what a later member
         # delivers is not a delivery the schedule promised it.
         forwarding = _predict(LoweredComm("augmented-exchange", [
-            [SendOp(0, 0, 1, "x", (slice(0, 2, 1),), 16)],
-            [SendOp(1, 1, 2, "x", (slice(0, 2, 1),), 16)],
+            [_send(0, 0, 1, "x", (slice(0, 2, 1),), 16)],
+            [_send(1, 1, 2, "x", (slice(0, 2, 1),), 16)],
         ]))
         runs, _ = independent_runs([forwarding, _member((0, 1, 1))])
         assert runs == [[0], [1]]
@@ -187,18 +193,18 @@ class TestHandBuiltFirings:
 
     def test_disjoint_strides_and_other_ranks_are_independent(self):
         evens = LoweredComm("pointwise", [[
-            SendOp(0, 0, 1, "x", (slice(0, 8, 2),), 32)]])
+            _send(0, 0, 1, "x", (slice(0, 8, 2),), 32)]])
         odds = LoweredComm("pointwise", [[
-            SendOp(0, 1, 2, "x", (slice(1, 8, 2),), 32)]])
+            _send(0, 1, 2, "x", (slice(1, 8, 2),), 32)]])
         elsewhere = LoweredComm("pointwise", [[
-            SendOp(0, 2, 0, "x", (slice(0, 8, 2),), 32)]])
+            _send(0, 2, 0, "x", (slice(0, 8, 2),), 32)]])
         other_array = LoweredComm("pointwise", [[
-            SendOp(0, 1, 2, "y", (slice(0, 8, 2),), 32)]])
+            _send(0, 1, 2, "y", (slice(0, 8, 2),), 32)]])
         assert independent_runs([evens, odds, elsewhere, other_array]) == (
             [[0, 1, 2, 3]], 3
         )
         assert independent_runs([evens, LoweredComm("pointwise", [[
-            SendOp(0, 1, 2, "x", (slice(2, 3, 1),), 8)]])])[0] == [[0], [1]]
+            _send(0, 1, 2, "x", (slice(2, 3, 1),), 8)]])])[0] == [[0], [1]]
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_two_members_writing_one_region_install_in_script_order(

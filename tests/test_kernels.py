@@ -30,7 +30,7 @@ from repro.evaluation.programs import BENCHMARKS
 from repro.runtime.interp import interpret
 from repro.runtime.spmd import SPMDExecutor, execute_spmd
 from repro.transport.base import install, pack
-from repro.transport.lowering import SendOp
+from repro.transport.lowering import Box, SendOp
 
 SMALL = {
     "shallow": {"n": 8, "nsteps": 2, "pr": 2, "pc": 2},
@@ -189,15 +189,14 @@ class TestWireParity:
 
 
 # ---------------------------------------------------------------------------
-# A send is one numpy copy: pack / install
+# A send is one numpy copy per box: pack / install
 # ---------------------------------------------------------------------------
 
 
 @st.composite
-def send_boxes(draw):
-    """A storage shape and one send over it: per dimension a single
-    index or a strided slice, and a mask over the box or none."""
-    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+def one_box(draw, shape):
+    """One box over ``shape``: per dimension a single index or a strided
+    slice, and a mask over the box or none."""
     index = []
     for n in shape:
         start = draw(st.integers(0, n - 1))
@@ -218,38 +217,61 @@ def send_boxes(draw):
             max_size=int(np.prod(box)),
         ))
         mask = np.array(flat, dtype=bool).reshape(box)
-    return shape, tuple(index), mask
+    return tuple(index), mask
+
+
+@st.composite
+def send_boxes(draw):
+    """A storage shape and one frame over two arrays of it: one to
+    three boxes, each of array ``a`` or ``b``."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    boxes = [
+        (draw(st.sampled_from("ab")), *draw(one_box(shape)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return shape, boxes
 
 
 @settings(max_examples=200, deadline=None)
 @given(send_boxes())
 def test_install_of_pack_is_an_element_wise_copy(case):
-    shape, index, mask = case
-    # The elements the send moves, in payload order: the box in C
-    # order, the masked-out ones skipped.
-    axes = [
-        range(*p.indices(n)) if isinstance(p, slice) else (p,)
-        for p, n in zip(index, shape)
-    ]
-    coords = list(product(*axes))
-    if mask is not None:
-        coords = [c for c, keep in zip(coords, mask.ravel()) if keep]
-    src = np.arange(1.0, np.prod(shape) + 1.0).reshape(shape)
-    send = SendOp(seq=0, src=0, dst=1, array="a", index=index,
-                  nbytes=8 * len(coords), mask=mask)
-    payload = np.empty(len(coords))
-    pack(src, send, payload)
-    assert payload.tolist() == [src[c] for c in coords]
-    values = np.zeros(shape)
-    valid = np.zeros(shape, dtype=bool)
-    install(values, valid, send, payload)
-    expected = np.zeros(shape)
-    expected_valid = np.zeros(shape, dtype=bool)
-    for c in coords:
-        expected[c] = src[c]
-        expected_valid[c] = True
-    np.testing.assert_array_equal(values, expected)
-    np.testing.assert_array_equal(valid, expected_valid)
+    shape, boxes = case
+    # The elements the frame moves, in payload order: box after box,
+    # each in C order, the masked-out ones skipped.
+    moved = []
+    frame = []
+    for array, index, mask in boxes:
+        axes = [
+            range(*p.indices(n)) if isinstance(p, slice) else (p,)
+            for p, n in zip(index, shape)
+        ]
+        coords = list(product(*axes))
+        if mask is not None:
+            coords = [c for c, keep in zip(coords, mask.ravel()) if keep]
+        moved += [(array, c) for c in coords]
+        frame.append(Box(array, index, mask, len(coords)))
+    size = int(np.prod(shape))
+    src = {
+        "a": np.arange(1.0, size + 1.0).reshape(shape),
+        "b": -np.arange(1.0, size + 1.0).reshape(shape),
+    }
+    send = SendOp(seq=0, src=0, dst=1, boxes=tuple(frame),
+                  nbytes=8 * len(moved))
+    payload = np.empty(len(moved))
+    pack(lambda array: (src[array], None), send, payload)
+    assert payload.tolist() == [src[array][c] for array, c in moved]
+    dst = {array: (np.zeros(shape), np.zeros(shape, dtype=bool))
+           for array in "ab"}
+    install(dst.__getitem__, send, payload)
+    for array in "ab":
+        expected = np.zeros(shape)
+        expected_valid = np.zeros(shape, dtype=bool)
+        for name, c in moved:
+            if name == array:
+                expected[c] = src[array][c]
+                expected_valid[c] = True
+        np.testing.assert_array_equal(dst[array][0], expected)
+        np.testing.assert_array_equal(dst[array][1], expected_valid)
 
 
 @pytest.mark.parametrize("backend", ["inline", "threaded"])
@@ -263,8 +285,8 @@ def test_staged_payload_never_shares_rank_storage(backend, monkeypatch):
     real_pack = module.pack
     payloads = []
 
-    def spy(values, send, out):
-        real_pack(values, send, out)
+    def spy(views, send, out):
+        real_pack(views, send, out)
         payloads.append(out)
 
     monkeypatch.setattr(module, "pack", spy)

@@ -69,6 +69,7 @@ from repro.transport.integrity import (
 )
 from repro.transport.inline import InlineTransport
 from repro.transport.lowering import (
+    Box,
     LoweredComm,
     SendOp,
     lower_reduction,
@@ -98,20 +99,28 @@ class World:
         self.src = np.arange(1.0, nseq * WIDTH + 1.0)
         self.dst = np.zeros_like(self.src)
         self.valid = np.zeros(self.src.shape, dtype=bool)
-        self.rounds = [
-            [
-                SendOp(seq=seq, src=0, dst=1, array="a",
-                       index=(slice(seq * WIDTH, (seq + 1) * WIDTH, 1),),
-                       nbytes=WIDTH * 8)
-                for seq in rnd
-            ]
-            for rnd in rounds
-        ]
+        self.installs = np.zeros(self.src.shape, dtype=int)
+        self.arrays, self.rounds = self.layout(rounds)
         self.sender = FakePort(self, 0)
         self.receiver = FakePort(self, 1)
         self.sender_stats = RankOpStats()
         self.steps: list = []   # the sender's remaining steps, this round
         self.round_no = -1
+
+    def layout(self, rounds) -> tuple[dict, list]:
+        """The arrays — name -> (offset, size) in the flat storage — and
+        the rounds of sends: here one array, one box per frame."""
+        nseq = sum(len(r) for r in rounds)
+        return {"a": (0, nseq * WIDTH)}, [
+            [
+                SendOp(seq=seq, src=0, dst=1, boxes=(Box(
+                    "a", (slice(seq * WIDTH, (seq + 1) * WIDTH, 1),),
+                    None, WIDTH,
+                ),), nbytes=WIDTH * 8)
+                for seq in rnd
+            ]
+            for rnd in rounds
+        ]
 
     # -- the sender, advanced one step at a time by the schedule -----------
 
@@ -207,9 +216,17 @@ class FakePort(RankPort):
 
     def views(self, array):
         world = self.world
+        at, size = world.arrays[array]
+        part = slice(at, at + size)
         if self.rank == 0:
-            return world.src, np.ones(world.src.shape, dtype=bool)
-        return world.dst, world.valid
+            return world.src[part], np.ones(size, dtype=bool)
+        return world.dst[part], world.valid[part]
+
+    def deliver(self, s, payload):
+        super().deliver(s, payload)
+        for box in s.boxes:
+            at, size = self.world.arrays[box.array]
+            self.world.installs[at:at + size][box.index] += 1
 
     def stage(self, s, op_id, fill):
         buf = np.empty(WIDTH)
@@ -224,9 +241,10 @@ class FakePort(RankPort):
         return self.world.outbox.get((op_id, seq))
 
 
-def simulate(plan: FaultPlan, rounds, schedule, watchdog_s=0.5):
+def simulate(plan: FaultPlan, rounds, schedule, watchdog_s=0.5,
+             world_cls=None):
     """One run; returns ``(world, receiver stats or None if aborted)``."""
-    world = World(plan, rounds, schedule, watchdog_s)
+    world = (world_cls or World)(plan, rounds, schedule, watchdog_s)
     world.begin_round()
     script = [
         {"send": [], "local": [], "recv": list(rnd)} for rnd in world.rounds
@@ -240,31 +258,36 @@ def simulate(plan: FaultPlan, rounds, schedule, watchdog_s=0.5):
 
 
 def check(plan: FaultPlan, rounds, schedule, watchdog_s=0.5,
-          may_abort=True) -> None:
+          may_abort=True, world_cls=None) -> None:
     try:
-        world, rs = simulate(plan, rounds, schedule, watchdog_s)
+        world, rs = simulate(plan, rounds, schedule, watchdog_s, world_cls)
         _oracle(world, rs, may_abort)
     except Exception as exc:
         pytest.fail(
             f"{type(exc).__name__}: {exc}\n  replay({plan.as_dict()!r}, "
-            f"{rounds!r}, {list(schedule)!r}, watchdog_s={watchdog_s})"
+            f"{rounds!r}, {list(schedule)!r}, watchdog_s={watchdog_s}, "
+            f"world_cls={(world_cls or World).__name__})"
         )
 
 
-def replay(plan_fields: dict, rounds, schedule, watchdog_s=0.5):
+def replay(plan_fields: dict, rounds, schedule, watchdog_s=0.5,
+           world_cls=None):
     """Re-run one printed failure (or a chaos-matrix cell's plan)."""
-    return check(FaultPlan(**plan_fields), rounds, schedule, watchdog_s)
+    return check(FaultPlan(**plan_fields), rounds, schedule, watchdog_s,
+                 world_cls=world_cls)
 
 
 def _oracle(world: World, rs, may_abort: bool) -> None:
-    # Never a wrong install, finished or not.
+    # Never a wrong install, nor a second one, finished or not.
     assert np.array_equal(world.dst[world.valid], world.src[world.valid])
+    assert (world.installs <= 1).all(), "an element installed twice"
     if rs is None:
         assert may_abort, "aborted although every frame could be repaired"
         assert world.now >= world.watchdog_s * 2, "aborted before deadline"
         return
     nseq = sum(len(r) for r in world.rounds)
     assert world.valid.all(), "a recv returned without installing"
+    assert (world.installs == 1).all()
     # Every frame handed over was dropped as duplicate, failed its
     # checksum, or was accepted; NACK answers are the other way in.
     # Accepting exactly nseq frames means each seq went in exactly once.
@@ -363,22 +386,62 @@ def _races(nsteps: int, ntimers: int = 2):
         yield ["T" if i in timers else "S" for i in range(slots)]
 
 
-@pytest.mark.parametrize(
-    "kinds", list(_subsets()), ids=lambda kinds: "+".join(kinds) or "clean"
-)
-def test_every_interleaving_of_up_to_four_frames(kinds):
+def _check_one_channel(kinds, world_cls=None) -> None:
     nsends = 2 if "dup" in kinds else 3  # a dup doubles the frames
     rounds = [list(range(nsends))]
     for seed in (1, 2):
         plan = _plan(kinds, seed)
-        probe, _ = simulate(plan, rounds, ["S"] * (nsends + 1) + ["T"] * 99)
+        probe, _ = simulate(plan, rounds, ["S"] * (nsends + 1) + ["T"] * 99,
+                            world_cls=world_cls)
         nframes = len(probe.inflight)
         assert nframes <= 4
         prefix = ["S"] * (nsends + 1)
         for tokens in _arrival_orders(nframes):
-            check(plan, rounds, prefix + tokens, may_abort=False)
+            check(plan, rounds, prefix + tokens, may_abort=False,
+                  world_cls=world_cls)
         for tokens in _races(nsends + 1):
-            check(plan, rounds, tokens, may_abort=False)
+            check(plan, rounds, tokens, may_abort=False,
+                  world_cls=world_cls)
+
+
+@pytest.mark.parametrize(
+    "kinds", list(_subsets()), ids=lambda kinds: "+".join(kinds) or "clean"
+)
+def test_every_interleaving_of_up_to_four_frames(kinds):
+    _check_one_channel(kinds)
+
+
+class BoxWorld(World):
+    """Frames of two and three boxes over two arrays: even seqs carry
+    ``a`` then ``b``, odd ones ``b``, ``a``, ``b`` — each frame still
+    WIDTH elements in one payload, one checksum, one retransmit.  The
+    boxes of one array take its elements in seq order."""
+
+    SPLITS = ((("a", 1), ("b", 2)), (("b", 1), ("a", 1), ("b", 1)))
+
+    def layout(self, rounds) -> tuple[dict, list]:
+        used = {"a": 0, "b": 0}
+        frames = {}
+        for seq in sorted(seq for rnd in rounds for seq in rnd):
+            boxes = []
+            for array, count in self.SPLITS[seq % 2]:
+                at = used[array]
+                boxes.append(Box(array, (slice(at, at + count, 1),),
+                                 None, count))
+                used[array] += count
+            frames[seq] = SendOp(seq=seq, src=0, dst=1, boxes=tuple(boxes),
+                                 nbytes=WIDTH * 8)
+        arrays = {"a": (0, used["a"]), "b": (used["a"], used["b"])}
+        return arrays, [[frames[seq] for seq in rnd] for rnd in rounds]
+
+
+@pytest.mark.parametrize(
+    "kinds", list(_subsets()), ids=lambda kinds: "+".join(kinds) or "clean"
+)
+def test_every_interleaving_of_multi_box_frames(kinds):
+    # Every box bitwise where it belongs and installed exactly once, or
+    # (never here: every frame is repairable) the op ends in _Abort.
+    _check_one_channel(kinds, BoxWorld)
 
 
 def test_dead_sender_ends_in_abort_not_a_wrong_install():
@@ -575,9 +638,11 @@ class Mesh:
         self.members = [
             LoweredComm("pointwise", [[
                 SendOp(
-                    seq=seq, src=s, dst=d, array="a",
-                    index=(slice((m * n + s) * WIDTH,
-                                 (m * n + s + 1) * WIDTH, 1),),
+                    seq=seq, src=s, dst=d, boxes=(Box(
+                        "a", (slice((m * n + s) * WIDTH,
+                                    (m * n + s + 1) * WIDTH, 1),),
+                        None, WIDTH,
+                    ),),
                     nbytes=WIDTH * 8,
                 )
                 for seq, (s, d) in enumerate(

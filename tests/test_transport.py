@@ -141,11 +141,11 @@ class TestBackendEquivalence:
     def test_per_pair_bytes_match_commplan_exactly(
         self, program, strategy, backend
     ):
-        """The lowering is the plan's own point-to-point shape, so the
-        transport-measured per-pair byte and message totals equal the
-        sum of the ``CommPlan``s' over the members of every firing, plus
-        the reduction receipts — exactly, for all six programs x
-        strategies x backends."""
+        """The lowering is the plan's own point-to-point shape, one frame
+        per round and partner, so the transport-measured per-pair byte
+        and message totals equal the sum of the ``CommPlan``s' over the
+        members of every firing, plus the reduction receipts — exactly,
+        for all six programs x strategies x backends."""
         result = _compile(program, strategy)
         executor = SPMDExecutor(result, transport=backend)
         executed, reduce_receipts = [], []
@@ -181,10 +181,13 @@ class TestBackendEquivalence:
                 plan = image.comm_plans[key]
                 for pair, n in plan.pair_bytes().items():
                     nbytes[pair] = nbytes.get(pair, 0) + n
-                for t in plan.transfers:
-                    for dst in t.dsts:
-                        if dst != t.src:
-                            msgs[t.src, dst] = msgs.get((t.src, dst), 0) + 1
+                # One frame per (round, src, dst) of every plan.
+                for _phase, src, dst in {
+                    (t.phase, t.src, dst)
+                    for t in plan.transfers for dst in t.dsts
+                    if dst != t.src
+                }:
+                    msgs[src, dst] = msgs.get((src, dst), 0) + 1
         for receipt in reduce_receipts:
             for pair, n in receipt.pair_bytes.items():
                 nbytes[pair] = nbytes.get(pair, 0) + n

@@ -20,7 +20,7 @@ from repro.evaluation.programs import BENCHMARKS
 from repro.runtime.spmd import SPMDExecutor, execute_spmd
 from repro.transport import DeadlockError, TransportError, make_transport
 from repro.transport import base
-from repro.transport.lowering import SendOp
+from repro.transport.lowering import Box, SendOp
 
 from test_transport import DIAGONAL_SRC, SMALL
 
@@ -164,8 +164,8 @@ def _starved_scripts(nranks: int, victim: int, src: int, seq: int = 5):
         for rank in range(nranks)
     }
     scripts[victim][0]["recv"].append(SendOp(
-        seq=seq, src=src, dst=victim, array="x",
-        index=(slice(0, 1, 1),), nbytes=8,
+        seq=seq, src=src, dst=victim,
+        boxes=(Box("x", (slice(0, 1, 1),), None, 1),), nbytes=8,
     ))
     return scripts
 

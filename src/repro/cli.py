@@ -360,7 +360,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Compile one program and execute it on simulated ranks through a
-    message-passing backend, optionally under chaos fault injection."""
+    message-passing backend, optionally under chaos fault injection, or
+    on the direct-copy path (``--transport direct``)."""
     source = _read_source(args.file)
     params = _parse_params(args.param)
     strategy = Strategy.parse(args.strategy)
@@ -380,12 +381,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         arrays, stats = execute_spmd(
             result,
             seed=args.seed,
-            transport=args.transport,
+            transport=None if args.transport == "direct" else args.transport,
             watchdog_s=args.watchdog,
             chaos=args.chaos_spec,
             max_rank_restarts=args.max_rank_restarts,
         )
-    except ValueError as exc:  # bad --chaos-spec, or chaos on inline
+    except ValueError as exc:  # bad --chaos-spec, or chaos on inline/direct
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for event in stats.degradations:
@@ -408,15 +409,18 @@ def cmd_run(args: argparse.Namespace) -> int:
           f"({len(arrays)} arrays/scalars assembled)")
     report = stats.as_dict()
     # What the transport sent, beside what the schedule is charged: on a
-    # program without reductions the two pairs agree.
-    report["wire_frames"] = stats.wire.messages
-    report["wire_bytes"] = stats.wire.bytes_sent
+    # program without reductions the two pairs agree.  (Nothing goes on
+    # a wire on the direct path.)
+    if stats.wire is not None:
+        report["wire_frames"] = stats.wire.messages
+        report["wire_bytes"] = stats.wire.bytes_sent
     for key in (
         "messages", "bytes_moved", "wire_frames", "wire_bytes",
         "reductions", "faults_injected", "faults_detected", "retransmits",
         "rank_restarts",
     ):
-        print(f"   {key:16s} {report[key]}")
+        if key in report:
+            print(f"   {key:16s} {report[key]}")
     if stats.degradations:
         print(f"   degradations     {len(stats.degradations)} "
               f"(codes {sorted({d['code'] for d in stats.degradations})})")
@@ -579,15 +583,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "run", help="compile and execute on simulated ranks through a "
                     "message-passing backend, optionally under chaos "
-                    "fault injection"
+                    "fault injection, or on the direct-copy path"
     )
     p.add_argument("file")
     p.add_argument("--strategy", default="comb",
                    help="placement strategy (default comb)")
     p.add_argument("--param", action="append", default=[], metavar="NAME=INT")
     p.add_argument("--transport", default="threaded",
-                   choices=("inline", "threaded", "multiprocess"),
-                   help="message-passing backend (default threaded)")
+                   choices=("direct", "inline", "threaded", "multiprocess"),
+                   help="message-passing backend, or 'direct' for the "
+                        "direct-copy path with no transport (default "
+                        "threaded)")
     p.add_argument("--chaos-spec", default=None, metavar="SPEC",
                    help="arm deterministic fault injection: comma-separated "
                         "KEY=VALUE pairs, e.g. "

@@ -1,26 +1,24 @@
-"""Source emission for fused per-rank runtime kernels.
+"""Source emission for the one compiled part of a nest kernel.
 
 Executing a planned nest means walking its RHS expression tree,
 deriving per-rank iteration boxes and numpy index tuples, and counting
 remote reads with RSD arithmetic.  All of that is geometry — constant
-for a given (nest, concrete per-rank layout) pair.  This module lowers
-that geometry into *source text*: a specialized Python function per
-(nest, geometry) key whose body is
-
-* one fused statement computing the shadow block over prebound aligned
-  views (no AST walk, no per-reference temporaries),
-* straight-line per-rank validity/staleness checks against prebound
-  storage and shadow views (the oracle survives compilation),
-* straight-line per-rank stores with the iteration-box slices and
-  store-order transposes baked in as literals.
+for a given (nest, concrete loop geometry) pair — and the runtime keeps
+it as data (:mod:`repro.runtime.kernels`): per-rank check and store
+rows, offset bounds, the views each reference reads.  What is emitted is
+only the RHS, the same on every rank: one function per (nest, geometry)
+key computing the fused RHS block from aligned shadow blocks (no AST
+walk, no per-reference temporaries), broadcast over the full iteration
+box and transposed into LHS store order.  Its size depends on
+the RHS, never on the processor grid.
 
 Subscript offsets that vary across firings (an enclosing loop variable
-indexing a serial array dimension — gravity's ``g(i, :, :)``) become
-runtime arguments: the emitted index expressions reference ``_q{n}``
-instead of a literal, so one compiled kernel serves every iteration.
-Offsets along *distributed* dimensions change rank participation and
-mark the nest kernel-ineligible (it runs element-wise, with the reason
-recorded).
+indexing a serial array dimension — gravity's ``g(i, :, :)``) are
+runtime arguments (:func:`analyze_kernel_spec`); the blocks of the
+references that ride them are sliced per firing and passed in, so one
+compiled function serves every iteration.  Offsets along *distributed*
+dimensions change rank participation and mark the nest kernel-ineligible
+(it runs element-wise, with the reason recorded).
 """
 
 from __future__ import annotations
@@ -34,14 +32,10 @@ from ..frontend import ast_nodes as ast
 from ..runtime.plans import ConcreteNest, NestPlan
 
 __all__ = [
-    "DynDim",
     "NestSpec",
     "analyze_kernel_spec",
-    "bind_fn",
     "compile_fn",
-    "emit_index",
-    "fused_rhs_source",
-    "slice_literal",
+    "rhs_source",
 ]
 
 
@@ -50,22 +44,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DynDim:
-    """One subscript dimension whose base offset is a runtime argument:
-    argument ``arg`` plus the plan-time affine rest of the subscript."""
-
-    arg: int  # index into the kernel's dynamic-offset argument list
-
-
 @dataclass
 class NestSpec:
     """Per-sid static kernel analysis, shared by every geometry key.
 
     ``dyn_args`` holds the distinct affine base forms evaluated per
     firing (deduplicated — ``g(i, ...)`` and ``glast(i, ...)`` share one
-    argument); ``dyn_dims`` maps ``(ref kind, ref id, dim)`` to the
-    argument feeding that dimension.  ``scal_args`` lists the non-nest
+    argument); ``dyn_dims`` maps ``(ref kind, ref id)`` of a reference
+    with such offsets to its ``((dim, arg), ...)`` pairs.  ``scal_args`` lists the non-nest
     scalar variables the RHS reads, resolved per firing through the
     shadow interpreter's lookup (so mutated scalars stay fresh).
     ``reason`` non-None marks the nest kernel-ineligible.
@@ -73,7 +59,7 @@ class NestSpec:
 
     plan: NestPlan
     dyn_args: list = field(default_factory=list)  # Affine forms, ordered
-    dyn_dims: dict = field(default_factory=dict)  # (kind, rid, dim) -> DynDim
+    dyn_dims: dict = field(default_factory=dict)  # (kind, rid) -> pairs
     scal_args: list = field(default_factory=list)  # variable names, ordered
     reason: "str | None" = None
 
@@ -106,7 +92,8 @@ def analyze_kernel_spec(plan: NestPlan, info) -> NestSpec:
             if arg is None:
                 arg = arg_index[sp.base] = len(spec.dyn_args)
                 spec.dyn_args.append(sp.base)
-            spec.dyn_dims[(kind, rid, d)] = DynDim(arg)
+            pairs = spec.dyn_dims.get((kind, rid), ())
+            spec.dyn_dims[kind, rid] = (*pairs, (d, arg))
         return None
 
     reason = classify("lhs", 0, plan.lhs)
@@ -140,71 +127,7 @@ def analyze_kernel_spec(plan: NestPlan, info) -> NestSpec:
 
 
 # ---------------------------------------------------------------------------
-# Index emission
-# ---------------------------------------------------------------------------
-
-
-def slice_literal(first: int, stride: int, count: int) -> str:
-    """``first:stop:stride`` source text for a strided run of ``count``
-    elements starting at 0-based ``first``."""
-    last = first + stride * (count - 1)
-    if stride > 0:
-        body = f"{first}:{last + 1}"
-        return body if stride == 1 else f"{body}:{stride}"
-    stop = last - 1
-    return f"{first}:{stop if stop >= 0 else ''}:{stride}"
-
-
-def _dyn_slice(arg: int, off: int, stride: int, count: int) -> str:
-    """Slice text whose endpoints ride on runtime argument ``_q{arg}``."""
-    lo = f"_q{arg} + {off}" if off else f"_q{arg}"
-    hi_off = off + stride * (count - 1) + 1
-    hi = f"_q{arg} + {hi_off}" if hi_off else f"_q{arg}"
-    body = f"{lo}:{hi}"
-    return body if stride == 1 else f"{body}:{stride}"
-
-
-def emit_index(
-    spec: NestSpec, kind: str, rid, refplan, cref, kbox, base_values
-) -> str:
-    """The bracket-index source for one reference restricted to ``kbox``.
-
-    ``base_values`` maps each dimension to the build-time evaluated base
-    (needed to express dynamic offsets relative to the runtime argument).
-    Mirrors :func:`repro.runtime.plans.ref_np_index` exactly for static
-    dimensions.
-    """
-    parts: list[str] = []
-    for d, dim in enumerate(cref.dims):
-        dyn = spec.dyn_dims.get((kind, rid, d))
-        if dim[0] == "p":
-            if dyn is None:
-                parts.append(str(dim[1] - 1))
-            else:
-                parts.append(f"_q{dyn.arg} - 1")
-            continue
-        _, axis, start, stride = dim
-        k0, kstep, kcount = kbox[axis]
-        first = start + stride * k0 - 1
-        st = stride * kstep
-        if dyn is None:
-            parts.append(slice_literal(first, st, kcount))
-        else:
-            parts.append(
-                _dyn_slice(dyn.arg, first - base_values[d], st, kcount)
-            )
-    return ", ".join(parts)
-
-
-def box_slice_literal(kbox) -> str:
-    """Literal index text selecting ``kbox`` out of a full-box block."""
-    return ", ".join(
-        slice_literal(k0, kstep, kcount) for k0, kstep, kcount in kbox
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fused RHS emission
+# The rank-independent function
 # ---------------------------------------------------------------------------
 
 _CMP = {"==": "==", "/=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -219,22 +142,34 @@ _INTRINSIC_NP = {
 }
 
 
-def fused_rhs_source(
-    spec: NestSpec, conc: ConcreteNest, ref_exprs: dict
-) -> str:
-    """One expression computing the nest's RHS block.
+def rhs_source(spec: NestSpec, conc: ConcreteNest, order) -> str:
+    """The source of ``_rhs(_q0, ..., _b{j}, ...)``: the RHS block over
+    the full iteration box, transposed into LHS store order.
 
-    ``ref_exprs`` maps ``id(ArrayRef)`` to the source text standing for
-    that reference's aligned block (a prebound view name, or an inline
-    aligner call for dynamic references).  Operator and intrinsic
-    lowering matches :meth:`repro.runtime.interp.Interpreter._binop` /
-    ``_intrinsic`` element by element, so the block is bitwise-identical
-    to the element-wise path's values.
+    ``_q{n}`` are the firing's runtime arguments (offsets, then the RHS
+    scalars); ``_b{j}``, in ``order``, the aligned shadow block of RHS
+    reference ``j`` (``plan.rhs_refs`` order); ``_ax{axis}`` the loop
+    variables' values, globals.  Operator and intrinsic lowering matches
+    :meth:`repro.runtime.interp.Interpreter._binop` / ``_intrinsic``
+    element by element, so the block is bitwise-identical to the
+    element-wise path's values.
     """
-    var_text = {v: f"_ax{i}" for i, v in enumerate(spec.plan.vars)}
+    plan = spec.plan
+    ref_exprs = {rid: f"_b{j}" for j, rid in enumerate(plan.rhs_refs)}
+    var_text = {v: f"_ax{i}" for i, v in enumerate(plan.vars)}
+    nargs = len(spec.dyn_args) + len(spec.scal_args)
     for i, name in enumerate(spec.scal_args):
         var_text.setdefault(name, f"_q{len(spec.dyn_args) + i}")
-    return _emit_rhs(spec.plan.assign.rhs, var_text, ref_exprs)
+    expr = _emit_rhs(plan.assign.rhs, var_text, ref_exprs)
+    perm = tuple(d[1] for d in conc.lhs.dims if d[0] == "a")
+    sig = ", ".join(
+        [f"_q{i}" for i in range(nargs)] + [f"_b{j}" for j in order]
+    )
+    return (
+        f"def _rhs({sig}):\n"
+        f"    return _np.broadcast_to(_np.asarray({expr}, _np.float64), "
+        f"{conc.shape!r}).transpose({perm!r})\n"
+    )
 
 
 def _emit_rhs(expr: ast.Expr, var_text: dict, ref_exprs: dict) -> str:
@@ -279,29 +214,22 @@ def _emit_rhs(expr: ast.Expr, var_text: dict, ref_exprs: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def compile_fn(source: str, tag: str) -> types.CodeType:
-    """``compile()`` one emitted function and return its code object —
-    the storage-independent half, built once and kept.
+def compile_fn(source: str, tag: str, ns: dict):
+    """``compile()`` one emitted function and return it, with ``ns`` as
+    its globals (every free name of the body resolves there).
 
     ``tag`` labels the pseudo-filename (tracebacks through generated
-    kernels stay attributable); the entry point is read off the
-    ``def`` line.  :func:`bind_fn` makes it callable.  The code object is
-    taken from the module's constants rather than by executing the
-    ``def``: a function made in a scratch namespace is a reference cycle
-    (it is in its own globals).
+    kernels stay attributable); the entry point is read off the ``def``
+    line.  The code object is taken from the module's constants rather
+    than by executing the ``def``: a function made in a scratch
+    namespace is a reference cycle (it is in its own globals).
     """
     entry = source.split("(", 1)[0].split()[-1]
     module = compile(source, f"<repro-kernel:{tag}>", "exec")
-    return next(
+    code = next(
         code for code in module.co_consts
         if isinstance(code, types.CodeType) and code.co_name == entry
     )
-
-
-def bind_fn(code: types.CodeType, ns: dict):
-    """A function running ``code`` with ``ns`` as its globals: every
-    free name of the emitted body (prebound views, constants, helpers)
-    resolves there.  Cheap enough to do per run."""
     # exec() would add this itself; numpy looks it up in frame globals.
     ns.setdefault("__builtins__", builtins.__dict__)
     return types.FunctionType(code, ns)

@@ -87,11 +87,12 @@ class RuntimeStats:
     and are not counted, so ``vectorize=False`` reports the nest
     kernels' share less (and ``bcopy_calls`` likewise).
 
-    The kernel counters instrument the fused-codegen layer
+    The kernel counters instrument the kernel layer
     (:mod:`repro.runtime.kernels`): ``kernel_compiles``/
-    ``kernel_cache_hits`` the per-geometry kernel templates,
-    ``kernel_firings`` how many executions ran emitted straight-line
-    code (nest kernels and direct-copy communication kernels alike),
+    ``kernel_cache_hits`` the kernel templates built and reused (per
+    nest geometry and per CommPlan), ``kernel_firings`` how many
+    executions ran a template's bound rows (nest kernels and
+    direct-copy communication kernels alike),
     and ``plan_translations`` how many CommPlan cache hits were served
     by translating a canonical plan to a shifted offset.
 

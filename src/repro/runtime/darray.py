@@ -34,10 +34,11 @@ def all_valid(valid: np.ndarray) -> bool:
 def fresh(values, expected) -> bool:
     """``values`` carry the bits the sequential semantics hold in
     ``expected``.  With :func:`all_valid` the runtime's one freshness
-    idiom; :func:`repro.runtime.kernels.emit_checks` spells the same
-    fast paths inline.  The fast path is an element-wise compare and a
-    count, two C calls; only a mismatch reaches the NaN-aware compare: a
-    NaN the semantics also produce is not stale, anything else is."""
+    idiom; :func:`repro.runtime.kernels.verify` spells the same fast
+    paths inline over kernel rows.  The fast path is an element-wise
+    compare and a count, two C calls; only a mismatch reaches the
+    NaN-aware compare: a NaN the semantics also produce is not stale,
+    anything else is."""
     return not count_nonzero(values != expected) or np.array_equal(
         values, expected, equal_nan=True
     )
@@ -189,17 +190,20 @@ class RankStorage:
             assert self.values.shape == shape
             assert self.valid.shape == shape and self.valid.dtype == bool
 
-    def install(self, rsd: RSD, values: np.ndarray) -> None:
+    def install(self, rsd: RSD, values: np.ndarray, idx=None) -> None:
         if rsd.is_empty:
             return
-        idx = np_index(rsd)
+        if idx is None:
+            idx = np_index(rsd)
         self.values[idx] = values
         self.valid[idx] = True
 
-    def extract(self, rsd: RSD) -> np.ndarray:
+    def extract(self, rsd: RSD, idx=None) -> np.ndarray:
+        # ``idx``, when given, is ``np_index(rsd)``, known to the caller.
         if rsd.is_empty:
             return np.zeros(tuple(0 for _ in rsd.dims))
-        idx = np_index(rsd)
+        if idx is None:
+            idx = np_index(rsd)
         if not all_valid(self.valid[idx]):
             raise SimulationError(
                 f"extracting invalid data from {self.array} {rsd}"

@@ -1,51 +1,49 @@
-"""Fused per-rank kernel execution for the SPMD runtime.
+"""Per-rank kernel execution for the SPMD runtime: a kernel is a table.
 
 The element-wise executor interprets every iteration of a planned nest:
 it walks the RHS expression tree per element, evaluates each subscript,
 and tests each read against the sequential shadow one value at a time.
 All of that but the values is geometry, constant for a given (nest,
-concrete loop geometry) pair — so plans become *compiled code*:
+concrete loop geometry) pair — so it becomes a *template*: data built
+once per program, kept in the program's
+:class:`~repro.runtime.spmd.ExecutionImage`, bound to each run's views
+and run by one loop per template kind.
 
-* Kernels are built once per program and bound once per run.  The
-  program's :class:`~repro.runtime.spmd.ExecutionImage` keeps a
-  :class:`KernelTemplate` per ``(nest sid, concrete loop geometry)`` —
-  keyed like CommPlans.  A miss emits a specialized Python
-  function (:mod:`repro.codegen.kernels`), compiles it, and records a
-  *binding recipe*: which ``values`` / ``valid`` / shadow view each free
-  name of the body takes, region by region.  :class:`KernelEngine` (one per executor)
-  binds a template to this run's storage on its first firing, so a
-  firing is one call of straight-line code over prebound numpy views:
-  fused RHS statement, per-rank validity/staleness checks, per-rank
-  stores, shadow advance.  The movement accounting (remote reads, bcopy
-  calls, elements written) is translation-invariant across firings of
-  one geometry and is precomputed at build time.
+* A :class:`NestTemplate` (per ``(nest sid, loop geometry)``, keyed like
+  CommPlans) holds per rank its *check rows* — the sections of the cover
+  of its reads of each array, with their element counts — and its
+  *store row* — the LHS region and the slice of the RHS block it owns.
+  Only the RHS, the same on every rank, is compiled
+  (:func:`repro.codegen.kernels.rhs_source`).  Subscript offsets that
+  vary across firings (an enclosing loop variable indexing a serial
+  dimension) are runtime arguments: the rows and RHS blocks that ride
+  them are moved per firing (:func:`moved`), after a bounds test that
+  raises :class:`~repro.runtime.plans.PlanFallback` so the nest runs
+  element-wise.  Offsets that move along a *distributed* dimension would
+  change rank participation, so such nests run element-wise with the
+  reason recorded (:attr:`KernelEngine.ineligible`).
 
-* Subscript offsets that vary across firings (an enclosing loop variable
-  indexing a serial dimension) become runtime arguments evaluated per
-  firing; offsets that move along a *distributed* dimension would change
-  rank participation, so such nests run element-wise with the reason
-  recorded (:attr:`KernelEngine.ineligible`).
+* A CommPlan's :class:`CopyTemplate` (hung on the plan) is its
+  transfers with their element counts, bound to rows of source, shadow
+  and destination views and run by :func:`run_copy`: storage to storage,
+  nothing compiled.
 
-* The legacy direct-copy communication path gets the same treatment:
-  :meth:`KernelEngine.execute_plan_copy` compiles each CommPlan's
-  transfer list (the template hangs on the plan) into one straight-line
-  function over prebound views —
-  boundary data moves storage-to-storage without the interpreted loop's
-  intermediate block copy, with the oracle checks emitted inline.
-
-Correctness posture: the emitted code computes each element with the
-same IEEE operations, in the same order, as the element-wise
-interpreter, so final state is bitwise-identical; the validity and
-staleness oracles test the same elements — per rank and array the
-*cover* of the references' regions (:func:`~repro.sections.rsd.cover`:
-exactly their elements, in the fewest sections) instead of one element
-at a time — and name the same statement, rank, array and failure kind,
-so every failure mode the interpreter detects, the kernel detects.
+The movement accounting (remote reads, bcopy calls, elements written)
+is translation-invariant across firings of one geometry and is counted
+at build time.  The RHS block is computed with the same IEEE operations,
+in the same order, as the element-wise interpreter, so final state is
+bitwise-identical; the validity and staleness oracle (:func:`verify`)
+tests the same elements — per rank and array the *cover* of the
+references' regions (:func:`~repro.sections.rsd.cover`: exactly their
+elements, in the fewest sections) instead of one element at a time — and
+names the same statement, rank, array and failure kind, so every failure
+mode the interpreter detects, the kernel detects.  Messages are
+formatted only when a check fails.
 """
 
 from __future__ import annotations
 
-import sys
+import math
 import time
 import types
 from dataclasses import dataclass
@@ -56,11 +54,8 @@ from ..affine import NonAffineError
 from ..codegen.kernels import (
     NestSpec,
     analyze_kernel_spec,
-    bind_fn,
-    box_slice_literal,
     compile_fn,
-    emit_index,
-    fused_rhs_source,
+    rhs_source,
 )
 from ..errors import SimulationError
 from ..sections.rsd import cover
@@ -69,7 +64,6 @@ from .plans import (
     CommPlan,
     NestPlan,
     PlanFallback,
-    aligned_block,
     block_alignment,
     concretize_nest,
     rank_kbox,
@@ -78,73 +72,307 @@ from .plans import (
     var_axis_block,
 )
 
-__all__ = ["KernelEngine", "KernelTemplate"]
+__all__ = ["CopyTemplate", "KernelEngine", "NestTemplate", "moved", "verify"]
+
+#: What :func:`verify` reports: every row passes, or the kind of failure.
+PASS, INVALID, STALE = 0, 1, 2
+
+
+def verify(rows) -> int:
+    """The runtime's freshness test over check rows.
+
+    A row is ``(valid, values, expected, count)``: the validity and
+    value views of one section on one rank, the shadow's view of it and
+    its element count.  Every validity count is tested before any value,
+    the :func:`~repro.runtime.darray.all_valid` / ``fresh`` pair with
+    their fast paths inline (no Python call on a pass, the NaN-aware
+    compare only behind a mismatch).  Returns ``PASS``, ``INVALID`` or
+    ``STALE``.  A runner tests all of a firing's rows in one call and
+    only on a failure walks them group by group (:func:`first_fault`)
+    to name the group the failure belongs to.
+    """
+    for valid, _, _, count in rows:
+        if count_nonzero(valid) != count:
+            return INVALID
+    for _, values, expected, _ in rows:
+        if count_nonzero(values != expected) and not fresh(
+            values, expected
+        ):
+            return STALE
+    return PASS
+
+
+def first_fault(groups) -> tuple:
+    """``(fault, key)`` of the first of ``groups`` — ``(key, rows)``
+    each, tested in order, validity before values within a group — that
+    fails :func:`verify`."""
+    for key, rows in groups:
+        fault = verify(rows)
+        if fault:
+            return fault, key
+    raise AssertionError("no failing group")  # the caller saw one fail
+
+
+def moved(index: tuple, dims: tuple, args) -> tuple:
+    """``index`` (relative to the runtime arguments) at this firing:
+    each ``(dim, arg)`` of ``dims`` adds ``args[arg]`` to a point or to
+    both ends of a slice."""
+    out = list(index)
+    for d, arg in dims:
+        part, at = out[d], args[arg]
+        out[d] = (
+            part + at if type(part) is int
+            else slice(part.start + at, part.stop + at, part.step)
+        )
+    return tuple(out)
 
 
 @dataclass
-class KernelTemplate:
-    """One emitted kernel, independent of any run's storage.
+class NestTemplate:
+    """One nest geometry, independent of any run's storage.
 
-    ``static`` holds the free names bound to run-independent objects
-    (numpy, error types, masks, loop-variable blocks).  ``recipe`` names
-    the rest, one item per region: ``(rank, array, index, align, valid,
-    values, shadow)`` binds the names ``valid`` / ``values`` to ``index``
-    of rank ``rank``'s validity / value array and ``shadow`` to the same
-    region of the sequential shadow — ``None`` for a view the body does
-    not use, the whole array when ``index`` is ``None``, the shadow view
-    taken to iteration-box order when ``align`` holds a
-    :func:`~repro.runtime.plans.block_alignment`.  The accounting
-    constants are firing-invariant and counted once, at build time —
-    ``sections`` is the number of (rank, section) freshness tests the
-    body makes, after the read cover.
+    ``rhs`` is the compiled rank-independent RHS, called with the
+    firing's runtime arguments and then the aligned shadow block of each
+    RHS reference: ``views`` first — ``(array, index, align)``, the
+    shadow's ``index`` of ``array`` taken to iteration-box order by
+    ``align``, a :func:`~repro.runtime.plans.block_alignment`, bound
+    once per run — then ``blocks``, ``(array, index, dims, align)``,
+    sliced per firing.  ``bounds`` holds ``(arg, lo, hi, extent,
+    array)``: a firing is in bounds when ``1 <= args[arg] + lo`` and
+    ``args[arg] + hi <= extent``.
+
+    ``ranks`` holds one ``(rank, checks, store)`` per rank that writes.
+    ``checks`` is ``((array, fixed, moving), ...)``: the sections of the
+    cover of the rank's reads of ``array``, ``(index, count)`` when
+    fixed at build time and ``(index, count, dims)`` when they ride
+    runtime arguments.  ``store`` is ``(index, dims, part)``: the LHS
+    region and the index of the block, in LHS order, that fills it.
+    ``advance`` is the shadow's ``(index, dims)`` of the LHS.  An index
+    with ``dims`` is relative to the runtime arguments and moves with
+    the ``(dim, arg)`` pairs ``dims`` names (:func:`moved`); ``dims`` is
+    empty for an index fixed at build time.  The accounting constants
+    are firing-invariant and counted once, at build time — ``sections``
+    is the number of check rows.
     """
 
-    code: types.CodeType
-    static: dict
-    recipe: tuple
+    rhs: types.FunctionType
+    views: tuple
+    blocks: tuple
+    bounds: tuple
+    ranks: tuple
+    advance: tuple
+    sid: int
+    lhs: str
     elements: int = 0
     bcopy_calls: int = 0
     remote_reads: int = 0
     sections: int = 0
 
-    def __post_init__(self) -> None:
-        # A template lives as long as its program: share each name with
-        # the code object's (interned) copy instead of keeping a second.
-        self.recipe = tuple(
-            (*item[:4], *(n and sys.intern(n) for n in item[4:]))
-            for item in self.recipe
+    def bind(self, storage: dict, shadow: dict):
+        """The template over one run's rank ``storage`` and ``shadow``
+        arrays: a function firing it under the runtime arguments.
+
+        A firing tests the bounds (raising ``PlanFallback`` before
+        anything is written), computes the block, checks every rank's
+        reads, stores every rank's share and advances the shadow.  All
+        checks come before any store: a rank's store touches only its
+        own storage, which no other rank's rows read, so the first
+        failure is the same.  All rows go through one :func:`verify`;
+        only a failure walks them group by group to name it."""
+        rhs, bounds = self.rhs, self.bounds
+        views = tuple([
+            shadow[array][index].transpose(perm).reshape(shape)
+            for array, index, (perm, shape) in self.views
+        ])
+        blocks = tuple([
+            (shadow[array], index, dims, perm, shape)
+            for array, index, dims, (perm, shape) in self.blocks
+        ])
+        checks, moving, stores, moving_stores = [], [], [], []
+        for rank, groups, (index, dims, part) in self.ranks:
+            per_rank = storage[rank]
+            for array, fixed, more in groups:
+                store, truth = per_rank[array], shadow[array]
+                valid, values = store.valid, store.values
+                checks.append(((rank, array), tuple([
+                    (valid[ix], values[ix], truth[ix], count)
+                    for ix, count in fixed
+                ])))
+                moving.append(tuple([
+                    (valid, values, truth, count, ix, ix_dims)
+                    for ix, count, ix_dims in more
+                ]))
+            store = per_rank[self.lhs]
+            if dims:
+                moving_stores.append(
+                    (store.values, store.valid, index, dims, part)
+                )
+            else:
+                stores.append((store.values[index], store.valid[index], part))
+        rows = tuple([row for _, fixed in checks for row in fixed])
+        if not any(moving):
+            moving = None
+        index, dims = self.advance
+        shadow_lhs = shadow[self.lhs] if dims else shadow[self.lhs][index]
+        message = self.message
+
+        def fire(args) -> None:
+            for arg, lo, hi, extent, array in bounds:
+                at = args[arg]
+                if not (1 <= at + lo and at + hi <= extent):
+                    raise PlanFallback(f"subscript of {array} out of bounds")
+            val = rhs(*args, *views, *[
+                raw[moved(ix, ix_dims, args)].transpose(perm).reshape(shape)
+                for raw, ix, ix_dims, perm, shape in blocks
+            ])
+            test = rows
+            if moving is not None:
+                moved_rows = [_moved_rows(more, args) for more in moving]
+                test += tuple([row for more in moved_rows for row in more])
+            if verify(test):
+                groups = checks
+                if moving is not None:
+                    groups = [
+                        (key, fixed + more)
+                        for (key, fixed), more in zip(checks, moved_rows)
+                    ]
+                raise SimulationError(message(*first_fault(groups)))
+            for values, valid, part in stores:
+                values[...] = val[part]
+                valid[...] = True
+            for values, valid, ix, ix_dims, part in moving_stores:
+                ix = moved(ix, ix_dims, args)
+                values[ix] = val[part]
+                valid[ix] = True
+            # Shadow advance, last: every check above compares against
+            # the shadow as it was before the firing.
+            shadow_lhs[moved(index, dims, args) if dims else ...] = val
+
+        return fire
+
+    def message(self, fault: int, key: tuple) -> str:
+        rank, array = key
+        if fault == INVALID:
+            return (
+                f"read of {array} at s{self.sid}: elements not present "
+                f"on rank {rank} (missing or misplaced communication)"
+            )
+        return (
+            f"rank {rank} read stale {array} at s{self.sid}: rank data "
+            f"disagrees with the sequential semantics"
         )
 
-    def bind(self, storage: dict, shadow: dict):
-        """The kernel as a function over one run's rank ``storage`` and
-        ``shadow`` arrays."""
-        ns = dict(self.static)
-        for rank, array, index, align, valid, values, shadowed in self.recipe:
-            if shadowed:
-                view = shadow[array]
-                if index is not None:
-                    view = view[index]
-                if align is not None:
-                    view = view.transpose(align[0]).reshape(align[1])
-                ns[shadowed] = view
-            if rank is None:
-                continue
-            store = storage[rank][array]
-            if valid:
-                ns[valid] = (
-                    store.valid if index is None else store.valid[index]
+
+def _moved_rows(rows: tuple, args) -> tuple:
+    """Check rows over whole arrays, ``(valid, values, truth, count,
+    index, dims)``, as rows over this firing's sections."""
+    out = []
+    for valid, values, truth, count, index, dims in rows:
+        ix = moved(index, dims, args)
+        out.append((valid[ix], values[ix], truth[ix], count))
+    return tuple(out)
+
+
+@dataclass
+class CopyTemplate:
+    """A CommPlan's direct-copy template: ``runs`` splits the plan's
+    transfers, in order, into runs of one phase, each transfer with the
+    number of elements its source must hold (the masked ones for a
+    diagonal transfer)."""
+
+    runs: tuple
+    bcopy_calls: int = 0
+    sections: int = 0
+
+    @classmethod
+    def of(cls, plan: CommPlan) -> "CopyTemplate":
+        runs: list[list] = []
+        for t in plan.transfers:
+            if not runs or runs[-1][-1][0].phase != t.phase:
+                runs.append([])
+            runs[-1].append(
+                (t, t.region.count() if t.mask is None else int(t.mask.sum()))
+            )
+        return cls(
+            runs=tuple(tuple(run) for run in runs),
+            bcopy_calls=sum(1 + len(t.dsts) for t in plan.transfers),
+            sections=len(plan.transfers),
+        )
+
+    def bind(self, storage: dict, shadow: dict) -> tuple:
+        """Per run of one phase ``(transfers, rows, installs, masked)``:
+        each transfer's source check row, each ``(values, valid, data,
+        mask)`` a destination takes, and whether any row needs a mask."""
+        runs = []
+        for run in self.runs:
+            transfers, rows, installs = [], [], []
+            for t, count in run:
+                ix, array, mask = t.index, t.array, t.mask
+                src = storage[t.src][array]
+                data = src.values[ix]
+                transfers.append(t)
+                rows.append((src.valid[ix], data, shadow[array][ix], count))
+                for dst in t.dsts:
+                    store = storage[dst][array]
+                    installs.append(
+                        (store.values[ix], store.valid[ix], data, mask)
+                    )
+            runs.append((
+                tuple(transfers), tuple(rows), tuple(installs),
+                any(t.mask is not None for t in transfers),
+            ))
+        return tuple(runs)
+
+
+def run_copy(runs: tuple) -> None:
+    """One CommPlan on the direct-copy path: per run of one phase,
+    verify every source, then install every transfer.  Phases keep
+    their order (a later phase may forward what an earlier one
+    delivered); within one, no transfer reads what another delivers —
+    the transports send a phase as one round on the same premise — so
+    the first failure is the one a transfer-by-transfer walk meets."""
+    for transfers, rows, installs, masked in runs:
+        if masked:  # a diagonal transfer checks only what it ships
+            rows = tuple([
+                row if t.mask is None else (
+                    *(view[t.mask] for view in row[:3]), row[3]
                 )
-            if values:
-                ns[values] = (
-                    store.values if index is None else store.values[index]
-                )
-        return bind_fn(self.code, ns)
+                for t, row in zip(transfers, rows)
+            ])
+        if verify(rows):
+            raise SimulationError(copy_message(*first_fault(
+                (t, (row,)) for t, row in zip(transfers, rows)
+            )))
+        for values, valid, data, mask in installs:
+            if mask is None:
+                values[...] = data
+                valid[...] = True
+            else:
+                values[mask] = data[mask]
+                valid[mask] = True
+
+
+def copy_message(fault: int, t) -> str:
+    """The failure of transfer ``t``'s source check, in words."""
+    if t.mask is not None:
+        if fault == INVALID:
+            return (
+                f"diagonal forwarding of {t.array}: source rank "
+                f"{t.src} missing forwarded data"
+            )
+        return f"stale data shipped for {t.array} (diagonal phase)"
+    if fault == INVALID:
+        return f"extracting invalid data from {t.array} {t.region}"
+    return (
+        f"stale data shipped for {t.array} {t.region}: sender holds "
+        f"values that disagree with the sequential semantics"
+    )
 
 
 class KernelEngine:
-    """Dispatches fused kernels for one :class:`SPMDExecutor`: templates
-    come from (and on a miss go into) the executor's image, the bound
-    functions are this run's.
+    """Dispatches kernel templates for one :class:`SPMDExecutor`:
+    templates come from (and on a miss go into) the executor's image,
+    the bound rows are this run's.
 
     :meth:`try_exec_nest` returns ``True`` when the nest ran as a kernel
     and ``False`` when the caller must run it element-wise: the nest is
@@ -164,8 +392,8 @@ class KernelEngine:
         self.specs: dict[int, NestSpec] = image.kernel_specs
         #: assign sid -> why the nest cannot take the kernel path
         self.ineligible: dict[int, str] = image.kernel_ineligible
-        self._nest_fns: dict[tuple, tuple] = {}
-        self._copy_fns: dict[tuple, tuple] = {}
+        self._nest_runs: dict[tuple, tuple] = {}
+        self._copy_rows: dict[tuple, tuple] = {}
 
     # -- nest kernels ------------------------------------------------------
 
@@ -199,7 +427,7 @@ class KernelEngine:
         )
 
         key = (plan.outer_sid, tuple(axes))
-        bound = self._nest_fns.get(key)
+        bound = self._nest_runs.get(key)
         built = False
         if bound is None:
             t0 = time.perf_counter()
@@ -208,7 +436,7 @@ class KernelEngine:
                     image.nest_templates, key,
                     lambda: self._build_nest(spec, env),
                 )
-                bound = self._nest_fns[key] = (
+                bound = self._nest_runs[key] = (
                     kern, kern.bind(self.storage, self.shadow.arrays)
                 )
             except PlanFallback:
@@ -221,9 +449,9 @@ class KernelEngine:
         else:
             stats.kernel_cache_hits += 1
 
-        kern, call = bound
+        kern, fire = bound
         try:
-            call(*args)
+            fire(args)
         except PlanFallback:
             # a runtime offset stepped out of bounds: the element-wise
             # path is the one that can report the precise iteration
@@ -237,13 +465,13 @@ class KernelEngine:
         stats.sections_verified += kern.sections
         return True
 
-    # -- nest kernel construction -----------------------------------------
+    # -- nest template construction ---------------------------------------
 
-    def _build_nest(self, spec: NestSpec, env: dict) -> KernelTemplate:
-        """Emit and compile one nest geometry.  Reads the building run's
-        shadow arrays only to prove layout facts every run shares (same
-        shapes, same C order); nothing of the run ends up in the
-        template."""
+    def _build_nest(self, spec: NestSpec, env: dict) -> NestTemplate:
+        """Build the rows of one nest geometry and compile its
+        rank-independent RHS.  Reads the building run's shadow arrays
+        only to prove layout facts every run shares (same shapes, same C
+        order); nothing of the run ends up in the template."""
         info = self.info
         image = self.image
         planner = image.planner
@@ -253,135 +481,95 @@ class KernelEngine:
         full = conc.full_box()
         name = conc.lhs.name
         layout = info.layout(name)
-        sid = plan.assign.sid
+        # Indices that ride runtime arguments are kept relative to them.
+        origin = [-int(a.evaluate(env)) for a in spec.dyn_args]
+        dims_of = spec.dyn_dims.get
 
-        static = {"_np": np, "_PF": PlanFallback, **_CHECK_NAMES}
-        recipe: list[tuple] = []
-        nargs = len(spec.dyn_args) + len(spec.scal_args)
-        body: list[str] = []
-
-        def bases_of(rp):
-            return [sp.base.evaluate(env) for sp in rp.subs]
-
-        # Runtime bounds checks for every dynamic-offset dimension: the
-        # build-time concretization proved *this* firing in bounds; other
-        # firings of the same geometry must re-prove their offsets.
-        emitted_checks: set[str] = set()
-        all_refs = [("lhs", 0, plan.lhs)] + [
+        # Runtime-offset bounds, one test per distinct form.
+        bounds: dict[tuple, None] = {}
+        refs = [("lhs", 0, plan.lhs), *(
             ("rhs", rid, rp) for rid, rp in plan.rhs_refs.items()
-        ]
-        for kind, rid, rp in all_refs:
+        )]
+        for kind, rid, rp in refs:
             extents = info.shape(rp.name)
-            for d, sp in enumerate(rp.subs):
-                dyn = spec.dyn_dims.get((kind, rid, d))
-                if dyn is None:
-                    continue
-                if sp.var is None:
-                    cond = f"1 <= _q{dyn.arg} <= {extents[d]}"
-                else:
-                    axis = plan.vars.index(sp.var)
-                    lo_v, step, count = conc.axes[axis]
-                    off = sp.coeff * lo_v
-                    last = off + sp.coeff * step * (count - 1)
-                    cond = (
-                        f"1 <= _q{dyn.arg} + {off} and "
-                        f"_q{dyn.arg} + {last} <= {extents[d]}"
-                    )
-                line = (
-                    f"    if not ({cond}): raise "
-                    f"_PF('subscript of {rp.name} out of bounds')"
+            for d, arg in dims_of((kind, rid), ()):
+                sp = rp.subs[d]
+                lo = hi = 0
+                if sp.var is not None:
+                    lo_v, step, count = conc.axes[plan.vars.index(sp.var)]
+                    lo = sp.coeff * lo_v
+                    hi = lo + sp.coeff * step * (count - 1)
+                bounds[arg, lo, hi, extents[d], rp.name] = None
+
+        # RHS reference blocks: prebound aligned shadow views when fixed,
+        # sliced per firing and passed in when they ride the arguments.
+        views: list[tuple] = []
+        blocks: list[tuple] = []
+        fixed_refs: list[int] = []
+        moving_refs: list[int] = []
+        for j, (rid, cref) in enumerate(conc.refs.items()):
+            shadow_arr = self.shadow.arrays[cref.name]
+            idx = ref_np_index(cref, full)
+            align = block_alignment(cref, full)
+            dims = dims_of(("rhs", rid), ())
+            # A prebound block must be a live view of the shadow array
+            # (reshape inserting size-1 axes never copies, but don't let
+            # that assumption fail silently).
+            if not dims and np.shares_memory(
+                shadow_arr[idx].transpose(align[0]).reshape(align[1]),
+                shadow_arr,
+            ):
+                fixed_refs.append(j)
+                views.append((cref.name, idx, align))
+            else:
+                moving_refs.append(j)
+                blocks.append(
+                    (cref.name, moved(idx, dims, origin), dims, align)
                 )
-                if line not in emitted_checks:
-                    emitted_checks.add(line)
-                    body.append(line)
-
-        # RHS reference blocks: prebound aligned views when static, an
-        # inline slice + align call when the offset is a runtime argument.
-        ref_exprs: dict[int, str] = {}
-        ref_bases: dict[int, list] = {}
-        dyn_ref: dict[int, bool] = {}
-        for j, (rid, rp) in enumerate(plan.rhs_refs.items()):
-            cref = conc.refs[rid]
-            bases = ref_bases[rid] = bases_of(rp)
-            is_dyn = any(
-                ("rhs", rid, d) in spec.dyn_dims for d in range(len(rp.subs))
-            )
-            if not is_dyn:
-                shadow_arr = self.shadow.arrays[cref.name]
-                idx = ref_np_index(cref, full)
-                blk = aligned_block(shadow_arr[idx], cref, full)
-                # The prebound block must be a live view of the shadow
-                # array (reshape inserting size-1 axes never copies, but
-                # don't let that assumption fail silently).
-                is_dyn = not np.shares_memory(blk, shadow_arr)
-                if not is_dyn:
-                    recipe.append((
-                        None, cref.name, idx, block_alignment(cref, full),
-                        None, None, f"_b{j}",
-                    ))
-            dyn_ref[rid] = is_dyn
-            if is_dyn:
-                recipe.append(
-                    (None, cref.name, None, None, None, None, f"_arr{j}")
-                )
-                static[f"_align{j}"] = _aligner(cref, full)
-                ix = emit_index(spec, "rhs", rid, rp, cref, full, bases)
-                body.append(f"    _b{j} = _align{j}(_arr{j}[{ix}])")
-            ref_exprs[rid] = f"_b{j}"
-
-        for axis in range(len(plan.vars)):
-            static[f"_ax{axis}"] = var_axis_block(conc, axis, full)
-
-        expr = fused_rhs_source(spec, conc, ref_exprs)
-        body.append(
-            f"    _blk = _np.broadcast_to("
-            f"_np.asarray({expr}, _np.float64), {conc.shape!r})"
+        rhs = compile_fn(
+            rhs_source(spec, conc, fixed_refs + moving_refs),
+            f"s{plan.assign.sid}",
+            {"_np": np, **{
+                f"_ax{axis}": var_axis_block(conc, axis, full)
+                for axis in range(len(plan.vars))
+            }},
         )
 
-        perm = tuple(d[1] for d in conc.lhs.dims if d[0] == "a")
-        body.append(f"    _val = _blk.transpose({perm!r})")
-        lhs_bases = bases_of(plan.lhs)
-        lhs_dyn = any(
-            ("lhs", 0, d) in spec.dyn_dims for d in range(len(plan.lhs.subs))
-        )
-
+        lhs_dims = dims_of(("lhs", 0), ())
+        lhs_axes = [d[1] for d in conc.lhs.dims if d[0] == "a"]
         remote_reads = 0
-        bcopy = 0
         sections = 0
-        ref_index = {rid: j for j, rid in enumerate(plan.rhs_refs)}
-
-        def emit_rank(gr, kbox) -> None:
-            nonlocal remote_reads, sections
-            r = gr.rank
-            # Cover, then check.  Per array read: the static references'
-            # regions, and one (valid, values, shadow, size) test per
-            # dynamic-offset reference (its region moves with the firing).
-            reads: dict[str, tuple[list, list]] = {}
+        ranks: list[tuple] = []
+        for gr in image.ranks:
+            if layout.distributed_dims:
+                kbox = rank_kbox(conc, image.owned[gr.rank, name])
+                if kbox is None:
+                    continue
+                # The rank's share of the block, in LHS order.
+                part = tuple(
+                    slice(k0, k0 + kstep * (kcount - 1) + 1, kstep)
+                    for k0, kstep, kcount in (kbox[a] for a in lhs_axes)
+                )
+            else:
+                kbox, part = full, ...
+            # Cover, then check.  Per array read and per set of runtime
+            # arguments its references ride: the fewest sections that
+            # hold exactly their elements.  References riding the same
+            # arguments translate rigidly, so their cover is one for
+            # every firing, moved with the arguments.
+            reads: dict[str, dict[tuple, list]] = {}
             for rid, cref in conc.refs.items():
-                j = ref_index[rid]
                 region = ref_region(cref, kbox)
-                statics, checks = reads.setdefault(cref.name, ([], []))
-                if not dyn_ref[rid]:
-                    statics.append(region)
-                else:
-                    recipe.append((
-                        r, cref.name, None, None,
-                        f"_rv{j}_{r}", f"_rs{j}_{r}", None,
-                    ))
-                    ix = emit_index(
-                        spec, "rhs", rid, plan.rhs_refs[rid], cref, kbox,
-                        ref_bases[rid],
-                    )
-                    checks.append((
-                        f"_rv{j}_{r}[{ix}]", f"_rs{j}_{r}[{ix}]",
-                        f"_arr{j}[{ix}]", region.count(),
-                    ))
+                reads.setdefault(cref.name, {}).setdefault(
+                    dims_of(("rhs", rid), ()), []
+                ).append(region)
                 # movement accounting, hoisted to build time: regions on
                 # dynamic (serial, in-bounds) dims translate rigidly, so
                 # the local/remote split is firing-invariant.
-                rlayout = info.layout(cref.name)
                 rown = image.ownership[cref.name]
-                owned = planner.owner_semantics_region(rlayout, rown, gr)
+                owned = planner.owner_semantics_region(
+                    info.layout(cref.name), rown, gr
+                )
                 local = (
                     region.intersect(owned).count() if owned is not None
                     else 0
@@ -391,100 +579,51 @@ class KernelEngine:
                     if axis not in cref.axes:
                         repeat *= kcount
                 remote_reads += (region.count() - local) * repeat
+            checks = []
+            for array, by_dims in reads.items():
+                fixed, moving = [], []
+                for dims, regions in by_dims.items():
+                    for section in cover(regions):
+                        index, count = np_index(section), section.count()
+                        if dims:
+                            moving.append(
+                                (moved(index, dims, origin), count, dims)
+                            )
+                        else:
+                            fixed.append((index, count))
+                sections += len(fixed) + len(moving)
+                checks.append((array, tuple(fixed), tuple(moving)))
+            index = moved(ref_np_index(conc.lhs, kbox), lhs_dims, origin)
+            ranks.append((gr.rank, tuple(checks), (index, lhs_dims, part)))
 
-            for a, (array, (statics, checks)) in enumerate(reads.items()):
-                # Static references verify the fewest sections that hold
-                # exactly their elements.
-                for n, section in enumerate(cover(statics)):
-                    names = tuple(f"_{c}{a}_{n}_{r}" for c in "vse")
-                    recipe.append(
-                        (r, array, np_index(section), None, *names)
-                    )
-                    checks.append((*names, section.count()))
-                invalid = (
-                    f"read of {array} at s{sid}: elements not present "
-                    f"on rank {r} (missing or misplaced communication)"
-                )
-                stale = (
-                    f"rank {r} read stale {array} at s{sid}: rank data "
-                    f"disagrees with the sequential semantics"
-                )
-                lines = [emit_checks(*c, invalid, stale) for c in checks]
-                body.extend(valid for valid, _ in lines)
-                body.extend(same for _, same in lines)
-                sections += len(checks)
-
-            if layout.distributed_dims:
-                value = f"_blk[{box_slice_literal(kbox)}].transpose({perm!r})"
-            else:
-                value = "_val"
-            if not lhs_dyn:
-                idx = ref_np_index(conc.lhs, kbox)
-                recipe.append(
-                    (r, name, idx, None, f"_lv{r}", f"_lw{r}", None)
-                )
-                body.append(f"    _lw{r}[...] = {value}")
-                body.append(f"    _lv{r}[...] = True")
-            else:
-                recipe.append(
-                    (r, name, None, None, f"_flv{r}", f"_flw{r}", None)
-                )
-                ix = emit_index(
-                    spec, "lhs", 0, plan.lhs, conc.lhs, kbox, lhs_bases
-                )
-                body.append(f"    _flw{r}[{ix}] = {value}")
-                body.append(f"    _flv{r}[{ix}] = True")
-
-        if not layout.distributed_dims:
-            for gr in image.ranks:
-                emit_rank(gr, full)
-                bcopy += 1
-        else:
-            for gr in image.ranks:
-                kbox = rank_kbox(conc, image.owned[gr.rank, name])
-                if kbox is None:
-                    continue
-                emit_rank(gr, kbox)
-                bcopy += 1
-
-        # Shadow advance, last: every check above compares against the
-        # shadow as it was before the firing.
-        if not lhs_dyn:
-            recipe.append((
-                None, name, ref_np_index(conc.lhs, full), None,
-                None, None, "_shwv",
-            ))
-            body.append("    _shwv[...] = _val")
-        else:
-            recipe.append((None, name, None, None, None, None, "_shw"))
-            ix = emit_index(spec, "lhs", 0, plan.lhs, conc.lhs, full, lhs_bases)
-            body.append(f"    _shw[{ix}] = _val")
-
-        sig = ", ".join(f"_q{i}" for i in range(nargs))
-        source = f"def _kernel({sig}):\n" + "\n".join(body) + "\n"
-        elements = 1
-        for count in conc.shape:
-            elements *= count
-        return KernelTemplate(
-            code=compile_fn(source, f"s{sid}"),
-            static=static,
-            recipe=recipe,
-            elements=elements,
-            bcopy_calls=bcopy,
+        return NestTemplate(
+            rhs=rhs,
+            views=tuple(views),
+            blocks=tuple(blocks),
+            bounds=tuple(bounds),
+            ranks=tuple(ranks),
+            advance=(
+                moved(ref_np_index(conc.lhs, full), lhs_dims, origin),
+                lhs_dims,
+            ),
+            sid=plan.assign.sid,
+            lhs=name,
+            elements=math.prod(conc.shape),
+            bcopy_calls=len(ranks),
             remote_reads=remote_reads,
             sections=sections,
         )
 
-    # -- communication copy kernels ----------------------------------------
+    # -- communication copy templates --------------------------------------
 
     def execute_plan_copy(self, key: tuple, plan: CommPlan) -> None:
-        """Run one CommPlan on the legacy direct-copy data path as a
-        single compiled function (validity + staleness + slice-to-slice
-        installs over prebound views, no intermediate block copies).
-        ``key`` is the plan's key in the image's table: it names this
-        run's binding of the plan's copy template."""
+        """Run one CommPlan on the direct-copy data path from its bound
+        rows (validity + staleness + view-to-view installs, no
+        intermediate block copies).  ``key`` is the plan's key in the
+        image's table: it names this run's binding of the plan's copy
+        template."""
         stats = self.stats
-        bound = self._copy_fns.get(key)
+        bound = self._copy_rows.get(key)
         built = False
         if bound is None:
             t0 = time.perf_counter()
@@ -493,9 +632,9 @@ class KernelEngine:
                 with self.image.lock:
                     kern = plan.copy
                     if kern is None:
-                        kern = plan.copy = _build_copy(plan)
+                        kern = plan.copy = CopyTemplate.of(plan)
                         built = True
-            bound = self._copy_fns[key] = (
+            bound = self._copy_rows[key] = (
                 kern, kern.bind(self.storage, self.shadow.arrays)
             )
             stats.plan_compile_s += time.perf_counter() - t0
@@ -503,94 +642,10 @@ class KernelEngine:
             stats.kernel_compiles += 1
         else:
             stats.kernel_cache_hits += 1
-        kern, call = bound
-        call()
+        kern, rows = bound
+        run_copy(rows)
         stats.kernel_firings += 1
         stats.bcopy_calls += kern.bcopy_calls
         stats.sections_verified += kern.sections
         stats.messages += len(plan.wire_pairs)
         stats.bytes_moved += plan.wire_bytes
-
-
-def emit_checks(
-    valid: str, values: str, expected: str, size: int,
-    invalid: str, stale: str,
-) -> tuple[str, str]:
-    """The emitted form of :func:`~repro.runtime.darray.all_valid` and
-    :func:`~repro.runtime.darray.fresh` over ``size`` elements: their
-    fast paths inline (no Python call on a pass), the NaN-aware slow
-    path behind a mismatch.  Returns the validity line and the
-    staleness line."""
-    return (
-        f"    if _cnz({valid}) != {size}: raise _err({invalid!r})",
-        f"    _cnz({values} != {expected}) and "
-        f"_stale({values}, {expected}, {stale!r})",
-    )
-
-
-def _stale(values, expected, message: str) -> None:
-    """The slow path of an emitted staleness test: a mismatch was seen;
-    raise unless it is a NaN the semantics hold too."""
-    if not fresh(values, expected):
-        raise SimulationError(message)
-
-
-_CHECK_NAMES = {"_err": SimulationError, "_cnz": count_nonzero, "_stale": _stale}
-
-
-def _build_copy(plan: CommPlan) -> KernelTemplate:
-    static = dict(_CHECK_NAMES)
-    recipe: list[tuple] = []
-    body: list[str] = []
-    bcopy = 0
-    for k, t in enumerate(plan.transfers):
-        recipe.append((
-            t.src, t.array, t.index, None,
-            f"_sv{k}", f"_sd{k}", f"_ex{k}",
-        ))
-        recipe.extend(
-            (dst, t.array, t.index, None,
-             f"_dm{k}_{dst}", f"_dv{k}_{dst}", None)
-            for dst in t.dsts
-        )
-        if t.mask is None:
-            take, moved = "[...]", f"_sd{k}"
-            body.extend(emit_checks(
-                f"_sv{k}", f"_sd{k}", f"_ex{k}", t.region.count(),
-                f"extracting invalid data from {t.array} {t.region}",
-                f"stale data shipped for {t.array} {t.region}: sender "
-                f"holds values that disagree with the sequential semantics",
-            ))
-        else:
-            take, moved = f"[_mk{k}]", f"_t{k}"
-            static[f"_mk{k}"] = t.mask
-            valid, same = emit_checks(
-                f"_sv{k}{take}", moved, f"_ex{k}{take}", int(t.mask.sum()),
-                f"diagonal forwarding of {t.array}: source rank "
-                f"{t.src} missing forwarded data",
-                f"stale data shipped for {t.array} (diagonal phase)",
-            )
-            body += [valid, f"    {moved} = _sd{k}{take}", same]
-        for dst in t.dsts:
-            body.append(f"    _dv{k}_{dst}{take} = {moved}")
-            body.append(f"    _dm{k}_{dst}{take} = True")
-        bcopy += 1 + len(t.dsts)
-    if not body:
-        body.append("    pass")
-    source = "def _copy():\n" + "\n".join(body) + "\n"
-    return KernelTemplate(
-        code=compile_fn(source, "commplan"),
-        static=static,
-        recipe=recipe,
-        bcopy_calls=bcopy,
-        sections=len(plan.transfers),
-    )
-
-
-def _aligner(cref, kbox):
-    """A partially-applied :func:`aligned_block` safe to close over."""
-
-    def align(raw):
-        return aligned_block(raw, cref, kbox)
-
-    return align

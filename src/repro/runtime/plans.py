@@ -366,14 +366,6 @@ def block_alignment(cref: ConcreteRef, kbox) -> tuple[tuple, tuple]:
     return perm, target
 
 
-def aligned_block(
-    raw: np.ndarray, cref: ConcreteRef, kbox
-) -> np.ndarray:
-    """Reshape a raw slice (array-dim order) into iteration-box order."""
-    perm, target = block_alignment(cref, kbox)
-    return raw.transpose(perm).reshape(target)
-
-
 def var_axis_block(conc: ConcreteNest, axis: int, kbox) -> np.ndarray:
     """The loop variable's runtime values over ``kbox``, aligned on its
     nest axis (so ``a(i) = i * 2`` style value uses vectorize too)."""

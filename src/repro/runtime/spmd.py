@@ -144,6 +144,10 @@ class ExecutionImage:
             info, self.grid, self.ranks, self.ownership
         )
         self.owned = self.planner.owned
+        #: (rank, array) -> the numpy index of the rank's owned region
+        self.owned_index = {
+            key: np_index(region) for key, region in self.owned.items()
+        }
         self.lock = threading.Lock()
         #: (grid shape, anchor, slot at the anchor, sections) -> CommPlan.
         #: The grid shape is part of the key: a plan's ranks, partners and
@@ -159,7 +163,7 @@ class ExecutionImage:
         self.fallback_reasons: dict[int, str] = {}
         self.kernel_specs: dict = {}
         self.kernel_ineligible: dict[int, str] = {}
-        #: (nest sid, loop geometry) -> KernelTemplate
+        #: (nest sid, loop geometry) -> NestTemplate
         self.nest_templates: dict[tuple, object] = {}
         #: (anchor, enclosing loop variables' values) -> the CommPlan key
         #: of each op firing there: a firing's geometry, derived once.
@@ -334,8 +338,10 @@ class SPMDExecutor:
                     name, layout.shape,
                     buffers[(gr.rank, name)] if buffers is not None else None,
                 )
-                owned = self.image.owned[gr.rank, name]
-                store.install(owned, init[name][np_index(owned)])
+                idx = self.image.owned_index[gr.rank, name]
+                store.install(
+                    self.image.owned[gr.rank, name], init[name][idx], idx
+                )
                 per_rank[name] = store
             self.storage[gr.rank] = per_rank
         if self.transport is not None:
@@ -769,7 +775,9 @@ class SPMDExecutor:
                 raise SimulationError(f"reduction over empty section {ref}")
             pieces: dict[int, np.ndarray] = {}
             for rank, piece, index in owners:
-                values = pieces[rank] = self.storage[rank][name].extract(piece)
+                values = pieces[rank] = self.storage[rank][name].extract(
+                    piece, index
+                )
                 if not fresh(values, self.shadow.arrays[name][index]):
                     raise SimulationError(
                         f"stale data shipped for {name} {piece}: sender holds "
@@ -903,8 +911,7 @@ class SPMDExecutor:
         for name, layout in self.info.layouts.items():
             result = np.zeros(layout.shape)
             for gr in self.ranks:
-                owned = self.image.owned[gr.rank, name]
-                idx = np_index(owned)
+                idx = self.image.owned_index[gr.rank, name]
                 result[idx] = self.storage[gr.rank][name].values[idx]
             out[name] = result
         for name, value in self.shadow.scalars.items():

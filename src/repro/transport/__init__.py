@@ -70,8 +70,8 @@ def make_transport(
     chaos: "FaultPlan | str | None" = None,
     max_rank_restarts: int | None = None,
 ) -> Transport | None:
-    """Resolve a transport spec: ``None`` (keep the legacy direct-copy
-    path), a backend name from :data:`BACKENDS`, or an already-built
+    """Resolve a transport spec: ``None`` (keep the direct-copy path),
+    a backend name from :data:`BACKENDS`, or an already-built
     :class:`Transport` instance (returned as-is, though ``chaos`` /
     ``max_rank_restarts`` are still applied).
 
@@ -79,14 +79,13 @@ def make_transport(
     :class:`FaultPlan` or a ``--chaos-spec`` string (see
     :meth:`FaultPlan.parse`).  The backend keeps its name and type; its
     fault ledger is ``transport.chaos.ledger()``.  Only the concurrent
-    backends inject faults: ``chaos`` on any other raises
-    ``ValueError``.
+    backends inject faults: ``chaos`` on any other, or with no backend
+    at all, raises ``ValueError``.
     """
-    if spec is None:
-        return None
+    transport = None
     if isinstance(spec, Transport):
         transport = spec
-    else:
+    elif spec is not None:
         try:
             cls = BACKENDS[spec]
         except KeyError:
@@ -96,10 +95,13 @@ def make_transport(
             ) from None
         transport = cls(nranks, watchdog_s=watchdog_s)
     if chaos is not None and not isinstance(transport, ConcurrentTransport):
+        name = "direct" if transport is None else transport.name
         raise ValueError(
             f"fault injection needs a concurrent backend ('threaded' or "
-            f"'multiprocess'); {transport.name!r} is the fault-free reference"
+            f"'multiprocess'); {name!r} is the fault-free reference"
         )
+    if transport is None:
+        return None
     if max_rank_restarts is not None:
         transport.max_rank_restarts = max_rank_restarts
     if chaos is not None:

@@ -378,6 +378,39 @@ class TestRun:
         assert main(["run", program_file, "--chaos-spec", "explode=1"]) == 2
         assert "bad chaos spec" in capsys.readouterr().err
 
+    def test_direct_runs_without_a_transport(
+        self, program_file, tmp_path, capsys
+    ):
+        """``direct`` is the path the run_compute benchmark measures: it
+        charges what ``inline`` charges and prints no wire counts, since
+        nothing went on a wire."""
+        halo3 = tmp_path / "halo3.hpf"
+        halo3.write_text(HALO3_SRC)
+        for path in (program_file, str(halo3)):
+            reports = {}
+            for transport in ("direct", "inline"):
+                assert main(["run", path, "--transport", transport]) == 0
+                out = capsys.readouterr().out
+                assert out.startswith(f"== executed on {transport} ")
+                reports[transport] = dict(
+                    line.split()[:2] for line in out.splitlines()
+                    if line.startswith("   ")
+                )
+            direct, inline = reports["direct"], reports["inline"]
+            assert "wire_frames" not in direct and "wire_bytes" not in direct
+            for key in ("messages", "bytes_moved", "reductions"):
+                assert direct[key] == inline[key], key
+            assert int(direct["messages"]) > 0
+
+    def test_chaos_on_direct_is_refused(self, program_file, capsys):
+        assert main([
+            "run", program_file, "--transport", "direct",
+            "--chaos-spec", "seed=7,drop=0.5,corrupt=0.5,crash=1.0",
+        ]) == 2
+        assert "'direct' is the fault-free reference" in (
+            capsys.readouterr().err
+        )
+
     def test_chaos_on_inline_is_refused(self, program_file, capsys):
         assert main([
             "run", program_file, "--transport", "inline",

@@ -25,11 +25,11 @@ from repro.core.pipeline import compile_program
 from repro.errors import SimulationError
 from repro.evaluation.programs import BENCHMARKS
 from repro.ir.cfg import Position
-from repro.runtime import spmd
-from repro.runtime.darray import RankStorage
+from repro.runtime import darray, spmd
+from repro.runtime.darray import RankStorage, np_index
 from repro.runtime.interp import Interpreter, interpret
-from repro.runtime.kernels import KernelEngine
-from repro.runtime.plans import concretize_nest, rank_kbox
+from repro.runtime.kernels import KernelEngine, moved
+from repro.runtime.plans import concretize_nest, rank_kbox, ref_np_index
 from repro.runtime.spmd import SPMDExecutor, execute_spmd, execution_image
 from repro.sections.rsd import RSD
 from repro.sections.symbolic import SymSection
@@ -216,6 +216,30 @@ class TestWarmRunsDeriveNothing:
         assert all(image.firings[k] is v for k, v in firings.items())
         _assert_same_run(warm, execute_spmd(_compile(program), seed=99))
 
+    @pytest.mark.parametrize("program", ["gravity", "trimesh"])
+    def test_no_numpy_index_rebuilt_on_a_warm_run(self, program, monkeypatch):
+        """Each (rank, array) owned index is the image's: installing the
+        initial data, extracting reduction pieces and assembling the
+        result take it from there instead of rebuilding it."""
+        built = []
+
+        def counting(rsd):
+            built.append(rsd)
+            return np_index(rsd)
+
+        monkeypatch.setattr(darray, "np_index", counting)
+        monkeypatch.setattr(spmd, "np_index", counting)
+        result = compile_program(
+            BENCHMARKS[program],
+            params={**SMALL[program], "pr": 4, "pc": 4}, strategy="comb",
+        )
+        cold = execute_spmd(result)
+        assert built
+        del built[:]
+        warm = execute_spmd(result)
+        assert not built
+        _assert_same_run(warm, cold)
+
     @pytest.mark.parametrize("backend", ["inline", "threaded", "multiprocess"])
     @pytest.mark.parametrize("program,strategy", [
         ("gravity", "orig"), ("hydflo_flux", "orig"), ("shallow", "comb"),
@@ -307,8 +331,10 @@ class TestSectionsVerified:
     #: and what the whole run would make testing each reference instead
     #: of the cover.  Under ``vectorize=False`` the run makes only the
     #: tests outside nests (transfers and reduction pieces: 576 on 2x2,
-    #: 2 304 on 4x4), since element-wise reads are not sections.
-    PINNED = [((2, 2), 1804, 2380, 3964), ((4, 4), 7216, 9520, 15856)]
+    #: 2 304 on 4x4), since element-wise reads are not sections.  The
+    #: references ``g(i, ...)`` that ride the loop variable are covered
+    #: too, once per geometry, and moved with ``i``.
+    PINNED = [((2, 2), 1660, 2236, 3964), ((4, 4), 6640, 8944, 15856)]
 
     @pytest.mark.parametrize("grid,nest,total,per_reference", PINNED)
     def test_gravity_counts(self, grid, nest, total, per_reference):
@@ -317,6 +343,7 @@ class TestSectionsVerified:
             params={"n": 20, "pr": grid[0], "pc": grid[1]}, strategy="comb",
         )
         executor = SPMDExecutor(result)
+        image = executor.image
         fire = executor.kernels.try_exec_nest
         share = references = 0
 
@@ -327,11 +354,39 @@ class TestSectionsVerified:
             share += executor.stats.sections_verified - before
             conc = concretize_nest(plan, env, executor.info)
             name = plan.lhs.name
+            kboxes = {}
             for gr in executor.ranks:
-                if not executor.info.layout(name).distributed_dims or (
-                    rank_kbox(conc, executor.image.owned[gr.rank, name])
-                ):
-                    references += len(conc.refs)
+                if not executor.info.layout(name).distributed_dims:
+                    kboxes[gr.rank] = conc.full_box()
+                else:
+                    kbox = rank_kbox(conc, image.owned[gr.rank, name])
+                    if kbox:
+                        kboxes[gr.rank] = kbox
+            references += len(kboxes) * len(conc.refs)
+            assert done
+            # The oracle examines the elements the references read, per
+            # rank and per firing: the union of the sections it tests is
+            # the union of the references' regions, array by array.
+            spec = image.kernel_specs[plan.outer_sid]
+            args = [int(a.evaluate(env)) for a in spec.dyn_args]
+            template = image.nest_templates[plan.outer_sid, conc.axes]
+            assert {rank for rank, *_ in template.ranks} == set(kboxes)
+            for rank, checks, _ in template.ranks:
+                arrays = {cref.name for cref in conc.refs.values()}
+                assert {array for array, *_ in checks} == arrays
+                for array, fixed, moving in checks:
+                    shape = executor.info.shape(array)
+                    tested = np.zeros(shape, dtype=bool)
+                    rows = [(*row, ()) for row in fixed] + list(moving)
+                    for index, count, dims in rows:
+                        section = tested[moved(index, dims, args)]
+                        assert section.size == count
+                        section[...] = True
+                    read = np.zeros(shape, dtype=bool)
+                    for cref in conc.refs.values():
+                        if cref.name == array:
+                            read[ref_np_index(cref, kboxes[rank])] = True
+                    np.testing.assert_array_equal(tested, read)
             return done
 
         executor.kernels.try_exec_nest = metered
@@ -530,6 +585,22 @@ class TestConstructorFailureLeaksNothing:
         children = len(multiprocessing.active_children())
         with pytest.raises(ValueError, match="bad chaos spec"):
             execute_spmd(result, transport=backend, chaos="drop")
+        assert threading.active_count() == threads
+        assert len(multiprocessing.active_children()) == children
+
+    @pytest.mark.parametrize("chaos", [
+        "seed=7,drop=0.5,corrupt=0.5,crash=1.0", "drop",
+    ])
+    def test_chaos_without_a_transport_is_refused(self, chaos):
+        """The direct-copy path sends nothing to inject faults into:
+        arming them there is refused, not silently run fault-free."""
+        result = _compile("shallow")
+        threads = threading.active_count()
+        children = len(multiprocessing.active_children())
+        with pytest.raises(
+            ValueError, match="'direct' is the fault-free reference"
+        ):
+            execute_spmd(result, chaos=chaos)
         assert threading.active_count() == threads
         assert len(multiprocessing.active_children()) == children
 

@@ -4,13 +4,13 @@ Every value a rank reads or ships is tested twice: its validity bit is
 set (a message delivered it) and it equals the sequential shadow (the
 message was not sent too early).  The runtime has one spelling of that
 pair (:func:`repro.runtime.darray.all_valid` / ``fresh``, and the form
-:func:`repro.runtime.kernels.emit_checks` emits); nest kernels apply it
-to the read *cover* instead of to every element read.  These tests pin
-the consequences: NaN bits the semantics also hold are not stale, a
-corrupted element inside any read region is caught by the kernel path
-and by the element-wise path for the same statement, rank, array and
-kind, one outside is caught by neither, and no second spelling creeps
-back in.
+:func:`repro.runtime.kernels.verify` runs over kernel rows); nest
+kernels apply it to the read *cover* instead of to every element read.
+These tests pin the consequences: NaN bits the semantics also hold are
+not stale, a corrupted element inside any read region is caught by the
+kernel path and by the element-wise path for the same statement, rank,
+array and kind, one outside is caught by neither, and no second
+spelling creeps back in.
 """
 
 from __future__ import annotations
@@ -347,14 +347,21 @@ class TestIdiomStaysSingle:
         for name, text in self.sources().items():
             assert not pattern.search(text), name
 
-    def test_the_emitter_spells_the_fast_path_once(self):
+    def test_the_row_runner_spells_the_fast_path_once(self):
+        """Nest and copy rows share one test: the validity count and the
+        compare-count-then-``fresh`` staleness test appear once, in
+        :func:`~repro.runtime.kernels.verify`, and both runners call it."""
         text = self.sources()["kernels.py"]
-        emitter = inspect.getsource(kernels.emit_checks)
-        assert emitter.count("_cnz(") == text.count("_cnz(") == 2
-        assert emitter.count("_stale(") == 1
-        assert text.count("_stale(") == 2  # and its three-line definition
-        assert kernels._CHECK_NAMES["_cnz"] is darray.count_nonzero
-        assert "fresh(values, expected)" in inspect.getsource(kernels._stale)
+        runner = inspect.getsource(kernels.verify)
+        assert runner.count("count_nonzero(") == text.count(
+            "count_nonzero("
+        ) == 2
+        assert "count_nonzero(valid) != count" in runner
+        assert "count_nonzero(values != expected) and not fresh(" in runner
+        assert text.count("fresh(") == runner.count("fresh(") == 1
+        assert kernels.count_nonzero is darray.count_nonzero
+        for caller in (kernels.NestTemplate.bind, kernels.run_copy):
+            assert inspect.getsource(caller).count("verify(") == 1
 
     def test_count_nonzero_is_the_c_function(self):
         """numpy >= 2 wraps ``np.count_nonzero`` in Python; the helper

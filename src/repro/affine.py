@@ -14,7 +14,7 @@ interval evaluation under symbol ranges.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DependenceError
 
@@ -84,9 +84,6 @@ class Affine:
     def coeff(self, name: str) -> int:
         """Coefficient of ``name`` (0 if absent)."""
         return self.coeffs.get(name, 0)
-
-    def depends_on(self, names: Iterable[str]) -> bool:
-        return any(n in self.coeffs for n in names)
 
     # -- algebra -----------------------------------------------------------
 

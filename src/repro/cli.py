@@ -13,6 +13,7 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 
@@ -358,6 +359,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return run_server(args)
 
 
+def state_sha256(arrays: dict) -> str:
+    """sha256 over a final state: per name, sorted, the name, the shape
+    and the float64 bytes.  Two runs agree bit for bit exactly when
+    their digests are equal."""
+    import numpy as np
+
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        value = np.ascontiguousarray(arrays[name], dtype=np.float64)
+        h.update(f"{name}{value.shape}".encode())
+        h.update(value.tobytes())
+    return h.hexdigest()
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """Compile one program and execute it on simulated ranks through a
     message-passing backend, optionally under chaos fault injection, or
@@ -408,6 +423,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"== executed on {args.transport} "
           f"({len(arrays)} arrays/scalars assembled)")
     report = stats.as_dict()
+    report["state_sha256"] = state_sha256(arrays)
     # What the transport sent, beside what the schedule is charged: on a
     # program without reductions the two pairs agree.  (Nothing goes on
     # a wire on the direct path.)
@@ -417,7 +433,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for key in (
         "messages", "bytes_moved", "wire_frames", "wire_bytes",
         "reductions", "faults_injected", "faults_detected", "retransmits",
-        "rank_restarts",
+        "rank_restarts", "state_sha256",
     ):
         if key in report:
             print(f"   {key:16s} {report[key]}")

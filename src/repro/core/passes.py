@@ -192,12 +192,6 @@ def resolve_pass(name: str) -> PlacementPass:
     return passes[name]
 
 
-def validate_pass_names(names: "list[str] | tuple[str, ...]") -> None:
-    """Raise ValueError on unknown or non-disableable pass names."""
-    for name in names:
-        resolve_pass(name)
-
-
 #: The named pipeline configurations behind the three strategies.  Every
 #: pipeline implicitly starts with the ``analyze`` pass (Latest/Earliest/
 #: candidate analysis); these are the placement pass lists that follow.

@@ -88,9 +88,6 @@ class ProgramInfo:
         except KeyError:
             raise SemanticError(f"no layout for array {array!r}") from None
 
-    def is_array(self, name: str) -> bool:
-        return name in self.layouts
-
     def is_distributed(self, name: str) -> bool:
         layout = self.layouts.get(name)
         return layout is not None and bool(layout.distributed_dims)

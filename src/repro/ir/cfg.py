@@ -341,10 +341,6 @@ class CFG:
     def node_of_stmt(self, stmt: ast.Assign) -> Node:
         return self._stmt_place[stmt.sid][0]
 
-    def place_of_stmt(self, stmt: ast.Assign) -> tuple[Node, int]:
-        """(node, statement index within node) of an Assign."""
-        return self._stmt_place[stmt.sid]
-
     def position(self, node_id: int, index: int) -> Position:
         """The interned Position for (node_id, index); value-equal to a
         freshly constructed ``Position`` but canonical per CFG."""

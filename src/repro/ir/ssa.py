@@ -48,14 +48,6 @@ class SSADef:
     version: int = field(default=-1)
     id: int = field(default=-1)
 
-    @property
-    def is_phi(self) -> bool:
-        return isinstance(self, PhiDef)
-
-    @property
-    def is_entry(self) -> bool:
-        return isinstance(self, EntryDef)
-
     def __repr__(self) -> str:
         return f"{self.var}_{self.version}@n{self.node.id}"
 
@@ -323,12 +315,6 @@ class SSA:
             raise PlacementError(
                 f"no SSA use recorded for {ref} in statement {stmt.sid}"
             ) from None
-
-    def header_phi(self, node: Node, var: str) -> PhiDef | None:
-        for phi in self.phis[node.id]:
-            if phi.var == var:
-                return phi
-        return None
 
     def all_defs(self) -> Iterator[SSADef]:
         yield from self.entry_defs.values()

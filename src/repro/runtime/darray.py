@@ -6,12 +6,16 @@ bands nearest-neighbour messages fill (the paper's §4.8 "overlap
 regions").  Index math is kept in *global* coordinates — each rank's
 storage is a full-shape array plus a validity mask — so the executor
 stays simple while ownership and data movement remain completely
-faithful.
+faithful.  The ranks are an axis: one ``(P, *shape)`` values array and
+one validity array hold every rank's storage of a program array, rank
+``r``'s :class:`RankStorage` the views ``[r]``, so a row over all ranks
+is one flat index into the pair (:func:`positions`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +46,13 @@ def fresh(values, expected) -> bool:
     return not count_nonzero(values != expected) or np.array_equal(
         values, expected, equal_nan=True
     )
+
+
+def positions(shape: tuple[int, ...]) -> np.ndarray:
+    """The C-order flat position of every element of an array of
+    ``shape``, as an array of that shape: ``positions(shape)[index]``
+    is where ``index`` lies in the flattened array."""
+    return np.arange(math.prod(shape), dtype=np.intp).reshape(shape)
 
 
 def np_index(rsd: RSD) -> tuple:
@@ -107,15 +118,11 @@ class Ownership:
                 dims.append(DimSection(coord + 1, mapping.extent, procs))
         return RSD(tuple(dims))
 
-    def halo_band(
-        self,
-        coords: tuple[int, ...],
-        elem_shifts: dict[int, int],
-    ) -> RSD:
-        """The owned region of ``coords`` extended by ``|delta|`` elements
-        on the read side of each shifted dimension — the overlap region a
-        shift of ``elem_shifts`` can legitimately fill."""
-        owned = self.owned_rsd(coords)
+    def halo_band(self, owned: RSD, elem_shifts: dict[int, int]) -> RSD:
+        """A processor's ``owned`` region extended by ``|delta|``
+        elements on the read side of each shifted dimension — the
+        overlap region a shift of ``elem_shifts`` can legitimately
+        fill."""
         dims = []
         for dim, section in enumerate(owned.dims):
             delta = elem_shifts.get(dim, 0)
@@ -135,17 +142,14 @@ class Ownership:
                 )
         return RSD(tuple(dims))
 
-    def shifted_needs(
-        self, coords: tuple[int, ...], elem_shifts: dict[int, int]
-    ) -> RSD:
+    def shifted_needs(self, owned: RSD, elem_shifts: dict[int, int]) -> RSD:
         """The elements a processor *reads* under an element shift: its
-        owned region translated by the shift (clipped to the array).
+        ``owned`` region translated by the shift (clipped to the array).
 
         Exact for BLOCK (the translated span) and CYCLIC (the translated
         progression is exactly the wrapped neighbour's progression, modulo
         the array boundary).
         """
-        owned = self.owned_rsd(coords)
         dims = []
         for dim, section in enumerate(owned.dims):
             delta = elem_shifts.get(dim, 0)
@@ -169,7 +173,8 @@ class Ownership:
 
 class RankStorage:
     """One rank's view of one array: full-shape values plus a validity
-    mask.  Reads outside the valid region are the runtime face of a
+    mask — in a run, the rank's ``[r]`` views of the array's stacked
+    pair.  Reads outside the valid region are the runtime face of a
     placement bug."""
 
     def __init__(
@@ -189,14 +194,6 @@ class RankStorage:
             self.values, self.valid = buffers
             assert self.values.shape == shape
             assert self.valid.shape == shape and self.valid.dtype == bool
-
-    def install(self, rsd: RSD, values: np.ndarray, idx=None) -> None:
-        if rsd.is_empty:
-            return
-        if idx is None:
-            idx = np_index(rsd)
-        self.values[idx] = values
-        self.valid[idx] = True
 
     def extract(self, rsd: RSD, idx=None) -> np.ndarray:
         # ``idx``, when given, is ``np_index(rsd)``, known to the caller.

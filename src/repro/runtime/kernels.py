@@ -1,4 +1,5 @@
-"""Per-rank kernel execution for the SPMD runtime: a kernel is a table.
+"""Kernel execution for the SPMD runtime: a kernel is a table, and the
+ranks are one of its axes.
 
 The element-wise executor interprets every iteration of a planned nest:
 it walks the RHS expression tree per element, evaluates each subscript,
@@ -24,9 +25,19 @@ and run by one loop per template kind.
   reason recorded (:attr:`KernelEngine.ineligible`).
 
 * A CommPlan's :class:`CopyTemplate` (hung on the plan) is its
-  transfers with their element counts, bound to rows of source, shadow
-  and destination views and run by :func:`run_copy`: storage to storage,
-  nothing compiled.
+  transfers with their element counts, run by :func:`run_copy`: storage
+  to storage, nothing compiled.
+
+A run keeps every rank's storage of an array in one stacked ``(P,
+*shape)`` pair (:mod:`repro.runtime.darray`), so the rows of all ranks
+are *one* flat index per array, built with the template: a firing is
+one validity gather and count per array, one value gather compared
+with one shadow gather, one store scatter — whatever the grid.  A flat
+index is an offset, not a view, so it serves every run of the image
+unchanged.  Rows above :data:`CROSSOVER` elements stay numpy views of
+one rank's storage, where a view is cheaper than a copy; both kinds go
+through the one :func:`verify`.  Only a failure walks the rows again,
+rank by rank, as views, to name it.
 
 The movement accounting (remote reads, bcopy calls, elements written)
 is translation-invariant across firings of one geometry and is counted
@@ -46,6 +57,7 @@ from __future__ import annotations
 import math
 import time
 import types
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +71,7 @@ from ..codegen.kernels import (
 )
 from ..errors import SimulationError
 from ..sections.rsd import cover
-from .darray import count_nonzero, fresh, np_index
+from .darray import count_nonzero, fresh, np_index, positions
 from .plans import (
     CommPlan,
     NestPlan,
@@ -72,7 +84,10 @@ from .plans import (
     var_axis_block,
 )
 
-__all__ = ["CopyTemplate", "KernelEngine", "NestTemplate", "moved", "verify"]
+__all__ = [
+    "CopyTemplate", "KernelEngine", "NestTemplate", "flat_row", "moved",
+    "owned_rows", "shared", "verify",
+]
 
 #: What :func:`verify` reports: every row passes, or the kind of failure.
 PASS, INVALID, STALE = 0, 1, 2
@@ -127,6 +142,130 @@ def moved(index: tuple, dims: tuple, args) -> tuple:
     return tuple(out)
 
 
+#: Rows holding more elements than this stay numpy views of one rank's
+#: storage; smaller ones join their array's one flat gather over every
+#: rank.  A gather copies, at several times a view's cost per element,
+#: but takes one numpy call for all the rows it holds.  The value is
+#: measured over the ``run_compute`` classes (``benchmarks/crossover.py``;
+#: table in docs/PERFORMANCE.md, "Ranks are an axis"): 256 and 512 tie,
+#: 1024 and gathering everything slow the 2x2 classes, and the smaller
+#: value keeps the smaller indices.
+CROSSOVER = 256
+
+
+#: Every flat index the templates and images of the process hold, by
+#: its bytes: an index is an offset, not a view of one run's storage,
+#: so statements writing one region, arrays of one layout, copies of
+#: one boundary and images of one program under two strategies share
+#: one.  Weak: an index lives as long as something holding it.
+_INDICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def shared(index: np.ndarray) -> np.ndarray:
+    """``index`` (of numpy's index type), read-only, or the equal one
+    the process already holds.  Two builders racing on one index only
+    lose the share, never an index."""
+    key = np.ascontiguousarray(index, dtype=np.intp).tobytes()
+    kept = _INDICES.get(key)
+    if kept is None:
+        kept = np.frombuffer(key, dtype=np.intp)
+        _INDICES[key] = kept
+    return kept
+
+
+def flat_row(index: np.ndarray, size: int) -> tuple:
+    """``(index, at)``: a flat ``index`` into a stacked pair whose arrays
+    hold ``size`` elements, and ``at``, the same elements' positions in
+    one array — the shadow's — both :func:`shared`."""
+    return shared(index), shared(index % size)
+
+
+def owned_rows(ranks, owned_index: dict, name: str, shape: tuple) -> tuple:
+    """Array ``name``'s owned regions over its stacked pair, ``(flat,
+    wide)``: the regions of at most :data:`CROSSOVER` elements as one
+    :func:`flat_row` (``None`` if no region is that small), and the
+    ranks whose larger region stays a view
+    (``owned_index[rank, name]``)."""
+    size = math.prod(shape)
+    grid = positions(shape)
+    flat, wide = [], []
+    for gr in ranks:
+        own = grid[owned_index[gr.rank, name]].reshape(-1)
+        if own.size > CROSSOVER:
+            wide.append(gr.rank)
+        else:
+            flat.append(own + gr.rank * size)
+    if flat:
+        return flat_row(np.concatenate(flat), size), tuple(wide)
+    return None, tuple(wide)
+
+
+class _Stacked:
+    """Build-time flat positions over a program's stacked arrays: rank
+    ``r``'s element at ``index`` of ``array`` lies at ``r * size +
+    positions[index]`` of the flattened ``(P, *shape)`` pair, its
+    shadow element at the same position modulo ``size``.  A position
+    taken at the building firing that rides runtime arguments (``args``:
+    their values there) moves with them (:meth:`shifts`)."""
+
+    def __init__(self, info, nranks: int, args) -> None:
+        self.info = info
+        self.nranks = nranks
+        self.args = args
+        self._arrays: dict[str, tuple] = {}
+
+    def _array(self, array: str) -> tuple:
+        got = self._arrays.get(array)
+        if got is None:
+            shape = self.info.shape(array)
+            size = math.prod(shape)
+            got = self._arrays[array] = (
+                positions(shape), size,
+                tuple(math.prod(shape[d + 1:]) for d in range(len(shape))),
+            )
+        return got
+
+    def at(self, rank: int, array: str, index: tuple) -> np.ndarray:
+        """The positions of rank ``rank``'s ``index``, in its shape."""
+        grid, size, _ = self._array(array)
+        return grid[index] + rank * size
+
+    def size(self, array: str) -> int:
+        return self._array(array)[1]
+
+    def shifts(self, array: str, dims: tuple):
+        """How positions riding the ``(dim, arg)`` pairs ``dims`` move:
+        ``((arg, stride), ...)`` and their offset at the building
+        firing (:func:`_offset`); ``None`` for fixed ones."""
+        if not dims:
+            return None
+        strides = self._array(array)[2]
+        pairs = tuple((arg, strides[d]) for d, arg in dims)
+        return pairs, sum(self.args[arg] * stride for arg, stride in pairs)
+
+
+def _offset(shifts: tuple, args) -> int:
+    """How far positions taken at the building firing move at this one."""
+    pairs, delta = shifts
+    delta = -delta
+    for arg, stride in pairs:
+        delta += args[arg] * stride
+    return delta
+
+
+def _flats(stacks: dict, shadow: dict) -> dict:
+    """Per array the flattened ``(valid, values, shadow)`` a flat index
+    reads: views of one run's stacked pair and its shadow array."""
+    out = {}
+    for name, (values, valid) in stacks.items():
+        truth = shadow[name]
+        assert values.flags.c_contiguous and truth.flags.c_contiguous
+        out[name] = (
+            valid.reshape(-1), values.reshape(-1), truth.reshape(-1)
+        )
+    return out
+
+
 @dataclass
 class NestTemplate:
     """One nest geometry, independent of any run's storage.
@@ -145,14 +284,24 @@ class NestTemplate:
     ``checks`` is ``((array, fixed, moving), ...)``: the sections of the
     cover of the rank's reads of ``array``, ``(index, count)`` when
     fixed at build time and ``(index, count, dims)`` when they ride
-    runtime arguments.  ``store`` is ``(index, dims, part)``: the LHS
-    region and the index of the block, in LHS order, that fills it.
-    ``advance`` is the shadow's ``(index, dims)`` of the LHS.  An index
-    with ``dims`` is relative to the runtime arguments and moves with
-    the ``(dim, arg)`` pairs ``dims`` names (:func:`moved`); ``dims`` is
-    empty for an index fixed at build time.  The accounting constants
-    are firing-invariant and counted once, at build time — ``sections``
-    is the number of check rows.
+    runtime arguments.  ``store`` is ``(index, dims, part, count)``: the
+    LHS region, the index of the block, in LHS order, that fills it and
+    its element count.  ``advance`` is the shadow's ``(index, dims)`` of
+    the LHS.  An index with ``dims`` is relative to the runtime
+    arguments and moves with the ``(dim, arg)`` pairs ``dims`` names
+    (:func:`moved`); ``dims`` is empty for an index fixed at build time.
+    The accounting constants are firing-invariant and counted once, at
+    build time — ``sections`` is the number of check rows.
+
+    A firing runs the rows of at most :data:`CROSSOVER` elements over
+    every rank at once, as flat indices into the stacked arrays
+    (:class:`_Stacked`); the larger ones of ``ranks`` stay views.
+    ``gathers`` holds ``(array, shifts, index, at, count)``: the small
+    check rows of every rank of one array riding one set of arguments
+    (``shifts``, ``None`` when fixed: :meth:`_Stacked.shifts`) as one
+    :func:`flat_row`.  ``scatter`` is ``(dest, src, shifts)``, the
+    small stores: element ``src[i]`` of the flattened block goes to
+    ``dest[i]``.
     """
 
     rhs: types.FunctionType
@@ -163,13 +312,16 @@ class NestTemplate:
     advance: tuple
     sid: int
     lhs: str
+    gathers: tuple = ()
+    scatter: tuple | None = None
     elements: int = 0
     bcopy_calls: int = 0
     remote_reads: int = 0
     sections: int = 0
 
-    def bind(self, storage: dict, shadow: dict):
-        """The template over one run's rank ``storage`` and ``shadow``
+    def bind(self, storage: dict, flats: dict, shadow: dict):
+        """The template over one run's rank ``storage``, its flattened
+        stacked arrays ``flats`` (:func:`_flats`) and its ``shadow``
         arrays: a function firing it under the runtime arguments.
 
         A firing tests the bounds (raising ``PlanFallback`` before
@@ -177,9 +329,10 @@ class NestTemplate:
         reads, stores every rank's share and advances the shadow.  All
         checks come before any store: a rank's store touches only its
         own storage, which no other rank's rows read, so the first
-        failure is the same.  All rows go through one :func:`verify`;
-        only a failure walks them group by group to name it."""
-        rhs, bounds = self.rhs, self.bounds
+        failure is the same.  All rows — one gather per array and the
+        wide rows' views — go through one :func:`verify`; only a failure
+        walks them rank by rank, as views, to name it."""
+        rhs, bounds, ranks = self.rhs, self.bounds, self.ranks
         views = tuple([
             shadow[array][index].transpose(perm).reshape(shape)
             for array, index, (perm, shape) in self.views
@@ -188,30 +341,34 @@ class NestTemplate:
             (shadow[array], index, dims, perm, shape)
             for array, index, dims, (perm, shape) in self.blocks
         ])
-        checks, moving, stores, moving_stores = [], [], [], []
-        for rank, groups, (index, dims, part) in self.ranks:
+        gathers = tuple([
+            (*flats[array], index, at, shifts, count)
+            for array, shifts, index, at, count in self.gathers
+        ])
+        fixed_wide, moving_wide, stores, moving_stores = [], [], [], []
+        for rank, checks, (at, at_dims, part, stored) in ranks:
             per_rank = storage[rank]
-            for array, fixed, more in groups:
+            for array, fixed, moving in checks:
                 store, truth = per_rank[array], shadow[array]
-                valid, values = store.valid, store.values
-                checks.append(((rank, array), tuple([
-                    (valid[ix], values[ix], truth[ix], count)
-                    for ix, count in fixed
-                ])))
-                moving.append(tuple([
-                    (valid, values, truth, count, ix, ix_dims)
-                    for ix, count, ix_dims in more
-                ]))
-            store = per_rank[self.lhs]
-            if dims:
-                moving_stores.append(
-                    (store.values, store.valid, index, dims, part)
-                )
-            else:
-                stores.append((store.values[index], store.valid[index], part))
-        rows = tuple([row for _, fixed in checks for row in fixed])
-        if not any(moving):
-            moving = None
+                fixed_wide += [
+                    (store.valid[ix], store.values[ix], truth[ix], count)
+                    for ix, count in fixed if count > CROSSOVER
+                ]
+                moving_wide += [
+                    (store.valid, store.values, truth, count, ix, dims)
+                    for ix, count, dims in moving if count > CROSSOVER
+                ]
+            if stored > CROSSOVER:
+                store = per_rank[self.lhs]
+                if at_dims:
+                    moving_stores.append(
+                        (store.values, store.valid, at, at_dims, part)
+                    )
+                else:
+                    stores.append((store.values[at], store.valid[at], part))
+        scatter = self.scatter
+        if scatter is not None:
+            scatter = (*flats[self.lhs][:2], *scatter)
         index, dims = self.advance
         shadow_lhs = shadow[self.lhs] if dims else shadow[self.lhs][index]
         message = self.message
@@ -225,18 +382,28 @@ class NestTemplate:
                 raw[moved(ix, ix_dims, args)].transpose(perm).reshape(shape)
                 for raw, ix, ix_dims, perm, shape in blocks
             ])
-            test = rows
-            if moving is not None:
-                moved_rows = [_moved_rows(more, args) for more in moving]
-                test += tuple([row for more in moved_rows for row in more])
-            if verify(test):
-                groups = checks
-                if moving is not None:
-                    groups = [
-                        (key, fixed + more)
-                        for (key, fixed), more in zip(checks, moved_rows)
-                    ]
-                raise SimulationError(message(*first_fault(groups)))
+            rows = []
+            for valid, values, truth, ix, at, shifts, count in gathers:
+                if shifts:
+                    delta = _offset(shifts, args)
+                    ix, at = ix + delta, at + delta
+                rows.append(
+                    (valid.take(ix), values.take(ix), truth.take(at), count)
+                )
+            rows += fixed_wide
+            for valid, values, truth, count, ix, ix_dims in moving_wide:
+                ix = moved(ix, ix_dims, args)
+                rows.append((valid[ix], values[ix], truth[ix], count))
+            if verify(rows):
+                raise SimulationError(message(*first_fault(
+                    _rank_rows(ranks, storage, shadow, args)
+                )))
+            if scatter is not None:
+                valid, values, dest, src, shifts = scatter
+                if shifts:
+                    dest = dest + _offset(shifts, args)
+                values[dest] = val.reshape(-1).take(src)
+                valid[dest] = True
             for values, valid, part in stores:
                 values[...] = val[part]
                 valid[...] = True
@@ -263,29 +430,52 @@ class NestTemplate:
         )
 
 
-def _moved_rows(rows: tuple, args) -> tuple:
-    """Check rows over whole arrays, ``(valid, values, truth, count,
-    index, dims)``, as rows over this firing's sections."""
-    out = []
-    for valid, values, truth, count, index, dims in rows:
-        ix = moved(index, dims, args)
-        out.append((valid[ix], values[ix], truth[ix], count))
-    return tuple(out)
+def _rank_rows(ranks: tuple, storage: dict, shadow: dict, args):
+    """A nest template's check rows as views, ``((rank, array), rows)``
+    rank by rank and array by array: the walk :func:`first_fault` takes
+    after a failed firing."""
+    for rank, groups, _ in ranks:
+        per_rank = storage[rank]
+        for array, fixed, moving in groups:
+            store, truth = per_rank[array], shadow[array]
+            rows = [
+                (store.valid[ix], store.values[ix], truth[ix], count)
+                for ix, count in fixed
+            ]
+            for ix, count, dims in moving:
+                ix = moved(ix, dims, args)
+                rows.append((store.valid[ix], store.values[ix], truth[ix],
+                             count))
+            yield (rank, array), rows
+
+
+def _stays_view(t, count: int) -> bool:
+    """Whether transfer ``t`` of ``count`` source elements is copied
+    view to view rather than through its array's gather: unmasked and
+    above :data:`CROSSOVER`."""
+    return t.mask is None and count > CROSSOVER
 
 
 @dataclass
 class CopyTemplate:
     """A CommPlan's direct-copy template: ``runs`` splits the plan's
-    transfers, in order, into runs of one phase, each transfer with the
-    number of elements its source must hold (the masked ones for a
-    diagonal transfer)."""
+    transfers, in order, into runs of one phase.  A run is
+    ``(transfers, gathers)``: each transfer with the number of elements
+    its source must hold (the masked ones for a diagonal transfer), and
+    per array and number of remote destinations ``k`` one ``(array,
+    src, at, moves, counts, count)`` — the ``count`` source elements of
+    every transfer that does not stay a view (:func:`_stays_view`),
+    masks folded in, as one :func:`flat_row`, and per transfer its
+    element count and the ``k`` offsets from its source's positions to
+    its destinations' (``None`` for ``k == 0``)."""
 
     runs: tuple
     bcopy_calls: int = 0
     sections: int = 0
 
     @classmethod
-    def of(cls, plan: CommPlan) -> "CopyTemplate":
+    def of(cls, plan: CommPlan, info, nranks: int) -> "CopyTemplate":
+        stacked = _Stacked(info, nranks, None)
         runs: list[list] = []
         for t in plan.transfers:
             if not runs or runs[-1][-1][0].phase != t.phase:
@@ -294,62 +484,107 @@ class CopyTemplate:
                 (t, t.region.count() if t.mask is None else int(t.mask.sum()))
             )
         return cls(
-            runs=tuple(tuple(run) for run in runs),
+            runs=tuple(_copy_run(run, stacked) for run in runs),
             bcopy_calls=sum(1 + len(t.dsts) for t in plan.transfers),
             sections=len(plan.transfers),
         )
 
-    def bind(self, storage: dict, shadow: dict) -> tuple:
-        """Per run of one phase ``(transfers, rows, installs, masked)``:
-        each transfer's source check row, each ``(values, valid, data,
-        mask)`` a destination takes, and whether any row needs a mask."""
+    def bind(self, storage: dict, flats: dict, shadow: dict) -> tuple:
+        """Per run of one phase ``(transfers, gathers, wide)`` over one
+        run's storage: the gathers with their flattened arrays and
+        destinations, each view transfer's source check row with the
+        destination views it fills."""
         runs = []
-        for run in self.runs:
-            transfers, rows, installs = [], [], []
-            for t, count in run:
-                ix, array, mask = t.index, t.array, t.mask
+        for transfers, gathers in self.runs:
+            wide = []
+            for t, count in transfers:
+                if not _stays_view(t, count):
+                    continue
+                ix, array = t.index, t.array
                 src = storage[t.src][array]
-                data = src.values[ix]
-                transfers.append(t)
-                rows.append((src.valid[ix], data, shadow[array][ix], count))
-                for dst in t.dsts:
-                    store = storage[dst][array]
-                    installs.append(
-                        (store.values[ix], store.valid[ix], data, mask)
-                    )
-            runs.append((
-                tuple(transfers), tuple(rows), tuple(installs),
-                any(t.mask is not None for t in transfers),
-            ))
+                wide.append(((
+                    src.valid[ix], src.values[ix], shadow[array][ix], count,
+                ), tuple([
+                    (storage[dst][array].values[ix],
+                     storage[dst][array].valid[ix])
+                    for dst in t.dsts if dst != t.src
+                ])))
+            runs.append((transfers, tuple([
+                (*flats[array], src, at,
+                 None if moves is None
+                 else src + np.repeat(moves, counts, axis=1),
+                 count)
+                for array, src, at, moves, counts, count in gathers
+            ]), tuple(wide)))
         return tuple(runs)
 
 
-def run_copy(runs: tuple) -> None:
+def _copy_run(run: list, stacked: _Stacked) -> tuple:
+    """One phase's transfers as ``(transfers, gathers)``.  A transfer
+    delivers nothing to its own source (the element is already there,
+    checked), so only remote destinations are scattered to."""
+    by_array: dict[tuple, list] = {}
+    for t, count in run:
+        if _stays_view(t, count):
+            continue
+        size = stacked.size(t.array)
+        at = stacked.at(t.src, t.array, t.index)
+        by_array.setdefault(
+            (t.array, len(t.dsts) - (t.src in t.dsts)), []
+        ).append((
+            at.reshape(-1) if t.mask is None else at[t.mask],
+            [(dst - t.src) * size for dst in t.dsts if dst != t.src],
+        ))
+    gathers = []
+    for (array, k), items in by_array.items():
+        src, at = flat_row(
+            np.concatenate([at for at, _ in items]), stacked.size(array)
+        )
+        moves = counts = None
+        if k:
+            moves = np.array([offsets for _, offsets in items]).T
+            counts = np.array([len(at) for at, _ in items])
+        gathers.append((array, src, at, moves, counts, len(src)))
+    return tuple(run), tuple(gathers)
+
+
+def _transfer_row(storage: dict, shadow: dict, t, count: int) -> tuple:
+    """Transfer ``t``'s source check row as views: what
+    :func:`first_fault` walks after a failed run."""
+    src = storage[t.src][t.array]
+    views = (src.valid[t.index], src.values[t.index], shadow[t.array][t.index])
+    if t.mask is not None:
+        views = tuple(view[t.mask] for view in views)
+    return (*views, count)
+
+
+def run_copy(runs: tuple, storage: dict, shadow: dict) -> None:
     """One CommPlan on the direct-copy path: per run of one phase,
     verify every source, then install every transfer.  Phases keep
     their order (a later phase may forward what an earlier one
     delivered); within one, no transfer reads what another delivers —
     the transports send a phase as one round on the same premise — so
-    the first failure is the one a transfer-by-transfer walk meets."""
-    for transfers, rows, installs, masked in runs:
-        if masked:  # a diagonal transfer checks only what it ships
-            rows = tuple([
-                row if t.mask is None else (
-                    *(view[t.mask] for view in row[:3]), row[3]
-                )
-                for t, row in zip(transfers, rows)
-            ])
+    the first failure is the one a transfer-by-transfer walk meets,
+    rank by rank over views of ``storage`` and ``shadow``."""
+    for transfers, gathers, wide in runs:
+        rows = [
+            (valid.take(src), values.take(src), truth.take(at), count)
+            for valid, values, truth, src, at, _, count in gathers
+        ]
+        rows += [row for row, _ in wide]
         if verify(rows):
             raise SimulationError(copy_message(*first_fault(
-                (t, (row,)) for t, row in zip(transfers, rows)
+                (t, (_transfer_row(storage, shadow, t, count),))
+                for t, count in transfers
             )))
-        for values, valid, data, mask in installs:
-            if mask is None:
+        for (valid, values, _, _, _, dst, _), row in zip(gathers, rows):
+            if dst is not None:
+                values[dst] = row[1]
+                valid[dst] = True
+        for (_, data, _, _), installs in wide:
+            for values, valid in installs:
                 values[...] = data
                 valid[...] = True
-            else:
-                values[mask] = data[mask]
-                valid[mask] = True
 
 
 def copy_message(fault: int, t) -> str:
@@ -389,6 +624,7 @@ class KernelEngine:
         self.stats = executor.stats
         self.storage = executor.storage
         self.shadow = executor.shadow
+        self.flats = _flats(executor.stacks, executor.shadow.arrays)
         self.specs: dict[int, NestSpec] = image.kernel_specs
         #: assign sid -> why the nest cannot take the kernel path
         self.ineligible: dict[int, str] = image.kernel_ineligible
@@ -436,9 +672,9 @@ class KernelEngine:
                     image.nest_templates, key,
                     lambda: self._build_nest(spec, env),
                 )
-                bound = self._nest_runs[key] = (
-                    kern, kern.bind(self.storage, self.shadow.arrays)
-                )
+                bound = self._nest_runs[key] = (kern, kern.bind(
+                    self.storage, self.flats, self.shadow.arrays
+                ))
             except PlanFallback:
                 stats.fallback_firings += 1
                 return False
@@ -482,8 +718,10 @@ class KernelEngine:
         name = conc.lhs.name
         layout = info.layout(name)
         # Indices that ride runtime arguments are kept relative to them.
-        origin = [-int(a.evaluate(env)) for a in spec.dyn_args]
+        at_build = [int(a.evaluate(env)) for a in spec.dyn_args]
+        origin = [-arg for arg in at_build]
         dims_of = spec.dyn_dims.get
+        stacked = _Stacked(info, len(image.ranks), at_build)
 
         # Runtime-offset bounds, one test per distinct form.
         bounds: dict[tuple, None] = {}
@@ -537,9 +775,15 @@ class KernelEngine:
 
         lhs_dims = dims_of(("lhs", 0), ())
         lhs_axes = [d[1] for d in conc.lhs.dims if d[0] == "a"]
+        # The block's elements, numbered in LHS order: what each store
+        # takes from it.
+        block = positions(tuple(conc.shape[a] for a in lhs_axes))
         remote_reads = 0
         sections = 0
         ranks: list[tuple] = []
+        gathers: dict[tuple, list] = {}
+        dests: list[np.ndarray] = []
+        srcs: list[np.ndarray] = []
         for gr in image.ranks:
             if layout.distributed_dims:
                 kbox = rank_kbox(conc, image.owned[gr.rank, name])
@@ -566,10 +810,7 @@ class KernelEngine:
                 # movement accounting, hoisted to build time: regions on
                 # dynamic (serial, in-bounds) dims translate rigidly, so
                 # the local/remote split is firing-invariant.
-                rown = image.ownership[cref.name]
-                owned = planner.owner_semantics_region(
-                    info.layout(cref.name), rown, gr
-                )
+                owned = planner.owner_semantics_region(cref.name, gr)
                 local = (
                     region.intersect(owned).count() if owned is not None
                     else 0
@@ -585,6 +826,11 @@ class KernelEngine:
                 for dims, regions in by_dims.items():
                     for section in cover(regions):
                         index, count = np_index(section), section.count()
+                        if count <= CROSSOVER:
+                            gathers.setdefault((array, dims), []).append(
+                                stacked.at(gr.rank, array, index)
+                                .reshape(-1)
+                            )
                         if dims:
                             moving.append(
                                 (moved(index, dims, origin), count, dims)
@@ -593,8 +839,15 @@ class KernelEngine:
                             fixed.append((index, count))
                 sections += len(fixed) + len(moving)
                 checks.append((array, tuple(fixed), tuple(moving)))
-            index = moved(ref_np_index(conc.lhs, kbox), lhs_dims, origin)
-            ranks.append((gr.rank, tuple(checks), (index, lhs_dims, part)))
+            index = ref_np_index(conc.lhs, kbox)
+            rel = moved(index, lhs_dims, origin)
+            dest = stacked.at(gr.rank, name, index)
+            if dest.size <= CROSSOVER:
+                dests.append(dest.reshape(-1))
+                srcs.append(np.broadcast_to(block[part], dest.shape).reshape(-1))
+            ranks.append(
+                (gr.rank, tuple(checks), (rel, lhs_dims, part, dest.size))
+            )
 
         return NestTemplate(
             rhs=rhs,
@@ -602,6 +855,16 @@ class KernelEngine:
             blocks=tuple(blocks),
             bounds=tuple(bounds),
             ranks=tuple(ranks),
+            gathers=tuple(
+                (array, stacked.shifts(array, dims), *flat_row(
+                    np.concatenate(rows), stacked.size(array)
+                ), sum(len(row) for row in rows))
+                for (array, dims), rows in gathers.items()
+            ),
+            scatter=(
+                shared(np.concatenate(dests)), shared(np.concatenate(srcs)),
+                stacked.shifts(name, lhs_dims),
+            ) if dests else None,
             advance=(
                 moved(ref_np_index(conc.lhs, full), lhs_dims, origin),
                 lhs_dims,
@@ -632,18 +895,20 @@ class KernelEngine:
                 with self.image.lock:
                     kern = plan.copy
                     if kern is None:
-                        kern = plan.copy = CopyTemplate.of(plan)
+                        kern = plan.copy = CopyTemplate.of(
+                            plan, self.info, len(self.image.ranks)
+                        )
                         built = True
-            bound = self._copy_rows[key] = (
-                kern, kern.bind(self.storage, self.shadow.arrays)
-            )
+            bound = self._copy_rows[key] = (kern, kern.bind(
+                self.storage, self.flats, self.shadow.arrays
+            ))
             stats.plan_compile_s += time.perf_counter() - t0
         if built:
             stats.kernel_compiles += 1
         else:
             stats.kernel_cache_hits += 1
-        kern, rows = bound
-        run_copy(rows)
+        kern, runs = bound
+        run_copy(runs, self.storage, self.shadow.arrays)
         stats.kernel_firings += 1
         stats.bcopy_calls += kern.bcopy_calls
         stats.sections_verified += kern.sections

@@ -532,11 +532,13 @@ class CommPlanner:
                 f"no rank at grid coordinates {coords}"
             ) from None
 
-    def owner_semantics_region(self, layout, own, gr):
-        """The region whose ``owner_rank_coords`` equal this rank's — the
-        element-wise path's locality test.  Grid axes no dimension maps
-        to default to coordinate 0 there, so ranks elsewhere on such an
-        axis own nothing under that test (returns None)."""
+    def owner_semantics_region(self, name: str, gr):
+        """The region of array ``name`` whose ``owner_rank_coords`` equal
+        this rank's — the element-wise path's locality test.  Grid axes
+        no dimension maps to default to coordinate 0 there, so ranks
+        elsewhere on such an axis own nothing under that test (returns
+        None)."""
+        layout = self.info.layout(name)
         coords = self.coords_for(layout, gr)
         referenced = {
             m.grid_axis for m in layout.dims if m.grid_axis is not None
@@ -544,7 +546,7 @@ class CommPlanner:
         for axis, coord in enumerate(coords):
             if axis not in referenced and coord != 0:
                 return None
-        return own.owned_rsd(coords)
+        return self.owned[gr.rank, name]
 
     # -- lowering ----------------------------------------------------------
 
@@ -627,13 +629,15 @@ class CommPlanner:
             )
             if src_coords is None:
                 continue  # boundary: no partner in this direction
-            needs = own.shifted_needs(gr.coords, elem_shifts)
+            needs = own.shifted_needs(
+                self.owned[gr.rank, entry.array], elem_shifts
+            )
+            src_rank = self.rank_of(src_coords)
             recv = section.intersect(needs).intersect(
-                own.owned_rsd(src_coords)
+                self.owned[src_rank, entry.array]
             )
             if recv.is_empty:
                 continue
-            src_rank = self.rank_of(src_coords)
             transfers.append(PlannedTransfer(
                 array=entry.array,
                 src=src_rank,
@@ -663,7 +667,9 @@ class CommPlanner:
                 )
         nbytes = 0
         boxes = {
-            gr.rank: section.intersect(own.halo_band(gr.coords, elem_shifts))
+            gr.rank: section.intersect(own.halo_band(
+                self.owned[gr.rank, entry.array], elem_shifts
+            ))
             for gr in self.ranks
         }
         eligible: dict[int, np.ndarray] = {}

@@ -32,10 +32,11 @@ operation); every later one, on any backend, only binds it to fresh
 storage.
 
 Execution is plan-compiled (:mod:`repro.runtime.plans`): scalarized loop
-nests the vectorizer proves rectangular run as fused per-rank kernels
+nests the vectorizer proves rectangular run as fused kernels
 (:mod:`repro.runtime.kernels`) — the per-element validity, staleness, and
 remote-read accounting collapses into bulk mask/equality checks over the
-same regions — and each communication firing executes a cached
+same regions, every rank's at once over the stacked storage — and each
+communication firing executes a cached
 :class:`~repro.runtime.plans.CommPlan` of flat slice copies instead of
 re-deriving partners and overlap regions.  Everything else — statements
 the vectorizer declines, nests the kernel engine finds ineligible, and
@@ -79,7 +80,7 @@ from ..transport.lowering import (
 from .darray import GridRank, Ownership, RankStorage, grid_ranks
 from .darray import all_valid, fresh, np_index  # the freshness idiom
 from .interp import Interpreter
-from .kernels import KernelEngine
+from .kernels import KernelEngine, owned_rows
 from .plans import (
     CommPlan,
     CommPlanner,
@@ -147,6 +148,13 @@ class ExecutionImage:
         #: (rank, array) -> the numpy index of the rank's owned region
         self.owned_index = {
             key: np_index(region) for key, region in self.owned.items()
+        }
+        #: array -> its owned regions over its stacked pair, a flat
+        #: index and the ranks whose region stays a view
+        #: (:func:`~repro.runtime.kernels.owned_rows`).
+        self.owned_flat = {
+            name: owned_rows(self.ranks, self.owned_index, name, layout.shape)
+            for name, layout in info.layouts.items()
         }
         self.lock = threading.Lock()
         #: (grid shape, anchor, slot at the anchor, sections) -> CommPlan.
@@ -318,32 +326,46 @@ class SPMDExecutor:
 
     def _bind(self, seed: int) -> None:
         """This run's state: the sequential shadow (the ground truth
-        every delivered value is checked against) and each rank's
-        storage, holding its owned regions of the initial arrays."""
+        every delivered value is checked against) and each array's
+        stacked storage (:attr:`stacks`), every rank holding its owned
+        regions of the initial arrays; :attr:`storage` is rank ``r``'s
+        ``[r]`` views of it."""
         self.shadow = Interpreter(self.info, seed)
         init = self.shadow.arrays  # still the initial state; install copies
-        layouts = self.info.layouts
-        buffers = None
+        specs = [
+            (name, layout.shape) for name, layout in self.info.layouts.items()
+        ]
+        nranks = len(self.ranks)
         if self.transport is not None:
-            buffers = self.transport.create_storage(
-                (gr.rank, name, layout.shape)
-                for gr in self.ranks
-                for name, layout in layouts.items()
-            )
-        self.storage: dict[int, dict[str, RankStorage]] = {}
-        for gr in self.ranks:
-            per_rank: dict[str, RankStorage] = {}
-            for name, layout in layouts.items():
-                store = RankStorage(
-                    name, layout.shape,
-                    buffers[(gr.rank, name)] if buffers is not None else None,
+            self.stacks = self.transport.create_storage(specs)
+        else:
+            self.stacks = {
+                name: (
+                    np.zeros((nranks, *shape)),
+                    np.zeros((nranks, *shape), dtype=bool),
                 )
-                idx = self.image.owned_index[gr.rank, name]
-                store.install(
-                    self.image.owned[gr.rank, name], init[name][idx], idx
+                for name, shape in specs
+            }
+        for name, (values, valid) in self.stacks.items():
+            flat, wide = self.image.owned_flat[name]
+            if flat is not None:
+                flat, at = flat
+                values.reshape(-1)[flat] = init[name].reshape(-1).take(at)
+                valid.reshape(-1)[flat] = True
+            for rank in wide:
+                idx = self.image.owned_index[rank, name]
+                values[rank][idx] = init[name][idx]
+                valid[rank][idx] = True
+        self.storage: dict[int, dict[str, RankStorage]] = {
+            gr.rank: {
+                name: RankStorage(
+                    name, shape,
+                    tuple(stack[gr.rank, ...] for stack in self.stacks[name]),
                 )
-                per_rank[name] = store
-            self.storage[gr.rank] = per_rank
+                for name, shape in specs
+            }
+            for gr in self.ranks
+        }
         if self.transport is not None:
             self.transport.start(self.storage)
 
@@ -906,13 +928,19 @@ class SPMDExecutor:
     # -- results ------------------------------------------------------------
 
     def assemble(self) -> dict[str, np.ndarray]:
-        """Global arrays stitched from each rank's owned region."""
+        """Global arrays stitched from each rank's owned region: the
+        small regions of an array in one gather."""
         out: dict[str, np.ndarray] = {}
         for name, layout in self.info.layouts.items():
+            values = self.stacks[name][0]
+            flat, wide = self.image.owned_flat[name]
             result = np.zeros(layout.shape)
-            for gr in self.ranks:
-                idx = self.image.owned_index[gr.rank, name]
-                result[idx] = self.storage[gr.rank][name].values[idx]
+            if flat is not None:
+                flat, at = flat
+                result.reshape(-1)[at] = values.reshape(-1).take(flat)
+            for rank in wide:
+                idx = self.image.owned_index[rank, name]
+                result[idx] = values[rank][idx]
             out[name] = result
         for name, value in self.shadow.scalars.items():
             out[name] = np.float64(value)

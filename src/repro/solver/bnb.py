@@ -43,10 +43,6 @@ def neg(var: int) -> int:
     return (var << 1) | 1
 
 
-def negate(lit: int) -> int:
-    return lit ^ 1
-
-
 class PBModel:
     """A conjunction of normalized constraints ``Σ coeff·lit ≥ bound``.
 

@@ -157,15 +157,6 @@ class ExactModel:
                 )
         return total
 
-    def byte_terms(self) -> list[tuple[int, int]]:
-        """(weight·volume, x-literal) terms for the bytes tie-break."""
-        by_id = {e.id: e for e in self.entries}
-        return [
-            (self.weight_of(position) * self.volume_at(by_id[eid], position),
-             plit(var))
-            for (eid, position), var in self.x_index.items()
-        ]
-
     # -- bounds ---------------------------------------------------------------
 
     def lower_bound(self) -> int:

@@ -403,14 +403,19 @@ class Transport:
     # -- storage ----------------------------------------------------------
 
     def create_storage(
-        self, specs: Iterable[tuple[int, str, tuple[int, ...]]]
-    ) -> dict[tuple[int, str], tuple[np.ndarray, np.ndarray]]:
-        """Allocate (values, valid) buffers per (rank, array).  The base
+        self, specs: Iterable[tuple[str, tuple[int, ...]]]
+    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Allocate, per ``(array, shape)`` of ``specs``, the stacked
+        ``(values, valid)`` pair of every rank: two ``(nranks, *shape)``
+        arrays whose ``[r]`` is rank ``r``'s storage.  The base
         implementation returns process-local numpy arrays; the
         multiprocess backend overrides this with shared-memory views."""
         return {
-            (rank, name): (np.zeros(shape), np.zeros(shape, dtype=bool))
-            for rank, name, shape in specs
+            name: (
+                np.zeros((self.nranks, *shape)),
+                np.zeros((self.nranks, *shape), dtype=bool),
+            )
+            for name, shape in specs
         }
 
     def start(self, storage: dict) -> None:

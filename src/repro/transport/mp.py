@@ -7,8 +7,10 @@ crash recovery, watchdog — is the shared driver in
 processes over shared memory do differently:
 
 * **storage** — rank storage lives in one
-  ``multiprocessing.shared_memory`` arena (8-byte-aligned values +
-  validity masks per (rank, array)); the main process and every worker
+  ``multiprocessing.shared_memory`` arena (per array, 8-byte-aligned,
+  the stacked values and then the stacked validity masks of every
+  rank; the layout table names each (rank, array) view in it); the
+  main process and every worker
   map numpy views over the same segment, so compute results written by
   the executor are immediately visible to the rank that must send them;
 * **channels** — a :class:`~repro.transport.base.Channel` over a
@@ -296,23 +298,40 @@ class MultiprocessTransport(ConcurrentTransport):
     # -- storage -----------------------------------------------------------
 
     def create_storage(self, specs):
-        specs = list(specs)
+        """Each array's stacked pair in the one storage segment: every
+        rank's values, then every rank's validity, so rank ``r``'s row
+        of the layout table is the ``[r]`` view of the pair."""
+        nranks = self.nranks
         offset = 0
         layout = []
-        for rank, name, shape in specs:
+        stacks = []
+        for name, shape in specs:
             count = int(np.prod(shape)) if shape else 1
             off_values = offset
-            offset = _align(offset + count * 8)
+            offset = _align(offset + nranks * count * 8)
             off_valid = offset
-            offset = _align(offset + count)
-            layout.append((rank, name, shape, off_values, off_valid))
-        self._storage_sm = shared_memory.SharedMemory(
+            offset = _align(offset + nranks * count)
+            stacks.append((name, shape, off_values, off_valid))
+            layout.extend(
+                (rank, name, shape, off_values + rank * count * 8,
+                 off_valid + rank * count)
+                for rank in range(nranks)
+            )
+        sm = self._storage_sm = shared_memory.SharedMemory(
             create=True, size=max(offset, _ALIGN),
             name=f"repro-st-{self._token}",
         )
         # A new POSIX segment reads as zeros: nothing to clear.
         self._layout = layout
-        return _np_views(self._storage_sm, layout)
+        return {
+            name: (
+                np.ndarray((nranks, *shape), dtype=np.float64,
+                           buffer=sm.buf, offset=off_values),
+                np.ndarray((nranks, *shape), dtype=bool, buffer=sm.buf,
+                           offset=off_valid),
+            )
+            for name, shape, off_values, off_valid in stacks
+        }
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -368,7 +368,7 @@ class TestRun:
                     line.split()[:2]
                     for line in capsys.readouterr().out.splitlines()
                     if line.startswith("   ")
-                )
+                ) if key != "state_sha256"
             }
             assert report["wire_frames"] == report["messages"] > 0
             assert report["wire_bytes"] == report["bytes_moved"] > 0
@@ -401,6 +401,23 @@ class TestRun:
             for key in ("messages", "bytes_moved", "reductions"):
                 assert direct[key] == inline[key], key
             assert int(direct["messages"]) > 0
+
+    def test_final_state_is_the_same_on_every_transport(
+        self, program_file, capsys
+    ):
+        """``state_sha256`` digests the assembled final state: the
+        direct path and the three backends agree on it bit for bit."""
+        digests = {}
+        for transport in ("direct", "inline", "threaded", "multiprocess"):
+            assert main(["run", program_file, "--transport", transport]) == 0
+            report = dict(
+                line.split()[:2]
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("   ")
+            )
+            digests[transport] = report["state_sha256"]
+        assert len(set(digests.values())) == 1, digests
+        assert len(digests["direct"]) == 64
 
     def test_chaos_on_direct_is_refused(self, program_file, capsys):
         assert main([

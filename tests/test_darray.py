@@ -88,28 +88,30 @@ class TestOwnership:
 
     def test_halo_band_extends_read_side(self):
         own = Ownership(layout_2d())
-        band = own.halo_band((1, 0), {0: 1})  # +1 shift in dim 0
         owned = own.owned_rsd((1, 0))
+        band = own.halo_band(owned, {0: 1})  # +1 shift in dim 0
         assert band.dims[0].lo == owned.dims[0].lo
         assert band.dims[0].hi == owned.dims[0].hi + 1
         assert band.dims[1] == owned.dims[1]
 
     def test_halo_band_negative_shift(self):
         own = Ownership(layout_2d())
-        band = own.halo_band((1, 0), {0: -2})
         owned = own.owned_rsd((1, 0))
+        band = own.halo_band(owned, {0: -2})
         assert band.dims[0].lo == owned.dims[0].lo - 2
 
     def test_halo_band_clips_at_array_bounds(self):
         own = Ownership(layout_2d())
-        band = own.halo_band((3, 0), {0: 1})  # last block: nothing above
+        # last block: nothing above
+        band = own.halo_band(own.owned_rsd((3, 0)), {0: 1})
         assert band.dims[0].hi == 16
 
 
 class TestRankStorage:
     def test_install_and_read(self):
         store = RankStorage("a", (4, 4))
-        store.install(RSD.of((1, 2), (1, 4)), np.ones((2, 4)))
+        store.values[0:2, :] = 1.0
+        store.valid[0:2, :] = True
         assert store.read((1, 3)) == 1.0
 
     def test_read_invalid_raises(self):
@@ -124,12 +126,14 @@ class TestRankStorage:
 
     def test_extract_strided(self):
         store = RankStorage("a", (8,))
-        store.install(RSD.of((1, 8)), np.arange(8.0))
+        store.values[:] = np.arange(8.0)
+        store.valid[:] = True
         got = store.extract(RSD.of((1, 7, 2)))
         np.testing.assert_array_equal(got, [0, 2, 4, 6])
 
     def test_extract_partial_invalid_raises(self):
         store = RankStorage("a", (8,))
-        store.install(RSD.of((1, 4)), np.ones(4))
+        store.values[0:4] = 1.0
+        store.valid[0:4] = True
         with pytest.raises(SimulationError):
             store.extract(RSD.of((3, 6)))

@@ -618,3 +618,62 @@ class TestConstructorFailureLeaksNothing:
             SPMDExecutor(result, transport=backend)
         assert threading.active_count() == threads
         assert len(multiprocessing.active_children()) == children
+
+
+class TestStackedStorage:
+    """The ranks are an axis: every rank's storage of an array is the
+    ``[r]`` view of one ``(P, *shape)`` values array and one validity
+    array, on the direct path and on every backend."""
+
+    @pytest.mark.parametrize(
+        "backend", [None, "inline", "threaded", "multiprocess"]
+    )
+    def test_each_rank_is_a_view_of_one_stacked_pair(self, backend):
+        result = _compile("shallow")
+        executor = SPMDExecutor(result, transport=backend)
+        try:
+            nranks = len(executor.ranks)
+            assert set(executor.stacks) == set(result.info.layouts)
+            for name, stacked in executor.stacks.items():
+                shape = result.info.shape(name)
+                for stack, dtype in zip(stacked, (np.float64, np.bool_)):
+                    assert stack.shape == (nranks, *shape)
+                    assert stack.dtype == dtype and stack.flags.c_contiguous
+                for gr in executor.ranks:
+                    store = executor.storage[gr.rank][name]
+                    for view, stack in zip((store.values, store.valid),
+                                           stacked):
+                        row = stack[gr.rank]
+                        assert view.shape == row.shape
+                        assert view.ctypes.data == row.ctypes.data
+                        assert view.strides == row.strides
+            executor.run()
+            ref, _ = execute_spmd(result)
+            state = executor.assemble()
+            for name in ref:
+                np.testing.assert_array_equal(state[name], ref[name], name)
+        finally:
+            executor.close()
+
+
+class TestInspectorReadsTheOwnedTable:
+    """The owned region of each (rank, array) is worked out once, when
+    the image's planner builds its table; plans, halo bands and the
+    kernels' locality accounting read that table."""
+
+    @pytest.mark.parametrize("program", sorted(BENCHMARKS))
+    def test_one_owned_region_per_rank_and_array(self, program,
+                                                 monkeypatch):
+        result = _compile(program)
+        calls: dict[str, int] = {}
+        real = darray.Ownership.owned_rsd
+
+        def counted(own, coords):
+            calls[own.layout.array] = calls.get(own.layout.array, 0) + 1
+            return real(own, coords)
+
+        monkeypatch.setattr(darray.Ownership, "owned_rsd", counted)
+        execute_spmd(result)
+        nranks = len(result.execution_image.ranks)
+        assert set(calls) == set(result.info.layouts)
+        assert all(count <= nranks for count in calls.values()), calls

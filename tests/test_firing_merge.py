@@ -136,12 +136,10 @@ def _started(backend: str, nranks: int, size: int = 8):
     """A started transport over ``x``: rank ``r`` holds ``100 r + i`` at
     every ``i``, all of it valid."""
     transport = make_transport(backend, nranks, watchdog_s=10.0)
-    buffers = transport.create_storage(
-        [(rank, "x", (size,)) for rank in range(nranks)]
-    )
+    values, valid = transport.create_storage([("x", (size,))])["x"]
     storage = {}
     for rank in range(nranks):
-        store = RankStorage("x", (size,), buffers[rank, "x"])
+        store = RankStorage("x", (size,), (values[rank], valid[rank]))
         store.values[:] = 100.0 * rank + np.arange(size)
         store.valid[:] = True
         storage[rank] = {"x": store}

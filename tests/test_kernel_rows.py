@@ -1,18 +1,22 @@
 """Kernel templates are tables: the rows keep the oracle's power, and the
-grid stays out of the code.
+grid stays out of the code and out of the work.
 
-A nest kernel runs per-rank check and store rows bound to a run's views
-and compiles only its rank-independent RHS; a copy plan runs rows and
-compiles nothing (:mod:`repro.runtime.kernels`).  An element made
-invalid, or stale, in one rank's storage right before a firing must be
-reported with the exact words the runtime has always used — for a nest
-with static offsets, one whose offsets ride a loop variable, an
-unmasked transfer and a masked diagonal one — and no compiled code may
-grow with the processor grid.
+A nest kernel runs its check and store rows — one flat gather per array
+over every rank's stacked storage, or views for rows above the
+crossover — and compiles only its rank-independent RHS; a copy plan
+runs rows and compiles nothing (:mod:`repro.runtime.kernels`).  An
+element made invalid, or stale, in one rank's storage right before a
+firing must be reported with the exact words the runtime has always
+used — for a nest with static offsets, one whose offsets ride a loop
+variable, an unmasked transfer and a masked diagonal one, rows above
+and below the crossover — and neither the compiled code nor the numpy
+calls of a firing may grow with the processor grid.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
 import types
 
 import numpy as np
@@ -46,6 +50,42 @@ PROGRAM diag
   DISTRIBUTE a(BLOCK, BLOCK) ONTO p
   DISTRIBUTE b(BLOCK, BLOCK) ONTO p
   b(2:n-1, 2:n-1) = a(3:n, 3:n)
+END
+"""
+
+
+#: ``STENCIL`` at n = 1025 on 4 ranks: blocks of 257, 257, 257 and 254
+#: elements, so ranks 0-2 read and store through rows above the
+#: crossover (views) and rank 3 through the flat gather and scatter.
+MIXED = STENCIL.replace("n = 16", "n = 1025")
+
+#: Whole rows of 300 elements cross the block boundaries: transfers
+#: above the crossover, which stay views.
+WIDE = """
+PROGRAM w
+  PARAM n = 16
+  PARAM m = 300
+  PROCESSORS p(4)
+  REAL a(n, m)
+  DISTRIBUTE a(BLOCK, *) ONTO p
+  REAL b(n, m)
+  DISTRIBUTE b(BLOCK, *) ONTO p
+  b(2:n-1, 1:m) = a(1:n-2, 1:m) + a(3:n, 1:m)
+END
+"""
+
+#: A replicated LHS: every rank stores the whole block.
+REPLICATED = """
+PROGRAM r
+  PARAM n = 16
+  PROCESSORS p(2, 2)
+  REAL a(n, n)
+  DISTRIBUTE a(BLOCK, BLOCK) ONTO p
+  REAL c(n)
+  REAL d(n)
+  c(2:n-1) = d(1:n-2) + d(3:n)
+  a(2:n-1, 2:n-1) = a(1:n-2, 2:n-1) + a(3:n, 3:n)
+  d(1:n) = c(1:n) * 2.0
 END
 """
 
@@ -127,6 +167,21 @@ class TestNestRows:
         assert said(executor) == message
 
 
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("how, message", [
+        ("invalid", "read of a at s2: elements not present on rank {} "
+                    "(missing or misplaced communication)"),
+        ("stale", "rank {} read stale a at s2: rank data disagrees with "
+                  "the sequential semantics"),
+    ])
+    def test_rows_above_and_below_the_crossover(self, rank, how, message):
+        """Rank 1's rows are views, rank 3's part of the gather: both
+        are named alike."""
+        executor = SPMDExecutor(compile_program(MIXED, strategy="comb"))
+        spoil_before_nest(executor, "b", rank, 1, how)
+        assert said(executor) == message.format(rank)
+
+
 # -- copies ---------------------------------------------------------------------
 
 
@@ -174,6 +229,46 @@ class TestCopyRows:
         executor = SPMDExecutor(compile_program(DIAGONAL, strategy="comb"))
         spoil_before_copy(executor, masked=True, how=how)
         assert said(executor) == message
+
+
+    @pytest.mark.parametrize("how, message", [
+        ("invalid", "extracting invalid data from a [8:8, 1:300]"),
+        ("stale", "stale data shipped for a [8:8, 1:300]: sender holds "
+                  "values that disagree with the sequential semantics"),
+    ])
+    def test_transfer_above_the_crossover(self, how, message):
+        executor = SPMDExecutor(compile_program(WIDE, strategy="comb"))
+        spoil_before_copy(executor, masked=False, how=how)
+        assert said(executor) == message
+
+
+@pytest.mark.parametrize("source, stores", [
+    pytest.param(MIXED, "views and scatter", id="mixed"),
+    pytest.param(WIDE, "views", id="wide"),
+    pytest.param(REPLICATED, "scatter", id="replicated"),
+])
+def test_every_row_form_matches_the_reference(source, stores):
+    """Stores above and below the crossover in one template, a block
+    stored whole by every rank, transfers that stay views: the final
+    state is the element-wise reference's, bit for bit."""
+    result = compile_program(source, strategy="comb")
+    state, stats = execute_spmd(result)
+    ref, ref_stats = execute_spmd(result, vectorize=False)
+    for name in ref:
+        np.testing.assert_array_equal(state[name], ref[name], name)
+    assert stats.messages == ref_stats.messages
+    forms = {
+        (template.scatter is not None, any(
+            count > kernels.CROSSOVER
+            for _, _, (_, _, _, count) in template.ranks
+        ))
+        for template in result.execution_image.nest_templates.values()
+    }
+    assert forms == {
+        "views and scatter": {(True, True)},
+        "views": {(False, True)},
+        "scatter": {(True, False)},
+    }[stores]
 
 
 # -- the grid stays out of the code ---------------------------------------------
@@ -225,3 +320,128 @@ def test_no_code_grows_with_the_grid(program, monkeypatch):
                 for value in vars(template).values()
             )
     assert lengths[0] == lengths[1] == lengths[2]
+
+
+def numpy_calls_per_firing(result) -> list[int]:
+    """Numpy's C functions and methods called by each nest and copy
+    firing of one warm execution of ``result``, in run order."""
+    execute_spmd(result)  # build the image: count only warm firings
+    executor = SPMDExecutor(result)
+    engine = executor.kernels
+    counts = []
+
+    def counting(run):
+        def wrapped(*args):
+            calls = [0]
+
+            def profile(frame, event, fn):
+                if event == "c_call" and (
+                    type(getattr(fn, "__self__", None)) is np.ndarray
+                    or (getattr(fn, "__module__", None) or "").startswith(
+                        "numpy"
+                    )
+                    or fn is kernels.count_nonzero
+                ):
+                    calls[0] += 1
+
+            sys.setprofile(profile)
+            try:
+                return run(*args)
+            finally:
+                sys.setprofile(None)
+                counts.append(calls[0])
+        return wrapped
+
+    engine.try_exec_nest = counting(engine.try_exec_nest)
+    engine.execute_plan_copy = counting(engine.execute_plan_copy)
+    executor.run()
+    image = result.execution_image
+    for template in image.nest_templates.values():
+        for _, checks, (_, _, _, stored) in template.ranks:
+            assert stored <= kernels.CROSSOVER
+            for _, fixed, moving in checks:
+                assert all(
+                    row[1] <= kernels.CROSSOVER for row in fixed + moving
+                )
+    for plan in image.comm_plans.values():
+        if plan.copy is not None:
+            assert not any(
+                kernels._stays_view(t, count)
+                for transfers, _ in plan.copy.runs
+                for t, count in transfers
+            )
+    return counts
+
+
+#: Sizes at which every row is below the crossover on every grid: the
+#: three-dimensional hydflo programs hold rows of about 1 000 elements
+#: on 2x2 at n = 16, so they run at n = 10.
+SMALL_ROWS = {
+    **SIZES,
+    "hydflo_flux": {"n": 10, "nsteps": 1},
+    "hydflo_hydro": {"n": 10, "nsteps": 1},
+}
+
+
+@pytest.mark.parametrize("program", sorted(BENCHMARKS))
+def test_no_work_grows_with_the_grid(program):
+    """With every row below the crossover a firing makes the same numpy
+    calls at 2x2, 4x4 and 8x8: one gather per array over all ranks,
+    never one call per rank."""
+    counts = [
+        numpy_calls_per_firing(compile_program(
+            BENCHMARKS[program],
+            params={**SMALL_ROWS[program], "pr": grid, "pc": grid},
+            strategy="comb",
+        ))
+        for grid in (2, 4, 8)
+    ]
+    assert counts[0] and counts[0] == counts[1] == counts[2]
+
+
+# -- one index, many rows -------------------------------------------------------
+
+def flat_indices(result) -> list[np.ndarray]:
+    """Every flat index the execution image of ``result`` holds."""
+    image = result.execution_image
+    out = [index for row in image.owned_flat.values() if row[0]
+           for index in row[0]]
+    for template in image.nest_templates.values():
+        out += [index for gather in template.gathers for index in gather[2:4]]
+        if template.scatter is not None:
+            out += template.scatter[:2]
+    for plan in image.comm_plans.values():
+        if plan.copy is not None:
+            out += [
+                index for _, gathers in plan.copy.runs
+                for gather in gathers for index in gather[1:3]
+            ]
+    return out
+
+
+def test_each_flat_index_is_kept_once():
+    """Equal flat indices are one read-only array, across the templates
+    of one image and across images (one program under two strategies),
+    and the process lets go of them with the images."""
+    gc.collect()
+    before = len(kernels._INDICES)
+    results = [
+        compile_program(
+            BENCHMARKS["shallow"],
+            params={**SIZES["shallow"], "pr": 4, "pc": 4}, strategy=strategy,
+        )
+        for strategy in ("orig", "comb")
+    ]
+    for result in results:
+        execute_spmd(result)
+    indices = [index for r in results for index in flat_indices(r)]
+    kept: dict[bytes, set] = {}
+    for index in indices:
+        assert index.dtype == np.intp and not index.flags.writeable
+        kept.setdefault(index.tobytes(), set()).add(id(index))
+    assert all(len(ids) == 1 for ids in kept.values())
+    assert len(kept) < len(indices)
+    assert len(kernels._INDICES) > before
+    del results, result, indices, kept, index
+    gc.collect()
+    assert len(kernels._INDICES) <= before

@@ -15,13 +15,16 @@ threads or processes.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import Strategy, compile_program
+from repro.errors import SimulationError
 from repro.evaluation.programs import BENCHMARKS
+from repro.runtime.kernels import KernelEngine
 from repro.runtime.spmd import SPMDExecutor, execute_spmd
 from repro.transport import (
     BACKENDS,
@@ -475,7 +478,7 @@ class TestDeadlockWatchdog:
 class TestLifecycle:
     def test_shutdown_is_idempotent(self):
         transport = make_transport("multiprocess", 2)
-        transport.create_storage([(0, "x", (4,)), (1, "x", (4,))])
+        transport.create_storage([("x", (4,))])
         storage = {0: {}, 1: {}}
         transport.start(storage)
         transport.shutdown()
@@ -484,6 +487,47 @@ class TestLifecycle:
             p for p in mp.active_children()
             if p.name.startswith("transport-rank-")
         ]
+
+    @staticmethod
+    def _leftovers(segments: set) -> tuple[list, list]:
+        """Rank processes still alive, and ``repro-*`` shared-memory
+        segments not in ``segments``."""
+        ranks = [
+            p for p in mp.active_children()
+            if p.name.startswith("transport-rank-")
+        ]
+        return ranks, sorted(
+            name for name in _shm_segments() if name not in segments
+        )
+
+    def test_nothing_outlives_a_multiprocess_run(self, monkeypatch):
+        """Gravity on multiprocess, once cleanly and once stopped by the
+        oracle mid-run (a stale element in rank 1's storage before the
+        third nest firing): after each, no rank process is alive and no
+        storage or wire segment is left in ``/dev/shm``."""
+        result = compile_program(
+            BENCHMARKS["gravity"], params={"n": 8, "pr": 2, "pc": 2},
+            strategy="comb",
+        )
+        before = _shm_segments()
+        execute_spmd(result, transport="multiprocess")
+        assert self._leftovers(before) == ([], [])
+
+        fire = KernelEngine.try_exec_nest
+        calls = [0]
+
+        def stale_third(engine, plan, env):
+            calls[0] += 1
+            if calls[0] == 3:
+                for stack in engine.storage[1].values():
+                    stack.values[...] += 1.0
+            return fire(engine, plan, env)
+
+        monkeypatch.setattr(KernelEngine, "try_exec_nest", stale_third)
+        with pytest.raises(SimulationError, match="stale"):
+            execute_spmd(result, transport="multiprocess")
+        assert calls[0] >= 3
+        assert self._leftovers(before) == ([], [])
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(TransportError):
@@ -495,3 +539,12 @@ class TestLifecycle:
     def test_instance_passthrough(self):
         t = InlineTransport(4)
         assert make_transport(t, 4) is t
+
+
+def _shm_segments() -> set:
+    """The ``repro-*`` shared-memory segments in ``/dev/shm``."""
+    try:
+        names = os.listdir("/dev/shm")
+    except FileNotFoundError:  # no POSIX shared-memory directory
+        return set()
+    return {name for name in names if name.startswith("repro-")}
